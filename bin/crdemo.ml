@@ -242,27 +242,29 @@ let trace family scheme_kind epsilon seed src dst format =
   else begin
     let naming = Workload.random_naming ~n ~seed in
     let walk = make_walk scheme_kind nt ~epsilon ~naming ~dst in
-    (match format with
-    | "jsonl" | "chrome" ->
-      let captured =
-        Cr_core.Route_trace.capture metric ~max_hops:1_000_000 ~src ~dst
-          ~walk
-      in
-      if format = "jsonl" then
-        print_string (Cr_core.Route_trace.to_jsonl [ captured ])
-      else print_string (Cr_core.Route_trace.to_chrome [ captured ])
-    | _ ->
+    let captured () =
+      [ Cr_core.Route_trace.capture metric ~max_hops:1_000_000 ~src ~dst ~walk ]
+    in
+    let walked () =
       let w = Cr_sim.Walker.create metric ~start:src ~max_hops:1_000_000 in
       walk w;
+      w
+    in
+    (match format with
+    | `Jsonl -> print_string (Cr_core.Route_trace.to_jsonl (captured ()))
+    | `Chrome -> print_string (Cr_core.Route_trace.to_chrome (captured ()))
+    | `Dot ->
+      let route = Cr_sim.Walker.trail (walked ()) in
+      print_string (Cr_sim.Export.dot_of_graph metric ~route ())
+    | `Csv ->
+      print_string
+        (Cr_sim.Export.csv_of_route metric (Cr_sim.Walker.trail (walked ())))
+    | `Text ->
+      let w = walked () in
       let trail = Cr_sim.Walker.trail w in
-      (match format with
-      | "dot" ->
-        print_string (Cr_sim.Export.dot_of_graph metric ~route:trail ())
-      | "csv" -> print_string (Cr_sim.Export.csv_of_route metric trail)
-      | _ ->
-        Printf.printf "trail (%d hops, cost %.3f): %s\n"
-          (Cr_sim.Walker.hops w) (Cr_sim.Walker.cost w)
-          (String.concat " -> " (List.map string_of_int trail))));
+      Printf.printf "trail (%d hops, cost %.3f): %s\n"
+        (Cr_sim.Walker.hops w) (Cr_sim.Walker.cost w)
+        (String.concat " -> " (List.map string_of_int trail)));
     0
   end
 
@@ -611,7 +613,12 @@ let trace_cmd =
   in
   let format =
     Arg.(
-      value & opt string "text"
+      value
+      & opt
+          (enum
+             [ ("text", `Text); ("dot", `Dot); ("csv", `Csv);
+               ("jsonl", `Jsonl); ("chrome", `Chrome) ])
+          `Text
       & info [ "format" ] ~docv:"FMT"
           ~doc:
             "Output: text, dot, csv, jsonl (phase-tagged event log), or \

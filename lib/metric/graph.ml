@@ -81,6 +81,11 @@ let is_connected g =
   visit [ 0 ];
   Array.for_all Fun.id seen
 
+let min_edge_weight g =
+  Array.fold_left
+    (List.fold_left (fun acc (_, w) -> Float.min acc w))
+    infinity g.adj
+
 let total_weight g =
   List.fold_left (fun acc e -> acc +. e.w) 0.0 (edges g)
 

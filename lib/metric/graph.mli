@@ -49,6 +49,12 @@ val edge_weight : t -> int -> int -> float option
 (** [is_connected g] is true iff every node is reachable from node 0. *)
 val is_connected : t -> bool
 
+(** [min_edge_weight g] is the lightest edge weight ([infinity] when [g]
+    has no edges). Weights are positive, so a path is never shorter than
+    any of its edges: on a graph with an edge this is also the least
+    pairwise shortest-path distance, exactly. *)
+val min_edge_weight : t -> float
+
 (** [total_weight g] is the sum of all edge weights. *)
 val total_weight : t -> float
 

@@ -5,7 +5,7 @@ type t = {
   graph : Graph.t;
   n : int;
   dist : float array;  (* row-major n*n distance matrix *)
-  sorted_rows : float array array;  (* per-node distances, ascending *)
+  order : int array array;  (* order.(u) = node ids by (d(u, -), id) *)
   sssp : Dijkstra.result array;  (* canonical shortest-path forest per source *)
   min_distance : float;
   diameter : float;
@@ -13,15 +13,18 @@ type t = {
 
 let d m u v = m.dist.((u * m.n) + v)
 
+let validate graph =
+  if Graph.n graph < 2 then
+    invalid_arg "Metric.of_graph: need at least 2 nodes";
+  if not (Graph.is_connected graph) then
+    invalid_arg "Metric.of_graph: graph must be connected"
+
 (* The two O(n . Dijkstra) / O(n^2 log n) stages fan out over the pool;
    each source (resp. row) is independent and results land by index, so the
    output is identical to the sequential run (see Cr_par.Pool). Trace
    events are emitted on the calling domain only. *)
 let build ~pool graph =
   let n = Graph.n graph in
-  if n < 2 then invalid_arg "Metric.of_graph: need at least 2 nodes";
-  if not (Graph.is_connected graph) then
-    invalid_arg "Metric.of_graph: graph must be connected";
   let ctx = Trace.resolve None in
   let dist = Array.make (n * n) infinity in
   let sssp =
@@ -48,22 +51,35 @@ let build ~pool graph =
       if x > !diameter then diameter := x
     done
   done;
-  let sorted_rows =
-    Pool.stage ctx pool "metric.sorted_rows" @@ fun () ->
+  let order =
+    Pool.stage ctx pool "metric.order" @@ fun () ->
     Pool.parallel_init pool n (fun u ->
-        let row = Array.sub dist (u * n) n in
-        Array.sort Float.compare row;
-        row)
+        let base = u * n in
+        let ids = Array.init n Fun.id in
+        (* merge sort, faster here than Array.sort's heap sort; the key
+           (distance, id) is total, so stability changes nothing *)
+        Array.stable_sort
+          (fun a b ->
+            let c = Float.compare dist.(base + a) dist.(base + b) in
+            if c <> 0 then c else Int.compare a b)
+          ids;
+        ids)
   in
-  { graph; n; dist; sorted_rows; sssp;
+  { graph; n; dist; order; sssp;
     min_distance = !min_distance; diameter = !diameter }
 
-let of_graph_unnormalized ?(pool = Pool.default ()) graph = build ~pool graph
+let of_graph_unnormalized ?(pool = Pool.default ()) graph =
+  validate graph;
+  build ~pool graph
 
+(* The least pairwise distance is the lightest edge weight (weights are
+   positive, so a path is never shorter than any of its edges), which
+   gives the normalization factor without a first, unscaled build. *)
 let of_graph ?(pool = Pool.default ()) graph =
-  let m = build ~pool graph in
-  if Float.equal m.min_distance 1.0 then m
-  else build ~pool (Graph.scale graph (1.0 /. m.min_distance))
+  validate graph;
+  let w = Graph.min_edge_weight graph in
+  build ~pool
+    (if Float.equal w 1.0 then graph else Graph.scale graph (1.0 /. w))
 
 let graph m = m.graph
 let n m = m.n
@@ -94,21 +110,18 @@ let ball_size m ~center ~radius =
 let radius_of_size m u size =
   if size < 1 || size > m.n then
     invalid_arg "Metric.radius_of_size: size out of range";
-  (* sorted_rows.(u).(k) is the distance to u's (k+1)-th closest node
-     (including u itself at index 0), so r_u for a ball of [size] nodes is
-     the entry at index size-1. *)
-  m.sorted_rows.(u).(size - 1)
+  (* order.(u).(k) is u's (k+1)-th closest node (u itself at index 0), so
+     r_u for a ball of [size] nodes is the distance to the entry at index
+     size-1. *)
+  d m u m.order.(u).(size - 1)
 
 let nearest_k m u k =
   if k < 1 || k > m.n then invalid_arg "Metric.nearest_k: k out of range";
-  let order = Array.init m.n Fun.id in
-  Array.sort
-    (fun a b ->
-      let da = d m u a and db = d m u b in
-      let c = Float.compare da db in
-      if c <> 0 then c else Int.compare a b)
-    order;
-  Array.to_list (Array.sub order 0 k)
+  let row = m.order.(u) in
+  let rec prefix i acc =
+    if i < 0 then acc else prefix (i - 1) (row.(i) :: acc)
+  in
+  prefix (k - 1) []
 
 let nearest_in m u candidates =
   match candidates with

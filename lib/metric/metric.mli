@@ -2,8 +2,10 @@
 
     A [Metric.t] packages a connected graph together with its all-pairs
     shortest-path distances, one shortest-path forest per source (for
-    next-hop queries), and per-node distance ranks (for the ball-size radii
-    r_u(j) used by the Packing Lemma).
+    next-hop queries), and each node's neighbour order: all node ids
+    sorted by (distance from it, id). The Packing Lemma's balls of 2^j
+    nodes and their radii r_u(j) are prefixes of that order, so
+    {!nearest_k} is an O(k) copy and {!radius_of_size} an O(1) read.
 
     Following the paper's normalization, [of_graph] rescales edge weights so
     that the minimum pairwise distance is exactly 1; the normalized diameter
@@ -15,9 +17,11 @@ type t
     minimum pairwise distance is 1. Raises [Invalid_argument] if [g] is
     disconnected or has fewer than 2 nodes.
 
-    The n per-source Dijkstra runs and the per-node distance-rank sorts fan
-    out over [pool] (default {!Cr_par.Pool.default}); the result is
-    bit-identical whatever the pool size — see [Cr_par.Pool] for the
+    The minimum pairwise distance is the lightest edge weight
+    ({!Graph.min_edge_weight}), so [g] is rescaled first and the metric is
+    built once. The n per-source Dijkstra runs and the n neighbour-order
+    sorts fan out over [pool] (default {!Cr_par.Pool.default}); the result
+    is bit-identical whatever the pool size — see [Cr_par.Pool] for the
     determinism contract. *)
 val of_graph : ?pool:Cr_par.Pool.t -> Graph.t -> t
 
@@ -58,14 +62,17 @@ val ball_size : t -> center:int -> radius:float -> int
 (** [radius_of_size m u size] is r_u(j) for [size = 2^j]: the smallest
     radius [r] such that |B_u(r)| >= [size] (Section 2 uses exact equality;
     with distance ties the ball can overshoot, so we use the least radius
-    reaching the required size). Raises [Invalid_argument] if
-    [size > n] or [size < 1]. *)
+    reaching the required size). It is the distance from [u] to the
+    [size]-th node of [u]'s neighbour order: an O(1) read. Raises
+    [Invalid_argument] if [size > n] or [size < 1]. *)
 val radius_of_size : t -> int -> int -> float
 
 (** [nearest_k m u k] is the canonical ball of exactly [k] nodes around
     [u]: the [k] nodes closest to [u] (including [u] itself), ties broken by
     least id, sorted by (distance, id). The Packing Lemma's balls of size
-    2^j are realized this way so that distance ties cannot inflate them. *)
+    2^j are realized this way so that distance ties cannot inflate them.
+    It is the first [k] entries of [u]'s neighbour order, copied in O(k).
+    Raises [Invalid_argument] if [k > n] or [k < 1]. *)
 val nearest_k : t -> int -> int -> int list
 
 (** [nearest_in m u candidates] is the candidate minimizing d(u, -), ties

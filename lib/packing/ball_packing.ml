@@ -36,9 +36,8 @@ let build_level m ~j =
   let order = Array.init n Fun.id in
   Array.sort
     (fun a b ->
-      if cands.(a).radius <> cands.(b).radius then
-        compare cands.(a).radius cands.(b).radius
-      else compare a b)
+      let c = Float.compare cands.(a).radius cands.(b).radius in
+      if c <> 0 then c else Int.compare a b)
     order;
   let container = Array.make n None in  (* packed ball holding this node *)
   let covering = Array.make n None in
@@ -78,4 +77,4 @@ let covering_ball lv u = lv.covering.(u)
 let ball_of_center lv c = lv.by_center.(c)
 
 let centers lv =
-  List.sort compare (List.map (fun b -> b.center) lv.balls)
+  List.sort Int.compare (List.map (fun b -> b.center) lv.balls)

@@ -9,7 +9,7 @@ type t = {
 }
 
 let build m ~centers =
-  let centers = List.sort_uniq compare centers in
+  let centers = List.sort_uniq Int.compare centers in
   let g = Metric.graph m in
   let dist, owner, parent = Dijkstra.multi_source g centers in
   { centers; owner; parent; dist }

@@ -32,20 +32,14 @@ type t = {
   ctx : Trace.context;
 }
 
-let min_edge_weight g =
-  List.fold_left
-    (fun acc (e : Graph.edge) -> Float.min acc e.Graph.w)
-    infinity (Graph.edges g)
-
 let create ?obs ?(budget = 64) graph =
   if budget < 1 then invalid_arg "Oracle.create: budget must be >= 1";
   if Graph.n graph < 2 then invalid_arg "Oracle.create: need at least 2 nodes";
   if not (Graph.is_connected graph) then
     invalid_arg "Oracle.create: graph must be connected";
-  let w = min_edge_weight graph in
-  (* The min pairwise shortest distance is the min edge weight (any longer
-     path only adds positive terms), so this is exactly Metric.of_graph's
-     normalization condition and factor. *)
+  let w = Graph.min_edge_weight graph in
+  (* The min pairwise shortest distance is the min edge weight, so this is
+     exactly Metric.of_graph's normalization condition and factor. *)
   let graph, factor =
     if Float.equal w 1.0 then (graph, 1.0)
     else (Graph.scale graph (1.0 /. w), 1.0 /. w)

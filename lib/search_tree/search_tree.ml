@@ -37,7 +37,7 @@ let remove_from remaining set =
 let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Search_tree.build: epsilon must be in (0, 1)";
-  let members = List.sort_uniq compare members in
+  let members = List.sort_uniq Int.compare members in
   if not (List.mem center members) then
     invalid_arg "Search_tree.build: center must be a member";
   let net_levels =
@@ -97,7 +97,7 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
           attach v prev w_chain;
           Hashtbl.replace chain_weight v w_chain;
           Hashtbl.replace tail site v)
-        (List.sort compare !remaining)
+        (List.sort Int.compare !remaining)
     end
     else
       List.iter
@@ -115,7 +115,7 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
      DFS; subtree key ranges follow from the slice arithmetic. *)
   let sorted_pairs =
     let arr = Array.of_list pairs in
-    Array.sort (fun (a, _) (b, _) -> compare a b) arr;
+    Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
     Array.iteri
       (fun i (k, _) ->
         if i > 0 && fst arr.(i - 1) = k then
@@ -220,7 +220,7 @@ let keys t =
   Hashtbl.fold
     (fun _ node acc -> List.rev_append (List.map fst node.pairs) acc)
     t.info []
-  |> List.sort compare
+  |> List.sort Int.compare
 
 let table_bits t v =
   let key_bits = Bits.id_bits t.universe in

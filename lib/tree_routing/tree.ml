@@ -10,7 +10,7 @@ type t = {
 }
 
 let of_parents ~root ~nodes ~parent ~weight =
-  let nodes = List.sort_uniq compare nodes in
+  let nodes = List.sort_uniq Int.compare nodes in
   let k = List.length nodes in
   if k = 0 then invalid_arg "Tree.of_parents: empty node set";
   let index = Hashtbl.create k in
@@ -38,7 +38,7 @@ let of_parents ~root ~nodes ~parent ~weight =
   Array.iteri
     (fun i l ->
       children.(i) <-
-        List.sort (fun (a, _) (b, _) -> compare ids.(a) ids.(b)) l)
+        List.sort (fun (a, _) (b, _) -> Int.compare ids.(a) ids.(b)) l)
     children;
   (* Verify acyclicity/connectedness and compute depth costs with one pass
      from the root. *)

@@ -40,6 +40,36 @@ let expo12 =
   memo (fun () ->
       Metric.of_graph (Cr_graphgen.Path_like.exponential_chain ~n:12 ~base:2.0))
 
+(* Seeded geo, grid and holey graphs for the metric and packing
+   properties. Grids put many nodes at equal distance, so the least-id
+   tie-break decides most of their neighbour orders; geo graphs carry
+   non-unit weights. *)
+let family_gen =
+  QCheck2.Gen.(
+    let* kind = int_range 0 2 in
+    let* seed = int_range 0 10_000 in
+    return (kind, seed))
+
+let family_graph (kind, seed) =
+  match kind with
+  | 0 -> Cr_graphgen.Geometric.knn ~n:(12 + (seed mod 29)) ~k:3 ~seed
+  | 1 -> Cr_graphgen.Grid.square ~side:(3 + (seed mod 5))
+  | _ ->
+    Cr_graphgen.Grid.with_holes ~side:(4 + (seed mod 4)) ~hole_fraction:0.2
+      ~seed
+
+(* [u]'s nodes sorted by (distance, id), by a plain sort of all of them. *)
+let brute_order m u =
+  List.sort
+    (fun a b ->
+      let c = Float.compare (Metric.dist m u a) (Metric.dist m u b) in
+      if c <> 0 then c else Int.compare a b)
+    (List.init (Metric.n m) Fun.id)
+
+let rec take k = function
+  | x :: rest when k > 0 -> x :: take (k - 1) rest
+  | _ -> []
+
 let qcheck_case ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)

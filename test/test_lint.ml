@@ -502,8 +502,11 @@ let suite =
     case "pool-purity: Atomic updates are fine"
       (clean "atomic" ~rel:"lib/sim/fixture.ml" atomic_capture);
     case "no-unsafe-compare: bare compare fires"
-      (fires_once "no-unsafe-compare" "no-unsafe-compare"
-         ~rel:"lib/metric/fixture.ml" bare_compare);
+      (fun () ->
+        List.iter
+          (fun rel ->
+            fires_once rel "no-unsafe-compare" ~rel bare_compare ())
+          [ "lib/metric/fixture.ml"; "lib/packing/fixture.ml" ]);
     case "no-unsafe-compare: float (=) via let-propagation fires"
       (fires_once "no-unsafe-compare" "no-unsafe-compare"
          ~rel:"lib/metric/fixture.ml" float_eq_via_let);

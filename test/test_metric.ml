@@ -108,6 +108,21 @@ let test_nearest_k () =
   Alcotest.(check (list int)) "3 nearest to corner" [ 0; 1; 6 ] near;
   check_int "size" 6 (List.length (Metric.nearest_k m 0 6))
 
+let test_of_graph_rejects () =
+  let one = Graph.create 1 in
+  (* non-unit weights: the checks must come before any rescaling *)
+  let split = Graph.of_edges 4 [ (0, 1, 0.5); (2, 3, 2.0) ] in
+  List.iter
+    (fun (name, build) ->
+      Alcotest.check_raises (name ^ ": one node")
+        (Invalid_argument "Metric.of_graph: need at least 2 nodes") (fun () ->
+          ignore (build one));
+      Alcotest.check_raises (name ^ ": disconnected")
+        (Invalid_argument "Metric.of_graph: graph must be connected")
+        (fun () -> ignore (build split)))
+    [ ("of_graph", fun g -> Metric.of_graph g);
+      ("of_graph_unnormalized", fun g -> Metric.of_graph_unnormalized g) ]
+
 let test_nearest_in_tie_break () =
   let m = grid6 () in
   (* nodes 1 and 6 are both at distance 1 from 0: least id wins *)
@@ -232,24 +247,10 @@ let prop_radius_of_size_minimal =
    families (geo, grid, holey) are built from, with non-unit weights
    exercising the normalization path. *)
 
-let geo_grid_gen =
-  QCheck2.Gen.(
-    let* kind = int_range 0 1 in
-    let* seed = int_range 0 10_000 in
-    return (kind, seed))
-
-let geo_grid_metric (kind, seed) =
-  match kind with
-  | 0 -> Metric.of_graph (Cr_graphgen.Geometric.knn ~n:(12 + (seed mod 20)) ~k:3 ~seed)
-  | _ ->
-    Metric.of_graph
-      (Cr_graphgen.Grid.with_holes ~side:(4 + (seed mod 3))
-         ~hole_fraction:0.2 ~seed)
-
 let prop_geo_grid_triangle =
   qcheck_case ~count:40 "metric: triangle inequality + symmetry (geo/grid)"
-    geo_grid_gen (fun params ->
-      let m = geo_grid_metric params in
+    family_gen (fun params ->
+      let m = Metric.of_graph (family_graph params) in
       let n = Metric.n m in
       let ok = ref true in
       for u = 0 to n - 1 do
@@ -269,8 +270,8 @@ let prop_geo_grid_triangle =
 
 let prop_normalized_min_distance =
   qcheck_case ~count:40 "metric: min_distance ~ 1 after normalization"
-    geo_grid_gen (fun params ->
-      let m = geo_grid_metric params in
+    family_gen (fun params ->
+      let m = Metric.of_graph (family_graph params) in
       (* of_graph rescales so the least positive distance is 1; rebuilding
          on the scaled graph can move it by float rounding only *)
       Float.abs (Metric.min_distance m -. 1.0) <= 1e-9
@@ -281,12 +282,12 @@ let prop_normalized_min_distance =
 let prop_ball_monotone =
   qcheck_case ~count:40 "metric: ball monotone in radius (geo/grid)"
     QCheck2.Gen.(
-      let* params = geo_grid_gen in
+      let* params = family_gen in
       let* r1 = float_bound_inclusive 1.0 in
       let* r2 = float_bound_inclusive 1.0 in
       return (params, Float.min r1 r2, Float.max r1 r2))
     (fun (params, f1, f2) ->
-      let m = geo_grid_metric params in
+      let m = Metric.of_graph (family_graph params) in
       let n = Metric.n m in
       let r1 = f1 *. Metric.diameter m and r2 = f2 *. Metric.diameter m in
       let ok = ref true in
@@ -306,8 +307,8 @@ let prop_ball_monotone =
 
 let prop_geo_grid_radius_tight =
   qcheck_case ~count:40 "metric: radius_of_size least radius (geo/grid)"
-    geo_grid_gen (fun params ->
-      let m = geo_grid_metric params in
+    family_gen (fun params ->
+      let m = Metric.of_graph (family_graph params) in
       let n = Metric.n m in
       let ok = ref true in
       for u = 0 to n - 1 do
@@ -323,6 +324,66 @@ let prop_geo_grid_radius_tight =
         done
       done;
       !ok)
+
+(* The stored neighbour order against brute-force sorts, and the single
+   normalized build against the old build-measure-rebuild sequence. *)
+
+let prop_nearest_k_brute_force =
+  qcheck_case ~count:40 "metric: nearest_k = brute (distance, id) sort"
+    family_gen (fun fam ->
+      let m = Metric.of_graph (family_graph fam) in
+      let n = Metric.n m in
+      List.for_all
+        (fun u ->
+          let expected = brute_order m u in
+          List.for_all
+            (fun k -> Metric.nearest_k m u k = take k expected)
+            (List.init n (fun i -> i + 1)))
+        (List.init n Fun.id))
+
+let prop_radius_of_size_row =
+  qcheck_case ~count:40 "metric: radius_of_size = k-th smallest row entry"
+    family_gen (fun fam ->
+      let m = Metric.of_graph (family_graph fam) in
+      let n = Metric.n m in
+      List.for_all
+        (fun u ->
+          let row =
+            Array.of_list
+              (List.sort Float.compare (List.init n (Metric.dist m u)))
+          in
+          List.for_all
+            (fun k -> Float.equal (Metric.radius_of_size m u k) row.(k - 1))
+            (List.init n (fun i -> i + 1)))
+        (List.init n Fun.id))
+
+let prop_of_graph_single_build =
+  qcheck_case ~count:40 "metric: of_graph = two-build reference"
+    QCheck2.Gen.(pair family_gen (float_range 0.05 20.0))
+    (fun (fam, factor) ->
+      let g = Graph.scale (family_graph fam) factor in
+      let raw = Metric.of_graph_unnormalized g in
+      let reference =
+        Metric.of_graph_unnormalized
+          (Graph.scale g (1. /. Metric.min_distance raw))
+      in
+      let m = Metric.of_graph g in
+      let n = Metric.n m in
+      let pairs =
+        List.concat_map
+          (fun u -> List.map (fun v -> (u, v)) (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      Float.equal (Graph.min_edge_weight g) (Metric.min_distance raw)
+      && Float.equal (Metric.diameter m) (Metric.diameter reference)
+      && Float.equal (Metric.min_distance m) (Metric.min_distance reference)
+      && List.for_all
+           (fun (u, v) ->
+             Float.equal (Metric.dist m u v) (Metric.dist reference u v)
+             && (u = v
+                || Metric.next_hop m ~src:u ~dst:v
+                   = Metric.next_hop reference ~src:u ~dst:v))
+           pairs)
 
 (* Small integer weights keep every path sum exact in floating point, so
    distance ties between different sources are common and the least-id
@@ -404,6 +465,7 @@ let suite =
     Alcotest.test_case "balls" `Quick test_metric_ball;
     Alcotest.test_case "radius_of_size" `Quick test_radius_of_size;
     Alcotest.test_case "nearest_k" `Quick test_nearest_k;
+    Alcotest.test_case "of_graph rejects" `Quick test_of_graph_rejects;
     Alcotest.test_case "nearest_in tie-break" `Quick test_nearest_in_tie_break;
     Alcotest.test_case "next_hop adjacency" `Quick test_next_hop;
     Alcotest.test_case "bit accounting" `Quick test_bits;
@@ -417,6 +479,9 @@ let suite =
     prop_normalized_min_distance;
     prop_ball_monotone;
     prop_geo_grid_radius_tight;
+    prop_nearest_k_brute_force;
+    prop_radius_of_size_row;
+    prop_of_graph_single_build;
     prop_multi_source_brute_force ]
 
 let test_graph_io_roundtrip () =

@@ -134,6 +134,67 @@ let prop_packing_maximal =
                    (Ball_packing.balls lv)))
         packs)
 
+(* The Packing Lemma greedy written out with brute-force sorts: each
+   node's candidate is its 2^j nearest nodes by (distance, id), candidates
+   are scanned by (radius, id), a candidate disjoint from every packed ball
+   is packed, and a node's witness is its own ball when packed, else the
+   packed ball holding the first of its members already taken. *)
+let reference_level m j =
+  let n = Metric.n m in
+  let size = 1 lsl j in
+  let members = Array.init n (fun u -> take size (brute_order m u)) in
+  let radius =
+    Array.init n (fun u ->
+        List.nth
+          (List.sort Float.compare (List.init n (Metric.dist m u)))
+          (size - 1))
+  in
+  let scan =
+    List.sort
+      (fun a b ->
+        let c = Float.compare radius.(a) radius.(b) in
+        if c <> 0 then c else Int.compare a b)
+      (List.init n Fun.id)
+  in
+  let holder = Array.make n (-1) in  (* center of the packed ball holding v *)
+  let witness = Array.make n (-1) in
+  let packed = ref [] in
+  List.iter
+    (fun u ->
+      match List.find_opt (fun v -> holder.(v) >= 0) members.(u) with
+      | Some v -> witness.(u) <- holder.(v)
+      | None ->
+        packed := (u, radius.(u), members.(u)) :: !packed;
+        List.iter (fun v -> holder.(v) <- u) members.(u);
+        witness.(u) <- u)
+    scan;
+  (List.rev !packed, witness)
+
+let prop_packing_reference_greedy =
+  qcheck_case ~count:30 "packing: build_all = brute-force reference greedy"
+    family_gen (fun fam ->
+      let m = Metric.of_graph (family_graph fam) in
+      let n = Metric.n m in
+      let levels = Ball_packing.build_all m in
+      let rec top j = if 1 lsl (j + 1) <= n then top (j + 1) else j in
+      let same_ball (b : Ball_packing.ball) (c, r, members) =
+        b.center = c && Float.equal b.radius r
+        && Array.to_list b.members = members
+      in
+      Array.length levels = top 0 + 1
+      && List.for_all
+           (fun (j, lv) ->
+             let packed, witness = reference_level m j in
+             let balls = Ball_packing.balls lv in
+             Ball_packing.size_exponent lv = j
+             && List.compare_lengths balls packed = 0
+             && List.for_all2 same_ball balls packed
+             && List.for_all
+                  (fun u ->
+                    (Ball_packing.covering_ball lv u).center = witness.(u))
+                  (List.init n Fun.id))
+           (List.mapi (fun j lv -> (j, lv)) (Array.to_list levels)))
+
 let prop_voronoi_prefix_closed =
   qcheck_case ~count:20 "voronoi: cells prefix-closed on random centers"
     QCheck2.Gen.(
@@ -165,4 +226,5 @@ let suite =
       test_voronoi_tree_edges_are_graph_edges;
     Alcotest.test_case "voronoi distances" `Quick test_voronoi_distances;
     prop_packing_maximal;
+    prop_packing_reference_greedy;
     prop_voronoi_prefix_closed ]

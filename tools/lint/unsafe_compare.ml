@@ -2,7 +2,9 @@
    tie-break ordering contracts (Dijkstra's least-id relaxation, the
    packing greedy's (radius, id) scan, nearest_k) silently break if a NaN
    or a differently-represented equal value sneaks through polymorphic
-   structural comparison. In lib/core and lib/metric this rule forbids
+   structural comparison. In lib/core, lib/metric and the structures
+   built on their orders (lib/packing, lib/nets, lib/search_tree,
+   lib/tree_routing) this rule forbids
 
    - the bare polymorphic [compare] in any position (sorts included):
      spell out [Float.compare] / [Int.compare] / a keyed comparator;
@@ -137,7 +139,13 @@ let check (input : Rule.input) =
 let rule =
   { Rule.id;
     doc =
-      "no polymorphic compare/(=) on float distance values in lib/core and \
-       lib/metric";
-    applies = (fun rel -> Rule.under [ "lib/core"; "lib/metric" ] rel);
+      "no polymorphic compare/(=) on float distance values in lib/core, \
+       lib/metric, lib/packing, lib/nets, lib/search_tree and \
+       lib/tree_routing";
+    applies =
+      (fun rel ->
+        Rule.under
+          [ "lib/core"; "lib/metric"; "lib/packing"; "lib/nets";
+            "lib/search_tree"; "lib/tree_routing" ]
+          rel);
     check }

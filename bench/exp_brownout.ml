@@ -51,7 +51,7 @@ let run_tier inst ni naming pairs ~edge_rate ~node_fraction =
   let failures = Failures.create ~edges ~nodes () in
   let live = Live.create ~window ~depth ~k:top_k () in
   let cost = Cost.create () in
-  let budget = 50_000 + (200 * n) in
+  let budget = Walker.ni_budget n in
   List.iter
     (fun (src, dst) ->
       if Live.enabled live then begin

@@ -788,7 +788,7 @@ let live family epsilon seed alpha windows window_size top pairs_budget
   in
   let failures = Cr_sim.Failures.create ~edges ~nodes () in
   let acc = Live.create ~window:window_size ~depth:windows ~k:top () in
-  let budget = 50_000 + (200 * n) in
+  let budget = Cr_sim.Walker.ni_budget n in
   List.iter
     (fun (src, dst) ->
       if Live.enabled acc then begin

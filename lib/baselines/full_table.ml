@@ -4,10 +4,10 @@ module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
 module Workload = Cr_sim.Workload
 
-let budget m = 10 + (4 * Metric.n m)
+let budget n = 10 + (4 * n)
 
 let route m ~src ~dst =
-  let w = Walker.create m ~start:src ~max_hops:(budget m) in
+  let w = Walker.create m ~start:src ~max_hops:(budget (Metric.n m)) in
   Walker.walk_shortest_path w dst;
   { Scheme.cost = Walker.cost w; hops = Walker.hops w }
 

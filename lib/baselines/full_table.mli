@@ -11,3 +11,7 @@ val labeled : Cr_metric.Metric.t -> Cr_sim.Scheme.labeled
     permutation at every node. *)
 val name_independent :
   Cr_metric.Metric.t -> Cr_sim.Workload.naming -> Cr_sim.Scheme.name_independent
+
+(** [budget n] is the walker hop budget of a full-table route on [n]
+    nodes (shortest paths never exceed n - 1 hops): 10 + 4n. *)
+val budget : int -> int

@@ -9,26 +9,40 @@ let landmark_count n =
   let ln = Float.max 1.0 (log (float_of_int n)) in
   min n (max 1 (int_of_float (Float.ceil (sqrt (float_of_int n *. ln)))))
 
-type t = {
-  metric : Metric.t;
-  is_landmark : bool array;
-  home : int array;  (* home.(u) = nearest landmark l(u) *)
-  bunch_size : int array;
-}
-
-let build m ~seed =
-  let n = Metric.n m in
+let sample ~n ~count ~seed =
+  if count < 0 || count > n then
+    invalid_arg "Landmark.sample: count out of range";
   let rng = Rng.create seed in
   let is_landmark = Array.make n false in
   let picked = ref 0 in
-  let target = landmark_count n in
-  while !picked < target do
+  while !picked < count do
     let v = Rng.int rng n in
     if not is_landmark.(v) then begin
       is_landmark.(v) <- true;
       incr picked
     end
   done;
+  is_landmark
+
+let node_bits ~n ~landmarks ~is_landmark ~bunch =
+  let id = Bits.id_bits n in
+  if is_landmark then (n - 1) * id
+  else
+    (* next hops to every landmark + the bunch, plus l(v)'s identity *)
+    ((landmarks + bunch) * id) + id
+
+type t = {
+  metric : Metric.t;
+  is_landmark : bool array;
+  count : int;
+  home : int array;  (* home.(u) = nearest landmark l(u) *)
+  bunch_size : int array;
+}
+
+let build m ~seed =
+  let n = Metric.n m in
+  let count = landmark_count n in
+  let is_landmark = sample ~n ~count ~seed in
   let landmarks =
     List.filter (fun v -> is_landmark.(v)) (List.init n Fun.id)
   in
@@ -45,12 +59,14 @@ let build m ~seed =
           !count
         end)
   in
-  { metric = m; is_landmark; home; bunch_size }
+  { metric = m; is_landmark; count; home; bunch_size }
 
-let budget m = 10 + (8 * Metric.n m)
+let budget n = 10 + (8 * n)
 
 let route t ~src ~dst =
-  let w = Walker.create t.metric ~start:src ~max_hops:(budget t.metric) in
+  let w =
+    Walker.create t.metric ~start:src ~max_hops:(budget (Metric.n t.metric))
+  in
   if src <> dst then begin
     let in_bunch =
       t.is_landmark.(src)
@@ -63,13 +79,8 @@ let route t ~src ~dst =
   { Scheme.cost = Walker.cost w; hops = Walker.hops w }
 
 let table_bits t v =
-  let n = Metric.n t.metric in
-  let id = Bits.id_bits n in
-  if t.is_landmark.(v) then (n - 1) * id
-  else
-    (* next hops to every landmark + the bunch, plus l(v)'s identity *)
-    let landmarks = Array.fold_left (fun a b -> if b then a + 1 else a) 0 t.is_landmark in
-    ((landmarks + t.bunch_size.(v)) * id) + id
+  node_bits ~n:(Metric.n t.metric) ~landmarks:t.count
+    ~is_landmark:t.is_landmark.(v) ~bunch:t.bunch_size.(v)
 
 let home t u = t.home.(u)
 let is_landmark t u = t.is_landmark.(u)

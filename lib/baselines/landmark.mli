@@ -51,3 +51,20 @@ val name_independent :
 (** [landmark_count n] is the sample size used for an n-node network:
     ceil(sqrt(n ln n)), clamped to [1, n]. *)
 val landmark_count : int -> int
+
+(** [sample ~n ~count ~seed] draws [count] distinct landmarks out of [n]
+    nodes with the [seed]ed generator and returns the membership flags —
+    the draw [build] makes with [count = landmark_count n], shared with
+    the sparse-tier rebuild ([Cr_scale.Landmark_scale]) so both pick the
+    same set. Raises [Invalid_argument] unless 0 <= count <= n. *)
+val sample : n:int -> count:int -> seed:int -> bool array
+
+(** [node_bits ~n ~landmarks ~is_landmark ~bunch] is one node's table size
+    in bits for [landmarks] sampled landmarks: a landmark keeps a full
+    next-hop row (n - 1 ids); any other node keeps a next hop per landmark
+    and per member of its [bunch]-node bunch, plus its home's id. *)
+val node_bits : n:int -> landmarks:int -> is_landmark:bool -> bunch:int -> int
+
+(** [budget n] is the walker hop budget of a landmark route on [n] nodes
+    (two shortest paths): 10 + 8n. *)
+val budget : int -> int

@@ -56,10 +56,11 @@ let header_bits t =
   let top = Hierarchy.top_level (Netting_tree.hierarchy t.nt) in
   label_bits t + Bits.ceil_log2 (top + 1)
 
-let default_budget m = 10_000 + (100 * Metric.n m)
-
 let route t ~src ~dest_label =
-  let w = Walker.create t.metric ~start:src ~max_hops:(default_budget t.metric) in
+  let w =
+    Walker.create t.metric ~start:src
+      ~max_hops:(Walker.labeled_budget (Metric.n t.metric))
+  in
   walk t w ~dest_label;
   { Scheme.cost = Walker.cost w; hops = Walker.hops w }
 

@@ -1,29 +1,14 @@
-module Metric = Cr_metric.Metric
 module Hierarchy = Cr_nets.Hierarchy
-module Zoom = Cr_nets.Zoom
 module Netting_tree = Cr_nets.Netting_tree
 module Walker = Cr_sim.Walker
 
-type t = {
-  nt : Netting_tree.t;
-  metric : Metric.t;
-  zoom : Zoom.t;
-  top : int;
-}
-
-let build nt =
-  let h = Netting_tree.hierarchy nt in
-  { nt;
-    metric = Hierarchy.metric h;
-    zoom = Zoom.build h;
-    top = Hierarchy.top_level h }
-
-let walk t w ~dest_label =
-  let dest = Netting_tree.node_of_label t.nt dest_label in
+let walk nt ~hub (mv : Walker.mover) ~dest_label =
+  let top = Hierarchy.top_level (Netting_tree.hierarchy nt) in
+  let dest = Netting_tree.node_of_label nt dest_label in
   (* Climb: walk the current node's zooming sequence to the root. *)
-  let start = Walker.position w in
-  for i = 1 to t.top do
-    Walker.walk_shortest_path w (Zoom.step t.zoom start i)
+  let start = mv.position () in
+  for i = 1 to top do
+    mv.path (hub ~src:start ~level:i)
   done;
   (* Descend: at each level pick the child whose range covers the label. *)
   let rec descend level x =
@@ -33,12 +18,12 @@ let walk t w ~dest_label =
         List.find
           (fun y ->
             Netting_tree.in_range
-              (Netting_tree.range t.nt ~level:(level - 1) y)
+              (Netting_tree.range nt ~level:(level - 1) y)
               dest_label)
-          (Netting_tree.children t.nt ~level x)
+          (Netting_tree.children nt ~level x)
       in
-      Walker.walk_shortest_path w child;
+      mv.path child;
       descend (level - 1) child
     end
   in
-  descend t.top (Walker.position w)
+  descend top (mv.position ())

@@ -9,14 +9,12 @@
     stays zero; fallback storage is therefore *excluded* from the measured
     routing tables (DESIGN.md, substitution discussion). *)
 
-type t
-
-(** [build nt] prepares the descent structure (zooming sequences plus the
-    netting tree's child lists). *)
-val build : Cr_nets.Netting_tree.t -> t
-
-(** [walk t w ~dest_label] drives walker [w] from wherever it is to the node
-    labeled [dest_label]: up its own zooming sequence to the root, then down
-    the netting tree along ranges, walking real shortest paths between
+(** [walk nt ~hub mv ~dest_label] moves the packet from wherever it is to
+    the node labeled [dest_label]: up its own zooming sequence to the root
+    ([hub ~src ~level] is src(level); the scheme passes its zooming
+    sequence, the serving engine its compiled hub rows), then down the
+    netting tree along ranges, walking real shortest paths between
     consecutive net points. *)
-val walk : t -> Cr_sim.Walker.t -> dest_label:int -> unit
+val walk :
+  Cr_nets.Netting_tree.t -> hub:(src:int -> level:int -> int) ->
+  Cr_sim.Walker.mover -> dest_label:int -> unit

@@ -14,10 +14,10 @@ type t = {
   events : Trace.event list;
 }
 
-let default_budget m = 50_000 + (200 * Metric.n m)
-
 let capture ?max_hops m ~src ~dst ~walk =
-  let max_hops = Option.value max_hops ~default:(default_budget m) in
+  let max_hops =
+    Option.value max_hops ~default:(Walker.ni_budget (Metric.n m))
+  in
   let buf = Sinks.Memory.create () in
   let obs = Trace.make ~clock:(Trace.counting_clock ()) (Sinks.Memory.sink buf) in
   let w = Walker.create ~obs m ~start:src ~max_hops in

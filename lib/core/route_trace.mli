@@ -19,8 +19,8 @@ type t = {
 }
 
 (** [capture ?max_hops m ~src ~dst ~walk] runs [walk] on a fresh observed
-    walker positioned at [src]. [max_hops] defaults to the standard
-    name-independent budget for [m]. *)
+    walker positioned at [src]. [max_hops] defaults to the name-independent
+    budget for [m] ([Cr_sim.Walker.ni_budget]). *)
 val capture :
   ?max_hops:int -> Cr_metric.Metric.t -> src:int -> dst:int ->
   walk:(Cr_sim.Walker.t -> unit) -> t

@@ -3,6 +3,7 @@ module Graph = Cr_metric.Graph
 module Bits = Cr_metric.Bits
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
+module Zoom = Cr_nets.Zoom
 module Ball_packing = Cr_packing.Ball_packing
 module Voronoi = Cr_packing.Voronoi
 module Tree = Cr_tree.Tree
@@ -25,7 +26,7 @@ type t = {
   levels_j : level_info array;
   trees_of : Search_tree.t list array;  (* search trees containing a node *)
   path_bits : int array;  (* Lemma 4.3 next-hop storage charged per node *)
-  descent : Netting_descent.t;
+  zoom : Zoom.t;  (* zooming sequences for the netting-descent fallback *)
   fallbacks : int Atomic.t;
       (* atomic: routes (and hence fallbacks) may run on several domains
          during parallel workload evaluation *)
@@ -149,7 +150,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
   in
   let t =
     { nt; metric = m; rings; levels_j; trees_of; path_bits;
-      descent = Netting_descent.build nt; fallbacks = Atomic.make 0 }
+      zoom = Zoom.build h; fallbacks = Atomic.make 0 }
   in
   if Trace.enabled ctx then begin
     Trace.counter ctx "scale_free_labeled.packing_scales"
@@ -184,20 +185,12 @@ let matching_scale t u i =
   in
   go (top_j t)
 
-let execute_search w st ~key =
-  let result = Search_tree.search st ~key in
-  List.iter
-    (fun (leg : Search_tree.leg) ->
-      match leg.chained_cost with
-      | Some c -> Walker.teleport w leg.dst ~cost:c
-      | None -> Walker.walk_shortest_path w leg.dst)
-    result.legs;
-  result.data
-
 let fallback t w ~dest_label =
   Atomic.incr t.fallbacks;
   Walker.with_phase w Trace.Fallback (fun () ->
-      Netting_descent.walk t.descent w ~dest_label)
+      Netting_descent.walk t.nt
+        ~hub:(fun ~src ~level -> Zoom.step t.zoom src level)
+        (Walker.mover w) ~dest_label)
 
 type phase_report = {
   exit_level : int;  (* i_t; -1 when the ring phase delivered directly *)
@@ -266,7 +259,11 @@ let walk ?(observe = fun (_ : phase_report) -> ()) t w ~dest_label =
     let st = Hashtbl.find lv.search c in
     (match
        Walker.with_phase w Trace.Search_tree_phase (fun () ->
-           execute_search w st ~key:dest_label)
+           let result = Search_tree.search st ~key:dest_label in
+           Search_tree.pay result.legs
+             ~jump:(fun v c -> Walker.teleport w v ~cost:c)
+             ~goto:(Walker.walk_shortest_path w);
+           result.data)
      with
     | Some local_label ->
       let search_cost =
@@ -300,10 +297,11 @@ let header_bits t =
      phase the local tree label *)
   (2 * label_bits t) + Bits.ceil_log2 (top + 2) + 2
 
-let default_budget m = 10_000 + (100 * Metric.n m)
-
 let route t ~src ~dest_label =
-  let w = Walker.create t.metric ~start:src ~max_hops:(default_budget t.metric) in
+  let w =
+    Walker.create t.metric ~start:src
+      ~max_hops:(Walker.labeled_budget (Metric.n t.metric))
+  in
   walk t w ~dest_label;
   { Scheme.cost = Walker.cost w; hops = Walker.hops w }
 

@@ -36,7 +36,7 @@ val build :
   t
 
 (** Per-level observation record, shared with {!Simple_ni}. *)
-type level_report = Simple_ni.level_report = {
+type level_report = Ni_route.level_report = {
   level : int;
   hub : int;
   climb_cost : float;
@@ -44,9 +44,11 @@ type level_report = Simple_ni.level_report = {
   found : bool;
 }
 
-(** [walk t w ~dest_name] drives walker [w] to the node named [dest_name];
-    [observe] is called once per visited level. Hops are trace-tagged
-    [Zoom i] / [Ball_search i] / [Deliver], as in {!Simple_ni.walk}. *)
+(** [walk t w ~dest_name] drives walker [w] to the node named [dest_name]
+    through {!Ni_route.walk}; [observe] is called once per visited level.
+    Hops are trace-tagged [Zoom i] / [Ball_search i] / [Deliver], as in
+    {!Simple_ni.walk}. On a walker with failures, a [Blocked] move fails
+    over one level up (see {!walk_degraded}) instead of escaping. *)
 val walk :
   ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.t -> dest_name:int ->
   unit
@@ -56,24 +58,14 @@ val walk :
 val found_level : t -> src:int -> dest_name:int -> int
 
 (** Structure accessors for the route-serving compiler ([Cr_serve]),
-    mirroring {!Simple_ni}'s: the naming, the top level, the
-    zooming-sequence hubs, and each search site of Algorithm 4 — either the
-    hub's own type-A tree, or the H(u, i) link as the linked ball's
-    [(center, type-B tree)]. Shared immutable views; [site] raises
-    [Not_found] if [hub] is not a level-[level] net point. *)
+    mirroring {!Simple_ni}'s: the naming, the underlying labeled scheme,
+    and the lookup loop, whose sites are Algorithm 4's — either the hub's
+    own type-A tree ([Local]), or the H(u, i) link as the linked ball's
+    center and type-B tree ([Link]). Shared immutable views. *)
 val naming : t -> Cr_sim.Workload.naming
 
-(** [underlying t] is the labeled scheme all travel executes through. *)
 val underlying : t -> Underlying.t
-
-val top_level : t -> int
-
-val hub : t -> src:int -> level:int -> int
-
-val site :
-  t -> level:int -> hub:int ->
-  [ `Local of Cr_search.Search_tree.t
-  | `Link of int * Cr_search.Search_tree.t ]
+val lookup : t -> Ni_route.t
 
 (** [type_a_count t] / [type_b_count t] are the numbers of net-ball and
     packing-ball search trees built — the balance Claims 3.6/3.7 reason
@@ -100,10 +92,10 @@ val table_bits : t -> int -> int
 val header_bits : t -> int
 val to_scheme : t -> Cr_sim.Scheme.name_independent
 
-(** Degraded-mode routing, as in [Simple_ni.walk_degraded]: [Blocked]
-    moves trigger a failover that re-enters the zooming sequence one
-    level up from the current position; returns the route status and the
-    failover count. *)
+(** Degraded-mode routing through {!Ni_route.walk_degraded}, as in
+    [Simple_ni.walk_degraded]: [Blocked] moves trigger a failover that
+    re-enters the zooming sequence one level up from the current
+    position; returns the route status and the failover count. *)
 val walk_degraded :
   t -> Cr_sim.Walker.t -> dest_name:int ->
   Cr_sim.Scheme.route_status * int

@@ -10,16 +10,11 @@ module Workload = Cr_sim.Workload
 module Trace = Cr_obs.Trace
 
 type t = {
-  nt : Netting_tree.t;
   metric : Metric.t;
-  zoom : Zoom.t;
-  eps_eff : float;
   naming : Workload.naming;
   underlying : Underlying.t;
-  trees : (int * int, Search_tree.t) Hashtbl.t;  (* (level, net point) *)
   trees_of : Search_tree.t list array;  (* search trees containing a node *)
-  min_level : int;
-  top : int;
+  lookup : Ni_route.t;
 }
 
 let ni_effective_epsilon epsilon = Float.min epsilon 0.4
@@ -47,7 +42,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) ?(min_level = 0) nt ~epsilon
   let eps_eff = ni_effective_epsilon epsilon in
   if min_level < 0 || min_level > top then
     invalid_arg "Simple_ni.build: min_level out of range";
-  let trees = Hashtbl.create 64 in
+  let sites = Hashtbl.create 64 in  (* (level, net point) -> its tree *)
   let trees_of = Array.make n [] in
   (* Net points are independent within a level: build every search tree in
      parallel, then register sequentially in net order so trees_of lists
@@ -74,145 +69,55 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) ?(min_level = 0) nt ~epsilon
     in
     List.iter
       (fun (u, members, st) ->
-        Hashtbl.replace trees (i, u) st;
+        Hashtbl.replace sites (i, u) (Ni_route.Local st);
         List.iter (fun v -> trees_of.(v) <- st :: trees_of.(v)) members)
       built
   done;
-  let t =
-    { nt; metric = m; zoom = Zoom.build h; eps_eff; naming; underlying;
-      trees; trees_of; min_level; top }
+  let zoom = Zoom.build h in
+  let lookup =
+    { Ni_route.first_level = min_level; top_level = top;
+      hub = (fun ~src ~level -> Zoom.step zoom src level);
+      site = (fun ~level ~hub -> Hashtbl.find sites (level, hub));
+      label = underlying.Underlying.u_label }
   in
+  let t = { metric = m; naming; underlying; trees_of; lookup } in
   if Trace.enabled ctx then begin
     Trace.counter ctx "simple_ni.search_trees"
-      (float_of_int (Hashtbl.length trees));
+      (float_of_int (Hashtbl.length sites));
     Scheme.table_counters ctx "simple_ni" (table_bits t) n
   end;
   t
 
 let naming t = t.naming
 let underlying t = t.underlying
-let top_level t = t.top
-let start_level t = t.min_level
-let hub t ~src ~level = Zoom.step t.zoom src level
-let search_tree t ~level ~hub = Hashtbl.find t.trees (level, hub)
+let lookup t = t.lookup
 
-(* Execute a search's virtual-edge trail: every leg endpoint holds the
-   other's routing label, so each leg is one underlying labeled route. *)
-let execute_search t w st ~key =
-  let result = Search_tree.search st ~key in
-  List.iter
-    (fun (leg : Search_tree.leg) ->
-      match leg.chained_cost with
-      | Some c -> Walker.teleport w leg.dst ~cost:c
-      | None ->
-        t.underlying.Underlying.u_walk w
-          ~dest_label:(t.underlying.Underlying.u_label leg.dst))
-    result.legs;
-  result.data
-
-type level_report = {
+type level_report = Ni_route.level_report = {
   level : int;
   hub : int;
-  climb_cost : float;  (** cost of reaching u(i) from the previous hub *)
-  search_cost : float;  (** cost of the SearchTree round trip at u(i) *)
+  climb_cost : float;
+  search_cost : float;
   found : bool;
 }
 
-let walk ?(observe = fun (_ : level_report) -> ()) t w ~dest_name =
-  let src = Walker.position w in
-  let rec attempt i =
-    if i > t.top then
-      invalid_arg "Simple_ni.walk: name not found at the top level"
-    else begin
-      let hub = Zoom.step t.zoom src i in
-      let before_climb = Walker.cost w in
-      Walker.with_phase w (Trace.Zoom i) (fun () ->
-          t.underlying.Underlying.u_walk w
-            ~dest_label:(t.underlying.Underlying.u_label hub));
-      let before_search = Walker.cost w in
-      let st = Hashtbl.find t.trees (i, hub) in
-      let result =
-        Walker.with_phase w (Trace.Ball_search i) (fun () ->
-            execute_search t w st ~key:dest_name)
-      in
-      observe
-        { level = i; hub;
-          climb_cost = before_search -. before_climb;
-          search_cost = Walker.cost w -. before_search;
-          found = result <> None };
-      match result with
-      | Some dest_label ->
-        Walker.with_phase w Trace.Deliver (fun () ->
-            t.underlying.Underlying.u_walk w ~dest_label)
-      | None -> attempt (i + 1)
-    end
-  in
-  attempt t.min_level
+let travel t w dest_label = t.underlying.Underlying.u_walk w ~dest_label
 
-(* Degraded-mode variant of Algorithm 3: a [Walker.Blocked] during the
-   climb, the search round trip, or the final descent abandons the level
-   and re-enters the zooming sequence one level up, *from the packet's
-   current position* (its zoom hubs are valid from anywhere). Every hop
-   after the first failover is trace-tagged [Faults] — with_phase's
-   outer-wins rule keeps the tag through the inner scheme calls — so
-   stretch inflation under failures is attributable hop by hop. *)
+let walk ?observe t w ~dest_name =
+  Ni_route.walk ?observe t.lookup (Walker.mover w) ~travel:(travel t w)
+    ~dest_name
+
 let walk_degraded t w ~dest_name =
-  let reroutes = ref 0 in
-  let rec attempt from i =
-    if i > t.top then Scheme.Undeliverable
-    else
-      match
-        let hub = Zoom.step t.zoom from i in
-        Walker.with_phase w (Trace.Zoom i) (fun () ->
-            t.underlying.Underlying.u_walk w
-              ~dest_label:(t.underlying.Underlying.u_label hub));
-        let st = Hashtbl.find t.trees (i, hub) in
-        match
-          Walker.with_phase w (Trace.Ball_search i) (fun () ->
-              execute_search t w st ~key:dest_name)
-        with
-        | Some dest_label ->
-          Walker.with_phase w Trace.Deliver (fun () ->
-              t.underlying.Underlying.u_walk w ~dest_label);
-          true
-        | None -> false
-      with
-      | true -> if !reroutes = 0 then Scheme.Delivered else Scheme.Rerouted
-      | false -> attempt from (i + 1)
-      | exception Walker.Blocked _ ->
-        incr reroutes;
-        Walker.set_phase w Trace.Faults;
-        attempt (Walker.position w) (i + 1)
-  in
-  let status =
-    match attempt (Walker.position w) t.min_level with
-    | status -> status
-    | exception Walker.Hop_budget_exhausted -> Scheme.Undeliverable
-  in
-  Walker.set_phase w Trace.Unphased;
-  (status, !reroutes)
+  Ni_route.walk_degraded t.lookup (Walker.mover w) ~travel:(travel t w)
+    ~dest_name
 
-let found_level t ~src ~dest_name =
-  let rec attempt i =
-    if i > t.top then
-      invalid_arg "Simple_ni.found_level: name not found"
-    else
-      let hub = Zoom.step t.zoom src i in
-      let st = Hashtbl.find t.trees (i, hub) in
-      match (Search_tree.search st ~key:dest_name).data with
-      | Some _ -> i
-      | None -> attempt (i + 1)
-  in
-  attempt t.min_level
+let found_level t = Ni_route.found_level t.lookup
 
 let header_bits t =
   let n = Metric.n t.metric in
   (* destination name, current level, retrieved label once found, plus the
      underlying scheme's header *)
-  (2 * Bits.id_bits n) + Bits.ceil_log2 (t.top + 2)
+  (2 * Bits.id_bits n) + Bits.ceil_log2 (t.lookup.Ni_route.top_level + 2)
   + t.underlying.Underlying.u_header_bits
-
-let default_budget m = 50_000 + (200 * Metric.n m)
 
 let degraded_scheme t ~failures =
   { Scheme.dg_name = "simple name-independent (Thm 1.4, degraded)";
@@ -224,7 +129,7 @@ let degraded_scheme t ~failures =
         else begin
           let w =
             Walker.create ~failures t.metric ~start:src
-              ~max_hops:(default_budget t.metric)
+              ~max_hops:(Walker.ni_budget (Metric.n t.metric))
           in
           let status, reroutes = walk_degraded t w ~dest_name in
           { Scheme.d_cost = Walker.cost w; d_hops = Walker.hops w;
@@ -237,7 +142,7 @@ let to_scheme t =
       (fun ~src ~dest_name ->
         let w =
           Walker.create t.metric ~start:src
-            ~max_hops:(default_budget t.metric)
+            ~max_hops:(Walker.ni_budget (Metric.n t.metric))
         in
         walk t w ~dest_name;
         { Scheme.cost = Walker.cost w; hops = Walker.hops w });

@@ -37,10 +37,8 @@ val build :
   underlying:Underlying.t ->
   t
 
-(** One level of Algorithm 3, as reported to a [walk] observer: the cost of
-    reaching the level's hub u(i) and of the SearchTree round trip there —
-    the data Figure 1 illustrates. *)
-type level_report = {
+(** One level of Algorithm 3, as reported to a [walk] observer. *)
+type level_report = Ni_route.level_report = {
   level : int;
   hub : int;
   climb_cost : float;
@@ -49,9 +47,13 @@ type level_report = {
 }
 
 (** [walk t w ~dest_name] drives walker [w] to the node named [dest_name]
-    (Algorithm 3); [observe] is called once per visited level. Hops are
-    trace-tagged [Zoom i] (climb to the level-[i] hub), [Ball_search i]
-    (SearchTree round trip) and [Deliver] (final labeled descent). *)
+    through {!Ni_route.walk} (Algorithm 3); [observe] is called once per
+    visited level. Hops are trace-tagged [Zoom i] (climb to the level-[i]
+    hub), [Ball_search i] (SearchTree round trip) and [Deliver] (final
+    labeled descent). On a walker with failures, a [Blocked] move fails
+    over one level up (see {!walk_degraded}) instead of escaping. Raises
+    [Invalid_argument] if no level finds the name and lets
+    [Walker.Hop_budget_exhausted] escape. *)
 val walk :
   ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.t -> dest_name:int ->
   unit
@@ -61,38 +63,28 @@ val walk :
 val found_level : t -> src:int -> dest_name:int -> int
 
 (** Structure accessors for the route-serving compiler ([Cr_serve]): the
-    naming, the lookup-loop level range, the zooming-sequence hubs, and
-    each level's per-hub search tree (a shared immutable view — a compiled
-    engine searching the same tree replays the walker's exact legs).
-    [search_tree] raises [Not_found] if [hub] is not a level-[level] net
-    point (or the level is below [start_level]). *)
+    naming, the underlying labeled scheme all travel executes through, and
+    the lookup loop — levels [min_level .. top], the zooming-sequence hubs,
+    and each level's per-hub search tree as a [Local] site (a shared
+    immutable view, so a compiled engine searching the same tree replays
+    the walker's exact legs). *)
 val naming : t -> Cr_sim.Workload.naming
 
-(** [underlying t] is the labeled scheme all travel executes through. *)
 val underlying : t -> Underlying.t
-
-val top_level : t -> int
-
-(** [start_level t] is the [min_level] the lookup loop starts at. *)
-val start_level : t -> int
-
-(** [hub t ~src ~level] is src(level), the zooming-sequence hub Algorithm 3
-    visits at [level]. *)
-val hub : t -> src:int -> level:int -> int
-
-val search_tree : t -> level:int -> hub:int -> Cr_search.Search_tree.t
+val lookup : t -> Ni_route.t
 
 (** [table_bits t v] is the measured per-node storage in bits, including
     the underlying labeled scheme's tables. *)
 val table_bits : t -> int -> int
 
-(** [walk_degraded t w ~dest_name] is [walk] with failover: when the
-    walker raises [Blocked] (its failure set refuses a move), the packet
-    abandons the level and re-enters the zooming sequence one level up
-    from its *current* position; hops after the first failover are
-    trace-tagged [Faults]. Returns the route status and the number of
-    failovers taken; [Undeliverable] when the top level is exhausted or
-    the hop budget runs out. *)
+(** [walk_degraded t w ~dest_name] is [walk] returning instead of raising
+    ({!Ni_route.walk_degraded}): when the walker raises [Blocked] (its
+    failure set refuses a move), the packet abandons the level and
+    re-enters the zooming sequence one level up from its *current*
+    position; hops after the first failover are trace-tagged [Faults].
+    Returns the route status and the number of failovers taken;
+    [Undeliverable] when the top level is exhausted or the hop budget runs
+    out. *)
 val walk_degraded :
   t -> Cr_sim.Walker.t -> dest_name:int ->
   Cr_sim.Scheme.route_status * int

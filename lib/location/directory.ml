@@ -63,14 +63,6 @@ let walk_to t w node =
   t.underlying.Underlying.u_walk w
     ~dest_label:(t.underlying.Underlying.u_label node)
 
-let execute_legs t w legs =
-  List.iter
-    (fun (leg : Search_tree.leg) ->
-      match leg.chained_cost with
-      | Some c -> Walker.teleport w leg.dst ~cost:c
-      | None -> walk_to t w leg.dst)
-    legs
-
 let budget m = 200_000 + (500 * Metric.n m)
 
 let check_key t key =
@@ -85,7 +77,9 @@ let tour t ~holder ~action =
     (fun ((_, root) as site) ->
       let st = Hashtbl.find t.trees site in
       walk_to t w root;
-      execute_legs t w (action st site))
+      Search_tree.pay (action st site)
+        ~jump:(fun v c -> Walker.teleport w v ~cost:c)
+        ~goto:(walk_to t w))
     (List.sort compare (Hashtbl.find t.covering holder));
   walk_to t w holder;
   Walker.cost w
@@ -131,7 +125,9 @@ let lookup t w ~key =
       walk_to t w hub;
       let st = Hashtbl.find t.trees (i, hub) in
       let result = Search_tree.search st ~key in
-      execute_legs t w result.Search_tree.legs;
+      Search_tree.pay result.Search_tree.legs
+        ~jump:(fun v c -> Walker.teleport w v ~cost:c)
+        ~goto:(walk_to t w);
       match result.Search_tree.data with
       | Some label ->
         t.underlying.Underlying.u_walk w ~dest_label:label;

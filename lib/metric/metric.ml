@@ -88,10 +88,12 @@ let diameter m = m.diameter
 let min_distance m = m.min_distance
 let normalized_diameter m = m.diameter /. m.min_distance
 
+(* At least 1: with Delta = 1 (all pairwise distances equal) level 0 is
+   every node, so the top net {0} needs a level of its own. *)
 let levels m =
   let delta = normalized_diameter m in
   let rec go i cover = if cover >= delta then i else go (i + 1) (2.0 *. cover) in
-  go 0 1.0
+  max 1 (go 0 1.0)
 
 let ball m ~center ~radius =
   let acc = ref [] in

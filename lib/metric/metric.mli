@@ -49,7 +49,10 @@ val min_distance : t -> float
 val normalized_diameter : t -> float
 
 (** [levels m] is ceil(log2 Delta), the number of net levels above level 0
-    in the 2^i-net hierarchy: level indices run over [0 .. levels m]. *)
+    in the 2^i-net hierarchy: level indices run over [0 .. levels m]. It is
+    at least 1 (like [Cr_scale.Oracle.levels_upper]): when every pairwise
+    distance is equal (Delta = 1), level 0 already holds every node, and
+    the singleton top net needs a level above it. *)
 val levels : t -> int
 
 (** [ball m ~center ~radius] is B_center(radius) = all nodes within distance

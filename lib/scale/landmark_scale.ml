@@ -1,7 +1,6 @@
 module Graph = Cr_metric.Graph
 module Bits = Cr_metric.Bits
 module Dijkstra = Cr_metric.Dijkstra
-module Rng = Cr_graphgen.Rng
 module Scheme = Cr_sim.Scheme
 module Pool = Cr_par.Pool
 
@@ -21,17 +20,8 @@ let bunch_chunks = 64
 let build ?(pool = Pool.sequential) oracle ~seed =
   let g = Oracle.graph oracle in
   let n = Graph.n g in
-  let rng = Rng.create seed in
-  let is_landmark = Array.make n false in
   let target = Cr_baselines.Landmark.landmark_count n in
-  let picked = ref 0 in
-  while !picked < target do
-    let v = Rng.int rng n in
-    if not is_landmark.(v) then begin
-      is_landmark.(v) <- true;
-      incr picked
-    end
-  done;
+  let is_landmark = Cr_baselines.Landmark.sample ~n ~count:target ~seed in
   let landmarks =
     List.filter (fun v -> is_landmark.(v)) (List.init n Fun.id)
   in
@@ -83,11 +73,9 @@ let is_landmark t u = t.is_landmark.(u)
 let landmark_count t = t.count
 let build_settled t = t.build_settled
 
-(* Cr_baselines.Landmark.table_bits, verbatim. *)
 let table_bits t v =
-  let id = Bits.id_bits t.n in
-  if t.is_landmark.(v) then (t.n - 1) * id
-  else ((t.count + t.bunch_size.(v)) * id) + id
+  Cr_baselines.Landmark.node_bits ~n:t.n ~landmarks:t.count
+    ~is_landmark:t.is_landmark.(v) ~bunch:t.bunch_size.(v)
 
 let storage t =
   let max_bits = ref 0 and sum = ref 0.0 in

@@ -1,8 +1,8 @@
 (** The TZ landmark baseline rebuilt on the oracle: same scheme, no matrix.
 
     Construction replays [Cr_baselines.Landmark.build] decision for
-    decision — identical [Rng]-seeded landmark sample (shared
-    [landmark_count] formula), homes from one multi-source run whose
+    decision — the same seeded landmark sample ([Landmark.sample] with the
+    shared [landmark_count] formula), homes from one multi-source run whose
     (distance, owner-id) tie-break equals [Metric.nearest_in]'s least-id
     rule, bunch sizes from one truncated search per non-landmark node at
     its home radius — so on weight-1 fixtures the routes, table bits, and
@@ -29,8 +29,8 @@ val is_landmark : t -> int -> bool
 (** [landmark_count t] is |W| (the dense formula: ceil(sqrt(n ln n))). *)
 val landmark_count : t -> int
 
-(** [table_bits t v] is the dense baseline's measured per-node storage
-    formula on this instance. *)
+(** [table_bits t v] is the dense baseline's per-node storage formula
+    ([Landmark.node_bits]) on this instance. *)
 val table_bits : t -> int -> int
 
 (** [build_settled t] is the settled-node work of construction. *)

@@ -194,6 +194,14 @@ let search t ~key =
   let stop, down = descend_for t key in
   { data = lookup_own t stop key; legs = roundtrip down }
 
+let pay legs ~jump ~goto =
+  List.iter
+    (fun l ->
+      match l.chained_cost with
+      | Some c -> jump l.dst c
+      | None -> goto l.dst)
+    legs
+
 let insert t ~key ~data =
   let stop, down = descend_for t key in
   let node = Hashtbl.find t.info stop in

@@ -64,6 +64,12 @@ val build :
 (** [search t ~key] runs Algorithm 2 from the root. *)
 val search : t -> key:int -> search_result
 
+(** [pay legs ~jump ~goto] moves a packet along a traversal's virtual
+    edges in order — the one place any search, insert or remove is paid
+    for: [jump dst w] for a chain edge of fixed weight [w], [goto dst] for
+    a net edge (the caller routes to [dst] and pays the real cost). *)
+val pay : leg list -> jump:(int -> float -> unit) -> goto:(int -> unit) -> unit
+
 (** [insert t ~key ~data] installs a new pair dynamically: the descent for
     [key] is deterministic (first child in id order whose build-time range
     covers it), so storing the pair at the node where the descent stops

@@ -19,29 +19,11 @@ module Scale_free_labeled = Cr_core.Scale_free_labeled
 module Simple_ni = Cr_core.Simple_ni
 module Scale_free_ni = Cr_core.Scale_free_ni
 module Underlying = Cr_core.Underlying
+module Ni_route = Cr_core.Ni_route
+module Netting_descent = Cr_core.Netting_descent
 module Landmark = Cr_baselines.Landmark
+module Full_table = Cr_baselines.Full_table
 module Scheme_codec = Cr_codec.Scheme_codec
-
-(* Drivers make forwarding decisions from compiled data and execute every
-   movement through this record — bound to a real [Walker] for the
-   differential trace harness, or to the lean cursor for served routes.
-   Both executors apply the exact [Walker] semantics (same float
-   operations in the same order), so the two bindings produce identical
-   costs and hop counts. *)
-type exec = {
-  position : unit -> int;
-  step : int -> unit;  (* one graph edge, as Walker.step *)
-  jump : int -> float -> unit;  (* out-of-band move, as Walker.teleport *)
-  path : int -> unit;  (* canonical shortest path, as walk_shortest_path *)
-  phase : 'a. Trace.phase -> (unit -> 'a) -> 'a;  (* outer-wins scoping *)
-}
-
-let walker_exec w =
-  { position = (fun () -> Walker.position w);
-    step = (fun v -> Walker.step w v);
-    jump = (fun v c -> Walker.teleport w v ~cost:c);
-    path = (fun v -> Walker.walk_shortest_path w v);
-    phase = (fun p f -> Walker.with_phase w p f) }
 
 (* The serving cursor: walker cost/hop accounting without the trace,
    trail, or failure machinery. *)
@@ -101,24 +83,33 @@ let cursor_phase c p f =
     Fun.protect ~finally:(fun () -> c.cur_phase <- Trace.Unphased) f
   end
 
-let cursor_exec c =
-  { position = (fun () -> c.pos);
+(* Drivers make forwarding decisions from compiled data and move the
+   packet through a [Walker.mover] — bound to a real walker for the
+   differential trace harness ([walk]), to the lean cursor for served
+   routes, or to the first-move probe. The cursor applies the exact
+   [Walker] semantics (same float operations in the same order), so the
+   bindings produce identical costs and hop counts. *)
+let cursor_mover c =
+  { Walker.position = (fun () -> c.pos);
+    cost = (fun () -> c.total);
     step = (fun v -> cursor_step c v);
     jump = (fun v cost -> cursor_jump c v cost);
     path = (fun v -> cursor_path c v);
     phase = (fun p f -> cursor_phase c p f) }
 
-(* Probe executor: runs a driver only up to its first movement — how the
-   per-route engines answer [next_hop] without serving the whole route. *)
+(* Probe: runs a driver only up to its first movement — how the per-route
+   engines answer [next_hop] without serving the whole route. *)
 exception First_move of int
 
-let probe_exec m pos0 =
-  { position = (fun () -> pos0);
+let probe_mover m pos0 =
+  { Walker.position = (fun () -> pos0);
+    cost = (fun () -> 0.0);
     step = (fun v -> raise (First_move v));
     jump = (fun v _ -> raise (First_move v));
     path =
       (fun v ->
-        if v <> pos0 then raise (First_move (Metric.next_hop m ~src:pos0 ~dst:v)));
+        if v <> pos0 then
+          raise (First_move (Metric.next_hop m ~src:pos0 ~dst:v)));
     phase = (fun _ f -> f ()) }
 
 (* {2 Compiled per-scheme state} *)
@@ -129,7 +120,8 @@ type hier = {
   h_node_of : int array;  (* label -> node *)
 }
 
-(* Flattened netting-descent fallback (Netting_descent mirror). *)
+(* The netting-descent fallback's hubs, flattened ([Netting_descent.walk]
+   reads them). *)
 type nd = {
   nd_top : int;
   nd_hub : int array;  (* v * (top + 1) + i -> u(i) *)
@@ -154,21 +146,14 @@ type under =
   | U_hier of hier
   | U_sfl of sfl
 
-type sni = {
-  i_scheme : Simple_ni.t;  (* shared per-(level, hub) search trees *)
+(* Either name-independent scheme: its lookup loop, reading hubs from the
+   compiled rows and travelling through the compiled labeled engine. *)
+type ni = {
+  i_lookup : Ni_route.t;  (* the scheme's sites, shared immutable views *)
   i_under : under;
-  i_top : int;
-  i_min : int;
   i_hub : int array;  (* src * (top + 1) + level -> src(level) *)
   i_name_of : int array;  (* node -> name *)
-}
-
-type sfni = {
-  f_scheme : Scale_free_ni.t;  (* shared search sites *)
-  f_under : under;
-  f_top : int;
-  f_hub : int array;
-  f_name_of : int array;
+  i_dir_bits : int -> int;  (* the scheme's table share above the labeled one *)
 }
 
 type full = { t_rows : int array (* src * n + dst -> first hop; -1 diag *) }
@@ -186,8 +171,7 @@ type lm = {
 type data =
   | Hier of hier
   | Sfl of sfl
-  | Simple of sni
-  | Sfni of sfni
+  | Ni of ni
   | Full of full
   | Lm of lm
 
@@ -206,49 +190,28 @@ let under_label u v =
 
 (* {2 Drivers}
 
-   Each driver is a line-for-line mirror of its scheme's [walk]: the same
-   decisions in the same order, with every piece of state read from the
-   compiled arena (or a shared immutable directory) instead of the
-   scheme's working structures. *)
+   The labeled and baseline drivers mirror their scheme's [walk] line for
+   line: the same decisions in the same order, with every piece of state
+   read from the compiled arena (or a shared immutable directory) instead
+   of the scheme's working structures. The name-independent engines run
+   the schemes' own lookup loop ([Ni_route]) over compiled hub rows and a
+   compiled labeled driver. *)
 
-let drive_hier h ex ~dest_label =
-  ex.phase Trace.Net_phase @@ fun () ->
+let drive_hier h (mv : Walker.mover) ~dest_label =
+  mv.phase Trace.Net_phase @@ fun () ->
   let dest = h.h_node_of.(dest_label) in
   let rec loop () =
-    let at = ex.position () in
+    let at = mv.position () in
     if at <> dest then begin
       let hop = Tables.next_hop h.h_tables ~at ~label:dest_label in
       (* All_levels rings always cover, and the minimal covering member is
          never the current node short of arrival (Hier_labeled.walk). *)
       assert (hop >= 0 && hop <> at);
-      ex.step hop;
+      mv.step hop;
       loop ()
     end
   in
   loop ()
-
-let drive_nd nd ex ~dest_label =
-  let dest = Netting_tree.node_of_label nd.nd_nt dest_label in
-  let start = ex.position () in
-  for i = 1 to nd.nd_top do
-    ex.path nd.nd_hub.((start * (nd.nd_top + 1)) + i)
-  done;
-  let rec descend level x =
-    if level = 0 then assert (x = dest)
-    else begin
-      let child =
-        List.find
-          (fun y ->
-            Netting_tree.in_range
-              (Netting_tree.range nd.nd_nt ~level:(level - 1) y)
-              dest_label)
-          (Netting_tree.children nd.nd_nt ~level x)
-      in
-      ex.path child;
-      descend (level - 1) child
-    end
-  in
-  descend nd.nd_top (ex.position ())
 
 (* Line 7 of Algorithm 5, over the precomputed radius table. *)
 let matching_scale s u i =
@@ -260,28 +223,20 @@ let matching_scale s u i =
   in
   go (s.s_scales - 1)
 
-(* Search legs in the labeled scheme pay net edges by walking the
-   canonical shortest path (Scale_free_labeled.execute_search). *)
-let search_legs_path ex st ~key =
-  let result = Search_tree.search st ~key in
-  List.iter
-    (fun (leg : Search_tree.leg) ->
-      match leg.chained_cost with
-      | Some c -> ex.jump leg.dst c
-      | None -> ex.path leg.dst)
-    result.legs;
-  result.data
-
-let sfl_fallback s ex ~dest_label =
+let sfl_fallback s (mv : Walker.mover) ~dest_label =
   Atomic.incr s.s_fallbacks;
-  ex.phase Trace.Fallback (fun () -> drive_nd s.s_nd ex ~dest_label)
+  let nd = s.s_nd in
+  mv.phase Trace.Fallback (fun () ->
+      Netting_descent.walk nd.nd_nt
+        ~hub:(fun ~src ~level -> nd.nd_hub.((src * (nd.nd_top + 1)) + level))
+        mv ~dest_label)
 
-let drive_sfl s ex ~dest_label =
+let drive_sfl s (mv : Walker.mover) ~dest_label =
   let n = Array.length s.s_label in
   let dest = s.s_node_of.(dest_label) in
   (* Lines 1-6: greedy ring descent over the compiled ring arena. *)
   let rec ring_phase prev_level =
-    let at = ex.position () in
+    let at = mv.position () in
     if at = dest then `Arrived
     else
       let e = Tables.cover s.s_tables ~at ~label:dest_label in
@@ -290,7 +245,7 @@ let drive_sfl s ex ~dest_label =
         let i = Tables.entry_level s.s_tables e in
         if i = 0 then begin
           (* level-0 range is a singleton: the member is the destination *)
-          ex.path (Tables.entry_member s.s_tables e);
+          mv.path (Tables.entry_member s.s_tables e);
           `Arrived
         end
         else
@@ -298,24 +253,24 @@ let drive_sfl s ex ~dest_label =
           let threshold = (two_i /. 2.0 /. s.s_eps_eff) -. two_i in
           if i <= prev_level && Tables.entry_dist s.s_tables e >= threshold
           then begin
-            ex.step (Tables.entry_hop s.s_tables e);
+            mv.step (Tables.entry_hop s.s_tables e);
             ring_phase i
           end
           else `Exit i
   in
-  match ex.phase Trace.Net_phase (fun () -> ring_phase max_int) with
+  match mv.phase Trace.Net_phase (fun () -> ring_phase max_int) with
   | `Arrived -> ()
-  | `Fallback -> sfl_fallback s ex ~dest_label
+  | `Fallback -> sfl_fallback s mv ~dest_label
   | `Exit i_t ->
-    let u_t = ex.position () in
+    let u_t = mv.position () in
     let j = matching_scale s u_t i_t in
     let c = s.s_vor_owner.((j * n) + u_t) in
     (* Line 8: climb T_c(j) along the compiled Voronoi parents. *)
-    ex.phase Trace.Voronoi_phase (fun () ->
+    mv.phase Trace.Voronoi_phase (fun () ->
         let rec climb () =
-          let at = ex.position () in
+          let at = mv.position () in
           if at <> c then begin
-            ex.step s.s_vor_parent.((j * n) + at);
+            mv.step s.s_vor_parent.((j * n) + at);
             climb ()
           end
         in
@@ -323,8 +278,10 @@ let drive_sfl s ex ~dest_label =
     (* Line 9: search tree II lookup of the local tree label. *)
     let st = Scale_free_labeled.scale_search s.s_scheme ~scale:j ~center:c in
     (match
-       ex.phase Trace.Search_tree_phase (fun () ->
-           search_legs_path ex st ~key:dest_label)
+       mv.phase Trace.Search_tree_phase (fun () ->
+           let result = Search_tree.search st ~key:dest_label in
+           Search_tree.pay result.legs ~jump:mv.jump ~goto:mv.path;
+           result.data)
      with
     | Some local_label ->
       (* Line 10: tree-route from c to the destination. *)
@@ -334,88 +291,17 @@ let drive_sfl s ex ~dest_label =
       let path, _cost =
         Interval_routing.route router ~src:c ~dest_label:local_label
       in
-      ex.phase Trace.Voronoi_phase (fun () ->
+      mv.phase Trace.Voronoi_phase (fun () ->
           match path with
           | [] -> ()
-          | _ :: rest -> List.iter (fun v -> ex.step v) rest);
-      if ex.position () <> dest then sfl_fallback s ex ~dest_label
-    | None -> sfl_fallback s ex ~dest_label)
+          | _ :: rest -> List.iter (fun v -> mv.step v) rest);
+      if mv.position () <> dest then sfl_fallback s mv ~dest_label
+    | None -> sfl_fallback s mv ~dest_label)
 
-let drive_under u ex ~dest_label =
+let drive_under u mv ~dest_label =
   match u with
-  | U_hier h -> drive_hier h ex ~dest_label
-  | U_sfl s -> drive_sfl s ex ~dest_label
-
-(* Search legs in the name-independent schemes pay net edges through the
-   underlying labeled engine (Simple_ni/Scale_free_ni.execute_search). *)
-let search_legs_under u ex st ~key =
-  let result = Search_tree.search st ~key in
-  List.iter
-    (fun (leg : Search_tree.leg) ->
-      match leg.chained_cost with
-      | Some c -> ex.jump leg.dst c
-      | None -> drive_under u ex ~dest_label:(under_label u leg.dst))
-    result.legs;
-  result.data
-
-let drive_simple sn ex ~dest_name =
-  let src = ex.position () in
-  let stride = sn.i_top + 1 in
-  let rec attempt i =
-    if i > sn.i_top then
-      invalid_arg "Cr_serve.Engine: name not found at the top level"
-    else begin
-      let hub = sn.i_hub.((src * stride) + i) in
-      ex.phase (Trace.Zoom i) (fun () ->
-          drive_under sn.i_under ex ~dest_label:(under_label sn.i_under hub));
-      let st = Simple_ni.search_tree sn.i_scheme ~level:i ~hub in
-      let result =
-        ex.phase (Trace.Ball_search i) (fun () ->
-            search_legs_under sn.i_under ex st ~key:dest_name)
-      in
-      match result with
-      | Some dest_label ->
-        ex.phase Trace.Deliver (fun () ->
-            drive_under sn.i_under ex ~dest_label)
-      | None -> attempt (i + 1)
-    end
-  in
-  attempt sn.i_min
-
-let drive_sfni sf ex ~dest_name =
-  let src = ex.position () in
-  let stride = sf.f_top + 1 in
-  (* Algorithm 4: search the hub's own type-A tree, or follow the H(u, i)
-     link to a packed ball's center, search there, and come back. *)
-  let search ~hub ~level ~key =
-    match Scale_free_ni.site sf.f_scheme ~level ~hub with
-    | `Local st -> search_legs_under sf.f_under ex st ~key
-    | `Link (center, st) ->
-      drive_under sf.f_under ex
-        ~dest_label:(under_label sf.f_under center);
-      let data = search_legs_under sf.f_under ex st ~key in
-      drive_under sf.f_under ex ~dest_label:(under_label sf.f_under hub);
-      data
-  in
-  let rec attempt i =
-    if i > sf.f_top then
-      invalid_arg "Cr_serve.Engine: name not found at the top level"
-    else begin
-      let hub = sf.f_hub.((src * stride) + i) in
-      ex.phase (Trace.Zoom i) (fun () ->
-          drive_under sf.f_under ex ~dest_label:(under_label sf.f_under hub));
-      let result =
-        ex.phase (Trace.Ball_search i) (fun () ->
-            search ~hub ~level:i ~key:dest_name)
-      in
-      match result with
-      | Some dest_label ->
-        ex.phase Trace.Deliver (fun () ->
-            drive_under sf.f_under ex ~dest_label)
-      | None -> attempt (i + 1)
-    end
-  in
-  attempt 0
+  | U_hier h -> drive_hier h mv ~dest_label
+  | U_sfl s -> drive_sfl s mv ~dest_label
 
 let rec lm_find l dst lo hi =
   if lo > hi then -1
@@ -426,23 +312,25 @@ let rec lm_find l dst lo hi =
     else if x < dst then lm_find l dst (mid + 1) hi
     else lm_find l dst lo (mid - 1)
 
-let drive_lm l ex ~src ~dst =
+let drive_lm l (mv : Walker.mover) ~src ~dst =
   if src <> dst then begin
     (* in-bunch iff dst is in the compiled row (rows hold exactly the
        strict bunch; full rows at landmarks match is_landmark || ...) *)
     let e = lm_find l dst l.m_bunch_off.(src) (l.m_bunch_off.(src + 1) - 1) in
-    if e < 0 then ex.path l.m_home.(src);
-    ex.path dst
+    if e < 0 then mv.path l.m_home.(src);
+    mv.path dst
   end
 
-let drive t ex ~dst =
+let drive t (mv : Walker.mover) ~dst =
   match t.data with
-  | Hier h -> drive_hier h ex ~dest_label:h.h_label.(dst)
-  | Sfl s -> drive_sfl s ex ~dest_label:s.s_label.(dst)
-  | Simple sn -> drive_simple sn ex ~dest_name:sn.i_name_of.(dst)
-  | Sfni sf -> drive_sfni sf ex ~dest_name:sf.f_name_of.(dst)
-  | Full _ -> ex.path dst
-  | Lm l -> drive_lm l ex ~src:(ex.position ()) ~dst
+  | Hier h -> drive_hier h mv ~dest_label:h.h_label.(dst)
+  | Sfl s -> drive_sfl s mv ~dest_label:s.s_label.(dst)
+  | Ni ni ->
+    Ni_route.walk ni.i_lookup mv
+      ~travel:(fun dest_label -> drive_under ni.i_under mv ~dest_label)
+      ~dest_name:ni.i_name_of.(dst)
+  | Full _ -> mv.path dst
+  | Lm l -> drive_lm l mv ~src:(mv.position ()) ~dst
 
 (* {2 Serving API} *)
 
@@ -456,7 +344,7 @@ let check_endpoint t who x =
 
 let walk t w ~dst =
   check_endpoint t "dst" dst;
-  drive t (walker_exec w) ~dst
+  drive t (Walker.mover w) ~dst
 
 let route ?(cost = Cost.null) ?(live = Live.null) t ~src ~dst =
   check_endpoint t "src" src;
@@ -466,7 +354,7 @@ let route ?(cost = Cost.null) ?(live = Live.null) t ~src ~dst =
       budget = t.budget; cur_phase = Trace.Unphased; acct = cost; lv = live }
   in
   if Live.enabled live then Live.tick live;
-  drive t (cursor_exec c) ~dst;
+  drive t (cursor_mover c) ~dst;
   (* served routes run over an intact graph: every completed drive is a
      delivery, and the stretch sample is cost over the metric distance *)
   if Live.enabled live then
@@ -476,7 +364,7 @@ let route ?(cost = Cost.null) ?(live = Live.null) t ~src ~dst =
   { Scheme.cost = c.total; hops = c.steps }
 
 let first_move t ~src ~dst =
-  match drive t (probe_exec t.metric src) ~dst with
+  match drive t (probe_mover t.metric src) ~dst with
   | () ->
     (* a route between distinct endpoints always moves *)
     assert false
@@ -485,7 +373,7 @@ let first_move t ~src ~dst =
 (* Flat engines answer from compiled arrays without allocating; the
    lint's zero-alloc proof walks the whole Tables/lm_find call graph to
    keep it that way. Name-walking engines must replay the route, which
-   builds an executor per call — the exempted probe path below. *)
+   builds a probe mover per call — the exempted probe path below. *)
 let[@cr.zero_alloc] next_hop t ~src ~dst =
   if src = dst then -1
   else
@@ -497,10 +385,10 @@ let[@cr.zero_alloc] next_hop t ~src ~dst =
         lm_find l dst l.m_bunch_off.(src) (l.m_bunch_off.(src + 1) - 1)
       in
       if e >= 0 then l.m_bunch_hop.(e) else l.m_home_hop.(src)
-    | Sfl _ | Simple _ | Sfni _ ->
+    | Sfl _ | Ni _ ->
       (first_move t ~src ~dst
       [@cr.alloc_ok "name-walking engines replay the route via a probe \
-                     executor; only flat tables serve without allocating"])
+                     mover; only flat tables serve without allocating"])
 
 let batch ?obs ?(pool = Pool.default ()) ?(live = Live.null) t pairs =
   let ctx = Trace.resolve obs in
@@ -523,6 +411,32 @@ let batch ?obs ?(pool = Pool.default ()) ?(live = Live.null) t pairs =
       (float_of_int (Array.length pairs));
   out
 
+(* {2 Accounting} *)
+
+let under_table_bits u v =
+  match u with
+  | U_hier b -> Tables.bits b.h_tables v
+  | U_sfl s -> Tables.bits s.s_tables v
+
+let compiled_bits t v =
+  match t.data with
+  | Hier h -> Tables.bits h.h_tables v + (2 * Bits.id_bits t.n)
+  | Sfl s ->
+    (* wire rings + per-scale Voronoi owner/parent ids and a stored
+       radius + the shared directories (the scheme's non-ring share) *)
+    let idb = Bits.id_bits t.n in
+    Tables.bits s.s_tables v
+    + (s.s_scales * ((2 * idb) + Bits.distance_bits))
+    + (Scale_free_labeled.table_bits s.s_scheme v
+      - Rings.table_bits (Scale_free_labeled.rings s.s_scheme) v)
+  | Ni ni ->
+    (* hub row + name entry + the scheme's directory share + the
+       underlying engine's compiled tables *)
+    ((ni.i_lookup.Ni_route.top_level + 2) * Bits.id_bits t.n)
+    + ni.i_dir_bits v + under_table_bits ni.i_under v
+  | Full _ -> (t.n - 1) * Bits.id_bits t.n
+  | Lm l -> l.m_bits.(v)
+
 (* {2 Compilation} *)
 
 let labels_of nt nn =
@@ -538,25 +452,26 @@ let ring_tables ~pool rings nt =
     ~level_count:(Hierarchy.top_level h + 1)
     ~levels_of:(fun v -> Scheme_codec.ring_levels_of rings v)
 
-let compile_nd nt =
-  let h = Netting_tree.hierarchy nt in
-  let zoom = Zoom.build h in
-  let top = Hierarchy.top_level h in
-  let nn = Metric.n (Hierarchy.metric h) in
-  let hub = Array.make (nn * (top + 1)) 0 in
+(* src * (top + 1) + level -> [hub_of src level] *)
+let hub_rows ~top ~nn hub_of =
+  let rows = Array.make (nn * (top + 1)) 0 in
   for v = 0 to nn - 1 do
     for i = 0 to top do
-      hub.((v * (top + 1)) + i) <- Zoom.step zoom v i
+      rows.((v * (top + 1)) + i) <- hub_of v i
     done
   done;
-  { nd_top = top; nd_hub = hub; nd_nt = nt }
+  rows
 
-let finish ctx t ~compiled_bits =
-  Scheme.table_counters ctx ("serve." ^ t.kind) compiled_bits t.n;
+let compile_nd nt =
+  let h = Netting_tree.hierarchy nt in
+  let top = Hierarchy.top_level h in
+  let nn = Metric.n (Hierarchy.metric h) in
+  { nd_top = top; nd_hub = hub_rows ~top ~nn (Zoom.step (Zoom.build h));
+    nd_nt = nt }
+
+let finish ctx t =
+  Scheme.table_counters ctx ("serve." ^ t.kind) (compiled_bits t) t.n;
   t
-
-let labeled_budget nn = 10_000 + (100 * nn)
-let ni_budget nn = 50_000 + (200 * nn)
 
 let compile_hier ?obs ?(pool = Pool.default ()) scheme =
   let ctx = Trace.resolve obs in
@@ -566,14 +481,11 @@ let compile_hier ?obs ?(pool = Pool.default ()) scheme =
   let nn = Metric.n m in
   let tables = ring_tables ~pool (Hier_labeled.rings scheme) nt in
   let lbl, node_of = labels_of nt nn in
-  let t =
+  finish ctx
     { data = Hier { h_tables = tables; h_label = lbl; h_node_of = node_of };
       metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
       name = "hier-labeled (Lemma 3.1)"; kind = "hier";
-      budget = labeled_budget nn }
-  in
-  finish ctx t ~compiled_bits:(fun v ->
-      Tables.bits tables v + (2 * Bits.id_bits nn))
+      budget = Walker.labeled_budget nn }
 
 let compile_scale_free_labeled ?obs ?(pool = Pool.default ()) scheme =
   let ctx = Trace.resolve obs in
@@ -607,18 +519,10 @@ let compile_scale_free_labeled ?obs ?(pool = Pool.default ()) scheme =
       s_vor_owner = vor_owner; s_vor_parent = vor_parent; s_scheme = scheme;
       s_nd = compile_nd nt; s_fallbacks = Atomic.make 0 }
   in
-  let t =
+  finish ctx
     { data = Sfl s; metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
       name = "scale-free labeled (Thm 1.2)"; kind = "sfl";
-      budget = labeled_budget nn }
-  in
-  let idb = Bits.id_bits nn in
-  finish ctx t ~compiled_bits:(fun v ->
-      (* wire rings + per-scale Voronoi owner/parent ids and a stored
-         radius + the shared directories (the scheme's non-ring share) *)
-      Tables.bits tables v
-      + (scales * ((2 * idb) + Bits.distance_bits))
-      + (Scale_free_labeled.table_bits scheme v - Rings.table_bits rings v))
+      budget = Walker.labeled_budget nn }
 
 let as_under t =
   match t.data with
@@ -627,73 +531,46 @@ let as_under t =
   | _ ->
     invalid_arg "Cr_serve.Engine: underlying engine must serve a labeled scheme"
 
-let hub_rows ~top ~nn hub_of =
-  let rows = Array.make (nn * (top + 1)) 0 in
-  for v = 0 to nn - 1 do
-    for i = 0 to top do
-      rows.((v * (top + 1)) + i) <- hub_of v i
-    done
-  done;
-  rows
+(* Both name-independent engines: the scheme's lookup loop with its hubs
+   flattened into rows, travelling through the compiled labeled engine. *)
+let compile_ni obs ~kind ~name ~underlying ~naming ~lookup ~dir_bits =
+  let ctx = Trace.resolve obs in
+  Trace.span ctx ("serve.compile." ^ kind) @@ fun () ->
+  let nn = underlying.n in
+  if Array.length naming.Workload.name_of <> nn then
+    invalid_arg ("Cr_serve.Engine.compile: " ^ kind ^ " node count mismatch");
+  let under = as_under underlying in
+  let top = lookup.Ni_route.top_level in
+  let hub =
+    hub_rows ~top ~nn (fun v i -> lookup.Ni_route.hub ~src:v ~level:i)
+  in
+  let ni =
+    { i_lookup =
+        { lookup with
+          hub = (fun ~src ~level -> hub.((src * (top + 1)) + level));
+          label = under_label under };
+      i_under = under; i_hub = hub;
+      i_name_of = Array.copy naming.Workload.name_of; i_dir_bits = dir_bits }
+  in
+  finish ctx
+    { data = Ni ni; metric = underlying.metric; adj = underlying.adj; n = nn;
+      name; kind; budget = Walker.ni_budget nn }
 
 let compile_simple_ni ?obs ?pool:_ ~underlying scheme =
-  let ctx = Trace.resolve obs in
-  Trace.span ctx "serve.compile.simple-ni" @@ fun () ->
-  let nn = underlying.n in
-  let naming = Simple_ni.naming scheme in
-  if Array.length naming.Workload.name_of <> nn then
-    invalid_arg "Cr_serve.Engine.compile_simple_ni: node count mismatch";
-  let top = Simple_ni.top_level scheme in
-  let sn =
-    { i_scheme = scheme; i_under = as_under underlying; i_top = top;
-      i_min = Simple_ni.start_level scheme;
-      i_hub =
-        hub_rows ~top ~nn (fun v i -> Simple_ni.hub scheme ~src:v ~level:i);
-      i_name_of = Array.copy naming.Workload.name_of }
-  in
-  let t =
-    { data = Simple sn; metric = underlying.metric; adj = underlying.adj;
-      n = nn; name = "simple name-independent (Thm 1.4)"; kind = "simple-ni";
-      budget = ni_budget nn }
-  in
   let u = Simple_ni.underlying scheme in
-  let idb = Bits.id_bits nn in
-  finish ctx t ~compiled_bits:(fun v ->
-      (* hub row + name entry + the scheme's directory share + the
-         underlying engine's compiled tables *)
-      ((top + 2) * idb)
-      + (Simple_ni.table_bits scheme v - u.Underlying.u_table_bits v)
-      + (match sn.i_under with
-        | U_hier b -> Tables.bits b.h_tables v
-        | U_sfl s -> Tables.bits s.s_tables v))
+  compile_ni obs ~kind:"simple-ni" ~name:"simple name-independent (Thm 1.4)"
+    ~underlying ~naming:(Simple_ni.naming scheme)
+    ~lookup:(Simple_ni.lookup scheme)
+    ~dir_bits:(fun v ->
+      Simple_ni.table_bits scheme v - u.Underlying.u_table_bits v)
 
 let compile_scale_free_ni ?obs ?pool:_ ~underlying scheme =
-  let ctx = Trace.resolve obs in
-  Trace.span ctx "serve.compile.sf-ni" @@ fun () ->
-  let nn = underlying.n in
-  let naming = Scale_free_ni.naming scheme in
-  if Array.length naming.Workload.name_of <> nn then
-    invalid_arg "Cr_serve.Engine.compile_scale_free_ni: node count mismatch";
-  let top = Scale_free_ni.top_level scheme in
-  let sf =
-    { f_scheme = scheme; f_under = as_under underlying; f_top = top;
-      f_hub =
-        hub_rows ~top ~nn (fun v i -> Scale_free_ni.hub scheme ~src:v ~level:i);
-      f_name_of = Array.copy naming.Workload.name_of }
-  in
-  let t =
-    { data = Sfni sf; metric = underlying.metric; adj = underlying.adj;
-      n = nn; name = "scale-free name-independent (Thm 1.1)"; kind = "sf-ni";
-      budget = ni_budget nn }
-  in
   let u = Scale_free_ni.underlying scheme in
-  let idb = Bits.id_bits nn in
-  finish ctx t ~compiled_bits:(fun v ->
-      ((top + 2) * idb)
-      + (Scale_free_ni.table_bits scheme v - u.Underlying.u_table_bits v)
-      + (match sf.f_under with
-        | U_hier b -> Tables.bits b.h_tables v
-        | U_sfl s -> Tables.bits s.s_tables v))
+  compile_ni obs ~kind:"sf-ni" ~name:"scale-free name-independent (Thm 1.1)"
+    ~underlying ~naming:(Scale_free_ni.naming scheme)
+    ~lookup:(Scale_free_ni.lookup scheme)
+    ~dir_bits:(fun v ->
+      Scale_free_ni.table_bits scheme v - u.Underlying.u_table_bits v)
 
 let compile_full ?obs ?(pool = Pool.default ()) m =
   let ctx = Trace.resolve obs in
@@ -704,12 +581,10 @@ let compile_full ?obs ?(pool = Pool.default ()) m =
   in
   let rows = Array.make (nn * nn) (-1) in
   Array.iteri (fun src row -> Array.blit row 0 rows (src * nn) nn) rows_by_src;
-  let t =
+  finish ctx
     { data = Full { t_rows = rows }; metric = m;
       adj = Flat.of_graph (Metric.graph m); n = nn; name = "full-table";
-      kind = "full"; budget = 10 + (4 * nn) }
-  in
-  finish ctx t ~compiled_bits:(fun _ -> (nn - 1) * Bits.id_bits nn)
+      kind = "full"; budget = Full_table.budget nn }
 
 let compile_landmark ?obs ?(pool = Pool.default ()) m lm =
   let ctx = Trace.resolve obs in
@@ -757,40 +632,10 @@ let compile_landmark ?obs ?(pool = Pool.default ()) m lm =
       m_bunch_off = off; m_bunch = bunch; m_bunch_hop = bunch_hop;
       m_bits = bits }
   in
-  let t =
+  finish ctx
     { data = Lm l; metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
       name = "landmark (TZ stretch-3)"; kind = "landmark";
-      budget = 10 + (8 * nn) }
-  in
-  finish ctx t ~compiled_bits:(fun v -> bits.(v))
-
-(* {2 Accounting} *)
-
-let compiled_bits t v =
-  match t.data with
-  | Hier h -> Tables.bits h.h_tables v + (2 * Bits.id_bits t.n)
-  | Sfl s ->
-    let idb = Bits.id_bits t.n in
-    Tables.bits s.s_tables v
-    + (s.s_scales * ((2 * idb) + Bits.distance_bits))
-    + (Scale_free_labeled.table_bits s.s_scheme v
-      - Rings.table_bits (Scale_free_labeled.rings s.s_scheme) v)
-  | Simple sn ->
-    let u = Simple_ni.underlying sn.i_scheme in
-    ((sn.i_top + 2) * Bits.id_bits t.n)
-    + (Simple_ni.table_bits sn.i_scheme v - u.Underlying.u_table_bits v)
-    + (match sn.i_under with
-      | U_hier b -> Tables.bits b.h_tables v
-      | U_sfl s -> Tables.bits s.s_tables v)
-  | Sfni sf ->
-    let u = Scale_free_ni.underlying sf.f_scheme in
-    ((sf.f_top + 2) * Bits.id_bits t.n)
-    + (Scale_free_ni.table_bits sf.f_scheme v - u.Underlying.u_table_bits v)
-    + (match sf.f_under with
-      | U_hier b -> Tables.bits b.h_tables v
-      | U_sfl s -> Tables.bits s.s_tables v)
-  | Full _ -> (t.n - 1) * Bits.id_bits t.n
-  | Lm l -> l.m_bits.(v)
+      budget = Landmark.budget nn }
 
 let under_words = function
   | U_hier h ->
@@ -806,12 +651,9 @@ let data_words t =
   match t.data with
   | Hier h -> under_words (U_hier h)
   | Sfl s -> under_words (U_sfl s)
-  | Simple sn ->
-    under_words sn.i_under + Array.length sn.i_hub
-    + Array.length sn.i_name_of
-  | Sfni sf ->
-    under_words sf.f_under + Array.length sf.f_hub
-    + Array.length sf.f_name_of
+  | Ni ni ->
+    under_words ni.i_under + Array.length ni.i_hub
+    + Array.length ni.i_name_of
   | Full f -> Array.length f.t_rows
   | Lm l ->
     Array.length l.m_home + Array.length l.m_home_hop
@@ -825,6 +667,5 @@ let bytes_per_node t =
 let fallbacks t =
   match t.data with
   | Sfl s -> Atomic.get s.s_fallbacks
-  | Simple { i_under = U_sfl s; _ } -> Atomic.get s.s_fallbacks
-  | Sfni { f_under = U_sfl s; _ } -> Atomic.get s.s_fallbacks
+  | Ni { i_under = U_sfl s; _ } -> Atomic.get s.s_fallbacks
   | _ -> 0

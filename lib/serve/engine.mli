@@ -4,8 +4,14 @@
     An engine is built from a constructed scheme by a [compile_*]
     function: the scheme's forwarding state is flattened into immutable
     int/float arrays (ring tables travel through [Cr_codec]'s wire format
-    — see {!Tables}), and routes are then *served* from the arena by
-    drivers that replay each scheme's forwarding decisions step for step.
+    — see {!Tables}), and routes are then *served* from the arena. The
+    labeled and baseline engines run drivers that replay their scheme's
+    forwarding decisions step for step; the name-independent engines run
+    the schemes' own lookup loop, [Cr_core.Ni_route], over compiled hub
+    rows and the compiled underlying labeled engine. Every driver moves
+    the packet through a [Cr_sim.Walker.mover]: a real walker ([walk]),
+    the lean serving cursor ([route]), or a probe that stops at the first
+    move ([next_hop]).
 
     The equivalence contract, enforced by the differential test suite and
     the E20 bench gate: for every (src, dst), a served route visits the
@@ -35,11 +41,14 @@ val compile_scale_free_labeled :
   ?obs:Cr_obs.Trace.context -> ?pool:Cr_par.Pool.t ->
   Cr_core.Scale_free_labeled.t -> t
 
-(** [compile_simple_ni ~underlying scheme] serves the Theorem 1.4 scheme.
-    [underlying] must be an engine compiled from the same labeled scheme
-    instance the name-independent scheme was built over (its arena
-    executes every zoom/search/deliver leg). Raises [Invalid_argument] if
-    [underlying] is not a labeled engine over the same node count. *)
+(** [compile_simple_ni ~underlying scheme] serves the Theorem 1.4 scheme
+    by running its {!Cr_core.Ni_route} lookup loop with the hubs flattened
+    into rows. [underlying] must be an engine compiled from the same
+    labeled scheme instance the name-independent scheme was built over
+    (its arena executes every zoom/search/deliver leg). Raises
+    [Invalid_argument] if [underlying] is not a labeled engine over the
+    same node count. [compile_scale_free_ni] does the same for the
+    Theorem 1.1 scheme. *)
 val compile_simple_ni :
   ?obs:Cr_obs.Trace.context -> ?pool:Cr_par.Pool.t ->
   underlying:t -> Cr_core.Simple_ni.t -> t

@@ -125,3 +125,23 @@ let teleport w v ~cost =
       ~round:(w.hops - 1) ~bits:w.hop_bits
 
 let trail w = List.rev w.trail
+
+let labeled_budget n = 10_000 + (100 * n)
+let ni_budget n = 50_000 + (200 * n)
+
+type mover = {
+  position : unit -> int;
+  cost : unit -> float;
+  step : int -> unit;
+  jump : int -> float -> unit;
+  path : int -> unit;
+  phase : 'a. Trace.phase -> (unit -> 'a) -> 'a;
+}
+
+let mover w =
+  { position = (fun () -> position w);
+    cost = (fun () -> cost w);
+    step = (fun v -> step w v);
+    jump = (fun v c -> teleport w v ~cost:c);
+    path = (fun v -> walk_shortest_path w v);
+    phase = (fun p f -> with_phase w p f) }

@@ -89,3 +89,38 @@ val teleport : t -> int -> cost:float -> unit
     start node (teleport targets included) — the raw data for route
     visualization and path assertions. *)
 val trail : t -> int list
+
+(** {1 Hop budgets}
+
+    The [max_hops] every scheme gives a fresh walker, as a function of the
+    node count: generous multiples of the worst route a correct scheme
+    takes, so only a looping scheme ever exhausts them. *)
+
+(** [labeled_budget n] is the labeled schemes' budget (Lemma 3.1 and
+    Theorem 1.2): 10000 + 100n. *)
+val labeled_budget : int -> int
+
+(** [ni_budget n] is the name-independent schemes' budget (Theorems 1.4
+    and 1.1), which pay several labeled routes per lookup: 50000 + 200n. *)
+val ni_budget : int -> int
+
+(** {1 Movement records}
+
+    A routing loop written once moves its packet through a [mover]: bound
+    to a walker by {!mover}, or to another executor with the same
+    semantics (the serving engine's lean cursor, or a probe that stops at
+    the first move). Every binding must apply the walker's exact float
+    operations in the same order, so costs and hop counts agree. *)
+type mover = {
+  position : unit -> int;  (** the packet's current node *)
+  cost : unit -> float;  (** the distance travelled so far *)
+  step : int -> unit;  (** one graph edge, as {!step} *)
+  jump : int -> float -> unit;  (** an out-of-band move, as {!teleport} *)
+  path : int -> unit;
+      (** the canonical shortest path, as {!walk_shortest_path} *)
+  phase : 'a. Cr_obs.Trace.phase -> (unit -> 'a) -> 'a;
+      (** outer-wins phase scoping, as {!with_phase} *)
+}
+
+(** [mover w] moves walker [w]. *)
+val mover : t -> mover

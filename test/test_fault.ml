@@ -255,6 +255,31 @@ let build_simple m =
   in
   (ni, naming)
 
+(* Both name-independent schemes on one fixture (each over its paper
+   underlying scheme), as (name, walk, walk_degraded). *)
+let build_both m =
+  let ni, naming = build_simple m in
+  let nt = Cr_nets.Netting_tree.build (Cr_nets.Hierarchy.build m) in
+  let sfl = Cr_core.Scale_free_labeled.build nt ~epsilon:0.25 in
+  let sfni =
+    Cr_core.Scale_free_ni.build nt ~epsilon:0.25 ~naming
+      ~underlying:(Cr_core.Scale_free_labeled.to_underlying sfl)
+  in
+  ( naming,
+    [ ( "simple-ni",
+        Cr_core.Simple_ni.walk ni,
+        Cr_core.Simple_ni.walk_degraded ni );
+      ( "sf-ni",
+        Cr_core.Scale_free_ni.walk sfni,
+        Cr_core.Scale_free_ni.walk_degraded sfni ) ] )
+
+(* [walk] run on a fresh traced walker: the trace events and its result. *)
+let traced ?failures m ~src walk =
+  let ctx, events = collecting_context () in
+  let w = Walker.create ~obs:ctx ?failures m ~start:src ~max_hops:100_000 in
+  let result = walk w in
+  (List.rev !events, result)
+
 let test_failures_set () =
   let f = Failures.create ~edges:[ (1, 2); (4, 3) ] ~nodes:[ 7 ] () in
   check_bool "symmetric" true
@@ -287,28 +312,60 @@ let test_degraded_empty_equals_fault_free () =
       (Cr_core.Simple_ni.to_scheme ni) naming pairs in
   check_bool "summary identical to fault-free" true
     (d.Stats.arrived = Some base);
-  (* trace byte-identity on a single route *)
+  (* trace byte-identity on a single route, for both schemes *)
   let src, dst = List.nth pairs 3 in
-  let events walk =
-    let ctx, events = collecting_context () in
-    let w = Walker.create ~obs:ctx m ~start:src ~max_hops:100_000 in
-    walk w;
-    List.rev !events
+  let dest_name = naming.Workload.name_of.(dst) in
+  List.iter
+    (fun (sname, walk, walk_degraded) ->
+      let plain, () = traced m ~src (fun w -> walk w ~dest_name) in
+      let degraded, (status, reroutes) =
+        traced m ~src (fun w -> walk_degraded w ~dest_name)
+      in
+      check_bool (sname ^ ": status delivered") true
+        (status = Scheme.Delivered);
+      check_int (sname ^ ": no reroutes") 0 reroutes;
+      check_bool (sname ^ ": trace events identical") true (plain = degraded))
+    (snd (build_both m))
+
+(* Under failures, [walk] runs the same failover loop as [walk_degraded]:
+   on every route the degraded walk delivers, the plain walk emits the
+   identical trace, Faults-tagged hops included, instead of raising
+   [Blocked]. *)
+let test_walk_fails_over_like_degraded () =
+  let m = holey () in
+  let n = Metric.n m in
+  let naming, schemes = build_both m in
+  let failures =
+    Failures.create
+      ~edges:(Plan.sample_edge_failures ~seed:3 ~rate:0.06 (Metric.graph m))
+      ~nodes:(Plan.sample_node_failures ~seed:3 ~fraction:0.05 n)
+      ()
   in
-  let plain =
-    events (fun w ->
-        Cr_core.Simple_ni.walk ni w ~dest_name:naming.Workload.name_of.(dst))
-  in
-  let degraded =
-    events (fun w ->
-        let status, reroutes =
-          Cr_core.Simple_ni.walk_degraded ni w
-            ~dest_name:naming.Workload.name_of.(dst)
-        in
-        check_bool "status delivered" true (status = Scheme.Delivered);
-        check_int "no reroutes" 0 reroutes)
-  in
-  check_bool "trace events identical" true (plain = degraded)
+  let pairs = Workload.sample_pairs ~n ~count:120 ~seed:9 in
+  List.iter
+    (fun (sname, walk, walk_degraded) ->
+      let rerouted = ref 0 in
+      List.iter
+        (fun (src, dst) ->
+          if not (Failures.node_failed failures src) then begin
+            let dest_name = naming.Workload.name_of.(dst) in
+            let degraded, (status, _) =
+              traced ~failures m ~src (fun w -> walk_degraded w ~dest_name)
+            in
+            if status <> Scheme.Undeliverable then begin
+              if status = Scheme.Rerouted then incr rerouted;
+              let plain, () =
+                traced ~failures m ~src (fun w -> walk w ~dest_name)
+              in
+              check_bool
+                (Printf.sprintf "%s (%d -> %d): trace identical" sname src dst)
+                true (plain = degraded)
+            end
+          end)
+        pairs;
+      check_bool (sname ^ ": some delivered route failed over") true
+        (!rerouted > 0))
+    schemes
 
 let test_degraded_outcomes_consistent () =
   let m = holey () in
@@ -403,4 +460,6 @@ let suite =
     Alcotest.test_case "degraded outcomes consistent" `Quick
       test_degraded_outcomes_consistent;
     Alcotest.test_case "degraded scale-free scheme" `Quick
-      test_degraded_scale_free ]
+      test_degraded_scale_free;
+    Alcotest.test_case "walk fails over like walk_degraded" `Quick
+      test_walk_fails_over_like_degraded ]

@@ -12,6 +12,8 @@ module Hier = Cr_core.Hier_labeled
 module Sfl = Cr_core.Scale_free_labeled
 module Simple_ni = Cr_core.Simple_ni
 module Sfni = Cr_core.Scale_free_ni
+module Walker = Cr_sim.Walker
+module Engine = Cr_serve.Engine
 
 type stack = {
   metric : Metric.t;
@@ -129,6 +131,54 @@ let test_cross_composition () =
       check_bool "delivers" true (o.Scheme.cost >= Metric.dist m src dst -. 1e-9))
     (Workload.all_pairs (Metric.n m))
 
+(* Grid.with_holes keeps a 2-node component for this seed: every pairwise
+   distance is the minimum, so Delta = 1. Metric.levels stays at 1, which
+   puts the singleton top net above level 0 (all nodes); every scheme then
+   builds, walks every pair to its destination, and serves the same
+   route it walks. *)
+let test_degenerate_delta_one () =
+  let m =
+    Metric.of_graph
+      (Cr_graphgen.Grid.with_holes ~side:4 ~hole_fraction:0.2 ~seed:7955)
+  in
+  check_int "two nodes" 2 (Metric.n m);
+  check_float "Delta = 1" 1.0 (Metric.normalized_diameter m);
+  check_int "levels" 1 (Metric.levels m);
+  let s = build_stack m in
+  let e_hier = Engine.compile_hier s.hier in
+  let e_sfl = Engine.compile_scale_free_labeled s.sfl in
+  let name dst = s.naming.Workload.name_of.(dst) in
+  let schemes =
+    [ ( "hier",
+        (fun w dst -> Hier.walk s.hier w ~dest_label:(Hier.label s.hier dst)),
+        e_hier );
+      ( "sfl",
+        (fun w dst -> Sfl.walk s.sfl w ~dest_label:(Sfl.label s.sfl dst)),
+        e_sfl );
+      ( "simple-ni",
+        (fun w dst -> Simple_ni.walk s.simple w ~dest_name:(name dst)),
+        Engine.compile_simple_ni ~underlying:e_hier s.simple );
+      ( "sf-ni",
+        (fun w dst -> Sfni.walk s.sfni w ~dest_name:(name dst)),
+        Engine.compile_scale_free_ni ~underlying:e_sfl s.sfni ) ]
+  in
+  List.iter
+    (fun (sname, walk, engine) ->
+      List.iter
+        (fun (src, dst) ->
+          let w =
+            Walker.create m ~start:src ~max_hops:(Walker.ni_budget (Metric.n m))
+          in
+          walk w dst;
+          check_int (sname ^ ": arrives") dst (Walker.position w);
+          let served = Engine.route engine ~src ~dst in
+          check_bool (sname ^ ": served cost = walked") true
+            (Float.equal served.Scheme.cost (Walker.cost w));
+          check_int (sname ^ ": served hops = walked") (Walker.hops w)
+            served.Scheme.hops)
+        [ (0, 1); (1, 0); (0, 0); (1, 1) ])
+    schemes
+
 let suite =
   [ Alcotest.test_case "labeled beats name-independent" `Quick
       test_labeled_beats_name_independent;
@@ -140,4 +190,6 @@ let suite =
       test_labels_consistent_across_schemes;
     Alcotest.test_case "storage ordering" `Quick test_scheme_storage_ordering;
     Alcotest.test_case "cross composition (Thm 1.1 over Lemma 3.1)" `Quick
-      test_cross_composition ]
+      test_cross_composition;
+    Alcotest.test_case "degenerate metric (Delta = 1)" `Quick
+      test_degenerate_delta_one ]

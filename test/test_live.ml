@@ -386,7 +386,7 @@ let walker_conservation () =
       if Live.enabled live then begin
         Live.tick live;
         let w =
-          Walker.create ~cost ~live m ~start:src ~max_hops:(50_000 + (200 * n))
+          Walker.create ~cost ~live m ~start:src ~max_hops:(Walker.ni_budget n)
         in
         Simple_ni.walk ni w ~dest_name:naming.Workload.name_of.(dst);
         Live.record live ~src ~dst ~status:Live.Delivered

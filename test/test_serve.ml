@@ -143,7 +143,7 @@ let capture m walkfn ~src =
   let mem = Sinks.Memory.create ~capacity:262144 () in
   let ctx = Trace.make ~clock:(Trace.counting_clock ()) (Sinks.Memory.sink mem) in
   let w =
-    Walker.create ~obs:ctx m ~start:src ~max_hops:(50_000 + (200 * Metric.n m))
+    Walker.create ~obs:ctx m ~start:src ~max_hops:(Walker.ni_budget (Metric.n m))
   in
   walkfn w;
   ( List.map Sinks.json_of_event (Sinks.Memory.events mem),
@@ -195,7 +195,7 @@ let test_next_hop_is_first_move fname fx () =
             let h = Engine.next_hop eng ~src ~dst in
             let w =
               Walker.create fx.m ~start:src
-                ~max_hops:(50_000 + (200 * Metric.n fx.m))
+                ~max_hops:(Walker.ni_budget (Metric.n fx.m))
             in
             Engine.walk eng w ~dst;
             match Walker.trail w with
@@ -345,7 +345,7 @@ let test_compiled_bits_sane () =
 let test_cost_parity () =
   let fx = fx_grid () in
   let n = Metric.n fx.m in
-  let budget = 50_000 + (200 * n) in
+  let budget = Walker.ni_budget n in
   List.iter
     (fun (sname, walkfn, eng) ->
       List.iter

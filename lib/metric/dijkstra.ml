@@ -4,7 +4,10 @@ type result = {
 }
 
 (* Relaxations break ties toward the smaller predecessor id so that the
-   shortest-path forest is deterministic. *)
+   shortest-path forest is deterministic. The loop reads [u]'s rows
+   directly; the final dist and pred do not depend on the scan order,
+   since each is a minimum over tight predecessors, all popped before
+   the node itself. *)
 let run g s =
   let n = Graph.n g in
   if s < 0 || s >= n then invalid_arg "Dijkstra.run: source out of range";
@@ -12,21 +15,24 @@ let run g s =
   let pred = Array.make n (-1) in
   let heap = Priority_queue.create () in
   dist.(s) <- 0.0;
-  Priority_queue.push heap ~priority:0.0 s;
-  while not (Priority_queue.is_empty heap) do
-    let d, u = Priority_queue.pop_min heap in
-    if d <= dist.(u) then
-      Graph.iter_neighbors g u (fun v w ->
-          let cand = d +. w in
-          if
-            cand < dist.(v)
-            || (Float.equal cand dist.(v) && pred.(v) >= 0 && u < pred.(v))
-          then begin
-            let improved = cand < dist.(v) in
-            dist.(v) <- cand;
-            pred.(v) <- u;
-            if improved then Priority_queue.push heap ~priority:cand v
-          end)
+  Priority_queue.push heap dist s;
+  let next = ref (Priority_queue.pop heap dist) in
+  while !next >= 0 do
+    let u = !next in
+    let d = dist.(u) in
+    let ids = Graph.row_ids g u and wts = Graph.row_weights g u in
+    for i = 0 to Graph.degree g u - 1 do
+      let v = ids.(i) in
+      let cand = d +. wts.(i) in
+      let dv = dist.(v) in
+      if cand < dv || (Float.equal cand dv && pred.(v) >= 0 && u < pred.(v))
+      then begin
+        dist.(v) <- cand;
+        pred.(v) <- u;
+        if cand < dv then Priority_queue.push heap dist v
+      end
+    done;
+    next := Priority_queue.pop heap dist
   done;
   { dist; pred }
 
@@ -38,10 +44,18 @@ let path r v =
   in
   build v []
 
+(* The hop is the node on [v]'s predecessor chain whose predecessor is
+   the source (the one node with pred -1 and a finite distance). *)
 let next_hop_toward r v =
-  match path r v with
-  | _ :: hop :: _ -> hop
-  | _ -> invalid_arg "Dijkstra.next_hop_toward: destination is the source"
+  if not (Float.is_finite r.dist.(v)) then
+    invalid_arg "Dijkstra.path: unreachable node";
+  if r.pred.(v) = -1 then
+    invalid_arg "Dijkstra.next_hop_toward: destination is the source";
+  let hop = ref v in
+  while r.pred.(r.pred.(!hop)) <> -1 do
+    hop := r.pred.(!hop)
+  done;
+  !hop
 
 (* Lexicographic (distance, owner) relaxation keeps Voronoi cells
    prefix-closed; see the interface for why that matters. *)
@@ -60,23 +74,25 @@ let multi_source g sources =
         dist.(s) <- 0.0;
         owner.(s) <- s;
         pred.(s) <- -1;
-        Priority_queue.push heap ~priority:0.0 s
+        Priority_queue.push heap dist s
       end)
     sources;
-  while not (Priority_queue.is_empty heap) do
-    let d, u = Priority_queue.pop_min heap in
-    if d <= dist.(u) then
-      Graph.iter_neighbors g u (fun v w ->
-          let cand = d +. w in
-          let better =
-            cand < dist.(v)
-            || (Float.equal cand dist.(v) && owner.(u) < owner.(v))
-          in
-          if better then begin
-            dist.(v) <- cand;
-            owner.(v) <- owner.(u);
-            pred.(v) <- u;
-            Priority_queue.push heap ~priority:cand v
-          end)
+  let next = ref (Priority_queue.pop heap dist) in
+  while !next >= 0 do
+    let u = !next in
+    let d = dist.(u) and o = owner.(u) in
+    let ids = Graph.row_ids g u and wts = Graph.row_weights g u in
+    for i = 0 to Graph.degree g u - 1 do
+      let v = ids.(i) in
+      let cand = d +. wts.(i) in
+      let dv = dist.(v) in
+      if cand < dv || (Float.equal cand dv && o < owner.(v)) then begin
+        dist.(v) <- cand;
+        owner.(v) <- o;
+        pred.(v) <- u;
+        Priority_queue.push heap dist v
+      end
+    done;
+    next := Priority_queue.pop heap dist
   done;
   (dist, owner, pred)

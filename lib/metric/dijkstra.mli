@@ -3,7 +3,14 @@
     Classic Dijkstra with a binary heap. Distances are exact shortest-path
     lengths; predecessors reconstruct one shortest path per destination,
     with deterministic tie-breaking (smallest predecessor id wins), so every
-    run over the same graph yields the same shortest-path forest. *)
+    run over the same graph yields the same shortest-path forest.
+
+    The relaxation loops read each settled node's adjacency rows
+    ({!Graph.row_ids}, {!Graph.row_weights}) and push onto a
+    {!Priority_queue} keyed by the distance array, so a run allocates its
+    result arrays and its heap and nothing per node or per edge.
+    [test/test_metric.ml] checks both entry points against a Bellman-Ford
+    reference. *)
 
 type result = {
   dist : float array;  (** [dist.(v)] = d(source, v); [infinity] if unreachable *)
@@ -20,8 +27,9 @@ val path : result -> int -> int list
 
 (** [next_hop_toward r v] is, for a result computed from source [s], the
     first node after [s] on the shortest path to [v] ([v] itself if [v] is a
-    neighbor on the path; raises [Invalid_argument] if [v] is the source or
-    unreachable). *)
+    neighbor on the path), found by walking [v]'s predecessor chain without
+    building the path. Raises [Invalid_argument] if [v] is the source or
+    unreachable (the latter with {!path}'s message). *)
 val next_hop_toward : result -> int -> int
 
 (** [multi_source g sources] runs Dijkstra from a set of virtual sources

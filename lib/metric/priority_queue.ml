@@ -1,3 +1,7 @@
+(* Entry [i] is element [elt.(i)] pushed at priority [prio.(i)]. Heap
+   order is (priority, element) lexicographic, so pops are deterministic
+   under equal priorities. Sifts move a hole instead of swapping, and
+   every float stays in a local or in [prio]: nothing is boxed. *)
 type t = {
   mutable prio : float array;
   mutable elt : int array;
@@ -11,6 +15,7 @@ let create () =
     elt = Array.make initial_capacity 0;
     size = 0 }
 
+let clear h = h.size <- 0
 let is_empty h = h.size = 0
 let length h = h.size
 
@@ -23,53 +28,67 @@ let grow h =
   h.prio <- prio;
   h.elt <- elt
 
-(* [less h i j] orders pairs by (priority, element) lexicographically so that
-   extraction order is deterministic even with equal priorities. *)
-let less h i j =
-  h.prio.(i) < h.prio.(j)
-  || (Float.equal h.prio.(i) h.prio.(j) && h.elt.(i) < h.elt.(j))
-
-let swap h i j =
-  let p = h.prio.(i) and e = h.elt.(i) in
-  h.prio.(i) <- h.prio.(j);
-  h.elt.(i) <- h.elt.(j);
-  h.prio.(j) <- p;
-  h.elt.(j) <- e
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less h i parent then begin
-      swap h i parent;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let left = (2 * i) + 1 in
-  let right = left + 1 in
-  let smallest = ref i in
-  if left < h.size && less h left !smallest then smallest := left;
-  if right < h.size && less h right !smallest then smallest := right;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
-
-let push h ~priority x =
+let push h key x =
   if h.size = Array.length h.prio then grow h;
-  h.prio.(h.size) <- priority;
-  h.elt.(h.size) <- x;
+  let p = key.(x) in
+  let prio = h.prio and elt = h.elt in
+  let i = ref h.size in
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = prio.(parent) and pe = elt.(parent) in
+    if p < pp || (Float.equal p pp && x < pe) then begin
+      prio.(!i) <- pp;
+      elt.(!i) <- pe;
+      i := parent
+    end
+    else moving := false
+  done;
+  prio.(!i) <- p;
+  elt.(!i) <- x
 
-let pop_min h =
-  if h.size = 0 then raise Not_found;
-  let p = h.prio.(0) and e = h.elt.(0) in
-  h.size <- h.size - 1;
-  if h.size > 0 then begin
-    h.prio.(0) <- h.prio.(h.size);
-    h.elt.(0) <- h.elt.(h.size);
-    sift_down h 0
-  end;
-  (p, e)
+(* Removes the root: the last entry sifts down from the root's hole. *)
+let remove_min h =
+  let last = h.size - 1 in
+  h.size <- last;
+  if last > 0 then begin
+    let prio = h.prio and elt = h.elt in
+    let p = prio.(last) and x = elt.(last) in
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= last then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < last
+            && (prio.(r) < prio.(l)
+               || (Float.equal prio.(r) prio.(l) && elt.(r) < elt.(l)))
+          then r
+          else l
+        in
+        let pc = prio.(c) and ec = elt.(c) in
+        if pc < p || (Float.equal pc p && ec < x) then begin
+          prio.(!i) <- pc;
+          elt.(!i) <- ec;
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    prio.(!i) <- p;
+    elt.(!i) <- x
+  end
+
+let pop h key =
+  let found = ref (-1) in
+  while !found < 0 && h.size > 0 do
+    let x = h.elt.(0) in
+    let live = h.prio.(0) <= key.(x) in
+    remove_min h;
+    if live then found := x
+  done;
+  !found

@@ -1,24 +1,36 @@
-(** Binary min-heap keyed by floats, used by Dijkstra.
+(** Binary min-heap of node ids keyed by a caller-owned distance array,
+    used by [Dijkstra] and [Cr_scale.Bounded].
 
-    The heap stores [(priority, element)] pairs and supports insertion and
-    extraction of the minimum-priority element. Duplicate insertions of the
-    same element with different priorities are allowed (lazy-deletion style):
-    callers are expected to discard stale extractions. *)
+    [push h key x] stores [x] at priority [key.(x)], read at push time.
+    The caller may later lower [key.(x)] and push [x] again; the older
+    entry then goes stale (its stored priority is above [key.(x)]), and
+    [pop] drops it. Entries pop in (priority, element) lexicographic
+    order, so equal priorities break toward the least id.
+
+    No float crosses a call into or out of this module, so neither
+    operation boxes one, even where cross-module inlining is off (dune's
+    dev profile compiles [-opaque]). [push] allocates only when the heap
+    doubles its capacity; [pop] never allocates. *)
 
 type t
 
 (** [create ()] is an empty heap. *)
 val create : unit -> t
 
-(** [is_empty h] is true iff [h] holds no pairs. *)
+(** [clear h] empties [h], keeping its capacity. *)
+val clear : t -> unit
+
+(** [is_empty h] is true iff [h] holds no entries. *)
 val is_empty : t -> bool
 
-(** [length h] is the number of stored pairs (including stale duplicates). *)
+(** [length h] is the number of stored entries, stale ones included. *)
 val length : t -> int
 
-(** [push h ~priority x] inserts element [x] with priority [priority]. *)
-val push : t -> priority:float -> int -> unit
+(** [push h key x] inserts [x] at priority [key.(x)]. [x] must be a
+    valid index of [key] and non-negative. *)
+val push : t -> float array -> int -> unit
 
-(** [pop_min h] removes and returns the pair with least priority.
-    Ties are broken by least element. Raises [Not_found] on an empty heap. *)
-val pop_min : t -> float * int
+(** [pop h key] removes and returns the least live entry's element,
+    dropping every stale entry ahead of it; -1 when no live entry is
+    left. An entry is live while its stored priority is [<= key.(x)]. *)
+val pop : t -> float array -> int

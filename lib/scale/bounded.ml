@@ -3,11 +3,13 @@ module Priority_queue = Cr_metric.Priority_queue
 
 (* Version-stamped scratch: [stamp.(v) = version] marks v's dist/pred/owner
    as belonging to the current run, [done_.(v) = version] marks it settled.
-   Resetting is a single increment, so a ball-limited run costs only the
-   nodes it touches. The relaxation bodies below are copied from
-   Cr_metric.Dijkstra line for line (same tie-breaks, same push policy);
-   the only addition is the [d > radius] cutoff at pop time, which is
-   exhaustive because popped priorities are nondecreasing. *)
+   Resetting is a single increment (and a heap clear), so a ball-limited
+   run costs only the nodes it touches. The relaxation bodies below are
+   copied from Cr_metric.Dijkstra line for line (same tie-breaks, same
+   push policy, same row scan); the only addition is the [d > radius]
+   cutoff at pop time, which is exhaustive because popped priorities are
+   nondecreasing. The heap is keyed by [dist], so a warmed scratch
+   allocates nothing. *)
 type t = {
   n : int;
   dist : float array;
@@ -16,6 +18,7 @@ type t = {
   stamp : int array;
   done_ : int array;
   order : int array;
+  heap : Priority_queue.t;
   mutable settled : int;
   mutable version : int;
 }
@@ -29,6 +32,7 @@ let create n =
     stamp = Array.make n 0;
     done_ = Array.make n 0;
     order = Array.make n 0;
+    heap = Priority_queue.create ();
     settled = 0;
     version = 0 }
 
@@ -44,7 +48,8 @@ let begin_run t g ~radius name =
   if Graph.n g <> t.n then invalid_arg (name ^ ": graph size mismatch");
   if not (radius >= 0.0) then invalid_arg (name ^ ": radius must be >= 0");
   t.version <- t.version + 1;
-  t.settled <- 0
+  t.settled <- 0;
+  Priority_queue.clear t.heap
 
 let settle t u =
   if t.done_.(u) <> t.version then begin
@@ -56,69 +61,80 @@ let settle t u =
 let run t g ~src ~radius =
   begin_run t g ~radius "Bounded.run";
   if src < 0 || src >= t.n then invalid_arg "Bounded.run: source out of range";
-  let heap = Priority_queue.create () in
+  let heap = t.heap and dist = t.dist and pred = t.pred in
   touch t src;
-  t.dist.(src) <- 0.0;
+  dist.(src) <- 0.0;
   t.owner.(src) <- src;
-  Priority_queue.push heap ~priority:0.0 src;
-  let stop = ref false in
-  while (not !stop) && not (Priority_queue.is_empty heap) do
-    let d, u = Priority_queue.pop_min heap in
-    if d > radius then stop := true
-    else if d <= t.dist.(u) then begin
+  Priority_queue.push heap dist src;
+  let next = ref (Priority_queue.pop heap dist) in
+  while !next >= 0 do
+    let u = !next in
+    let d = dist.(u) in
+    if d > radius then next := -1
+    else begin
       settle t u;
-      Graph.iter_neighbors g u (fun v w ->
-          let cand = d +. w in
-          touch t v;
-          if
-            cand < t.dist.(v)
-            || (Float.equal cand t.dist.(v) && t.pred.(v) >= 0 && u < t.pred.(v))
-          then begin
-            let improved = cand < t.dist.(v) in
-            t.dist.(v) <- cand;
-            t.pred.(v) <- u;
-            t.owner.(v) <- src;
-            if improved then Priority_queue.push heap ~priority:cand v
-          end)
+      let ids = Graph.row_ids g u and wts = Graph.row_weights g u in
+      for i = 0 to Graph.degree g u - 1 do
+        let v = ids.(i) in
+        let cand = d +. wts.(i) in
+        touch t v;
+        let dv = dist.(v) in
+        if cand < dv || (Float.equal cand dv && pred.(v) >= 0 && u < pred.(v))
+        then begin
+          dist.(v) <- cand;
+          pred.(v) <- u;
+          t.owner.(v) <- src;
+          if cand < dv then Priority_queue.push heap dist v
+        end
+      done;
+      next := Priority_queue.pop heap dist
     end
   done;
   t.settled
 
+(* A top-level recursion rather than [List.iter] over a closure, so that
+   seeding allocates nothing either. *)
+let rec seed_sources t = function
+  | [] -> ()
+  | s :: rest ->
+    if s < 0 || s >= t.n then
+      invalid_arg "Bounded.run_multi: source out of range";
+    touch t s;
+    if 0.0 < t.dist.(s) || t.owner.(s) = -1 || s < t.owner.(s) then begin
+      t.dist.(s) <- 0.0;
+      t.owner.(s) <- s;
+      t.pred.(s) <- -1;
+      Priority_queue.push t.heap t.dist s
+    end;
+    seed_sources t rest
+
 let run_multi t g ~sources ~radius =
   begin_run t g ~radius "Bounded.run_multi";
   if sources = [] then invalid_arg "Bounded.run_multi: no sources";
-  let heap = Priority_queue.create () in
-  List.iter
-    (fun s ->
-      if s < 0 || s >= t.n then
-        invalid_arg "Bounded.run_multi: source out of range";
-      touch t s;
-      if 0.0 < t.dist.(s) || t.owner.(s) = -1 || s < t.owner.(s) then begin
-        t.dist.(s) <- 0.0;
-        t.owner.(s) <- s;
-        t.pred.(s) <- -1;
-        Priority_queue.push heap ~priority:0.0 s
-      end)
-    sources;
-  let stop = ref false in
-  while (not !stop) && not (Priority_queue.is_empty heap) do
-    let d, u = Priority_queue.pop_min heap in
-    if d > radius then stop := true
-    else if d <= t.dist.(u) then begin
+  seed_sources t sources;
+  let heap = t.heap and dist = t.dist and owner = t.owner in
+  let next = ref (Priority_queue.pop heap dist) in
+  while !next >= 0 do
+    let u = !next in
+    let d = dist.(u) in
+    if d > radius then next := -1
+    else begin
       settle t u;
-      Graph.iter_neighbors g u (fun v w ->
-          let cand = d +. w in
-          touch t v;
-          let better =
-            cand < t.dist.(v)
-            || (Float.equal cand t.dist.(v) && t.owner.(u) < t.owner.(v))
-          in
-          if better then begin
-            t.dist.(v) <- cand;
-            t.owner.(v) <- t.owner.(u);
-            t.pred.(v) <- u;
-            Priority_queue.push heap ~priority:cand v
-          end)
+      let o = owner.(u) in
+      let ids = Graph.row_ids g u and wts = Graph.row_weights g u in
+      for i = 0 to Graph.degree g u - 1 do
+        let v = ids.(i) in
+        let cand = d +. wts.(i) in
+        touch t v;
+        let dv = dist.(v) in
+        if cand < dv || (Float.equal cand dv && o < owner.(v)) then begin
+          dist.(v) <- cand;
+          owner.(v) <- o;
+          t.pred.(v) <- u;
+          Priority_queue.push heap dist v
+        end
+      done;
+      next := Priority_queue.pop heap dist
     end
   done;
   t.settled

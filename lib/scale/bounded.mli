@@ -12,7 +12,12 @@
 
     A scratch value owns O(n) arrays reset in O(1) by version stamping, so
     thousands of small-ball runs cost only the nodes they actually touch.
-    Scratches are single-domain: share nothing, one per pool task. *)
+    It also owns one {!Cr_metric.Priority_queue}, keyed by its distance
+    array and cleared at the start of each run, and the loops read the
+    graph's adjacency rows directly: on a warmed scratch, [run] and
+    [run_multi] allocate nothing ([test/test_scale.ml] gates 0 minor
+    words over 2000 runs). Scratches are single-domain: share nothing,
+    one per pool task. *)
 
 type t
 

@@ -50,7 +50,7 @@ let build ?obs ?levels oracle =
             cover v
           end
         done;
-        nets.(i) <- List.sort compare (List.rev_append !added nets.(i + 1))
+        nets.(i) <- List.sort Int.compare (List.rev_append !added nets.(i + 1))
       done;
       nets.(0) <- List.init n Fun.id;
       let member =

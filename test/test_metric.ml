@@ -35,22 +35,30 @@ let test_graph_disconnected () =
   let g = Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
   check_bool "disconnected" false (Graph.is_connected g)
 
-let test_priority_queue () =
-  let h = Pq.create () in
-  check_bool "empty" true (Pq.is_empty h);
-  List.iter
-    (fun (p, x) -> Pq.push h ~priority:p x)
-    [ (3.0, 1); (1.0, 2); (2.0, 3); (1.0, 0) ];
-  let order = List.init 4 (fun _ -> snd (Pq.pop_min h)) in
-  Alcotest.(check (list int)) "pop order" [ 0; 2; 3; 1 ] order;
-  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Pq.pop_min h))
-
 let test_dijkstra_line () =
   let g = Graph.of_edges 4 [ (0, 1, 1.0); (1, 2, 2.0); (2, 3, 1.0) ] in
   let r = Dijkstra.run g 0 in
   check_float "d(0,3)" 4.0 r.dist.(3);
   Alcotest.(check (list int)) "path" [ 0; 1; 2; 3 ] (Dijkstra.path r 3);
   check_int "next hop" 1 (Dijkstra.next_hop_toward r 3)
+
+let test_next_hop_toward () =
+  let g = Cr_graphgen.Grid.square ~side:5 in
+  let r = Dijkstra.run g 12 in
+  for v = 0 to Graph.n g - 1 do
+    if v <> 12 then
+      check_int
+        (Printf.sprintf "hop toward %d = second node of the path" v)
+        (List.nth (Dijkstra.path r v) 1)
+        (Dijkstra.next_hop_toward r v)
+  done;
+  Alcotest.check_raises "source"
+    (Invalid_argument "Dijkstra.next_hop_toward: destination is the source")
+    (fun () -> ignore (Dijkstra.next_hop_toward r 12));
+  let split = Dijkstra.run (Graph.of_edges 3 [ (0, 1, 1.0) ]) 0 in
+  Alcotest.check_raises "unreachable"
+    (Invalid_argument "Dijkstra.path: unreachable node") (fun () ->
+      ignore (Dijkstra.next_hop_toward split 2))
 
 let test_dijkstra_shortcut () =
   (* Triangle where the direct edge 0-2 is longer than the two-hop path. *)
@@ -450,12 +458,277 @@ let prop_multi_source_brute_force =
       done;
       !ok)
 
+(* ---- the keyed heap against a sorted-list model ---- *)
+
+(* Keys are small integers, so equal priorities are common; [`Lower]
+   lowers a key and pushes again, which leaves the older entry stale
+   (a lowering by 0 pushes an equal-priority duplicate instead). The
+   model keeps every entry sorted by (priority, element); a pop drops
+   the stale entries ahead of the least live one and takes that one. *)
+let heap_ops_gen =
+  QCheck2.Gen.(
+    let* keys = list_repeat 8 (int_range 0 6) in
+    let* ops =
+      list_size (int_range 0 80)
+        (frequency
+           [ (4, map (fun x -> `Push x) (int_range 0 7));
+             (3, map2 (fun x by -> `Lower (x, by)) (int_range 0 7)
+                   (int_range 0 3));
+             (4, return `Pop);
+             (1, return `Clear) ])
+    in
+    return (keys, ops))
+
+let prop_keyed_heap_model =
+  qcheck_case ~count:300 "priority queue: keyed heap = sorted-list model"
+    heap_ops_gen (fun (keys, ops) ->
+      let key = Array.of_list (List.map float_of_int keys) in
+      let h = Pq.create () in
+      let model = ref [] in
+      let entry_le (p, x) (q, y) = p < q || (Float.equal p q && x <= y) in
+      let insert e =
+        let rec go = function
+          | [] -> [ e ]
+          | f :: rest as l -> if entry_le e f then e :: l else f :: go rest
+        in
+        model := go !model
+      in
+      let rec model_pop = function
+        | [] -> (-1, [])
+        | (p, x) :: rest -> if p > key.(x) then model_pop rest else (x, rest)
+      in
+      let push x =
+        Pq.push h key x;
+        insert (key.(x), x)
+      in
+      let pop () =
+        let got = Pq.pop h key in
+        let want, rest = model_pop !model in
+        model := rest;
+        got = want
+      in
+      let step ok op =
+        ok
+        && (match op with
+           | `Push x ->
+             push x;
+             true
+           | `Lower (x, by) ->
+             key.(x) <- key.(x) -. float_of_int by;
+             push x;
+             true
+           | `Pop -> pop ()
+           | `Clear ->
+             Pq.clear h;
+             model := [];
+             true)
+        && Pq.length h = List.length !model
+        && Pq.is_empty h = (!model = [])
+      in
+      let rec drain () = Pq.is_empty h || (pop () && drain ()) in
+      List.fold_left step true ops && drain () && Pq.pop h key = -1)
+
+(* ---- Dijkstra against a Bellman-Ford reference ---- *)
+
+(* Relaxes every edge in both directions until nothing changes, by the
+   (distance, owner) order; then reads each predecessor off the fixpoint.
+   Single-source: the least-id tight neighbour. Multi-source: the first
+   tight neighbour of the same owner in (distance, id) order, which is
+   the pop order that first reaches the final pair. *)
+let bellman_ford ~multi g sources =
+  let n = Graph.n g in
+  let dist = Array.make n infinity and owner = Array.make n (-1) in
+  List.iter
+    (fun s ->
+      dist.(s) <- 0.0;
+      if owner.(s) = -1 || s < owner.(s) then owner.(s) <- s)
+    sources;
+  let arcs =
+    List.concat_map
+      (fun (e : Graph.edge) -> [ (e.u, e.v, e.w); (e.v, e.u, e.w) ])
+      (Graph.edges g)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (u, v, w) ->
+        let cand = dist.(u) +. w in
+        if
+          cand < dist.(v)
+          || (Float.equal cand dist.(v) && owner.(u) < owner.(v))
+        then begin
+          dist.(v) <- cand;
+          owner.(v) <- owner.(u);
+          changed := true
+        end)
+      arcs
+  done;
+  let tight v =
+    List.filter_map
+      (fun (u, v', w) ->
+        if v' = v && Float.equal (dist.(u) +. w) dist.(v) then Some u
+        else None)
+      arcs
+  in
+  let pred =
+    Array.init n (fun v ->
+        if List.mem v sources || not (Float.is_finite dist.(v)) then -1
+        else if not multi then List.fold_left Int.min max_int (tight v)
+        else
+          let same = List.filter (fun u -> owner.(u) = owner.(v)) (tight v) in
+          let first a b =
+            let c = Float.compare dist.(a) dist.(b) in
+            if c < 0 || (c = 0 && a < b) then a else b
+          in
+          List.fold_left first (List.hd same) same)
+  in
+  (dist, owner, pred)
+
+(* The dense families plus power-law graphs, whose hubs give long rows;
+   unit-weight grids force distance ties. *)
+let sssp_gen =
+  QCheck2.Gen.(
+    let* g =
+      oneof
+        [ map family_graph family_gen;
+          map2
+            (fun n seed -> Cr_graphgen.Power_law.preferential ~n ~m:2 ~seed)
+            (int_range 10 60) (int_range 1 1000) ]
+    in
+    let* salt = int_range 0 1_000_000 in
+    return (g, salt))
+
+let prop_dijkstra_bellman_ford =
+  qcheck_case ~count:150
+    "dijkstra: run and multi_source = Bellman-Ford reference" sssp_gen
+    (fun (g, salt) ->
+      let n = Graph.n g in
+      let src = salt mod n in
+      let r = Dijkstra.run g src in
+      let bdist, _, bpred = bellman_ford ~multi:false g [ src ] in
+      let sources =
+        List.sort_uniq Int.compare
+          (List.init (1 + (salt mod 4)) (fun i -> (salt + (i * 7)) mod n))
+      in
+      let mdist, mowner, mpred = Dijkstra.multi_source g sources in
+      let rdist, rowner, rpred = bellman_ford ~multi:true g sources in
+      r.dist = bdist && r.pred = bpred && mdist = rdist && mowner = rowner
+      && mpred = rpred)
+
+(* ---- Graph against a list model ---- *)
+
+(* Edge attempts over [-1 .. n], so endpoints fall out of range and
+   self-loops and duplicates occur; weights include 0, a negative, NaN
+   and infinity. The model keeps each row as an insertion-ordered list
+   and predicts every rejection's message. *)
+let graph_ops_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 10 in
+    let weight =
+      frequency
+        [ (8, map (fun k -> float_of_int k /. 4.0) (int_range 1 12));
+          (1, oneofl [ 0.0; -1.0; Float.nan; Float.infinity ]) ]
+    in
+    let* edges =
+      list_size (int_range 0 40)
+        (triple (int_range (-1) n) (int_range (-1) n) weight)
+    in
+    let* factor = oneofl [ 0.5; 1.0; 3.0 ] in
+    return (n, edges, factor))
+
+let prop_graph_model =
+  qcheck_case ~count:300 "graph: rows, orders and rejections = list model"
+    graph_ops_gen (fun (n, attempts, factor) ->
+      let g = Graph.create n in
+      let rows = Array.make n [] and accepted = ref 0 in
+      let expected (u, v, w) =
+        if u < 0 || u >= n || v < 0 || v >= n then
+          Some "Graph.add_edge: endpoint out of range"
+        else if u = v then Some "Graph.add_edge: self-loop"
+        else if not (Float.is_finite w) || w <= 0.0 then
+          Some "Graph.add_edge: weight must be positive and finite"
+        else if List.mem_assoc v rows.(u) then
+          Some "Graph.add_edge: duplicate edge"
+        else None
+      in
+      let add ok ((u, v, w) as e) =
+        let want = expected e in
+        let got =
+          match Graph.add_edge g u v w with
+          | () -> None
+          | exception Invalid_argument msg -> Some msg
+        in
+        if want = None then begin
+          rows.(u) <- rows.(u) @ [ (v, w) ];
+          rows.(v) <- rows.(v) @ [ (u, w) ];
+          incr accepted
+        end;
+        ok && got = want
+      in
+      let rejections_ok = List.fold_left add true attempts in
+      let model_edges rows =
+        List.concat
+          (List.init n (fun u ->
+               List.filter_map
+                 (fun (v, w) -> if u < v then Some (u, v, w) else None)
+                 rows.(u)))
+      in
+      (* a graph built by replaying an edge list, as scale and Graph_io do *)
+      let replay edges =
+        let r = Array.make n [] in
+        List.iter
+          (fun (u, v, w) ->
+            r.(u) <- r.(u) @ [ (v, w) ];
+            r.(v) <- r.(v) @ [ (u, w) ])
+          edges;
+        r
+      in
+      let same_rows g rows =
+        List.for_all
+          (fun u ->
+            let visited = ref [] in
+            Graph.iter_neighbors g u (fun v w -> visited := (v, w) :: !visited);
+            Graph.neighbors g u = rows.(u)
+            (* visit order, against reverse insertion order *)
+            && List.rev !visited = List.rev rows.(u)
+            && Graph.degree g u = List.length rows.(u)
+            && List.for_all
+                 (fun v -> Graph.edge_weight g u v = List.assoc_opt v rows.(u))
+                 (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      let edge_triples g =
+        List.map (fun (e : Graph.edge) -> (e.u, e.v, e.w)) (Graph.edges g)
+      in
+      let edges = model_edges rows in
+      let scaled = List.map (fun (u, v, w) -> (u, v, w *. factor)) edges in
+      let io = Cr_metric.Graph_io.(of_string (to_string g)) in
+      let weights = List.map (fun (_, _, w) -> w) edges in
+      rejections_ok
+      && Graph.n g = n
+      && Graph.num_edges g = !accepted
+      && same_rows g rows
+      && edge_triples g = edges
+      && Graph.max_degree g
+         = List.fold_left (fun m r -> Int.max m (List.length r)) 0
+             (Array.to_list rows)
+      && Float.equal (Graph.min_edge_weight g)
+           (List.fold_left Float.min infinity weights)
+      && Float.equal (Graph.total_weight g)
+           (List.fold_left ( +. ) 0.0 weights)
+      && (let s = Graph.scale g factor in
+          same_rows s (replay scaled) && edge_triples s = scaled)
+      && same_rows io (replay edges)
+      && edge_triples io = edges)
+
 let suite =
   [ Alcotest.test_case "graph basics" `Quick test_graph_basics;
     Alcotest.test_case "graph rejects bad edges" `Quick test_graph_rejects;
     Alcotest.test_case "graph disconnected" `Quick test_graph_disconnected;
-    Alcotest.test_case "priority queue order" `Quick test_priority_queue;
     Alcotest.test_case "dijkstra on a line" `Quick test_dijkstra_line;
+    Alcotest.test_case "next_hop_toward walks the predecessor chain" `Quick
+      test_next_hop_toward;
     Alcotest.test_case "dijkstra avoids heavy edge" `Quick
       test_dijkstra_shortcut;
     Alcotest.test_case "multi-source prefix closure" `Quick
@@ -482,7 +755,10 @@ let suite =
     prop_nearest_k_brute_force;
     prop_radius_of_size_row;
     prop_of_graph_single_build;
-    prop_multi_source_brute_force ]
+    prop_multi_source_brute_force;
+    prop_keyed_heap_model;
+    prop_dijkstra_bellman_ford;
+    prop_graph_model ]
 
 let test_graph_io_roundtrip () =
   let g =

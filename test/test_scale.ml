@@ -106,6 +106,35 @@ let bounded_validation () =
     (Invalid_argument "Bounded.run_multi: no sources") (fun () ->
       ignore (Bounded.run_multi b g ~sources:[] ~radius:1.0))
 
+(* The allocation regression gate: on a warmed scratch, 1000 single- and
+   1000 multi-source runs on a power-law graph allocate nothing on the
+   minor heap. The radius is bound once, outside the measured loop: a
+   float read from an array inside it would be boxed at every call. *)
+let bounded_zero_alloc () =
+  let g = Cr_graphgen.Power_law.preferential ~n:2000 ~m:2 ~seed:13 in
+  let n = Graph.n g in
+  let b = Bounded.create n in
+  let radius = 2.0 in
+  let sources = [ 5; 600; 1999 ] in
+  let burn () =
+    let settled = ref 0 in
+    for i = 0 to 999 do
+      let src = i * 7919 mod n in
+      settled :=
+        !settled
+        + Bounded.run b g ~src ~radius
+        + Bounded.run_multi b g ~sources ~radius
+    done;
+    !settled
+  in
+  let warm = burn () in
+  let before = Gc.minor_words () in
+  let again = burn () in
+  let after = Gc.minor_words () in
+  check_int "settled counts deterministic" warm again;
+  check_float "minor words over 1000 run and 1000 run_multi calls" 0.0
+    (after -. before)
+
 (* ---- oracle ---- *)
 
 let oracle_cache () =
@@ -336,6 +365,7 @@ let suite =
   [ truncated_agrees;
     multi_truncated_agrees;
     case "bounded: validation" bounded_validation;
+    case "bounded: warmed runs allocate zero minor words" bounded_zero_alloc;
     case "oracle: hit/miss/eviction accounting and dense agreement"
       oracle_cache;
     case "hierarchy: scale = dense on grid-6x6" (hierarchy_equal "grid6" grid6);

@@ -4,7 +4,8 @@
    or a differently-represented equal value sneaks through polymorphic
    structural comparison. In lib/core, lib/metric and the structures
    built on their orders (lib/packing, lib/nets, lib/search_tree,
-   lib/tree_routing) this rule forbids
+   lib/tree_routing, and lib/scale, whose truncated Dijkstra carries the
+   same tie-break contract) this rule forbids
 
    - the bare polymorphic [compare] in any position (sorts included):
      spell out [Float.compare] / [Int.compare] / a keyed comparator;
@@ -140,12 +141,12 @@ let rule =
   { Rule.id;
     doc =
       "no polymorphic compare/(=) on float distance values in lib/core, \
-       lib/metric, lib/packing, lib/nets, lib/search_tree and \
-       lib/tree_routing";
+       lib/metric, lib/packing, lib/nets, lib/search_tree, \
+       lib/tree_routing and lib/scale";
     applies =
       (fun rel ->
         Rule.under
           [ "lib/core"; "lib/metric"; "lib/packing"; "lib/nets";
-            "lib/search_tree"; "lib/tree_routing" ]
+            "lib/search_tree"; "lib/tree_routing"; "lib/scale" ]
           rel);
     check }

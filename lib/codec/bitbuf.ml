@@ -13,20 +13,26 @@ let ensure w bits =
     w.buf <- next
   end
 
-let set_bit buf pos =
-  let byte = pos / 8 and off = pos mod 8 in
-  Bytes.set buf byte
-    (Char.chr (Char.code (Bytes.get buf byte) lor (0x80 lsr off)))
-
+(* Bits past [bit_len] are always zero, so a push ORs each chunk into
+   its byte: up to 8 bits per step, the top of [value] first. *)
 let push w ~bits value =
   if bits < 0 || bits > 62 then invalid_arg "Bitbuf.push: bits out of range";
   if value < 0 || (bits < 62 && value lsr bits <> 0) then
     invalid_arg "Bitbuf.push: value does not fit";
   ensure w bits;
-  for k = bits - 1 downto 0 do
-    if (value lsr k) land 1 = 1 then set_bit w.buf w.bit_len;
-    w.bit_len <- w.bit_len + 1
-  done
+  let buf = w.buf in
+  let pos = ref w.bit_len and left = ref bits in
+  while !left > 0 do
+    let byte = !pos lsr 3 in
+    let room = 8 - (!pos land 7) in
+    let take = if !left < room then !left else room in
+    left := !left - take;
+    let chunk = (value lsr !left) land ((1 lsl take) - 1) in
+    let old = Char.code (Bytes.get buf byte) in
+    Bytes.set buf byte (Char.chr (old lor (chunk lsl (room - take))));
+    pos := !pos + take
+  done;
+  w.bit_len <- !pos
 
 let length_bits w = w.bit_len
 
@@ -39,19 +45,27 @@ type reader = {
 
 let reader data = { data; pos = 0 }
 
-let get_bit r =
-  let byte = r.pos / 8 and off = r.pos mod 8 in
-  if byte >= Bytes.length r.data then
-    invalid_arg "Bitbuf.pull: past end of buffer";
-  r.pos <- r.pos + 1;
-  (Char.code (Bytes.get r.data byte) lsr (7 - off)) land 1
-
+(* Reads up to 8 bits per step, like [push]. A read that runs past the
+   end stops at the end of the buffer, as a bit-at-a-time read would. *)
 let pull r ~bits =
   if bits < 0 || bits > 62 then invalid_arg "Bitbuf.pull: bits out of range";
-  let value = ref 0 in
-  for _ = 1 to bits do
-    value := (!value lsl 1) lor get_bit r
+  let data = r.data in
+  let end_bits = 8 * Bytes.length data in
+  if r.pos + bits > end_bits then begin
+    r.pos <- end_bits;
+    invalid_arg "Bitbuf.pull: past end of buffer"
+  end;
+  let value = ref 0 and pos = ref r.pos and left = ref bits in
+  while !left > 0 do
+    let room = 8 - (!pos land 7) in
+    let take = if !left < room then !left else room in
+    let b = Char.code (Bytes.get data (!pos lsr 3)) in
+    value :=
+      (!value lsl take) lor ((b lsr (room - take)) land ((1 lsl take) - 1));
+    pos := !pos + take;
+    left := !left - take
   done;
+  r.pos <- !pos;
   !value
 
 let bits_read r = r.pos

@@ -1,7 +1,15 @@
 (** Bit-level buffers: the paper's space bounds are stated in bits, and the
     experiment harness counts them entry by entry; this module makes those
     counts *realizable* by actually packing routing tables into bitstrings
-    (see Table_codec and the roundtrip tests). *)
+    (see Table_codec and the roundtrip tests).
+
+    Layout: stream bit [k] is bit [7 - k mod 8] of byte [k / 8] (the
+    first bit is the most significant bit of byte 0), and each pushed
+    value is written most significant bit first. So pushing [5] in 3
+    bits and then [1] in 1 bit gives the byte [0xB0] once padded.
+    [push] and [pull] move up to a byte per step; the layout is the one a
+    bit-at-a-time writer produces, and the tests pin it with a fixed hex
+    string. *)
 
 type writer
 

@@ -26,8 +26,7 @@ let degree g u = g.deg.(u)
 let row_ids g u = g.ids.(u)
 let row_weights g u = g.wts.(u)
 
-(* The slot of [v] in [u]'s row, or -1. *)
-let find g u v =
+let slot g u v =
   let ids = g.ids.(u) in
   let i = ref (g.deg.(u) - 1) in
   while !i >= 0 && ids.(!i) <> v do
@@ -55,7 +54,7 @@ let add_edge g u v w =
   if u = v then invalid_arg "Graph.add_edge: self-loop";
   if not (Float.is_finite w) || w <= 0.0 then
     invalid_arg "Graph.add_edge: weight must be positive and finite";
-  if find g u v >= 0 then invalid_arg "Graph.add_edge: duplicate edge";
+  if slot g u v >= 0 then invalid_arg "Graph.add_edge: duplicate edge";
   append g u v w;
   append g v u w;
   g.num_edges <- g.num_edges + 1
@@ -89,7 +88,7 @@ let edges g =
   !acc
 
 let edge_weight g u v =
-  let i = find g u v in
+  let i = slot g u v in
   if i < 0 then None else Some g.wts.(u).(i)
 
 let is_connected g =

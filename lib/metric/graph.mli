@@ -68,6 +68,11 @@ val row_ids : t -> int -> int array
     [(row_ids g u).(i)]. Read-only, like {!row_ids}. *)
 val row_weights : t -> int -> float array
 
+(** [slot g u v] is the index of [v] in [u]'s rows (so the edge's
+    weight is [(row_weights g u).(slot g u v)]), or [-1] when [{u,v}] is
+    not an edge. Allocates nothing, unlike {!edge_weight}. *)
+val slot : t -> int -> int -> int
+
 (** [max_degree g] is the maximum degree over all nodes. *)
 val max_degree : t -> int
 

@@ -56,12 +56,25 @@ val create : unit -> t
 
 val enabled : t -> bool
 
+(** Raised by {!record} with the offending id when an edge endpoint is
+    [2^31] or more: an edge cell is keyed by one int holding both
+    endpoints in 31 bits each. *)
+exception Node_id_too_large of int
+
 (** [record t ~phase ~src ~dst ~round ~bits] charges one delivered
     message of [bits] bits to phase [phase] at round [round]. When
     [src >= 0], [dst >= 0], and [src <> dst], the message is also
     charged to the undirected edge [(src, dst)]; otherwise (external
     injections, teleports) only the phase totals move. No-op on a
-    disabled accumulator. *)
+    disabled accumulator.
+
+    The enabled path is built for a caller that records many messages in
+    a row under one phase string (the same physical string, as a
+    protocol tag or a [Trace.phase_label] is) and one round: such a
+    record finds its phase without hashing the string and counts its
+    round without a table update. Any other sequence gives the same
+    totals. Raises {!Node_id_too_large} when an edge endpoint does not
+    fit in 31 bits. *)
 val record : t -> phase:string -> src:int -> dst:int -> round:int -> bits:int -> unit
 
 (** [reset t] drops all accumulated counts (the structure stays

@@ -11,6 +11,19 @@ type result = {
 (* (radius, id) lexicographic: the greedy scan order. *)
 let precedes (r1, id1) (r2, id2) = r1 < r2 || (r1 = r2 && id1 < id2)
 
+(* A note or relay travels back to its target along the [c_via] pointers
+   that the target's own flood left at every node it reached, and only a
+   node inside that flood sends one; so each hop finds its target and
+   this error is unreachable while those invariants hold. *)
+let lost_target ~protocol ~self ~target ~delivered ~now =
+  raise
+    (Network.Protocol_error
+       { protocol;
+         node = Some self;
+         stats = { Network.messages = delivered; makespan = now };
+         detail =
+           Printf.sprintf "no flood pointer back to candidate %d" target })
+
 (* ---- phase A: candidate floods and witness conflict discovery ---- *)
 
 type cand_info = {
@@ -48,6 +61,8 @@ let measure_a g =
 
 let discovery_phase g ~radius ~runner ~max_messages =
   let n = Graph.n g in
+  let protocol = "dist_packing.discovery" in
+  let delivered = ref 0 in
   let deliver_note (actions : a_msg Network.actions) ~self state ~target
       ~partner ~partner_r =
     if target = self then Hashtbl.replace state.conflicts partner partner_r
@@ -55,9 +70,13 @@ let discovery_phase g ~radius ~runner ~max_messages =
       match Hashtbl.find_opt state.cands target with
       | Some info ->
         actions.Network.send info.c_via (Note { target; partner; partner_r })
-      | None -> assert false (* witnesses lie inside the target's flood *)
+      | None ->
+        lost_target ~protocol ~self ~target ~delivered:!delivered
+          ~now:actions.Network.now
   in
-  let handler (actions : a_msg Network.actions) ~self state = function
+  let handler (actions : a_msg Network.actions) ~self state msg =
+    incr delivered;
+    match msg with
     | Note { target; partner; partner_r } ->
       deliver_note actions ~self state ~target ~partner ~partner_r;
       state
@@ -103,8 +122,7 @@ let discovery_phase g ~radius ~runner ~max_messages =
     List.init n (fun u ->
         (u, Cand { origin = u; r = radius.(u); traveled = 0.0; from = -1 }))
   in
-  runner.Network.execute ~measure:(measure_a g) g
-    ~protocol:"dist_packing.discovery"
+  runner.Network.execute ~measure:(measure_a g) g ~protocol
     ~init:(fun _ ->
       { cands = Hashtbl.create 8;
         witnessed = Hashtbl.create 8;
@@ -147,6 +165,8 @@ let measure_b g =
 
 let election_phase g ~radius ~a_states ~runner ~max_messages =
   let n = Graph.n g in
+  let protocol = "dist_packing.election" in
+  let delivered = ref 0 in
   let flood_decision (actions : b_msg Network.actions) self verdict =
     let r = radius.(self) in
     Graph.iter_neighbors g self (fun v w ->
@@ -203,9 +223,13 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
       match Hashtbl.find_opt a_states.(self).cands target with
       | Some info ->
         actions.Network.send info.c_via (Relay { target; partner; verdict })
-      | None -> assert false
+      | None ->
+        lost_target ~protocol ~self ~target ~delivered:!delivered
+          ~now:actions.Network.now
   in
-  let handler (actions : b_msg Network.actions) ~self state = function
+  let handler (actions : b_msg Network.actions) ~self state msg =
+    incr delivered;
+    match msg with
     | Kick ->
       try_decide actions self state;
       state
@@ -248,8 +272,7 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
   in
   let kickoff = List.init n (fun u -> (u, Kick)) in
   let states, stats =
-    runner.Network.execute ~measure:(measure_b g) g
-      ~protocol:"dist_packing.election"
+    runner.Network.execute ~measure:(measure_b g) g ~protocol
       ~init:(fun _ ->
         { status = None; heard = Hashtbl.create 8; seen = Hashtbl.create 8;
           relayed = Hashtbl.create 8 })

@@ -47,7 +47,7 @@ let run ?max_messages ?jitter ?via g =
 
 let radius_of_size distances u size =
   let row = Array.copy distances.(u) in
-  Array.sort compare row;
+  Array.sort Float.compare row;
   if size < 1 || size > Array.length row then
     invalid_arg "Dist_radii.radius_of_size: size out of range";
   row.(size - 1)

@@ -18,9 +18,18 @@
 type ('msg, 'state) t
 
 (** What a handler may do: read the clock, send to direct neighbors, and
-    arm local timers. *)
+    arm local timers.
+
+    {!run} builds one [actions] per run and hands the same record to every
+    handler call: [send] and [timer] act for the node being handled, and
+    [run] sets [now] before each call. So a record is valid only during
+    the handler call that received it: keeping it (or its closures) and
+    using it after the handler returns acts for whichever node is
+    handled at that point. [now] is mutable for [run]'s sake alone; a
+    handler reads it. A wrapper such as [Cr_fault.Reliable] may build its
+    own record around the one it received. *)
 type 'msg actions = {
-  now : float;
+  mutable now : float;  (** the delivery time of the message handled *)
   send : int -> 'msg -> unit;
       (** [send neighbor msg]; raises [Invalid_argument] if the target is
           not adjacent to the handling node. Subject to the fault layer. *)
@@ -122,7 +131,9 @@ val timer_events : ('msg, 'state) t -> int
 (** [round_histogram t] buckets deliveries by protocol round, where round
     r collects the deliveries with time in [r, r+1) — for unit edge
     weights this is exactly the synchronous round structure. Sorted by
-    round. *)
+    round. Kept as run-length pairs, so its size is the number of
+    distinct rounds however large the rounds get (a chain with weights
+    [2^i] reaches round [2^47] at 48 nodes). *)
 val round_histogram : ('msg, 'state) t -> (int * int) list
 
 (** [inject t ~dst msg] enqueues an external message (delivered at the

@@ -49,6 +49,113 @@ let prop_bitbuf_random =
       let r = Bitbuf.reader (Bitbuf.contents w) in
       List.for_all (fun (v, bits) -> Bitbuf.pull r ~bits = v) values)
 
+(* The stream layout written out one bit at a time: stream bit [k] is bit
+   [7 - k mod 8] of byte [k / 8], each value most significant bit first.
+   Bitbuf moves up to a byte per step; these are what it must equal. *)
+let ref_push buf len ~bits value =
+  for k = bits - 1 downto 0 do
+    if (value lsr k) land 1 = 1 then begin
+      let byte = !len / 8 in
+      Bytes.set buf byte
+        (Char.chr (Char.code (Bytes.get buf byte) lor (0x80 lsr (!len mod 8))))
+    end;
+    incr len
+  done
+
+let ref_pull data pos ~bits =
+  let value = ref 0 in
+  for _ = 1 to bits do
+    let byte = !pos / 8 in
+    if byte >= Bytes.length data then
+      invalid_arg "Bitbuf.pull: past end of buffer";
+    value :=
+      (!value lsl 1) lor ((Char.code (Bytes.get data byte) lsr (7 - (!pos mod 8))) land 1);
+    incr pos
+  done;
+  !value
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* A width in 0..62 with a value at either end of its range or anywhere
+   in it (62 random bits masked to the width). *)
+let width_value_gen =
+  QCheck2.Gen.(
+    let* bits = int_range 0 62 in
+    let top = if bits = 62 then max_int else (1 lsl bits) - 1 in
+    let* hi = int_bound ((1 lsl 31) - 1) and* lo = int_bound ((1 lsl 31) - 1) in
+    let* value = oneofl [ 0; top; ((hi lsl 31) lor lo) land top ] in
+    return (bits, value))
+
+let prop_bitbuf_matches_reference =
+  qcheck_case ~count:300 "bitbuf: push and pull = bit-at-a-time reference"
+    QCheck2.Gen.(
+      let* pushes = list_size (int_range 0 24) width_value_gen in
+      let* extra = int_range 0 62 in
+      let* bad_bits = oneofl [ -1; 63; 64; min_int ] in
+      let* bad_value = oneofl [ `Negative; `Too_wide ] in
+      return (pushes, extra, bad_bits, bad_value))
+    (fun (pushes, extra, bad_bits, bad_value) ->
+      let w = Bitbuf.writer () in
+      let total = List.fold_left (fun a (b, _) -> a + b) 0 pushes in
+      let expect = Bytes.make ((total + 7) / 8) '\000' and len = ref 0 in
+      List.iter
+        (fun (bits, v) ->
+          Bitbuf.push w ~bits v;
+          ref_push expect len ~bits v)
+        pushes;
+      let data = Bitbuf.contents w in
+      let same_stream = Bytes.equal data expect && Bitbuf.length_bits w = !len in
+      (* pull the same widths back, then [extra] more bits, which runs
+         past the end unless the padding covers them *)
+      let r = Bitbuf.reader data and pos = ref 0 in
+      let same_pulls =
+        List.for_all
+          (fun (bits, v) ->
+            Bitbuf.pull r ~bits = v
+            && ref_pull data pos ~bits = v
+            && Bitbuf.bits_read r = !pos)
+          pushes
+      in
+      let same_tail =
+        outcome (fun () -> Bitbuf.pull r ~bits:extra)
+        = outcome (fun () -> ref_pull data pos ~bits:extra)
+        && Bitbuf.bits_read r = !pos
+      in
+      (* rejections: the same messages, and a rejected push writes nothing *)
+      let too_wide =
+        if bad_value = `Negative then (7, -1)
+        else
+          let bits = (total mod 62) in
+          (bits, 1 lsl bits)
+      in
+      let rejected =
+        outcome (fun () -> Bitbuf.push w ~bits:bad_bits 0)
+        = Error "Bitbuf.push: bits out of range"
+        && outcome (fun () -> Bitbuf.push w ~bits:(fst too_wide) (snd too_wide))
+           = Error "Bitbuf.push: value does not fit"
+        && outcome (fun () -> Bitbuf.pull (Bitbuf.reader data) ~bits:bad_bits)
+           = Error "Bitbuf.pull: bits out of range"
+        && Bytes.equal (Bitbuf.contents w) expect
+      in
+      same_stream && same_pulls && same_tail && rejected)
+
+(* The layout itself, not just a round trip: push and pull could change
+   it together and every round-trip test would still pass. *)
+let test_bitbuf_golden_bytes () =
+  let w = Bitbuf.writer () in
+  List.iter
+    (fun (bits, v) -> Bitbuf.push w ~bits v)
+    [ (3, 0b101); (1, 1); (0, 0); (12, 0xABC); (7, 0x2A);
+      (62, 0x2AAAAAAAAAAAAAAB); (5, 31); (9, 0x101); (1, 0) ];
+  check_int "bits" 100 (Bitbuf.length_bits w);
+  let hex =
+    String.concat ""
+      (List.map
+         (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (Bytes.to_seq (Bitbuf.contents w))))
+  in
+  Alcotest.(check string) "bytes" "babc55555555555555555fe020" hex
+
 (* Extract a node's real ring table and push it through the codec. *)
 let ring_levels_of rings nt m u =
   List.map
@@ -225,6 +332,8 @@ let suite =
   [ Alcotest.test_case "bitbuf roundtrip" `Quick test_bitbuf_roundtrip;
     Alcotest.test_case "bitbuf rejects" `Quick test_bitbuf_rejects;
     prop_bitbuf_random;
+    prop_bitbuf_matches_reference;
+    Alcotest.test_case "bitbuf golden bytes" `Quick test_bitbuf_golden_bytes;
     Alcotest.test_case "ring tables roundtrip" `Quick
       test_ring_tables_roundtrip;
     Alcotest.test_case "ring encoding matches accounting" `Quick

@@ -197,6 +197,142 @@ let test_walker_accounting () =
   check_int "default walker records nothing" before
     (Cost.summary cost).Cost.total_messages
 
+(* The ledger against a list model. Phases interleave, and a phase is
+   passed either as the shared literal or as a fresh copy (equal, not
+   physically equal), so the last-phase cache must fall back to the
+   table; rounds repeat, go backwards and go negative; endpoints may be
+   -1 or equal. A [None] is a [reset]. *)
+type cost_op = (int * bool * int * int * int * int) option
+
+let phase_names = [| "alpha"; "beta"; "gamma" |]
+
+let model_of (ops : cost_op list) =
+  List.fold_left
+    (fun acc op ->
+      match op with
+      | None -> []
+      | Some (p, _, src, dst, round, bits) ->
+        (phase_names.(p), src, dst, round, bits) :: acc)
+    [] ops
+  |> List.rev
+
+let count_by key xs =
+  List.fold_left
+    (fun acc x ->
+      let k = key x in
+      match List.assoc_opt k acc with
+      | Some c -> (k, c + 1) :: List.remove_assoc k acc
+      | None -> (k, 1) :: acc)
+    [] xs
+  |> List.sort compare
+
+let model_phases recs =
+  let order =
+    List.fold_left
+      (fun acc (p, _, _, _, _) -> if List.mem p acc then acc else acc @ [ p ])
+      [] recs
+  in
+  List.map
+    (fun phase ->
+      let mine = List.filter (fun (p, _, _, _, _) -> p = phase) recs in
+      { Cost.phase;
+        messages = List.length mine;
+        bits = List.fold_left (fun a (_, _, _, _, b) -> a + b) 0 mine;
+        rounds =
+          1 + List.fold_left (fun a (_, _, _, r, _) -> max a r) (-1) mine;
+        round_histogram = count_by (fun (_, _, _, r, _) -> r) mine })
+    order
+
+let model_edges recs =
+  let on_edges =
+    List.filter (fun (_, s, d, _, _) -> s >= 0 && d >= 0 && s <> d) recs
+  in
+  let key (_, s, d, _, _) = (min s d, max s d) in
+  List.map
+    (fun (u, v) ->
+      let mine = List.filter (fun r -> key r = (u, v)) on_edges in
+      { Cost.u; v;
+        messages = List.length mine;
+        bits = List.fold_left (fun a (_, _, _, _, b) -> a + b) 0 mine })
+    (List.sort_uniq compare (List.map key on_edges))
+
+let model_render (phases : Cost.phase_total list) (edges : Cost.edge_load list) =
+  let total f = List.fold_left (fun a p -> a + f p) 0 phases in
+  let edge_max f = List.fold_left (fun a e -> max a (f e)) 0 edges in
+  String.concat ""
+    ([ Printf.sprintf "%-36s %8s %12s %14s\n" "phase" "rounds" "messages" "bits" ]
+    @ List.map
+        (fun (p : Cost.phase_total) ->
+          Printf.sprintf "%-36s %8d %12d %14d\n" p.Cost.phase p.Cost.rounds
+            p.Cost.messages p.Cost.bits)
+        phases
+    @ [ Printf.sprintf "%-36s %8d %12d %14d\n" "TOTAL"
+          (total (fun (p : Cost.phase_total) -> p.Cost.rounds))
+          (total (fun (p : Cost.phase_total) -> p.Cost.messages))
+          (total (fun (p : Cost.phase_total) -> p.Cost.bits));
+        Printf.sprintf "max edge load: %d messages, %d bits over %d edges\n"
+          (edge_max (fun (e : Cost.edge_load) -> e.Cost.messages))
+          (edge_max (fun (e : Cost.edge_load) -> e.Cost.bits))
+          (List.length edges) ])
+
+let prop_ledger_matches_model =
+  qcheck_case ~count:300 "cost: ledger = list model"
+    QCheck2.Gen.(
+      let record =
+        let* p = int_range 0 2 and* fresh = bool in
+        let* src = int_range (-1) 4 and* dst = int_range (-1) 4 in
+        let* round = int_range (-3) 5 and* bits = int_range 0 100 in
+        return (Some (p, fresh, src, dst, round, bits))
+      in
+      list_size (int_range 0 80) (frequency [ (30, record); (1, return None) ]))
+    (fun (ops : cost_op list) ->
+      let t = Cost.create () in
+      List.iter
+        (function
+          | None -> Cost.reset t
+          | Some (p, fresh, src, dst, round, bits) ->
+            let name = phase_names.(p) in
+            let phase = if fresh then String.init (String.length name) (String.get name) else name in
+            Cost.record t ~phase ~src ~dst ~round ~bits)
+        ops;
+      let recs = model_of ops in
+      let phases = model_phases recs and edges = model_edges recs in
+      let by_load (a : Cost.edge_load) (b : Cost.edge_load) =
+        compare (-a.Cost.messages, -a.Cost.bits, a.Cost.u, a.Cost.v)
+          (-b.Cost.messages, -b.Cost.bits, b.Cost.u, b.Cost.v)
+      in
+      let top = List.filteri (fun i _ -> i < 3) (List.sort by_load edges) in
+      let s = Cost.summary t in
+      Cost.phases t = phases
+      && Cost.edge_loads t = edges
+      && Cost.top_edges t ~k:3 = top
+      && s.Cost.total_messages = List.length recs
+      && s.Cost.total_rounds
+         = List.fold_left (fun a p -> a + p.Cost.rounds) 0 phases
+      && Cost.render t = model_render phases edges)
+
+(* Edge cells pack both endpoints into one int: ids below 2^31 round-trip,
+   a larger one is rejected before the ledger moves. *)
+let test_edge_id_range () =
+  let t = Cost.create () in
+  let top = (1 lsl 31) - 1 in
+  Cost.record t ~phase:"p" ~src:top ~dst:(top - 1) ~round:0 ~bits:5;
+  Cost.record t ~phase:"p" ~src:0 ~dst:top ~round:0 ~bits:1;
+  (match Cost.edge_loads t with
+  | [ a; b ] ->
+    check_bool "(0, 2^31 - 1)" true (a.Cost.u = 0 && a.Cost.v = top);
+    check_bool "(2^31 - 2, 2^31 - 1)" true
+      (b.Cost.u = top - 1 && b.Cost.v = top && b.Cost.bits = 5)
+  | loads -> Alcotest.failf "expected 2 edges, got %d" (List.length loads));
+  let before = Cost.render t in
+  Alcotest.check_raises "2^31 rejected" (Cost.Node_id_too_large (top + 1))
+    (fun () -> Cost.record t ~phase:"p" ~src:(top + 1) ~dst:3 ~round:0 ~bits:1);
+  Alcotest.(check string) "rejected record leaves the ledger" before
+    (Cost.render t);
+  (* without an edge no key is formed, so any id is accepted *)
+  Cost.record t ~phase:"p" ~src:(-1) ~dst:(top + 1) ~round:0 ~bits:1;
+  check_int "phase-only record" 3 (Cost.summary t).Cost.total_messages
+
 let test_emit_and_metrics () =
   let t = Cost.create () in
   Cost.record t ~phase:"flood" ~src:0 ~dst:1 ~round:0 ~bits:12;
@@ -232,4 +368,6 @@ let suite =
     Alcotest.test_case "walker per-edge accounting" `Quick
       test_walker_accounting;
     Alcotest.test_case "emit / to_metrics / heatmap" `Quick
-      test_emit_and_metrics ]
+      test_emit_and_metrics;
+    prop_ledger_matches_model;
+    Alcotest.test_case "edge ids up to 2^31 - 1" `Quick test_edge_id_range ]

@@ -506,7 +506,8 @@ let suite =
         List.iter
           (fun rel ->
             fires_once rel "no-unsafe-compare" ~rel bare_compare ())
-          [ "lib/metric/fixture.ml"; "lib/packing/fixture.ml" ]);
+          [ "lib/metric/fixture.ml"; "lib/packing/fixture.ml";
+            "lib/proto/fixture.ml"; "lib/codec/fixture.ml" ]);
     case "no-unsafe-compare: float (=) via let-propagation fires"
       (fires_once "no-unsafe-compare" "no-unsafe-compare"
          ~rel:"lib/metric/fixture.ml" float_eq_via_let);

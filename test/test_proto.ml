@@ -8,20 +8,8 @@ module Metric = Cr_metric.Metric
 module Dijkstra = Cr_metric.Dijkstra
 module Rnet = Cr_nets.Rnet
 module Network = Cr_proto.Network
-module Pqueue = Cr_proto.Pqueue
 module Dist_spt = Cr_proto.Dist_spt
 module Net_election = Cr_proto.Net_election
-
-let test_pqueue_order () =
-  let q = Pqueue.create () in
-  Pqueue.push q ~time:2.0 ~seq:0 "b";
-  Pqueue.push q ~time:1.0 ~seq:1 "a";
-  Pqueue.push q ~time:2.0 ~seq:2 "c";
-  Alcotest.(check (list string)) "order"
-    [ "a"; "b"; "c" ]
-    (List.init 3 (fun _ -> snd (Pqueue.pop_min q)));
-  Alcotest.check_raises "empty" Not_found (fun () ->
-      ignore (Pqueue.pop_min q))
 
 let test_network_delivery_delay () =
   (* a token relayed along a weighted path arrives at the sum of weights *)
@@ -115,6 +103,174 @@ let test_inject_interleaves_in_flight () =
         (if msg = "start" then 0.0 else 1.0)
         now)
     !log
+
+(* The simulator's own cost per delivery: a unit payload relayed around a
+   64-node ring with [Cost.null] and a handler that allocates nothing.
+   What is left is the event heap's payload cell and the boxed
+   [actions.now] (4 words); the bound leaves room for a compiler that
+   boxes a float argument or two. *)
+let relay_words_per_delivery ?jitter () =
+  let n = 64 and deliveries = 20_000 in
+  let net =
+    Network.create ?jitter (Cr_graphgen.Path_like.ring ~n) ~init:(fun _ -> ())
+  in
+  let left = ref deliveries in
+  let handler (actions : unit Network.actions) ~self () () =
+    if !left > 1 then begin
+      decr left;
+      actions.Network.send ((self + 1) mod n) ()
+    end
+  in
+  Network.inject net ~dst:0 ();
+  let before = Gc.minor_words () in
+  let stats = Network.run net ~handler ~max_messages:deliveries in
+  let after = Gc.minor_words () in
+  check_int "every relay delivered" deliveries stats.Network.messages;
+  (after -. before) /. float_of_int deliveries
+
+let test_relay_allocation () =
+  List.iter
+    (fun (label, jitter) ->
+      let words = relay_words_per_delivery ?jitter () in
+      check_bool
+        (Printf.sprintf "%s: %.2f minor words per delivery <= 8" label words)
+        true (words <= 8.0))
+    [ ("no jitter", None); ("jitter", Some (3, 0.5)) ]
+
+(* The event heap's order, seen through delivery: each delivery must be
+   the least pending (time, seq) of a model that stamps every enqueue —
+   inject, timer or send — with the next sequence number. Each delivery
+   enqueues the next scripted batch, so pushes and pops interleave, and
+   delays drawn from {0, 0.5, 1, 2} make equal times common. *)
+let prop_delivery_order_is_sorted =
+  qcheck_case ~count:200 "network: delivery order = sorted (time, seq) model"
+    QCheck2.Gen.(
+      let op = pair (int_range 0 2) (oneofl [ 0.0; 0.5; 1.0; 2.0 ]) in
+      let* kicks = int_range 1 4 in
+      let* script = list_size (int_range 0 80) (list_size (int_range 0 3) op) in
+      return (kicks, script))
+    (fun (kicks, script) ->
+      let g = Graph.of_edges 3 [ (0, 1, 1.0); (1, 2, 0.5) ] in
+      let net = Network.create g ~init:(fun _ -> ()) in
+      let pending = ref [] and seq = ref 0 and ok = ref true in
+      let stamp ~time ~dst =
+        let id = !seq in
+        pending := (time, id, dst) :: !pending;
+        incr seq;
+        id
+      in
+      let script = ref script in
+      let handler (actions : int Network.actions) ~self () id =
+        let now = actions.Network.now in
+        (match List.sort compare !pending with
+        | (time, least, dst) :: rest ->
+          if least <> id || dst <> self || time <> now then ok := false;
+          pending := rest
+        | [] -> ok := false);
+        match !script with
+        | [] -> ()
+        | batch :: more ->
+          script := more;
+          List.iter
+            (fun (kind, delay) ->
+              match kind with
+              | 0 ->
+                actions.Network.timer ~delay
+                  (stamp ~time:(now +. delay) ~dst:self)
+              | 1 ->
+                let v = if self = 1 then 2 * (int_of_float delay mod 2) else 1 in
+                let w = Option.get (Graph.edge_weight g self v) in
+                actions.Network.send v (stamp ~time:(now +. w) ~dst:v)
+              | _ ->
+                let v = int_of_float (2.0 *. delay) mod 3 in
+                Network.inject net ~dst:v (stamp ~time:now ~dst:v))
+            batch
+      in
+      for k = 0 to kicks - 1 do
+        Network.inject net ~dst:(k mod 3) (stamp ~time:0.0 ~dst:(k mod 3))
+      done;
+      let stats = Network.run net ~handler ~max_messages:10_000 in
+      !ok && !pending = []
+      && stats.Network.messages + Network.timer_events net = !seq)
+
+(* A delivered message must not stay reachable from the event heap: its
+   vacated slot is overwritten. Sixty-four payloads flood a star at once,
+   so the heap grows and then drains; after the run (the network itself
+   still alive) every payload must be collectable. *)
+let test_delivered_payloads_released () =
+  let leaves = 63 in
+  let g = Cr_graphgen.Path_like.star ~leaves in
+  let net = Network.create g ~init:(fun _ -> 0) in
+  let seen = Weak.create (leaves + 1) in
+  let handler (actions : int ref Network.actions) ~self count msg =
+    if self = 0 && !msg = 0 then
+      for v = 1 to leaves do
+        let payload = ref v in
+        Weak.set seen v (Some payload);
+        actions.Network.send v payload
+      done;
+    count + 1
+  in
+  let kick = ref 0 in
+  Weak.set seen 0 (Some kick);
+  Network.inject net ~dst:0 kick;
+  ignore (Network.run net ~handler ~max_messages:1_000);
+  Gc.full_major ();
+  let kept = ref 0 in
+  for i = 0 to leaves do
+    if Weak.check seen i then incr kept
+  done;
+  check_int "payloads still reachable" 0 !kept;
+  check_int "network alive, leaves served" 1 (Network.state net leaves)
+
+(* Rounds are floor(delivery time). The histogram must equal a reference
+   built from the handler's own delivery times (Dist_spt arms no timers,
+   so every call is a delivery) on a unit grid, where many deliveries
+   share a round, and on a chain with weights 2^i, where rounds pass
+   2^47: it must be kept per distinct round, never in an array indexed
+   by round. *)
+let spt_rounds g =
+  let times = ref [] and histogram = ref [] in
+  let via =
+    { Network.execute =
+        (fun ?measure g ~protocol ~init ~handler ~kickoff ~max_messages ->
+          let net = Network.create ?measure g ~init in
+          List.iter (fun (dst, msg) -> Network.inject net ~dst msg) kickoff;
+          let handler actions ~self state msg =
+            times := actions.Network.now :: !times;
+            handler actions ~self state msg
+          in
+          let stats = Network.run ~protocol net ~handler ~max_messages in
+          histogram := Network.round_histogram net;
+          (Array.init (Graph.n g) (Network.state net), stats)) }
+  in
+  let result = Dist_spt.run ~via g ~root:0 in
+  let reference =
+    List.fold_left
+      (fun acc time ->
+        let r = int_of_float (Float.floor time) in
+        match List.assoc_opt r acc with
+        | Some c -> (r, c + 1) :: List.remove_assoc r acc
+        | None -> (r, 1) :: acc)
+      [] !times
+    |> List.sort compare
+  in
+  check_int "deliveries" result.Dist_spt.stats.Network.messages
+    (List.length !times);
+  Alcotest.(check (list (pair int int)))
+    "round histogram = floor(delivery time) counts" reference !histogram;
+  (result, !histogram)
+
+let test_round_histogram () =
+  let _, grid = spt_rounds (Metric.graph (grid6 ())) in
+  check_bool "grid rounds repeat" true (List.exists (fun (_, c) -> c > 1) grid);
+  let chain, rounds =
+    spt_rounds (Cr_graphgen.Path_like.exponential_chain ~n:48 ~base:2.0)
+  in
+  check_float "far end at 2^47 - 1" (Float.pow 2.0 47.0 -. 1.0)
+    chain.Dist_spt.dist.(47);
+  (* the last delivery is the far end's offer back across the 2^46 edge *)
+  check_int "last round" ((3 lsl 46) - 1) (fst (List.hd (List.rev rounds)))
 
 let check_spt_matches m root =
   let g = Metric.graph m in
@@ -459,8 +615,7 @@ let prop_jitter_independence =
       base.Net_election.net = jit.Net_election.net)
 
 let suite =
-  [ Alcotest.test_case "pqueue order" `Quick test_pqueue_order;
-    Alcotest.test_case "jitter-independent SPT" `Quick
+  [ Alcotest.test_case "jitter-independent SPT" `Quick
       test_jitter_independence_spt;
     Alcotest.test_case "jitter-independent election" `Quick
       test_jitter_independence_election;
@@ -497,6 +652,13 @@ let suite =
     Alcotest.test_case "message budget" `Quick test_network_budget;
     Alcotest.test_case "inject interleaves in-flight" `Quick
       test_inject_interleaves_in_flight;
+    Alcotest.test_case "relay allocates <= 8 words per delivery" `Quick
+      test_relay_allocation;
+    prop_delivery_order_is_sorted;
+    Alcotest.test_case "delivered payloads are released" `Quick
+      test_delivered_payloads_released;
+    Alcotest.test_case "round histogram: grid and 2^i chain" `Quick
+      test_round_histogram;
     Alcotest.test_case "distributed SPT on grid" `Quick test_dist_spt_grid;
     Alcotest.test_case "distributed SPT on holey grid" `Quick
       test_dist_spt_holey;

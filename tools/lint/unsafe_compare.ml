@@ -5,7 +5,9 @@
    structural comparison. In lib/core, lib/metric and the structures
    built on their orders (lib/packing, lib/nets, lib/search_tree,
    lib/tree_routing, and lib/scale, whose truncated Dijkstra carries the
-   same tie-break contract) this rule forbids
+   same tie-break contract), and in lib/proto and lib/codec (the
+   simulator's delivery order and E19's measured bits rest on float
+   tie-breaks there) this rule forbids
 
    - the bare polymorphic [compare] in any position (sorts included):
      spell out [Float.compare] / [Int.compare] / a keyed comparator;
@@ -142,11 +144,12 @@ let rule =
     doc =
       "no polymorphic compare/(=) on float distance values in lib/core, \
        lib/metric, lib/packing, lib/nets, lib/search_tree, \
-       lib/tree_routing and lib/scale";
+       lib/tree_routing, lib/scale, lib/proto and lib/codec";
     applies =
       (fun rel ->
         Rule.under
           [ "lib/core"; "lib/metric"; "lib/packing"; "lib/nets";
-            "lib/search_tree"; "lib/tree_routing"; "lib/scale" ]
+            "lib/search_tree"; "lib/tree_routing"; "lib/scale"; "lib/proto";
+            "lib/codec" ]
           rel);
     check }

@@ -16,7 +16,9 @@
    .avg (the engine's per-node serving state, wire-exact for ring
    tables), serve.bytes_per_node (arena footprint). Timings (tolerance
    class, --ignore-timings diffable): serve.compile.seconds,
-   serve.batch.seconds, serve.routes_per_sec, serve.ns_per_lookup. *)
+   serve.batch.seconds, serve.routes_per_sec, serve.ns_per_lookup (flat
+   engines), and serve.ns_per_hop — one sequential Engine.route per pair,
+   total time over total hops — for all six engines. *)
 
 open Common
 module Engine = Cr_serve.Engine
@@ -76,6 +78,17 @@ let ns_per_lookup eng =
   ignore (burn eng pairs 0 0);
   (now () -. t0) *. 1e9 /. float_of_int (Array.length pairs)
 
+(* ns per served hop: every pair routed once more, sequentially, after
+   the batch has warmed the engine. *)
+let ns_per_hop eng pairs =
+  let t0 = now () in
+  let hops =
+    Array.fold_left
+      (fun acc (src, dst) -> acc + (Engine.route eng ~src ~dst).Scheme.hops)
+      0 pairs
+  in
+  (now () -. t0) *. 1e9 /. float_of_int (max 1 hops)
+
 type measured = {
   scheme : string;
   ident : float;  (* 1.0 iff served = walked on every pair *)
@@ -88,6 +101,7 @@ type measured = {
   t_batch : float;
   routes_per_sec : float;
   ns_lookup : float option;
+  ns_hop : float;
   table_bits : (string * Report.value) list;
 }
 
@@ -121,6 +135,7 @@ let measure inst ~flat ~table_bits ~compile route pairs =
       (if t_batch > 0.0 then float_of_int (Array.length parr) /. t_batch
        else 0.0);
     ns_lookup = (if flat then Some (ns_per_lookup eng) else None);
+    ns_hop = ns_per_hop eng parr;
     table_bits }
 
 let schemes_of inst =
@@ -196,8 +211,8 @@ let schemes_of inst =
 let run () =
   print_header
     "E20: route serving (served routes vs walker routes; flat arenas)"
-    [ "family"; "scheme"; "ident"; "routes/s"; "ns/hop"; "bits/node(max)";
-      "bytes/node"; "alloc" ];
+    [ "family"; "scheme"; "ident"; "routes/s"; "ns/hop"; "ns/lookup";
+      "bits/node(max)"; "bytes/node"; "alloc" ];
   List.iter
     (fun inst ->
       let pairs = pairs_of inst in
@@ -212,6 +227,7 @@ let run () =
               cell "%-36s" r.scheme;
               cell "%5.1f" r.ident;
               cell "%9.0f" r.routes_per_sec;
+              cell "%6.1f" r.ns_hop;
               (match r.ns_lookup with
               | Some ns -> cell "%7.1f" ns
               | None -> "      -");
@@ -224,7 +240,8 @@ let run () =
             ~timings:
               ([ ("serve.compile.seconds", r.t_compile);
                  ("serve.batch.seconds", r.t_batch);
-                 ("serve.routes_per_sec", r.routes_per_sec) ]
+                 ("serve.routes_per_sec", r.routes_per_sec);
+                 ("serve.ns_per_hop", r.ns_hop) ]
               @
               match r.ns_lookup with
               | Some ns -> [ ("serve.ns_per_lookup", ns) ]

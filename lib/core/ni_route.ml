@@ -15,6 +15,18 @@ type t = {
   label : int -> int;
 }
 
+let site_table ~scheme ~n sites ~level ~hub =
+  let i = (level * n) + hub in
+  match
+    if hub >= 0 && hub < n && i >= 0 && i < Array.length sites then sites.(i)
+    else None
+  with
+  | Some site -> site
+  | None ->
+    invalid_arg
+      (Printf.sprintf "%s: no search site at level %d, node %d" scheme level
+         hub)
+
 type level_report = {
   level : int;
   hub : int;
@@ -27,16 +39,11 @@ type level_report = {
    packed ball's center, search there, and come back. Every leg endpoint
    holds the other's routing label, so a net edge is one labeled route. *)
 let search t (mv : Walker.mover) ~goto ~hub ~level ~key =
-  let run st =
-    let result = Search_tree.search st ~key in
-    Search_tree.pay result.legs ~jump:mv.jump ~goto;
-    result.data
-  in
   match t.site ~level ~hub with
-  | Local st -> run st
+  | Local st -> Search_tree.walk st ~key ~jump:mv.jump ~goto
   | Link (center, st) ->
     goto center;
-    let data = run st in
+    let data = Search_tree.walk st ~key ~jump:mv.jump ~goto in
     goto hub;
     data
 
@@ -48,26 +55,30 @@ let search t (mv : Walker.mover) ~goto ~hub ~level ~key =
    rule keeps the tag through the inner calls — so stretch inflation under
    failures is attributable hop by hop. Returns whether the name was found
    at or below the top level; [failovers] counts the failovers taken. *)
-let run ?(observe = fun (_ : level_report) -> ()) t (mv : Walker.mover)
-    ~travel ~failovers ~dest_name =
+let run ?observe t (mv : Walker.mover) ~travel ~failovers ~dest_name =
   let goto v = travel (t.label v) in
   let rec attempt from i =
     if i > t.top_level then false
     else
       match
         let hub = t.hub ~src:from ~level:i in
-        let before_climb = mv.cost () in
+        (* the cost reads and the report happen only for an observer *)
+        let observed = Option.is_some observe in
+        let before_climb = if observed then mv.cost () else 0.0 in
         mv.phase (Trace.Zoom i) (fun () -> goto hub);
-        let before_search = mv.cost () in
+        let before_search = if observed then mv.cost () else 0.0 in
         let result =
           mv.phase (Trace.Ball_search i) (fun () ->
               search t mv ~goto ~hub ~level:i ~key:dest_name)
         in
-        observe
-          { level = i; hub;
-            climb_cost = before_search -. before_climb;
-            search_cost = mv.cost () -. before_search;
-            found = result <> None };
+        (match observe with
+        | Some observe ->
+          observe
+            { level = i; hub;
+              climb_cost = before_search -. before_climb;
+              search_cost = mv.cost () -. before_search;
+              found = Option.is_some result }
+        | None -> ());
         match result with
         | Some dest_label ->
           mv.phase Trace.Deliver (fun () -> travel dest_label);

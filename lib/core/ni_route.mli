@@ -30,6 +30,13 @@ type t = {
   label : int -> int;  (** node -> underlying routing label *)
 }
 
+(** [site_table ~scheme ~n sites] is the [site] function over a
+    (level, net point) table indexed [level * n + node]. It raises
+    [Invalid_argument], naming [scheme], the level and the node, when that
+    slot holds no site. *)
+val site_table :
+  scheme:string -> n:int -> site option array -> level:int -> hub:int -> site
+
 (** One level of the loop, as reported to an observer: the cost of reaching
     the level's hub u(i) and of the search round trip there — the data
     Figure 1 illustrates. *)
@@ -43,7 +50,10 @@ type level_report = {
 
 (** [walk ?observe t mv ~travel ~dest_name] moves the packet to the node
     named [dest_name]; [travel l] must move it to the node with underlying
-    label [l]. [observe] is called once per searched level. Hops are
+    label [l]. [observe] is called once per searched level. Only an
+    observer costs anything beyond the moves: without one the loop reads
+    no [mv.cost] and builds no [level_report], so a route pays for its
+    hops and for a few closures per level. Hops are
     trace-tagged [Zoom i] (climb to the level-[i] hub), [Ball_search i]
     (the search round trip) and [Deliver] (the final labeled route).
 

@@ -45,21 +45,20 @@ let cell_tree m voronoi center =
    realizing a net virtual edge keeps next-hop entries in both directions;
    chained nodes keep a local tree-routing label. *)
 let charge_paths m st path_bits =
-  let tree = Search_tree.tree st in
   let n = Metric.n m in
   let hop_bits = 2 * Bits.id_bits n in
   List.iter
     (fun v ->
-      match Tree.parent tree v with
+      match Search_tree.parent st v with
       | None -> ()
-      | Some (p, _) ->
+      | Some p ->
         if Search_tree.is_chained st v then
           path_bits.(v) <- path_bits.(v) + Bits.range_bits n
         else
           List.iter
             (fun x -> path_bits.(x) <- path_bits.(x) + hop_bits)
             (Metric.shortest_path m ~src:v ~dst:p))
-    (Tree.nodes tree)
+    (Search_tree.members st)
 
 let table_bits t v =
   let n = Metric.n t.metric in
@@ -259,11 +258,9 @@ let walk ?(observe = fun (_ : phase_report) -> ()) t w ~dest_label =
     let st = Hashtbl.find lv.search c in
     (match
        Walker.with_phase w Trace.Search_tree_phase (fun () ->
-           let result = Search_tree.search st ~key:dest_label in
-           Search_tree.pay result.legs
+           Search_tree.walk st ~key:dest_label
              ~jump:(fun v c -> Walker.teleport w v ~cost:c)
-             ~goto:(Walker.walk_shortest_path w);
-           result.data)
+             ~goto:(Walker.walk_shortest_path w))
      with
     | Some local_label ->
       let search_cost =

@@ -108,7 +108,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
      levels built above): the covering search and any Local tree build run
      on the pool; sites/h_links/trees_of updates stay sequential, in net
      order. *)
-  let sites = Hashtbl.create 256 in
+  let sites = Array.make ((top + 1) * n) None in  (* level * n + net point *)
   let h_links = Array.make n [] in
   let type_a = ref 0 in
   (Cr_par.Pool.stage ctx pool "scale_free_ni.type_a" @@ fun () ->
@@ -169,22 +169,23 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
      in
      List.iter
        (fun (u, site) ->
-         Hashtbl.replace sites (i, u)
-           (match site with
-           | Link pt ->
-             h_links.(u) <- h_links.(u) @ [ (i, pt) ];
-             Ni_route.Link (pt.center, pt.st)
-           | Local st ->
-             register st;
-             incr type_a;
-             Ni_route.Local st))
+         sites.((i * n) + u) <-
+           Some
+             (match site with
+             | Link pt ->
+               h_links.(u) <- h_links.(u) @ [ (i, pt) ];
+               Ni_route.Link (pt.center, pt.st)
+             | Local st ->
+               register st;
+               incr type_a;
+               Ni_route.Local st))
        built
    done);
   let zoom = Zoom.build h in
   let lookup =
     { Ni_route.first_level = 0; top_level = top;
       hub = (fun ~src ~level -> Zoom.step zoom src level);
-      site = (fun ~level ~hub -> Hashtbl.find sites (level, hub));
+      site = Ni_route.site_table ~scheme:"Scale_free_ni" ~n sites;
       label = underlying.Underlying.u_label }
   in
   let t =

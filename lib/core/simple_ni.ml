@@ -42,7 +42,9 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) ?(min_level = 0) nt ~epsilon
   let eps_eff = ni_effective_epsilon epsilon in
   if min_level < 0 || min_level > top then
     invalid_arg "Simple_ni.build: min_level out of range";
-  let sites = Hashtbl.create 64 in  (* (level, net point) -> its tree *)
+  (* level * n + net point -> its tree *)
+  let sites = Array.make ((top + 1) * n) None in
+  let search_trees = ref 0 in
   let trees_of = Array.make n [] in
   (* Net points are independent within a level: build every search tree in
      parallel, then register sequentially in net order so trees_of lists
@@ -69,7 +71,8 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) ?(min_level = 0) nt ~epsilon
     in
     List.iter
       (fun (u, members, st) ->
-        Hashtbl.replace sites (i, u) (Ni_route.Local st);
+        sites.((i * n) + u) <- Some (Ni_route.Local st);
+        incr search_trees;
         List.iter (fun v -> trees_of.(v) <- st :: trees_of.(v)) members)
       built
   done;
@@ -77,13 +80,12 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) ?(min_level = 0) nt ~epsilon
   let lookup =
     { Ni_route.first_level = min_level; top_level = top;
       hub = (fun ~src ~level -> Zoom.step zoom src level);
-      site = (fun ~level ~hub -> Hashtbl.find sites (level, hub));
+      site = Ni_route.site_table ~scheme:"Simple_ni" ~n sites;
       label = underlying.Underlying.u_label }
   in
   let t = { metric = m; naming; underlying; trees_of; lookup } in
   if Trace.enabled ctx then begin
-    Trace.counter ctx "simple_ni.search_trees"
-      (float_of_int (Hashtbl.length sites));
+    Trace.counter ctx "simple_ni.search_trees" (float_of_int !search_trees);
     Scheme.table_counters ctx "simple_ni" (table_bits t) n
   end;
   t

@@ -1,7 +1,6 @@
 module Metric = Cr_metric.Metric
 module Bits = Cr_metric.Bits
 module Rnet = Cr_nets.Rnet
-module Tree = Cr_tree.Tree
 
 type leg = {
   src : int;
@@ -14,32 +13,61 @@ type search_result = {
   legs : leg list;
 }
 
-type node_info = {
-  mutable pairs : (int * int) list;  (* slice of the sorted directory,
-                                        plus dynamically inserted pairs *)
-  mutable subtree_range : (int * int) option;  (* (lo key, hi key) *)
-}
+(* A member's pairs once [insert] or [remove] has changed them. *)
+type pairs =
+  | Nil
+  | Pair of int * int * pairs  (* key, data, the rest *)
 
+(* Every per-node array is indexed by the node's slot: its position among
+   the members in increasing id order. *)
 type t = {
-  metric : Metric.t;
-  center : int;
-  tree : Tree.t;
-  info : (int, node_info) Hashtbl.t;
-  chain_weight : (int, float) Hashtbl.t;  (* child -> chain edge weight *)
+  root : int;  (* the center's slot *)
+  ids : int array;  (* slot -> node id, increasing *)
+  parent : int array;  (* parent slot; -1 at the root *)
+  chain : float array;
+      (* the Definition 4.2 chain weight of the edge to the parent; nan
+         for a net edge and at the root *)
+  child_off : int array;  (* slots + 1: slot -> range of [children] *)
+  children : int array;  (* child slots, increasing (id order) *)
+  sub_lo : int array;  (* build-time subtree key range; lo > hi if empty *)
+  sub_hi : int array;
+  own_lo : int array;  (* the slot's own slice of [keys]/[data] *)
+  own_hi : int array;  (* exclusive *)
+  keys : int array;  (* Algorithm 1's directory, sorted by key *)
+  data : int array;
+  touched : pairs option array;
+  height : float;
   universe : int;
 }
 
-let remove_from remaining set =
-  let drop = Hashtbl.create (List.length set) in
-  List.iter (fun v -> Hashtbl.replace drop v ()) set;
-  List.filter (fun v -> not (Hashtbl.mem drop v)) remaining
+(* The index of [x] in the increasing [a.(lo .. hi)], or -1. *)
+let rec find (a : int array) x lo hi =
+  if lo > hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let y = a.(mid) in
+    if y = x then mid
+    else if y < x then find a x (mid + 1) hi
+    else find a x lo (mid - 1)
+
+let slot_in ids v = find ids v 0 (Array.length ids - 1)
+
+let slot_exn t who v =
+  let s = slot_in t.ids v in
+  if s < 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Search_tree.%s: node %d is not a member of the tree centred at %d"
+         who v t.ids.(t.root));
+  s
 
 let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Search_tree.build: epsilon must be in (0, 1)";
-  let members = List.sort_uniq Int.compare members in
-  if not (List.mem center members) then
-    invalid_arg "Search_tree.build: center must be a member";
+  let ids = Array.of_list (List.sort_uniq Int.compare members) in
+  let size = Array.length ids in
+  let root = slot_in ids center in
+  if root < 0 then invalid_arg "Search_tree.build: center must be a member";
   let net_levels =
     let er = epsilon *. radius in
     if er < 2.0 then 0 else int_of_float (Float.log2 er)
@@ -51,14 +79,21 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
       if cap < 1 then invalid_arg "Search_tree.build: level_cap must be >= 1";
       min cap net_levels
   in
-  let parent_of = Hashtbl.create (List.length members) in
-  let weight_of = Hashtbl.create (List.length members) in
-  let chain_weight = Hashtbl.create 8 in
+  let parent = Array.make size (-1) in
+  let weight = Array.make size 0.0 in
+  let chain = Array.make size Float.nan in
+  let placed = Array.make size false in
+  placed.(root) <- true;
   let attach v p w =
-    Hashtbl.replace parent_of v p;
-    Hashtbl.replace weight_of v w
+    let s = slot_in ids v in
+    parent.(s) <- slot_in ids p;
+    weight.(s) <- w;
+    placed.(s) <- true
   in
-  let remaining = ref (List.filter (fun v -> v <> center) members) in
+  let unplaced vs = List.filter (fun v -> not placed.(slot_in ids v)) vs in
+  let remaining =
+    ref (List.filter (fun v -> v <> center) (Array.to_list ids))
+  in
   let prev_level = ref [ center ] in
   (* Net levels U_1 .. U_capped_levels (Definition 3.2). *)
   let level = ref 1 in
@@ -70,7 +105,7 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
         let p = Metric.nearest_in m v !prev_level in
         attach v p (Metric.dist m v p))
       u_i;
-    remaining := remove_from !remaining u_i;
+    remaining := unplaced !remaining;
     prev_level := u_i;
     incr level
   done;
@@ -86,17 +121,15 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
       let n = Metric.n m in
       let w_chain = 2.0 *. epsilon *. radius /. float_of_int n in
       let sites = !prev_level in
-      let tail = Hashtbl.create (List.length sites) in
-      List.iter (fun s -> Hashtbl.replace tail s s) sites;
+      let tail = Array.copy ids in
       (* Visit leftovers in id order: each joins the chain of its nearest
          site, behind the previously chained node. *)
       List.iter
         (fun v ->
-          let site = Metric.nearest_in m v sites in
-          let prev = Hashtbl.find tail site in
-          attach v prev w_chain;
-          Hashtbl.replace chain_weight v w_chain;
-          Hashtbl.replace tail site v)
+          let site = slot_in ids (Metric.nearest_in m v sites) in
+          attach v tail.(site) w_chain;
+          chain.(slot_in ids v) <- w_chain;
+          tail.(site) <- v)
         (List.sort Int.compare !remaining)
     end
     else
@@ -106,93 +139,180 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
           attach v p (Metric.dist m v p))
         !remaining
   end;
-  let tree =
-    Tree.of_parents ~root:center ~nodes:members
-      ~parent:(fun v -> Hashtbl.find parent_of v)
-      ~weight:(fun v -> Hashtbl.find weight_of v)
-  in
+  (* The checks, and the messages, of Tree.of_parents. *)
+  Array.iteri
+    (fun s p ->
+      if s <> root then begin
+        if weight.(s) < 0.0 then invalid_arg "Tree.of_parents: negative weight";
+        if p < 0 then invalid_arg "Tree.of_parents: parent outside node set"
+      end)
+    parent;
+  let child_off = Array.make (size + 1) 0 in
+  Array.iteri
+    (fun s p -> if s <> root then child_off.(p + 1) <- child_off.(p + 1) + 1)
+    parent;
+  for s = 0 to size - 1 do
+    child_off.(s + 1) <- child_off.(s + 1) + child_off.(s)
+  done;
+  let children = Array.make (Int.max 0 (size - 1)) 0 in
+  let fill = Array.sub child_off 0 size in
+  Array.iteri
+    (fun s p ->
+      if s <> root then begin
+        children.(fill.(p)) <- s;
+        fill.(p) <- fill.(p) + 1
+      end)
+    parent;
   (* Algorithm 1: deal the sorted pairs out in contiguous slices along a
      DFS; subtree key ranges follow from the slice arithmetic. *)
-  let sorted_pairs =
-    let arr = Array.of_list pairs in
-    Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-    Array.iteri
-      (fun i (k, _) ->
-        if i > 0 && fst arr.(i - 1) = k then
-          invalid_arg "Search_tree.build: duplicate keys")
-      arr;
-    arr
-  in
-  let k = Array.length sorted_pairs in
-  let m_nodes = Tree.size tree in
-  let slice_start t = t * k / m_nodes in
-  let info = Hashtbl.create m_nodes in
+  let sorted_pairs = Array.of_list pairs in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) sorted_pairs;
+  Array.iteri
+    (fun i (k, _) ->
+      if i > 0 && fst sorted_pairs.(i - 1) = k then
+        invalid_arg "Search_tree.build: duplicate keys")
+    sorted_pairs;
+  let keys = Array.map fst sorted_pairs and data = Array.map snd sorted_pairs in
+  let k = Array.length keys in
+  let slice_start t = t * k / size in
+  let own_lo = Array.make size 0 and own_hi = Array.make size 0 in
+  let sub_lo = Array.make size max_int and sub_hi = Array.make size min_int in
+  let depth = Array.make size 0.0 in
   let counter = ref 0 in
-  let rec visit v =
+  let rec visit s =
     let pre = !counter in
     incr counter;
-    let own_start = slice_start pre and own_stop = slice_start (pre + 1) in
-    let node =
-      { pairs =
-          Array.to_list (Array.sub sorted_pairs own_start (own_stop - own_start));
-        subtree_range = None }
-    in
-    Hashtbl.replace info v node;
-    List.iter (fun (c, _) -> visit c) (Tree.children tree v);
-    let post = !counter in
-    let lo = slice_start pre and hi = slice_start post in
-    node.subtree_range <-
-      (if hi > lo then
-         Some (fst sorted_pairs.(lo), fst sorted_pairs.(hi - 1))
-       else None)
+    own_lo.(s) <- slice_start pre;
+    own_hi.(s) <- slice_start (pre + 1);
+    for i = child_off.(s) to child_off.(s + 1) - 1 do
+      let c = children.(i) in
+      depth.(c) <- depth.(s) +. weight.(c);
+      visit c
+    done;
+    let lo = slice_start pre and hi = slice_start !counter in
+    if hi > lo then begin
+      sub_lo.(s) <- keys.(lo);
+      sub_hi.(s) <- keys.(hi - 1)
+    end
   in
-  visit center;
-  { metric = m; center; tree; info; chain_weight; universe }
+  visit root;
+  if !counter <> size then
+    invalid_arg "Tree.of_parents: parent pointers do not form a tree";
+  { root; ids; parent; chain; child_off; children; sub_lo; sub_hi; own_lo;
+    own_hi; keys; data; touched = Array.make size None;
+    height = Array.fold_left Float.max 0.0 depth; universe }
 
-let tree t = t.tree
-let center t = t.center
-let members t = Tree.nodes t.tree
+let center t = t.ids.(t.root)
+let members t = Array.to_list t.ids
 
-let in_subtree_range t v key =
-  match (Hashtbl.find t.info v).subtree_range with
-  | Some (lo, hi) -> lo <= key && key <= hi
-  | None -> false
+let parent t v =
+  let p = t.parent.(slot_exn t "parent" v) in
+  if p < 0 then None else Some t.ids.(p)
 
-let lookup_own t v key = List.assoc_opt key (Hashtbl.find t.info v).pairs
+(* {2 Descent}
 
-let leg t src dst =
-  { src; dst; chained_cost = Hashtbl.find_opt t.chain_weight dst }
-
-(* Descent is deterministic (first child in id order whose build-time
+   Descent is deterministic (first child in id order whose build-time
    subtree range covers the key), which is what makes dynamic inserts
    consistent: Algorithm 1 deals keys pre-order, so a node's own keys lie
    strictly below its children's ranges and the descent for a key always
    stops exactly at the node holding it — whether the pair was installed at
    build time or appended by [insert] at the stop node later. *)
-let descend_for t key =
-  let rec go v legs =
-    let child =
-      List.find_opt
-        (fun (c, _) -> in_subtree_range t c key)
-        (Tree.children t.tree v)
-    in
-    match child with
-    | Some (c, _) -> go c (leg t v c :: legs)
-    | None -> (v, legs)
-  in
-  go t.center []
 
-let roundtrip down =
-  let back =
-    List.map
-      (fun l -> { src = l.dst; dst = l.src; chained_cost = l.chained_cost })
-      down
+let rec covering_child t key i last =
+  if i > last then -1
+  else
+    let c = t.children.(i) in
+    if t.sub_lo.(c) <= key && key <= t.sub_hi.(c) then c
+    else covering_child t key (i + 1) last
+
+(* The slot where the descent for [key] stops. *)
+let rec descend t key s =
+  let c = covering_child t key t.child_off.(s) (t.child_off.(s + 1) - 1) in
+  if c < 0 then s else descend t key c
+
+let descent_stop t key = descend t key t.root
+
+let rec pairs_find key = function
+  | Nil -> None
+  | Pair (k, d, rest) -> if k = key then Some d else pairs_find key rest
+
+let rec pairs_remove key = function
+  | Nil -> Nil
+  | Pair (k, d, rest) ->
+    if k = key then rest else Pair (k, d, pairs_remove key rest)
+
+let rec pairs_count n = function
+  | Nil -> n
+  | Pair (_, _, rest) -> pairs_count (n + 1) rest
+
+let rec pairs_keys acc = function
+  | Nil -> acc
+  | Pair (k, _, rest) -> pairs_keys (k :: acc) rest
+
+let find_own t s key =
+  match t.touched.(s) with
+  | Some pairs -> pairs_find key pairs
+  | None ->
+    let i = find t.keys key t.own_lo.(s) (t.own_hi.(s) - 1) in
+    if i < 0 then None else Some t.data.(i)
+
+(* A slot's current pairs, its build-time slice until first changed. *)
+let own_pairs t s =
+  match t.touched.(s) with
+  | Some pairs -> pairs
+  | None ->
+    let rec slice i =
+      if i = t.own_hi.(s) then Nil
+      else Pair (t.keys.(i), t.data.(i), slice (i + 1))
+    in
+    slice t.own_lo.(s)
+
+(* {2 Paying for a traversal}
+
+   The edge between slot [s] and its parent is crossed toward [dst]: a
+   chain edge is a jump at its fixed weight, a net edge a routed move. *)
+
+let cross t s ~dst ~jump ~goto =
+  let w = t.chain.(s) in
+  if Float.is_nan w then goto t.ids.(dst) else jump t.ids.(dst) w
+
+let rec pay_down t s ~jump ~goto =
+  if s <> t.root then begin
+    pay_down t t.parent.(s) ~jump ~goto;
+    cross t s ~dst:s ~jump ~goto
+  end
+
+let rec pay_up t s ~jump ~goto =
+  if s <> t.root then begin
+    cross t s ~dst:t.parent.(s) ~jump ~goto;
+    pay_up t t.parent.(s) ~jump ~goto
+  end
+
+let walk t ~key ~jump ~goto =
+  let stop = descent_stop t key in
+  pay_down t stop ~jump ~goto;
+  let data = find_own t stop key in
+  pay_up t stop ~jump ~goto;
+  data
+
+(* The legs [walk] pays, as a list: down from the root to [stop], then
+   back up. *)
+let roundtrip t stop =
+  let leg s ~src ~dst =
+    let w = t.chain.(s) in
+    { src = t.ids.(src); dst = t.ids.(dst);
+      chained_cost = (if Float.is_nan w then None else Some w) }
   in
-  List.rev_append down back
+  let rec path s acc =
+    if s = t.root then acc else path t.parent.(s) (s :: acc)
+  in
+  let below_root = path stop [] in
+  List.map (fun s -> leg s ~src:t.parent.(s) ~dst:s) below_root
+  @ List.rev_map (fun s -> leg s ~src:s ~dst:t.parent.(s)) below_root
 
 let search t ~key =
-  let stop, down = descend_for t key in
-  { data = lookup_own t stop key; legs = roundtrip down }
+  let stop = descent_stop t key in
+  { data = find_own t stop key; legs = roundtrip t stop }
 
 let pay legs ~jump ~goto =
   List.iter
@@ -203,48 +323,57 @@ let pay legs ~jump ~goto =
     legs
 
 let insert t ~key ~data =
-  let stop, down = descend_for t key in
-  let node = Hashtbl.find t.info stop in
-  if List.mem_assoc key node.pairs then
+  let stop = descent_stop t key in
+  let pairs = own_pairs t stop in
+  if Option.is_some (pairs_find key pairs) then
     invalid_arg "Search_tree.insert: key already present";
-  node.pairs <- (key, data) :: node.pairs;
-  roundtrip down
+  t.touched.(stop) <- Some (Pair (key, data, pairs));
+  roundtrip t stop
 
 let remove t ~key =
-  let stop, down = descend_for t key in
-  let node = Hashtbl.find t.info stop in
-  let removed = List.mem_assoc key node.pairs in
-  if removed then node.pairs <- List.remove_assoc key node.pairs;
-  (removed, roundtrip down)
+  let stop = descent_stop t key in
+  let pairs = own_pairs t stop in
+  let removed = Option.is_some (pairs_find key pairs) in
+  if removed then t.touched.(stop) <- Some (pairs_remove key pairs);
+  (removed, roundtrip t stop)
 
-let height_cost t =
-  List.fold_left
-    (fun acc v -> Float.max acc (Tree.depth_cost t.tree v))
-    0.0 (Tree.nodes t.tree)
+let height_cost t = t.height
 
-let load t v = List.length (Hashtbl.find t.info v).pairs
+let slot_load t s =
+  match t.touched.(s) with
+  | Some pairs -> pairs_count 0 pairs
+  | None -> t.own_hi.(s) - t.own_lo.(s)
+
+let load t v = slot_load t (slot_exn t "load" v)
 
 let keys t =
-  Hashtbl.fold
-    (fun _ node acc -> List.rev_append (List.map fst node.pairs) acc)
-    t.info []
-  |> List.sort Int.compare
+  let all = ref [] in
+  for s = 0 to Array.length t.ids - 1 do
+    all := pairs_keys !all (own_pairs t s)
+  done;
+  List.sort Int.compare !all
 
 let table_bits t v =
+  let s = slot_exn t "table_bits" v in
   let key_bits = Bits.id_bits t.universe in
-  let node = Hashtbl.find t.info v in
-  let pairs_bits = List.length node.pairs * 2 * key_bits in
+  let pairs_bits = slot_load t s * 2 * key_bits in
   let own_range = 2 * key_bits in
-  let child_count = List.length (Tree.children t.tree v) in
+  let child_count = t.child_off.(s + 1) - t.child_off.(s) in
   (* per child: its subtree key range + the routing label used to traverse
      the virtual edge; plus one label for the parent link *)
   pairs_bits + own_range
   + (child_count * ((2 * key_bits) + key_bits))
   + key_bits
 
-let is_chained t v = Hashtbl.mem t.chain_weight v
+let is_chained t v =
+  let s = slot_in t.ids v in
+  s >= 0 && not (Float.is_nan t.chain.(s))
 
 let max_degree t =
-  List.fold_left
-    (fun acc v -> max acc (Tree.degree t.tree v))
-    0 (Tree.nodes t.tree)
+  let deg = ref 0 in
+  Array.iteri
+    (fun s p ->
+      let d = t.child_off.(s + 1) - t.child_off.(s) + if p >= 0 then 1 else 0 in
+      deg := Int.max !deg d)
+    t.parent;
+  !deg

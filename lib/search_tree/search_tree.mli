@@ -20,9 +20,18 @@
     The directory (Algorithm 1) sorts the pairs by key and deals them out in
     contiguous slices along a DFS of the tree, so every subtree owns a
     contiguous key range; lookups (Algorithm 2) descend from the root along
-    range information, then walk back, and the caller is handed the exact
-    sequence of virtual edges traversed so it can charge real routing cost
-    for each. *)
+    range information, then walk back, and the caller pays real routing
+    cost for every virtual edge traversed.
+
+    {b Layout.} A tree is flat arrays indexed by its members' sorted
+    order: each member's parent and the chain weight of its parent edge;
+    its children, in id order, as a range of one shared array; its
+    build-time subtree key range; its own slice of one sorted key array
+    and one aligned data array (Algorithm 1); and the height, computed
+    once. A member's pairs become a list of their own only when [insert]
+    or [remove] first changes them. There is no hash table and no stored
+    [Cr_tree.Tree.t]; a lookup is a descent over int arrays and a binary
+    search in the stop node's slice. *)
 
 type t
 
@@ -64,6 +73,16 @@ val build :
 (** [search t ~key] runs Algorithm 2 from the root. *)
 val search : t -> key:int -> search_result
 
+(** [walk t ~key ~jump ~goto] is [search] paid as it goes: it makes
+    exactly the calls [pay (search t ~key).legs ~jump ~goto] makes, in the
+    same order — each edge down from the root to the node where the
+    descent stops, then each edge back up — and returns the data [search]
+    returns, without building the leg list. This is what a routing loop
+    calls. *)
+val walk :
+  t -> key:int -> jump:(int -> float -> unit) -> goto:(int -> unit) ->
+  int option
+
 (** [pay legs ~jump ~goto] moves a packet along a traversal's virtual
     edges in order — the one place any search, insert or remove is paid
     for: [jump dst w] for a chain edge of fixed weight [w], [goto dst] for
@@ -83,9 +102,9 @@ val insert : t -> key:int -> data:int -> leg list
     the traversal legs. *)
 val remove : t -> key:int -> bool * leg list
 
-(** [tree t] is the underlying virtual tree (edge weights are metric
-    distances for net edges and the fixed chain weight for chain edges). *)
-val tree : t -> Cr_tree.Tree.t
+(** [parent t v] is [v]'s parent in the virtual tree, [None] at the
+    center. Raises [Invalid_argument] naming [v] if it is not a member. *)
+val parent : t -> int -> int option
 
 (** [center t] is the root. *)
 val center : t -> int
@@ -97,8 +116,8 @@ val members : t -> int list
     (bounded by (1 + O(eps)) r). *)
 val height_cost : t -> float
 
-(** [load t v] is the number of pairs stored at [v]. Raises if [v] is not a
-    tree node. *)
+(** [load t v] is the number of pairs stored at [v]. Raises
+    [Invalid_argument] naming [v] if it is not a member. *)
 val load : t -> int -> int
 
 (** [keys t] is the sorted list of every key currently stored anywhere in
@@ -107,7 +126,8 @@ val keys : t -> int list
 
 (** [table_bits t v] is the measured directory + topology storage charged to
     [v] in bits: its stored pairs, its subtree range, one range and link per
-    child, and the parent link. *)
+    child, and the parent link. Raises [Invalid_argument] naming [v] if it
+    is not a member. *)
 val table_bits : t -> int -> int
 
 (** [max_degree t] is the maximum tree degree (the paper bounds the root's

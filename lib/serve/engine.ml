@@ -26,12 +26,18 @@ module Full_table = Cr_baselines.Full_table
 module Scheme_codec = Cr_codec.Scheme_codec
 
 (* The serving cursor: walker cost/hop accounting without the trace,
-   trail, or failure machinery. *)
+   trail, or failure machinery. A hop allocates nothing: the running cost
+   lives in an all-float record (stored unboxed) and the edge weight is
+   read from the adjacency's weight array here, not returned boxed from
+   [Flat]. *)
+type total = { mutable sum : float }
+
 type cursor = {
   adj : Flat.t;
+  wgt : float array;  (* Flat.weights adj *)
   cmetric : Metric.t;
   mutable pos : int;
-  mutable total : float;
+  total : total;
   mutable steps : int;
   budget : int;
   mutable cur_phase : Trace.phase;
@@ -45,11 +51,11 @@ let cursor_spend c =
 
 let cursor_step c v =
   (* adjacency check first, then spend, then move — Walker.step's order *)
-  let w = Flat.weight_exn c.adj c.pos v in
+  let e = Flat.edge_exn c.adj c.pos v in
   cursor_spend c;
   let src = c.pos in
   c.pos <- v;
-  c.total <- c.total +. w;
+  c.total.sum <- c.total.sum +. c.wgt.(e);
   if Cost.enabled c.acct then
     Cost.record c.acct ~phase:(Trace.phase_label c.cur_phase) ~src ~dst:v
       ~round:(c.steps - 1) ~bits:0;
@@ -67,7 +73,7 @@ let cursor_path c dst =
 let cursor_jump c v cost =
   cursor_spend c;
   c.pos <- v;
-  c.total <- c.total +. cost;
+  c.total.sum <- c.total.sum +. cost;
   if Cost.enabled c.acct then begin
     let phase =
       if c.cur_phase = Trace.Unphased then Trace.Teleport else c.cur_phase
@@ -76,12 +82,20 @@ let cursor_jump c v cost =
       ~round:(c.steps - 1) ~bits:0
   end
 
+(* Walker.with_phase's outer-wins rule, restoring the phase on an
+   exception too (the hop budget running out mid-phase). *)
 let cursor_phase c p f =
-  if c.cur_phase <> Trace.Unphased then f ()
-  else begin
+  match c.cur_phase with
+  | Trace.Unphased -> (
     c.cur_phase <- p;
-    Fun.protect ~finally:(fun () -> c.cur_phase <- Trace.Unphased) f
-  end
+    match f () with
+    | x ->
+      c.cur_phase <- Trace.Unphased;
+      x
+    | exception e ->
+      c.cur_phase <- Trace.Unphased;
+      raise e)
+  | _ -> f ()
 
 (* Drivers make forwarding decisions from compiled data and move the
    packet through a [Walker.mover] — bound to a real walker for the
@@ -91,7 +105,7 @@ let cursor_phase c p f =
    bindings produce identical costs and hop counts. *)
 let cursor_mover c =
   { Walker.position = (fun () -> c.pos);
-    cost = (fun () -> c.total);
+    cost = (fun () -> c.total.sum);
     step = (fun v -> cursor_step c v);
     jump = (fun v cost -> cursor_jump c v cost);
     path = (fun v -> cursor_path c v);
@@ -197,21 +211,25 @@ let under_label u v =
    the schemes' own lookup loop ([Ni_route]) over compiled hub rows and a
    compiled labeled driver. *)
 
+let rec hier_descent h (mv : Walker.mover) ~dest ~dest_label =
+  let at = mv.position () in
+  if at <> dest then begin
+    let hop = Tables.next_hop h.h_tables ~at ~label:dest_label in
+    (* All_levels rings always cover, and the minimal covering member is
+       never the current node short of arrival (Hier_labeled.walk). *)
+    if hop < 0 || hop = at then
+      invalid_arg
+        (Printf.sprintf
+           "Cr_serve.Engine: hier tables give node %d no next hop for label \
+            %d"
+           at dest_label);
+    mv.step hop;
+    hier_descent h mv ~dest ~dest_label
+  end
+
 let drive_hier h (mv : Walker.mover) ~dest_label =
-  mv.phase Trace.Net_phase @@ fun () ->
   let dest = h.h_node_of.(dest_label) in
-  let rec loop () =
-    let at = mv.position () in
-    if at <> dest then begin
-      let hop = Tables.next_hop h.h_tables ~at ~label:dest_label in
-      (* All_levels rings always cover, and the minimal covering member is
-         never the current node short of arrival (Hier_labeled.walk). *)
-      assert (hop >= 0 && hop <> at);
-      mv.step hop;
-      loop ()
-    end
-  in
-  loop ()
+  mv.phase Trace.Net_phase (fun () -> hier_descent h mv ~dest ~dest_label)
 
 (* Line 7 of Algorithm 5, over the precomputed radius table. *)
 let matching_scale s u i =
@@ -231,34 +249,38 @@ let sfl_fallback s (mv : Walker.mover) ~dest_label =
         ~hub:(fun ~src ~level -> nd.nd_hub.((src * (nd.nd_top + 1)) + level))
         mv ~dest_label)
 
+(* Lines 1-6 of Algorithm 5: greedy ring descent over the compiled ring
+   arena. *)
+let rec sfl_ring_phase s (mv : Walker.mover) ~dest ~dest_label prev_level =
+  let at = mv.position () in
+  if at = dest then `Arrived
+  else
+    let e = Tables.cover s.s_tables ~at ~label:dest_label in
+    if e < 0 then `Fallback
+    else
+      let i = Tables.entry_level s.s_tables e in
+      if i = 0 then begin
+        (* level-0 range is a singleton: the member is the destination *)
+        mv.path (Tables.entry_member s.s_tables e);
+        `Arrived
+      end
+      else
+        let two_i = Float.pow 2.0 (float_of_int i) in
+        let threshold = (two_i /. 2.0 /. s.s_eps_eff) -. two_i in
+        if i <= prev_level && Tables.entry_dist s.s_tables e >= threshold
+        then begin
+          mv.step (Tables.entry_hop s.s_tables e);
+          sfl_ring_phase s mv ~dest ~dest_label i
+        end
+        else `Exit i
+
 let drive_sfl s (mv : Walker.mover) ~dest_label =
   let n = Array.length s.s_label in
   let dest = s.s_node_of.(dest_label) in
-  (* Lines 1-6: greedy ring descent over the compiled ring arena. *)
-  let rec ring_phase prev_level =
-    let at = mv.position () in
-    if at = dest then `Arrived
-    else
-      let e = Tables.cover s.s_tables ~at ~label:dest_label in
-      if e < 0 then `Fallback
-      else
-        let i = Tables.entry_level s.s_tables e in
-        if i = 0 then begin
-          (* level-0 range is a singleton: the member is the destination *)
-          mv.path (Tables.entry_member s.s_tables e);
-          `Arrived
-        end
-        else
-          let two_i = Float.pow 2.0 (float_of_int i) in
-          let threshold = (two_i /. 2.0 /. s.s_eps_eff) -. two_i in
-          if i <= prev_level && Tables.entry_dist s.s_tables e >= threshold
-          then begin
-            mv.step (Tables.entry_hop s.s_tables e);
-            ring_phase i
-          end
-          else `Exit i
-  in
-  match mv.phase Trace.Net_phase (fun () -> ring_phase max_int) with
+  match
+    mv.phase Trace.Net_phase (fun () ->
+        sfl_ring_phase s mv ~dest ~dest_label max_int)
+  with
   | `Arrived -> ()
   | `Fallback -> sfl_fallback s mv ~dest_label
   | `Exit i_t ->
@@ -279,9 +301,7 @@ let drive_sfl s (mv : Walker.mover) ~dest_label =
     let st = Scale_free_labeled.scale_search s.s_scheme ~scale:j ~center:c in
     (match
        mv.phase Trace.Search_tree_phase (fun () ->
-           let result = Search_tree.search st ~key:dest_label in
-           Search_tree.pay result.legs ~jump:mv.jump ~goto:mv.path;
-           result.data)
+           Search_tree.walk st ~key:dest_label ~jump:mv.jump ~goto:mv.path)
      with
     | Some local_label ->
       (* Line 10: tree-route from c to the destination. *)
@@ -350,8 +370,9 @@ let route ?(cost = Cost.null) ?(live = Live.null) t ~src ~dst =
   check_endpoint t "src" src;
   check_endpoint t "dst" dst;
   let c =
-    { adj = t.adj; cmetric = t.metric; pos = src; total = 0.0; steps = 0;
-      budget = t.budget; cur_phase = Trace.Unphased; acct = cost; lv = live }
+    { adj = t.adj; wgt = Flat.weights t.adj; cmetric = t.metric; pos = src;
+      total = { sum = 0.0 }; steps = 0; budget = t.budget;
+      cur_phase = Trace.Unphased; acct = cost; lv = live }
   in
   if Live.enabled live then Live.tick live;
   drive t (cursor_mover c) ~dst;
@@ -360,14 +381,18 @@ let route ?(cost = Cost.null) ?(live = Live.null) t ~src ~dst =
   if Live.enabled live then
     Live.record live ~src ~dst ~status:Live.Delivered
       ~dist:(Metric.dist t.metric src dst)
-      ~cost:c.total ~hops:c.steps;
-  { Scheme.cost = c.total; hops = c.steps }
+      ~cost:c.total.sum ~hops:c.steps;
+  { Scheme.cost = c.total.sum; hops = c.steps }
 
 let first_move t ~src ~dst =
   match drive t (probe_mover t.metric src) ~dst with
   | () ->
     (* a route between distinct endpoints always moves *)
-    assert false
+    invalid_arg
+      (Printf.sprintf
+         "Cr_serve.Engine.next_hop: %s route from node %d to node %d did \
+          not move"
+         t.kind src dst)
   | exception First_move v -> v
 
 (* Flat engines answer from compiled arrays without allocating; the

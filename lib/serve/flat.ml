@@ -40,9 +40,11 @@ let rec find t v lo hi =
     let x = t.nbr.(mid) in
     if x = v then mid else if x < v then find t v (mid + 1) hi else find t v lo (mid - 1)
 
-let weight_exn t u v =
+let edge_exn t u v =
   let s = find t v t.off.(u) (t.off.(u + 1) - 1) in
-  if s < 0 then invalid_arg "Flat.weight_exn: not a neighbor" else t.wgt.(s)
+  if s < 0 then invalid_arg "Flat.edge_exn: not a neighbor" else s
+
+let weights t = t.wgt
 
 let words t =
   Array.length t.off + Array.length t.nbr + Array.length t.wgt

@@ -15,10 +15,17 @@ val n : t -> int
 (** [degree t u] is the number of neighbors of [u]. *)
 val degree : t -> int -> int
 
-(** [weight_exn t u v] is the weight of edge (u, v). Raises
+(** [edge_exn t u v] is the index of edge (u, v) in the arena. Raises
     [Invalid_argument] if [v] is not a neighbor of [u] — the same contract
     as [Walker.step] on a non-edge. Allocation-free. *)
-val weight_exn : t -> int -> int -> float
+val edge_exn : t -> int -> int -> int
+
+(** [weights t] is the arena's weight array, aligned with [edge_exn]'s
+    indices; callers only read it. Reading a weight out of it in the
+    caller's own code keeps the float unboxed, which a float returned
+    across a module boundary is not where cross-module inlining is off
+    (dune's dev profile compiles [-opaque]). *)
+val weights : t -> float array
 
 (** [words t] is the arena size in machine words (array payloads only) —
     the footprint accounting the serving report uses. *)

@@ -21,7 +21,7 @@ let summarize samples =
       samples
   in
   let arr = Array.of_list stretches in
-  Array.sort compare arr;
+  Array.sort Float.compare arr;
   let count = Array.length arr in
   (* Standard nearest-rank percentile: rank = ceil(p * count), 1-indexed.
      The previous floor-based index aliased p99 to max on small samples. *)

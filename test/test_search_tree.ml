@@ -3,7 +3,6 @@
 open Helpers
 module Metric = Cr_metric.Metric
 module Search_tree = Cr_search.Search_tree
-module Tree = Cr_tree.Tree
 
 let ball_members m ~center ~radius = Metric.ball m ~center ~radius
 
@@ -215,6 +214,112 @@ let prop_search_cost_bounded =
           cost <= 2.0 *. 1.6 *. radius +. 1e-9)
         members)
 
+(* The fused walk against the leg list it replaces: the same jump/goto
+   calls in the same order, and the same data. *)
+type move = Jump of int * float | Goto of int
+
+let recorder () =
+  let moves = ref [] in
+  ( (fun v w -> moves := Jump (v, w) :: !moves),
+    (fun v -> moves := Goto v :: !moves),
+    fun () -> List.rev !moves )
+
+let walk_matches_search st ~key =
+  let jump, goto, walked = recorder () in
+  let data = Search_tree.walk st ~key ~jump ~goto in
+  let jump', goto', paid = recorder () in
+  let r = Search_tree.search st ~key in
+  Search_tree.pay r.Search_tree.legs ~jump:jump' ~goto:goto';
+  data = r.Search_tree.data && walked () = paid ()
+
+let gen_walk =
+  QCheck2.Gen.(
+    let* params = gen_params in
+    let* cap = opt (int_range 1 2) in
+    let* ops = list_size (int_range 0 12) (pair bool (int_range 0 120)) in
+    return (params, cap, ops))
+
+let prop_walk_is_paid_search =
+  qcheck_case ~count:40
+    "search tree: walk pays exactly the legs of search (Def 3.2 and 4.2)"
+    gen_walk
+    (fun ((n, seed, center_pick, radius), level_cap, ops) ->
+      let m = Metric.of_graph (Cr_graphgen.Geometric.knn ~n ~k:3 ~seed) in
+      let center = center_pick mod n in
+      (* a wide ball, so a level cap of 1 or 2 leaves chained leftovers *)
+      let radius = 2.0 *. radius in
+      let members = Metric.ball m ~center ~radius in
+      let pairs = List.map (fun v -> (2 * v, v)) members in
+      let st =
+        Search_tree.build m ~epsilon:0.4 ~center ~radius ~members ~level_cap
+          ~pairs ~universe:(4 * n)
+      in
+      (* odd keys are absent until inserted; even ones present until
+         removed *)
+      List.iter
+        (fun (ins, key) ->
+          if ins then
+            (try ignore (Search_tree.insert st ~key ~data:(-key))
+             with Invalid_argument _ -> ())
+          else ignore (Search_tree.remove st ~key))
+        ops;
+      List.for_all
+        (fun key -> walk_matches_search st ~key)
+        (List.init ((2 * n) + 4) (fun k -> k - 2)))
+
+(* The same on a fixed Definition 4.2 tree that certainly has chains,
+   before and after dynamic changes. *)
+let test_walk_on_chained_tree () =
+  let m = grid8 () in
+  let center = 27 and radius = 8.0 in
+  let members = ball_members m ~center ~radius in
+  let st =
+    Search_tree.build m ~epsilon:0.5 ~center ~radius ~members
+      ~level_cap:(Some 1)
+      ~pairs:(List.map (fun v -> (2 * v, v)) members)
+      ~universe:256
+  in
+  check_bool "has chain edges" true
+    (List.exists (fun v -> Search_tree.is_chained st v) members);
+  let all_keys = List.init 140 (fun k -> k - 2) in
+  let check what =
+    List.iter
+      (fun key ->
+        check_bool
+          (Printf.sprintf "%s: key %d" what key)
+          true
+          (walk_matches_search st ~key))
+      all_keys
+  in
+  check "as built";
+  List.iter
+    (fun v -> ignore (Search_tree.insert st ~key:((2 * v) + 1) ~data:v))
+    members;
+  List.iter (fun v -> ignore (Search_tree.remove st ~key:(2 * v))) members;
+  check "after insert/remove"
+
+let test_non_member_errors () =
+  let m = grid6 () in
+  let st = build_plain m ~center:14 ~radius:2.0 ~pairs:[ (3, 33) ] in
+  let outside =
+    List.find
+      (fun v -> not (List.mem v (Search_tree.members st)))
+      (List.init (Metric.n m) Fun.id)
+  in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.check_raises what
+        (Invalid_argument
+           (Printf.sprintf
+              "Search_tree.%s: node %d is not a member of the tree centred at \
+               14"
+              what outside))
+        (fun () -> f st outside))
+    [ ("load", fun st v -> ignore (Search_tree.load st v));
+      ("table_bits", fun st v -> ignore (Search_tree.table_bits st v));
+      ("parent", fun st v -> ignore (Search_tree.parent st v)) ];
+  check_bool "the center has no parent" true (Search_tree.parent st 14 = None)
+
 let suite =
   [ Alcotest.test_case "spans ball" `Quick test_spans_ball;
     Alcotest.test_case "height bound (Eqn 3)" `Quick test_height_bound;
@@ -233,4 +338,9 @@ let suite =
     Alcotest.test_case "degenerate small ball" `Quick
       test_small_ball_degenerate;
     prop_search_total;
-    prop_search_cost_bounded ]
+    prop_search_cost_bounded;
+    prop_walk_is_paid_search;
+    Alcotest.test_case "walk = paid search on a chained tree" `Quick
+      test_walk_on_chained_tree;
+    Alcotest.test_case "non-members are typed errors" `Quick
+      test_non_member_errors ]

@@ -264,6 +264,82 @@ let test_codec_idempotence () =
       done)
     [ ("all-levels", Hier_labeled.rings fx.hl); ("selected", Sfl.rings fx.sfl) ]
 
+(* The linear scan the piece index replaced, as the reference: the
+   first level in stored order with a range covering [label]. *)
+let scan_cover levels ~label =
+  List.find_map
+    (fun (l : Table_codec.ring_level) ->
+      List.find_map
+        (fun (e : Table_codec.ring_entry) ->
+          if e.range_lo <= label && label <= e.range_hi then
+            Some (l.level, e.member, e.next_hop)
+          else None)
+        l.entries)
+    levels
+
+let cover_of tables ~at ~label =
+  let e = Tables.cover tables ~at ~label in
+  if e < 0 then None
+  else
+    Some
+      ( Tables.entry_level tables e,
+        Tables.entry_member tables e,
+        Tables.entry_hop tables e )
+
+(* Seeded geo, grid, holey, ring and exponential-chain graphs. *)
+let cover_family_gen =
+  QCheck2.Gen.(
+    let* kind = int_range 0 4 in
+    let* seed = int_range 0 10_000 in
+    return (kind, seed))
+
+let cover_family_graph (kind, seed) =
+  match kind with
+  | 3 -> Cr_graphgen.Path_like.ring ~n:(6 + (seed mod 27))
+  | 4 -> Cr_graphgen.Path_like.exponential_chain ~n:(4 + (seed mod 11)) ~base:2.0
+  | _ -> family_graph (kind, seed)
+
+(* [Tables.cover] answers exactly what the scan answers, for every node
+   and every label, including -1 and n, which no level covers. *)
+let prop_cover_is_scan =
+  qcheck_case ~count:40 "piece-index cover = linear scan (hier and sfl rings)"
+    cover_family_gen (fun params ->
+      let m = Metric.of_graph (cover_family_graph params) in
+      let n = Metric.n m in
+      let nt = Netting_tree.build (Hierarchy.build m) in
+      let level_count = Hierarchy.top_level (Netting_tree.hierarchy nt) + 1 in
+      List.for_all
+        (fun mode ->
+          let rings = Rings.build nt ~epsilon:0.5 ~mode in
+          let levels_of v = Scheme_codec.ring_levels_of rings v in
+          let tables = Tables.compile m ~level_count ~levels_of in
+          List.for_all
+            (fun at ->
+              let levels = levels_of at in
+              List.for_all
+                (fun label ->
+                  cover_of tables ~at ~label = scan_cover levels ~label)
+                (List.init (n + 2) (fun l -> l - 1)))
+            (List.init n Fun.id))
+        [ Rings.All_levels; Rings.Selected ])
+
+(* Two ranges of one level that overlap have no unique minimal cover:
+   compile names the node and the level. *)
+let test_compile_rejects_overlap () =
+  let m = grid6 () in
+  let entry member lo hi =
+    { Table_codec.member; range_lo = lo; range_hi = hi; next_hop = member }
+  in
+  let levels_of v =
+    if v = 4 then
+      [ { Table_codec.level = 0; entries = [ entry 4 4 4 ] };
+        { Table_codec.level = 2; entries = [ entry 5 0 3; entry 10 3 6 ] } ]
+    else []
+  in
+  Alcotest.check_raises "overlapping level-2 ranges at node 4"
+    (Invalid_argument "Tables.compile: node 4 has overlapping ranges at level 2")
+    (fun () -> ignore (Tables.compile m ~level_count:4 ~levels_of))
+
 (* The zero-allocation regression gate: 10k lookups on the flat engines
    allocate nothing on the minor heap. (The per-route engines probe a
    driver and are exempt — E20 gates only the flat ones.) *)
@@ -293,6 +369,94 @@ let test_zero_alloc_lookups () =
         (Printf.sprintf "%s: minor words allocated over 10k lookups" sname)
         0.0 (after -. before))
     [ ("hier", fx.e_hier); ("full", fx.e_full); ("landmark", fx.e_lm) ]
+
+(* A served hier route allocates nothing per hop: a warmed route costs
+   the same minor words whatever its length. *)
+let route_words eng ~src ~dst =
+  ignore (Engine.route eng ~src ~dst);
+  let before = Gc.minor_words () in
+  let o = Engine.route eng ~src ~dst in
+  let after = Gc.minor_words () in
+  (o.Scheme.hops, after -. before)
+
+let test_hier_route_alloc_flat () =
+  let fx = fx_geo () in
+  let n = Metric.n fx.m in
+  let by_hops =
+    List.filter_map
+      (fun (src, dst) ->
+        let hops, words = route_words fx.e_hier ~src ~dst in
+        if hops > 0 then Some (hops, words) else None)
+      (Workload.all_pairs n)
+  in
+  let short_hops, short_words =
+    List.fold_left
+      (fun (h, w) (h', w') -> if h' < h then (h', w') else (h, w))
+      (max_int, 0.0) by_hops
+  in
+  let long_hops, long_words =
+    List.fold_left
+      (fun (h, w) (h', w') -> if h' > h then (h', w') else (h, w))
+      (0, 0.0) by_hops
+  in
+  check_bool
+    (Printf.sprintf "a route of %d hops is 3x one of %d" long_hops short_hops)
+    true
+    (long_hops >= 3 * short_hops);
+  check_float
+    (Printf.sprintf "minor words: %d-hop route = %d-hop route" long_hops
+       short_hops)
+    short_words long_words
+
+(* Minor words per warmed served route of the name-independent engines
+   on geo-48, over 200 sampled pairs. Before these routes stopped
+   allocating per hop and per search leg, the same measurement read 988
+   (simple-ni) and 984 (sf-ni) words per route in the dev profile; each
+   must now take at most half. *)
+let words_per_route eng pairs =
+  Array.iter (fun (src, dst) -> ignore (Engine.route eng ~src ~dst)) pairs;
+  let before = Gc.minor_words () in
+  Array.iter (fun (src, dst) -> ignore (Engine.route eng ~src ~dst)) pairs;
+  let after = Gc.minor_words () in
+  (after -. before) /. float_of_int (Array.length pairs)
+
+let test_ni_route_alloc_halved () =
+  let fx = fx_geo () in
+  let pairs =
+    Array.of_list (Workload.sample_pairs ~n:(Metric.n fx.m) ~count:200 ~seed:5)
+  in
+  List.iter
+    (fun (sname, eng, before) ->
+      let words = words_per_route eng pairs in
+      check_bool
+        (Printf.sprintf "%s: %.1f words per route <= %.1f / 2" sname words
+           before)
+        true
+        (words <= before /. 2.0))
+    [ ("simple-ni", fx.e_sni, 988.3); ("sf-ni", fx.e_sfni, 984.2) ]
+
+(* A (level, node) with no search site raises a typed error naming
+   both, through either scheme's lookup. *)
+let test_missing_site_named () =
+  let fx = fx_geo () in
+  let h = Netting_tree.hierarchy (Hier_labeled.netting_tree fx.hl) in
+  let check sname (lookup : Cr_core.Ni_route.t) =
+    let level = lookup.Cr_core.Ni_route.top_level in
+    let top_net = Hierarchy.net h level in
+    let hub =
+      List.find
+        (fun v -> not (List.mem v top_net))
+        (List.init (Metric.n fx.m) Fun.id)
+    in
+    Alcotest.check_raises
+      (sname ^ ": missing site")
+      (Invalid_argument
+         (Printf.sprintf "%s: no search site at level %d, node %d" sname level
+            hub))
+      (fun () -> ignore (lookup.Cr_core.Ni_route.site ~level ~hub))
+  in
+  check "Simple_ni" (Simple_ni.lookup fx.sni);
+  check "Scale_free_ni" (Sfni.lookup fx.sfni)
 
 (* Served scheme names match the harness names, so report check rules
    classify served rows exactly like walked rows. *)
@@ -399,6 +563,15 @@ let suite =
         test_codec_idempotence;
       Alcotest.test_case "flat lookups allocate zero minor words" `Quick
         test_zero_alloc_lookups;
+      prop_cover_is_scan;
+      Alcotest.test_case "compile rejects overlapping ranges in a level" `Quick
+        test_compile_rejects_overlap;
+      Alcotest.test_case "hier route allocates nothing per hop" `Quick
+        test_hier_route_alloc_flat;
+      Alcotest.test_case "name-independent routes allocate half" `Quick
+        test_ni_route_alloc_halved;
+      Alcotest.test_case "missing search site is a typed error" `Quick
+        test_missing_site_named;
       Alcotest.test_case "served scheme names match harness names" `Quick
         test_scheme_names;
       Alcotest.test_case "Cost ledgers identical walker vs served" `Quick

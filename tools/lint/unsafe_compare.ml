@@ -5,9 +5,11 @@
    structural comparison. In lib/core, lib/metric and the structures
    built on their orders (lib/packing, lib/nets, lib/search_tree,
    lib/tree_routing, and lib/scale, whose truncated Dijkstra carries the
-   same tie-break contract), and in lib/proto and lib/codec (the
-   simulator's delivery order and E19's measured bits rest on float
-   tie-breaks there) this rule forbids
+   same tie-break contract), in lib/proto and lib/codec (the simulator's
+   delivery order and E19's measured bits rest on float tie-breaks
+   there), and in lib/serve and lib/sim (served costs must equal walked
+   costs bit for bit, and the stretch statistics sort float samples)
+   this rule forbids
 
    - the bare polymorphic [compare] in any position (sorts included):
      spell out [Float.compare] / [Int.compare] / a keyed comparator;
@@ -144,12 +146,13 @@ let rule =
     doc =
       "no polymorphic compare/(=) on float distance values in lib/core, \
        lib/metric, lib/packing, lib/nets, lib/search_tree, \
-       lib/tree_routing, lib/scale, lib/proto and lib/codec";
+       lib/tree_routing, lib/scale, lib/proto, lib/codec, lib/serve and \
+       lib/sim";
     applies =
       (fun rel ->
         Rule.under
           [ "lib/core"; "lib/metric"; "lib/packing"; "lib/nets";
             "lib/search_tree"; "lib/tree_routing"; "lib/scale"; "lib/proto";
-            "lib/codec" ]
+            "lib/codec"; "lib/serve"; "lib/sim" ]
           rel);
     check }

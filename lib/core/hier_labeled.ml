@@ -32,23 +32,39 @@ let label t v = Netting_tree.label t.nt v
 let rings t = t.rings
 let netting_tree t = t.nt
 
+(* Lemma 3.1's forwarding rule: step toward the minimal covering ring
+   member until the packet arrives. *)
+let rec descend ~next_hop ~dest (mv : Walker.mover) ~dest_label =
+  let at = mv.position () in
+  if at <> dest then begin
+    let hop = next_hop ~at ~label:dest_label in
+    if hop < 0 || hop = at then
+      invalid_arg
+        (Printf.sprintf
+           "Hier_labeled.route_over: node %d has no next hop for label %d" at
+           dest_label);
+    mv.step hop;
+    descend ~next_hop ~dest mv ~dest_label
+  end
+
+let route_over ~next_hop ~dest (mv : Walker.mover) ~dest_label =
+  mv.phase Trace.Net_phase (fun () -> descend ~next_hop ~dest mv ~dest_label)
+
+(* The top-level ring always covers every label (the root's range is all of
+   [0, n)), and the covering member is never the current node short of
+   arrival: at a positive level the next level down would also cover (the
+   zooming step is within the ring radius), contradicting minimality; at
+   level 0 it would mean we already arrived. *)
+let next_hop t ~at ~label =
+  match Rings.minimal_cover_level t.rings ~at ~label with
+  | None -> -1
+  | Some (_, x) ->
+    if x = at then at else Metric.next_hop t.metric ~src:at ~dst:x
+
 let walk t w ~dest_label =
-  Walker.with_phase w Trace.Net_phase @@ fun () ->
-  let dest = Netting_tree.node_of_label t.nt dest_label in
-  while Walker.position w <> dest do
-    let at = Walker.position w in
-    match Rings.minimal_cover_level t.rings ~at ~label:dest_label with
-    | None ->
-      (* The top-level ring always covers every label (the root's range is
-         all of [0, n)), so this is unreachable. *)
-      assert false
-    | Some (_, x) ->
-      (* x <> at: if the covering ring member were the current node at a
-         positive level, the next level down would also cover (the zooming
-         step is within the ring radius), contradicting minimality; at
-         level 0 it would mean we already arrived. *)
-      Walker.step w (Metric.next_hop t.metric ~src:at ~dst:x)
-  done
+  route_over ~next_hop:(next_hop t)
+    ~dest:(Netting_tree.node_of_label t.nt dest_label)
+    (Walker.mover w) ~dest_label
 
 let label_bits t = Bits.id_bits (Metric.n t.metric)
 

@@ -12,7 +12,8 @@
     The loop moves its packet through a {!Cr_sim.Walker.mover}, so the
     schemes' walks and the serving engine run this same code: the schemes
     bind it to a walker and their own tables, the engine to its cursor,
-    compiled hub rows and compiled underlying driver. *)
+    compiled hub rows and compiled underlying driver, and
+    [Cr_location.Directory] to its dynamic directory trees. *)
 
 (** Where a level's search happens (Algorithm 4). *)
 type site =
@@ -67,6 +68,15 @@ type level_report = {
 val walk :
   ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.mover ->
   travel:(int -> unit) -> dest_name:int -> unit
+
+(** [run ?observe t mv ~travel ~failovers ~dest_name] is the loop itself,
+    as [walk] runs it: it returns whether some level up to the top found
+    the name (false leaves the packet where the top-level search ended),
+    adds each failover taken to [failovers], and lets
+    {!Cr_sim.Walker.Hop_budget_exhausted} escape. *)
+val run :
+  ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.mover ->
+  travel:(int -> unit) -> failovers:int ref -> dest_name:int -> bool
 
 (** [walk_degraded t mv ~travel ~dest_name] is [walk] returning the route
     status and the number of failovers instead of raising: [Delivered]

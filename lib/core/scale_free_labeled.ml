@@ -13,23 +13,37 @@ module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
 module Trace = Cr_obs.Trace
 
-type level_info = {
-  voronoi : Voronoi.t;
-  routers : (int, Interval_routing.t) Hashtbl.t;  (* center -> T_c(j) *)
-  search : (int, Search_tree.t) Hashtbl.t;  (* center -> T'(c, r_c(j)) *)
+type ring_view = {
+  cover : at:int -> label:int -> int;
+  level : int -> int;
+  member : int -> int;
+  hop : at:int -> int -> int;
+  far : at:int -> int -> bool;
 }
 
-type t = {
+type router = {
+  ring : ring_view;
+  far_bound : float array;  (* level i -> (2^i / 2 / eps) - 2^i *)
+  n : int;
+  scales : int;
+  radii : float array;  (* u * scales + j -> r_u(2^j) *)
+  owner : int array;  (* j * n + v -> v's Voronoi center *)
+  parent : int array;  (* j * n + v -> v's parent in T_c(j) *)
+  search : (int, Search_tree.t) Hashtbl.t array;  (* c -> T'(c, r_c(j)) *)
+  cell_routers : (int, Interval_routing.t) Hashtbl.t array;  (* c -> T_c(j) *)
   nt : Netting_tree.t;
-  metric : Metric.t;
-  rings : Rings.t;
-  levels_j : level_info array;
-  trees_of : Search_tree.t list array;  (* search trees containing a node *)
-  path_bits : int array;  (* Lemma 4.3 next-hop storage charged per node *)
-  zoom : Zoom.t;  (* zooming sequences for the netting-descent fallback *)
+  hubs : int array;  (* v * (top + 1) + i -> v(i), for the fallback *)
   fallbacks : int Atomic.t;
       (* atomic: routes (and hence fallbacks) may run on several domains
          during parallel workload evaluation *)
+}
+
+type t = {
+  metric : Metric.t;
+  rings : Rings.t;
+  router : router;
+  trees_of : Search_tree.t list array;  (* search trees containing a node *)
+  path_bits : int array;  (* Lemma 4.3 next-hop storage charged per node *)
 }
 
 let cell_tree m voronoi center =
@@ -61,23 +75,36 @@ let charge_paths m st path_bits =
     (Search_tree.members st)
 
 let table_bits t v =
-  let n = Metric.n t.metric in
-  let per_j =
-    Array.fold_left
-      (fun acc lv ->
-        let c = Voronoi.owner lv.voronoi v in
-        let router = Hashtbl.find lv.routers c in
-        acc + Bits.id_bits n (* center's local label l(c; c, j) *)
-        + Bits.id_bits n (* parent pointer in T_c(j) *)
-        + Interval_routing.table_bits router v)
-      0 t.levels_j
-  in
+  let r = t.router in
+  let n = r.n in
+  let per_j = ref 0 in
+  for j = 0 to r.scales - 1 do
+    let router = Hashtbl.find r.cell_routers.(j) r.owner.((j * n) + v) in
+    per_j :=
+      !per_j + Bits.id_bits n (* center's local label l(c; c, j) *)
+      + Bits.id_bits n (* parent pointer in T_c(j) *)
+      + Interval_routing.table_bits router v
+  done;
   let search_bits =
     List.fold_left
       (fun acc st -> acc + Search_tree.table_bits st v)
       0 t.trees_of.(v)
   in
-  Rings.table_bits t.rings v + per_j + search_bits + t.path_bits.(v)
+  Rings.table_bits t.rings v + !per_j + search_bits + t.path_bits.(v)
+
+(* The scheme's own ring view: an entry is [level * n + member], the
+   minimal covering level and its witness in [Rings]. *)
+let rings_view m rings ~far_bound =
+  let n = Metric.n m in
+  let level e = e / n and member e = e mod n in
+  { cover =
+      (fun ~at ~label ->
+        match Rings.minimal_cover_level rings ~at ~label with
+        | None -> -1
+        | Some (i, x) -> (i * n) + x);
+    level; member;
+    hop = (fun ~at e -> Metric.next_hop m ~src:at ~dst:(member e));
+    far = (fun ~at e -> Metric.dist m at (member e) >= far_bound.(level e)) }
 
 let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
   let ctx = Trace.resolve obs in
@@ -94,7 +121,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
   let trees_of = Array.make n [] in
   let path_bits = Array.make n 0 in
   let packings = Ball_packing.build_all m in
-  let levels_j =
+  let levels =
     Cr_par.Pool.stage ctx pool "scale_free_labeled.packings" @@ fun () ->
     Array.map
       (fun packing ->
@@ -144,52 +171,72 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
               (Search_tree.members st);
             charge_paths m st path_bits)
           built;
-        { voronoi; routers; search })
+        (voronoi, routers, search))
       packings
   in
-  let t =
-    { nt; metric = m; rings; levels_j; trees_of; path_bits;
-      zoom = Zoom.build h; fallbacks = Atomic.make 0 }
+  let scales = Array.length levels in
+  (* j * n + v -> [f] of scale j's Voronoi partition at v *)
+  let per_scale f =
+    Array.init (scales * n) (fun k ->
+        let voronoi, _, _ = levels.(k / n) in
+        f voronoi (k mod n))
   in
+  let top = Hierarchy.top_level h in
+  let far_bound =
+    Array.init (top + 1) (fun i ->
+        let two_i = Float.pow 2.0 (float_of_int i) in
+        (two_i /. 2.0 /. eps_eff) -. two_i)
+  in
+  let zoom = Zoom.build h in
+  let router =
+    { ring = rings_view m rings ~far_bound; far_bound; n; scales;
+      radii =
+        Array.init (n * scales) (fun k ->
+            Metric.radius_of_size m (k / scales) (1 lsl (k mod scales)));
+      owner = per_scale Voronoi.owner; parent = per_scale Voronoi.parent;
+      search = Array.map (fun (_, _, search) -> search) levels;
+      cell_routers = Array.map (fun (_, routers, _) -> routers) levels;
+      nt;
+      hubs =
+        Array.init (n * (top + 1)) (fun k ->
+            Zoom.step zoom (k / (top + 1)) (k mod (top + 1)));
+      fallbacks = Atomic.make 0 }
+  in
+  let t = { metric = m; rings; router; trees_of; path_bits } in
   if Trace.enabled ctx then begin
     Trace.counter ctx "scale_free_labeled.packing_scales"
-      (float_of_int (Array.length levels_j));
+      (float_of_int scales);
     Trace.counter ctx "scale_free_labeled.search_trees"
       (float_of_int
-         (Array.fold_left
-            (fun acc lv -> acc + Hashtbl.length lv.search)
-            0 levels_j));
+         (Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0
+            router.search));
     Scheme.table_counters ctx "scale_free_labeled" (table_bits t) n
   end;
   t
 
-let label t v = Netting_tree.label t.nt v
+let label t v = Netting_tree.label t.router.nt v
 
 let rings t = t.rings
-let netting_tree t = t.nt
-let packing_scales t = Array.length t.levels_j
-let scale_voronoi t ~scale = t.levels_j.(scale).voronoi
-let scale_router t ~scale ~center = Hashtbl.find t.levels_j.(scale).routers center
-let scale_search t ~scale ~center = Hashtbl.find t.levels_j.(scale).search center
-
-let top_j t = Array.length t.levels_j - 1
+let netting_tree t = t.router.nt
+let router t = t.router
 
 (* Line 7 of Algorithm 5: the scale j with r_u(j) <= 2^i < r_u(j+1). *)
-let matching_scale t u i =
+let matching_scale r u i =
   let two_i = Float.pow 2.0 (float_of_int i) in
   let rec go j =
     if j = 0 then 0
-    else if Metric.radius_of_size t.metric u (1 lsl j) <= two_i then j
+    else if r.radii.((u * r.scales) + j) <= two_i then j
     else go (j - 1)
   in
-  go (top_j t)
+  go (r.scales - 1)
 
-let fallback t w ~dest_label =
-  Atomic.incr t.fallbacks;
-  Walker.with_phase w Trace.Fallback (fun () ->
-      Netting_descent.walk t.nt
-        ~hub:(fun ~src ~level -> Zoom.step t.zoom src level)
-        (Walker.mover w) ~dest_label)
+let fallback r (mv : Walker.mover) ~dest_label =
+  Atomic.incr r.fallbacks;
+  let width = Array.length r.hubs / r.n in
+  mv.phase Trace.Fallback (fun () ->
+      Netting_descent.walk r.nt
+        ~hub:(fun ~src ~level -> r.hubs.((src * width) + level))
+        mv ~dest_label)
 
 type phase_report = {
   exit_level : int;  (* i_t; -1 when the ring phase delivered directly *)
@@ -200,96 +247,111 @@ type phase_report = {
   tree_cost : float;
 }
 
-let walk ?(observe = fun (_ : phase_report) -> ()) t w ~dest_label =
-  let start_cost = Walker.cost w in
-  let dest = Netting_tree.node_of_label t.nt dest_label in
-  let eps_eff = Rings.effective_epsilon t.rings in
-  (* Lines 1-6: greedy ring descent. *)
-  let rec ring_phase prev_level =
-    let at = Walker.position w in
-    if at = dest then None
-    else
-      match Rings.minimal_cover_level t.rings ~at ~label:dest_label with
-      | None -> Some None  (* no covering ring: fallback *)
-      | Some (0, x) ->
-        (* A level-0 range is a singleton, so x is the destination itself:
-           finish along the shortest path. (At i_t = 0 the paper's Claim 4.6
-           premise "i_t - 1 not in R(u_t)" is vacuous and the packing phase
-           may genuinely miss, e.g. at Voronoi tie boundaries; walking the
-           remaining <= 2^0/eps distance directly realizes the d(u_t, v)
-           term of Eqn 19 exactly.) *)
-        Walker.walk_shortest_path w x;
-        None
-      | Some (i, x) ->
-        let two_i = Float.pow 2.0 (float_of_int i) in
-        let threshold = (two_i /. 2.0 /. eps_eff) -. two_i in
-        if i <= prev_level && Metric.dist t.metric at x >= threshold then begin
-          Walker.step w (Metric.next_hop t.metric ~src:at ~dst:x);
-          ring_phase i
-        end
-        else Some (Some i)
-  in
-  match
-    Walker.with_phase w Trace.Net_phase (fun () -> ring_phase max_int)
-  with
-  | None ->
-    (* arrived during the ring phase *)
-    observe
-      { exit_level = -1; scale = -1; ring_cost = Walker.cost w -. start_cost;
-        climb_cost = 0.0; search_cost = 0.0; tree_cost = 0.0 }
-  | Some None -> fallback t w ~dest_label
-  | Some (Some i_t) ->
-    let ring_cost = Walker.cost w -. start_cost in
-    let u_t = Walker.position w in
-    let j = matching_scale t u_t i_t in
-    let lv = t.levels_j.(j) in
-    let c = Voronoi.owner lv.voronoi u_t in
-    (* Line 8: climb T_c(j) to its root c along graph edges. *)
-    let rec climb () =
-      let at = Walker.position w in
-      if at <> c then begin
-        Walker.step w (Voronoi.parent lv.voronoi at);
-        climb ()
-      end
-    in
-    Walker.with_phase w Trace.Voronoi_phase climb;
-    let climb_cost = Walker.cost w -. start_cost -. ring_cost in
-    (* Line 9: search tree II lookup of the local tree label. *)
-    let st = Hashtbl.find lv.search c in
-    (match
-       Walker.with_phase w Trace.Search_tree_phase (fun () ->
-           Search_tree.walk st ~key:dest_label
-             ~jump:(fun v c -> Walker.teleport w v ~cost:c)
-             ~goto:(Walker.walk_shortest_path w))
-     with
-    | Some local_label ->
-      let search_cost =
-        Walker.cost w -. start_cost -. ring_cost -. climb_cost
-      in
-      (* Line 10: tree-route from c to the destination. *)
-      let router = Hashtbl.find lv.routers c in
-      let path, _cost =
-        Interval_routing.route router ~src:c ~dest_label:local_label
-      in
-      Walker.with_phase w Trace.Voronoi_phase (fun () ->
-          match path with
-          | [] -> ()
-          | _ :: rest -> List.iter (fun v -> Walker.step w v) rest);
-      if Walker.position w <> dest then fallback t w ~dest_label
-      else
-        observe
-          { exit_level = i_t; scale = j; ring_cost; climb_cost; search_cost;
-            tree_cost =
-              Walker.cost w -. start_cost -. ring_cost -. climb_cost
-              -. search_cost }
-    | None -> fallback t w ~dest_label)
+(* The ring phase's outcomes besides an exit level i_t >= 1. *)
+let arrived = -1
+let uncovered = -2
 
-let fallback_count t = Atomic.get t.fallbacks
+(* Lines 1-6: greedy ring descent while the minimal covering level does
+   not grow and its member stays far. *)
+let rec ring_phase ring (mv : Walker.mover) ~dest ~dest_label prev_level =
+  let at = mv.position () in
+  if at = dest then arrived
+  else
+    let e = ring.cover ~at ~label:dest_label in
+    if e < 0 then uncovered
+    else
+      let i = ring.level e in
+      if i = 0 then begin
+        (* A level-0 range is a singleton, so the member is the destination
+           itself: finish along the shortest path. (At i_t = 0 the paper's
+           Claim 4.6 premise "i_t - 1 not in R(u_t)" is vacuous and the
+           packing phase may genuinely miss, e.g. at Voronoi tie
+           boundaries; walking the remaining <= 2^0/eps distance directly
+           realizes the d(u_t, v) term of Eqn 19 exactly.) *)
+        mv.path (ring.member e);
+        arrived
+      end
+      else if i <= prev_level && ring.far ~at e then begin
+        mv.step (ring.hop ~at e);
+        ring_phase ring mv ~dest ~dest_label i
+      end
+      else i
+
+(* Line 8: climb T_c(j) to its root c along graph edges. *)
+let rec climb r (mv : Walker.mover) ~scale c =
+  let at = mv.position () in
+  if at <> c then begin
+    mv.step r.parent.((scale * r.n) + at);
+    climb r mv ~scale c
+  end
+
+let route_over ?observe r (mv : Walker.mover) ~dest ~dest_label =
+  (* the cost reads and the report happen only for an observer *)
+  let observed = Option.is_some observe in
+  let start = if observed then mv.cost () else 0.0 in
+  let i_t =
+    mv.phase Trace.Net_phase (fun () ->
+        ring_phase r.ring mv ~dest ~dest_label max_int)
+  in
+  if i_t = uncovered then fallback r mv ~dest_label
+  else
+    let ring_cost = if observed then mv.cost () -. start else 0.0 in
+    if i_t = arrived then
+      match observe with
+      | Some observe ->
+        observe
+          { exit_level = -1; scale = -1; ring_cost; climb_cost = 0.0;
+            search_cost = 0.0; tree_cost = 0.0 }
+      | None -> ()
+    else
+      let u_t = mv.position () in
+      let j = matching_scale r u_t i_t in
+      let c = r.owner.((j * r.n) + u_t) in
+      mv.phase Trace.Voronoi_phase (fun () -> climb r mv ~scale:j c);
+      let climb_cost =
+        if observed then mv.cost () -. start -. ring_cost else 0.0
+      in
+      (* Line 9: search tree II lookup of the local tree label. *)
+      let st = Hashtbl.find r.search.(j) c in
+      match
+        mv.phase Trace.Search_tree_phase (fun () ->
+            Search_tree.walk st ~key:dest_label ~jump:mv.jump ~goto:mv.path)
+      with
+      | None -> fallback r mv ~dest_label
+      | Some local_label -> (
+        let search_cost =
+          if observed then mv.cost () -. start -. ring_cost -. climb_cost
+          else 0.0
+        in
+        (* Line 10: tree-route from c to the destination. *)
+        let path, _cost =
+          Interval_routing.route (Hashtbl.find r.cell_routers.(j) c) ~src:c
+            ~dest_label:local_label
+        in
+        mv.phase Trace.Voronoi_phase (fun () ->
+            match path with [] -> () | _ :: rest -> List.iter mv.step rest);
+        if mv.position () <> dest then fallback r mv ~dest_label
+        else
+          match observe with
+          | Some observe ->
+            observe
+              { exit_level = i_t; scale = j; ring_cost; climb_cost;
+                search_cost;
+                tree_cost =
+                  mv.cost () -. start -. ring_cost -. climb_cost
+                  -. search_cost }
+          | None -> ())
+
+let walk ?observe t w ~dest_label =
+  route_over ?observe t.router (Walker.mover w)
+    ~dest:(Netting_tree.node_of_label t.router.nt dest_label) ~dest_label
+
+let fallback_count t = Atomic.get t.router.fallbacks
 
 let label_bits t = Bits.id_bits (Metric.n t.metric)
 
 let header_bits t =
-  let top = Hierarchy.top_level (Netting_tree.hierarchy t.nt) in
+  let top = Hierarchy.top_level (Netting_tree.hierarchy t.router.nt) in
   (* destination label, previous ring level, phase tag, and during the tree
      phase the local tree label *)
   (2 * label_bits t) + Bits.ceil_log2 (top + 2) + 2

@@ -37,28 +37,60 @@ val build :
     number). *)
 val label : t -> int -> int
 
-(** Structure accessors for the route-serving compiler ([Cr_serve]) and the
-    wire-format codec: the selected-mode rings, the netting tree, and the
-    per-packing-scale Voronoi partitions and per-cell directories. The
-    returned values are shared, immutable views of the scheme's own state —
-    a compiled engine making the same lookups is guaranteed the walker's
-    exact decisions. *)
+(** Structure accessors for the serving engine's table compiler and the
+    invariant checkers: the selected-mode rings and the netting tree. *)
 val rings : t -> Rings.t
 
 val netting_tree : t -> Cr_nets.Netting_tree.t
 
-(** [packing_scales t] is the number of packing scales j (indices
-    [0 .. packing_scales t - 1]). *)
-val packing_scales : t -> int
+(** {1 Algorithm 5, written once}
 
-val scale_voronoi : t -> scale:int -> Cr_packing.Voronoi.t
+    The scheme's walk and the serving engine run the same {!route_over}
+    over a {!router}: the scheme's reads its own rings; the engine's
+    shares the scheme's arrays and directories, with a view of the
+    compiled ring arena and a fallback counter of its own. *)
 
-(** [scale_router t ~scale ~center] / [scale_search t ~scale ~center] are
-    cell [center]'s interval router T_c(j) and search tree II. Raise
-    [Not_found] if [center] is not a packing center at [scale]. *)
-val scale_router : t -> scale:int -> center:int -> Cr_tree.Interval_routing.t
+(** One node's rings as Algorithm 5's ring phase reads them. An entry is an
+    int the view defines (the engine's arena index, the scheme's
+    [level * n + member]); no float, option or tuple crosses these
+    closures. *)
+type ring_view = {
+  cover : at:int -> label:int -> int;
+      (** the minimal-level entry at [at] whose range covers [label]; -1
+          if none *)
+  level : int -> int;  (** an entry's ring level *)
+  member : int -> int;  (** an entry's ring member *)
+  hop : at:int -> int -> int;
+      (** the next hop from [at] toward an entry's member *)
+  far : at:int -> int -> bool;
+      (** Line 4's test: d(at, member) >= [far_bound.(level)] *)
+}
 
-val scale_search : t -> scale:int -> center:int -> Cr_search.Search_tree.t
+(** Everything Algorithm 5 reads, built once per scheme and once per
+    engine. *)
+type router = {
+  ring : ring_view;
+  far_bound : float array;
+      (** level i -> (2^i / 2 / eps) - 2^i, Line 4's threshold; every ring
+          view's [far] reads this one array *)
+  n : int;
+  scales : int;  (** the packing scales j = 0 .. scales - 1 *)
+  radii : float array;  (** [u * scales + j] -> r_u(2^j) *)
+  owner : int array;  (** [j * n + v] -> v's Voronoi center c at scale j *)
+  parent : int array;  (** [j * n + v] -> v's parent in T_c(j) *)
+  search : (int, Cr_search.Search_tree.t) Hashtbl.t array;
+      (** per scale: center -> its search tree II *)
+  cell_routers : (int, Cr_tree.Interval_routing.t) Hashtbl.t array;
+      (** per scale: center -> its interval router for T_c(j) *)
+  nt : Cr_nets.Netting_tree.t;
+  hubs : int array;
+      (** [v * (top + 1) + i] -> v(i), the netting-descent fallback's
+          zooming sequences *)
+  fallbacks : int Atomic.t;  (** fallbacks taken through this router *)
+}
+
+(** [router t] is the scheme's own router, over its rings. *)
+val router : t -> router
 
 (** Phase breakdown of one Algorithm 5 route, as reported to a [walk]
     observer — the data Figure 2 illustrates. [exit_level] and [scale] are
@@ -72,18 +104,30 @@ type phase_report = {
   tree_cost : float;
 }
 
+(** [route_over ?observe r mv ~dest ~dest_label] moves the packet to
+    [dest], the node labeled [dest_label], by Algorithm 5: the ring phase
+    (lines 1-6), the packing scale matching its exit level (line 7), the
+    climb to the Voronoi center (line 8), the search tree II lookup of the
+    local tree label (line 9) and the tree route (line 10), with the
+    netting-descent fallback (counted in [r.fallbacks]) outside the
+    theorem's premises. Hops are trace-tagged with the Figure 2 phases:
+    [Net_phase] (ring descent), [Voronoi_phase] (cell-tree climb and
+    tree-route), [Search_tree_phase] (search tree II lookup), and
+    [Fallback]. [observe] is called once on the fast path (not on
+    fallback); only an observer makes the function read [mv.cost]. *)
+val route_over :
+  ?observe:(phase_report -> unit) -> router -> Cr_sim.Walker.mover ->
+  dest:int -> dest_label:int -> unit
+
 (** [walk t w ~dest_label] advances walker [w] to the node labeled
-    [dest_label] following Algorithm 5; [observe] is called once on the
-    fast path (not on fallback). Hops are trace-tagged with the Figure 2
-    phases: [Net_phase] (ring descent), [Voronoi_phase] (cell-tree climb
-    and tree-route), [Search_tree_phase] (search tree II lookup), and
-    [Fallback]. *)
+    [dest_label]: {!route_over} over the scheme's own router. *)
 val walk :
   ?observe:(phase_report -> unit) -> t -> Cr_sim.Walker.t -> dest_label:int ->
   unit
 
-(** [fallback_count t] is the number of times routing left the theorem's
-    fast path since [build]. *)
+(** [fallback_count t] is the number of times the scheme's own walks left
+    the theorem's fast path since [build] (a serving engine counts its
+    routes' fallbacks itself). *)
 val fallback_count : t -> int
 
 (** [table_bits t v] is the measured per-node storage in bits (fallback

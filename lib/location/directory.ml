@@ -6,11 +6,12 @@ module Zoom = Cr_nets.Zoom
 module Search_tree = Cr_search.Search_tree
 module Walker = Cr_sim.Walker
 module Underlying = Cr_core.Underlying
+module Ni_route = Cr_core.Ni_route
 
 type t = {
   nt : Netting_tree.t;
   metric : Metric.t;
-  zoom : Zoom.t;
+  route : Ni_route.t;  (* Algorithm 3 over the directory trees *)
   eps_eff : float;
   underlying : Underlying.t;
   key_universe : int;
@@ -21,7 +22,6 @@ type t = {
   replica_holders : (int, int list) Hashtbl.t;  (* key -> holders, sorted *)
   replica_owner : (int * (int * int), int) Hashtbl.t;
       (* (key, tree site) -> the replica whose label that tree stores *)
-  top : int;
 }
 
 let create nt ~epsilon ~underlying ~key_universe =
@@ -54,10 +54,17 @@ let create nt ~epsilon ~underlying ~key_universe =
           members)
       (Hierarchy.net h i)
   done;
-  { nt; metric = m; zoom = Zoom.build h; eps_eff; underlying; key_universe;
-    trees; covering; holders = Hashtbl.create 64;
-    replica_holders = Hashtbl.create 16; replica_owner = Hashtbl.create 64;
-    top }
+  let zoom = Zoom.build h in
+  let route =
+    { Ni_route.first_level = 0; top_level = top;
+      hub = (fun ~src ~level -> Zoom.step zoom src level);
+      site =
+        (fun ~level ~hub -> Ni_route.Local (Hashtbl.find trees (level, hub)));
+      label = underlying.Underlying.u_label }
+  in
+  { nt; metric = m; route; eps_eff; underlying; key_universe; trees;
+    covering; holders = Hashtbl.create 64;
+    replica_holders = Hashtbl.create 16; replica_owner = Hashtbl.create 64 }
 
 let walk_to t w node =
   t.underlying.Underlying.u_walk w
@@ -68,6 +75,10 @@ let budget m = 200_000 + (500 * Metric.n m)
 let check_key t key =
   if key < 0 || key >= t.key_universe then
     invalid_arg "Directory: key out of range"
+
+(* (level, net point) sites in increasing order *)
+let compare_sites (i, u) (j, v) =
+  match Int.compare i j with 0 -> Int.compare u v | c -> c
 
 (* Visit every directory tree covering [holder], applying [action] to each;
    the courier starts at the holder, walks tree to tree, and returns. *)
@@ -80,7 +91,7 @@ let tour t ~holder ~action =
       Search_tree.pay (action st site)
         ~jump:(fun v c -> Walker.teleport w v ~cost:c)
         ~goto:(walk_to t w))
-    (List.sort compare (Hashtbl.find t.covering holder));
+    (List.sort compare_sites (Hashtbl.find t.covering holder));
   walk_to t w holder;
   Walker.cost w
 
@@ -117,32 +128,22 @@ let move t ~key ~from_holder ~to_holder =
 
 let lookup t w ~key =
   check_key t key;
-  let src = Walker.position w in
-  let rec attempt i =
-    if i > t.top then None
-    else begin
-      let hub = Zoom.step t.zoom src i in
-      walk_to t w hub;
-      let st = Hashtbl.find t.trees (i, hub) in
-      let result = Search_tree.search st ~key in
-      Search_tree.pay result.Search_tree.legs
-        ~jump:(fun v c -> Walker.teleport w v ~cost:c)
-        ~goto:(walk_to t w);
-      match result.Search_tree.data with
-      | Some label ->
-        t.underlying.Underlying.u_walk w ~dest_label:label;
-        Some (Walker.position w)
-      | None -> attempt (i + 1)
-    end
-  in
-  attempt 0
+  if
+    Ni_route.run t.route (Walker.mover w)
+      ~travel:(fun dest_label -> t.underlying.Underlying.u_walk w ~dest_label)
+      ~failovers:(ref 0) ~dest_name:key
+  then Some (Walker.position w)
+  else None
 
 let holder t ~key = Hashtbl.find_opt t.holders key
 
 (* --- replicated objects --- *)
 
-(* (distance to the tree's center, id): which replica a tree should hold *)
-let replica_rank t root v = (Metric.dist t.metric v root, v)
+(* Which replica a tree should hold: the one nearer the tree's center,
+   then the lesser id. *)
+let compare_replicas t root a b =
+  let d v = Metric.dist t.metric v root in
+  match Float.compare (d a) (d b) with 0 -> Int.compare a b | c -> c
 
 let publish_replica t ~key ~holder =
   check_key t key;
@@ -161,7 +162,7 @@ let publish_replica t ~key ~holder =
           Hashtbl.replace t.replica_owner (key, site) holder;
           Search_tree.insert st ~key ~data:label
         | Some current ->
-          if replica_rank t root holder < replica_rank t root current then begin
+          if compare_replicas t root holder current < 0 then begin
             Hashtbl.replace t.replica_owner (key, site) holder;
             let _, legs1 = Search_tree.remove st ~key in
             let legs2 = Search_tree.insert st ~key ~data:label in
@@ -169,7 +170,8 @@ let publish_replica t ~key ~holder =
           end
           else [])
   in
-  Hashtbl.replace t.replica_holders key (List.sort compare (holder :: existing));
+  Hashtbl.replace t.replica_holders key
+    (List.sort Int.compare (holder :: existing));
   cost
 
 let unpublish_replica t ~key ~holder =
@@ -192,9 +194,7 @@ let unpublish_replica t ~key ~holder =
               survivors
           in
           (match
-             List.sort
-               (fun a b -> compare (replica_rank t root a) (replica_rank t root b))
-               candidates
+             List.sort (compare_replicas t root) candidates
            with
           | [] ->
             Hashtbl.remove t.replica_owner (key, site);

@@ -42,7 +42,14 @@ val move : t -> key:int -> from_holder:int -> to_holder:int -> float
 
 (** [lookup t w ~key] drives walker [w] from its position to the object's
     holder; returns the holder (or None, leaving the walker where its
-    top-level search ended). *)
+    top-level search ended). The lookup is Algorithm 3's loop,
+    {!Cr_core.Ni_route.run}, over the directory trees: its hops are
+    trace-tagged [Zoom i] (climb to the level-[i] hub), [Ball_search i]
+    (the search round trip) and [Deliver] (the labeled route to the
+    holder). On a walker with failures a {!Cr_sim.Walker.Blocked} move
+    fails over one level up, from the packet's current position, instead
+    of escaping, and every later hop is tagged [Faults];
+    {!Cr_sim.Walker.Hop_budget_exhausted} escapes. *)
 val lookup : t -> Cr_sim.Walker.t -> key:int -> int option
 
 (** [holder t ~key] is the current holder without routing. *)

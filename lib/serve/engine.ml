@@ -2,10 +2,6 @@ module Metric = Cr_metric.Metric
 module Bits = Cr_metric.Bits
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
-module Zoom = Cr_nets.Zoom
-module Voronoi = Cr_packing.Voronoi
-module Interval_routing = Cr_tree.Interval_routing
-module Search_tree = Cr_search.Search_tree
 module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
 module Workload = Cr_sim.Workload
@@ -20,10 +16,8 @@ module Simple_ni = Cr_core.Simple_ni
 module Scale_free_ni = Cr_core.Scale_free_ni
 module Underlying = Cr_core.Underlying
 module Ni_route = Cr_core.Ni_route
-module Netting_descent = Cr_core.Netting_descent
 module Landmark = Cr_baselines.Landmark
 module Full_table = Cr_baselines.Full_table
-module Scheme_codec = Cr_codec.Scheme_codec
 
 (* The serving cursor: walker cost/hop accounting without the trace,
    trail, or failure machinery. A hop allocates nothing: the running cost
@@ -132,28 +126,16 @@ type hier = {
   h_tables : Tables.t;
   h_label : int array;  (* node -> netting-tree label *)
   h_node_of : int array;  (* label -> node *)
-}
-
-(* The netting-descent fallback's hubs, flattened ([Netting_descent.walk]
-   reads them). *)
-type nd = {
-  nd_top : int;
-  nd_hub : int array;  (* v * (top + 1) + i -> u(i) *)
-  nd_nt : Netting_tree.t;
+  h_next_hop : at:int -> label:int -> int;  (* Tables.next_hop over h_tables *)
 }
 
 type sfl = {
   s_tables : Tables.t;
   s_label : int array;
   s_node_of : int array;
-  s_eps_eff : float;
-  s_scales : int;  (* packing scale count *)
-  s_radii : float array;  (* u * scales + j -> r_u(2^j) *)
-  s_vor_owner : int array;  (* j * n + v *)
-  s_vor_parent : int array;  (* j * n + v; -1 at centers *)
-  s_scheme : Scale_free_labeled.t;  (* shared router/search directories *)
-  s_nd : nd;
-  s_fallbacks : int Atomic.t;
+  s_router : Scale_free_labeled.router;
+      (* the scheme's arrays and directories over the arena's rings *)
+  s_scheme : Scale_free_labeled.t;  (* for the directories' bit count *)
 }
 
 type under =
@@ -204,119 +186,20 @@ let under_label u v =
 
 (* {2 Drivers}
 
-   The labeled and baseline drivers mirror their scheme's [walk] line for
-   line: the same decisions in the same order, with every piece of state
-   read from the compiled arena (or a shared immutable directory) instead
-   of the scheme's working structures. The name-independent engines run
-   the schemes' own lookup loop ([Ni_route]) over compiled hub rows and a
-   compiled labeled driver. *)
+   The labeled engines run their scheme's own forwarding function
+   ([Hier_labeled.route_over], [Scale_free_labeled.route_over]) over the
+   compiled ring arena; the name-independent engines run the schemes' own
+   lookup loop ([Ni_route]) over compiled hub rows and a compiled labeled
+   engine. The baseline drivers replay their scheme's routes from
+   compiled rows. *)
 
-let rec hier_descent h (mv : Walker.mover) ~dest ~dest_label =
-  let at = mv.position () in
-  if at <> dest then begin
-    let hop = Tables.next_hop h.h_tables ~at ~label:dest_label in
-    (* All_levels rings always cover, and the minimal covering member is
-       never the current node short of arrival (Hier_labeled.walk). *)
-    if hop < 0 || hop = at then
-      invalid_arg
-        (Printf.sprintf
-           "Cr_serve.Engine: hier tables give node %d no next hop for label \
-            %d"
-           at dest_label);
-    mv.step hop;
-    hier_descent h mv ~dest ~dest_label
-  end
+let drive_hier h mv ~dest_label =
+  Hier_labeled.route_over ~next_hop:h.h_next_hop ~dest:h.h_node_of.(dest_label)
+    mv ~dest_label
 
-let drive_hier h (mv : Walker.mover) ~dest_label =
-  let dest = h.h_node_of.(dest_label) in
-  mv.phase Trace.Net_phase (fun () -> hier_descent h mv ~dest ~dest_label)
-
-(* Line 7 of Algorithm 5, over the precomputed radius table. *)
-let matching_scale s u i =
-  let two_i = Float.pow 2.0 (float_of_int i) in
-  let rec go j =
-    if j = 0 then 0
-    else if s.s_radii.((u * s.s_scales) + j) <= two_i then j
-    else go (j - 1)
-  in
-  go (s.s_scales - 1)
-
-let sfl_fallback s (mv : Walker.mover) ~dest_label =
-  Atomic.incr s.s_fallbacks;
-  let nd = s.s_nd in
-  mv.phase Trace.Fallback (fun () ->
-      Netting_descent.walk nd.nd_nt
-        ~hub:(fun ~src ~level -> nd.nd_hub.((src * (nd.nd_top + 1)) + level))
-        mv ~dest_label)
-
-(* Lines 1-6 of Algorithm 5: greedy ring descent over the compiled ring
-   arena. *)
-let rec sfl_ring_phase s (mv : Walker.mover) ~dest ~dest_label prev_level =
-  let at = mv.position () in
-  if at = dest then `Arrived
-  else
-    let e = Tables.cover s.s_tables ~at ~label:dest_label in
-    if e < 0 then `Fallback
-    else
-      let i = Tables.entry_level s.s_tables e in
-      if i = 0 then begin
-        (* level-0 range is a singleton: the member is the destination *)
-        mv.path (Tables.entry_member s.s_tables e);
-        `Arrived
-      end
-      else
-        let two_i = Float.pow 2.0 (float_of_int i) in
-        let threshold = (two_i /. 2.0 /. s.s_eps_eff) -. two_i in
-        if i <= prev_level && Tables.entry_dist s.s_tables e >= threshold
-        then begin
-          mv.step (Tables.entry_hop s.s_tables e);
-          sfl_ring_phase s mv ~dest ~dest_label i
-        end
-        else `Exit i
-
-let drive_sfl s (mv : Walker.mover) ~dest_label =
-  let n = Array.length s.s_label in
-  let dest = s.s_node_of.(dest_label) in
-  match
-    mv.phase Trace.Net_phase (fun () ->
-        sfl_ring_phase s mv ~dest ~dest_label max_int)
-  with
-  | `Arrived -> ()
-  | `Fallback -> sfl_fallback s mv ~dest_label
-  | `Exit i_t ->
-    let u_t = mv.position () in
-    let j = matching_scale s u_t i_t in
-    let c = s.s_vor_owner.((j * n) + u_t) in
-    (* Line 8: climb T_c(j) along the compiled Voronoi parents. *)
-    mv.phase Trace.Voronoi_phase (fun () ->
-        let rec climb () =
-          let at = mv.position () in
-          if at <> c then begin
-            mv.step s.s_vor_parent.((j * n) + at);
-            climb ()
-          end
-        in
-        climb ());
-    (* Line 9: search tree II lookup of the local tree label. *)
-    let st = Scale_free_labeled.scale_search s.s_scheme ~scale:j ~center:c in
-    (match
-       mv.phase Trace.Search_tree_phase (fun () ->
-           Search_tree.walk st ~key:dest_label ~jump:mv.jump ~goto:mv.path)
-     with
-    | Some local_label ->
-      (* Line 10: tree-route from c to the destination. *)
-      let router =
-        Scale_free_labeled.scale_router s.s_scheme ~scale:j ~center:c
-      in
-      let path, _cost =
-        Interval_routing.route router ~src:c ~dest_label:local_label
-      in
-      mv.phase Trace.Voronoi_phase (fun () ->
-          match path with
-          | [] -> ()
-          | _ :: rest -> List.iter (fun v -> mv.step v) rest);
-      if mv.position () <> dest then sfl_fallback s mv ~dest_label
-    | None -> sfl_fallback s mv ~dest_label)
+let drive_sfl s mv ~dest_label =
+  Scale_free_labeled.route_over s.s_router mv ~dest:s.s_node_of.(dest_label)
+    ~dest_label
 
 let drive_under u mv ~dest_label =
   match u with
@@ -451,7 +334,7 @@ let compiled_bits t v =
        radius + the shared directories (the scheme's non-ring share) *)
     let idb = Bits.id_bits t.n in
     Tables.bits s.s_tables v
-    + (s.s_scales * ((2 * idb) + Bits.distance_bits))
+    + (s.s_router.scales * ((2 * idb) + Bits.distance_bits))
     + (Scale_free_labeled.table_bits s.s_scheme v
       - Rings.table_bits (Scale_free_labeled.rings s.s_scheme) v)
   | Ni ni ->
@@ -475,7 +358,7 @@ let ring_tables ~pool rings nt =
   let m = Hierarchy.metric h in
   Tables.compile ~pool m
     ~level_count:(Hierarchy.top_level h + 1)
-    ~levels_of:(fun v -> Scheme_codec.ring_levels_of rings v)
+    ~levels_of:(Tables.ring_levels rings)
 
 (* src * (top + 1) + level -> [hub_of src level] *)
 let hub_rows ~top ~nn hub_of =
@@ -487,12 +370,19 @@ let hub_rows ~top ~nn hub_of =
   done;
   rows
 
-let compile_nd nt =
-  let h = Netting_tree.hierarchy nt in
-  let top = Hierarchy.top_level h in
-  let nn = Metric.n (Hierarchy.metric h) in
-  { nd_top = top; nd_hub = hub_rows ~top ~nn (Zoom.step (Zoom.build h));
-    nd_nt = nt }
+(* Algorithm 5's ring view over the compiled arena: an entry is an arena
+   index, and Line 4 compares the entry's stored distance with the
+   scheme's own threshold array. *)
+let arena_view tables ~far_bound =
+  { Scale_free_labeled.cover =
+      (fun ~at ~label -> Tables.cover tables ~at ~label);
+    level = (fun e -> Tables.entry_level tables e);
+    member = (fun e -> Tables.entry_member tables e);
+    hop = (fun ~at:_ e -> Tables.entry_hop tables e);
+    far =
+      (fun ~at:_ e ->
+        Tables.entry_dist tables e >= far_bound.(Tables.entry_level tables e))
+  }
 
 let finish ctx t =
   Scheme.table_counters ctx ("serve." ^ t.kind) (compiled_bits t) t.n;
@@ -507,7 +397,11 @@ let compile_hier ?obs ?(pool = Pool.default ()) scheme =
   let tables = ring_tables ~pool (Hier_labeled.rings scheme) nt in
   let lbl, node_of = labels_of nt nn in
   finish ctx
-    { data = Hier { h_tables = tables; h_label = lbl; h_node_of = node_of };
+    { data =
+        Hier
+          { h_tables = tables; h_label = lbl; h_node_of = node_of;
+            h_next_hop = (fun ~at ~label -> Tables.next_hop tables ~at ~label)
+          };
       metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
       name = "hier-labeled (Lemma 3.1)"; kind = "hier";
       budget = Walker.labeled_budget nn }
@@ -516,33 +410,18 @@ let compile_scale_free_labeled ?obs ?(pool = Pool.default ()) scheme =
   let ctx = Trace.resolve obs in
   Trace.span ctx "serve.compile.sfl" @@ fun () ->
   let nt = Scale_free_labeled.netting_tree scheme in
-  let h = Netting_tree.hierarchy nt in
-  let m = Hierarchy.metric h in
+  let m = Hierarchy.metric (Netting_tree.hierarchy nt) in
   let nn = Metric.n m in
-  let rings = Scale_free_labeled.rings scheme in
-  let tables = ring_tables ~pool rings nt in
+  let tables = ring_tables ~pool (Scale_free_labeled.rings scheme) nt in
   let lbl, node_of = labels_of nt nn in
-  let scales = Scale_free_labeled.packing_scales scheme in
-  let radii = Array.make (nn * scales) 0.0 in
-  let rows =
-    Pool.parallel_init pool nn (fun u ->
-        Array.init scales (fun j -> Metric.radius_of_size m u (1 lsl j)))
-  in
-  Array.iteri (fun u row -> Array.blit row 0 radii (u * scales) scales) rows;
-  let vor_owner = Array.make (scales * nn) 0 in
-  let vor_parent = Array.make (scales * nn) (-1) in
-  for j = 0 to scales - 1 do
-    let vor = Scale_free_labeled.scale_voronoi scheme ~scale:j in
-    for v = 0 to nn - 1 do
-      vor_owner.((j * nn) + v) <- Voronoi.owner vor v;
-      vor_parent.((j * nn) + v) <- Voronoi.parent vor v
-    done
-  done;
+  let r = Scale_free_labeled.router scheme in
   let s =
     { s_tables = tables; s_label = lbl; s_node_of = node_of;
-      s_eps_eff = Rings.effective_epsilon rings; s_scales = scales; s_radii = radii;
-      s_vor_owner = vor_owner; s_vor_parent = vor_parent; s_scheme = scheme;
-      s_nd = compile_nd nt; s_fallbacks = Atomic.make 0 }
+      s_router =
+        { r with
+          ring = arena_view tables ~far_bound:r.far_bound;
+          fallbacks = Atomic.make 0 };
+      s_scheme = scheme }
   in
   finish ctx
     { data = Sfl s; metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
@@ -668,9 +547,9 @@ let under_words = function
     + Array.length h.h_node_of
   | U_sfl s ->
     Tables.words s.s_tables + Array.length s.s_label
-    + Array.length s.s_node_of + Array.length s.s_radii
-    + Array.length s.s_vor_owner + Array.length s.s_vor_parent
-    + Array.length s.s_nd.nd_hub
+    + Array.length s.s_node_of + Array.length s.s_router.radii
+    + Array.length s.s_router.owner + Array.length s.s_router.parent
+    + Array.length s.s_router.hubs
 
 let data_words t =
   match t.data with
@@ -691,6 +570,6 @@ let bytes_per_node t =
 
 let fallbacks t =
   match t.data with
-  | Sfl s -> Atomic.get s.s_fallbacks
-  | Ni { i_under = U_sfl s; _ } -> Atomic.get s.s_fallbacks
+  | Sfl s -> Atomic.get s.s_router.fallbacks
+  | Ni { i_under = U_sfl s; _ } -> Atomic.get s.s_router.fallbacks
   | _ -> 0

@@ -2,19 +2,25 @@
     allocation-free lookup path and batched query evaluation.
 
     An engine is built from a constructed scheme by a [compile_*]
-    function: the scheme's forwarding state is flattened into immutable
-    int/float arrays (ring tables travel through [Cr_codec]'s wire format
-    — see {!Tables}), and routes are then *served* from the arena. The
-    labeled and baseline engines run drivers that replay their scheme's
-    forwarding decisions step for step; the name-independent engines run
-    the schemes' own lookup loop, [Cr_core.Ni_route], over compiled hub
-    rows and the compiled underlying labeled engine. Every driver moves
-    the packet through a [Cr_sim.Walker.mover]: a real walker ([walk]),
-    the lean serving cursor ([route]), or a probe that stops at the first
-    move ([next_hop]).
+    function: the scheme's ring tables are flattened into an immutable
+    arena through [Cr_codec]'s wire format (see {!Tables}), and routes are
+    then *served* from it. Every scheme's forwarding rule is written once,
+    in [Cr_core], and the engines run that same code over their compiled
+    state: the labeled engines run [Cr_core.Hier_labeled.route_over]
+    (Lemma 3.1's descent, reading the arena's next hops) and
+    [Cr_core.Scale_free_labeled.route_over] (Algorithm 5, over the
+    scheme's own arrays and directories with a ring view of the arena);
+    the name-independent engines run [Cr_core.Ni_route] over compiled hub
+    rows and the compiled underlying labeled engine. The full-table and
+    landmark engines replay their baseline's route from compiled rows.
+    Every driver moves the packet through a [Cr_sim.Walker.mover]: a real
+    walker ([walk]), the lean serving cursor ([route]), or a probe that
+    stops at the first move ([next_hop]).
 
     The equivalence contract, enforced by the differential test suite and
-    the E20 bench gate: for every (src, dst), a served route visits the
+    the E20 bench gate (a served route and a walked route share every
+    decision, so what the suite checks is the compiled data): for every
+    (src, dst), a served route visits the
     same nodes in the same order as the scheme's own walker — [walk]
     through a real [Cr_sim.Walker] produces a byte-identical event trace,
     and [route] reproduces the walker's cost and hop count exactly

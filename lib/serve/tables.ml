@@ -1,6 +1,31 @@
 module Metric = Cr_metric.Metric
+module Hierarchy = Cr_nets.Hierarchy
+module Netting_tree = Cr_nets.Netting_tree
+module Rings = Cr_core.Rings
 module Table_codec = Cr_codec.Table_codec
 module Pool = Cr_par.Pool
+
+(* Generic over the ring mode: All_levels (the Lemma 3.1 scheme) and
+   Selected (the Theorem 1.2 scheme) produce the same wire layout, one
+   encoded level per selected level. *)
+let ring_levels rings v =
+  let nt = Rings.netting_tree rings in
+  let m = Hierarchy.metric (Netting_tree.hierarchy nt) in
+  List.map
+    (fun level ->
+      let entries =
+        List.map
+          (fun x ->
+            let range = Netting_tree.range nt ~level x in
+            { Table_codec.member = x;
+              range_lo = range.Netting_tree.lo;
+              range_hi = range.Netting_tree.hi;
+              next_hop =
+                (if x = v then v else Metric.next_hop m ~src:v ~dst:x) })
+          (Rings.ring rings v ~level)
+      in
+      { Table_codec.level; entries })
+    (Rings.selected_levels rings v)
 
 type t = {
   n : int;

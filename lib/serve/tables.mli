@@ -23,9 +23,17 @@
 
 type t
 
+(** [ring_levels rings v] extracts node [v]'s ring tables (every selected
+    level, with ranges and precomputed next hops) in wire order — the
+    wire view of either ring mode ([All_levels] or [Selected]). The stored
+    next hop toward member [x] is exactly [Metric.next_hop ~src:v ~dst:x]
+    ([v] itself for [x = v]), so decisions replayed from the compiled
+    tables agree hop for hop with the scheme's walk. *)
+val ring_levels : Cr_core.Rings.t -> int -> Cr_codec.Table_codec.ring_level list
+
 (** [compile ?pool m ~level_count ~levels_of] encodes, decodes, and
     flattens every node's ring levels ([levels_of v] in wire order, as
-    produced by [Cr_codec.Scheme_codec.ring_levels_of]) and builds each
+    produced by {!ring_levels}) and builds each
     node's piece index: the level slots are merged one at a time in
     stored order, the earlier slots' intervals kept and each later slot
     filling only the gaps they leave. Per-entry member distances are

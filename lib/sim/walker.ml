@@ -8,6 +8,15 @@ exception Hop_budget_exhausted
 
 exception Blocked of { src : int; dst : int }
 
+type mover = {
+  position : unit -> int;
+  cost : unit -> float;
+  step : int -> unit;
+  jump : int -> float -> unit;
+  path : int -> unit;
+  phase : 'a. Trace.phase -> (unit -> 'a) -> 'a;
+}
+
 type t = {
   metric : Metric.t;
   mutable position : int;
@@ -21,6 +30,7 @@ type t = {
   acct : Cost.t;  (* per-edge routed-traffic accounting *)
   hop_bits : int;  (* bits charged per forwarded packet *)
   live : Live.t;  (* streaming per-window edge telemetry *)
+  mutable mover : mover option;
 }
 
 let create ?obs ?(failures = Failures.none) ?(cost = Cost.null)
@@ -32,7 +42,7 @@ let create ?obs ?(failures = Failures.none) ?(cost = Cost.null)
   if hop_bits < 0 then invalid_arg "Walker.create: negative hop_bits";
   { metric = m; position = start; cost = 0.0; hops = 0; trail = [ start ];
     max_hops; obs = Trace.resolve obs; phase = Trace.Unphased; failures;
-    acct = cost; hop_bits; live }
+    acct = cost; hop_bits; live; mover = None }
 
 let position w = w.position
 let cost w = w.cost
@@ -129,19 +139,20 @@ let trail w = List.rev w.trail
 let labeled_budget n = 10_000 + (100 * n)
 let ni_budget n = 50_000 + (200 * n)
 
-type mover = {
-  position : unit -> int;
-  cost : unit -> float;
-  step : int -> unit;
-  jump : int -> float -> unit;
-  path : int -> unit;
-  phase : 'a. Trace.phase -> (unit -> 'a) -> 'a;
-}
-
+(* Built on a walker's first use and kept: a routing loop layered on
+   another (an underlying labeled route per name-independent leg) asks
+   for the mover once per leg. *)
 let mover w =
-  { position = (fun () -> position w);
-    cost = (fun () -> cost w);
-    step = (fun v -> step w v);
-    jump = (fun v c -> teleport w v ~cost:c);
-    path = (fun v -> walk_shortest_path w v);
-    phase = (fun p f -> with_phase w p f) }
+  match w.mover with
+  | Some mv -> mv
+  | None ->
+    let mv =
+      { position = (fun () -> position w);
+        cost = (fun () -> cost w);
+        step = (fun v -> step w v);
+        jump = (fun v c -> teleport w v ~cost:c);
+        path = (fun v -> walk_shortest_path w v);
+        phase = (fun p f -> with_phase w p f) }
+    in
+    w.mover <- Some mv;
+    mv

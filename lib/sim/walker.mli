@@ -122,5 +122,7 @@ type mover = {
       (** outer-wins phase scoping, as {!with_phase} *)
 }
 
-(** [mover w] moves walker [w]. *)
+(** [mover w] moves walker [w]. It is built on [w]'s first call and
+    returned by every later one, so a loop that asks for it once per
+    underlying route allocates it once per walker. *)
 val mover : t -> mover

@@ -156,43 +156,36 @@ let test_bitbuf_golden_bytes () =
   in
   Alcotest.(check string) "bytes" "babc55555555555555555fe020" hex
 
-(* Extract a node's real ring table and push it through the codec. *)
-let ring_levels_of rings nt m u =
-  List.map
-    (fun level ->
-      let entries =
-        List.map
-          (fun x ->
-            let range = Netting_tree.range nt ~level x in
-            { Table_codec.member = x;
-              range_lo = range.Netting_tree.lo;
-              range_hi = range.Netting_tree.hi;
-              next_hop = (if x = u then u else Metric.next_hop m ~src:u ~dst:x) })
-          (Rings.ring rings u ~level)
-      in
-      { Table_codec.level; entries })
-    (Rings.selected_levels rings u)
-
+(* A node's real ring table, pushed through the codec: both ring modes,
+   the Lemma 3.1 scheme's every level and the Theorem 1.2 scheme's
+   selected ones. *)
 let test_ring_tables_roundtrip () =
   let m = holey () in
   let h = Hierarchy.build m in
   let nt = Netting_tree.build h in
-  let rings = Rings.build nt ~epsilon:0.5 ~mode:Rings.Selected in
   let n = Metric.n m in
   let level_count = Hierarchy.top_level h + 1 in
-  for u = 0 to n - 1 do
-    let levels = ring_levels_of rings nt m u in
-    let data = Table_codec.encode_rings ~n ~level_count levels in
-    let decoded = Table_codec.decode_rings ~n ~level_count data in
-    check_bool (Printf.sprintf "node %d rings roundtrip" u) true
-      (decoded = levels);
-    (* the exact-size predictor matches the writer *)
-    check_bool "size within a byte of prediction" true
-      (abs
-         ((8 * Bytes.length data)
-         - Table_codec.rings_bits ~n ~level_count levels)
-      < 8)
-  done
+  List.iter
+    (fun (mname, mode) ->
+      let rings = Rings.build nt ~epsilon:0.5 ~mode in
+      for u = 0 to n - 1 do
+        let levels = Cr_serve.Tables.ring_levels rings u in
+        let data = Table_codec.encode_rings ~n ~level_count levels in
+        let decoded = Table_codec.decode_rings ~n ~level_count data in
+        check_bool
+          (Printf.sprintf "%s node %d rings roundtrip" mname u)
+          true (decoded = levels);
+        (* the exact-size predictor matches the writer *)
+        check_bool
+          (Printf.sprintf "%s node %d size within a byte of prediction" mname
+             u)
+          true
+          (abs
+             ((8 * Bytes.length data)
+             - Table_codec.rings_bits ~n ~level_count levels)
+          < 8)
+      done)
+    [ ("all-levels", Rings.All_levels); ("selected", Rings.Selected) ]
 
 let test_ring_encoding_matches_accounting () =
   (* the harness charges 4 id-sized fields per entry (range + hop + id);
@@ -204,7 +197,7 @@ let test_ring_encoding_matches_accounting () =
   let n = Metric.n m in
   let level_count = Hierarchy.top_level h + 1 in
   for u = 0 to n - 1 do
-    let levels = ring_levels_of rings nt m u in
+    let levels = Cr_serve.Tables.ring_levels rings u in
     let encoded = Table_codec.rings_bits ~n ~level_count levels in
     let charged = Rings.table_bits rings u in
     let prefixes = 16 * (1 + List.length levels) in
@@ -343,46 +336,3 @@ let suite =
     prop_interval_roundtrip_random;
     Alcotest.test_case "interval tables roundtrip" `Quick
       test_interval_tables_roundtrip ]
-
-let test_scheme_codec_roundtrip_and_route () =
-  (* encode every node's table, decode, and deliver a packet using ONLY the
-     decoded wire-format tables *)
-  let m = holey () in
-  let nt = Netting_tree.build (Hierarchy.build m) in
-  let scheme = Cr_core.Hier_labeled.build nt ~epsilon:0.5 in
-  let n = Metric.n m in
-  let decoded =
-    Array.init n (fun v ->
-        let data = Cr_codec.Scheme_codec.encode_node scheme v in
-        check_bool "size prediction" true
-          (abs
-             ((8 * Bytes.length data)
-             - Cr_codec.Scheme_codec.encoded_bits scheme v)
-          < 8);
-        Cr_codec.Scheme_codec.decode_node scheme data)
-  in
-  let route src dst =
-    let dest_label = Cr_core.Hier_labeled.label scheme dst in
-    let rec go v hops =
-      check_bool "hop budget" true (hops < 10_000);
-      match
-        Cr_codec.Scheme_codec.next_hop_from_table decoded.(v) ~self:v
-          ~dest_label
-      with
-      | None -> check_int "arrived" dst v
-      | Some target ->
-        (* one graph hop toward the stored target *)
-        let hop = if target = dst then Metric.next_hop m ~src:v ~dst
-                  else Metric.next_hop m ~src:v ~dst:target in
-        go hop (hops + 1)
-    in
-    go src 0
-  in
-  List.iter
-    (fun (src, dst) -> route src dst)
-    (Cr_sim.Workload.sample_pairs ~n ~count:80 ~seed:13)
-
-let suite =
-  suite
-  @ [ Alcotest.test_case "scheme codec roundtrip + route" `Quick
-        test_scheme_codec_roundtrip_and_route ]

@@ -8,6 +8,7 @@ module Netting_tree = Cr_nets.Netting_tree
 module Hier_labeled = Cr_core.Hier_labeled
 module Scheme = Cr_sim.Scheme
 module Stats = Cr_sim.Stats
+module Walker = Cr_sim.Walker
 module Workload = Cr_sim.Workload
 
 let build m ~epsilon =
@@ -109,6 +110,22 @@ let prop_random_geometric_delivery =
           o.Scheme.cost >= Metric.dist m src dst -. 1e-9)
         (Workload.sample_pairs ~n ~count:50 ~seed:(seed + 1)))
 
+(* The shared descent names the node and the label when its next-hop
+   source has no answer (-1) or answers the current node. *)
+let test_descent_typed_error () =
+  let m = grid6 () in
+  List.iter
+    (fun (what, next_hop) ->
+      let w = Walker.create m ~start:3 ~max_hops:100 in
+      Alcotest.check_raises what
+        (Invalid_argument
+           "Hier_labeled.route_over: node 3 has no next hop for label 7")
+        (fun () ->
+          Hier_labeled.route_over ~next_hop ~dest:20 (Walker.mover w)
+            ~dest_label:7))
+    [ ("no next hop", fun ~at:_ ~label:_ -> -1);
+      ("next hop is the node itself", fun ~at ~label:_ -> at) ]
+
 let suite =
   [ Alcotest.test_case "delivers on grid" `Quick test_delivery_grid;
     Alcotest.test_case "delivers on holey grid" `Quick test_delivery_holey;
@@ -122,4 +139,6 @@ let suite =
     Alcotest.test_case "storage scales sublinearly" `Quick
       test_storage_scales_sublinearly;
     Alcotest.test_case "adjacent route" `Quick test_route_to_self_neighbors;
+    Alcotest.test_case "descent without a next hop is a typed error" `Quick
+      test_descent_typed_error;
     prop_random_geometric_delivery ]

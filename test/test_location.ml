@@ -9,6 +9,8 @@ module Search_tree = Cr_search.Search_tree
 module Walker = Cr_sim.Walker
 module Directory = Cr_location.Directory
 module Sfl = Cr_core.Scale_free_labeled
+module Trace = Cr_obs.Trace
+module Sinks = Cr_obs.Sinks
 
 (* --- dynamic search-tree primitives --- *)
 
@@ -132,6 +134,41 @@ let test_lookup_missing () =
   let dir = make_directory m in
   let found, _ = lookup_from dir m ~client:3 ~key:9 in
   check_bool "missing object" true (found = None)
+
+(* A lookup runs Algorithm 3's loop: every hop is tagged with the zoom
+   climb, the ball search or the delivery, and an unpublished key finds
+   nothing. (The directory's trees are built empty, so every key sits at
+   a tree's root and a ball search takes no hop here.) *)
+let test_lookup_phases () =
+  let m = grid8 () in
+  let dir = make_directory m in
+  ignore (Directory.publish dir ~key:5 ~holder:42);
+  let mem = Sinks.Memory.create ~capacity:262144 () in
+  let ctx =
+    Trace.make ~clock:(Trace.counting_clock ()) (Sinks.Memory.sink mem)
+  in
+  for client = 0 to Metric.n m - 1 do
+    let w = Walker.create ~obs:ctx m ~start:client ~max_hops:1_000_000 in
+    check_bool "found" true (Directory.lookup dir w ~key:5 = Some 42)
+  done;
+  let phases =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        match e.body with Trace.Hop { phase; _ } -> Some phase | _ -> None)
+      (Sinks.Memory.events mem)
+  in
+  let tagged p = List.exists p phases in
+  check_bool "zoom hops" true
+    (tagged (function Trace.Zoom _ -> true | _ -> false));
+  check_bool "delivery hops" true (tagged (fun p -> p = Trace.Deliver));
+  check_bool "no other tag" true
+    (List.for_all
+       (function
+         | Trace.Zoom _ | Trace.Ball_search _ | Trace.Deliver -> true
+         | _ -> false)
+       phases);
+  let found, _ = lookup_from dir m ~client:0 ~key:9 in
+  check_bool "unpublished key" true (found = None)
 
 let test_move () =
   let m = grid8 () in
@@ -269,6 +306,8 @@ let suite =
     Alcotest.test_case "publish + lookup from everywhere" `Quick
       test_publish_lookup;
     Alcotest.test_case "lookup missing" `Quick test_lookup_missing;
+    Alcotest.test_case "lookup hops tagged by Algorithm 3's phases" `Quick
+      test_lookup_phases;
     Alcotest.test_case "move" `Quick test_move;
     Alcotest.test_case "unpublish" `Quick test_unpublish;
     Alcotest.test_case "publish validation" `Quick test_publish_validation;

@@ -7,7 +7,10 @@ module Netting_tree = Cr_nets.Netting_tree
 module Sfl = Cr_core.Scale_free_labeled
 module Scheme = Cr_sim.Scheme
 module Stats = Cr_sim.Stats
+module Walker = Cr_sim.Walker
 module Workload = Cr_sim.Workload
+module Trace = Cr_obs.Trace
+module Sinks = Cr_obs.Sinks
 
 let build m ~epsilon =
   let h = Hierarchy.build m in
@@ -83,6 +86,54 @@ let test_scale_free_storage () =
     true
     (b_expo <= 3 * b_unit)
 
+(* On the exponential chain Algorithm 5 leaves the ring phase. An
+   observer changes nothing a walk emits, and the four phase costs it
+   reports sum to the walk's cost. *)
+let test_observed_walk () =
+  let m =
+    Metric.of_graph (Cr_graphgen.Path_like.exponential_chain ~n:32 ~base:2.0)
+  in
+  let t = build m ~epsilon:0.5 in
+  let n = Metric.n m in
+  let traced ~src walk =
+    let mem = Sinks.Memory.create ~capacity:65536 () in
+    let ctx =
+      Trace.make ~clock:(Trace.counting_clock ()) (Sinks.Memory.sink mem)
+    in
+    let w =
+      Walker.create ~obs:ctx m ~start:src ~max_hops:(Walker.labeled_budget n)
+    in
+    walk w;
+    (List.map Sinks.json_of_event (Sinks.Memory.events mem), Walker.cost w)
+  in
+  let left_ring_phase = ref 0 in
+  List.iter
+    (fun (src, dst) ->
+      let dest_label = Sfl.label t dst in
+      let plain, _ = traced ~src (fun w -> Sfl.walk t w ~dest_label) in
+      let report = ref None in
+      let observed, cost =
+        traced ~src (fun w ->
+            Sfl.walk ~observe:(fun r -> report := Some r) t w ~dest_label)
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d -> %d: observed trace" src dst)
+        plain observed;
+      match !report with
+      | None -> ()
+      | Some r ->
+        if r.Sfl.exit_level >= 1 && r.Sfl.scale >= 0 then
+          incr left_ring_phase;
+        check_float
+          (Printf.sprintf "%d -> %d: phase costs sum to the cost" src dst)
+          cost
+          (r.Sfl.ring_cost +. r.Sfl.climb_cost +. r.Sfl.search_cost
+         +. r.Sfl.tree_cost))
+    (Workload.all_pairs n);
+  check_bool
+    (Printf.sprintf "%d routes left the ring phase" !left_ring_phase)
+    true (!left_ring_phase > 0)
+
 let prop_delivery_random =
   qcheck_case ~count:10 "scale-free labeled: delivery on random graphs"
     QCheck2.Gen.(
@@ -111,6 +162,8 @@ let suite =
     Alcotest.test_case "log n labels" `Quick test_labels_are_log_n;
     Alcotest.test_case "scale-free storage on chains" `Quick
       test_scale_free_storage;
+    Alcotest.test_case "observer leaves the walk unchanged" `Quick
+      test_observed_walk;
     prop_delivery_random ]
 
 let test_netting_descent_delivers () =

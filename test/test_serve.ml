@@ -21,7 +21,6 @@ module Trace = Cr_obs.Trace
 module Sinks = Cr_obs.Sinks
 module Pool = Cr_par.Pool
 module Table_codec = Cr_codec.Table_codec
-module Scheme_codec = Cr_codec.Scheme_codec
 module Engine = Cr_serve.Engine
 module Tables = Cr_serve.Tables
 
@@ -242,7 +241,7 @@ let test_codec_idempotence () =
   let level_count = Hierarchy.top_level (Netting_tree.hierarchy nt) + 1 in
   List.iter
     (fun (rname, rings) ->
-      let levels_of v = Scheme_codec.ring_levels_of rings v in
+      let levels_of v = Tables.ring_levels rings v in
       let tables = Tables.compile fx.m ~level_count ~levels_of in
       for v = 0 to n - 1 do
         let original = levels_of v in
@@ -311,7 +310,7 @@ let prop_cover_is_scan =
       List.for_all
         (fun mode ->
           let rings = Rings.build nt ~epsilon:0.5 ~mode in
-          let levels_of v = Scheme_codec.ring_levels_of rings v in
+          let levels_of v = Tables.ring_levels rings v in
           let tables = Tables.compile m ~level_count ~levels_of in
           List.for_all
             (fun at ->

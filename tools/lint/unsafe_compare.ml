@@ -7,9 +7,11 @@
    lib/tree_routing, and lib/scale, whose truncated Dijkstra carries the
    same tie-break contract), in lib/proto and lib/codec (the simulator's
    delivery order and E19's measured bits rest on float tie-breaks
-   there), and in lib/serve and lib/sim (served costs must equal walked
-   costs bit for bit, and the stretch statistics sort float samples)
-   this rule forbids
+   there), in lib/serve and lib/sim (served costs must equal walked
+   costs bit for bit, and the stretch statistics sort float samples),
+   and in lib/location and lib/baselines (the directory ranks replicas by
+   distance, and the baselines' landmark bunches are distance cuts) this
+   rule forbids
 
    - the bare polymorphic [compare] in any position (sorts included):
      spell out [Float.compare] / [Int.compare] / a keyed comparator;
@@ -146,13 +148,14 @@ let rule =
     doc =
       "no polymorphic compare/(=) on float distance values in lib/core, \
        lib/metric, lib/packing, lib/nets, lib/search_tree, \
-       lib/tree_routing, lib/scale, lib/proto, lib/codec, lib/serve and \
-       lib/sim";
+       lib/tree_routing, lib/scale, lib/proto, lib/codec, lib/serve, \
+       lib/sim, lib/location and lib/baselines";
     applies =
       (fun rel ->
         Rule.under
           [ "lib/core"; "lib/metric"; "lib/packing"; "lib/nets";
             "lib/search_tree"; "lib/tree_routing"; "lib/scale"; "lib/proto";
-            "lib/codec"; "lib/serve"; "lib/sim" ]
+            "lib/codec"; "lib/serve"; "lib/sim"; "lib/location";
+            "lib/baselines" ]
           rel);
     check }

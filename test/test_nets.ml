@@ -214,6 +214,35 @@ let prop_zoom_step_distance =
       done;
       !ok)
 
+(* The hierarchy against the matrix algorithm it is built without: per
+   level, Rnet.greedy over every node seeded with the coarser net, and
+   per node, Metric.nearest_in over the level's net. *)
+let prop_hierarchy_matches_matrix_greedy =
+  qcheck_case "hierarchy: build = matrix greedy and nearest_in reference"
+    family_gen (fun params ->
+      let m = Metric.of_graph (family_graph params) in
+      let h = Hierarchy.build m in
+      let top = Metric.levels m in
+      let nodes = all_nodes m in
+      let nets = Array.make (top + 1) nodes in
+      nets.(top) <- [ 0 ];
+      for i = top - 1 downto 1 do
+        nets.(i) <-
+          Rnet.greedy m ~r:(Hierarchy.net_radius i) ~candidates:nodes
+            ~seed:nets.(i + 1)
+      done;
+      Hierarchy.top_level h = top
+      && List.for_all
+           (fun i ->
+             Hierarchy.net h i = nets.(i)
+             && List.for_all
+                  (fun v ->
+                    Hierarchy.mem h ~level:i v = List.mem v nets.(i)
+                    && Hierarchy.nearest_net_point h ~level:i v
+                       = Metric.nearest_in m v nets.(i))
+                  nodes)
+           (List.init (top + 1) Fun.id))
+
 let prop_ranges_partition_levels =
   qcheck_case ~count:25 "nets: ranges at a level partition labels" gen_metric
     (fun m ->
@@ -253,4 +282,5 @@ let suite =
       test_lemma_2_2_net_points_in_ball;
     prop_hierarchy_packing;
     prop_zoom_step_distance;
-    prop_ranges_partition_levels ]
+    prop_ranges_partition_levels;
+    prop_hierarchy_matches_matrix_greedy ]

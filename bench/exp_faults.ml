@@ -86,7 +86,8 @@ let construction_suite () =
   let plain_spt = Cr_proto.Dist_spt.run g ~root:0 in
   let hard_spt = Cr_proto.Dist_spt.run ~via g ~root:0 in
   row "spt"
-    (plain_spt.Cr_proto.Dist_spt.dist = hard_spt.Cr_proto.Dist_spt.dist
+    (Array.for_all2 Float.equal plain_spt.Cr_proto.Dist_spt.dist
+       hard_spt.Cr_proto.Dist_spt.dist
     && plain_spt.Cr_proto.Dist_spt.pred = hard_spt.Cr_proto.Dist_spt.pred)
     plain_spt.Cr_proto.Dist_spt.stats.Network.messages
     (Reliable.totals rt);
@@ -150,8 +151,8 @@ let construction_suite () =
     (Printf.sprintf "packing-j%d" j)
     (plain_pack.Cr_proto.Dist_packing.accepted
      = hard_pack.Cr_proto.Dist_packing.accepted
-    && plain_pack.Cr_proto.Dist_packing.radius
-       = hard_pack.Cr_proto.Dist_packing.radius)
+    && Array.for_all2 Float.equal plain_pack.Cr_proto.Dist_packing.radius
+         hard_pack.Cr_proto.Dist_packing.radius)
     (plain_pack.Cr_proto.Dist_packing.discovery.Network.messages
     + plain_pack.Cr_proto.Dist_packing.election.Network.messages)
     (Reliable.totals rt)
@@ -181,7 +182,8 @@ let spt_sweep () =
       let rt = Reliable.create ~plan () in
       let hard = Cr_proto.Dist_spt.run ~via:(Reliable.runner rt) g ~root:0 in
       let converged =
-        plain.Cr_proto.Dist_spt.dist = hard.Cr_proto.Dist_spt.dist
+        Array.for_all2 Float.equal plain.Cr_proto.Dist_spt.dist
+          hard.Cr_proto.Dist_spt.dist
         && plain.Cr_proto.Dist_spt.pred = hard.Cr_proto.Dist_spt.pred
       in
       let t = Reliable.totals rt in

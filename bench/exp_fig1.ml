@@ -21,7 +21,9 @@ let run () =
   let sample_dst =
     let by_dist =
       List.sort
-        (fun a b -> compare (Metric.dist inst.metric src a) (Metric.dist inst.metric src b))
+        (fun a b ->
+          Float.compare (Metric.dist inst.metric src a)
+            (Metric.dist inst.metric src b))
         (List.filter (fun v -> v <> src) (List.init n Fun.id))
     in
     let arr = Array.of_list by_dist in

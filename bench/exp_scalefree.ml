@@ -9,7 +9,7 @@ module Metric = Cr_metric.Metric
 module Scheme = Cr_sim.Scheme
 
 let chain base =
-  if base = 1.0 then Cr_graphgen.Path_like.path ~n:48
+  if Float.equal base 1.0 then Cr_graphgen.Path_like.path ~n:48
   else Cr_graphgen.Path_like.exponential_chain ~n:48 ~base
 
 let run () =

@@ -335,7 +335,8 @@ let faults family scheme_kind epsilon seed plan_seed drop duplicate
      let plain = Cr_proto.Dist_spt.run g ~root:0 in
      let hard = Cr_proto.Dist_spt.run ~via g ~root:0 in
      print_totals "spt"
-       (plain.Cr_proto.Dist_spt.dist = hard.Cr_proto.Dist_spt.dist
+       (Array.for_all2 Float.equal plain.Cr_proto.Dist_spt.dist
+          hard.Cr_proto.Dist_spt.dist
        && plain.Cr_proto.Dist_spt.pred = hard.Cr_proto.Dist_spt.pred);
      let h = Netting_tree.hierarchy nt in
      let dh = Cr_proto.Dist_hierarchy.build ~via metric in

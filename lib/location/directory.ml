@@ -41,8 +41,8 @@ let create nt ~epsilon ~underlying ~key_universe =
       (fun u ->
         let members = Metric.ball m ~center:u ~radius in
         let st =
-          Search_tree.build m ~epsilon:eps_eff ~center:u ~radius ~members
-            ~level_cap:None ~pairs:[] ~universe:key_universe
+          Search_tree.build_keyspace m ~epsilon:eps_eff ~center:u ~radius
+            ~members ~level_cap:None ~universe:key_universe
         in
         Hashtbl.replace trees (i, u) st;
         List.iter

@@ -4,13 +4,17 @@
 
     The structure is Theorem 1.4's directory with dynamic content: for
     every level i and net point u in Y_i there is a search tree over the
-    ball B_u(2^i/eps), initially empty. Publishing an object with key k
-    held at node v inserts the pair (k, l(v)) into *every* level-i tree
-    whose ball contains v (a (1/eps)^O(alpha)-bounded set per level, by
-    Lemma 2.2); a lookup climbs the client's zooming sequence exactly like
-    Algorithm 3 and therefore finds the object at the first level whose
-    ball reaches its holder — so lookups for nearby objects cost O(distance
-    / eps), the locality property DHT overlays buy from this machinery.
+    ball B_u(2^i/eps), initially empty. Each tree deals the key space
+    [0, key_universe) over its DFS in Algorithm 1's slices
+    ({!Cr_search.Search_tree.build_keyspace}), so a key is stored at the
+    tree node whose slice holds it, and reaching it is Algorithm 2's
+    descent. Publishing an object with key k held at node v inserts the
+    pair (k, l(v)) into *every* level-i tree whose ball contains v (a
+    (1/eps)^O(alpha)-bounded set per level, by Lemma 2.2); a lookup
+    climbs the client's zooming sequence exactly like Algorithm 3 and
+    therefore finds the object at the first level whose ball reaches its
+    holder — so lookups for nearby objects cost O(distance / eps), the
+    locality property DHT overlays buy from this machinery.
 
     All operations drive a real walker through the network (publishes
     travel from the holder to each directory tree; lookups climb, search,

@@ -57,42 +57,19 @@ let next_hop_toward r v =
   done;
   !hop
 
-(* Lexicographic (distance, owner) relaxation keeps Voronoi cells
-   prefix-closed; see the interface for why that matters. *)
+(* Bounded.run_multi at an infinite radius settles every reachable node;
+   the rest read Bounded's defaults (infinity, -1, -1). The sources are
+   checked here first so the messages name this function. *)
 let multi_source g sources =
   let n = Graph.n g in
   if sources = [] then invalid_arg "Dijkstra.multi_source: no sources";
-  let dist = Array.make n infinity in
-  let owner = Array.make n (-1) in
-  let pred = Array.make n (-1) in
-  let heap = Priority_queue.create () in
   List.iter
     (fun s ->
       if s < 0 || s >= n then
-        invalid_arg "Dijkstra.multi_source: source out of range";
-      if 0.0 < dist.(s) || owner.(s) = -1 || s < owner.(s) then begin
-        dist.(s) <- 0.0;
-        owner.(s) <- s;
-        pred.(s) <- -1;
-        Priority_queue.push heap dist s
-      end)
+        invalid_arg "Dijkstra.multi_source: source out of range")
     sources;
-  let next = ref (Priority_queue.pop heap dist) in
-  while !next >= 0 do
-    let u = !next in
-    let d = dist.(u) and o = owner.(u) in
-    let ids = Graph.row_ids g u and wts = Graph.row_weights g u in
-    for i = 0 to Graph.degree g u - 1 do
-      let v = ids.(i) in
-      let cand = d +. wts.(i) in
-      let dv = dist.(v) in
-      if cand < dv || (Float.equal cand dv && o < owner.(v)) then begin
-        dist.(v) <- cand;
-        owner.(v) <- o;
-        pred.(v) <- u;
-        Priority_queue.push heap dist v
-      end
-    done;
-    next := Priority_queue.pop heap dist
-  done;
-  (dist, owner, pred)
+  let b = Bounded.create n in
+  ignore (Bounded.run_multi b g ~sources ~radius:infinity);
+  ( Array.init n (Bounded.dist b),
+    Array.init n (Bounded.owner b),
+    Array.init n (Bounded.pred b) )

@@ -7,7 +7,7 @@
 
     Each node's adjacency is a row: a flat [int array] of neighbour ids
     and a [float array] of weights, in insertion order, growing by
-    doubling. The shortest-path kernels ([Dijkstra], [Cr_scale.Bounded])
+    doubling. The shortest-path kernels ([Dijkstra], [Bounded])
     read the rows directly through {!row_ids} and {!row_weights}, so a
     relaxation allocates nothing.
 

@@ -1,5 +1,5 @@
 (** Binary min-heap of node ids keyed by a caller-owned distance array,
-    used by [Dijkstra] and [Cr_scale.Bounded].
+    used by [Dijkstra] and [Bounded].
 
     [push h key x] stores [x] at priority [key.(x)], read at push time.
     The caller may later lower [key.(x)] and push [x] again; the older

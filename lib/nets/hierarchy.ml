@@ -2,69 +2,28 @@ module Metric = Cr_metric.Metric
 
 type t = {
   metric : Metric.t;
-  top_level : int;
-  nets : int list array;  (* nets.(i) = Y_i, sorted *)
-  member : bool array array;  (* member.(i).(v) *)
-  nearest : int array array;  (* nearest.(i).(v) = nearest net point in Y_i *)
+  levels : Net_levels.t;
 }
-
-let net_radius i = Float.pow 2.0 (float_of_int i)
-
-let all_nodes n = List.init n Fun.id
 
 let build ?obs m =
   let ctx = Cr_obs.Trace.resolve obs in
   Cr_obs.Trace.span ctx "hierarchy.build" (fun () ->
-      let n = Metric.n m in
-      let top_level = Metric.levels m in
-      let nets = Array.make (top_level + 1) [] in
-      nets.(top_level) <- [ 0 ];
-      for i = top_level - 1 downto 1 do
-        nets.(i) <-
-          Rnet.greedy m ~r:(net_radius i) ~candidates:(all_nodes n)
-            ~seed:nets.(i + 1)
-      done;
-      nets.(0) <- all_nodes n;
-      let member =
-        Array.map
-          (fun net ->
-            let flags = Array.make n false in
-            List.iter (fun v -> flags.(v) <- true) net;
-            flags)
-          nets
-      in
-      let nearest =
-        Array.map
-          (fun net -> Array.init n (fun v -> Metric.nearest_in m v net))
-          nets
+      let levels =
+        Net_levels.build (Metric.graph m) ~top_level:(Metric.levels m)
       in
       if Cr_obs.Trace.enabled ctx then begin
         Cr_obs.Trace.counter ctx "hierarchy.levels"
-          (float_of_int (top_level + 1));
+          (float_of_int (Net_levels.top_level levels + 1));
         Cr_obs.Trace.counter ctx "hierarchy.net_points"
-          (float_of_int
-             (Array.fold_left (fun acc l -> acc + List.length l) 0 nets))
+          (float_of_int (Net_levels.net_points levels))
       end;
-      { metric = m; top_level; nets; member; nearest })
+      { metric = m; levels })
 
 let metric h = h.metric
-let top_level h = h.top_level
-
-let check_level h i =
-  if i < 0 || i > h.top_level then invalid_arg "Hierarchy: level out of range"
-
-let net h i =
-  check_level h i;
-  h.nets.(i)
-
-let mem h ~level v =
-  check_level h level;
-  h.member.(level).(v)
-
-let highest_level_of h v =
-  let rec go i = if h.member.(i).(v) then i else go (i - 1) in
-  go h.top_level
-
+let top_level h = Net_levels.top_level h.levels
+let net h i = Net_levels.net h.levels i
+let mem h ~level v = Net_levels.mem h.levels ~level v
+let net_radius = Net_levels.net_radius
+let highest_level_of h v = Net_levels.highest_level_of h.levels v
 let nearest_net_point h ~level v =
-  check_level h level;
-  h.nearest.(level).(v)
+  Net_levels.nearest_net_point h.levels ~level v

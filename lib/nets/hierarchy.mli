@@ -1,4 +1,4 @@
-(** The nested hierarchy of 2^i-nets Y_i (Section 2, Eqn 1).
+(** The nested hierarchy of 2^i-nets Y_i (Section 2, Eqn 1) of a metric.
 
     Levels run from 0 to L = ceil(log2 Delta):
     - Y_L is a singleton (the least node id, standing in for the paper's
@@ -7,7 +7,9 @@
     - Y_0 = V (level-0 membership is forced rather than recomputed so that
       float rounding can never drop a node).
 
-    So Y_L \subseteq Y_(L-1) \subseteq ... \subseteq Y_0 = V. *)
+    So Y_L \subseteq Y_(L-1) \subseteq ... \subseteq Y_0 = V. The nets
+    and nearest net points are {!Net_levels.build} on the metric's graph
+    with L = [Metric.levels]: ball-limited searches, not matrix scans. *)
 
 type t
 

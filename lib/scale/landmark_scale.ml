@@ -1,6 +1,7 @@
 module Graph = Cr_metric.Graph
 module Bits = Cr_metric.Bits
 module Dijkstra = Cr_metric.Dijkstra
+module Bounded = Cr_metric.Bounded
 module Scheme = Cr_sim.Scheme
 module Pool = Cr_par.Pool
 

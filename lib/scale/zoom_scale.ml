@@ -1,5 +1,6 @@
 module Graph = Cr_metric.Graph
 module Bits = Cr_metric.Bits
+module Bounded = Cr_metric.Bounded
 module Scheme = Cr_sim.Scheme
 module Splitmix = Cr_graphgen.Splitmix
 module Pool = Cr_par.Pool

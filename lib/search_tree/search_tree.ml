@@ -61,7 +61,10 @@ let slot_exn t who v =
          who v t.ids.(t.root));
   s
 
-let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
+(* [keyspace] deals [0, universe) instead of the pairs' keys: the
+   subtree ranges are the key space's slices, and no pair is stored. *)
+let make m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe
+    ~keyspace =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Search_tree.build: epsilon must be in (0, 1)";
   let ids = Array.of_list (List.sort_uniq Int.compare members) in
@@ -163,8 +166,10 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
         fill.(p) <- fill.(p) + 1
       end)
     parent;
-  (* Algorithm 1: deal the sorted pairs out in contiguous slices along a
-     DFS; subtree key ranges follow from the slice arithmetic. *)
+  (* Algorithm 1: deal the sorted keys out in contiguous slices along a
+     DFS; subtree key ranges follow from the slice arithmetic. A slot's
+     own slice of the stored pairs is its slice of the dealt keys, or
+     empty when the key space is dealt. *)
   let sorted_pairs = Array.of_list pairs in
   Array.sort (fun (a, _) (b, _) -> Int.compare a b) sorted_pairs;
   Array.iteri
@@ -173,8 +178,9 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
         invalid_arg "Search_tree.build: duplicate keys")
     sorted_pairs;
   let keys = Array.map fst sorted_pairs and data = Array.map snd sorted_pairs in
-  let k = Array.length keys in
-  let slice_start t = t * k / size in
+  let dealt = if keyspace then universe else Array.length keys in
+  let key_at i = if keyspace then i else keys.(i) in
+  let slice_start t = t * dealt / size in
   let own_lo = Array.make size 0 and own_hi = Array.make size 0 in
   let sub_lo = Array.make size max_int and sub_hi = Array.make size min_int in
   let depth = Array.make size 0.0 in
@@ -182,8 +188,10 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
   let rec visit s =
     let pre = !counter in
     incr counter;
-    own_lo.(s) <- slice_start pre;
-    own_hi.(s) <- slice_start (pre + 1);
+    if not keyspace then begin
+      own_lo.(s) <- slice_start pre;
+      own_hi.(s) <- slice_start (pre + 1)
+    end;
     for i = child_off.(s) to child_off.(s + 1) - 1 do
       let c = children.(i) in
       depth.(c) <- depth.(s) +. weight.(c);
@@ -191,8 +199,8 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
     done;
     let lo = slice_start pre and hi = slice_start !counter in
     if hi > lo then begin
-      sub_lo.(s) <- keys.(lo);
-      sub_hi.(s) <- keys.(hi - 1)
+      sub_lo.(s) <- key_at lo;
+      sub_hi.(s) <- key_at (hi - 1)
     end
   in
   visit root;
@@ -201,6 +209,14 @@ let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
   { root; ids; parent; chain; child_off; children; sub_lo; sub_hi; own_lo;
     own_hi; keys; data; touched = Array.make size None;
     height = Array.fold_left Float.max 0.0 depth; universe }
+
+let build m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe =
+  make m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe
+    ~keyspace:false
+
+let build_keyspace m ~epsilon ~center ~radius ~members ~level_cap ~universe =
+  make m ~epsilon ~center ~radius ~members ~level_cap ~pairs:[] ~universe
+    ~keyspace:true
 
 let center t = t.ids.(t.root)
 let members t = Array.to_list t.ids

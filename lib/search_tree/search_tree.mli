@@ -70,6 +70,22 @@ val build :
   universe:int ->
   t
 
+(** [build_keyspace m ~epsilon ~center ~radius ~members ~level_cap
+    ~universe] is [build] with no pairs, whose Algorithm 1 deals the key
+    space [0, universe) instead: every node owns a contiguous slice of it,
+    and every subtree a contiguous range. A key {!insert}ed later is
+    stored at the node whose slice holds it, so a {!search} descends to
+    that node. This is the dynamic directory's tree (Cr_location). *)
+val build_keyspace :
+  Cr_metric.Metric.t ->
+  epsilon:float ->
+  center:int ->
+  radius:float ->
+  members:int list ->
+  level_cap:int option ->
+  universe:int ->
+  t
+
 (** [search t ~key] runs Algorithm 2 from the root. *)
 val search : t -> key:int -> search_result
 

@@ -507,7 +507,8 @@ let suite =
           (fun rel ->
             fires_once rel "no-unsafe-compare" ~rel bare_compare ())
           [ "lib/metric/fixture.ml"; "lib/packing/fixture.ml";
-            "lib/proto/fixture.ml"; "lib/codec/fixture.ml" ]);
+            "lib/proto/fixture.ml"; "lib/codec/fixture.ml";
+            "bench/fixture.ml" ]);
     case "no-unsafe-compare: float (=) via let-propagation fires"
       (fires_once "no-unsafe-compare" "no-unsafe-compare"
          ~rel:"lib/metric/fixture.ml" float_eq_via_let);

@@ -137,8 +137,9 @@ let test_lookup_missing () =
 
 (* A lookup runs Algorithm 3's loop: every hop is tagged with the zoom
    climb, the ball search or the delivery, and an unpublished key finds
-   nothing. (The directory's trees are built empty, so every key sits at
-   a tree's root and a ball search takes no hop here.) *)
+   nothing. Each directory tree deals the key space over its nodes
+   (Algorithm 1), so a published key sits at the node whose slice holds
+   it, and reaching it takes ball-search hops (Algorithm 2). *)
 let test_lookup_phases () =
   let m = grid8 () in
   let dir = make_directory m in
@@ -160,6 +161,8 @@ let test_lookup_phases () =
   let tagged p = List.exists p phases in
   check_bool "zoom hops" true
     (tagged (function Trace.Zoom _ -> true | _ -> false));
+  check_bool "ball-search hops" true
+    (tagged (function Trace.Ball_search _ -> true | _ -> false));
   check_bool "delivery hops" true (tagged (fun p -> p = Trace.Deliver));
   check_bool "no other tag" true
     (List.for_all

@@ -1,17 +1,16 @@
-(* Cr_scale: the ball-limited Dijkstra's exact agreement with the full
-   run on the ball (distance, predecessor tie-break, owner tie-break),
-   the oracle's cache accounting, dense-vs-scale net-hierarchy equality
-   on the small fixtures, byte-equality of the sampled harness against
-   the dense all-pairs measurement for the same pairs, the zooming
-   model's ceiling, the new generators, and pool invariance of the
-   sampled evaluation (the CR_DOMAINS contract). *)
+(* Cr_scale and its kernel: the ball-limited Dijkstra's (Cr_metric.Bounded)
+   exact agreement with the full run on the ball (distance, predecessor
+   tie-break, owner tie-break), the oracle's cache accounting,
+   byte-equality of the sampled harness against the dense all-pairs
+   measurement for the same pairs, the zooming model's ceiling, the new
+   generators, and pool invariance of the sampled evaluation (the
+   CR_DOMAINS contract). *)
 
 open Helpers
 module Graph = Cr_metric.Graph
 module Metric = Cr_metric.Metric
 module Dijkstra = Cr_metric.Dijkstra
-module Hierarchy = Cr_nets.Hierarchy
-module Bounded = Cr_scale.Bounded
+module Bounded = Cr_metric.Bounded
 module Oracle = Cr_scale.Oracle
 module Nets = Cr_scale.Nets
 module Eval = Cr_scale.Eval
@@ -161,30 +160,6 @@ let oracle_cache () =
   Alcotest.check_raises "budget must be positive"
     (Invalid_argument "Oracle.create: budget must be >= 1") (fun () ->
       ignore (Oracle.create ~budget:0 g))
-
-(* ---- dense vs scale hierarchy ---- *)
-
-let hierarchy_equal name mth () =
-  let m = mth () in
-  let h = Hierarchy.build m in
-  let o = Oracle.create (Metric.graph m) in
-  let nets = Nets.build ~levels:(Metric.levels m) o in
-  check_int (name ^ ": top level") (Hierarchy.top_level h)
-    (Nets.top_level nets);
-  for i = 0 to Hierarchy.top_level h do
-    Alcotest.(check (list int))
-      (Printf.sprintf "%s: net %d" name i)
-      (Hierarchy.net h i) (Nets.net nets i)
-  done;
-  let n = Metric.n m in
-  for i = 1 to Hierarchy.top_level h do
-    for v = 0 to n - 1 do
-      check_int
-        (Printf.sprintf "%s: nearest net point, level %d node %d" name i v)
-        (Hierarchy.nearest_net_point h ~level:i v)
-        (Nets.nearest_net_point nets ~level:i v)
-    done
-  done
 
 (* ---- sampled harness = dense harness on the same pairs ---- *)
 
@@ -368,8 +343,6 @@ let suite =
     case "bounded: warmed runs allocate zero minor words" bounded_zero_alloc;
     case "oracle: hit/miss/eviction accounting and dense agreement"
       oracle_cache;
-    case "hierarchy: scale = dense on grid-6x6" (hierarchy_equal "grid6" grid6);
-    case "hierarchy: scale = dense on geo-48" (hierarchy_equal "geo48" geo48);
     case "landmark-scale = dense landmark on grid-6x6 (routes, tables)"
       landmark_matches_dense;
     case "zoom: samples respect the model ceiling (grid-8x8)"

@@ -99,6 +99,36 @@ let test_load_balanced () =
       check_bool "load bound" true (Search_tree.load st v <= bound))
     members
 
+(* A key-space tree stores an inserted key where Algorithm 1 deals it:
+   inserting every key of the universe gives the loads and descents of
+   the tree built with all of them as pairs. *)
+let test_keyspace_deals_inserts () =
+  let m = grid8 () in
+  let center = 27 and radius = 5.0 and universe = 40 in
+  let members = ball_members m ~center ~radius in
+  let empty =
+    Search_tree.build_keyspace m ~epsilon:0.5 ~center ~radius ~members
+      ~level_cap:None ~universe
+  in
+  let full =
+    Search_tree.build m ~epsilon:0.5 ~center ~radius ~members
+      ~level_cap:None ~pairs:(List.init universe (fun k -> (k, k))) ~universe
+  in
+  for key = 0 to universe - 1 do
+    let legs = Search_tree.insert empty ~key ~data:key in
+    check_bool
+      (Printf.sprintf "key %d: same descent" key)
+      true
+      (legs = (Search_tree.search full ~key).Search_tree.legs)
+  done;
+  List.iter
+    (fun v ->
+      check_int (Printf.sprintf "load at %d" v) (Search_tree.load full v)
+        (Search_tree.load empty v))
+    members;
+  check_bool "keys below the root" true
+    (Search_tree.load empty center < universe)
+
 let test_degree_bounded () =
   let m = grid8 () in
   let st = build_plain m ~center:27 ~radius:6.0 ~pairs:[] in
@@ -328,6 +358,8 @@ let suite =
     Alcotest.test_case "legs roundtrip at root" `Quick
       test_search_legs_roundtrip;
     Alcotest.test_case "load balanced (Alg 1)" `Quick test_load_balanced;
+    Alcotest.test_case "key-space tree stores inserts as Alg 1 deals them"
+      `Quick test_keyspace_deals_inserts;
     Alcotest.test_case "degree bounded" `Quick test_degree_bounded;
     Alcotest.test_case "capped variant chains (Def 4.2)" `Quick
       test_capped_variant_chains;

@@ -9,8 +9,10 @@
    delivery order and E19's measured bits rest on float tie-breaks
    there), in lib/serve and lib/sim (served costs must equal walked
    costs bit for bit, and the stretch statistics sort float samples),
-   and in lib/location and lib/baselines (the directory ranks replicas by
-   distance, and the baselines' landmark bunches are distance cuts) this
+   in lib/location and lib/baselines (the directory ranks replicas by
+   distance, and the baselines' landmark bunches are distance cuts), and
+   in bench/ and bin/ (the experiments and the CLI pick sample pairs and
+   print tables by distance order, and their output is baselined) this
    rule forbids
 
    - the bare polymorphic [compare] in any position (sorts included):
@@ -149,13 +151,13 @@ let rule =
       "no polymorphic compare/(=) on float distance values in lib/core, \
        lib/metric, lib/packing, lib/nets, lib/search_tree, \
        lib/tree_routing, lib/scale, lib/proto, lib/codec, lib/serve, \
-       lib/sim, lib/location and lib/baselines";
+       lib/sim, lib/location, lib/baselines, bench and bin";
     applies =
       (fun rel ->
         Rule.under
           [ "lib/core"; "lib/metric"; "lib/packing"; "lib/nets";
             "lib/search_tree"; "lib/tree_routing"; "lib/scale"; "lib/proto";
             "lib/codec"; "lib/serve"; "lib/sim"; "lib/location";
-            "lib/baselines" ]
+            "lib/baselines"; "bench"; "bin" ]
           rel);
     check }

@@ -5,8 +5,10 @@ type t = {
   graph : Graph.t;
   n : int;
   dist : float array;  (* row-major n*n distance matrix *)
-  order : int array array;  (* order.(u) = node ids by (d(u, -), id) *)
-  sssp : Dijkstra.result array;  (* canonical shortest-path forest per source *)
+  order : int array;  (* row-major: row u = node ids by (d(u, -), id) *)
+  pred : int array;
+      (* row-major: row s = predecessors on s's canonical shortest-path
+         forest, -1 at s *)
   min_distance : float;
   diameter : float;
 }
@@ -22,7 +24,9 @@ let validate graph =
 (* The two O(n . Dijkstra) / O(n^2 log n) stages fan out over the pool;
    each source (resp. row) is independent and results land by index, so the
    output is identical to the sequential run (see Cr_par.Pool). Trace
-   events are emitted on the calling domain only. *)
+   events are emitted on the calling domain only. Every n*n table is one
+   row-major block, like [dist]; the per-source rows are copied in and
+   dropped, the one-sided distances among them. *)
 let build ~pool graph =
   let n = Graph.n graph in
   let ctx = Trace.resolve None in
@@ -31,8 +35,10 @@ let build ~pool graph =
     Pool.stage ctx pool "metric.sssp" @@ fun () ->
     Pool.parallel_init pool n (fun s -> Dijkstra.run graph s)
   in
+  let pred = Array.make (n * n) (-1) in
   for s = 0 to n - 1 do
-    Array.blit sssp.(s).dist 0 dist (s * n) n
+    Array.blit sssp.(s).Dijkstra.dist 0 dist (s * n) n;
+    Array.blit sssp.(s).Dijkstra.pred 0 pred (s * n) n
   done;
   (* Per-source Dijkstra runs can round the same path sum differently;
      force exact symmetry by keeping the smaller value of each pair. *)
@@ -51,7 +57,7 @@ let build ~pool graph =
       if x > !diameter then diameter := x
     done
   done;
-  let order =
+  let rows =
     Pool.stage ctx pool "metric.order" @@ fun () ->
     Pool.parallel_init pool n (fun u ->
         let base = u * n in
@@ -65,7 +71,9 @@ let build ~pool graph =
           ids;
         ids)
   in
-  { graph; n; dist; order; sssp;
+  let order = Array.make (n * n) 0 in
+  Array.iteri (fun u row -> Array.blit row 0 order (u * n) n) rows;
+  { graph; n; dist; order; pred;
     min_distance = !min_distance; diameter = !diameter }
 
 let of_graph_unnormalized ?(pool = Pool.default ()) graph =
@@ -112,16 +120,15 @@ let ball_size m ~center ~radius =
 let radius_of_size m u size =
   if size < 1 || size > m.n then
     invalid_arg "Metric.radius_of_size: size out of range";
-  (* order.(u).(k) is u's (k+1)-th closest node (u itself at index 0), so
-     r_u for a ball of [size] nodes is the distance to the entry at index
-     size-1. *)
-  d m u m.order.(u).(size - 1)
+  (* entry k of row u is u's (k+1)-th closest node (u itself at k = 0), so
+     r_u for a ball of [size] nodes is the distance to entry size-1. *)
+  d m u m.order.((u * m.n) + size - 1)
 
 let nearest_k m u k =
   if k < 1 || k > m.n then invalid_arg "Metric.nearest_k: k out of range";
-  let row = m.order.(u) in
+  let base = u * m.n in
   let rec prefix i acc =
-    if i < 0 then acc else prefix (i - 1) (row.(i) :: acc)
+    if i < 0 then acc else prefix (i - 1) (m.order.(base + i) :: acc)
   in
   prefix (k - 1) []
 
@@ -135,31 +142,39 @@ let nearest_in m u candidates =
         if dv < db || (Float.equal dv db && v < best) then v else best)
       first rest
 
+(* The hop is the node on [dst]'s predecessor chain whose predecessor is
+   [src] (the one node of the row with predecessor -1). *)
 let next_hop m ~src ~dst =
   if src = dst then invalid_arg "Metric.next_hop: src = dst";
-  Dijkstra.next_hop_toward m.sssp.(src) dst
+  let base = src * m.n in
+  let hop = ref dst in
+  while m.pred.(base + m.pred.(base + !hop)) <> -1 do
+    hop := m.pred.(base + !hop)
+  done;
+  !hop
 
-(* One dynamic-programming sweep over the predecessor forest instead of n
-   path reconstructions: a node's first hop is its own id when its
-   predecessor is the source, else its predecessor's first hop. Edge
-   weights are strictly positive, so dist strictly increases along every
-   predecessor chain and processing nodes in ascending distance order sees
-   each predecessor before its children. *)
+(* A node's first hop is its own id when its predecessor is the source,
+   else its predecessor's first hop: memoized along each predecessor
+   chain, so the row costs O(n) and needs no distance order. *)
 let first_hops m ~src =
-  let r = m.sssp.(src) in
+  let base = src * m.n in
   let hop = Array.make m.n (-1) in
-  let order = Array.init m.n Fun.id in
-  Array.sort
-    (fun a b -> Float.compare r.Dijkstra.dist.(a) r.Dijkstra.dist.(b))
-    order;
-  Array.iter
-    (fun v ->
-      if v <> src then begin
-        let p = r.Dijkstra.pred.(v) in
-        if p = src then hop.(v) <- v
-        else if p >= 0 then hop.(v) <- hop.(p)
-      end)
-    order;
+  let rec first v =
+    if hop.(v) < 0 then begin
+      let p = m.pred.(base + v) in
+      hop.(v) <- (if p = src then v else first p)
+    end;
+    hop.(v)
+  in
+  for v = 0 to m.n - 1 do
+    if v <> src then ignore (first v)
+  done;
   hop
 
-let shortest_path m ~src ~dst = Dijkstra.path m.sssp.(src) dst
+let shortest_path m ~src ~dst =
+  let base = src * m.n in
+  let rec build v acc =
+    let p = m.pred.(base + v) in
+    if p = -1 then v :: acc else build p (v :: acc)
+  in
+  build dst []

@@ -94,8 +94,8 @@ val shortest_path : t -> src:int -> dst:int -> int list
 
 (** [first_hops m ~src] is the whole next-hop row of [src] at once:
     a fresh array [h] with [h.(dst) = next_hop m ~src ~dst] for every
-    [dst <> src] and [h.(src) = -1]. Computed in one O(n log n) sweep of
-    the canonical shortest-path forest (agreeing hop-for-hop with
-    {!next_hop}) — the bulk primitive the route-serving engine compiles
-    full next-hop tables from. *)
+    [dst <> src] and [h.(src) = -1]. Computed in one O(n) walk of the
+    canonical shortest-path forest, each predecessor chain memoized
+    (agreeing hop-for-hop with {!next_hop}): the bulk primitive the
+    route-serving engine compiles full next-hop tables from. *)
 val first_hops : t -> src:int -> int array

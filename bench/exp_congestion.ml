@@ -12,7 +12,10 @@ open Common
 module Metric = Cr_metric.Metric
 module Walker = Cr_sim.Walker
 module Workload = Cr_sim.Workload
+module Trace = Cr_obs.Trace
+module Sinks = Cr_obs.Sinks
 module Cost = Cr_obs.Cost
+module Route_trace = Cr_core.Route_trace
 module Sfl = Cr_core.Scale_free_labeled
 module Hier = Cr_core.Hier_labeled
 
@@ -32,15 +35,18 @@ let load_stats n trails =
   (max_load, avg)
 
 (* Route the whole workload with one shared Cost accumulator, so its
-   per-edge table aggregates the scheme's entire traffic. *)
+   per-edge table aggregates the scheme's entire traffic; each route's
+   node sequence is read back from its hop events. *)
 let route_all m pairs route =
   let cost = Cost.create () in
   let trails =
     List.map
       (fun (src, dst) ->
-        let w = Walker.create ~cost m ~start:src ~max_hops:1_000_000 in
+        let events = Sinks.Memory.create () in
+        let obs = Trace.make (Sinks.Memory.sink events) in
+        let w = Walker.create ~obs ~cost m ~start:src ~max_hops:1_000_000 in
         route w dst;
-        Walker.trail w)
+        Route_trace.nodes ~src (Sinks.Memory.events events))
       pairs
   in
   (trails, cost)

@@ -199,8 +199,9 @@ let stats family scheme_kind epsilon seed pairs_budget =
       (Scheme.ni_avg_table_bits s n) s.Scheme.ni_header_bits);
   0
 
-(* trace / metrics: drive the concrete scheme so the walker records
-   trail and phase-tagged events. *)
+(* trace / metrics: drive the concrete scheme so the walker emits
+   phase-tagged hop events; the text, csv and dot renderings read the
+   route's node sequence back from them. *)
 
 let make_walk scheme_kind nt ~epsilon ~naming ~dst =
   match scheme_kind with
@@ -242,29 +243,18 @@ let trace family scheme_kind epsilon seed src dst format =
   else begin
     let naming = Workload.random_naming ~n ~seed in
     let walk = make_walk scheme_kind nt ~epsilon ~naming ~dst in
-    let captured () =
-      [ Cr_core.Route_trace.capture metric ~max_hops:1_000_000 ~src ~dst ~walk ]
+    let t =
+      Cr_core.Route_trace.capture metric ~max_hops:1_000_000 ~src ~dst ~walk
     in
-    let walked () =
-      let w = Cr_sim.Walker.create metric ~start:src ~max_hops:1_000_000 in
-      walk w;
-      w
-    in
+    let route = Cr_core.Route_trace.nodes ~src t.events in
     (match format with
-    | `Jsonl -> print_string (Cr_core.Route_trace.to_jsonl (captured ()))
-    | `Chrome -> print_string (Cr_core.Route_trace.to_chrome (captured ()))
-    | `Dot ->
-      let route = Cr_sim.Walker.trail (walked ()) in
-      print_string (Cr_sim.Export.dot_of_graph metric ~route ())
-    | `Csv ->
-      print_string
-        (Cr_sim.Export.csv_of_route metric (Cr_sim.Walker.trail (walked ())))
+    | `Jsonl -> print_string (Cr_core.Route_trace.to_jsonl [ t ])
+    | `Chrome -> print_string (Cr_core.Route_trace.to_chrome [ t ])
+    | `Dot -> print_string (Cr_sim.Export.dot_of_graph metric ~route ())
+    | `Csv -> print_string (Cr_sim.Export.csv_of_route metric route)
     | `Text ->
-      let w = walked () in
-      let trail = Cr_sim.Walker.trail w in
-      Printf.printf "trail (%d hops, cost %.3f): %s\n"
-        (Cr_sim.Walker.hops w) (Cr_sim.Walker.cost w)
-        (String.concat " -> " (List.map string_of_int trail)));
+      Printf.printf "trail (%d hops, cost %.3f): %s\n" t.hops t.cost
+        (String.concat " -> " (List.map string_of_int route)));
     0
   end
 

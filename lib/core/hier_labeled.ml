@@ -34,8 +34,8 @@ let netting_tree t = t.nt
 
 (* Lemma 3.1's forwarding rule: step toward the minimal covering ring
    member until the packet arrives. *)
-let rec descend ~next_hop ~dest (mv : Walker.mover) ~dest_label =
-  let at = mv.position () in
+let rec descend ~next_hop ~dest w ~dest_label =
+  let at = Walker.position w in
   if at <> dest then begin
     let hop = next_hop ~at ~label:dest_label in
     if hop < 0 || hop = at then
@@ -43,12 +43,13 @@ let rec descend ~next_hop ~dest (mv : Walker.mover) ~dest_label =
         (Printf.sprintf
            "Hier_labeled.route_over: node %d has no next hop for label %d" at
            dest_label);
-    mv.step hop;
-    descend ~next_hop ~dest mv ~dest_label
+    Walker.step w hop;
+    descend ~next_hop ~dest w ~dest_label
   end
 
-let route_over ~next_hop ~dest (mv : Walker.mover) ~dest_label =
-  mv.phase Trace.Net_phase (fun () -> descend ~next_hop ~dest mv ~dest_label)
+let route_over ~next_hop ~dest w ~dest_label =
+  Walker.with_phase w Trace.Net_phase (fun () ->
+      descend ~next_hop ~dest w ~dest_label)
 
 (* The top-level ring always covers every label (the root's range is all of
    [0, n)), and the covering member is never the current node short of
@@ -64,7 +65,7 @@ let next_hop t ~at ~label =
 let walk t w ~dest_label =
   route_over ~next_hop:(next_hop t)
     ~dest:(Netting_tree.node_of_label t.nt dest_label)
-    (Walker.mover w) ~dest_label
+    w ~dest_label
 
 let label_bits t = Bits.id_bits (Metric.n t.metric)
 

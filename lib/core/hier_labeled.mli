@@ -34,11 +34,11 @@ val rings : t -> Rings.t
 
 val netting_tree : t -> Cr_nets.Netting_tree.t
 
-(** [route_over ~next_hop ~dest mv ~dest_label] is Lemma 3.1's forwarding
+(** [route_over ~next_hop ~dest w ~dest_label] is Lemma 3.1's forwarding
     rule, written once: at each node [at] short of [dest] (the node labeled
     [dest_label]) it takes [next_hop ~at ~label:dest_label], the next hop
     toward the minimal-level ring member whose range covers the label, and
-    steps there. Hops are attributed to the [Net_phase] trace phase unless
+    steps walker [w] there. Hops are attributed to the [Net_phase] trace phase unless
     an outer scheme already set one. The scheme binds [next_hop] to its
     rings and [Metric.next_hop] ({!walk}); the serving engine binds it to
     its compiled ring arena. Raises [Invalid_argument] naming the node and
@@ -46,7 +46,7 @@ val netting_tree : t -> Cr_nets.Netting_tree.t
     node itself. *)
 val route_over :
   next_hop:(at:int -> label:int -> int) -> dest:int ->
-  Cr_sim.Walker.mover -> dest_label:int -> unit
+  Cr_sim.Walker.t -> dest_label:int -> unit
 
 (** [walk t w ~dest_label] advances walker [w] from its current position to
     the node labeled [dest_label]: {!route_over} over [t]'s rings. *)

@@ -2,13 +2,13 @@ module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
 module Walker = Cr_sim.Walker
 
-let walk nt ~hub (mv : Walker.mover) ~dest_label =
+let walk nt ~hub w ~dest_label =
   let top = Hierarchy.top_level (Netting_tree.hierarchy nt) in
   let dest = Netting_tree.node_of_label nt dest_label in
   (* Climb: walk the current node's zooming sequence to the root. *)
-  let start = mv.position () in
+  let start = Walker.position w in
   for i = 1 to top do
-    mv.path (hub ~src:start ~level:i)
+    Walker.walk_shortest_path w (hub ~src:start ~level:i)
   done;
   (* Descend: at each level pick the child whose range covers the label. *)
   let rec descend level x =
@@ -22,8 +22,8 @@ let walk nt ~hub (mv : Walker.mover) ~dest_label =
               dest_label)
           (Netting_tree.children nt ~level x)
       in
-      mv.path child;
+      Walker.walk_shortest_path w child;
       descend (level - 1) child
     end
   in
-  descend top (mv.position ())
+  descend top (Walker.position w)

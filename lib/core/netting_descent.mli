@@ -9,7 +9,7 @@
     stays zero; fallback storage is therefore *excluded* from the measured
     routing tables (DESIGN.md, substitution discussion). *)
 
-(** [walk nt ~hub mv ~dest_label] moves the packet from wherever it is to
+(** [walk nt ~hub w ~dest_label] moves walker [w] from wherever it is to
     the node labeled [dest_label]: up its own zooming sequence to the root
     ([hub ~src ~level] is src(level); the scheme passes its zooming
     sequence, the serving engine its compiled hub rows), then down the
@@ -17,4 +17,4 @@
     consecutive net points. *)
 val walk :
   Cr_nets.Netting_tree.t -> hub:(src:int -> level:int -> int) ->
-  Cr_sim.Walker.mover -> dest_label:int -> unit
+  Cr_sim.Walker.t -> dest_label:int -> unit

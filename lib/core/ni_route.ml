@@ -38,12 +38,12 @@ type level_report = {
 (* Algorithm 4: search the hub's own tree, or follow the H(u, i) link to a
    packed ball's center, search there, and come back. Every leg endpoint
    holds the other's routing label, so a net edge is one labeled route. *)
-let search t (mv : Walker.mover) ~goto ~hub ~level ~key =
+let search t ~jump ~goto ~hub ~level ~key =
   match t.site ~level ~hub with
-  | Local st -> Search_tree.walk st ~key ~jump:mv.jump ~goto
+  | Local st -> Search_tree.walk st ~key ~jump ~goto
   | Link (center, st) ->
     goto center;
-    let data = Search_tree.walk st ~key ~jump:mv.jump ~goto in
+    let data = Search_tree.walk st ~key ~jump ~goto in
     goto hub;
     data
 
@@ -55,8 +55,9 @@ let search t (mv : Walker.mover) ~goto ~hub ~level ~key =
    rule keeps the tag through the inner calls — so stretch inflation under
    failures is attributable hop by hop. Returns whether the name was found
    at or below the top level; [failovers] counts the failovers taken. *)
-let run ?observe t (mv : Walker.mover) ~travel ~failovers ~dest_name =
+let run ?observe t w ~travel ~failovers ~dest_name =
   let goto v = travel (t.label v) in
+  let jump v cost = Walker.teleport w v ~cost in
   let rec attempt from i =
     if i > t.top_level then false
     else
@@ -64,24 +65,24 @@ let run ?observe t (mv : Walker.mover) ~travel ~failovers ~dest_name =
         let hub = t.hub ~src:from ~level:i in
         (* the cost reads and the report happen only for an observer *)
         let observed = Option.is_some observe in
-        let before_climb = if observed then mv.cost () else 0.0 in
-        mv.phase (Trace.Zoom i) (fun () -> goto hub);
-        let before_search = if observed then mv.cost () else 0.0 in
+        let before_climb = if observed then Walker.cost w else 0.0 in
+        Walker.with_phase w (Trace.Zoom i) (fun () -> goto hub);
+        let before_search = if observed then Walker.cost w else 0.0 in
         let result =
-          mv.phase (Trace.Ball_search i) (fun () ->
-              search t mv ~goto ~hub ~level:i ~key:dest_name)
+          Walker.with_phase w (Trace.Ball_search i) (fun () ->
+              search t ~jump ~goto ~hub ~level:i ~key:dest_name)
         in
         (match observe with
         | Some observe ->
           observe
             { level = i; hub;
               climb_cost = before_search -. before_climb;
-              search_cost = mv.cost () -. before_search;
+              search_cost = Walker.cost w -. before_search;
               found = Option.is_some result }
         | None -> ());
         match result with
         | Some dest_label ->
-          mv.phase Trace.Deliver (fun () -> travel dest_label);
+          Walker.with_phase w Trace.Deliver (fun () -> travel dest_label);
           true
         | None -> false
       with
@@ -89,18 +90,19 @@ let run ?observe t (mv : Walker.mover) ~travel ~failovers ~dest_name =
       | false -> attempt from (i + 1)
       | exception Walker.Blocked _ ->
         incr failovers;
-        mv.phase Trace.Faults (fun () -> attempt (mv.position ()) (i + 1))
+        Walker.with_phase w Trace.Faults (fun () ->
+            attempt (Walker.position w) (i + 1))
   in
-  attempt (mv.position ()) t.first_level
+  attempt (Walker.position w) t.first_level
 
-let walk ?observe t mv ~travel ~dest_name =
-  if not (run ?observe t mv ~travel ~failovers:(ref 0) ~dest_name) then
+let walk ?observe t w ~travel ~dest_name =
+  if not (run ?observe t w ~travel ~failovers:(ref 0) ~dest_name) then
     invalid_arg "Ni_route.walk: name not found at the top level"
 
-let walk_degraded t mv ~travel ~dest_name =
+let walk_degraded t w ~travel ~dest_name =
   let failovers = ref 0 in
   let status =
-    match run t mv ~travel ~failovers ~dest_name with
+    match run t w ~travel ~failovers ~dest_name with
     | true -> if !failovers = 0 then Scheme.Delivered else Scheme.Rerouted
     | false -> Scheme.Undeliverable
     | exception Walker.Hop_budget_exhausted -> Scheme.Undeliverable

@@ -9,11 +9,11 @@
     the hub's own tree, Theorem 1.1 either its own tree or, through the
     H(u, i) link, a packed ball's tree at that ball's center.
 
-    The loop moves its packet through a {!Cr_sim.Walker.mover}, so the
-    schemes' walks and the serving engine run this same code: the schemes
-    bind it to a walker and their own tables, the engine to its cursor,
-    compiled hub rows and compiled underlying driver, and
-    [Cr_location.Directory] to its dynamic directory trees. *)
+    The loop moves its packet on a {!Cr_sim.Walker.t}, so the schemes'
+    walks and the serving engine run this same code: the schemes over
+    their own tables, the engine over compiled hub rows and its compiled
+    underlying driver, and [Cr_location.Directory] over its dynamic
+    directory trees. *)
 
 (** Where a level's search happens (Algorithm 4). *)
 type site =
@@ -49,11 +49,11 @@ type level_report = {
   found : bool;
 }
 
-(** [walk ?observe t mv ~travel ~dest_name] moves the packet to the node
+(** [walk ?observe t w ~travel ~dest_name] moves walker [w] to the node
     named [dest_name]; [travel l] must move it to the node with underlying
     label [l]. [observe] is called once per searched level. Only an
     observer costs anything beyond the moves: without one the loop reads
-    no [mv.cost] and builds no [level_report], so a route pays for its
+    no [Walker.cost] and builds no [level_report], so a route pays for its
     hops and for a few closures per level. Hops are
     trace-tagged [Zoom i] (climb to the level-[i] hub), [Ball_search i]
     (the search round trip) and [Deliver] (the final labeled route).
@@ -61,29 +61,29 @@ type level_report = {
     Failover rule (E18): when a move raises {!Cr_sim.Walker.Blocked}, the
     packet abandons the level and re-enters the zooming sequence one level
     up from its current position; every later hop is tagged [Faults]. On a
-    mover that never blocks this is plain Algorithm 3.
+    walker without failures this is plain Algorithm 3.
 
     Raises [Invalid_argument] when no level up to the top finds the name,
     and lets {!Cr_sim.Walker.Hop_budget_exhausted} escape. *)
 val walk :
-  ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.mover ->
+  ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.t ->
   travel:(int -> unit) -> dest_name:int -> unit
 
-(** [run ?observe t mv ~travel ~failovers ~dest_name] is the loop itself,
+(** [run ?observe t w ~travel ~failovers ~dest_name] is the loop itself,
     as [walk] runs it: it returns whether some level up to the top found
     the name (false leaves the packet where the top-level search ended),
     adds each failover taken to [failovers], and lets
     {!Cr_sim.Walker.Hop_budget_exhausted} escape. *)
 val run :
-  ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.mover ->
+  ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.t ->
   travel:(int -> unit) -> failovers:int ref -> dest_name:int -> bool
 
-(** [walk_degraded t mv ~travel ~dest_name] is [walk] returning the route
+(** [walk_degraded t w ~travel ~dest_name] is [walk] returning the route
     status and the number of failovers instead of raising: [Delivered]
     without failover, [Rerouted] after some, [Undeliverable] when the top
     level is passed or the hop budget runs out. *)
 val walk_degraded :
-  t -> Cr_sim.Walker.mover -> travel:(int -> unit) -> dest_name:int ->
+  t -> Cr_sim.Walker.t -> travel:(int -> unit) -> dest_name:int ->
   Cr_sim.Scheme.route_status * int
 
 (** [found_level t ~src ~dest_name] is the level at which the search from

@@ -28,6 +28,15 @@ let capture ?max_hops m ~src ~dst ~walk =
     hops = Walker.hops w;
     events = Sinks.Memory.events buf }
 
+let nodes ~src events =
+  src
+  :: List.filter_map
+       (fun ev ->
+         match ev.Trace.body with
+         | Trace.Hop { kind = Trace.Edge | Trace.Jump; dst; _ } -> Some dst
+         | _ -> None)
+       events
+
 let hop_cost = function
   | { Trace.body = Trace.Hop { cost; _ }; _ } -> Some cost
   | _ -> None

@@ -25,6 +25,13 @@ val capture :
   ?max_hops:int -> Cr_metric.Metric.t -> src:int -> dst:int ->
   walk:(Cr_sim.Walker.t -> unit) -> t
 
+(** [nodes ~src events] is the node sequence of a route that started at
+    [src] and emitted the hop [events]: [src], then the destination of
+    every [Edge] and [Jump] hop, in order ([Virtual] charges stay in
+    place). The walker keeps no other record of the nodes it visits; for
+    a captured route [t] this is [nodes ~src:t.src t.events]. *)
+val nodes : src:int -> Cr_obs.Trace.event list -> int list
+
 (** [phase_costs t] sums hop costs by phase, phases in first-appearance
     order. The sums cover every hop event, so they add up to
     [phase_cost_total t]. *)

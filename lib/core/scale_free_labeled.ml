@@ -230,13 +230,13 @@ let matching_scale r u i =
   in
   go (r.scales - 1)
 
-let fallback r (mv : Walker.mover) ~dest_label =
+let fallback r w ~dest_label =
   Atomic.incr r.fallbacks;
   let width = Array.length r.hubs / r.n in
-  mv.phase Trace.Fallback (fun () ->
+  Walker.with_phase w Trace.Fallback (fun () ->
       Netting_descent.walk r.nt
         ~hub:(fun ~src ~level -> r.hubs.((src * width) + level))
-        mv ~dest_label)
+        w ~dest_label)
 
 type phase_report = {
   exit_level : int;  (* i_t; -1 when the ring phase delivered directly *)
@@ -253,8 +253,8 @@ let uncovered = -2
 
 (* Lines 1-6: greedy ring descent while the minimal covering level does
    not grow and its member stays far. *)
-let rec ring_phase ring (mv : Walker.mover) ~dest ~dest_label prev_level =
-  let at = mv.position () in
+let rec ring_phase ring w ~dest ~dest_label prev_level =
+  let at = Walker.position w in
   if at = dest then arrived
   else
     let e = ring.cover ~at ~label:dest_label in
@@ -268,34 +268,34 @@ let rec ring_phase ring (mv : Walker.mover) ~dest ~dest_label prev_level =
            packing phase may genuinely miss, e.g. at Voronoi tie
            boundaries; walking the remaining <= 2^0/eps distance directly
            realizes the d(u_t, v) term of Eqn 19 exactly.) *)
-        mv.path (ring.member e);
+        Walker.walk_shortest_path w (ring.member e);
         arrived
       end
       else if i <= prev_level && ring.far ~at e then begin
-        mv.step (ring.hop ~at e);
-        ring_phase ring mv ~dest ~dest_label i
+        Walker.step w (ring.hop ~at e);
+        ring_phase ring w ~dest ~dest_label i
       end
       else i
 
 (* Line 8: climb T_c(j) to its root c along graph edges. *)
-let rec climb r (mv : Walker.mover) ~scale c =
-  let at = mv.position () in
+let rec climb r w ~scale c =
+  let at = Walker.position w in
   if at <> c then begin
-    mv.step r.parent.((scale * r.n) + at);
-    climb r mv ~scale c
+    Walker.step w r.parent.((scale * r.n) + at);
+    climb r w ~scale c
   end
 
-let route_over ?observe r (mv : Walker.mover) ~dest ~dest_label =
+let route_over ?observe r w ~dest ~dest_label =
   (* the cost reads and the report happen only for an observer *)
   let observed = Option.is_some observe in
-  let start = if observed then mv.cost () else 0.0 in
+  let start = if observed then Walker.cost w else 0.0 in
   let i_t =
-    mv.phase Trace.Net_phase (fun () ->
-        ring_phase r.ring mv ~dest ~dest_label max_int)
+    Walker.with_phase w Trace.Net_phase (fun () ->
+        ring_phase r.ring w ~dest ~dest_label max_int)
   in
-  if i_t = uncovered then fallback r mv ~dest_label
+  if i_t = uncovered then fallback r w ~dest_label
   else
-    let ring_cost = if observed then mv.cost () -. start else 0.0 in
+    let ring_cost = if observed then Walker.cost w -. start else 0.0 in
     if i_t = arrived then
       match observe with
       | Some observe ->
@@ -304,23 +304,25 @@ let route_over ?observe r (mv : Walker.mover) ~dest ~dest_label =
             search_cost = 0.0; tree_cost = 0.0 }
       | None -> ()
     else
-      let u_t = mv.position () in
+      let u_t = Walker.position w in
       let j = matching_scale r u_t i_t in
       let c = r.owner.((j * r.n) + u_t) in
-      mv.phase Trace.Voronoi_phase (fun () -> climb r mv ~scale:j c);
+      Walker.with_phase w Trace.Voronoi_phase (fun () -> climb r w ~scale:j c);
       let climb_cost =
-        if observed then mv.cost () -. start -. ring_cost else 0.0
+        if observed then Walker.cost w -. start -. ring_cost else 0.0
       in
       (* Line 9: search tree II lookup of the local tree label. *)
       let st = Hashtbl.find r.search.(j) c in
       match
-        mv.phase Trace.Search_tree_phase (fun () ->
-            Search_tree.walk st ~key:dest_label ~jump:mv.jump ~goto:mv.path)
+        Walker.with_phase w Trace.Search_tree_phase (fun () ->
+            Search_tree.walk st ~key:dest_label
+              ~jump:(fun v cost -> Walker.teleport w v ~cost)
+              ~goto:(fun v -> Walker.walk_shortest_path w v))
       with
-      | None -> fallback r mv ~dest_label
+      | None -> fallback r w ~dest_label
       | Some local_label -> (
         let search_cost =
-          if observed then mv.cost () -. start -. ring_cost -. climb_cost
+          if observed then Walker.cost w -. start -. ring_cost -. climb_cost
           else 0.0
         in
         (* Line 10: tree-route from c to the destination. *)
@@ -328,9 +330,11 @@ let route_over ?observe r (mv : Walker.mover) ~dest ~dest_label =
           Interval_routing.route (Hashtbl.find r.cell_routers.(j) c) ~src:c
             ~dest_label:local_label
         in
-        mv.phase Trace.Voronoi_phase (fun () ->
-            match path with [] -> () | _ :: rest -> List.iter mv.step rest);
-        if mv.position () <> dest then fallback r mv ~dest_label
+        Walker.with_phase w Trace.Voronoi_phase (fun () ->
+            match path with
+            | [] -> ()
+            | _ :: rest -> List.iter (fun v -> Walker.step w v) rest);
+        if Walker.position w <> dest then fallback r w ~dest_label
         else
           match observe with
           | Some observe ->
@@ -338,12 +342,12 @@ let route_over ?observe r (mv : Walker.mover) ~dest ~dest_label =
               { exit_level = i_t; scale = j; ring_cost; climb_cost;
                 search_cost;
                 tree_cost =
-                  mv.cost () -. start -. ring_cost -. climb_cost
+                  Walker.cost w -. start -. ring_cost -. climb_cost
                   -. search_cost }
           | None -> ())
 
 let walk ?observe t w ~dest_label =
-  route_over ?observe t.router (Walker.mover w)
+  route_over ?observe t.router w
     ~dest:(Netting_tree.node_of_label t.router.nt dest_label) ~dest_label
 
 let fallback_count t = Atomic.get t.router.fallbacks

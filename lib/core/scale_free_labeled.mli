@@ -104,7 +104,7 @@ type phase_report = {
   tree_cost : float;
 }
 
-(** [route_over ?observe r mv ~dest ~dest_label] moves the packet to
+(** [route_over ?observe r w ~dest ~dest_label] moves walker [w] to
     [dest], the node labeled [dest_label], by Algorithm 5: the ring phase
     (lines 1-6), the packing scale matching its exit level (line 7), the
     climb to the Voronoi center (line 8), the search tree II lookup of the
@@ -114,9 +114,9 @@ type phase_report = {
     [Net_phase] (ring descent), [Voronoi_phase] (cell-tree climb and
     tree-route), [Search_tree_phase] (search tree II lookup), and
     [Fallback]. [observe] is called once on the fast path (not on
-    fallback); only an observer makes the function read [mv.cost]. *)
+    fallback); only an observer makes the function read [Walker.cost]. *)
 val route_over :
-  ?observe:(phase_report -> unit) -> router -> Cr_sim.Walker.mover ->
+  ?observe:(phase_report -> unit) -> router -> Cr_sim.Walker.t ->
   dest:int -> dest_label:int -> unit
 
 (** [walk t w ~dest_label] advances walker [w] to the node labeled

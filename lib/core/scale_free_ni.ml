@@ -214,11 +214,11 @@ type level_report = Ni_route.level_report = {
 let travel t w dest_label = t.underlying.Underlying.u_walk w ~dest_label
 
 let walk ?observe t w ~dest_name =
-  Ni_route.walk ?observe t.lookup (Walker.mover w) ~travel:(travel t w)
+  Ni_route.walk ?observe t.lookup w ~travel:(travel t w)
     ~dest_name
 
 let walk_degraded t w ~dest_name =
-  Ni_route.walk_degraded t.lookup (Walker.mover w) ~travel:(travel t w)
+  Ni_route.walk_degraded t.lookup w ~travel:(travel t w)
     ~dest_name
 
 let found_level t = Ni_route.found_level t.lookup

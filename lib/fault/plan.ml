@@ -40,8 +40,10 @@ let make ?(drop = 0.0) ?(duplicate = 0.0) ?(delay_prob = 0.0)
 let none ~seed = make ~seed ()
 
 let is_null t =
-  t.drop = 0.0 && t.duplicate = 0.0 && t.delay_prob = 0.0
-  && t.crashes = [] && List.for_all (fun (_, p) -> p = 0.0) t.edge_drop
+  Float.equal t.drop 0.0 && Float.equal t.duplicate 0.0
+  && Float.equal t.delay_prob 0.0
+  && t.crashes = []
+  && List.for_all (fun (_, p) -> Float.equal p 0.0) t.edge_drop
 
 (* Decision tags: distinct last-mixed ints keep the drop / inflate /
    duplicate draws of one message independent. *)

@@ -2,7 +2,7 @@ module Graph = Cr_metric.Graph
 
 let induced g keep =
   if keep = [] then invalid_arg "Component.induced: empty node set";
-  let keep = List.sort_uniq compare keep in
+  let keep = List.sort_uniq Int.compare keep in
   let index = Hashtbl.create (List.length keep) in
   List.iteri (fun i v -> Hashtbl.replace index v i) keep;
   let g' = Graph.create (List.length keep) in

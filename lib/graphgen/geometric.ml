@@ -68,8 +68,10 @@ let of_points points k =
   for u = 0 to n - 1 do
     let by_dist = Array.copy order in
     Array.sort
-      (fun a b -> compare (safe_dist points.(u) points.(a))
-                    (safe_dist points.(u) points.(b)))
+      (fun a b ->
+        Float.compare
+          (safe_dist points.(u) points.(a))
+          (safe_dist points.(u) points.(b)))
       by_dist;
     (* by_dist.(0) is u itself (distance ~0). *)
     let added = ref 0 in

@@ -129,7 +129,7 @@ let move t ~key ~from_holder ~to_holder =
 let lookup t w ~key =
   check_key t key;
   if
-    Ni_route.run t.route (Walker.mover w)
+    Ni_route.run t.route w
       ~travel:(fun dest_label -> t.underlying.Underlying.u_walk w ~dest_label)
       ~failovers:(ref 0) ~dest_name:key
   then Some (Walker.position w)

@@ -1,4 +1,5 @@
 module Metric = Cr_metric.Metric
+module Graph = Cr_metric.Graph
 module Bits = Cr_metric.Bits
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
@@ -18,107 +19,6 @@ module Underlying = Cr_core.Underlying
 module Ni_route = Cr_core.Ni_route
 module Landmark = Cr_baselines.Landmark
 module Full_table = Cr_baselines.Full_table
-
-(* The serving cursor: walker cost/hop accounting without the trace,
-   trail, or failure machinery. A hop allocates nothing: the running cost
-   lives in an all-float record (stored unboxed) and the edge weight is
-   read from the adjacency's weight array here, not returned boxed from
-   [Flat]. *)
-type total = { mutable sum : float }
-
-type cursor = {
-  adj : Flat.t;
-  wgt : float array;  (* Flat.weights adj *)
-  cmetric : Metric.t;
-  mutable pos : int;
-  total : total;
-  mutable steps : int;
-  budget : int;
-  mutable cur_phase : Trace.phase;
-  acct : Cost.t;
-  lv : Live.t;
-}
-
-let cursor_spend c =
-  c.steps <- c.steps + 1;
-  if c.steps > c.budget then raise Walker.Hop_budget_exhausted
-
-let cursor_step c v =
-  (* adjacency check first, then spend, then move — Walker.step's order *)
-  let e = Flat.edge_exn c.adj c.pos v in
-  cursor_spend c;
-  let src = c.pos in
-  c.pos <- v;
-  c.total.sum <- c.total.sum +. c.wgt.(e);
-  if Cost.enabled c.acct then
-    Cost.record c.acct ~phase:(Trace.phase_label c.cur_phase) ~src ~dst:v
-      ~round:(c.steps - 1) ~bits:0;
-  if Live.enabled c.lv then
-    (* the same edge charge into the current telemetry window; teleports
-       stay off the edge timeline, exactly as in Walker *)
-    Live.record_edge c.lv ~src ~dst:v
-
-let cursor_path c dst =
-  if dst <> c.pos then
-    match Metric.shortest_path c.cmetric ~src:c.pos ~dst with
-    | [] | [ _ ] -> ()
-    | _ :: rest -> List.iter (fun v -> cursor_step c v) rest
-
-let cursor_jump c v cost =
-  cursor_spend c;
-  c.pos <- v;
-  c.total.sum <- c.total.sum +. cost;
-  if Cost.enabled c.acct then begin
-    let phase =
-      if c.cur_phase = Trace.Unphased then Trace.Teleport else c.cur_phase
-    in
-    Cost.record c.acct ~phase:(Trace.phase_label phase) ~src:(-1) ~dst:v
-      ~round:(c.steps - 1) ~bits:0
-  end
-
-(* Walker.with_phase's outer-wins rule, restoring the phase on an
-   exception too (the hop budget running out mid-phase). *)
-let cursor_phase c p f =
-  match c.cur_phase with
-  | Trace.Unphased -> (
-    c.cur_phase <- p;
-    match f () with
-    | x ->
-      c.cur_phase <- Trace.Unphased;
-      x
-    | exception e ->
-      c.cur_phase <- Trace.Unphased;
-      raise e)
-  | _ -> f ()
-
-(* Drivers make forwarding decisions from compiled data and move the
-   packet through a [Walker.mover] — bound to a real walker for the
-   differential trace harness ([walk]), to the lean cursor for served
-   routes, or to the first-move probe. The cursor applies the exact
-   [Walker] semantics (same float operations in the same order), so the
-   bindings produce identical costs and hop counts. *)
-let cursor_mover c =
-  { Walker.position = (fun () -> c.pos);
-    cost = (fun () -> c.total.sum);
-    step = (fun v -> cursor_step c v);
-    jump = (fun v cost -> cursor_jump c v cost);
-    path = (fun v -> cursor_path c v);
-    phase = (fun p f -> cursor_phase c p f) }
-
-(* Probe: runs a driver only up to its first movement — how the per-route
-   engines answer [next_hop] without serving the whole route. *)
-exception First_move of int
-
-let probe_mover m pos0 =
-  { Walker.position = (fun () -> pos0);
-    cost = (fun () -> 0.0);
-    step = (fun v -> raise (First_move v));
-    jump = (fun v _ -> raise (First_move v));
-    path =
-      (fun v ->
-        if v <> pos0 then
-          raise (First_move (Metric.next_hop m ~src:pos0 ~dst:v)));
-    phase = (fun _ f -> f ()) }
 
 (* {2 Compiled per-scheme state} *)
 
@@ -174,7 +74,7 @@ type data =
 type t = {
   data : data;
   metric : Metric.t;
-  adj : Flat.t;
+  adj_words : int;  (* [packed_adjacency_words metric] *)
   n : int;
   name : string;
   kind : string;
@@ -186,25 +86,25 @@ let under_label u v =
 
 (* {2 Drivers}
 
-   The labeled engines run their scheme's own forwarding function
-   ([Hier_labeled.route_over], [Scale_free_labeled.route_over]) over the
-   compiled ring arena; the name-independent engines run the schemes' own
-   lookup loop ([Ni_route]) over compiled hub rows and a compiled labeled
-   engine. The baseline drivers replay their scheme's routes from
-   compiled rows. *)
+   Every driver moves the packet on a [Walker.t]. The labeled engines run
+   their scheme's own forwarding function ([Hier_labeled.route_over],
+   [Scale_free_labeled.route_over]) over the compiled ring arena; the
+   name-independent engines run the schemes' own lookup loop ([Ni_route])
+   over compiled hub rows and a compiled labeled engine. The baseline
+   drivers replay their scheme's routes from compiled rows. *)
 
-let drive_hier h mv ~dest_label =
+let drive_hier h w ~dest_label =
   Hier_labeled.route_over ~next_hop:h.h_next_hop ~dest:h.h_node_of.(dest_label)
-    mv ~dest_label
+    w ~dest_label
 
-let drive_sfl s mv ~dest_label =
-  Scale_free_labeled.route_over s.s_router mv ~dest:s.s_node_of.(dest_label)
+let drive_sfl s w ~dest_label =
+  Scale_free_labeled.route_over s.s_router w ~dest:s.s_node_of.(dest_label)
     ~dest_label
 
-let drive_under u mv ~dest_label =
+let drive_under u w ~dest_label =
   match u with
-  | U_hier h -> drive_hier h mv ~dest_label
-  | U_sfl s -> drive_sfl s mv ~dest_label
+  | U_hier h -> drive_hier h w ~dest_label
+  | U_sfl s -> drive_sfl s w ~dest_label
 
 let rec lm_find l dst lo hi =
   if lo > hi then -1
@@ -215,25 +115,26 @@ let rec lm_find l dst lo hi =
     else if x < dst then lm_find l dst (mid + 1) hi
     else lm_find l dst lo (mid - 1)
 
-let drive_lm l (mv : Walker.mover) ~src ~dst =
+let drive_lm l w ~dst =
+  let src = Walker.position w in
   if src <> dst then begin
     (* in-bunch iff dst is in the compiled row (rows hold exactly the
        strict bunch; full rows at landmarks match is_landmark || ...) *)
     let e = lm_find l dst l.m_bunch_off.(src) (l.m_bunch_off.(src + 1) - 1) in
-    if e < 0 then mv.path l.m_home.(src);
-    mv.path dst
+    if e < 0 then Walker.walk_shortest_path w l.m_home.(src);
+    Walker.walk_shortest_path w dst
   end
 
-let drive t (mv : Walker.mover) ~dst =
+let drive t w ~dst =
   match t.data with
-  | Hier h -> drive_hier h mv ~dest_label:h.h_label.(dst)
-  | Sfl s -> drive_sfl s mv ~dest_label:s.s_label.(dst)
+  | Hier h -> drive_hier h w ~dest_label:h.h_label.(dst)
+  | Sfl s -> drive_sfl s w ~dest_label:s.s_label.(dst)
   | Ni ni ->
-    Ni_route.walk ni.i_lookup mv
-      ~travel:(fun dest_label -> drive_under ni.i_under mv ~dest_label)
+    Ni_route.walk ni.i_lookup w
+      ~travel:(fun dest_label -> drive_under ni.i_under w ~dest_label)
       ~dest_name:ni.i_name_of.(dst)
-  | Full _ -> mv.path dst
-  | Lm l -> drive_lm l mv ~src:(mv.position ()) ~dst
+  | Full _ -> Walker.walk_shortest_path w dst
+  | Lm l -> drive_lm l w ~dst
 
 (* {2 Serving API} *)
 
@@ -247,41 +148,47 @@ let check_endpoint t who x =
 
 let walk t w ~dst =
   check_endpoint t "dst" dst;
-  drive t (Walker.mover w) ~dst
+  drive t w ~dst
 
+(* Served routes run untraced: [batch] serves on pool domains, and the
+   global trace sink belongs to a single domain. *)
 let route ?(cost = Cost.null) ?(live = Live.null) t ~src ~dst =
   check_endpoint t "src" src;
   check_endpoint t "dst" dst;
-  let c =
-    { adj = t.adj; wgt = Flat.weights t.adj; cmetric = t.metric; pos = src;
-      total = { sum = 0.0 }; steps = 0; budget = t.budget;
-      cur_phase = Trace.Unphased; acct = cost; lv = live }
+  let w =
+    Walker.create ~obs:Trace.null ~cost ~live t.metric ~start:src
+      ~max_hops:t.budget
   in
   if Live.enabled live then Live.tick live;
-  drive t (cursor_mover c) ~dst;
+  drive t w ~dst;
+  let c = Walker.cost w and hops = Walker.hops w in
   (* served routes run over an intact graph: every completed drive is a
      delivery, and the stretch sample is cost over the metric distance *)
   if Live.enabled live then
     Live.record live ~src ~dst ~status:Live.Delivered
       ~dist:(Metric.dist t.metric src dst)
-      ~cost:c.total.sum ~hops:c.steps;
-  { Scheme.cost = c.total.sum; hops = c.steps }
+      ~cost:c ~hops;
+  { Scheme.cost = c; hops }
 
+(* The route's first move: its driver on a walker whose budget refuses the
+   second move. *)
 let first_move t ~src ~dst =
-  match drive t (probe_mover t.metric src) ~dst with
-  | () ->
+  let w = Walker.create ~obs:Trace.null t.metric ~start:src ~max_hops:1 in
+  (try drive t w ~dst with Walker.Hop_budget_exhausted -> ());
+  let v = Walker.position w in
+  if v = src then
     (* a route between distinct endpoints always moves *)
     invalid_arg
       (Printf.sprintf
          "Cr_serve.Engine.next_hop: %s route from node %d to node %d did \
           not move"
-         t.kind src dst)
-  | exception First_move v -> v
+         t.kind src dst);
+  v
 
 (* Flat engines answer from compiled arrays without allocating; the
    lint's zero-alloc proof walks the whole Tables/lm_find call graph to
-   keep it that way. Name-walking engines must replay the route, which
-   builds a probe mover per call — the exempted probe path below. *)
+   keep it that way. Name-walking engines must replay the route's first
+   move on a walker — the exempted path below. *)
 let[@cr.zero_alloc] next_hop t ~src ~dst =
   if src = dst then -1
   else
@@ -295,8 +202,9 @@ let[@cr.zero_alloc] next_hop t ~src ~dst =
       if e >= 0 then l.m_bunch_hop.(e) else l.m_home_hop.(src)
     | Sfl _ | Ni _ ->
       (first_move t ~src ~dst
-      [@cr.alloc_ok "name-walking engines replay the route via a probe \
-                     mover; only flat tables serve without allocating"])
+      [@cr.alloc_ok "name-walking engines replay the route's first move \
+                     on a walker; only flat tables serve without \
+                     allocating"])
 
 let batch ?obs ?(pool = Pool.default ()) ?(live = Live.null) t pairs =
   let ctx = Trace.resolve obs in
@@ -346,6 +254,14 @@ let compiled_bits t v =
   | Lm l -> l.m_bits.(v)
 
 (* {2 Compilation} *)
+
+(* The adjacency's footprint, charged to [bytes_per_node] at its packed
+   size: n + 1 row offsets, then a neighbour id and a weight per directed
+   edge. Routes read [Graph]'s own rows; this is the size they would take
+   as one flat arena. *)
+let packed_adjacency_words m =
+  let g = Metric.graph m in
+  Graph.n g + 1 + (4 * Graph.num_edges g)
 
 let labels_of nt nn =
   let lbl = Array.init nn (fun v -> Netting_tree.label nt v) in
@@ -402,7 +318,7 @@ let compile_hier ?obs ?(pool = Pool.default ()) scheme =
           { h_tables = tables; h_label = lbl; h_node_of = node_of;
             h_next_hop = (fun ~at ~label -> Tables.next_hop tables ~at ~label)
           };
-      metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
+      metric = m; adj_words = packed_adjacency_words m; n = nn;
       name = "hier-labeled (Lemma 3.1)"; kind = "hier";
       budget = Walker.labeled_budget nn }
 
@@ -424,7 +340,7 @@ let compile_scale_free_labeled ?obs ?(pool = Pool.default ()) scheme =
       s_scheme = scheme }
   in
   finish ctx
-    { data = Sfl s; metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
+    { data = Sfl s; metric = m; adj_words = packed_adjacency_words m; n = nn;
       name = "scale-free labeled (Thm 1.2)"; kind = "sfl";
       budget = Walker.labeled_budget nn }
 
@@ -457,7 +373,7 @@ let compile_ni obs ~kind ~name ~underlying ~naming ~lookup ~dir_bits =
       i_name_of = Array.copy naming.Workload.name_of; i_dir_bits = dir_bits }
   in
   finish ctx
-    { data = Ni ni; metric = underlying.metric; adj = underlying.adj; n = nn;
+    { data = Ni ni; metric = underlying.metric; adj_words = underlying.adj_words; n = nn;
       name; kind; budget = Walker.ni_budget nn }
 
 let compile_simple_ni ?obs ?pool:_ ~underlying scheme =
@@ -487,7 +403,7 @@ let compile_full ?obs ?(pool = Pool.default ()) m =
   Array.iteri (fun src row -> Array.blit row 0 rows (src * nn) nn) rows_by_src;
   finish ctx
     { data = Full { t_rows = rows }; metric = m;
-      adj = Flat.of_graph (Metric.graph m); n = nn; name = "full-table";
+      adj_words = packed_adjacency_words m; n = nn; name = "full-table";
       kind = "full"; budget = Full_table.budget nn }
 
 let compile_landmark ?obs ?(pool = Pool.default ()) m lm =
@@ -537,7 +453,7 @@ let compile_landmark ?obs ?(pool = Pool.default ()) m lm =
       m_bits = bits }
   in
   finish ctx
-    { data = Lm l; metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
+    { data = Lm l; metric = m; adj_words = packed_adjacency_words m; n = nn;
       name = "landmark (TZ stretch-3)"; kind = "landmark";
       budget = Landmark.budget nn }
 
@@ -566,7 +482,7 @@ let data_words t =
     + Array.length l.m_bits
 
 let bytes_per_node t =
-  float_of_int (8 * (data_words t + Flat.words t.adj)) /. float_of_int t.n
+  float_of_int (8 * (data_words t + t.adj_words)) /. float_of_int t.n
 
 let fallbacks t =
   match t.data with

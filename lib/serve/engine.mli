@@ -13,18 +13,18 @@
     the name-independent engines run [Cr_core.Ni_route] over compiled hub
     rows and the compiled underlying labeled engine. The full-table and
     landmark engines replay their baseline's route from compiled rows.
-    Every driver moves the packet through a [Cr_sim.Walker.mover]: a real
-    walker ([walk]), the lean serving cursor ([route]), or a probe that
-    stops at the first move ([next_hop]).
+    Every driver moves the packet on a [Cr_sim.Walker.t], the only
+    executor: [walk] runs it on the caller's walker, [route] on a fresh
+    untraced one, and the per-route engines' [next_hop] on one whose
+    budget stops it after the first move.
 
     The equivalence contract, enforced by the differential test suite and
-    the E20 bench gate (a served route and a walked route share every
-    decision, so what the suite checks is the compiled data): for every
-    (src, dst), a served route visits the
-    same nodes in the same order as the scheme's own walker — [walk]
-    through a real [Cr_sim.Walker] produces a byte-identical event trace,
-    and [route] reproduces the walker's cost and hop count exactly
-    (identical float operations in identical order).
+    the E20 bench gate: for every (src, dst), a served route visits the
+    same nodes in the same order as the scheme's own walker. A served
+    and a walked route share every decision and every move, so this holds
+    by construction, and what the suite checks is the compiled data:
+    [walk] produces an event trace byte-identical to the scheme's own,
+    and [route] reproduces the walker's cost and hop count exactly.
 
     Destinations are always given as node ids; name-independent engines
     translate through their compiled naming internally, exactly as the
@@ -94,8 +94,10 @@ val n : t -> int
     leaves toward (-1 when [src = dst]). For the stateless-per-hop engines
     (hier, full, landmark) this is a pure array scan — no allocation, the
     E20 [Gc.minor_words] gate covers it. The per-route engines (sfl and
-    the name-independent pair) derive it by probing the driver for its
-    first movement. *)
+    the name-independent pair) run their driver on a walker with a
+    one-hop budget and answer its position once the second move is
+    refused; they raise [Invalid_argument] if the route does not leave
+    [src]. *)
 val next_hop : t -> src:int -> dst:int -> int
 
 (** [walk t w ~dst] drives walker [w] to [dst] from the compiled state —
@@ -103,15 +105,15 @@ val next_hop : t -> src:int -> dst:int -> int
     compares traces byte for byte. *)
 val walk : t -> Cr_sim.Walker.t -> dst:int -> unit
 
-(** [route ?cost ?live t ~src ~dst] serves one route on a lean internal
-    cursor (same moves, costs, and [Cost] accounting as a walker, minus
-    the trace/trail machinery). An enabled [live] accumulator gets one
-    clock tick, every graph-edge traversal, and the route outcome
+(** [route ?cost ?live t ~src ~dst] serves one route on a fresh walker
+    with [~obs:Cr_obs.Trace.null] (so that [batch] can serve on pool
+    domains), charging [cost] and [live] per hop as the walker does. An
+    enabled [live] accumulator gets one clock tick, every graph-edge
+    traversal, and the route outcome
     (served routes always deliver; the stretch sample is cost over the
     metric distance). [live] is not thread-safe — route from one domain
     per accumulator. Raises [Invalid_argument] on out-of-range endpoints
-    and [Walker.Hop_budget_exhausted] past the scheme's hop budget, like
-    the walker would. *)
+    and [Walker.Hop_budget_exhausted] past the scheme's hop budget. *)
 val route :
   ?cost:Cr_obs.Cost.t -> ?live:Cr_obs.Live.t ->
   t -> src:int -> dst:int -> Cr_sim.Scheme.outcome
@@ -135,9 +137,11 @@ val batch :
     budget gates. *)
 val compiled_bits : t -> int -> int
 
-(** [bytes_per_node t] is the engine's total arena footprint (machine
-    words of scheme-specific arrays, excluding the shared graph/metric)
-    in bytes, divided by n. *)
+(** [bytes_per_node t] is the engine's total arena footprint in bytes,
+    divided by n: the machine words of its scheme-specific arrays plus
+    the adjacency at its packed size, (n + 1) + 2·Σdeg words (row
+    offsets, then a neighbour id and a weight per directed edge),
+    computed once at compile. The metric's tables are not charged. *)
 val bytes_per_node : t -> float
 
 (** [fallbacks t] is the count of netting-descent fallbacks taken by

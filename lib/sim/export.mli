@@ -5,7 +5,7 @@
     are plain strings so callers decide where they go. *)
 
 (** [dot_of_graph m ?route ()] renders the graph; if [route] (a node
-    sequence, e.g. [Walker.trail]) is given, its nodes and edges are
+    sequence, e.g. a traced route's [Cr_core.Route_trace.nodes]) is given, its nodes and edges are
     highlighted and the endpoints marked. *)
 val dot_of_graph : Cr_metric.Metric.t -> ?route:int list -> unit -> string
 

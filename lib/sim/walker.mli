@@ -1,9 +1,19 @@
 (** A packet walking the graph, with exact cost/hop accounting.
 
-    Every routing scheme executes its decisions through a walker, so that
-    measured route cost is the true distance traveled in the graph (not the
-    metric shortcut the analysis would charge). A hop budget guards against
-    scheme bugs that would loop forever. *)
+    The walker is the only thing that moves a packet. Every scheme's
+    forwarding rule, in [Cr_core] and in the serving engine alike, calls
+    {!step}, {!teleport} and {!walk_shortest_path} on a walker, so the
+    measured route cost is the true distance traveled in the graph (not
+    the metric shortcut the analysis would charge), and a walked, a served
+    and a next-hop route share every float operation. A hop budget guards
+    against scheme bugs that would loop forever.
+
+    A hop reports itself from here, once, to each enabled observer: a
+    {!Cr_obs.Trace} hop event (the node sequence of a route is read back
+    from these, see [Cr_core.Route_trace.nodes]), a {!Cr_obs.Cost} message
+    for a {!step} or a {!teleport}, and a {!Cr_obs.Live} edge charge for a
+    {!step}. A {!step} allocates nothing when the walker is untraced and
+    has no failures. *)
 
 type t
 
@@ -20,7 +30,8 @@ exception Blocked of { src : int; dst : int }
     per step/charge/teleport, tagged with the current {!phase}.
     [failures] (default {!Failures.none}) makes moves onto failed
     edges/nodes raise {!Blocked}; a failed start node is rejected
-    outright.
+    outright. Failure sets are immutable, so an empty one is recognized
+    here, once, and its walker skips the failure checks.
 
     [cost] (default disabled) reuses the protocol simulator's
     {!Cr_obs.Cost} per-edge accounting for routed traffic: every {!step}
@@ -68,7 +79,9 @@ val hops : t -> int
 (** [step w v] moves the packet across the single graph edge to neighbor
     [v]. Raises [Invalid_argument] if [v] is not adjacent,
     [Hop_budget_exhausted] past the budget, and {!Blocked} if the edge or
-    [v] is failed. *)
+    [v] is failed. None of these moves the packet, and the last one
+    charges nothing. Allocates nothing when the walker is untraced and
+    has no failures. *)
 val step : t -> int -> unit
 
 (** [walk_shortest_path w dst] moves the packet hop-by-hop along the
@@ -81,14 +94,10 @@ val walk_shortest_path : t -> int -> unit
 val charge : t -> float -> unit
 
 (** [teleport w v ~cost] moves the packet to [v] adding the given cost and
-    a single hop — used by baselines that model an out-of-band hand-off.
-    Raises {!Blocked} if [v] is failed. *)
+    a single hop — a search tree's virtual leg, or a baseline's
+    out-of-band hand-off. Raises {!Blocked} if [v] is failed, leaving the
+    walker as it was. *)
 val teleport : t -> int -> cost:float -> unit
-
-(** [trail w] is every node visited so far in order, starting with the
-    start node (teleport targets included) — the raw data for route
-    visualization and path assertions. *)
-val trail : t -> int list
 
 (** {1 Hop budgets}
 
@@ -103,26 +112,3 @@ val labeled_budget : int -> int
 (** [ni_budget n] is the name-independent schemes' budget (Theorems 1.4
     and 1.1), which pay several labeled routes per lookup: 50000 + 200n. *)
 val ni_budget : int -> int
-
-(** {1 Movement records}
-
-    A routing loop written once moves its packet through a [mover]: bound
-    to a walker by {!mover}, or to another executor with the same
-    semantics (the serving engine's lean cursor, or a probe that stops at
-    the first move). Every binding must apply the walker's exact float
-    operations in the same order, so costs and hop counts agree. *)
-type mover = {
-  position : unit -> int;  (** the packet's current node *)
-  cost : unit -> float;  (** the distance travelled so far *)
-  step : int -> unit;  (** one graph edge, as {!step} *)
-  jump : int -> float -> unit;  (** an out-of-band move, as {!teleport} *)
-  path : int -> unit;
-      (** the canonical shortest path, as {!walk_shortest_path} *)
-  phase : 'a. Cr_obs.Trace.phase -> (unit -> 'a) -> 'a;
-      (** outer-wins phase scoping, as {!with_phase} *)
-}
-
-(** [mover w] moves walker [w]. It is built on [w]'s first call and
-    returned by every later one, so a loop that asks for it once per
-    underlying route allocates it once per walker. *)
-val mover : t -> mover

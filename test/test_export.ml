@@ -1,24 +1,34 @@
-(* Tests for walker trails and the DOT/CSV exporters. *)
+(* Tests for route node sequences (read back from a traced walker's hop
+   events) and the DOT/CSV exporters. *)
 
 open Helpers
 module Metric = Cr_metric.Metric
 module Walker = Cr_sim.Walker
 module Export = Cr_sim.Export
+module Route_trace = Cr_core.Route_trace
+
+(* The node sequence of the route [walk] takes from [src]. *)
+let nodes_of m ~src ~dst walk =
+  let t = Route_trace.capture m ~max_hops:100 ~src ~dst ~walk in
+  Route_trace.nodes ~src t.Route_trace.events
 
 let test_trail_records_steps () =
   let m = grid6 () in
-  let w = Walker.create m ~start:0 ~max_hops:50 in
-  Walker.step w 1;
-  Walker.step w 2;
-  Walker.teleport w 20 ~cost:3.0;
-  Alcotest.(check (list int)) "trail" [ 0; 1; 2; 20 ] (Walker.trail w)
+  let trail =
+    nodes_of m ~src:0 ~dst:20 (fun w ->
+        Walker.step w 1;
+        Walker.step w 2;
+        Walker.charge w 0.5;
+        Walker.teleport w 20 ~cost:3.0)
+  in
+  Alcotest.(check (list int)) "trail" [ 0; 1; 2; 20 ] trail
 
 let test_trail_shortest_path_is_contiguous () =
   let m = grid6 () in
   let g = Metric.graph m in
-  let w = Walker.create m ~start:0 ~max_hops:100 in
-  Walker.walk_shortest_path w 35;
-  let trail = Walker.trail w in
+  let trail =
+    nodes_of m ~src:0 ~dst:35 (fun w -> Walker.walk_shortest_path w 35)
+  in
   check_int "starts at 0" 0 (List.hd trail);
   check_int "ends at 35" 35 (List.nth trail (List.length trail - 1));
   let rec adjacent = function
@@ -30,9 +40,10 @@ let test_trail_shortest_path_is_contiguous () =
 
 let test_dot_output () =
   let m = grid6 () in
-  let w = Walker.create m ~start:0 ~max_hops:100 in
-  Walker.walk_shortest_path w 8;
-  let dot = Export.dot_of_graph m ~route:(Walker.trail w) () in
+  let route =
+    nodes_of m ~src:0 ~dst:8 (fun w -> Walker.walk_shortest_path w 8)
+  in
+  let dot = Export.dot_of_graph m ~route () in
   check_bool "is a graph" true
     (String.length dot > 0
     && String.sub dot 0 13 = "graph network");

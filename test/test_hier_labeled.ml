@@ -121,8 +121,7 @@ let test_descent_typed_error () =
         (Invalid_argument
            "Hier_labeled.route_over: node 3 has no next hop for label 7")
         (fun () ->
-          Hier_labeled.route_over ~next_hop ~dest:20 (Walker.mover w)
-            ~dest_label:7))
+          Hier_labeled.route_over ~next_hop ~dest:20 w ~dest_label:7))
     [ ("no next hop", fun ~at:_ ~label:_ -> -1);
       ("next hop is the node itself", fun ~at ~label:_ -> at) ]
 

@@ -517,8 +517,11 @@ let suite =
     case "no-unsafe-compare: Float.compare is fine"
       (clean "float compare" ~rel:"lib/metric/fixture.ml"
          explicit_float_compare);
-    case "no-unsafe-compare: out of scope in lib/obs"
-      (clean "scope" ~rel:"lib/obs/fixture.ml" bare_compare);
+    case "no-unsafe-compare: in scope in lib/obs"
+      (fires_once "lib/obs" "no-unsafe-compare" ~rel:"lib/obs/fixture.ml"
+         bare_compare);
+    case "no-unsafe-compare: out of scope outside lib, bench and bin"
+      (clean "scope" ~rel:"tools/fixture.ml" bare_compare);
     case "mli-coverage: orphan flagged, covered and bin/ clean" mli_coverage;
     case "suppression: with reason, silences" suppression_valid;
     case "suppression: reasonless is an error" suppression_reasonless;

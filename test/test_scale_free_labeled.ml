@@ -178,7 +178,7 @@ let test_netting_descent_delivers () =
       let w = Cr_sim.Walker.create m ~start:src ~max_hops:1_000_000 in
       Cr_core.Netting_descent.walk nt
         ~hub:(fun ~src ~level -> Cr_nets.Zoom.step zoom src level)
-        (Cr_sim.Walker.mover w) ~dest_label:(Netting_tree.label nt dst);
+        w ~dest_label:(Netting_tree.label nt dst);
       check_int "fallback arrives" dst (Cr_sim.Walker.position w))
     (Workload.sample_pairs ~n ~count:100 ~seed:31)
 

@@ -21,6 +21,7 @@ module Trace = Cr_obs.Trace
 module Sinks = Cr_obs.Sinks
 module Pool = Cr_par.Pool
 module Table_codec = Cr_codec.Table_codec
+module Route_trace = Cr_core.Route_trace
 module Engine = Cr_serve.Engine
 module Tables = Cr_serve.Tables
 
@@ -146,7 +147,7 @@ let capture m walkfn ~src =
   in
   walkfn w;
   ( List.map Sinks.json_of_event (Sinks.Memory.events mem),
-    Walker.cost w, Walker.hops w, Walker.trail w )
+    Walker.cost w, Walker.hops w )
 
 let test_traces_identical fname fx () =
   let fx = fx () in
@@ -158,10 +159,8 @@ let test_traces_identical fname fx () =
     (fun (sname, walkfn, eng) ->
       List.iter
         (fun (src, dst) ->
-          let ev_w, cost_w, hops_w, trail_w =
-            capture fx.m (fun w -> walkfn w dst) ~src
-          in
-          let ev_s, cost_s, hops_s, trail_s =
+          let ev_w, cost_w, hops_w = capture fx.m (fun w -> walkfn w dst) ~src in
+          let ev_s, cost_s, hops_s =
             capture fx.m (fun w -> Engine.walk eng w ~dst) ~src
           in
           let label what =
@@ -172,8 +171,7 @@ let test_traces_identical fname fx () =
             (fun a b -> Alcotest.(check string) (label "event") a b)
             ev_w ev_s;
           check_bool (label "cost") true (Float.equal cost_w cost_s);
-          check_int (label "hops") hops_w hops_s;
-          check_bool (label "trail") true (trail_w = trail_s))
+          check_int (label "hops") hops_w hops_s)
         pairs)
     (core_schemes fx)
 
@@ -192,12 +190,11 @@ let test_next_hop_is_first_move fname fx () =
         (fun (src, dst) ->
           if src <> dst then begin
             let h = Engine.next_hop eng ~src ~dst in
-            let w =
-              Walker.create fx.m ~start:src
-                ~max_hops:(Walker.ni_budget (Metric.n fx.m))
+            let t =
+              Route_trace.capture fx.m ~src ~dst ~walk:(fun w ->
+                  Engine.walk eng w ~dst)
             in
-            Engine.walk eng w ~dst;
-            match Walker.trail w with
+            match Route_trace.nodes ~src t.Route_trace.events with
             | _ :: first :: _ ->
               check_int
                 (Printf.sprintf "%s/%s (%d -> %d): first move" fname sname src

@@ -3,6 +3,7 @@
 open Helpers
 module Metric = Cr_metric.Metric
 module Walker = Cr_sim.Walker
+module Failures = Cr_sim.Failures
 module Workload = Cr_sim.Workload
 module Stats = Cr_sim.Stats
 module Scheme = Cr_sim.Scheme
@@ -46,6 +47,57 @@ let test_walker_teleport_and_charge () =
   Alcotest.check_raises "negative charge"
     (Invalid_argument "Walker.charge: negative cost") (fun () ->
       Walker.charge w (-1.0))
+
+(* The failure contract: a move onto a failed edge or node raises
+   [Blocked] naming the attempted move and leaves the walker as it was;
+   without failures the same edge is crossed. On grid6, edge 0-1 and node
+   7 fail; 6 is a neighbour of both 0 and 7. *)
+let test_walker_blocked () =
+  let m = grid6 () in
+  let failures = Failures.create ~edges:[ (0, 1) ] ~nodes:[ 7 ] () in
+  let w = Walker.create ~failures m ~start:0 ~max_hops:10 in
+  let blocked what ~src ~dst move =
+    let at = Walker.position w and cost = Walker.cost w in
+    let hops = Walker.hops w in
+    (match move () with
+    | () -> Alcotest.failf "%s: moved" what
+    | exception Walker.Blocked b ->
+      check_int (what ^ ": blocked src") src b.src;
+      check_int (what ^ ": blocked dst") dst b.dst);
+    check_int (what ^ ": position kept") at (Walker.position w);
+    check_float (what ^ ": cost kept") cost (Walker.cost w);
+    check_int (what ^ ": hops kept") hops (Walker.hops w)
+  in
+  blocked "step across the failed edge" ~src:0 ~dst:1 (fun () ->
+      Walker.step w 1);
+  Walker.step w 6;
+  blocked "step onto the failed node" ~src:6 ~dst:7 (fun () ->
+      Walker.step w 7);
+  blocked "teleport onto the failed node" ~src:6 ~dst:7 (fun () ->
+      Walker.teleport w 7 ~cost:1.0);
+  let intact = Walker.create ~failures:Failures.none m ~start:0 ~max_hops:10 in
+  Walker.step intact 1;
+  check_int "no failures: crossed" 1 (Walker.position intact);
+  check_float "no failures: cost" 1.0 (Walker.cost intact);
+  check_int "no failures: hops" 1 (Walker.hops intact)
+
+(* An untraced walker without failures allocates nothing per hop: 10k
+   warmed steps back and forth across one edge take no minor words. *)
+let rec shuttle w k =
+  if k > 0 then begin
+    Walker.step w (1 - Walker.position w);
+    shuttle w (k - 1)
+  end
+
+let test_walker_step_alloc () =
+  let m = grid6 () in
+  let w = Walker.create ~obs:Cr_obs.Trace.null m ~start:0 ~max_hops:20_000 in
+  shuttle w 10_000;
+  let before = Gc.minor_words () in
+  shuttle w 10_000;
+  let after = Gc.minor_words () in
+  check_int "hops" 20_000 (Walker.hops w);
+  check_float "minor words over 10k steps" 0.0 (after -. before)
 
 let test_all_pairs () =
   let pairs = Workload.all_pairs 5 in
@@ -151,6 +203,9 @@ let suite =
     Alcotest.test_case "walker budget" `Quick test_walker_budget;
     Alcotest.test_case "walker teleport/charge" `Quick
       test_walker_teleport_and_charge;
+    Alcotest.test_case "walker failure contract" `Quick test_walker_blocked;
+    Alcotest.test_case "walker step allocates nothing" `Quick
+      test_walker_step_alloc;
     Alcotest.test_case "all pairs" `Quick test_all_pairs;
     Alcotest.test_case "sample pairs" `Quick test_sample_pairs;
     Alcotest.test_case "pairs_for policy" `Quick test_pairs_for_policy;

@@ -1,5 +1,6 @@
-(* E20 — route serving: compile every scheme's tables into Cr_serve's
-   flat arenas and prove the served routes are the walked routes.
+(* E20 — route serving: serve every scheme from its Cr_serve engine (the
+   labeled engines serve the scheme's own ring store, the others compiled
+   rows) and prove the served routes are the walked routes.
 
    For each thousand-node family and each of the six schemes (four core +
    two comparators), the experiment (a) routes the standard workload

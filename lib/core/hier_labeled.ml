@@ -56,14 +56,8 @@ let route_over ~next_hop ~dest w ~dest_label =
    arrival: at a positive level the next level down would also cover (the
    zooming step is within the ring radius), contradicting minimality; at
    level 0 it would mean we already arrived. *)
-let next_hop t ~at ~label =
-  match Rings.minimal_cover_level t.rings ~at ~label with
-  | None -> -1
-  | Some (_, x) ->
-    if x = at then at else Metric.next_hop t.metric ~src:at ~dst:x
-
 let walk t w ~dest_label =
-  route_over ~next_hop:(next_hop t)
+  route_over ~next_hop:(Rings.next_hop t.rings)
     ~dest:(Netting_tree.node_of_label t.nt dest_label)
     w ~dest_label
 

@@ -28,8 +28,9 @@ val build :
 (** [label t v] is v's routing label (DFS leaf number). *)
 val label : t -> int -> int
 
-(** [rings t] / [netting_tree t] expose the underlying structures (used by
-    the serving engine's table compiler and the invariant checkers). *)
+(** [rings t] is the scheme's ring store, which its walks read and the
+    serving engine serves; [netting_tree t] is the tree it was built
+    over. *)
 val rings : t -> Rings.t
 
 val netting_tree : t -> Cr_nets.Netting_tree.t
@@ -39,11 +40,10 @@ val netting_tree : t -> Cr_nets.Netting_tree.t
     [dest_label]) it takes [next_hop ~at ~label:dest_label], the next hop
     toward the minimal-level ring member whose range covers the label, and
     steps walker [w] there. Hops are attributed to the [Net_phase] trace phase unless
-    an outer scheme already set one. The scheme binds [next_hop] to its
-    rings and [Metric.next_hop] ({!walk}); the serving engine binds it to
-    its compiled ring arena. Raises [Invalid_argument] naming the node and
-    the label when [next_hop] answers -1 (no ring covers the label) or the
-    node itself. *)
+    an outer scheme already set one. The scheme ({!walk}) and the serving
+    engine both bind [next_hop] to [Rings.next_hop] over the scheme's
+    store. Raises [Invalid_argument] naming the node and the label when
+    [next_hop] answers -1 (no ring covers the label) or the node itself. *)
 val route_over :
   next_hop:(at:int -> label:int -> int) -> dest:int ->
   Cr_sim.Walker.t -> dest_label:int -> unit

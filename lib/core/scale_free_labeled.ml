@@ -13,16 +13,8 @@ module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
 module Trace = Cr_obs.Trace
 
-type ring_view = {
-  cover : at:int -> label:int -> int;
-  level : int -> int;
-  member : int -> int;
-  hop : at:int -> int -> int;
-  far : at:int -> int -> bool;
-}
-
 type router = {
-  ring : ring_view;
+  ring : Rings.t;
   far_bound : float array;  (* level i -> (2^i / 2 / eps) - 2^i *)
   n : int;
   scales : int;
@@ -40,7 +32,6 @@ type router = {
 
 type t = {
   metric : Metric.t;
-  rings : Rings.t;
   router : router;
   trees_of : Search_tree.t list array;  (* search trees containing a node *)
   path_bits : int array;  (* Lemma 4.3 next-hop storage charged per node *)
@@ -90,21 +81,7 @@ let table_bits t v =
       (fun acc st -> acc + Search_tree.table_bits st v)
       0 t.trees_of.(v)
   in
-  Rings.table_bits t.rings v + !per_j + search_bits + t.path_bits.(v)
-
-(* The scheme's own ring view: an entry is [level * n + member], the
-   minimal covering level and its witness in [Rings]. *)
-let rings_view m rings ~far_bound =
-  let n = Metric.n m in
-  let level e = e / n and member e = e mod n in
-  { cover =
-      (fun ~at ~label ->
-        match Rings.minimal_cover_level rings ~at ~label with
-        | None -> -1
-        | Some (i, x) -> (i * n) + x);
-    level; member;
-    hop = (fun ~at e -> Metric.next_hop m ~src:at ~dst:(member e));
-    far = (fun ~at e -> Metric.dist m at (member e) >= far_bound.(level e)) }
+  Rings.table_bits r.ring v + !per_j + search_bits + t.path_bits.(v)
 
 let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
   let ctx = Trace.resolve obs in
@@ -189,7 +166,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
   in
   let zoom = Zoom.build h in
   let router =
-    { ring = rings_view m rings ~far_bound; far_bound; n; scales;
+    { ring = rings; far_bound; n; scales;
       radii =
         Array.init (n * scales) (fun k ->
             Metric.radius_of_size m (k / scales) (1 lsl (k mod scales)));
@@ -202,7 +179,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
             Zoom.step zoom (k / (top + 1)) (k mod (top + 1)));
       fallbacks = Atomic.make 0 }
   in
-  let t = { metric = m; rings; router; trees_of; path_bits } in
+  let t = { metric = m; router; trees_of; path_bits } in
   if Trace.enabled ctx then begin
     Trace.counter ctx "scale_free_labeled.packing_scales"
       (float_of_int scales);
@@ -216,7 +193,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
 
 let label t v = Netting_tree.label t.router.nt v
 
-let rings t = t.rings
+let rings t = t.router.ring
 let netting_tree t = t.router.nt
 let router t = t.router
 
@@ -253,14 +230,14 @@ let uncovered = -2
 
 (* Lines 1-6: greedy ring descent while the minimal covering level does
    not grow and its member stays far. *)
-let rec ring_phase ring w ~dest ~dest_label prev_level =
+let rec ring_phase r w ~dest ~dest_label prev_level =
   let at = Walker.position w in
   if at = dest then arrived
   else
-    let e = ring.cover ~at ~label:dest_label in
+    let e = Rings.cover r.ring ~at ~label:dest_label in
     if e < 0 then uncovered
     else
-      let i = ring.level e in
+      let i = Rings.entry_level r.ring e in
       if i = 0 then begin
         (* A level-0 range is a singleton, so the member is the destination
            itself: finish along the shortest path. (At i_t = 0 the paper's
@@ -268,12 +245,13 @@ let rec ring_phase ring w ~dest ~dest_label prev_level =
            packing phase may genuinely miss, e.g. at Voronoi tie
            boundaries; walking the remaining <= 2^0/eps distance directly
            realizes the d(u_t, v) term of Eqn 19 exactly.) *)
-        Walker.walk_shortest_path w (ring.member e);
+        Walker.walk_shortest_path w (Rings.entry_member r.ring e);
         arrived
       end
-      else if i <= prev_level && ring.far ~at e then begin
-        Walker.step w (ring.hop ~at e);
-        ring_phase ring w ~dest ~dest_label i
+      else if i <= prev_level && Rings.entry_dist r.ring e >= r.far_bound.(i)
+      then begin
+        Walker.step w (Rings.entry_hop r.ring e);
+        ring_phase r w ~dest ~dest_label i
       end
       else i
 
@@ -291,7 +269,7 @@ let route_over ?observe r w ~dest ~dest_label =
   let start = if observed then Walker.cost w else 0.0 in
   let i_t =
     Walker.with_phase w Trace.Net_phase (fun () ->
-        ring_phase r.ring w ~dest ~dest_label max_int)
+        ring_phase r w ~dest ~dest_label max_int)
   in
   if i_t = uncovered then fallback r w ~dest_label
   else

@@ -37,8 +37,8 @@ val build :
     number). *)
 val label : t -> int -> int
 
-(** Structure accessors for the serving engine's table compiler and the
-    invariant checkers: the selected-mode rings and the netting tree. *)
+(** [rings t] is the scheme's selected-mode ring store ([router]'s
+    [ring]); [netting_tree t] is the tree it was built over. *)
 val rings : t -> Rings.t
 
 val netting_tree : t -> Cr_nets.Netting_tree.t
@@ -46,33 +46,18 @@ val netting_tree : t -> Cr_nets.Netting_tree.t
 (** {1 Algorithm 5, written once}
 
     The scheme's walk and the serving engine run the same {!route_over}
-    over a {!router}: the scheme's reads its own rings; the engine's
-    shares the scheme's arrays and directories, with a view of the
-    compiled ring arena and a fallback counter of its own. *)
+    over a {!router}: the engine's is the scheme's, with a fallback
+    counter of its own. *)
 
-(** One node's rings as Algorithm 5's ring phase reads them. An entry is an
-    int the view defines (the engine's arena index, the scheme's
-    [level * n + member]); no float, option or tuple crosses these
-    closures. *)
-type ring_view = {
-  cover : at:int -> label:int -> int;
-      (** the minimal-level entry at [at] whose range covers [label]; -1
-          if none *)
-  level : int -> int;  (** an entry's ring level *)
-  member : int -> int;  (** an entry's ring member *)
-  hop : at:int -> int -> int;
-      (** the next hop from [at] toward an entry's member *)
-  far : at:int -> int -> bool;
-      (** Line 4's test: d(at, member) >= [far_bound.(level)] *)
-}
-
-(** Everything Algorithm 5 reads, built once per scheme and once per
-    engine. *)
+(** Everything Algorithm 5 reads. *)
 type router = {
-  ring : ring_view;
+  ring : Rings.t;
+      (** the ring store: the ring phase looks up the covering entry with
+          [Rings.cover] and steps to its stored next hop *)
   far_bound : float array;
-      (** level i -> (2^i / 2 / eps) - 2^i, Line 4's threshold; every ring
-          view's [far] reads this one array *)
+      (** level i -> (2^i / 2 / eps) - 2^i, Line 4's threshold: the
+          phase continues while the covering entry's [Rings.entry_dist]
+          is at least this *)
   n : int;
   scales : int;  (** the packing scales j = 0 .. scales - 1 *)
   radii : float array;  (** [u * scales + j] -> r_u(2^j) *)

@@ -82,10 +82,8 @@ let counting_clock () =
 
 let make ?(clock = wall_clock) sink = { enabled = true; clock; sink }
 
-let global = ref null
-let set_global ctx = global := ctx
-let get_global () = !global
-let resolve = function Some ctx -> ctx | None -> !global
+let get_global () = null
+let resolve = function Some ctx -> ctx | None -> null
 
 let enabled ctx = ctx.enabled
 

@@ -9,9 +9,7 @@
     pay essentially nothing.
 
     Contexts are passed explicitly ([?obs] parameters throughout the
-    library) or installed globally with {!set_global}; callers that don't
-    care pass nothing and inherit the global context, which starts out as
-    {!null}. *)
+    library); callers that don't care pass nothing and get {!null}. *)
 
 (** The algorithmic phase a route event belongs to, mirroring the paper's
     execution traces: Figure 1's zooming sequence with per-level ball
@@ -92,11 +90,12 @@ val wall_clock : unit -> float
     the exp_trace JSONL logs). *)
 val counting_clock : unit -> unit -> float
 
-val set_global : context -> unit
+(** [get_global ()] is the context an omitted [?obs] resolves to: always
+    {!null}. *)
 val get_global : unit -> context
 
-(** [resolve obs] is [obs] if given, else the global context — the standard
-    way [?obs] parameters are defaulted throughout the library. *)
+(** [resolve obs] is [obs] if given, else {!null} — the standard way
+    [?obs] parameters are defaulted throughout the library. *)
 val resolve : context option -> context
 
 val enabled : context -> bool

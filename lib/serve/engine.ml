@@ -23,18 +23,16 @@ module Full_table = Cr_baselines.Full_table
 (* {2 Compiled per-scheme state} *)
 
 type hier = {
-  h_tables : Tables.t;
+  h_rings : Rings.t;  (* the scheme's own store *)
   h_label : int array;  (* node -> netting-tree label *)
   h_node_of : int array;  (* label -> node *)
-  h_next_hop : at:int -> label:int -> int;  (* Tables.next_hop over h_tables *)
 }
 
 type sfl = {
-  s_tables : Tables.t;
   s_label : int array;
   s_node_of : int array;
   s_router : Scale_free_labeled.router;
-      (* the scheme's arrays and directories over the arena's rings *)
+      (* the scheme's, with a fallback counter of its own *)
   s_scheme : Scale_free_labeled.t;  (* for the directories' bit count *)
 }
 
@@ -88,14 +86,14 @@ let under_label u v =
 
    Every driver moves the packet on a [Walker.t]. The labeled engines run
    their scheme's own forwarding function ([Hier_labeled.route_over],
-   [Scale_free_labeled.route_over]) over the compiled ring arena; the
+   [Scale_free_labeled.route_over]) over the scheme's ring store; the
    name-independent engines run the schemes' own lookup loop ([Ni_route])
    over compiled hub rows and a compiled labeled engine. The baseline
    drivers replay their scheme's routes from compiled rows. *)
 
 let drive_hier h w ~dest_label =
-  Hier_labeled.route_over ~next_hop:h.h_next_hop ~dest:h.h_node_of.(dest_label)
-    w ~dest_label
+  Hier_labeled.route_over ~next_hop:(Rings.next_hop h.h_rings)
+    ~dest:h.h_node_of.(dest_label) w ~dest_label
 
 let drive_sfl s w ~dest_label =
   Scale_free_labeled.route_over s.s_router w ~dest:s.s_node_of.(dest_label)
@@ -150,8 +148,8 @@ let walk t w ~dst =
   check_endpoint t "dst" dst;
   drive t w ~dst
 
-(* Served routes run untraced: [batch] serves on pool domains, and the
-   global trace sink belongs to a single domain. *)
+(* Served routes run untraced: [batch] serves on pool domains, and a
+   trace sink belongs to a single domain. *)
 let route ?(cost = Cost.null) ?(live = Live.null) t ~src ~dst =
   check_endpoint t "src" src;
   check_endpoint t "dst" dst;
@@ -186,14 +184,14 @@ let first_move t ~src ~dst =
   v
 
 (* Flat engines answer from compiled arrays without allocating; the
-   lint's zero-alloc proof walks the whole Tables/lm_find call graph to
+   lint's zero-alloc proof walks the whole Rings/lm_find call graph to
    keep it that way. Name-walking engines must replay the route's first
    move on a walker — the exempted path below. *)
 let[@cr.zero_alloc] next_hop t ~src ~dst =
   if src = dst then -1
   else
     match t.data with
-    | Hier h -> Tables.next_hop h.h_tables ~at:src ~label:h.h_label.(dst)
+    | Hier h -> Rings.next_hop h.h_rings ~at:src ~label:h.h_label.(dst)
     | Full f -> f.t_rows.((src * t.n) + dst)
     | Lm l ->
       let e =
@@ -231,20 +229,20 @@ let batch ?obs ?(pool = Pool.default ()) ?(live = Live.null) t pairs =
 
 let under_table_bits u v =
   match u with
-  | U_hier b -> Tables.bits b.h_tables v
-  | U_sfl s -> Tables.bits s.s_tables v
+  | U_hier b -> Rings.wire_bits b.h_rings v
+  | U_sfl s -> Rings.wire_bits s.s_router.ring v
 
 let compiled_bits t v =
   match t.data with
-  | Hier h -> Tables.bits h.h_tables v + (2 * Bits.id_bits t.n)
+  | Hier h -> Rings.wire_bits h.h_rings v + (2 * Bits.id_bits t.n)
   | Sfl s ->
     (* wire rings + per-scale Voronoi owner/parent ids and a stored
        radius + the shared directories (the scheme's non-ring share) *)
     let idb = Bits.id_bits t.n in
-    Tables.bits s.s_tables v
+    Rings.wire_bits s.s_router.ring v
     + (s.s_router.scales * ((2 * idb) + Bits.distance_bits))
     + (Scale_free_labeled.table_bits s.s_scheme v
-      - Rings.table_bits (Scale_free_labeled.rings s.s_scheme) v)
+      - Rings.table_bits s.s_router.ring v)
   | Ni ni ->
     (* hub row + name entry + the scheme's directory share + the
        underlying engine's compiled tables *)
@@ -269,13 +267,6 @@ let labels_of nt nn =
   Array.iteri (fun v l -> node_of.(l) <- v) lbl;
   (lbl, node_of)
 
-let ring_tables ~pool rings nt =
-  let h = Netting_tree.hierarchy nt in
-  let m = Hierarchy.metric h in
-  Tables.compile ~pool m
-    ~level_count:(Hierarchy.top_level h + 1)
-    ~levels_of:(Tables.ring_levels rings)
-
 (* src * (top + 1) + level -> [hub_of src level] *)
 let hub_rows ~top ~nn hub_of =
   let rows = Array.make (nn * (top + 1)) 0 in
@@ -286,58 +277,38 @@ let hub_rows ~top ~nn hub_of =
   done;
   rows
 
-(* Algorithm 5's ring view over the compiled arena: an entry is an arena
-   index, and Line 4 compares the entry's stored distance with the
-   scheme's own threshold array. *)
-let arena_view tables ~far_bound =
-  { Scale_free_labeled.cover =
-      (fun ~at ~label -> Tables.cover tables ~at ~label);
-    level = (fun e -> Tables.entry_level tables e);
-    member = (fun e -> Tables.entry_member tables e);
-    hop = (fun ~at:_ e -> Tables.entry_hop tables e);
-    far =
-      (fun ~at:_ e ->
-        Tables.entry_dist tables e >= far_bound.(Tables.entry_level tables e))
-  }
-
 let finish ctx t =
   Scheme.table_counters ctx ("serve." ^ t.kind) (compiled_bits t) t.n;
   t
 
-let compile_hier ?obs ?(pool = Pool.default ()) scheme =
+(* The labeled engines serve the scheme's own ring store. *)
+let compile_hier ?obs ?pool:_ scheme =
   let ctx = Trace.resolve obs in
   Trace.span ctx "serve.compile.hier" @@ fun () ->
   let nt = Hier_labeled.netting_tree scheme in
   let m = Hierarchy.metric (Netting_tree.hierarchy nt) in
   let nn = Metric.n m in
-  let tables = ring_tables ~pool (Hier_labeled.rings scheme) nt in
   let lbl, node_of = labels_of nt nn in
   finish ctx
     { data =
         Hier
-          { h_tables = tables; h_label = lbl; h_node_of = node_of;
-            h_next_hop = (fun ~at ~label -> Tables.next_hop tables ~at ~label)
-          };
+          { h_rings = Hier_labeled.rings scheme; h_label = lbl;
+            h_node_of = node_of };
       metric = m; adj_words = packed_adjacency_words m; n = nn;
       name = "hier-labeled (Lemma 3.1)"; kind = "hier";
       budget = Walker.labeled_budget nn }
 
-let compile_scale_free_labeled ?obs ?(pool = Pool.default ()) scheme =
+let compile_scale_free_labeled ?obs ?pool:_ scheme =
   let ctx = Trace.resolve obs in
   Trace.span ctx "serve.compile.sfl" @@ fun () ->
   let nt = Scale_free_labeled.netting_tree scheme in
   let m = Hierarchy.metric (Netting_tree.hierarchy nt) in
   let nn = Metric.n m in
-  let tables = ring_tables ~pool (Scale_free_labeled.rings scheme) nt in
   let lbl, node_of = labels_of nt nn in
   let r = Scale_free_labeled.router scheme in
   let s =
-    { s_tables = tables; s_label = lbl; s_node_of = node_of;
-      s_router =
-        { r with
-          ring = arena_view tables ~far_bound:r.far_bound;
-          fallbacks = Atomic.make 0 };
-      s_scheme = scheme }
+    { s_label = lbl; s_node_of = node_of;
+      s_router = { r with fallbacks = Atomic.make 0 }; s_scheme = scheme }
   in
   finish ctx
     { data = Sfl s; metric = m; adj_words = packed_adjacency_words m; n = nn;
@@ -459,10 +430,10 @@ let compile_landmark ?obs ?(pool = Pool.default ()) m lm =
 
 let under_words = function
   | U_hier h ->
-    Tables.words h.h_tables + Array.length h.h_label
+    Rings.words h.h_rings + Array.length h.h_label
     + Array.length h.h_node_of
   | U_sfl s ->
-    Tables.words s.s_tables + Array.length s.s_label
+    Rings.words s.s_router.ring + Array.length s.s_label
     + Array.length s.s_node_of + Array.length s.s_router.radii
     + Array.length s.s_router.owner + Array.length s.s_router.parent
     + Array.length s.s_router.hubs

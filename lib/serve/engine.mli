@@ -2,16 +2,16 @@
     allocation-free lookup path and batched query evaluation.
 
     An engine is built from a constructed scheme by a [compile_*]
-    function: the scheme's ring tables are flattened into an immutable
-    arena through [Cr_codec]'s wire format (see {!Tables}), and routes are
-    then *served* from it. Every scheme's forwarding rule is written once,
-    in [Cr_core], and the engines run that same code over their compiled
-    state: the labeled engines run [Cr_core.Hier_labeled.route_over]
-    (Lemma 3.1's descent, reading the arena's next hops) and
-    [Cr_core.Scale_free_labeled.route_over] (Algorithm 5, over the
-    scheme's own arrays and directories with a ring view of the arena);
-    the name-independent engines run [Cr_core.Ni_route] over compiled hub
-    rows and the compiled underlying labeled engine. The full-table and
+    function, and routes are then *served* from it. The labeled engines
+    serve the scheme's own ring store ([Cr_core.Rings], the
+    piece-indexed arena the scheme walks) and compile nothing of it.
+    Every scheme's forwarding rule is written once, in [Cr_core], and the
+    engines run that same code: the labeled engines run
+    [Cr_core.Hier_labeled.route_over] (Lemma 3.1's descent, bound to
+    [Rings.next_hop]) and [Cr_core.Scale_free_labeled.route_over]
+    (Algorithm 5, over the scheme's router with a fallback counter of the
+    engine's own); the name-independent engines run [Cr_core.Ni_route]
+    over compiled hub rows and the underlying labeled engine. The full-table and
     landmark engines replay their baseline's route from compiled rows.
     Every driver moves the packet on a [Cr_sim.Walker.t], the only
     executor: [walk] runs it on the caller's walker, [route] on a fresh
@@ -34,10 +34,11 @@ type t
 
 (** {1 Compilation}
 
-    Each compiler flattens one scheme. [obs] (default: the global trace
-    context) wraps the work in a ["serve.compile.<kind>"] span; per-node
-    work fans out over [pool] with arenas identical whatever the pool
-    size. *)
+    Each compiler wraps one scheme. [obs] (default: untraced) wraps the
+    work in a ["serve.compile.<kind>"] span. The labeled and
+    name-independent compilers ignore [pool]: they build only label and
+    hub rows. [compile_full] and [compile_landmark] fan their per-node
+    rows out over [pool], with rows identical whatever the pool size. *)
 
 val compile_hier :
   ?obs:Cr_obs.Trace.context -> ?pool:Cr_par.Pool.t ->
@@ -51,7 +52,7 @@ val compile_scale_free_labeled :
     by running its {!Cr_core.Ni_route} lookup loop with the hubs flattened
     into rows. [underlying] must be an engine compiled from the same
     labeled scheme instance the name-independent scheme was built over
-    (its arena executes every zoom/search/deliver leg). Raises
+    (its ring store executes every zoom/search/deliver leg). Raises
     [Invalid_argument] if [underlying] is not a labeled engine over the
     same node count. [compile_scale_free_ni] does the same for the
     Theorem 1.1 scheme. *)
@@ -132,9 +133,9 @@ val batch :
 (** {1 Accounting} *)
 
 (** [compiled_bits t v] is node [v]'s serving state in bits: the exact
-    wire size of codec-backed tables plus flat-array fields, counted at
-    their stored width. Comparable against the scheme's [table_bits]
-    budget gates. *)
+    wire size of its ring table ([Rings.wire_bits]) plus flat-array
+    fields, counted at their stored width. Comparable against the
+    scheme's [table_bits] budget gates. *)
 val compiled_bits : t -> int -> int
 
 (** [bytes_per_node t] is the engine's total arena footprint in bytes,

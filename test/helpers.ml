@@ -58,6 +58,20 @@ let family_graph (kind, seed) =
     Cr_graphgen.Grid.with_holes ~side:(4 + (seed mod 4)) ~hole_fraction:0.2
       ~seed
 
+(* [family_gen]'s graphs plus seeded rings and exponential chains, for the
+   ring-store properties. *)
+let cover_family_gen =
+  QCheck2.Gen.(
+    let* kind = int_range 0 4 in
+    let* seed = int_range 0 10_000 in
+    return (kind, seed))
+
+let cover_family_graph (kind, seed) =
+  match kind with
+  | 3 -> Cr_graphgen.Path_like.ring ~n:(6 + (seed mod 27))
+  | 4 -> Cr_graphgen.Path_like.exponential_chain ~n:(4 + (seed mod 11)) ~base:2.0
+  | _ -> family_graph (kind, seed)
+
 (* [u]'s nodes sorted by (distance, id), by a plain sort of all of them. *)
 let brute_order m u =
   List.sort

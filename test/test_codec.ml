@@ -158,34 +158,36 @@ let test_bitbuf_golden_bytes () =
 
 (* A node's real ring table, pushed through the codec: both ring modes,
    the Lemma 3.1 scheme's every level and the Theorem 1.2 scheme's
-   selected ones. *)
+   selected ones, on the holey grid and geo-48. The store's per-node wire
+   size is the writer's exact length. *)
 let test_ring_tables_roundtrip () =
-  let m = holey () in
-  let h = Hierarchy.build m in
-  let nt = Netting_tree.build h in
-  let n = Metric.n m in
-  let level_count = Hierarchy.top_level h + 1 in
   List.iter
-    (fun (mname, mode) ->
-      let rings = Rings.build nt ~epsilon:0.5 ~mode in
-      for u = 0 to n - 1 do
-        let levels = Cr_serve.Tables.ring_levels rings u in
-        let data = Table_codec.encode_rings ~n ~level_count levels in
-        let decoded = Table_codec.decode_rings ~n ~level_count data in
-        check_bool
-          (Printf.sprintf "%s node %d rings roundtrip" mname u)
-          true (decoded = levels);
-        (* the exact-size predictor matches the writer *)
-        check_bool
-          (Printf.sprintf "%s node %d size within a byte of prediction" mname
-             u)
-          true
-          (abs
-             ((8 * Bytes.length data)
-             - Table_codec.rings_bits ~n ~level_count levels)
-          < 8)
-      done)
-    [ ("all-levels", Rings.All_levels); ("selected", Rings.Selected) ]
+    (fun m ->
+      let h = Hierarchy.build m in
+      let nt = Netting_tree.build h in
+      let n = Metric.n m in
+      let level_count = Hierarchy.top_level h + 1 in
+      List.iter
+        (fun (mname, mode) ->
+          let rings = Rings.build nt ~epsilon:0.5 ~mode in
+          for u = 0 to n - 1 do
+            let levels = Rings.levels_of rings u in
+            let data = Table_codec.encode_rings ~n ~level_count levels in
+            let decoded = Table_codec.decode_rings ~n ~level_count data in
+            check_bool
+              (Printf.sprintf "%s node %d rings roundtrip" mname u)
+              true (decoded = levels);
+            check_int
+              (Printf.sprintf "%s node %d: wire bits" mname u)
+              (Table_codec.rings_bits ~n ~level_count levels)
+              (Rings.wire_bits rings u);
+            check_int
+              (Printf.sprintf "%s node %d: bytes" mname u)
+              ((Rings.wire_bits rings u + 7) / 8)
+              (Bytes.length data)
+          done)
+        [ ("all-levels", Rings.All_levels); ("selected", Rings.Selected) ])
+    [ holey (); geo48 () ]
 
 let test_ring_encoding_matches_accounting () =
   (* the harness charges 4 id-sized fields per entry (range + hop + id);
@@ -197,7 +199,7 @@ let test_ring_encoding_matches_accounting () =
   let n = Metric.n m in
   let level_count = Hierarchy.top_level h + 1 in
   for u = 0 to n - 1 do
-    let levels = Cr_serve.Tables.ring_levels rings u in
+    let levels = Rings.levels_of rings u in
     let encoded = Table_codec.rings_bits ~n ~level_count levels in
     let charged = Rings.table_bits rings u in
     let prefixes = 16 * (1 + List.length levels) in
@@ -208,38 +210,74 @@ let test_ring_encoding_matches_accounting () =
       (encoded <= charged + prefixes)
   done
 
-(* Roundtrips on *random* tables: the codec must invert on any table whose
-   fields fit the declared bit widths, not just tables a scheme actually
-   builds, and the bit predictor must match the writer exactly. *)
+(* The decoder's contract, checked independently of it: ids and hops
+   below n, lo <= hi < n, strictly increasing levels below the level
+   count, and disjoint ranges within each level. *)
+let valid_rings ~n ~level_count levels =
+  let node v = v >= 0 && v < n in
+  let rec disjoint = function
+    | (a : Table_codec.ring_entry) :: (b :: _ as rest) ->
+      a.range_hi < b.range_lo && disjoint rest
+    | _ -> true
+  in
+  snd
+    (List.fold_left
+       (fun (prev, ok) (l : Table_codec.ring_level) ->
+         ( l.level,
+           ok && l.level > prev && l.level < level_count
+           && List.for_all
+                (fun (e : Table_codec.ring_entry) ->
+                  node e.member && node e.next_hop && node e.range_lo
+                  && node e.range_hi && e.range_lo <= e.range_hi)
+                l.entries
+           && disjoint
+                (List.sort
+                   (fun (a : Table_codec.ring_entry) b ->
+                     Int.compare a.range_lo b.range_lo)
+                   l.entries) ))
+       (-1, true) levels)
 
+(* Roundtrips on *random* valid tables: the codec must invert on any
+   valid table, not just tables a scheme actually builds, and the bit
+   predictor must match the writer exactly. A level's ranges are
+   consecutive pairs of its sorted cut points (a lone last cut is a
+   singleton), listed in random order. *)
 let ring_tables_gen =
   QCheck2.Gen.(
     let* n = int_range 4 128 in
     let* level_count = int_range 1 12 in
-    let entry =
-      let* member = int_range 0 (n - 1) in
-      let* a = int_range 0 (n - 1) in
-      let* b = int_range 0 (n - 1) in
-      let* next_hop = int_range 0 (n - 1) in
-      return
-        { Table_codec.member;
-          range_lo = min a b;
-          range_hi = max a b;
-          next_hop }
+    let id = int_range 0 (n - 1) in
+    let rec pairs = function
+      | a :: b :: rest -> (a, b) :: pairs rest
+      | [ a ] -> [ (a, a) ]
+      | [] -> []
     in
-    let level =
-      let* lvl = int_range 0 level_count in
-      let* entries = list_size (int_range 0 8) entry in
+    let level lvl =
+      let* cuts = list_size (int_range 0 16) id in
+      let* entries =
+        flatten_l
+          (List.map
+             (fun (range_lo, range_hi) ->
+               let* member = id in
+               let* next_hop = id in
+               return { Table_codec.member; range_lo; range_hi; next_hop })
+             (pairs (List.sort_uniq Int.compare cuts)))
+      in
+      let* entries = shuffle_l entries in
       return { Table_codec.level = lvl; entries }
     in
-    let* levels = list_size (int_range 0 6) level in
+    let* chosen = list_size (int_range 0 6) (int_range 0 (level_count - 1)) in
+    let* levels =
+      flatten_l (List.map level (List.sort_uniq Int.compare chosen))
+    in
     return (n, level_count, levels))
 
 let prop_rings_roundtrip_random =
   qcheck_case ~count:200 "codec: random ring tables roundtrip"
     ring_tables_gen (fun (n, level_count, levels) ->
       let data = Table_codec.encode_rings ~n ~level_count levels in
-      Table_codec.decode_rings ~n ~level_count data = levels)
+      valid_rings ~n ~level_count levels
+      && Table_codec.decode_rings ~n ~level_count data = levels)
 
 let prop_rings_bits_exact =
   qcheck_case ~count:200 "codec: rings_bits = writer length = charged bits"
@@ -260,6 +298,100 @@ let prop_rings_bits_exact =
                  + List.length entries
                    * (Bits.range_bits n + (2 * Bits.id_bits n)))
                0 levels)
+
+(* Each fault an unchecked decoder used to accept (n = 5, level count 3,
+   3-bit ids, 2-bit level indices), and a truncation, raise the codec's
+   typed error naming the fault and its bit offset. The first level's
+   entries start at bit 34, 12 bits apart. *)
+let test_decoder_rejects () =
+  let n = 5 and level_count = 3 in
+  let entry member lo hi next_hop =
+    { Table_codec.member; range_lo = lo; range_hi = hi; next_hop }
+  in
+  let encode levels = Table_codec.encode_rings ~n ~level_count levels in
+  let rejects what ~bit ~fault data =
+    Alcotest.check_raises what
+      (Table_codec.Malformed_rings { bit; fault })
+      (fun () -> ignore (Table_codec.decode_rings ~n ~level_count data))
+  in
+  rejects "member and hop >= n" ~bit:34 ~fault:"member 7 is not below n = 5"
+    (encode [ { level = 0; entries = [ entry 7 0 0 6 ] } ]);
+  rejects "empty range" ~bit:37 ~fault:"range 4..1 is empty"
+    (encode [ { level = 0; entries = [ entry 0 4 1 0 ] } ]);
+  rejects "levels out of order" ~bit:34 ~fault:"level 0 follows level 2"
+    (encode [ { level = 2; entries = [] }; { level = 0; entries = [] } ]);
+  rejects "level past the level count" ~bit:16
+    ~fault:"level 3 is not below the level count 3"
+    (encode [ { level = 3; entries = [] } ]);
+  rejects "overlapping ranges in a level" ~bit:46
+    ~fault:"ranges 0..2 and 2..3 overlap at level 1"
+    (encode [ { level = 1; entries = [ entry 0 0 2 0; entry 1 2 3 1 ] } ]);
+  (* one entry: 46 bits, padded to 6 bytes *)
+  let valid = encode [ { level = 0; entries = [ entry 1 1 1 1 ] } ] in
+  check_int "a one-entry table is 6 bytes" 6 (Bytes.length valid);
+  rejects "trailing bytes" ~bit:48 ~fault:"2 bytes follow the table"
+    (Bytes.cat valid (Bytes.of_string "\xff\xff"));
+  rejects "truncated" ~bit:40 ~fault:"truncated in the range end"
+    (Bytes.sub valid 0 5);
+  let padded = Bytes.copy valid in
+  Bytes.set padded 5 (Char.chr (Char.code (Bytes.get valid 5) lor 1));
+  rejects "nonzero padding" ~bit:46 ~fault:"nonzero padding" padded
+
+(* The 16-bit entry count cannot say 2^16: the encoder names the level
+   and the count's bit offset instead of wrapping. *)
+let test_encoder_count_overflow () =
+  let e =
+    { Table_codec.member = 0; range_lo = 0; range_hi = 0; next_hop = 0 }
+  in
+  Alcotest.check_raises "65536 entries"
+    (Table_codec.Malformed_rings
+       { bit = 18;
+         fault = "level 0 has 65536 entries; a 16-bit count holds at most 65535"
+       })
+    (fun () ->
+      ignore
+        (Table_codec.encode_rings ~n:5 ~level_count:3
+           [ { level = 0; entries = List.init 65536 (fun _ -> e) } ]))
+
+(* Every truncation and every single-bit flip of a real encoded table,
+   of either ring mode, either raises the typed error or decodes to a
+   valid table that re-encodes to exactly the input bytes. *)
+let prop_decoder_fuzz =
+  qcheck_case ~count:20
+    "codec: truncations and bit flips of real tables are rejected or exact"
+    QCheck2.Gen.(pair cover_family_gen (int_range 0 1_000))
+    (fun (params, pick) ->
+      let m = Metric.of_graph (cover_family_graph params) in
+      let n = Metric.n m in
+      let h = Hierarchy.build m in
+      let nt = Netting_tree.build h in
+      let level_count = Hierarchy.top_level h + 1 in
+      let exact bytes =
+        match Table_codec.decode_rings ~n ~level_count bytes with
+        | levels ->
+          valid_rings ~n ~level_count levels
+          && Bytes.equal (Table_codec.encode_rings ~n ~level_count levels) bytes
+        | exception Table_codec.Malformed_rings _ -> true
+      in
+      List.for_all
+        (fun mode ->
+          let rings = Rings.build nt ~epsilon:0.5 ~mode in
+          let data =
+            Table_codec.encode_rings ~n ~level_count
+              (Rings.levels_of rings (pick mod n))
+          in
+          let len = Bytes.length data in
+          let flip b =
+            let flipped = Bytes.copy data in
+            let byte = Char.code (Bytes.get data (b / 8)) in
+            Bytes.set flipped (b / 8) (Char.chr (byte lxor (0x80 lsr (b mod 8))));
+            flipped
+          in
+          List.for_all
+            (fun k -> exact (Bytes.sub data 0 k))
+            (List.init len Fun.id)
+          && List.for_all (fun b -> exact (flip b)) (List.init (8 * len) Fun.id))
+        [ Rings.All_levels; Rings.Selected ])
 
 let interval_table_gen =
   QCheck2.Gen.(
@@ -333,6 +465,11 @@ let suite =
       test_ring_encoding_matches_accounting;
     prop_rings_roundtrip_random;
     prop_rings_bits_exact;
+    Alcotest.test_case "decoder rejects invalid tables" `Quick
+      test_decoder_rejects;
+    Alcotest.test_case "encoder rejects a 16-bit count overflow" `Quick
+      test_encoder_count_overflow;
+    prop_decoder_fuzz;
     prop_interval_roundtrip_random;
     Alcotest.test_case "interval tables roundtrip" `Quick
       test_interval_tables_roundtrip ]

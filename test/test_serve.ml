@@ -23,7 +23,6 @@ module Pool = Cr_par.Pool
 module Table_codec = Cr_codec.Table_codec
 module Route_trace = Cr_core.Route_trace
 module Engine = Cr_serve.Engine
-module Tables = Cr_serve.Tables
 
 type fixture = {
   m : Metric.t;
@@ -229,37 +228,6 @@ let test_batch_pool_invariance () =
         seq)
     (all_outcomes fx)
 
-(* compile -> encode -> decode -> compile is the identity: the arena's
-   reconstructed levels re-encode to the original wire bytes. *)
-let test_codec_idempotence () =
-  let fx = fx_geo () in
-  let n = Metric.n fx.m in
-  let nt = Hier_labeled.netting_tree fx.hl in
-  let level_count = Hierarchy.top_level (Netting_tree.hierarchy nt) + 1 in
-  List.iter
-    (fun (rname, rings) ->
-      let levels_of v = Tables.ring_levels rings v in
-      let tables = Tables.compile fx.m ~level_count ~levels_of in
-      for v = 0 to n - 1 do
-        let original = levels_of v in
-        let reconstructed = Tables.levels_of tables v in
-        check_bool
-          (Printf.sprintf "%s node %d: levels reconstruct" rname v)
-          true
-          (reconstructed = original);
-        let wire = Table_codec.encode_rings ~n ~level_count original in
-        let rewire = Table_codec.encode_rings ~n ~level_count reconstructed in
-        check_bool
-          (Printf.sprintf "%s node %d: wire bytes identical" rname v)
-          true
-          (Bytes.equal wire rewire);
-        check_int
-          (Printf.sprintf "%s node %d: bits" rname v)
-          (Table_codec.rings_bits ~n ~level_count original)
-          (Tables.bits tables v)
-      done)
-    [ ("all-levels", Hier_labeled.rings fx.hl); ("selected", Sfl.rings fx.sfl) ]
-
 (* The linear scan the piece index replaced, as the reference: the
    first level in stored order with a range covering [label]. *)
 let scan_cover levels ~label =
@@ -273,68 +241,36 @@ let scan_cover levels ~label =
         l.entries)
     levels
 
-let cover_of tables ~at ~label =
-  let e = Tables.cover tables ~at ~label in
+let cover_of rings ~at ~label =
+  let e = Rings.cover rings ~at ~label in
   if e < 0 then None
   else
     Some
-      ( Tables.entry_level tables e,
-        Tables.entry_member tables e,
-        Tables.entry_hop tables e )
+      ( Rings.entry_level rings e,
+        Rings.entry_member rings e,
+        Rings.entry_hop rings e )
 
-(* Seeded geo, grid, holey, ring and exponential-chain graphs. *)
-let cover_family_gen =
-  QCheck2.Gen.(
-    let* kind = int_range 0 4 in
-    let* seed = int_range 0 10_000 in
-    return (kind, seed))
-
-let cover_family_graph (kind, seed) =
-  match kind with
-  | 3 -> Cr_graphgen.Path_like.ring ~n:(6 + (seed mod 27))
-  | 4 -> Cr_graphgen.Path_like.exponential_chain ~n:(4 + (seed mod 11)) ~base:2.0
-  | _ -> family_graph (kind, seed)
-
-(* [Tables.cover] answers exactly what the scan answers, for every node
-   and every label, including -1 and n, which no level covers. *)
+(* [Rings.cover] answers exactly what the scan of the node's wire view
+   answers, for every node and every label, including -1 and n, which no
+   level covers. *)
 let prop_cover_is_scan =
   qcheck_case ~count:40 "piece-index cover = linear scan (hier and sfl rings)"
     cover_family_gen (fun params ->
       let m = Metric.of_graph (cover_family_graph params) in
       let n = Metric.n m in
       let nt = Netting_tree.build (Hierarchy.build m) in
-      let level_count = Hierarchy.top_level (Netting_tree.hierarchy nt) + 1 in
       List.for_all
         (fun mode ->
           let rings = Rings.build nt ~epsilon:0.5 ~mode in
-          let levels_of v = Tables.ring_levels rings v in
-          let tables = Tables.compile m ~level_count ~levels_of in
           List.for_all
             (fun at ->
-              let levels = levels_of at in
+              let levels = Rings.levels_of rings at in
               List.for_all
                 (fun label ->
-                  cover_of tables ~at ~label = scan_cover levels ~label)
+                  cover_of rings ~at ~label = scan_cover levels ~label)
                 (List.init (n + 2) (fun l -> l - 1)))
             (List.init n Fun.id))
         [ Rings.All_levels; Rings.Selected ])
-
-(* Two ranges of one level that overlap have no unique minimal cover:
-   compile names the node and the level. *)
-let test_compile_rejects_overlap () =
-  let m = grid6 () in
-  let entry member lo hi =
-    { Table_codec.member; range_lo = lo; range_hi = hi; next_hop = member }
-  in
-  let levels_of v =
-    if v = 4 then
-      [ { Table_codec.level = 0; entries = [ entry 4 4 4 ] };
-        { Table_codec.level = 2; entries = [ entry 5 0 3; entry 10 3 6 ] } ]
-    else []
-  in
-  Alcotest.check_raises "overlapping level-2 ranges at node 4"
-    (Invalid_argument "Tables.compile: node 4 has overlapping ranges at level 2")
-    (fun () -> ignore (Tables.compile m ~level_count:4 ~levels_of))
 
 (* The zero-allocation regression gate: 10k lookups on the flat engines
    allocate nothing on the minor heap. (The per-route engines probe a
@@ -366,22 +302,20 @@ let test_zero_alloc_lookups () =
         0.0 (after -. before))
     [ ("hier", fx.e_hier); ("full", fx.e_full); ("landmark", fx.e_lm) ]
 
-(* A served hier route allocates nothing per hop: a warmed route costs
-   the same minor words whatever its length. *)
-let route_words eng ~src ~dst =
-  ignore (Engine.route eng ~src ~dst);
+(* A hier route, served or walked, allocates nothing per hop: a warmed
+   route costs the same minor words whatever its length. *)
+let route_words route ~src ~dst =
+  ignore (route ~src ~dst);
   let before = Gc.minor_words () in
-  let o = Engine.route eng ~src ~dst in
+  let (o : Scheme.outcome) = route ~src ~dst in
   let after = Gc.minor_words () in
   (o.Scheme.hops, after -. before)
 
-let test_hier_route_alloc_flat () =
-  let fx = fx_geo () in
-  let n = Metric.n fx.m in
+let check_route_alloc_flat rname route n =
   let by_hops =
     List.filter_map
       (fun (src, dst) ->
-        let hops, words = route_words fx.e_hier ~src ~dst in
+        let hops, words = route_words route ~src ~dst in
         if hops > 0 then Some (hops, words) else None)
       (Workload.all_pairs n)
   in
@@ -396,13 +330,26 @@ let test_hier_route_alloc_flat () =
       (0, 0.0) by_hops
   in
   check_bool
-    (Printf.sprintf "a route of %d hops is 3x one of %d" long_hops short_hops)
+    (Printf.sprintf "%s: a route of %d hops is 3x one of %d" rname long_hops
+       short_hops)
     true
     (long_hops >= 3 * short_hops);
   check_float
-    (Printf.sprintf "minor words: %d-hop route = %d-hop route" long_hops
-       short_hops)
+    (Printf.sprintf "%s minor words: %d-hop route = %d-hop route" rname
+       long_hops short_hops)
     short_words long_words
+
+let test_hier_route_alloc_flat () =
+  let fx = fx_geo () in
+  let n = Metric.n fx.m in
+  let walked = Hier_labeled.to_scheme fx.hl in
+  check_route_alloc_flat "served"
+    (fun ~src ~dst -> Engine.route fx.e_hier ~src ~dst)
+    n;
+  check_route_alloc_flat "walked"
+    (fun ~src ~dst ->
+      walked.Scheme.route_to_label ~src ~dest_label:(walked.Scheme.label dst))
+    n
 
 (* Minor words per warmed served route of the name-independent engines
    on geo-48, over 200 sampled pairs. Before these routes stopped
@@ -555,13 +502,9 @@ let suite =
     fixtures
   @ [ Alcotest.test_case "batch is pool-size invariant" `Quick
         test_batch_pool_invariance;
-      Alcotest.test_case "compile/encode/decode/compile idempotent" `Quick
-        test_codec_idempotence;
       Alcotest.test_case "flat lookups allocate zero minor words" `Quick
         test_zero_alloc_lookups;
       prop_cover_is_scan;
-      Alcotest.test_case "compile rejects overlapping ranges in a level" `Quick
-        test_compile_rejects_overlap;
       Alcotest.test_case "hier route allocates nothing per hop" `Quick
         test_hier_route_alloc_flat;
       Alcotest.test_case "name-independent routes allocate half" `Quick

@@ -6,8 +6,8 @@
    domain-escape analyses need closed.
 
    Name resolution follows dune's wrapped-library mangling: a value
-   reached as [Cr_serve.Tables.next_hop] (through the generated wrapper
-   alias) and as [Cr_serve__Tables.next_hop] (directly) are the same
+   reached as [Cr_core.Rings.next_hop] (through the generated wrapper
+   alias) and as [Cr_core__Rings.next_hop] (directly) are the same
    definition; local [module M = Other.Mod] aliases are substituted
    before mangling. *)
 

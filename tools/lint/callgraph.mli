@@ -1,7 +1,7 @@
 (** A whole-program view over the loaded typed trees: every function
     binding (top-level, nested-module, and local) indexed so call sites
     can be resolved across module boundaries, honouring dune's wrapped
-    library mangling ([Cr_serve.Tables] = [Cr_serve__Tables]) and local
+    library mangling ([Cr_core.Rings] = [Cr_core__Rings]) and local
     [module M = ...] aliases. *)
 
 type def = {

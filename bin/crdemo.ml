@@ -20,9 +20,7 @@ module Workload = Cr_sim.Workload
 open Cmdliner
 
 let parse_family spec =
-  let fail () =
-    raise (Invalid_argument (Printf.sprintf "cannot parse family %S" spec))
-  in
+  let fail () = invalid_arg "not a family spec (see --help)" in
   let int s = try int_of_string s with Failure _ -> fail () in
   let fl s = try float_of_string s with Failure _ -> fail () in
   match String.split_on_char ':' spec with
@@ -57,12 +55,36 @@ let parse_family spec =
     Cr_metric.Graph_io.load (String.concat ":" rest)
   | _ -> fail ()
 
+(* A --family argument: the spec as typed and the graph it names. *)
+type family = { spec : string; graph : Graph.t }
+
+(* Every scheme needs a connected graph of two nodes or more; a spec that
+   does not parse, a file that cannot be read or parsed, and a graph that
+   fails that test are usage errors naming the spec (exit 124, as for any
+   malformed option). Connectivity is a graph search, not a metric build,
+   so [scale]'s sparse families stay cheap to check. *)
+let family_conv =
+  let parse spec =
+    let error msg = Error (`Msg (Printf.sprintf "%S: %s" spec msg)) in
+    match parse_family spec with
+    | exception Invalid_argument msg -> error msg
+    | exception Sys_error msg -> Error (`Msg msg) (* names the file *)
+    | graph when Graph.n graph < 2 -> error "fewer than 2 nodes"
+    | graph when not (Graph.is_connected graph) -> error "graph not connected"
+    | graph -> Ok { spec; graph }
+  in
+  Arg.conv (parse, fun ppf f -> Format.pp_print_string ppf f.spec)
+
 let family_arg =
   let doc = "Network family, e.g. grid:10, holey:12:0.25, geo:128:3, \
              ring:64, chain:32:2.0, lbtree:128:4:3, cube:6, \
              geob:16384:6 (bucketed kNN), plaw:10000:3 (preferential \
              attachment), file:PATH (edge-list text)." in
-  Arg.(value & opt string "grid:10" & info [ "family"; "f" ] ~docv:"SPEC" ~doc)
+  Arg.(
+    value
+    & opt family_conv
+        { spec = "grid:10"; graph = Cr_graphgen.Grid.square ~side:10 }
+    & info [ "family"; "f" ] ~docv:"SPEC" ~doc)
 
 let epsilon_arg =
   let doc = "Accuracy parameter in (0, 1)." in
@@ -91,9 +113,8 @@ let scheme_arg =
              sfni (Thm 1.1), ft (full table), st (spanning tree)." in
   Arg.(value & opt scheme_conv Sfni & info [ "scheme"; "s" ] ~docv:"NAME" ~doc)
 
-let load spec =
-  let graph = parse_family spec in
-  let metric = Metric.of_graph graph in
+let load family =
+  let metric = Metric.of_graph family.graph in
   let nt = Netting_tree.build (Hierarchy.build metric) in
   (metric, nt)
 
@@ -127,7 +148,7 @@ let inspect family =
   let metric, nt = load family in
   let g = Metric.graph metric in
   let h = Netting_tree.hierarchy nt in
-  Printf.printf "family        %s\n" family;
+  Printf.printf "family        %s\n" family.spec;
   Printf.printf "nodes         %d\n" (Metric.n metric);
   Printf.printf "edges         %d\n" (Graph.num_edges g);
   Printf.printf "max degree    %d\n" (Graph.max_degree g);
@@ -185,7 +206,7 @@ let stats family scheme_kind epsilon seed pairs_budget =
     let summary = Stats.measure_labeled metric s pairs in
     Printf.printf "%s on %s\n  %s\n  table bits max %d avg %.1f, label %d, \
                    header %d\n"
-      s.Scheme.l_name family
+      s.Scheme.l_name family.spec
       (Format.asprintf "%a" Stats.pp_summary summary)
       (Scheme.max_table_bits s n) (Scheme.avg_table_bits s n)
       s.Scheme.l_label_bits s.Scheme.l_header_bits
@@ -193,7 +214,7 @@ let stats family scheme_kind epsilon seed pairs_budget =
     let summary = Stats.measure_name_independent metric s naming pairs in
     Printf.printf
       "%s on %s\n  %s\n  table bits max %d avg %.1f, header %d\n"
-      s.Scheme.ni_name family
+      s.Scheme.ni_name family.spec
       (Format.asprintf "%a" Stats.pp_summary summary)
       (Scheme.ni_max_table_bits s n)
       (Scheme.ni_avg_table_bits s n) s.Scheme.ni_header_bits);
@@ -538,7 +559,7 @@ let serve family scheme_kind epsilon seed pairs_budget =
       if b > !bits_max then bits_max := b;
       bits_sum := !bits_sum + b
     done;
-    Printf.printf "serving %s on %s (n=%d)\n" (Engine.scheme_name eng) family n;
+    Printf.printf "serving %s on %s (n=%d)\n" (Engine.scheme_name eng) family.spec n;
     Printf.printf "compile       %.3fs\n" t_compile;
     Printf.printf "compiled bits max %d avg %.1f (%.1f arena bytes/node)\n"
       !bits_max
@@ -574,7 +595,7 @@ let verify family =
     Printf.printf
       "verify %s: all invariants hold (hierarchy, zoom, netting tree, \
        packings, search trees)\n"
-      family;
+      family.spec;
     0
   end
   else begin
@@ -583,7 +604,7 @@ let verify family =
         Printf.eprintf "%s\n"
           (Format.asprintf "%a" Cr_verify.Invariants.pp f))
       findings;
-    Printf.eprintf "verify %s: %d invariant violations\n" family
+    Printf.eprintf "verify %s: %d invariant violations\n" family.spec
       (List.length findings);
     1
   end
@@ -696,7 +717,7 @@ let cost family construction radius top chrome =
            ~distances:radii.Cr_proto.Dist_radii.distances ~j);
       Printf.sprintf "packing (j=%d)" j
   in
-  Printf.printf "CONGEST cost of %s on %s\n\n" name family;
+  Printf.printf "CONGEST cost of %s on %s\n\n" name family.spec;
   print_string (Cr_obs.Cost.render acct);
   let edges = Cr_obs.Cost.top_edges acct ~k:top in
   if edges <> [] then begin
@@ -810,7 +831,7 @@ let live family epsilon seed alpha windows window_size top pairs_budget
     pairs;
   Printf.printf
     "Zipf(%g) x %d pairs on %s (Thm 1.4 failover; %d edges, %d nodes failed)\n\n"
-    alpha (List.length pairs) family
+    alpha (List.length pairs) family.spec
     (Cr_sim.Failures.edge_count failures)
     (Cr_sim.Failures.node_count failures);
   print_string (Live.render acc);
@@ -892,7 +913,7 @@ let scale family epsilon seed sources per_source alpha which sample =
   let module Nets = Cr_scale.Nets in
   let module LS = Cr_scale.Landmark_scale in
   let module ZS = Cr_scale.Zoom_scale in
-  let graph = parse_family family in
+  let graph = family.graph in
   let pool = Cr_par.Pool.default () in
   let oracle = Oracle.create graph in
   let g = Oracle.graph oracle in
@@ -916,7 +937,7 @@ let scale family epsilon seed sources per_source alpha which sample =
   Printf.printf
     "scale eval on %s: n=%d edges=%d, %d pairs (%d sources x %d, \
      Zipf(%g) destinations)\n"
-    family n (Graph.num_edges g) (List.length pairs) sources per_source
+    family.spec n (Graph.num_edges g) (List.length pairs) sources per_source
     alpha;
   List.iter
     (fun ((s : Eval.scheme), build_settled) ->

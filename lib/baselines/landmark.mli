@@ -29,15 +29,9 @@ val is_landmark : t -> int -> bool
     [src]'s bunch (or [src] is a landmark), else via [home t src]. *)
 val route : t -> src:int -> dst:int -> Cr_sim.Scheme.outcome
 
-(** [table_bits t v] is the measured per-node storage in bits. *)
-val table_bits : t -> int -> int
-
 (** [labeled_of t] / [name_independent_of t naming] package prebuilt state
     as measurement-harness scheme values. *)
 val labeled_of : t -> Cr_sim.Scheme.labeled
-
-val name_independent_of :
-  t -> Cr_sim.Workload.naming -> Cr_sim.Scheme.name_independent
 
 (** [labeled m ~seed] builds the scheme with a seeded landmark sample. *)
 val labeled : Cr_metric.Metric.t -> seed:int -> Cr_sim.Scheme.labeled

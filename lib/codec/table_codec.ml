@@ -12,13 +12,6 @@ type ring_level = {
   entries : ring_entry list;
 }
 
-type interval_table = {
-  own_lo : int;
-  own_hi : int;
-  parent_port : int;
-  children : (int * int * int) list;
-}
-
 exception Malformed_rings of { bit : int; fault : string }
 
 let () =
@@ -37,11 +30,6 @@ let rings_bits_of_counts ~n ~level_count ~levels ~entries =
   count_bits
   + (levels * (Bits.ceil_log2 (level_count + 1) + count_bits))
   + (4 * Bits.id_bits n * entries)
-
-let rings_bits ~n ~level_count levels =
-  rings_bits_of_counts ~n ~level_count ~levels:(List.length levels)
-    ~entries:
-      (List.fold_left (fun acc l -> acc + List.length l.entries) 0 levels)
 
 let encode_rings ~n ~level_count levels =
   let id = Bits.id_bits n in
@@ -133,38 +121,3 @@ let decode_rings ~n ~level_count data =
   if at < total && Bitbuf.pull r ~bits:(total - at) <> 0 then
     malformed at "nonzero padding";
   decoded
-
-let encode_interval ~n table =
-  let id = Bits.id_bits n in
-  let w = Bitbuf.writer () in
-  Bitbuf.push w ~bits:id table.own_lo;
-  Bitbuf.push w ~bits:id table.own_hi;
-  Bitbuf.push w ~bits:id table.parent_port;
-  Bitbuf.push w ~bits:count_bits (List.length table.children);
-  List.iter
-    (fun (lo, hi, port) ->
-      Bitbuf.push w ~bits:id lo;
-      Bitbuf.push w ~bits:id hi;
-      Bitbuf.push w ~bits:id port)
-    table.children;
-  Bitbuf.contents w
-
-let decode_interval ~n data =
-  let id = Bits.id_bits n in
-  let r = Bitbuf.reader data in
-  let own_lo = Bitbuf.pull r ~bits:id in
-  let own_hi = Bitbuf.pull r ~bits:id in
-  let parent_port = Bitbuf.pull r ~bits:id in
-  let child_total = Bitbuf.pull r ~bits:count_bits in
-  let children =
-    List.init child_total (fun _ ->
-        let lo = Bitbuf.pull r ~bits:id in
-        let hi = Bitbuf.pull r ~bits:id in
-        let port = Bitbuf.pull r ~bits:id in
-        (lo, hi, port))
-  in
-  { own_lo; own_hi; parent_port; children }
-
-let interval_bits ~n table =
-  let id = Bits.id_bits n in
-  (3 * id) + count_bits + (3 * id * List.length table.children)

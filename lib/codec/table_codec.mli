@@ -21,15 +21,6 @@ type ring_level = {
   entries : ring_entry list;
 }
 
-(** An interval-routing node table: the node's own DFS interval, the parent
-    port, and one (interval, port) per child. *)
-type interval_table = {
-  own_lo : int;
-  own_hi : int;
-  parent_port : int;  (** the node's own id at the root, by convention *)
-  children : (int * int * int) list;  (** (lo, hi, port) *)
-}
-
 (** The one error of the ring codec: [fault] says what is wrong, and
     [bit] is the stream offset of the field at fault (of the padding or
     the first trailing byte, for those faults). *)
@@ -43,6 +34,7 @@ exception Malformed_rings of { bit : int; fault : string }
     {!Malformed_rings} naming the level when a level holds more entries
     than a 16-bit count can say (or when there are that many levels), and
     [Invalid_argument] when a field does not fit its width. *)
+(* cr_lint: allow dead-export -- the ring codec, which snapshots will load; round-tripped by test_codec *)
 val encode_rings : n:int -> level_count:int -> ring_level list -> Bytes.t
 
 (** [decode_rings ~n ~level_count bytes] inverts [encode_rings] on the
@@ -52,6 +44,7 @@ val encode_rings : n:int -> level_count:int -> ring_level list -> Bytes.t
     strictly and stay below [level_count], and the ranges of one level
     are disjoint. Its encoding ends in zero padding, and nothing follows
     it. Every table [Cr_core.Rings] builds is valid. *)
+(* cr_lint: allow dead-export -- the ring codec, which snapshots will load; round-tripped by test_codec *)
 val decode_rings : n:int -> level_count:int -> Bytes.t -> ring_level list
 
 (** [rings_bits_of_counts ~n ~level_count ~levels ~entries] is the exact
@@ -59,15 +52,3 @@ val decode_rings : n:int -> level_count:int -> Bytes.t -> ring_level list
     [entries] entries in all. *)
 val rings_bits_of_counts :
   n:int -> level_count:int -> levels:int -> entries:int -> int
-
-(** [rings_bits ~n ~level_count levels] is the exact encoded size in bits:
-    {!rings_bits_of_counts} of [levels]. *)
-val rings_bits : n:int -> level_count:int -> ring_level list -> int
-
-(** [encode_interval ~n table] / [decode_interval ~n bytes] pack one
-    interval-routing table (labels in a [k]-node tree are passed in the
-    same [0, n) universe for simplicity). *)
-val encode_interval : n:int -> interval_table -> Bytes.t
-
-val decode_interval : n:int -> Bytes.t -> interval_table
-val interval_bits : n:int -> interval_table -> int

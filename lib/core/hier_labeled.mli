@@ -52,12 +52,6 @@ val route_over :
     the node labeled [dest_label]: {!route_over} over [t]'s rings. *)
 val walk : t -> Cr_sim.Walker.t -> dest_label:int -> unit
 
-(** [table_bits t v] is the measured per-node storage in bits. *)
-val table_bits : t -> int -> int
-
-val label_bits : t -> int
-val header_bits : t -> int
-
 (** [to_scheme t] packages the scheme for the measurement harness. *)
 val to_scheme : t -> Cr_sim.Scheme.labeled
 

@@ -63,8 +63,9 @@ val effective_epsilon : t -> float
 val cover : t -> at:int -> label:int -> int
 
 (** [next_hop t ~at ~label] is the stored next hop of the covering entry
-    (-1 if no level covers): [Metric.next_hop ~src:at] toward the
-    member, or [at] itself when the member is [at]. Allocation-free. *)
+    (-1 if no level covers): the first hop of [at]'s canonical shortest
+    path to the member ([Metric.first_hops]), or [at] itself when the
+    member is [at]. Allocation-free. *)
 val next_hop : t -> at:int -> label:int -> int
 
 (** Entry-field accessors for an index returned by [cover]. *)
@@ -89,6 +90,7 @@ val ring : t -> int -> level:int -> int list
     selected level in increasing order, each with its members' ranges
     and next hops. [Table_codec.encode_rings] of it takes exactly
     [wire_bits t u] bits. *)
+(* cr_lint: allow dead-export -- the ring codec's view of a node's table; test_codec round-trips it *)
 val levels_of : t -> int -> Cr_codec.Table_codec.ring_level list
 
 (** {1 Accounting} *)

@@ -88,20 +88,6 @@ let fig1_simple_ni ?(epsilon = 0.5) nt ~naming ~pairs =
           Simple_ni.walk scheme w ~dest_name:naming.Workload.name_of.(dst)))
     pairs
 
-let fig1_scale_free_ni ?(epsilon = 0.5) nt ~naming ~pairs =
-  let m = Cr_nets.Hierarchy.metric (Netting_tree.hierarchy nt) in
-  let sfl = Scale_free_labeled.build nt ~epsilon in
-  let scheme =
-    Scale_free_ni.build nt ~epsilon ~naming
-      ~underlying:(Scale_free_labeled.to_underlying sfl)
-  in
-  List.map
-    (fun (src, dst) ->
-      capture m ~src ~dst ~walk:(fun w ->
-          Scale_free_ni.walk scheme w
-            ~dest_name:naming.Workload.name_of.(dst)))
-    pairs
-
 let fig2_scale_free_labeled ?(epsilon = 0.5) nt ~pairs =
   let m = Cr_nets.Hierarchy.metric (Netting_tree.hierarchy nt) in
   let scheme = Scale_free_labeled.build nt ~epsilon in

@@ -27,9 +27,9 @@ val capture :
 
 (** [nodes ~src events] is the node sequence of a route that started at
     [src] and emitted the hop [events]: [src], then the destination of
-    every [Edge] and [Jump] hop, in order ([Virtual] charges stay in
-    place). The walker keeps no other record of the nodes it visits; for
-    a captured route [t] this is [nodes ~src:t.src t.events]. *)
+    every [Edge] and [Jump] hop, in order. The walker keeps no other
+    record of the nodes it visits; for a captured route [t] this is
+    [nodes ~src:t.src t.events]. *)
 val nodes : src:int -> Cr_obs.Trace.event list -> int list
 
 (** [phase_costs t] sums hop costs by phase, phases in first-appearance
@@ -52,11 +52,6 @@ val sample_pairs : Cr_metric.Metric.t -> count:int -> seed:int -> (int * int) li
     its Lemma 3.1 underlying and captures one trace per pair
     ([epsilon] defaults to 0.5). *)
 val fig1_simple_ni :
-  ?epsilon:float -> Cr_nets.Netting_tree.t -> naming:Cr_sim.Workload.naming ->
-  pairs:(int * int) list -> t list
-
-(** Same for the Theorem 1.1 scale-free scheme over Theorem 1.2. *)
-val fig1_scale_free_ni :
   ?epsilon:float -> Cr_nets.Netting_tree.t -> naming:Cr_sim.Workload.naming ->
   pairs:(int * int) list -> t list
 

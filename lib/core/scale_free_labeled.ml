@@ -193,7 +193,6 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
 
 let label t v = Netting_tree.label t.router.nt v
 
-let rings t = t.router.ring
 let netting_tree t = t.router.nt
 let router t = t.router
 

@@ -37,10 +37,7 @@ val build :
     number). *)
 val label : t -> int -> int
 
-(** [rings t] is the scheme's selected-mode ring store ([router]'s
-    [ring]); [netting_tree t] is the tree it was built over. *)
-val rings : t -> Rings.t
-
+(** [netting_tree t] is the netting tree [t] was built over. *)
 val netting_tree : t -> Cr_nets.Netting_tree.t
 
 (** {1 Algorithm 5, written once}
@@ -110,9 +107,10 @@ val walk :
   ?observe:(phase_report -> unit) -> t -> Cr_sim.Walker.t -> dest_label:int ->
   unit
 
-(** [fallback_count t] is the number of times the scheme's own walks left
-    the theorem's fast path since [build] (a serving engine counts its
-    routes' fallbacks itself). *)
+(** [fallback_count t] is the number of times the scheme's walks, and the
+    routes an engine compiled from it serves, left the theorem's fast
+    path since [build]. *)
+(* cr_lint: allow dead-export -- test hook: tests assert Theorem 1.2 routes keep to the fast path *)
 val fallback_count : t -> int
 
 (** [table_bits t v] is the measured per-node storage in bits (fallback
@@ -120,6 +118,5 @@ val fallback_count : t -> int
 val table_bits : t -> int -> int
 
 val label_bits : t -> int
-val header_bits : t -> int
 val to_scheme : t -> Cr_sim.Scheme.labeled
 val to_underlying : t -> Underlying.t

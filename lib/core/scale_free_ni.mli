@@ -55,6 +55,7 @@ val walk :
 
 (** [found_level t ~src ~dest_name] is the level at which Search() succeeds
     for this pair (the Figure 1 quantity). *)
+(* cr_lint: allow dead-export -- test hook: the Figure 1 quantity, checked by test_scale_free_ni *)
 val found_level : t -> src:int -> dest_name:int -> int
 
 (** Structure accessors for the route-serving compiler ([Cr_serve]),
@@ -70,32 +71,37 @@ val lookup : t -> Ni_route.t
 (** [type_a_count t] / [type_b_count t] are the numbers of net-ball and
     packing-ball search trees built — the balance Claims 3.6/3.7 reason
     about. *)
+(* cr_lint: allow dead-export -- test hook: the tree-type balance of Claims 3.6 and 3.7 *)
 val type_a_count : t -> int
 
+(* cr_lint: allow dead-export -- test hook: the tree-type balance of Claims 3.6 and 3.7 *)
 val type_b_count : t -> int
 
 (** [h_links_of t u] lists the levels i in S(u) at which u links to a
     packing ball instead of keeping a tree. *)
+(* cr_lint: allow dead-export -- test hook: the h-links of Claim 3.9 *)
 val h_links_of : t -> int -> int list
 
 (** [h_link_balls t u] details those links as (level i, scale j, ball
     center): Claim 3.9 bounds the number of *distinct* linked balls per
     scale j by 4 (hence 4 log n overall), which the test suite checks. *)
+(* cr_lint: allow dead-export -- test hook: Claim 3.9's bound on distinct linked balls *)
 val h_link_balls : t -> int -> (int * int * int) list
 
 (** [trees_containing t v] counts the search trees (both types) whose node
     set includes [v] — the quantity Lemma 3.5 bounds by
     (1/eps)^O(alpha) log n. *)
+(* cr_lint: allow dead-export -- test hook: Lemma 3.5's bound on trees per node *)
 val trees_containing : t -> int -> int
 
 val table_bits : t -> int -> int
-val header_bits : t -> int
 val to_scheme : t -> Cr_sim.Scheme.name_independent
 
 (** Degraded-mode routing through {!Ni_route.walk_degraded}, as in
     [Simple_ni.walk_degraded]: [Blocked] moves trigger a failover that
     re-enters the zooming sequence one level up from the current
     position; returns the route status and the failover count. *)
+(* cr_lint: allow dead-export -- test hook: test_fault drives it on a traced walker *)
 val walk_degraded :
   t -> Cr_sim.Walker.t -> dest_name:int ->
   Cr_sim.Scheme.route_status * int

@@ -60,6 +60,7 @@ val walk :
 
 (** [found_level t ~src ~dest_name] is the level at which the directory
     lookup would succeed for this pair — the quantity Figure 1 plots. *)
+(* cr_lint: allow dead-export -- test hook: the Figure 1 quantity, checked by test_simple_ni *)
 val found_level : t -> src:int -> dest_name:int -> int
 
 (** Structure accessors for the route-serving compiler ([Cr_serve]): the
@@ -95,5 +96,4 @@ val walk_degraded :
 val degraded_scheme :
   t -> failures:Cr_sim.Failures.t -> Cr_sim.Scheme.degraded
 
-val header_bits : t -> int
 val to_scheme : t -> Cr_sim.Scheme.name_independent

@@ -1,5 +1,6 @@
 module Graph = Cr_metric.Graph
 module Network = Cr_proto.Network
+module Splitmix = Cr_graphgen.Splitmix
 
 type crash = {
   node : int;
@@ -36,14 +37,6 @@ let make ?(drop = 0.0) ?(duplicate = 0.0) ?(delay_prob = 0.0)
     crashes;
   List.iter (fun (_, p) -> check_prob "edge_drop" p) edge_drop;
   { seed; drop; duplicate; delay_prob; delay_factor; crashes; edge_drop }
-
-let none ~seed = make ~seed ()
-
-let is_null t =
-  Float.equal t.drop 0.0 && Float.equal t.duplicate 0.0
-  && Float.equal t.delay_prob 0.0
-  && t.crashes = []
-  && List.for_all (fun (_, p) -> Float.equal p 0.0) t.edge_drop
 
 (* Decision tags: distinct last-mixed ints keep the drop / inflate /
    duplicate draws of one message independent. *)

@@ -5,8 +5,9 @@
     [hooks] compiles it into the interposition points
     [Cr_proto.Network.fault_hooks] consults on every send and delivery.
     Every random decision is keyed splitmix64 over
-    (seed, src, dst, per-edge message index) — see {!Splitmix} — so a plan
-    replays identically across runs, pool sizes, and re-instantiations.
+    (seed, src, dst, per-edge message index) — see
+    {!Cr_graphgen.Splitmix} — so a plan replays identically across runs,
+    pool sizes, and re-instantiations.
 
     The static samplers at the bottom pick edge/node failure sets for
     degraded-mode *routing* experiments (Cr_sim.Failures); they share the
@@ -43,13 +44,6 @@ val make :
   seed:int ->
   unit ->
   t
-
-(** [none ~seed] is the fault-free plan — interposed but inert; the test
-    suite asserts it is byte-identical to no plan at all. *)
-val none : seed:int -> t
-
-(** [is_null t] is true iff [t] can never perturb a run. *)
-val is_null : t -> bool
 
 (** [hooks t] compiles the plan into simulator hooks. Each call returns a
     fresh per-edge message-index state, so one plan value can drive many

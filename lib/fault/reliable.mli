@@ -26,9 +26,6 @@ type budget = {
   rto_cap : float;  (** timeout ceiling, as a multiple of the round-trip *)
 }
 
-(** 16 attempts, first timeout 1.5 RTT, backoff 1.5, cap 16 RTT. *)
-val default_budget : budget
-
 (** Accumulated transport accounting across every execution of this
     transport value (reset with {!reset}). *)
 type totals = {

@@ -24,20 +24,3 @@ let with_holes ~side ~hole_fraction ~seed =
   done;
   if !keep = [] then g
   else Component.largest (Component.induced g !keep)
-
-let corridor ~side =
-  if side < 5 then invalid_arg "Grid.corridor: side must be >= 5";
-  let g = square ~side in
-  (* Keep the top and bottom thirds plus a single middle column connecting
-     them; every other middle-band node is deleted. *)
-  let band_lo = side / 3 and band_hi = (2 * side) / 3 in
-  let corridor_col = side / 2 in
-  let keep = ref [] in
-  for r = side - 1 downto 0 do
-    for c = side - 1 downto 0 do
-      let in_band = r >= band_lo && r < band_hi in
-      if (not in_band) || c = corridor_col then
-        keep := ((r * side) + c) :: !keep
-    done
-  done;
-  Component.largest (Component.induced g !keep)

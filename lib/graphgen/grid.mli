@@ -15,8 +15,3 @@ val square : side:int -> Cr_metric.Graph.t
     [0, 0.5]. *)
 val with_holes :
   side:int -> hole_fraction:float -> seed:int -> Cr_metric.Graph.t
-
-(** [corridor ~side] carves the grid into two dense rooms joined by a single
-    one-node-wide corridor: a worst case for growth-boundedness while still
-    doubling. *)
-val corridor : side:int -> Cr_metric.Graph.t

@@ -20,8 +20,6 @@ let float t bound =
   let mantissa = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (mantissa /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in
@@ -34,5 +32,3 @@ let permutation t n =
   let arr = Array.init n Fun.id in
   shuffle t arr;
   arr
-
-let split t = { state = next t }

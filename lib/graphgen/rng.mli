@@ -15,15 +15,5 @@ val int : t -> int -> int
 (** [float t bound] is uniform in [0, bound). *)
 val float : t -> float -> float
 
-(** [bool t] is a fair coin flip. *)
-val bool : t -> bool
-
-(** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
-val shuffle : t -> 'a array -> unit
-
 (** [permutation t n] is a uniformly random permutation of 0..n-1. *)
 val permutation : t -> int -> int array
-
-(** [split t] derives an independent generator (for parallel structure
-    construction without perturbing the parent stream). *)
-val split : t -> t

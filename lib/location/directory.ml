@@ -135,8 +135,6 @@ let lookup t w ~key =
   then Some (Walker.position w)
   else None
 
-let holder t ~key = Hashtbl.find_opt t.holders key
-
 (* --- replicated objects --- *)
 
 (* Which replica a tree should hold: the one nearer the tree's center,
@@ -173,53 +171,3 @@ let publish_replica t ~key ~holder =
   Hashtbl.replace t.replica_holders key
     (List.sort Int.compare (holder :: existing));
   cost
-
-let unpublish_replica t ~key ~holder =
-  check_key t key;
-  let existing =
-    Option.value ~default:[] (Hashtbl.find_opt t.replica_holders key)
-  in
-  if not (List.mem holder existing) then
-    invalid_arg "Directory.unpublish_replica: not a replica holder";
-  let survivors = List.filter (fun v -> v <> holder) existing in
-  let cost =
-    tour t ~holder ~action:(fun st ((_, root) as site) ->
-        match Hashtbl.find_opt t.replica_owner (key, site) with
-        | Some current when current = holder ->
-          let _, legs1 = Search_tree.remove st ~key in
-          (* re-point to the best surviving replica this tree covers *)
-          let candidates =
-            List.filter
-              (fun v -> List.mem site (Hashtbl.find t.covering v))
-              survivors
-          in
-          (match
-             List.sort (compare_replicas t root) candidates
-           with
-          | [] ->
-            Hashtbl.remove t.replica_owner (key, site);
-            legs1
-          | best :: _ ->
-            Hashtbl.replace t.replica_owner (key, site) best;
-            legs1
-            @ Search_tree.insert st ~key
-                ~data:(t.underlying.Underlying.u_label best))
-        | _ -> [])
-  in
-  if survivors = [] then Hashtbl.remove t.replica_holders key
-  else Hashtbl.replace t.replica_holders key survivors;
-  cost
-
-let replicas t ~key =
-  Option.value ~default:[] (Hashtbl.find_opt t.replica_holders key)
-
-let table_bits t v =
-  let n = Metric.n t.metric in
-  let directory =
-    List.fold_left
-      (fun acc site ->
-        acc + Search_tree.table_bits (Hashtbl.find t.trees site) v)
-      0
-      (Option.value ~default:[] (Hashtbl.find_opt t.covering v))
-  in
-  Bits.id_bits n + directory

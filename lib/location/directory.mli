@@ -37,10 +37,6 @@ val create :
     range. *)
 val publish : t -> key:int -> holder:int -> float
 
-(** [unpublish t ~key ~holder] removes the registration (cost returned).
-    Raises [Invalid_argument] if the object is not published at [holder]. *)
-val unpublish : t -> key:int -> holder:int -> float
-
 (** [move t ~key ~from_holder ~to_holder] re-homes a published object. *)
 val move : t -> key:int -> from_holder:int -> to_holder:int -> float
 
@@ -55,9 +51,6 @@ val move : t -> key:int -> from_holder:int -> to_holder:int -> float
     of escaping, and every later hop is tagged [Faults];
     {!Cr_sim.Walker.Hop_budget_exhausted} escapes. *)
 val lookup : t -> Cr_sim.Walker.t -> key:int -> int option
-
-(** [holder t ~key] is the current holder without routing. *)
-val holder : t -> key:int -> int option
 
 (** {1 Replicated objects}
 
@@ -75,14 +68,3 @@ val holder : t -> key:int -> int option
     replica is closer to that tree's center. Raises [Invalid_argument] if
     [holder] already serves this key or the key is singly published. *)
 val publish_replica : t -> key:int -> holder:int -> float
-
-(** [unpublish_replica t ~key ~holder] removes one replica and re-points
-    the trees it owned to the best surviving replica (cost returned). *)
-val unpublish_replica : t -> key:int -> holder:int -> float
-
-(** [replicas t ~key] lists the current replica holders, ascending. *)
-val replicas : t -> key:int -> int list
-
-(** [table_bits t v] is the directory storage measured at node [v]
-    (the underlying labeled scheme's tables excluded — compose as needed). *)
-val table_bits : t -> int -> int

@@ -49,7 +49,6 @@ let of_epsilon ~epsilon ~n =
   build ~n ~p ~q
 
 let graph t = t.graph
-let root _ = 0
 let p t = t.p
 let q t = t.q
 
@@ -57,21 +56,5 @@ let path_nodes t ~i ~j =
   if i < 0 || i >= t.p || j < 0 || j >= t.q then
     invalid_arg "Construction.path_nodes: index out of range";
   t.paths.(i).(j)
-
-let branch_weight t ~i ~j =
-  if i < 0 || i >= t.p || j < 0 || j >= t.q then
-    invalid_arg "Construction.branch_weight: index out of range";
-  Float.pow 2.0 (float_of_int i) *. float_of_int (t.q + j)
-
-let deepest_path t =
-  let best = ref None in
-  for i = 0 to t.p - 1 do
-    for j = 0 to t.q - 1 do
-      if t.paths.(i).(j) <> [] then best := Some (i, j)
-    done
-  done;
-  match !best with
-  | Some ij -> ij
-  | None -> invalid_arg "Construction.deepest_path: empty construction"
 
 let expected_dimension_bound ~epsilon = 6.0 -. Float.log2 epsilon

@@ -31,21 +31,11 @@ val of_epsilon : epsilon:float -> n:int -> t
 (** [graph t] is the weighted tree (root = node 0). *)
 val graph : t -> Cr_metric.Graph.t
 
-(** [root t] is 0. *)
-val root : t -> int
-
 val p : t -> int
 val q : t -> int
 
 (** [path_nodes t ~i ~j] is the (possibly empty) id range of T_(i,j). *)
 val path_nodes : t -> i:int -> j:int -> int list
-
-(** [branch_weight t ~i ~j] is w_(i,j) = 2^i (q + j). *)
-val branch_weight : t -> i:int -> j:int -> float
-
-(** [deepest_path t] is the (i, j) of the last non-empty path — where the
-    adversary hides the target. *)
-val deepest_path : t -> int * int
 
 (** [expected_dimension_bound ~epsilon] is 6 - log2 eps (Lemma 5.8). *)
 val expected_dimension_bound : epsilon:float -> float

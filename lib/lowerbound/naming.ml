@@ -12,13 +12,6 @@ let log2_congruent_bound ~n ~beta ~c ~i =
 let table_bits_bound ~n ~epsilon =
   Float.pow (float_of_int n) ((epsilon /. 60.0) ** 2.0)
 
-let partition_sizes ~n ~c =
-  let boundary k =
-    int_of_float
-      (Float.round (Float.pow (float_of_int n) (float_of_int k /. float_of_int c)))
-  in
-  1 :: List.init c (fun i -> boundary (i + 1) - boundary i)
-
 let factorial n =
   let rec go acc k = if k <= 1 then acc else go (acc * k) (k - 1) in
   go 1 n

@@ -22,11 +22,6 @@ val log2_congruent_bound : n:int -> beta:float -> c:int -> i:int -> float
     n^((eps/60)^2) (in bits) below which stretch 9 - eps is forced. *)
 val table_bits_bound : n:int -> epsilon:float -> float
 
-(** [partition_sizes ~n ~c] is [|V_0|; |V_1|; ...; |V_c|] with |V_0| = 1
-    and |V_i| = round(n^(i/c)) - round(n^((i-1)/c)) (cumulative rounding,
-    summing to n). *)
-val partition_sizes : n:int -> c:int -> int list
-
 (** [demonstrate_pigeonhole ~n ~beta_bits ~prefix ~config] enumerates all
     n! namings of [0, n), buckets them by the table configuration that
     [config naming node] assigns to the first [prefix] nodes, and returns

@@ -6,19 +6,3 @@ let ceil_log2 k =
 let id_bits n = ceil_log2 n
 let range_bits n = 2 * id_bits n
 let distance_bits = 32
-
-type tally = (string, int ref) Hashtbl.t
-
-let create_tally () : tally = Hashtbl.create 8
-
-let add tally ~component bits =
-  match Hashtbl.find_opt tally component with
-  | Some r -> r := !r + bits
-  | None -> Hashtbl.replace tally component (ref bits)
-
-let total tally =
-  Tbl.fold_sorted ~cmp:String.compare (fun _ r acc -> acc + !r) tally 0
-
-let components tally =
-  List.map (fun (name, r) -> (name, !r))
-    (Tbl.sorted_bindings ~cmp:String.compare tally)

@@ -19,17 +19,3 @@ val range_bits : int -> int
 
 (** [distance_bits] = fixed cost charged per stored distance/radius. *)
 val distance_bits : int
-
-(** A mutable tally of bits, broken down by component name. *)
-type tally
-
-val create_tally : unit -> tally
-
-(** [add tally ~component bits] accumulates [bits] under [component]. *)
-val add : tally -> component:string -> int -> unit
-
-(** [total tally] is the grand total in bits. *)
-val total : tally -> int
-
-(** [components tally] lists (component, bits) pairs sorted by name. *)
-val components : tally -> (string * int) list

@@ -43,9 +43,11 @@ val run : t -> Graph.t -> src:int -> radius:float -> int
 val run_multi : t -> Graph.t -> sources:int list -> radius:float -> int
 
 (** [settled_count t] is the settled-node count of the last run. *)
+(* cr_lint: allow dead-export -- test hook: test_scale checks each run against Dijkstra *)
 val settled_count : t -> int
 
 (** [settled t v] is true iff [v] was settled by the last run. *)
+(* cr_lint: allow dead-export -- test hook: test_scale checks each run against Dijkstra *)
 val settled : t -> int -> bool
 
 (** [dist t v] is the exact distance for a settled [v]; [infinity]

@@ -36,27 +36,6 @@ let run g s =
   done;
   { dist; pred }
 
-let path r v =
-  if not (Float.is_finite r.dist.(v)) then
-    invalid_arg "Dijkstra.path: unreachable node";
-  let rec build v acc =
-    if r.pred.(v) = -1 then v :: acc else build r.pred.(v) (v :: acc)
-  in
-  build v []
-
-(* The hop is the node on [v]'s predecessor chain whose predecessor is
-   the source (the one node with pred -1 and a finite distance). *)
-let next_hop_toward r v =
-  if not (Float.is_finite r.dist.(v)) then
-    invalid_arg "Dijkstra.path: unreachable node";
-  if r.pred.(v) = -1 then
-    invalid_arg "Dijkstra.next_hop_toward: destination is the source";
-  let hop = ref v in
-  while r.pred.(r.pred.(!hop)) <> -1 do
-    hop := r.pred.(!hop)
-  done;
-  !hop
-
 (* Bounded.run_multi at an infinite radius settles every reachable node;
    the rest read Bounded's defaults (infinity, -1, -1). The sources are
    checked here first so the messages name this function. *)

@@ -24,18 +24,6 @@ type result = {
 (** [run g s] computes shortest paths from source [s]. *)
 val run : Graph.t -> int -> result
 
-(** [path r v] is the node sequence from the source to [v] (inclusive),
-    reconstructed through [r.pred]. Raises [Invalid_argument] if [v] is
-    unreachable. *)
-val path : result -> int -> int list
-
-(** [next_hop_toward r v] is, for a result computed from source [s], the
-    first node after [s] on the shortest path to [v] ([v] itself if [v] is a
-    neighbor on the path), found by walking [v]'s predecessor chain without
-    building the path. Raises [Invalid_argument] if [v] is the source or
-    unreachable (the latter with {!path}'s message). *)
-val next_hop_toward : result -> int -> int
-
 (** [multi_source g sources] runs Dijkstra from a set of virtual sources
     simultaneously. Returns per-node distance to the nearest source, the
     nearest source itself ([owner]), and the predecessor on a shortest path

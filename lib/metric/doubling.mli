@@ -7,14 +7,10 @@
     ball, and its size is within the usual constant-factor blowup of the
     optimum, which is the standard surrogate in the literature. *)
 
-(** [greedy_half_cover m ~center ~radius] is the size of a greedy cover of
-    B_center(radius) by balls of radius [radius/2] (centers picked greedily
-    inside the ball, smallest id first). *)
-val greedy_half_cover : Metric.t -> center:int -> radius:float -> int
-
 (** [estimate m] is log2 of the largest greedy half-cover over every center
     and every power-of-two radius between the minimum distance and the
     diameter — an upper bound witness for alpha. *)
+(* cr_lint: allow dead-export -- the exhaustive reference the sampled estimate is checked against *)
 val estimate : Metric.t -> float
 
 (** [estimate_sampled m ~samples ~seed] examines only [samples] random

@@ -59,11 +59,6 @@ let add_edge g u v w =
   append g v u w;
   g.num_edges <- g.num_edges + 1
 
-let of_edges n edges =
-  let g = create n in
-  List.iter (fun (u, v, w) -> add_edge g u v w) edges;
-  g
-
 let neighbors g u =
   let ids = g.ids.(u) and wts = g.wts.(u) in
   List.init g.deg.(u) (fun i -> (ids.(i), wts.(i)))
@@ -123,14 +118,8 @@ let min_edge_weight g =
   done;
   !best
 
-let total_weight g =
-  List.fold_left (fun acc e -> acc +. e.w) 0.0 (edges g)
-
 let scale g factor =
   if factor <= 0.0 then invalid_arg "Graph.scale: factor must be positive";
   let g' = create g.n in
   List.iter (fun e -> add_edge g' e.u e.v (e.w *. factor)) (edges g);
   g'
-
-let pp ppf g =
-  Format.fprintf ppf "graph(n=%d, m=%d)" g.n g.num_edges

@@ -36,9 +36,6 @@ val create : int -> t
     in that order. *)
 val add_edge : t -> int -> int -> float -> unit
 
-(** [of_edges n edges] builds a graph on [n] nodes from an edge list. *)
-val of_edges : int -> (int * int * float) list -> t
-
 (** [n g] is the number of nodes. *)
 val n : t -> int
 
@@ -92,12 +89,6 @@ val is_connected : t -> bool
     pairwise shortest-path distance, exactly. *)
 val min_edge_weight : t -> float
 
-(** [total_weight g] is the sum of all edge weights. *)
-val total_weight : t -> float
-
 (** [scale g factor] is a copy of [g] with every weight multiplied by
     [factor]. Raises [Invalid_argument] if [factor <= 0]. *)
 val scale : t -> float -> t
-
-(** [pp] prints a short human-readable summary ([n] and edge count). *)
-val pp : Format.formatter -> t -> unit

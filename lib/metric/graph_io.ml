@@ -1,12 +1,3 @@
-let to_string g =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "# compact-routing edge list: first line n, then u v w\n";
-  Buffer.add_string buf (Printf.sprintf "%d\n" (Graph.n g));
-  List.iter
-    (fun (e : Graph.edge) ->
-      Buffer.add_string buf (Printf.sprintf "%d %d %.17g\n" e.u e.v e.w))
-    (Graph.edges g);
-  Buffer.contents buf
 
 let of_string s =
   let malformed line_no what =
@@ -40,12 +31,6 @@ let of_string s =
   match !graph with
   | Some g -> g
   | None -> invalid_arg "Graph_io.of_string: empty input"
-
-let save g path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string g))
 
 let load path =
   let ic = open_in path in

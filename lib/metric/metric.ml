@@ -110,13 +110,6 @@ let ball m ~center ~radius =
   done;
   !acc
 
-let ball_size m ~center ~radius =
-  let count = ref 0 in
-  for v = 0 to m.n - 1 do
-    if d m center v <= radius then incr count
-  done;
-  !count
-
 let radius_of_size m u size =
   if size < 1 || size > m.n then
     invalid_arg "Metric.radius_of_size: size out of range";
@@ -141,17 +134,6 @@ let nearest_in m u candidates =
         let dv = d m u v and db = d m u best in
         if dv < db || (Float.equal dv db && v < best) then v else best)
       first rest
-
-(* The hop is the node on [dst]'s predecessor chain whose predecessor is
-   [src] (the one node of the row with predecessor -1). *)
-let next_hop m ~src ~dst =
-  if src = dst then invalid_arg "Metric.next_hop: src = dst";
-  let base = src * m.n in
-  let hop = ref dst in
-  while m.pred.(base + m.pred.(base + !hop)) <> -1 do
-    hop := m.pred.(base + !hop)
-  done;
-  !hop
 
 (* A node's first hop is its own id when its predecessor is the source,
    else its predecessor's first hop: memoized along each predecessor

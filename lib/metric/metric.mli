@@ -27,6 +27,7 @@ val of_graph : ?pool:Cr_par.Pool.t -> Graph.t -> t
 
 (** [of_graph_unnormalized g] skips the rescaling (used by tests that need
     to control weights exactly). *)
+(* cr_lint: allow dead-export -- test hook: tests that need exact, unscaled weights *)
 val of_graph_unnormalized : ?pool:Cr_par.Pool.t -> Graph.t -> t
 
 (** [graph m] is the (possibly rescaled) underlying graph. *)
@@ -59,9 +60,6 @@ val levels : t -> int
     [radius] of [center], sorted by id. *)
 val ball : t -> center:int -> radius:float -> int list
 
-(** [ball_size m ~center ~radius] is |B_center(radius)|. *)
-val ball_size : t -> center:int -> radius:float -> int
-
 (** [radius_of_size m u size] is r_u(j) for [size = 2^j]: the smallest
     radius [r] such that |B_u(r)| >= [size] (Section 2 uses exact equality;
     with distance ties the ball can overshoot, so we use the least radius
@@ -83,19 +81,15 @@ val nearest_k : t -> int -> int -> int list
     sequences). Raises [Invalid_argument] on an empty candidate list. *)
 val nearest_in : t -> int -> int list -> int
 
-(** [next_hop m ~src ~dst] is the neighbor of [src] that begins the
-    canonical shortest path from [src] to [dst]. Raises [Invalid_argument]
-    if [src = dst]. *)
-val next_hop : t -> src:int -> dst:int -> int
-
 (** [shortest_path m ~src ~dst] is the canonical shortest path, inclusive of
     both endpoints. *)
 val shortest_path : t -> src:int -> dst:int -> int list
 
-(** [first_hops m ~src] is the whole next-hop row of [src] at once:
-    a fresh array [h] with [h.(dst) = next_hop m ~src ~dst] for every
-    [dst <> src] and [h.(src) = -1]. Computed in one O(n) walk of the
-    canonical shortest-path forest, each predecessor chain memoized
-    (agreeing hop-for-hop with {!next_hop}): the bulk primitive the
-    route-serving engine compiles full next-hop tables from. *)
+(** [first_hops m ~src] is the whole next-hop row of [src]: a fresh
+    array [h] whose [h.(dst)] is the neighbor of [src] that begins the
+    canonical shortest path to [dst] (the second node of
+    {!shortest_path}), for every [dst <> src], and [h.(src) = -1].
+    Computed in one O(n) walk of the canonical shortest-path forest, each
+    predecessor chain memoized: the bulk primitive the route-serving
+    engine compiles full next-hop tables from. *)
 val first_hops : t -> src:int -> int array

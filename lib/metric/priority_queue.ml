@@ -16,8 +16,6 @@ let create () =
     size = 0 }
 
 let clear h = h.size <- 0
-let is_empty h = h.size = 0
-let length h = h.size
 
 let grow h =
   let capacity = Array.length h.prio in

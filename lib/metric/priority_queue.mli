@@ -20,12 +20,6 @@ val create : unit -> t
 (** [clear h] empties [h], keeping its capacity. *)
 val clear : t -> unit
 
-(** [is_empty h] is true iff [h] holds no entries. *)
-val is_empty : t -> bool
-
-(** [length h] is the number of stored entries, stale ones included. *)
-val length : t -> int
-
 (** [push h key x] inserts [x] at priority [key.(x)]. [x] must be a
     valid index of [key] and non-negative. *)
 val push : t -> float array -> int -> unit

@@ -3,8 +3,6 @@ let sorted_bindings ~cmp tbl =
   let raw = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
   List.sort (fun (a, _) (b, _) -> cmp a b) raw
 
-let sorted_keys ~cmp tbl = List.map fst (sorted_bindings ~cmp tbl)
-
 let iter_sorted ~cmp f tbl =
   List.iter (fun (k, v) -> f k v) (sorted_bindings ~cmp tbl)
 

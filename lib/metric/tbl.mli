@@ -12,13 +12,6 @@
     most one binding per key); with [Hashtbl.add]-stacked duplicates the
     relative order of equal keys would again be bucket-dependent. *)
 
-(** [sorted_keys ~cmp tbl] is the keys of [tbl] in ascending [cmp] order. *)
-val sorted_keys : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-
-(** [sorted_bindings ~cmp tbl] is the bindings ordered by key. *)
-val sorted_bindings :
-  cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
-
 (** [iter_sorted ~cmp f tbl] applies [f] to each binding in ascending key
     order. *)
 val iter_sorted :

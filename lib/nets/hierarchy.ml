@@ -24,6 +24,5 @@ let top_level h = Net_levels.top_level h.levels
 let net h i = Net_levels.net h.levels i
 let mem h ~level v = Net_levels.mem h.levels ~level v
 let net_radius = Net_levels.net_radius
-let highest_level_of h v = Net_levels.highest_level_of h.levels v
 let nearest_net_point h ~level v =
   Net_levels.nearest_net_point h.levels ~level v

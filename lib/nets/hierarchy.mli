@@ -34,9 +34,6 @@ val mem : t -> level:int -> int -> bool
 (** [net_radius i] is 2^i, the packing radius of level [i]. *)
 val net_radius : int -> float
 
-(** [highest_level_of h v] is the largest [i] with [v] in Y_i. *)
-val highest_level_of : t -> int -> int
-
 (** [nearest_net_point h ~level v] is the node of Y_level nearest to [v],
     ties broken toward the least id — the paper's common tie-breaking
     mechanism for zooming sequences. *)

@@ -85,10 +85,6 @@ let mem t ~level v =
   check_level t level;
   t.member.(level).(v)
 
-let highest_level_of t v =
-  let rec go i = if t.member.(i).(v) then i else go (i - 1) in
-  go t.top_level
-
 let nearest_net_point t ~level v =
   check_level t level;
   t.nearest.(level).(v)

@@ -38,9 +38,6 @@ val net : t -> int -> int list
 (** [mem t ~level v] is true iff v is a level-[level] net point. *)
 val mem : t -> level:int -> int -> bool
 
-(** [highest_level_of t v] is the largest [i] with [v] in Y_i. *)
-val highest_level_of : t -> int -> int
-
 (** [nearest_net_point t ~level v] is v's nearest Y_level point (least id
     on ties). *)
 val nearest_net_point : t -> level:int -> int -> int

@@ -36,6 +36,7 @@ val in_range : range -> int -> bool
 
 (** [parent t ~level x] is the parent net point of (x, level) at
     [level + 1]. Raises [Invalid_argument] at the top level. *)
+(* cr_lint: allow dead-export -- the reference the distributed netting trees are checked against *)
 val parent : t -> level:int -> int -> int
 
 (** [children t ~level x] is the list of child net points of (x, level) at

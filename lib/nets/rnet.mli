@@ -14,8 +14,3 @@
 val greedy :
   Cr_metric.Metric.t -> r:float -> candidates:int list -> seed:int list ->
   int list
-
-(** [is_net m ~r ~points ~over] checks both r-net properties of [points]
-    with respect to the ground set [over]; used by tests and assertions. *)
-val is_net :
-  Cr_metric.Metric.t -> r:float -> points:int list -> over:int list -> bool

@@ -24,8 +24,6 @@ let step z u i =
   if i < 0 || i > z.top_level then invalid_arg "Zoom.step: level out of range";
   z.seq.(u).(i)
 
-let sequence z u = Array.to_list z.seq.(u)
-
 let climb_cost z u i =
   if i < 0 || i > z.top_level then
     invalid_arg "Zoom.climb_cost: level out of range";

@@ -13,9 +13,6 @@ val build : Hierarchy.t -> t
     out-of-range levels. *)
 val step : t -> int -> int -> int
 
-(** [sequence z u] is [u(0); u(1); ...; u(L)]. *)
-val sequence : t -> int -> int list
-
 (** [climb_cost z u i] is sum_{k=1..i} d(u(k-1), u(k)), the exact cost of
     walking the zooming sequence up to level [i] (bounded by Eqn 2). *)
 val climb_cost : t -> int -> int -> float

@@ -151,12 +151,6 @@ let[@cr.zero_alloc] record t ~phase ~src ~dst ~round ~bits =
     [@cr.alloc_ok "enabled-path accounting allocates ledger cells by \
                    design; the hot default is a disabled accumulator"])
 
-let reset t =
-  Edges.reset t.edges;
-  Hashtbl.reset t.by_phase;
-  t.last <- None;
-  t.next_order <- 0
-
 let cmp_uv a b =
   match Int.compare a.u b.u with 0 -> Int.compare a.v b.v | c -> c
 
@@ -232,37 +226,3 @@ let render t =
     (Printf.sprintf "max edge load: %d messages, %d bits over %d edges\n"
        s.max_edge_messages s.max_edge_bits (Edges.length t.edges));
   Buffer.contents buf
-
-let emit ctx t =
-  if Trace.enabled ctx then begin
-    let s = summary t in
-    Trace.counter ctx "cost.messages" (float_of_int s.total_messages);
-    Trace.counter ctx "cost.bits" (float_of_int s.total_bits);
-    Trace.counter ctx "cost.rounds" (float_of_int s.total_rounds);
-    Trace.counter ctx "cost.max_edge_messages"
-      (float_of_int s.max_edge_messages);
-    Trace.counter ctx "cost.max_edge_bits" (float_of_int s.max_edge_bits);
-    List.iter
-      (fun p ->
-        let base = "cost.phase." ^ p.phase in
-        Trace.counter ctx (base ^ ".messages") (float_of_int p.messages);
-        Trace.counter ctx (base ^ ".bits") (float_of_int p.bits);
-        Trace.counter ctx (base ^ ".rounds") (float_of_int p.rounds))
-      (phases t)
-  end
-
-let to_metrics registry t =
-  let s = summary t in
-  Metrics.inc registry "cost.messages" (float_of_int s.total_messages);
-  Metrics.inc registry "cost.bits" (float_of_int s.total_bits);
-  Metrics.inc registry "cost.rounds" (float_of_int s.total_rounds);
-  Metrics.inc registry "cost.max_edge_messages"
-    (float_of_int s.max_edge_messages);
-  Metrics.inc registry "cost.max_edge_bits" (float_of_int s.max_edge_bits);
-  List.iter
-    (fun p ->
-      let base = "cost.phase." ^ p.phase in
-      Metrics.inc registry (base ^ ".messages") (float_of_int p.messages);
-      Metrics.inc registry (base ^ ".bits") (float_of_int p.bits);
-      Metrics.inc registry (base ^ ".rounds") (float_of_int p.rounds))
-    (phases t)

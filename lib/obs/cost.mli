@@ -77,10 +77,6 @@ exception Node_id_too_large of int
     fit in 31 bits. *)
 val record : t -> phase:string -> src:int -> dst:int -> round:int -> bits:int -> unit
 
-(** [reset t] drops all accumulated counts (the structure stays
-    enabled). *)
-val reset : t -> unit
-
 (** All touched edges, sorted by [(u, v)]. *)
 val edge_loads : t -> edge_load list
 
@@ -97,13 +93,3 @@ val summary : t -> summary
     row — the canonical byte-comparable rendering used by tests and
     [crdemo cost]. *)
 val render : t -> string
-
-(** [emit ctx t] publishes the summary and per-phase totals as
-    {!Trace} counters ([cost.messages], [cost.bits], [cost.rounds],
-    [cost.max_edge_messages], [cost.phase.<name>.messages], ...); no-op
-    when [ctx] is disabled. *)
-val emit : Trace.context -> t -> unit
-
-(** [to_metrics registry t] mirrors {!emit} into a {!Metrics.t}
-    registry as counters. *)
-val to_metrics : Metrics.t -> t -> unit

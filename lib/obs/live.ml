@@ -1,224 +1,9 @@
 (* Streaming traffic telemetry (see live.mli). Internally: a ring of
-   per-window accumulators keyed by a logical clock, log-bucket quantile
-   sketches, Space-Saving heavy-hitter tables, and exact per-edge
+   per-window accumulators keyed by a logical clock, {!Qsketch} quantile
+   sketches, {!Topk} heavy-hitter tables, and exact per-edge
    Hashtbls mutated in place on the hot path. Every accessor folds and
    sorts (the lib/obs exemption from the cr_lint determinism rule), so
    output order is a function of contents only. *)
-
-module Qsketch = struct
-  (* Log-spaced bucket counters: bucket 0 is the underflow, bucket
-     [buckets - 1] the overflow, and bucket i (0 < i < buckets - 1)
-     holds [bounds.(i-1), bounds.(i)) where bounds grow by a fixed
-     ratio gamma. Bucketing goes through binary search over the
-     precomputed bounds (never a per-add log), so placement is exact by
-     construction and identical on every host. *)
-
-  let buckets = 512
-  let v_min = 1e-3
-  let gamma = 1.04
-  let rank_error_bound = sqrt gamma -. 1.0
-
-  (* bounds.(i) is the exclusive upper edge of bucket i + 1; computed by
-     iterated multiplication so adjacent bounds differ by exactly one
-     float multiply. *)
-  let bounds =
-    let b = Array.make (buckets - 1) v_min in
-    for i = 1 to buckets - 2 do
-      b.(i) <- b.(i - 1) *. gamma
-    done;
-    b
-
-  type t = {
-    counts : int array;
-    mutable total : int;
-    mutable q_sum : float;
-    mutable q_min : float;
-    mutable q_max : float;
-  }
-
-  let create () =
-    { counts = Array.make buckets 0;
-      total = 0;
-      q_sum = 0.0;
-      q_min = infinity;
-      q_max = neg_infinity }
-
-  (* Smallest i with x < bounds.(i), i.e. the bucket of an in-range x;
-     precondition: x >= bounds.(0) and x < bounds.(buckets - 2). *)
-  let rec search x lo hi =
-    if lo = hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if x < bounds.(mid) then search x lo mid else search x (mid + 1) hi
-
-  let index_of x =
-    if not (x >= v_min) then 0 (* underflow; catches negatives and NaN *)
-    else if x >= bounds.(buckets - 2) then buckets - 1
-    else search x 0 (buckets - 2)
-
-  let add t x =
-    let i = index_of x in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.total <- t.total + 1;
-    t.q_sum <- t.q_sum +. x;
-    if x < t.q_min then t.q_min <- x;
-    if x > t.q_max then t.q_max <- x
-
-  let count t = t.total
-  let sum t = t.q_sum
-  let min_value t = t.q_min
-  let max_value t = t.q_max
-
-  (* Geometric midpoint of bucket i's range: for any sample x in the
-     bucket, |rep - x| <= (sqrt gamma - 1) * x. *)
-  let representative i = sqrt (bounds.(i - 1) *. bounds.(i))
-
-  let quantile t p =
-    if t.total = 0 then 0.0
-    else begin
-      let rank =
-        let r = int_of_float (Float.ceil (p *. float_of_int t.total)) in
-        Int.max 1 (Int.min t.total r)
-      in
-      let i = ref 0 and seen = ref 0 in
-      while !seen + t.counts.(!i) < rank do
-        seen := !seen + t.counts.(!i);
-        incr i
-      done;
-      if !i = 0 then t.q_min
-      else if !i = buckets - 1 then t.q_max
-      else Float.min t.q_max (Float.max t.q_min (representative !i))
-    end
-
-  let merge a b =
-    let t = create () in
-    for i = 0 to buckets - 1 do
-      t.counts.(i) <- a.counts.(i) + b.counts.(i)
-    done;
-    t.total <- a.total + b.total;
-    t.q_sum <- a.q_sum +. b.q_sum;
-    t.q_min <- Float.min a.q_min b.q_min;
-    t.q_max <- Float.max a.q_max b.q_max;
-    t
-end
-
-module Topk = struct
-  (* Space-Saving (Metwally et al.): at capacity, the minimum counter is
-     reassigned to the arriving key and its old count becomes the new
-     entry's error bound. The evicted minimum is unique under the
-     (count, key) tie-break, so the sketch is a pure function of the
-     stream. *)
-
-  type cell = {
-    mutable c_count : int;
-    mutable c_err : int;
-  }
-
-  type entry = {
-    key : int;
-    count : int;
-    err : int;
-  }
-
-  type t = {
-    cap : int;
-    mutable tk_total : int;
-    cells : (int, cell) Hashtbl.t;
-  }
-
-  let create ~capacity =
-    if capacity <= 0 then invalid_arg "Live.Topk.create: capacity must be > 0";
-    { cap = capacity; tk_total = 0; cells = Hashtbl.create capacity }
-
-  let capacity t = t.cap
-  let total t = t.tk_total
-
-  (* The (count, key)-minimal tracked entry; deterministic because the
-     key component is unique. *)
-  let minimum t =
-    Hashtbl.fold
-      (fun key cell acc ->
-        match acc with
-        | None -> Some (key, cell)
-        | Some (bk, bc) ->
-          if
-            cell.c_count < bc.c_count
-            || (cell.c_count = bc.c_count && key < bk)
-          then Some (key, cell)
-          else acc)
-      t.cells None
-
-  let add ?(weight = 1) t key =
-    if weight <= 0 then invalid_arg "Live.Topk.add: weight must be > 0";
-    t.tk_total <- t.tk_total + weight;
-    match Hashtbl.find_opt t.cells key with
-    | Some cell -> cell.c_count <- cell.c_count + weight
-    | None ->
-      if Hashtbl.length t.cells < t.cap then
-        Hashtbl.add t.cells key { c_count = weight; c_err = 0 }
-      else begin
-        match minimum t with
-        | None -> assert false (* cap > 0 and the table is full *)
-        | Some (mk, mc) ->
-          Hashtbl.remove t.cells mk;
-          Hashtbl.add t.cells key
-            { c_count = mc.c_count + weight; c_err = mc.c_count }
-      end
-
-  let cmp_entry a b =
-    match Int.compare b.count a.count with
-    | 0 -> (
-      match Int.compare a.err b.err with 0 -> Int.compare a.key b.key | c -> c)
-    | c -> c
-
-  let entries t =
-    Hashtbl.fold
-      (fun key c acc -> { key; count = c.c_count; err = c.c_err } :: acc)
-      t.cells []
-    |> List.sort cmp_entry
-
-  let top t ~k = List.filteri (fun i _ -> i < k) (entries t)
-
-  (* The largest count a key absent from the sketch could have absorbed:
-     0 below capacity (absent means never seen), else the minimum
-     counter. *)
-  let floor_of t =
-    if Hashtbl.length t.cells < t.cap then 0
-    else match minimum t with None -> 0 | Some (_, mc) -> mc.c_count
-
-  let merge a b =
-    let fa = floor_of a and fb = floor_of b in
-    let combined =
-      Hashtbl.fold
-        (fun key (ca : cell) acc ->
-          match Hashtbl.find_opt b.cells key with
-          | Some cb ->
-            { key;
-              count = ca.c_count + cb.c_count;
-              err = ca.c_err + cb.c_err }
-            :: acc
-          | None ->
-            { key; count = ca.c_count + fb; err = ca.c_err + fb } :: acc)
-        a.cells []
-    in
-    let combined =
-      Hashtbl.fold
-        (fun key (cb : cell) acc ->
-          match Hashtbl.find_opt a.cells key with
-          | Some _ -> acc
-          | None ->
-            { key; count = cb.c_count + fa; err = cb.c_err + fa } :: acc)
-        b.cells combined
-    in
-    let t = create ~capacity:(Int.max a.cap b.cap) in
-    t.tk_total <- a.tk_total + b.tk_total;
-    List.iteri
-      (fun i e ->
-        if i < t.cap then
-          Hashtbl.add t.cells e.key { c_count = e.count; c_err = e.err })
-      (List.sort cmp_entry combined);
-    t
-end
 
 type status = Delivered | Rerouted | Undeliverable
 
@@ -352,9 +137,6 @@ let create ?(window = 256) ?(depth = 8) ?(k = 5) ?(capacity = 64) () =
   make true ~window ~depth ~k ~capacity
 
 let enabled t = t.on
-let window_size t = t.window
-let depth t = t.depth
-let top_k t = t.k
 let clock t = t.clock
 let evicted t = t.n_evicted
 
@@ -593,21 +375,3 @@ let render t =
     (hot_edges t);
   Buffer.add_char buf '\n';
   Buffer.contents buf
-
-let emit ctx t =
-  if Trace.enabled ctx then begin
-    let s = totals t in
-    Trace.counter ctx "live.routes" (float_of_int s.t_routes);
-    Trace.counter ctx "live.delivered" (float_of_int s.t_delivered);
-    Trace.counter ctx "live.rerouted" (float_of_int s.t_rerouted);
-    Trace.counter ctx "live.undeliverable" (float_of_int s.t_undeliverable);
-    Trace.counter ctx "live.delivery_rate" s.t_delivery_rate;
-    Trace.counter ctx "live.stretch.p50" s.t_stretch_p50;
-    Trace.counter ctx "live.stretch.p95" s.t_stretch_p95;
-    Trace.counter ctx "live.stretch.p99" s.t_stretch_p99;
-    Trace.counter ctx "live.edge_messages" (float_of_int s.t_edge_messages);
-    Trace.counter ctx "live.util.max" (float_of_int s.t_util_max);
-    Trace.counter ctx "live.windows"
-      (float_of_int (List.length (windows t)));
-    Trace.counter ctx "live.clock" (float_of_int t.clock)
-  end

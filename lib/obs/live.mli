@@ -22,106 +22,6 @@
     thread-safe) — so feeding it in pair order, as [Stats] and [Engine]
     do, makes snapshots byte-identical across [CR_DOMAINS] settings. *)
 
-(** Deterministic fixed-size mergeable quantile sketch.
-
-    A fixed array of log-spaced bucket counters (DDSketch-style): values
-    below {!val:Qsketch.v_min} share an underflow bucket, values past the
-    top share an overflow bucket, and everything between lands in one of
-    the geometrically-spaced buckets. {!Qsketch.merge} adds counter
-    arrays element-wise, so merging is exactly commutative and
-    associative on counts — quantiles are invariant under any merge
-    order or grouping (the pool-size-invariance property).
-
-    Rank guarantee: {!Qsketch.quantile} returns the bucket representative
-    of the {e exact} nearest-rank sample (rank error zero); the only
-    error is value discretization, bounded by
-    [rank_error_bound * true_value] relative for in-range values and by
-    [v_min] absolute below the range (tracked exact min/max serve the
-    extremes). *)
-module Qsketch : sig
-  type t
-
-  (** Number of buckets (underflow + log-spaced + overflow). *)
-  val buckets : int
-
-  (** Lower edge of the log-spaced range; smaller observations share the
-      underflow bucket at absolute error <= [v_min]. *)
-  val v_min : float
-
-  (** Relative value-error bound for in-range observations:
-      [sqrt gamma - 1] for bucket ratio [gamma]. *)
-  val rank_error_bound : float
-
-  val create : unit -> t
-
-  (** [add t x] absorbs one observation. Negative and NaN observations
-      clamp into the underflow bucket. *)
-  val add : t -> float -> unit
-
-  val count : t -> int
-
-  (** Exact sum/min/max of the absorbed observations (0, [infinity],
-      [neg_infinity] while empty). [sum] is exact but, unlike the
-      counters, float addition is not associative — quantiles and counts
-      are the merge-order-invariant part of the sketch. *)
-  val sum : t -> float
-
-  val min_value : t -> float
-  val max_value : t -> float
-
-  (** [quantile t p] estimates the nearest-rank [p]-quantile
-      (rank [ceil (p * count)], matching [Cr_sim.Stats]); 0.0 while
-      empty. The estimate is clamped into [[min_value, max_value]]. *)
-  val quantile : t -> float -> float
-
-  (** Element-wise counter addition plus exact min/max/sum combination;
-      the inputs are unchanged. *)
-  val merge : t -> t -> t
-end
-
-(** Space-Saving heavy-hitter sketch over integer keys.
-
-    At most [capacity] keys are tracked. Each reported entry carries its
-    estimated count and an error bound with the classic guarantee
-    [count - err <= true_count <= count], where [err <= total / capacity];
-    any key whose true count exceeds [total / capacity] is tracked.
-    Eviction and ordering tie-breaks are deterministic (smallest count,
-    then smallest key), so the sketch is a pure function of the input
-    stream. {!Topk.merge} is commutative; like all Misra-Gries-family
-    merges it widens error bounds and is only associative up to
-    truncation, so byte-identity across pool sizes comes from recording
-    in pair order, not from merge reassociation. *)
-module Topk : sig
-  type t
-
-  type entry = {
-    key : int;
-    count : int;  (** estimated occurrences; never an underestimate *)
-    err : int;  (** max overestimate: [count - err <= true <= count] *)
-  }
-
-  (** Raises [Invalid_argument] on non-positive capacity. *)
-  val create : capacity:int -> t
-
-  val capacity : t -> int
-
-  (** Total weight absorbed (the error-bound denominator). *)
-  val total : t -> int
-
-  (** [add t ?weight key] absorbs [weight] (default 1, must be positive)
-      occurrences of [key]. *)
-  val add : ?weight:int -> t -> int -> unit
-
-  (** [top t ~k] is the [k] heaviest tracked entries: count descending,
-      then err ascending, then key ascending. *)
-  val top : t -> k:int -> entry list
-
-  (** Union merge into a fresh sketch of the larger capacity, keeping
-      the heaviest keys; keys absent from one side absorb that side's
-      maximum-possible missed count into [err]. *)
-  val merge : t -> t -> t
-end
-
 type status = Delivered | Rerouted | Undeliverable
 
 type t
@@ -203,12 +103,6 @@ val create : ?window:int -> ?depth:int -> ?k:int -> ?capacity:int -> unit -> t
 
 val enabled : t -> bool
 
-(** Ticks per window / ring depth / reported heavy hitters. *)
-val window_size : t -> int
-
-val depth : t -> int
-val top_k : t -> int
-
 (** [tick t] advances the logical clock by one routed message, rotating
     to a fresh window every [window] ticks (the oldest retained window is
     evicted once [depth] windows are live). Call once per routed message,
@@ -216,9 +110,11 @@ val top_k : t -> int
 val tick : t -> unit
 
 (** Total ticks so far. *)
+(* cr_lint: allow dead-export -- test hook: test_live checks the window ring's rotation with it *)
 val clock : t -> int
 
 (** Windows rotated out of the ring so far. *)
+(* cr_lint: allow dead-export -- test hook: test_live checks the window ring's rotation with it *)
 val evicted : t -> int
 
 (** [record t ~src ~dst ~status ~dist ~cost ~hops] lands one route
@@ -245,6 +141,7 @@ val totals : t -> totals
 
 (** Whole-run per-edge traversal counts (exact, not sketched), sorted by
     [(u, v)]. *)
+(* cr_lint: allow dead-export -- test hook: test_live checks the exact per-edge tables with it *)
 val edge_totals : t -> edge_load list
 
 (** [hot_edges t] is the run's [k] most-traversed edges (exact counts):
@@ -255,15 +152,8 @@ val hot_edges : t -> edge_load list
     estimates, {!Topk.top} order). *)
 val hot_dsts : t -> hot list
 
-val hot_srcs : t -> hot list
-
 (** Deterministic human-readable rendering: a per-window table plus run
     totals and heavy-hitter lists — the canonical byte-comparable
     snapshot used by tests ([CR_DOMAINS=1/4] byte-identity) and
     [crdemo live]. *)
 val render : t -> string
-
-(** [emit ctx t] publishes run totals as {!Trace} counters
-    ([live.routes], [live.delivery_rate], [live.util.max], ...); no-op
-    when [ctx] is disabled. *)
-val emit : Trace.context -> t -> unit

@@ -117,10 +117,6 @@ let snapshot t =
 
 let find t name = Option.map entry_of (Hashtbl.find_opt t.tbl name)
 
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.open_spans <- []
-
 let to_json t =
   let buf = Buffer.create 512 in
   let fl = Sinks.json_float in
@@ -158,8 +154,8 @@ let to_json t =
   Buffer.contents buf
 
 (* Trace adapter: see the .mli for the exact folding rules. Span pairs are
-   matched LIFO by name, mirroring Trace.balanced_spans; an unmatched
-   close is ignored rather than corrupting the stack. *)
+   matched LIFO by name; an unmatched close is ignored rather than
+   corrupting the stack. *)
 let sink t =
   (* levels collapse: "route.hops.zoom" counts all zoom levels *)
   let phase_key = Trace.phase_label in
@@ -186,4 +182,4 @@ let sink t =
       inc t "network.delivered" 1.0;
       observe t "network.round" (float_of_int round)
   in
-  { Trace.emit; flush = ignore }
+  { Trace.emit }

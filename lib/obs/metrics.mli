@@ -29,9 +29,11 @@ val create : unit -> t
 
 (** [inc t name v] adds [v] to the counter [name] (creating it at 0).
     Counters are monotone sums; [v] must be non-negative. *)
+(* cr_lint: allow dead-export -- test hook: the sink's instruments, tested without a trace stream *)
 val inc : t -> string -> float -> unit
 
 (** [set t name v] sets the gauge [name] to [v] (last write wins). *)
+(* cr_lint: allow dead-export -- test hook: the sink's instruments, tested without a trace stream *)
 val set : t -> string -> float -> unit
 
 (** [observe t ?buckets name v] records [v] into the histogram [name].
@@ -41,12 +43,8 @@ val set : t -> string -> float -> unit
     for an existing histogram raises). A value lands in the first bucket
     whose bound is [>= v]; values above every bound land in the implicit
     overflow bucket. *)
+(* cr_lint: allow dead-export -- test hook: the sink's instruments, tested without a trace stream *)
 val observe : t -> ?buckets:float array -> string -> float -> unit
-
-(** Default histogram bounds: powers of two from 2^-10 to 2^10 — wide
-    enough for seconds-scale span durations, hop costs, and round
-    numbers alike. *)
-val default_buckets : float array
 
 (** {1 Snapshots} *)
 
@@ -65,8 +63,6 @@ val snapshot : t -> (string * entry) list
 
 (** [find t name] is the current entry under [name], if any. *)
 val find : t -> string -> entry option
-
-val clear : t -> unit
 
 (** [to_json t] renders the snapshot as one deterministic JSON object
     keyed by metric name, using the same float encoding as the JSONL
@@ -88,7 +84,5 @@ val to_json : t -> string
       ["span." ^ name ^ ".seconds"];
     - [Message {round; _}] increments ["network.delivered"] and observes
       [round] into the ["network.round"] histogram;
-    - [Mark] events are ignored (their names are free-form).
-
-    [flush] is a no-op. *)
+    - [Mark] events are ignored (their names are free-form). *)
 val sink : t -> Trace.sink

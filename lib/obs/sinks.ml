@@ -90,25 +90,6 @@ let json_of_event (ev : Trace.event) =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let null = Trace.null_sink
-
-let tee a b =
-  { Trace.emit =
-      (fun ev ->
-        a.Trace.emit ev;
-        b.Trace.emit ev);
-    flush =
-      (fun () ->
-        a.Trace.flush ();
-        b.Trace.flush ()) }
-
-let jsonl oc =
-  { Trace.emit =
-      (fun ev ->
-        output_string oc (json_of_event ev);
-        output_char oc '\n');
-    flush = (fun () -> flush oc) }
-
 module Memory = struct
   type t = {
     ring : Trace.event option array;
@@ -121,13 +102,11 @@ module Memory = struct
     if capacity <= 0 then invalid_arg "Sinks.Memory.create: capacity <= 0";
     { ring = Array.make capacity None; next = 0 }
 
-  let capacity t = Array.length t.ring
-
   let emit t ev =
     t.ring.(t.next mod Array.length t.ring) <- Some ev;
     t.next <- t.next + 1
 
-  let sink t = { Trace.emit = emit t; flush = ignore }
+  let sink t = { Trace.emit = emit t }
 
   let length t = min t.next (Array.length t.ring)
   let dropped t = max 0 (t.next - Array.length t.ring)
@@ -141,7 +120,4 @@ module Memory = struct
         | Some ev -> ev
         | None -> assert false)
 
-  let clear t =
-    Array.fill t.ring 0 (Array.length t.ring) None;
-    t.next <- 0
 end

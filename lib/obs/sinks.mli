@@ -1,10 +1,11 @@
-(** Concrete event sinks: drop, duplicate, in-memory ring, JSONL writer.
+(** Concrete event sinks: the in-memory ring, and the JSONL encoding.
 
     The JSONL encoding is one JSON object per event per line with a stable
     field order and deterministic float formatting, so a trace produced
     with a {!Trace.counting_clock} is byte-reproducible. *)
 
-(** [json_of_event ev] is the one-line JSON encoding used by {!jsonl}. *)
+(** [json_of_event ev] is the one-line JSON encoding of an event, one
+    line per event in a JSONL trace. *)
 val json_of_event : Trace.event -> string
 
 (** Deterministic float rendering shared by the exporters (and by the
@@ -16,16 +17,6 @@ val json_float : float -> string
 (** [json_string s] is [s] as a quoted, escaped JSON string token. *)
 val json_string : string -> string
 
-(** Drops everything (same as {!Trace.null_sink}). *)
-val null : Trace.sink
-
-(** [tee a b] forwards every event to both sinks. *)
-val tee : Trace.sink -> Trace.sink -> Trace.sink
-
-(** [jsonl oc] writes one JSON line per event to [oc]; [flush] flushes the
-    channel (the caller closes it). *)
-val jsonl : out_channel -> Trace.sink
-
 (** A bounded in-memory ring buffer: cheap enough to attach to hot routes,
     keeps the most recent [capacity] events. *)
 module Memory : sig
@@ -35,17 +26,12 @@ module Memory : sig
       [Invalid_argument] on non-positive capacity. *)
   val create : ?capacity:int -> unit -> t
 
-  val capacity : t -> int
   val sink : t -> Trace.sink
 
   (** [events t] in emission order, oldest retained event first. *)
   val events : t -> Trace.event list
 
-  (** [length t] is the number of retained events. *)
-  val length : t -> int
-
   (** [dropped t] counts events evicted by the ring since creation. *)
   val dropped : t -> int
 
-  val clear : t -> unit
 end

@@ -28,17 +28,9 @@ let phase_level = function
   | Deliver | Fallback | Faults ->
     None
 
-let pp_phase ppf p =
-  match phase_level p with
-  | Some i -> Format.fprintf ppf "%s[%d]" (phase_label p) i
-  | None -> Format.pp_print_string ppf (phase_label p)
+type hop_kind = Edge | Jump
 
-type hop_kind = Edge | Jump | Virtual
-
-let hop_kind_label = function
-  | Edge -> "edge"
-  | Jump -> "teleport"
-  | Virtual -> "virtual"
+let hop_kind_label = function Edge -> "edge" | Jump -> "teleport"
 
 type body =
   | Span_open of { name : string }
@@ -57,10 +49,7 @@ type body =
 
 type event = { ts : float; body : body }
 
-type sink = {
-  emit : event -> unit;
-  flush : unit -> unit;
-}
+type sink = { emit : event -> unit }
 
 type context = {
   enabled : bool;
@@ -68,7 +57,7 @@ type context = {
   sink : sink;
 }
 
-let null_sink = { emit = ignore; flush = ignore }
+let null_sink = { emit = ignore }
 
 let null = { enabled = false; clock = (fun () -> 0.0); sink = null_sink }
 
@@ -90,8 +79,6 @@ let enabled ctx = ctx.enabled
 let emit ctx body =
   if ctx.enabled then ctx.sink.emit { ts = ctx.clock (); body }
 
-let flush ctx = ctx.sink.flush ()
-
 let span ctx name f =
   if not ctx.enabled then f ()
   else begin
@@ -100,21 +87,8 @@ let span ctx name f =
   end
 
 let counter ctx name value = emit ctx (Counter { name; value })
-let mark ctx name = emit ctx (Mark { name })
 
 let hop ctx ~kind ~src ~dst ~cost ~total ~phase =
   emit ctx (Hop { kind; src; dst; cost; total; phase })
 
 let message ctx ~node ~round ~time = emit ctx (Message { node; round; time })
-
-let balanced_spans events =
-  let rec go stack = function
-    | [] -> stack = []
-    | { body = Span_open { name }; _ } :: rest -> go (name :: stack) rest
-    | { body = Span_close { name }; _ } :: rest -> (
-      match stack with
-      | top :: stack' when top = name -> go stack' rest
-      | _ -> false)
-    | _ :: rest -> go stack rest
-  in
-  go [] events

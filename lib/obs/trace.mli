@@ -38,11 +38,9 @@ val phase_label : phase -> string
 (** [phase_level p] is the level parameter of [Zoom]/[Ball_search]. *)
 val phase_level : phase -> int option
 
-val pp_phase : Format.formatter -> phase -> unit
-
-(** How a route event moved the packet: a real graph [Edge], a [Jump]
-    (teleport at a charged cost), or a [Virtual] charge in place. *)
-type hop_kind = Edge | Jump | Virtual
+(** How a route event moved the packet: a real graph [Edge], or a [Jump]
+    (teleport at a charged cost). *)
+type hop_kind = Edge | Jump
 
 val hop_kind_label : hop_kind -> string
 
@@ -63,17 +61,10 @@ type body =
 
 type event = { ts : float; body : body }
 
-(** Where events go. [flush] is called by long-running writers at natural
-    boundaries (end of a run, file close). *)
-type sink = {
-  emit : event -> unit;
-  flush : unit -> unit;
-}
+(** Where events go. *)
+type sink = { emit : event -> unit }
 
 type context
-
-(** A sink that drops everything. *)
-val null_sink : sink
 
 (** The disabled context: every [emit] is a no-op after one boolean test. *)
 val null : context
@@ -105,14 +96,11 @@ val enabled : context -> bool
     payload is never even allocated. *)
 val emit : context -> body -> unit
 
-val flush : context -> unit
-
 (** [span ctx name f] runs [f] between [Span_open]/[Span_close] events
     (close is emitted even if [f] raises). *)
 val span : context -> string -> (unit -> 'a) -> 'a
 
 val counter : context -> string -> float -> unit
-val mark : context -> string -> unit
 
 val hop :
   context ->
@@ -125,8 +113,3 @@ val hop :
   unit
 
 val message : context -> node:int -> round:int -> time:float -> unit
-
-(** [balanced_spans events] checks span stack discipline: every close
-    matches the most recent open, and nothing stays open — the invariant
-    the construction spans must maintain. *)
-val balanced_spans : event list -> bool

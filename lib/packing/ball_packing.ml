@@ -14,8 +14,6 @@ type level = {
   by_center : ball option array;
 }
 
-let mem_ball b v = Array.exists (fun x -> x = v) b.members
-
 let candidate m j u =
   let size = 1 lsl j in
   { center = u;
@@ -74,7 +72,6 @@ let build_all m =
 let size_exponent lv = lv.j
 let balls lv = lv.balls
 let covering_ball lv u = lv.covering.(u)
-let ball_of_center lv c = lv.by_center.(c)
 
 let centers lv =
   List.sort Int.compare (List.map (fun b -> b.center) lv.balls)

@@ -21,9 +21,6 @@ type ball = {
 
 type level
 
-(** [build_level m ~j] is the packing B_j; requires [2^j <= n]. *)
-val build_level : Cr_metric.Metric.t -> j:int -> level
-
 (** [build_all m] is the array of packings for j = 0 .. floor(log2 n). *)
 val build_all : Cr_metric.Metric.t -> level array
 
@@ -36,11 +33,5 @@ val balls : level -> ball list
 (** [covering_ball lv u] is the Property-2 witness for node [u]. *)
 val covering_ball : level -> int -> ball
 
-(** [ball_of_center lv c] is the packed ball centered at [c], if any. *)
-val ball_of_center : level -> int -> ball option
-
 (** [centers lv] is the sorted list of packed-ball centers. *)
 val centers : level -> int list
-
-(** [mem_ball b v] is true iff [v] is a member of [b]. *)
-val mem_ball : ball -> int -> bool

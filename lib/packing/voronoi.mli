@@ -21,11 +21,5 @@ val owner : t -> int -> int
     (-1 for centers). *)
 val parent : t -> int -> int
 
-(** [dist_to_center t v] is d(v, owner v). *)
-val dist_to_center : t -> int -> float
-
 (** [cell t ~center] is the sorted list of nodes owned by [center]. *)
 val cell : t -> center:int -> int list
-
-(** [centers t] is the center list, sorted. *)
-val centers : t -> int list

@@ -47,10 +47,6 @@ val sequential : t
 (** [domains t] is the pool size. *)
 val domains : t -> int
 
-(** [env_domains ()] parses [CR_DOMAINS] ([None] when unset or empty;
-    raises [Invalid_argument] when set but not a positive integer). *)
-val env_domains : unit -> int option
-
 (** [parallel_init t n f] is [Array.init n f] evaluated on up to
     [domains t] domains. [f] must be safe to call from any domain and must
     not emit trace events. If any application of [f] raises, the first

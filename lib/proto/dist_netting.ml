@@ -77,25 +77,3 @@ let parents_for_level ?max_messages ?jitter ?via ?(label = "dist_netting") m
                  Printf.sprintf "covering bound violated (radius %g)" radius }))
     members;
   { parent; stats }
-
-let all_parents ?via m =
-  let hierarchy = Dist_hierarchy.build ?via m in
-  let top = Array.length hierarchy.Dist_hierarchy.nets - 1 in
-  let messages = ref 0 in
-  let makespan = ref 0.0 in
-  let parents =
-    Array.init (top + 1) (fun i ->
-        if i >= top then Array.make (Metric.n m) (-1)
-        else begin
-          let r = parents_for_level ?via m
-              ~label:(Printf.sprintf "dist_netting.l%d" i)
-              ~members:hierarchy.Dist_hierarchy.nets.(i)
-              ~upper:hierarchy.Dist_hierarchy.nets.(i + 1)
-              ~radius:(Float.pow 2.0 (float_of_int (i + 1)))
-          in
-          messages := !messages + r.stats.Network.messages;
-          makespan := Float.max !makespan r.stats.Network.makespan;
-          r.parent
-        end)
-  in
-  (parents, { Network.messages = !messages; makespan = !makespan })

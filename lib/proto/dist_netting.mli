@@ -25,8 +25,7 @@ type result = {
     (inclusive) and every node of [members] records its choice. [via]
     selects the transport (default [Network.local ?jitter ()]); [label]
     (default ["dist_netting"]) is the protocol tag cost accounting and
-    errors report — [all_parents] passes ["dist_netting.l<i>"] per
-    level. Raises [Network.Protocol_error] (protocol [<label>]) if a
+    errors report. Raises [Network.Protocol_error] (protocol [<label>]) if a
     member heard no announcement — a covering-bound violation. *)
 val parents_for_level :
   ?max_messages:int ->
@@ -38,10 +37,3 @@ val parents_for_level :
   upper:int list ->
   radius:float ->
   result
-
-(** [all_parents m] runs every level of the hierarchy of [m] and returns
-    parents.(i).(x) for x in Y_i (computed with a fresh Dist_hierarchy
-    election over the same [via] transport), with total message
-    statistics. *)
-val all_parents :
-  ?via:Network.runner -> Cr_metric.Metric.t -> int array array * Network.stats

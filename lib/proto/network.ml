@@ -36,11 +36,7 @@ let makespan_i = 1
    global enqueue counter. Heap order is (time, seq), a total order, so
    the pop sequence is the sorted one whatever the heap's shape. Slots at
    [size] and above hold [None]: a delivered message is never kept
-   reachable. [round_at] / [round_count] are run-length (round,
-   deliveries) pairs: every enqueue is at or after the clock, so
-   deliveries pop in nondecreasing time, rounds arrive sorted, and the
-   arrays grow with the number of distinct rounds, not with the largest
-   round. *)
+   reachable. *)
 type ('msg, 'state) t = {
   graph : Graph.t;
   states : 'state array;
@@ -57,9 +53,6 @@ type ('msg, 'state) t = {
   cost : Cost.t;
   measure : ('msg -> int) option;
   deliveries : int array;  (* messages delivered per node *)
-  mutable round_at : int array;
-  mutable round_count : int array;
-  mutable round_runs : int;
   mutable seq : int;
   mutable self : int;  (* destination of the event being delivered *)
   mutable from : int;  (* its [ev_src] *)
@@ -125,9 +118,6 @@ let create ?obs ?jitter ?faults ?(cost = Cost.null) ?measure graph ~init =
     cost;
     measure;
     deliveries = Array.make n 0;
-    round_at = Array.make initial_capacity 0;
-    round_count = Array.make initial_capacity 0;
-    round_runs = 0;
     seq = 0;
     self = -1;
     from = external_src;
@@ -159,26 +149,6 @@ let deliveries t = Array.copy t.deliveries
 let fault_counts t = t.faults
 
 let timer_events t = t.timers
-
-let round_histogram t =
-  List.init t.round_runs (fun i -> (t.round_at.(i), t.round_count.(i)))
-
-let count_round t round =
-  let k = t.round_runs in
-  if k > 0 && t.round_at.(k - 1) = round then
-    t.round_count.(k - 1) <- t.round_count.(k - 1) + 1
-  else begin
-    if k = Array.length t.round_at then begin
-      let at = Array.make (2 * k) 0 and count = Array.make (2 * k) 0 in
-      Array.blit t.round_at 0 at 0 k;
-      Array.blit t.round_count 0 count 0 k;
-      t.round_at <- at;
-      t.round_count <- count
-    end;
-    t.round_at.(k) <- round;
-    t.round_count.(k) <- 1;
-    t.round_runs <- k + 1
-  end
 
 let grow t =
   let size = t.size in
@@ -384,7 +354,6 @@ let run ?(protocol = "network") (t : (_, _) t) ~handler ~max_messages =
         if t.messages + t.timers > max_messages then budget_error dst;
         t.deliveries.(dst) <- t.deliveries.(dst) + 1;
         let round = int_of_float (Float.floor time) in
-        count_round t round;
         if Trace.enabled t.obs then
           Trace.message t.obs ~node:dst ~round ~time;
         if Cost.enabled t.cost then begin

@@ -128,14 +128,6 @@ val fault_counts : ('msg, 'state) t -> fault_counts
     [stats.messages]). *)
 val timer_events : ('msg, 'state) t -> int
 
-(** [round_histogram t] buckets deliveries by protocol round, where round
-    r collects the deliveries with time in [r, r+1) — for unit edge
-    weights this is exactly the synchronous round structure. Sorted by
-    round. Kept as run-length pairs, so its size is the number of
-    distinct rounds however large the rounds get (a chain with weights
-    [2^i] reaches round [2^47] at 48 nodes). *)
-val round_histogram : ('msg, 'state) t -> (int * int) list
-
 (** [inject t ~dst msg] enqueues an external message (delivered at the
     current simulation time; used to kick off protocols). Injected
     messages bypass the fault layer's send hook and are deferred — not

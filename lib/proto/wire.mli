@@ -10,24 +10,17 @@
     Conventions: node identifiers cost [ceil (log2 n)] bits; optional
     identifiers (a parent that may be [-1]) shift by one and draw from a
     universe of [n + 1]; distances travel as full IEEE doubles (64
-    bits); variant tags cost [ceil (log2 cases)] bits. *)
-
-(** [bits_for count] is the bits needed to distinguish [count] values
-    ([>= 1]; [bits_for 1 = 1] — even a unary alphabet costs a bit on a
-    real wire). *)
-val bits_for : int -> int
-
-(** [node_bits ~n] is the cost of one node id in an [n]-node graph. *)
-val node_bits : n:int -> int
+    bits); variant tags cost [ceil (log2 cases)] bits. Every field costs
+    at least one bit: even a unary alphabet costs a bit on a real wire. *)
 
 (** [measure f] runs [f] on a fresh bitbuf writer and returns the bits
     written — the canonical message-size hook. *)
 val measure : (Cr_codec.Bitbuf.writer -> unit) -> int
 
-(** [push_node w ~n v] appends node id [v] in [node_bits ~n] bits. *)
+(** [push_node w ~n v] appends node id [v] in [ceil (log2 n)] bits. *)
 val push_node : Cr_codec.Bitbuf.writer -> n:int -> int -> unit
 
-(** [push_opt_node w ~n v] appends [v] in [bits_for (n + 1)] bits,
+(** [push_opt_node w ~n v] appends [v] in [ceil (log2 (n + 1))] bits,
     where [v] may be [-1] (encoded as 0, real ids shifted by one). *)
 val push_opt_node : Cr_codec.Bitbuf.writer -> n:int -> int -> unit
 

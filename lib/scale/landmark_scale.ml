@@ -69,7 +69,6 @@ let build ?(pool = Pool.sequential) oracle ~seed =
     build_settled = !build_settled }
 
 let home t u = t.home.(u)
-let home_dist t u = t.home_dist.(u)
 let is_landmark t u = t.is_landmark.(u)
 let landmark_count t = t.count
 let build_settled t = t.build_settled

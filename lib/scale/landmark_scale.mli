@@ -21,9 +21,10 @@ val build : ?pool:Cr_par.Pool.t -> Oracle.t -> seed:int -> t
 
 (** [home t u] / [home_dist t u] are u's nearest landmark and its
     distance. *)
+(* cr_lint: allow dead-export -- test hook: test_scale checks the sparse scheme against the dense one *)
 val home : t -> int -> int
 
-val home_dist : t -> int -> float
+(* cr_lint: allow dead-export -- test hook: test_scale checks the sparse scheme against the dense one *)
 val is_landmark : t -> int -> bool
 
 (** [landmark_count t] is |W| (the dense formula: ceil(sqrt(n ln n))). *)
@@ -31,6 +32,7 @@ val landmark_count : t -> int
 
 (** [table_bits t v] is the dense baseline's per-node storage formula
     ([Landmark.node_bits]) on this instance. *)
+(* cr_lint: allow dead-export -- test hook: test_scale checks the sparse scheme against the dense one *)
 val table_bits : t -> int -> int
 
 (** [build_settled t] is the settled-node work of construction. *)

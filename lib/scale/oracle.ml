@@ -21,7 +21,6 @@ type snapshot = {
 
 type t = {
   graph : Graph.t;  (* normalized: min edge weight 1.0 *)
-  factor : float;
   n : int;
   budget : int;
   rows : float array array;  (* [||] marks an absent row *)
@@ -40,12 +39,10 @@ let create ?obs ?(budget = 64) graph =
   let w = Graph.min_edge_weight graph in
   (* The min pairwise shortest distance is the min edge weight, so this is
      exactly Metric.of_graph's normalization condition and factor. *)
-  let graph, factor =
-    if Float.equal w 1.0 then (graph, 1.0)
-    else (Graph.scale graph (1.0 /. w), 1.0 /. w)
+  let graph =
+    if Float.equal w 1.0 then graph else Graph.scale graph (1.0 /. w)
   in
   { graph;
-    factor;
     n = Graph.n graph;
     budget;
     rows = Array.make (Graph.n graph) [||];
@@ -102,12 +99,8 @@ let[@cr.zero_alloc] row t u =
        row it caches, by design; the hit path above returns the resident \
        row without allocating"])
 
-let dist t u v = (row t u).(v)
-
 let graph t = t.graph
 let n t = t.n
-let factor t = t.factor
-let budget t = t.budget
 
 let levels_upper t =
   let r0 = row t 0 in

@@ -40,22 +40,13 @@ val graph : t -> Cr_metric.Graph.t
 (** [n t] is the node count. *)
 val n : t -> int
 
-(** [factor t] is the normalization multiplier applied to the input graph's
-    weights (1.0 when it was already normalized). *)
-val factor : t -> float
-
-(** [budget t] is the cached-row budget. *)
-val budget : t -> int
-
 (** [row t u] is the full distance row d(u, .) on the normalized graph —
     from cache when resident (the zero-alloc fast path), else computed,
     cached, and possibly evicting the oldest row. The returned array is
     shared with the cache: treat it as read-only, and do not hold it across
     further oracle calls that may evict it. *)
+(* cr_lint: allow dead-export -- test hook: test_scale checks the row cache's eviction with it *)
 val row : t -> int -> float array
-
-(** [dist t u v] is [(row t u).(v)]. *)
-val dist : t -> int -> int -> float
 
 (** [levels_upper t] is an upper bound on the hierarchy depth:
     ceil(log2 (2 * ecc(0))) >= ceil(log2 diameter), computed from row 0

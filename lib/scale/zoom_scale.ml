@@ -9,7 +9,6 @@ type t = {
   nets : Nets.t;
   graph : Graph.t;
   n : int;
-  epsilon : float;
   eps_eff : float;
 }
 
@@ -20,12 +19,9 @@ let build ?obs ?levels oracle ~epsilon =
   { nets;
     graph = Oracle.graph oracle;
     n = Graph.n (Oracle.graph oracle);
-    epsilon;
     eps_eff = Float.min epsilon 0.4 }
 
 let nets t = t.nets
-let epsilon t = t.epsilon
-let eps_eff t = t.eps_eff
 
 let search_radius t i = Float.pow 2.0 (float_of_int i) /. t.eps_eff
 

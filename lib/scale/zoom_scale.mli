@@ -27,13 +27,6 @@ val build :
   ?obs:Cr_obs.Trace.context -> ?levels:int -> Oracle.t -> epsilon:float -> t
 
 val nets : t -> Nets.t
-val epsilon : t -> float
-
-(** [eps_eff t] is min(epsilon, 2/5), the paper's Theorem 1.4 clamp. *)
-val eps_eff : t -> float
-
-(** [search_radius t i] is R_i = 2^i / eps_eff. *)
-val search_radius : t -> int -> float
 
 (** [stretch_ceiling t] is 3 + (12 e + 4) / (1 - e) at e = [eps_eff t]. *)
 val stretch_ceiling : t -> float

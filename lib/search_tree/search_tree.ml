@@ -218,7 +218,6 @@ let build_keyspace m ~epsilon ~center ~radius ~members ~level_cap ~universe =
   make m ~epsilon ~center ~radius ~members ~level_cap ~pairs:[] ~universe
     ~keyspace:true
 
-let center t = t.ids.(t.root)
 let members t = Array.to_list t.ids
 
 let parent t v =

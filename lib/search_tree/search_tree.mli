@@ -122,9 +122,6 @@ val remove : t -> key:int -> bool * leg list
     center. Raises [Invalid_argument] naming [v] if it is not a member. *)
 val parent : t -> int -> int option
 
-(** [center t] is the root. *)
-val center : t -> int
-
 (** [members t] is the sorted node list. *)
 val members : t -> int list
 

@@ -31,8 +31,7 @@ type hier = {
 type sfl = {
   s_label : int array;
   s_node_of : int array;
-  s_router : Scale_free_labeled.router;
-      (* the scheme's, with a fallback counter of its own *)
+  s_router : Scale_free_labeled.router;  (* the scheme's, as it is *)
   s_scheme : Scale_free_labeled.t;  (* for the directories' bit count *)
 }
 
@@ -137,7 +136,6 @@ let drive t w ~dst =
 (* {2 Serving API} *)
 
 let scheme_name t = t.name
-let kind t = t.kind
 let n t = t.n
 
 let check_endpoint t who x =
@@ -305,10 +303,9 @@ let compile_scale_free_labeled ?obs ?pool:_ scheme =
   let m = Hierarchy.metric (Netting_tree.hierarchy nt) in
   let nn = Metric.n m in
   let lbl, node_of = labels_of nt nn in
-  let r = Scale_free_labeled.router scheme in
   let s =
     { s_label = lbl; s_node_of = node_of;
-      s_router = { r with fallbacks = Atomic.make 0 }; s_scheme = scheme }
+      s_router = Scale_free_labeled.router scheme; s_scheme = scheme }
   in
   finish ctx
     { data = Sfl s; metric = m; adj_words = packed_adjacency_words m; n = nn;
@@ -454,9 +451,3 @@ let data_words t =
 
 let bytes_per_node t =
   float_of_int (8 * (data_words t + t.adj_words)) /. float_of_int t.n
-
-let fallbacks t =
-  match t.data with
-  | Sfl s -> Atomic.get s.s_router.fallbacks
-  | Ni { i_under = U_sfl s; _ } -> Atomic.get s.s_router.fallbacks
-  | _ -> 0

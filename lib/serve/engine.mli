@@ -9,10 +9,10 @@
     engines run that same code: the labeled engines run
     [Cr_core.Hier_labeled.route_over] (Lemma 3.1's descent, bound to
     [Rings.next_hop]) and [Cr_core.Scale_free_labeled.route_over]
-    (Algorithm 5, over the scheme's router with a fallback counter of the
-    engine's own); the name-independent engines run [Cr_core.Ni_route]
-    over compiled hub rows and the underlying labeled engine. The full-table and
-    landmark engines replay their baseline's route from compiled rows.
+    (Algorithm 5, over the scheme's router); the name-independent engines
+    run [Cr_core.Ni_route] over compiled hub rows and the underlying
+    labeled engine. The full-table and landmark engines replay their
+    baseline's route from compiled rows.
     Every driver moves the packet on a [Cr_sim.Walker.t], the only
     executor: [walk] runs it on the caller's walker, [route] on a fresh
     untraced one, and the per-route engines' [next_hop] on one whose
@@ -83,10 +83,6 @@ val compile_landmark :
     rules classify served rows the same way. *)
 val scheme_name : t -> string
 
-(** [kind t] is the short engine tag: ["hier"], ["sfl"], ["simple-ni"],
-    ["sf-ni"], ["full"], or ["landmark"]. *)
-val kind : t -> string
-
 val n : t -> int
 
 (** {1 Serving} *)
@@ -104,6 +100,7 @@ val next_hop : t -> src:int -> dst:int -> int
 (** [walk t w ~dst] drives walker [w] to [dst] from the compiled state —
     the differential harness runs this against the scheme's own walk and
     compares traces byte for byte. *)
+(* cr_lint: allow dead-export -- the entry point of the served = walked differential (test_serve) *)
 val walk : t -> Cr_sim.Walker.t -> dst:int -> unit
 
 (** [route ?cost ?live t ~src ~dst] serves one route on a fresh walker
@@ -144,8 +141,3 @@ val compiled_bits : t -> int -> int
     offsets, then a neighbour id and a weight per directed edge),
     computed once at compile. The metric's tables are not charged. *)
 val bytes_per_node : t -> float
-
-(** [fallbacks t] is the count of netting-descent fallbacks taken by
-    served scale-free-labeled routes (through any engine layered on one);
-    0 for other engines. *)
-val fallbacks : t -> int

@@ -1,6 +1,9 @@
 module Sinks = Cr_obs.Sinks
 module Metrics = Cr_obs.Metrics
 
+(* Stamped into every file as "schema". Bump it whenever field names or
+   semantics change; cr_report diff refuses to compare mismatched
+   schemas. *)
 let schema_version = 1
 
 type value = Float of float | Int of int | Str of string
@@ -18,7 +21,6 @@ type t = {
 }
 
 let create ~experiment = { experiment; rows_rev = [] }
-let experiment t = t.experiment
 let rows t = List.rev t.rows_rev
 
 let sorted_fields what fields =

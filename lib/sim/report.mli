@@ -19,11 +19,6 @@
     encoder reuses {!Cr_obs.Sinks.json_float}, so non-finite values
     render as valid JSON tokens. *)
 
-(** Current report schema, stamped into every file as ["schema"]. Bump it
-    whenever field names or semantics change; [cr_report diff] refuses to
-    compare mismatched schemas. *)
-val schema_version : int
-
 type value = Float of float | Int of int | Str of string
 
 type row = {
@@ -36,7 +31,6 @@ type row = {
 type t
 
 val create : experiment:string -> t
-val experiment : t -> string
 
 (** [add_row t ~family ~scheme ?timings metrics] appends one row.
     Raises [Invalid_argument] on a duplicate key within [metrics] or

@@ -24,11 +24,6 @@ type route_status =
   | Rerouted
   | Undeliverable
 
-let status_label = function
-  | Delivered -> "delivered"
-  | Rerouted -> "rerouted"
-  | Undeliverable -> "undeliverable"
-
 type degraded_outcome = {
   d_cost : float;
   d_hops : int;

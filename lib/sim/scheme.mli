@@ -35,9 +35,6 @@ type route_status =
   | Rerouted
   | Undeliverable
 
-(** Stable lowercase tag, e.g. ["rerouted"]. *)
-val status_label : route_status -> string
-
 type degraded_outcome = {
   d_cost : float;  (** distance traveled, including abandoned detours *)
   d_hops : int;

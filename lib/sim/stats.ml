@@ -131,24 +131,6 @@ let delivery_rate s =
   if s.routes = 0 then 1.0
   else float_of_int (s.delivered + s.rerouted) /. float_of_int s.routes
 
-let worst_of m route pairs =
-  List.fold_left
-    (fun ((_, best_stretch) as best) (src, dst) ->
-      let outcome : Scheme.outcome = route src dst in
-      let stretch = outcome.cost /. Metric.dist m src dst in
-      if stretch > best_stretch then ((src, dst), stretch) else best)
-    (((-1), -1), neg_infinity)
-    pairs
-
-let worst_pair_labeled m (s : Scheme.labeled) pairs =
-  worst_of m (fun src dst -> Scheme.route_labeled s ~src ~dst) pairs
-
-let worst_pair_name_independent m (s : Scheme.name_independent) naming pairs =
-  let route src dst =
-    s.route_to_name ~src ~dest_name:naming.Workload.name_of.(dst)
-  in
-  worst_of m route pairs
-
 let pp_summary ppf s =
   Format.fprintf ppf
     "pairs=%d stretch[max=%.3f avg=%.3f p50=%.3f p99=%.3f] hops=%d"

@@ -63,14 +63,4 @@ val measure_degraded :
 (** Fraction of routes that arrived; 1.0 on an empty run. *)
 val delivery_rate : degraded_summary -> float
 
-(** [worst_pair_labeled m scheme pairs] is the pair attaining max stretch. *)
-val worst_pair_labeled :
-  Cr_metric.Metric.t -> Scheme.labeled -> (int * int) list ->
-  (int * int) * float
-
-(** [worst_pair_name_independent m scheme naming pairs] likewise. *)
-val worst_pair_name_independent :
-  Cr_metric.Metric.t -> Scheme.name_independent -> Workload.naming ->
-  (int * int) list -> (int * int) * float
-
 val pp_summary : Format.formatter -> summary -> unit

@@ -41,10 +41,8 @@ let create ?obs ?(failures = Failures.none) ?(cost = Cost.null)
 let position w = w.position
 let cost w = w.total.sum
 let hops w = w.hops
-let obs w = w.obs
 
 let phase w = w.phase
-let set_phase w p = w.phase <- p
 
 (* Outer-wins phase scoping: a scheme running as a subroutine of another
    (an underlying labeled scheme inside a name-independent search) must not
@@ -104,14 +102,6 @@ let walk_shortest_path w dst =
     match path with
     | [] | [ _ ] -> ()
     | _ :: rest -> List.iter (fun v -> step w v) rest
-
-let charge w c =
-  if c < 0.0 then invalid_arg "Walker.charge: negative cost";
-  spend w;
-  w.total.sum <- w.total.sum +. c;
-  if Trace.enabled w.obs then
-    Trace.hop w.obs ~kind:Trace.Virtual ~src:w.position ~dst:w.position
-      ~cost:c ~total:w.total.sum ~phase:w.phase
 
 let teleport w v ~cost =
   if cost < 0.0 then invalid_arg "Walker.teleport: negative cost";

@@ -27,7 +27,7 @@ exception Blocked of { src : int; dst : int }
 
 (** [create ?obs m ~start ~max_hops] places a packet at [start]. [obs]
     (default: the {!Cr_obs.Trace} global context) receives one route event
-    per step/charge/teleport, tagged with the current {!phase}.
+    per step/teleport, tagged with the current {!phase}.
     [failures] (default {!Failures.none}) makes moves onto failed
     edges/nodes raise {!Blocked}; a failed start node is rejected
     outright. Failure sets are immutable, so an empty one is recognized
@@ -38,8 +38,7 @@ exception Blocked of { src : int; dst : int }
     charges one message of [hop_bits] bits (default 0 — hop counting
     only) to the traversed edge, with round = hop index and phase = the
     current route phase's label; {!teleport} charges the phase totals
-    but no edge. {!charge} is analytic cost, not traffic, and charges
-    nothing.
+    but no edge.
 
     [live] (default disabled) mirrors the same per-edge charge into a
     {!Cr_obs.Live} streaming-telemetry window on every {!step}; the
@@ -52,14 +51,10 @@ val create :
   ?cost:Cr_obs.Cost.t -> ?hop_bits:int -> ?live:Cr_obs.Live.t ->
   Cr_metric.Metric.t -> start:int -> max_hops:int -> t
 
-(** [obs w] is the walker's observability context. *)
-val obs : t -> Cr_obs.Trace.context
-
 (** [phase w] is the paper phase hops are currently attributed to
     ([Unphased] until a scheme sets one). *)
+(* cr_lint: allow dead-export -- test hook: test_obs checks with_phase's scoping with it *)
 val phase : t -> Cr_obs.Trace.phase
-
-val set_phase : t -> Cr_obs.Trace.phase -> unit
 
 (** [with_phase w p f] runs [f] with hops attributed to [p] — unless a
     phase is already active, in which case the outer attribution wins (an
@@ -87,11 +82,6 @@ val step : t -> int -> unit
 (** [walk_shortest_path w dst] moves the packet hop-by-hop along the
     canonical shortest path to [dst] (no-op if already there). *)
 val walk_shortest_path : t -> int -> unit
-
-(** [charge w c] adds cost [c] and one hop without moving the packet — used
-    for virtual edges whose traversal cost is charged at an analytical bound
-    (Definition 4.2 chain edges). [c] must be non-negative. *)
-val charge : t -> float -> unit
 
 (** [teleport w v ~cost] moves the packet to [v] adding the given cost and
     a single hop — a search tree's virtual leg, or a baseline's

@@ -101,7 +101,5 @@ let of_name_array name_of =
   Array.iteri (fun v name -> node_of.(name) <- v) name_of;
   { name_of; node_of }
 
-let identity_naming n = of_name_array (Array.init n Fun.id)
-
 let random_naming ~n ~seed =
   of_name_array (Rng.permutation (Rng.create seed) n)

@@ -4,9 +4,6 @@
     node names; we model them as seeded random permutations of [0, n), plus
     an identity naming for debugging. *)
 
-(** [all_pairs n] is every ordered pair (u, v) with u <> v. *)
-val all_pairs : int -> (int * int) list
-
 (** [sample_pairs ~n ~count ~seed] draws [count] ordered pairs with
     u <> v, uniformly with replacement. *)
 val sample_pairs : n:int -> count:int -> seed:int -> (int * int) list
@@ -46,9 +43,6 @@ type naming = {
   name_of : int array;  (** node -> name *)
   node_of : int array;  (** name -> node *)
 }
-
-(** [identity_naming n] names every node by its own id. *)
-val identity_naming : int -> naming
 
 (** [random_naming ~n ~seed] is a uniform permutation naming. *)
 val random_naming : n:int -> seed:int -> naming

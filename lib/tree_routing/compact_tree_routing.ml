@@ -54,7 +54,6 @@ let build tree =
   List.iter (fun v -> ignore (label_of v)) (Tree.nodes tree);
   { tree; hp; pos; labels }
 
-let tree t = t.tree
 let label t v = Hashtbl.find t.labels v
 
 let label_bits t v =

@@ -31,23 +31,15 @@ type label = {
 (** [build tree] computes heavy paths, positions, and labels. *)
 val build : Tree.t -> t
 
-(** [tree t] is the underlying tree. *)
-val tree : t -> Tree.t
-
 (** [label t v] is v's routing label. *)
+(* cr_lint: allow dead-export -- the scheme's routing, which test_tree_routing checks pair by pair *)
 val label : t -> int -> label
-
-(** [label_bits t v] is the measured size of v's label in bits. *)
-val label_bits : t -> int -> int
 
 (** [max_label_bits t] is the largest label. *)
 val max_label_bits : t -> int
 
-(** [next_hop t ~current ~dest] is the neighbor on the tree path toward the
-    node labeled [dest]; raises [Invalid_argument] at the destination. *)
-val next_hop : t -> current:int -> dest:label -> int
-
 (** [route t ~src ~dest] is the full path and its cost. *)
+(* cr_lint: allow dead-export -- the scheme's routing, which test_tree_routing checks pair by pair *)
 val route : t -> src:int -> dest:label -> int list * float
 
 (** [table_bits t v] is the per-node routing state in bits: parent id,

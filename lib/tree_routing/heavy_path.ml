@@ -1,6 +1,5 @@
 type t = {
   tree : Tree.t;
-  size : (int, int) Hashtbl.t;
   heavy : (int, int) Hashtbl.t;  (* node -> heavy child *)
   light_depth : (int, int) Hashtbl.t;
   head : (int, int) Hashtbl.t;  (* node -> head of its heavy path *)
@@ -49,9 +48,8 @@ let build tree =
   in
   let root = Tree.root tree in
   assign root ~depth:0 ~path_head:root;
-  { tree; size; heavy; light_depth; head }
+  { tree; heavy; light_depth; head }
 
-let subtree_size t v = Hashtbl.find t.size v
 let heavy_child t v = Hashtbl.find_opt t.heavy v
 let light_depth t v = Hashtbl.find t.light_depth v
 

@@ -13,16 +13,9 @@ type t
 (** [build tree] computes subtree sizes and heavy children. *)
 val build : Tree.t -> t
 
-(** [subtree_size t v] is the number of nodes in [v]'s subtree. *)
-val subtree_size : t -> int -> int
-
 (** [heavy_child t v] is [Some c] for the unique heavy child of a non-leaf
     (largest subtree, ties to least id). *)
 val heavy_child : t -> int -> int option
-
-(** [light_depth t v] is the number of light edges on the root-to-[v]
-    path. *)
-val light_depth : t -> int -> int
 
 (** [max_light_depth t] is the maximum light depth over all nodes; always
     at most floor(log2 (size tree)). *)

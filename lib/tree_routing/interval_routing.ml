@@ -24,17 +24,10 @@ let build tree =
   visit (Tree.root tree);
   { tree; dfs; owner; interval }
 
-let tree t = t.tree
-
 let label t v =
   match Hashtbl.find_opt t.dfs v with
   | Some l -> l
   | None -> invalid_arg "Interval_routing.label: node not in tree"
-
-let node_of_label t l =
-  if l < 0 || l >= Array.length t.owner then
-    invalid_arg "Interval_routing.node_of_label: out of range";
-  t.owner.(l)
 
 let contains (lo, hi) l = lo <= l && l <= hi
 

@@ -19,19 +19,8 @@ type t
 (** [build tree] precomputes DFS numbers and intervals. *)
 val build : Tree.t -> t
 
-(** [tree t] is the underlying tree. *)
-val tree : t -> Tree.t
-
 (** [label t v] is the DFS number of node [v]. *)
 val label : t -> int -> int
-
-(** [node_of_label t l] inverts [label]. *)
-val node_of_label : t -> int -> int
-
-(** [next_hop t ~current ~dest_label] is the neighbor (parent or child) on
-    the tree path toward the node labeled [dest_label]; raises
-    [Invalid_argument] if [current] already has that label. *)
-val next_hop : t -> current:int -> dest_label:int -> int
 
 (** [route t ~src ~dest_label] is the full node path from [src] to the
     destination (inclusive) together with its tree cost. *)

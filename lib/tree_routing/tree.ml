@@ -5,8 +5,6 @@ type t = {
   parent : int array;  (* internal parent index; -1 at root *)
   weight : float array;  (* weight of edge to parent *)
   children : (int * float) list array;  (* internal, by increasing child id *)
-  depth_cost : float array;
-  depth_hops : int array;
 }
 
 let of_parents ~root ~nodes ~parent ~weight =
@@ -40,32 +38,23 @@ let of_parents ~root ~nodes ~parent ~weight =
       children.(i) <-
         List.sort (fun (a, _) (b, _) -> Int.compare ids.(a) ids.(b)) l)
     children;
-  (* Verify acyclicity/connectedness and compute depth costs with one pass
-     from the root. *)
-  let depth_cost = Array.make k nan in
-  let depth_hops = Array.make k 0 in
-  let ri = Hashtbl.find index root in
-  depth_cost.(ri) <- 0.0;
+  (* Verify acyclicity/connectedness with one pass from the root. *)
   let visited = ref 1 in
   let rec visit i =
     List.iter
-      (fun (c, w) ->
-        depth_cost.(c) <- depth_cost.(i) +. w;
-        depth_hops.(c) <- depth_hops.(i) + 1;
+      (fun (c, _) ->
         incr visited;
         visit c)
       children.(i)
   in
-  visit ri;
+  visit (Hashtbl.find index root);
   if !visited <> k then
     invalid_arg "Tree.of_parents: parent pointers do not form a tree";
-  { root; index; ids; parent = parent_arr; weight = weight_arr; children;
-    depth_cost; depth_hops }
+  { root; index; ids; parent = parent_arr; weight = weight_arr; children }
 
 let root t = t.root
 let size t = Array.length t.ids
 let nodes t = Array.to_list t.ids
-let mem t v = Hashtbl.mem t.index v
 
 let idx t v =
   match Hashtbl.find_opt t.index v with
@@ -83,17 +72,3 @@ let children t v =
 let degree t v =
   let i = idx t v in
   List.length t.children.(i) + if t.parent.(i) >= 0 then 1 else 0
-
-let depth_cost t v = t.depth_cost.(idx t v)
-
-(* Walk both endpoints up to their lowest common ancestor (ordered by hop
-   depth, which is robust to zero-weight edges), accumulating edge
-   weights. *)
-let path_cost t u v =
-  let rec go i j acc =
-    if i = j then acc
-    else if t.depth_hops.(i) >= t.depth_hops.(j) then
-      go t.parent.(i) j (acc +. t.weight.(i))
-    else go i t.parent.(j) (acc +. t.weight.(j))
-  in
-  go (idx t u) (idx t v) 0.0

@@ -25,9 +25,6 @@ val size : t -> int
 (** [nodes t] lists external ids, sorted. *)
 val nodes : t -> int list
 
-(** [mem t v] is true iff [v] is a node of [t]. *)
-val mem : t -> int -> bool
-
 (** [parent t v] is [Some (parent, weight)] or [None] for the root. *)
 val parent : t -> int -> (int * float) option
 
@@ -36,9 +33,3 @@ val children : t -> int -> (int * float) list
 
 (** [degree t v] is the number of tree edges at [v]. *)
 val degree : t -> int -> int
-
-(** [path_cost t u v] is the (unique) tree-path cost between [u] and [v]. *)
-val path_cost : t -> int -> int -> float
-
-(** [depth_cost t v] is the cost of the root-to-[v] path. *)
-val depth_cost : t -> int -> float

@@ -3,6 +3,52 @@
 module Graph = Cr_metric.Graph
 module Metric = Cr_metric.Metric
 
+(* [graph_of_edges n edges] builds a graph on [n] nodes from an edge list. *)
+let graph_of_edges n edges =
+  let g = Graph.create n in
+  List.iter (fun (u, v, w) -> Graph.add_edge g u v w) edges;
+  g
+
+(* Every ordered pair (u, v), u <> v, of an [n]-node instance. *)
+let all_pairs n =
+  List.concat_map
+    (fun u -> List.filter_map (fun v -> if u = v then None else Some (u, v))
+        (List.init n Fun.id))
+    (List.init n Fun.id)
+
+(* Every level's netting-tree parents, run distributedly: a fresh
+   Dist_hierarchy election, then Dist_netting on each level over the same
+   transport. The conformance tests compare its parents against
+   Netting_tree.parent; it returns them with the summed statistics. *)
+let dist_netting_parents ?via m =
+  let module Network = Cr_proto.Network in
+  let module Dist_hierarchy = Cr_proto.Dist_hierarchy in
+  let hierarchy = Dist_hierarchy.build ?via m in
+  let nets = hierarchy.Dist_hierarchy.nets in
+  let top = Array.length nets - 1 in
+  let messages = ref 0 and makespan = ref 0.0 in
+  let parents =
+    Array.init (top + 1) (fun i ->
+        if i >= top then Array.make (Metric.n m) (-1)
+        else begin
+          let r =
+            Cr_proto.Dist_netting.parents_for_level ?via m
+              ~label:(Printf.sprintf "dist_netting.l%d" i)
+              ~members:nets.(i) ~upper:nets.(i + 1)
+              ~radius:(Float.pow 2.0 (float_of_int (i + 1)))
+          in
+          messages := !messages + r.Cr_proto.Dist_netting.stats.Network.messages;
+          makespan :=
+            Float.max !makespan r.Cr_proto.Dist_netting.stats.Network.makespan;
+          r.Cr_proto.Dist_netting.parent
+        end)
+  in
+  (parents, { Network.messages = !messages; makespan = !makespan })
+
+(* Every node named by its own id. *)
+let identity_naming n =
+  { Cr_sim.Workload.name_of = Array.init n Fun.id; node_of = Array.init n Fun.id }
+
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -22,7 +68,7 @@ let memo f =
 
 let triangle =
   memo (fun () ->
-      Metric.of_graph (Graph.of_edges 3 [ (0, 1, 1.0); (1, 2, 1.0); (0, 2, 1.5) ]))
+      Metric.of_graph (graph_of_edges 3 [ (0, 1, 1.0); (1, 2, 1.0); (0, 2, 1.5) ]))
 
 let grid6 = memo (fun () -> Metric.of_graph (Cr_graphgen.Grid.square ~side:6))
 let grid8 = memo (fun () -> Metric.of_graph (Cr_graphgen.Grid.square ~side:8))

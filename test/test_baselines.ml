@@ -11,7 +11,7 @@ module Spanning_tree = Cr_baselines.Spanning_tree
 let test_full_table_stretch_one () =
   let m = holey () in
   let s = Full_table.labeled m in
-  let summary = Stats.measure_labeled m s (Workload.all_pairs (Metric.n m)) in
+  let summary = Stats.measure_labeled m s (all_pairs (Metric.n m)) in
   check_float "max stretch" 1.0 summary.max_stretch;
   check_float "avg stretch" 1.0 summary.avg_stretch
 
@@ -20,7 +20,7 @@ let test_full_table_ni () =
   let naming = Workload.random_naming ~n:(Metric.n m) ~seed:1 in
   let s = Full_table.name_independent m naming in
   let summary =
-    Stats.measure_name_independent m s naming (Workload.all_pairs (Metric.n m))
+    Stats.measure_name_independent m s naming (all_pairs (Metric.n m))
   in
   check_float "ni max stretch" 1.0 summary.max_stretch
 
@@ -37,13 +37,13 @@ let test_spanning_tree_delivers () =
       let o = Scheme.route_labeled s ~src ~dst in
       check_bool "cost >= distance" true
         (o.Scheme.cost >= Metric.dist m src dst -. 1e-9))
-    (Workload.all_pairs (Metric.n m))
+    (all_pairs (Metric.n m))
 
 let test_spanning_tree_bad_on_ring () =
   (* the classic failure: neighbors across the tree cut pay ~n-1 *)
   let m = ring16 () in
   let s = Spanning_tree.labeled m ~root:0 in
-  let summary = Stats.measure_labeled m s (Workload.all_pairs 16) in
+  let summary = Stats.measure_labeled m s (all_pairs 16) in
   check_bool
     (Printf.sprintf "ring worst stretch %.1f >= 15" summary.max_stretch)
     true
@@ -55,7 +55,7 @@ let test_spanning_tree_perfect_on_tree () =
   in
   (* routing over the unique tree of a tree is optimal from any root *)
   let s = Spanning_tree.labeled m ~root:3 in
-  let summary = Stats.measure_labeled m s (Workload.all_pairs (Metric.n m)) in
+  let summary = Stats.measure_labeled m s (all_pairs (Metric.n m)) in
   check_float "tree stretch" 1.0 summary.max_stretch
 
 let test_spanning_tree_ni_tables_account_directory () =
@@ -73,7 +73,7 @@ let test_landmark_stretch_three () =
     (fun m ->
       let s = Cr_baselines.Landmark.labeled m ~seed:7 in
       let summary =
-        Stats.measure_labeled m s (Workload.all_pairs (Metric.n m))
+        Stats.measure_labeled m s (all_pairs (Metric.n m))
       in
       check_bool
         (Printf.sprintf "landmark stretch %.3f <= 3" summary.max_stretch)
@@ -86,7 +86,7 @@ let test_landmark_ni_delivers () =
   let naming = Workload.random_naming ~n:(Metric.n m) ~seed:4 in
   let s = Cr_baselines.Landmark.name_independent m naming ~seed:7 in
   let summary =
-    Stats.measure_name_independent m s naming (Workload.all_pairs (Metric.n m))
+    Stats.measure_name_independent m s naming (all_pairs (Metric.n m))
   in
   check_bool "stretch <= 3" true (summary.max_stretch <= 3.0 +. 1e-9)
 

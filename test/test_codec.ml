@@ -8,8 +8,16 @@ module Table_codec = Cr_codec.Table_codec
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
 module Rings = Cr_core.Rings
-module Interval_routing = Cr_tree.Interval_routing
-module Tree = Cr_tree.Tree
+
+(* The exact encoded size of a decoded table, from its level and entry
+   counts. *)
+let rings_bits ~n ~level_count levels =
+  Table_codec.rings_bits_of_counts ~n ~level_count
+    ~levels:(List.length levels)
+    ~entries:
+      (List.fold_left
+         (fun acc l -> acc + List.length l.Table_codec.entries)
+         0 levels)
 
 let test_bitbuf_roundtrip () =
   let w = Bitbuf.writer () in
@@ -179,7 +187,7 @@ let test_ring_tables_roundtrip () =
               true (decoded = levels);
             check_int
               (Printf.sprintf "%s node %d: wire bits" mname u)
-              (Table_codec.rings_bits ~n ~level_count levels)
+              (rings_bits ~n ~level_count levels)
               (Rings.wire_bits rings u);
             check_int
               (Printf.sprintf "%s node %d: bytes" mname u)
@@ -200,7 +208,7 @@ let test_ring_encoding_matches_accounting () =
   let level_count = Hierarchy.top_level h + 1 in
   for u = 0 to n - 1 do
     let levels = Rings.levels_of rings u in
-    let encoded = Table_codec.rings_bits ~n ~level_count levels in
+    let encoded = rings_bits ~n ~level_count levels in
     let charged = Rings.table_bits rings u in
     let prefixes = 16 * (1 + List.length levels) in
     check_bool
@@ -282,7 +290,7 @@ let prop_rings_roundtrip_random =
 let prop_rings_bits_exact =
   qcheck_case ~count:200 "codec: rings_bits = writer length = charged bits"
     ring_tables_gen (fun (n, level_count, levels) ->
-      let bits = Table_codec.rings_bits ~n ~level_count levels in
+      let bits = rings_bits ~n ~level_count levels in
       let data = Table_codec.encode_rings ~n ~level_count levels in
       (* the writer pads to a byte boundary and not a bit more *)
       Bytes.length data = (bits + 7) / 8
@@ -393,66 +401,6 @@ let prop_decoder_fuzz =
           && List.for_all (fun b -> exact (flip b)) (List.init (8 * len) Fun.id))
         [ Rings.All_levels; Rings.Selected ])
 
-let interval_table_gen =
-  QCheck2.Gen.(
-    let* n = int_range 4 128 in
-    let id = int_range 0 (n - 1) in
-    let* own_lo = id in
-    let* own_hi = id in
-    let* parent_port = id in
-    let* children =
-      list_size (int_range 0 10)
-        (let* lo = id in
-         let* hi = id in
-         let* port = id in
-         return (lo, hi, port))
-    in
-    return (n, { Table_codec.own_lo; own_hi; parent_port; children }))
-
-let prop_interval_roundtrip_random =
-  qcheck_case ~count:200 "codec: random interval tables roundtrip"
-    interval_table_gen (fun (n, table) ->
-      let data = Table_codec.encode_interval ~n table in
-      Table_codec.decode_interval ~n data = table
-      && Bytes.length data = (Table_codec.interval_bits ~n table + 7) / 8)
-
-let test_interval_tables_roundtrip () =
-  let m = holey () in
-  let n = Metric.n m in
-  (* a shortest-path tree's interval routing tables *)
-  let parent v =
-    match Metric.shortest_path m ~src:v ~dst:0 with
-    | _ :: hop :: _ -> hop
-    | _ -> assert false
-  in
-  let tree =
-    Tree.of_parents ~root:0
-      ~nodes:(List.init n Fun.id)
-      ~parent
-      ~weight:(fun _ -> 1.0)
-  in
-  let ir = Interval_routing.build tree in
-  List.iter
-    (fun v ->
-      let own = Interval_routing.label ir v in
-      let table =
-        { Table_codec.own_lo = own;
-          own_hi = own;
-          parent_port =
-            (match Tree.parent tree v with Some (p, _) -> p | None -> v);
-          children =
-            List.map
-              (fun (c, _) -> (Interval_routing.label ir c, own, c))
-              (Tree.children tree v) }
-      in
-      let data = Table_codec.encode_interval ~n table in
-      check_bool "interval roundtrip" true
-        (Table_codec.decode_interval ~n data = table);
-      check_bool "size prediction" true
-        (abs ((8 * Bytes.length data) - Table_codec.interval_bits ~n table)
-        < 8))
-    (Tree.nodes tree)
-
 let suite =
   [ Alcotest.test_case "bitbuf roundtrip" `Quick test_bitbuf_roundtrip;
     Alcotest.test_case "bitbuf rejects" `Quick test_bitbuf_rejects;
@@ -469,7 +417,4 @@ let suite =
       test_decoder_rejects;
     Alcotest.test_case "encoder rejects a 16-bit count overflow" `Quick
       test_encoder_count_overflow;
-    prop_decoder_fuzz;
-    prop_interval_roundtrip_random;
-    Alcotest.test_case "interval tables roundtrip" `Quick
-      test_interval_tables_roundtrip ]
+    prop_decoder_fuzz ]

@@ -18,7 +18,6 @@ let test_trail_records_steps () =
     nodes_of m ~src:0 ~dst:20 (fun w ->
         Walker.step w 1;
         Walker.step w 2;
-        Walker.charge w 0.5;
         Walker.teleport w 20 ~cost:3.0)
   in
   Alcotest.(check (list int)) "trail" [ 0; 1; 2; 20 ] trail

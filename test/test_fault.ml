@@ -12,7 +12,7 @@ module Network = Cr_proto.Network
 module Trace = Cr_obs.Trace
 module Plan = Cr_fault.Plan
 module Reliable = Cr_fault.Reliable
-module Splitmix = Cr_fault.Splitmix
+module Splitmix = Cr_graphgen.Splitmix
 module Failures = Cr_sim.Failures
 module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
@@ -91,7 +91,7 @@ let collecting_context () =
   let events = ref [] in
   let ctx =
     Trace.make ~clock:(Trace.counting_clock ())
-      { Trace.emit = (fun e -> events := e :: !events); flush = Fun.id }
+      { Trace.emit = (fun e -> events := e :: !events) }
   in
   (ctx, events)
 
@@ -100,7 +100,6 @@ let collecting_context () =
 let test_null_plan_identity () =
   let m = holey () in
   let g = Metric.graph m in
-  check_bool "none is null" true (Plan.is_null (Plan.none ~seed:7));
   let run plan =
     let ctx, events = collecting_context () in
     let rt = Reliable.create ?plan ~obs:ctx () in
@@ -109,7 +108,7 @@ let test_null_plan_identity () =
      r.Cr_proto.Dist_spt.stats, Reliable.totals rt, List.rev !events)
   in
   let d0, p0, s0, t0, e0 = run None in
-  let d1, p1, s1, t1, e1 = run (Some (Plan.none ~seed:7)) in
+  let d1, p1, s1, t1, e1 = run (Some (Plan.make ~seed:7 ())) in
   check_bool "distances identical" true (d0 = d1);
   check_bool "preds identical" true (p0 = p1);
   check_bool "stats identical" true (s0 = s1);
@@ -155,7 +154,7 @@ let test_hardened_netting_converges () =
   let m = grid6 () in
   let h = Cr_nets.Hierarchy.build m in
   let nt = Cr_nets.Netting_tree.build h in
-  let parents, _ = Cr_proto.Dist_netting.all_parents ~via:(via_of (lossy_plan 3)) m in
+  let parents, _ = dist_netting_parents ~via:(via_of (lossy_plan 3)) m in
   for i = 0 to Cr_nets.Hierarchy.top_level h - 1 do
     List.iter
       (fun x ->
@@ -233,7 +232,7 @@ let prop_hardened_election_equals_greedy =
 let test_retransmit_budget_exhausted () =
   (* edge 0-1 drops everything: the transport must give up with a typed
      error naming the protocol, not loop or return wrong tables *)
-  let g = Graph.of_edges 2 [ (0, 1, 1.0) ] in
+  let g = graph_of_edges 2 [ (0, 1, 1.0) ] in
   let plan = Plan.make ~seed:1 ~edge_drop:[ ((0, 1), 1.0) ] () in
   match Cr_proto.Dist_spt.run ~via:(via_of plan) g ~root:0 with
   | _ -> Alcotest.fail "expected Protocol_error"

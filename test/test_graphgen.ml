@@ -38,16 +38,6 @@ let test_rng_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 30 Fun.id) sorted
 
-let test_rng_split () =
-  let rng = Rng.create 11 in
-  let child = Rng.split rng in
-  (* child stream should not simply mirror the parent *)
-  let same = ref 0 in
-  for _ = 1 to 50 do
-    if Rng.int rng 1000 = Rng.int child 1000 then incr same
-  done;
-  check_bool "split decorrelated" true (!same < 10)
-
 let test_grid () =
   let g = Grid.square ~side:5 in
   check_int "nodes" 25 (Graph.n g);
@@ -59,11 +49,6 @@ let test_grid_with_holes () =
   check_bool "connected" true (Graph.is_connected g);
   check_bool "smaller than full grid" true (Graph.n g < 100);
   check_bool "not empty" true (Graph.n g > 20)
-
-let test_corridor () =
-  let g = Grid.corridor ~side:9 in
-  check_bool "connected" true (Graph.is_connected g);
-  check_bool "smaller than full grid" true (Graph.n g < 81)
 
 let test_geometric_knn () =
   let g = Geometric.knn ~n:40 ~k:3 ~seed:5 in
@@ -108,7 +93,7 @@ let test_hypercube () =
   done
 
 let test_component () =
-  let g = Graph.of_edges 6 [ (0, 1, 1.0); (1, 2, 1.0); (3, 4, 1.0) ] in
+  let g = graph_of_edges 6 [ (0, 1, 1.0); (1, 2, 1.0); (3, 4, 1.0) ] in
   let big = Component.largest g in
   check_int "largest component" 3 (Graph.n big);
   let ind = Component.induced g [ 3; 4; 5 ] in
@@ -139,10 +124,8 @@ let suite =
   [ Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng ranges" `Quick test_rng_ranges;
     Alcotest.test_case "rng permutation" `Quick test_rng_permutation;
-    Alcotest.test_case "rng split" `Quick test_rng_split;
     Alcotest.test_case "grid" `Quick test_grid;
     Alcotest.test_case "grid with holes" `Quick test_grid_with_holes;
-    Alcotest.test_case "corridor" `Quick test_corridor;
     Alcotest.test_case "geometric knn" `Quick test_geometric_knn;
     Alcotest.test_case "geometric clustered" `Quick test_geometric_clustered;
     Alcotest.test_case "path-like" `Quick test_path_like;

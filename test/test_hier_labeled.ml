@@ -23,7 +23,7 @@ let check_all_pairs_delivered m scheme =
       let outcome = Scheme.route_labeled s ~src ~dst in
       check_bool "cost at least distance" true
         (outcome.Scheme.cost >= Metric.dist m src dst -. 1e-9))
-    (Workload.all_pairs (Metric.n m))
+    (all_pairs (Metric.n m))
 
 let test_delivery_grid () =
   let m = grid6 () in
@@ -40,7 +40,7 @@ let test_delivery_expo () =
 let test_stretch_bound_grid () =
   let m = grid8 () in
   let s = Hier_labeled.to_scheme (build m ~epsilon:0.25) in
-  let summary = Stats.measure_labeled m s (Workload.all_pairs (Metric.n m)) in
+  let summary = Stats.measure_labeled m s (all_pairs (Metric.n m)) in
   (* Theory: 1 + O(eps). The O hides moderate constants; we assert a
      conservative envelope and record the real numbers in EXPERIMENTS.md. *)
   check_bool
@@ -50,7 +50,7 @@ let test_stretch_bound_grid () =
 
 let test_smaller_epsilon_not_worse () =
   let m = geo48 () in
-  let pairs = Workload.all_pairs (Metric.n m) in
+  let pairs = all_pairs (Metric.n m) in
   let tight = Stats.measure_labeled m (Hier_labeled.to_scheme (build m ~epsilon:0.1)) pairs in
   let loose = Stats.measure_labeled m (Hier_labeled.to_scheme (build m ~epsilon:0.9)) pairs in
   check_bool "eps=0.1 max stretch <= eps=0.9 + slack" true
@@ -59,7 +59,7 @@ let test_smaller_epsilon_not_worse () =
 let test_labels_compact () =
   let m = grid6 () in
   let t = build m ~epsilon:0.5 in
-  check_int "label bits" 6 (Hier_labeled.label_bits t);
+  check_int "label bits" 6 ((Hier_labeled.to_scheme t).Cr_sim.Scheme.l_label_bits);
   for v = 0 to Metric.n m - 1 do
     let l = Hier_labeled.label t v in
     check_bool "label in [0,n)" true (l >= 0 && l < Metric.n m)
@@ -74,7 +74,7 @@ let test_storage_scales_sublinearly () =
     let t = build m ~epsilon:0.5 in
     let best = ref 0 in
     for v = 0 to Metric.n m - 1 do
-      best := max !best (Hier_labeled.table_bits t v)
+      best := max !best ((Hier_labeled.to_scheme t).Cr_sim.Scheme.l_table_bits v)
     done;
     float_of_int !best
   in

@@ -106,7 +106,8 @@ let test_scheme_storage_ordering () =
       let s = build_stack m in
       for v = 0 to Metric.n m - 1 do
         check_bool "simple > hier" true
-          (Simple_ni.table_bits s.simple v > Hier.table_bits s.hier v);
+          (Simple_ni.table_bits s.simple v
+           > (Hier.to_scheme s.hier).Cr_sim.Scheme.l_table_bits v);
         check_bool "sfni > sfl" true
           (Sfni.table_bits s.sfni v > Sfl.table_bits s.sfl v)
       done)
@@ -129,7 +130,7 @@ let test_cross_composition () =
           ~dest_name:naming.Workload.name_of.(dst)
       in
       check_bool "delivers" true (o.Scheme.cost >= Metric.dist m src dst -. 1e-9))
-    (Workload.all_pairs (Metric.n m))
+    (all_pairs (Metric.n m))
 
 (* Grid.with_holes keeps a 2-node component for this seed: every pairwise
    distance is the minimum, so Delta = 1. Metric.levels stays at 1, which

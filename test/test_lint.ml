@@ -7,12 +7,16 @@
    real compiled library, so the interprocedural rules walk genuine
    typed trees: known-bad cases per rule, a call-chain golden, the
    stale-exemption check, the suppression protocol, and proof that the
-   old syntactic pool-purity pass misses what domain-escape catches. *)
+   old syntactic pool-purity pass misses what domain-escape catches.
+   dead-export runs over test/lint_fixtures/dead, a library with an
+   executable and a test-side library that call into it. *)
 
 module Engine = Cr_lint_lib.Engine
 module Rule = Cr_lint_lib.Rule
 module Typed_engine = Cr_lint_lib.Typed_engine
 module Typed_rule = Cr_lint_lib.Typed_rule
+module Dead_export = Cr_lint_lib.Dead_export
+module Cmt_index = Cr_lint_lib.Cmt_index
 
 (* The filesystem-independent rules: everything except mli-coverage, so
    string fixtures need no sibling files on disk. *)
@@ -44,7 +48,7 @@ let guarded_emission =
   "let f ctx = if Trace.enabled ctx then Trace.counter ctx \"x\" 1.0\n"
 
 let negated_guard =
-  "let f ctx g = if not (Trace.enabled ctx) then g () else Trace.mark ctx \"m\"\n"
+  "let f ctx g = if not (Trace.enabled ctx) then g () else Trace.counter ctx \"m\" 1.0\n"
 
 let span_is_exempt =
   "let f ctx g = Trace.span ctx \"phase\" g\n"
@@ -429,6 +433,62 @@ let live_fixture_fires () =
         | _ -> false)
     end
 
+(* ---- dead-export (test/lint_fixtures/dead: lib/ declares, bin/ is an
+   executable that refers, test/ is the test side) ---- *)
+
+let dead_dir = fixture_dir ^ "/dead"
+let dead_api = dead_dir ^ "/lib/dx_api.mli"
+
+let dead_report () =
+  match find_build_root () with
+  | None -> Alcotest.fail "dead-export: build context root not found"
+  | Some root ->
+    let layout =
+      { Dead_export.decls = [ dead_dir ^ "/lib" ];
+        refs = [ dead_dir ^ "/lib"; dead_dir ^ "/bin" ];
+        tests = [ dead_dir ^ "/test" ] }
+    in
+    Typed_engine.run ~rules:[ Dead_export.rule_for layout ] ~root
+      [ dead_dir ^ "/lib" ]
+
+(* The dead-export findings about the val named [name]. *)
+let dead_findings name =
+  List.filter
+    (fun d ->
+      String.equal d.Rule.rule "dead-export"
+      && contains d.Rule.message ("." ^ name ^ "`"))
+    (dead_report ()).Typed_engine.diagnostics
+
+let dead_flagged name ~says () =
+  match dead_findings name with
+  | [ d ] ->
+    Alcotest.(check string) "at the .mli" dead_api d.Rule.file;
+    Helpers.check_bool ("message says " ^ says) true (contains d.Rule.message says)
+  | ds -> Alcotest.failf "%s: expected one finding, got %d" name (List.length ds)
+
+let dead_clean name () =
+  Helpers.check_int (name ^ ": no finding") 0 (List.length (dead_findings name))
+
+(* dx_api.mli's suppressions sit on line 16 (above [suppressed], which
+   no unit uses) and line 19 (above [stale], which the executable calls). *)
+let dead_stale_lines () =
+  List.filter_map
+    (fun d ->
+      if String.equal d.Rule.rule "unused-suppression" then
+        Some (d.Rule.file, d.Rule.line)
+      else None)
+    (dead_report ()).Typed_engine.diagnostics
+
+let dead_suppressed () =
+  dead_clean "suppressed" ();
+  Helpers.check_bool "its suppression is used" false
+    (List.mem (dead_api, 16) (dead_stale_lines ()))
+
+let dead_stale () =
+  Alcotest.(check (list (pair string int)))
+    "the suppression above [stale] is reported" [ (dead_api, 19) ]
+    (dead_stale_lines ())
+
 let typed_clean_tree () =
   match find_build_root () with
   | None -> ()
@@ -441,6 +501,11 @@ let typed_clean_tree () =
     let report = Typed_engine.run ~root paths in
     Helpers.check_bool "typed tier loaded a substantial tree" true
       (report.Typed_engine.units > 30);
+    List.iter
+      (fun dir ->
+        Helpers.check_bool (dir ^ "/ executables' trees loaded") true
+          (Cmt_index.load ~root [ dir ] <> []))
+      [ "bin"; "bench" ];
     let rendered =
       Format.asprintf "%a" Engine.render_human report.Typed_engine.diagnostics
     in
@@ -540,4 +605,17 @@ let suite =
       old_pool_purity_misses;
     case "trace-guard: fx_live fixture fires once at a lib path"
       live_fixture_fires;
+    case "dead-export: a value used nowhere is flagged"
+      (dead_flagged "nowhere" ~says:"no other unit uses it");
+    case "dead-export: a test-only value is flagged with its test file"
+      (dead_flagged "test_only" ~says:(dead_dir ^ "/test/dx_test.ml"));
+    case "dead-export: a value an executable calls is clean"
+      (dead_clean "by_exe");
+    case "dead-export: a value reached through include is clean"
+      (dead_clean "included");
+    case "dead-export: a value reached through a module alias is clean"
+      (dead_clean "via_alias");
+    case "dead-export: a reasoned .mli suppression silences the finding"
+      dead_suppressed;
+    case "dead-export: a stale .mli suppression is reported" dead_stale;
     case "typed: clean tree: zero findings at HEAD" typed_clean_tree ]

@@ -18,17 +18,10 @@ let test_construction_size () =
       check_bool "connected" true (Graph.is_connected g))
     [ (64, 3, 2); (128, 4, 3); (256, 4, 3); (100, 2, 2) ]
 
-let test_branch_weights () =
-  let c = Construction.build ~n:128 ~p:4 ~q:3 in
-  check_float "w_00 = q" 3.0 (Construction.branch_weight c ~i:0 ~j:0);
-  check_float "w_01 = q+1" 4.0 (Construction.branch_weight c ~i:0 ~j:1);
-  check_float "w_20 = 4q" 12.0 (Construction.branch_weight c ~i:2 ~j:0);
-  check_float "w_32 = 8(q+2)" 40.0 (Construction.branch_weight c ~i:3 ~j:2)
-
 let test_paths_partition () =
   let c = Construction.build ~n:256 ~p:4 ~q:3 in
   let seen = Array.make 256 false in
-  seen.(Construction.root c) <- true;
+  seen.(0) <- true;
   for i = 0 to Construction.p c - 1 do
     for j = 0 to Construction.q c - 1 do
       List.iter
@@ -42,11 +35,6 @@ let test_paths_partition () =
     (fun v covered ->
       check_bool (Printf.sprintf "node %d covered" v) true covered)
     seen
-
-let test_deepest_path () =
-  let c = Construction.build ~n:256 ~p:4 ~q:3 in
-  let i, j = Construction.deepest_path c in
-  check_bool "deepest nonempty" true (Construction.path_nodes c ~i ~j <> [])
 
 let test_doubling_dimension_bound () =
   (* Lemma 5.8: alpha <= 6 - log2 eps. The greedy estimate is an upper
@@ -69,7 +57,8 @@ let test_diameter_bound () =
   let c = Construction.of_epsilon ~epsilon ~n in
   let m = Metric.of_graph (Construction.graph c) in
   let p = Construction.p c and q = Construction.q c in
-  let w_max = Construction.branch_weight c ~i:(p - 1) ~j:(q - 1) in
+  (* the heaviest branch, w_(p-1,q-1) = 2^(p-1) (2q - 1) *)
+  let w_max = Float.pow 2.0 (float_of_int (p - 1)) *. float_of_int ((2 * q) - 1) in
   check_bool "Delta <= 2 (w_max + 1) n" true
     (Metric.normalized_diameter m
     <= 2.0 *. (w_max +. 1.0) *. float_of_int n)
@@ -83,15 +72,6 @@ let test_log2_factorial () =
   check_bool "log2 6! = log2 720" true
     (Float.abs (Naming.log2_factorial 6 -. Float.log2 720.0) < 1e-9);
   check_float "log2 1!" 0.0 (Naming.log2_factorial 1)
-
-let test_partition_sizes () =
-  List.iter
-    (fun (n, c) ->
-      let sizes = Naming.partition_sizes ~n ~c in
-      check_int "c+1 parts" (c + 1) (List.length sizes);
-      check_int "sizes sum to n" n (List.fold_left ( + ) 0 sizes);
-      check_int "|V_0| = 1" 1 (List.hd sizes))
-    [ (64, 6); (1024, 10); (100, 4) ]
 
 let test_congruent_bound_positive () =
   (* At the Theorem 1.3 table size, congruent families survive every prefix *)
@@ -131,16 +111,13 @@ let test_pigeonhole_validation () =
 
 let suite =
   [ Alcotest.test_case "construction sizes" `Quick test_construction_size;
-    Alcotest.test_case "branch weights" `Quick test_branch_weights;
     Alcotest.test_case "paths partition nodes" `Quick test_paths_partition;
-    Alcotest.test_case "deepest path" `Quick test_deepest_path;
     Alcotest.test_case "doubling dimension bound (Lemma 5.8)" `Quick
       test_doubling_dimension_bound;
     Alcotest.test_case "diameter bound" `Quick test_diameter_bound;
     Alcotest.test_case "of_epsilon validation" `Quick
       test_of_epsilon_validation;
     Alcotest.test_case "log2 factorial" `Quick test_log2_factorial;
-    Alcotest.test_case "partition sizes" `Quick test_partition_sizes;
     Alcotest.test_case "congruent bound positive" `Quick
       test_congruent_bound_positive;
     Alcotest.test_case "pigeonhole demo (Lemma 5.4)" `Quick

@@ -10,6 +10,18 @@ module Netting_tree = Cr_nets.Netting_tree
 
 let all_nodes m = List.init (Metric.n m) Fun.id
 
+(* Both r-net properties of [points] over the ground set [over]: every
+   node within [r] of a point (covering), and points pairwise at least
+   [r] apart (packing). The oracle the greedy nets are checked against. *)
+let is_net m ~r ~points ~over =
+  List.for_all
+    (fun v -> List.exists (fun y -> Metric.dist m v y <= r) points)
+    over
+  && List.for_all
+       (fun y ->
+         List.for_all (fun y' -> y = y' || Metric.dist m y y' >= r) points)
+       points
+
 let test_greedy_is_net () =
   let m = grid8 () in
   List.iter
@@ -18,7 +30,7 @@ let test_greedy_is_net () =
       check_bool
         (Printf.sprintf "greedy %g-net is a net" r)
         true
-        (Rnet.is_net m ~r ~points:net ~over:(all_nodes m)))
+        (is_net m ~r ~points:net ~over:(all_nodes m)))
     [ 1.0; 2.0; 4.0; 8.0 ]
 
 let test_greedy_respects_seed () =
@@ -53,7 +65,7 @@ let test_hierarchy_nets_valid () =
     check_bool
       (Printf.sprintf "Y_%d is a 2^%d-net" i i)
       true
-      (Rnet.is_net m ~r:(Hierarchy.net_radius i) ~points:(Hierarchy.net h i)
+      (is_net m ~r:(Hierarchy.net_radius i) ~points:(Hierarchy.net h i)
          ~over:(all_nodes m))
   done
 
@@ -75,10 +87,9 @@ let test_zoom_membership () =
   let h = Hierarchy.build m in
   let z = Zoom.build h in
   for u = 0 to Metric.n m - 1 do
-    List.iteri
-      (fun i x ->
-        check_bool "u(i) in Y_i" true (Hierarchy.mem h ~level:i x))
-      (Zoom.sequence z u)
+    for i = 0 to Hierarchy.top_level h do
+      check_bool "u(i) in Y_i" true (Hierarchy.mem h ~level:i (Zoom.step z u i))
+    done
   done
 
 let test_netting_tree_labels_bijective () =

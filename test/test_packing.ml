@@ -56,19 +56,9 @@ let test_packing_property2 () =
 let test_packing_level0 () =
   (* scale 0: every ball is a single node, so the packing is all of V *)
   let m = grid6 () in
-  let lv = Ball_packing.build_level m ~j:0 in
+  let lv = (Ball_packing.build_all m).(0) in
   check_int "n singleton balls" (Metric.n m)
     (List.length (Ball_packing.balls lv))
-
-let test_packing_center_lookup () =
-  let m = grid6 () in
-  let lv = Ball_packing.build_level m ~j:2 in
-  List.iter
-    (fun (b : Ball_packing.ball) ->
-      match Ball_packing.ball_of_center lv b.center with
-      | Some b' -> check_int "center roundtrip" b.center b'.center
-      | None -> Alcotest.fail "packed ball not found by center")
-    (Ball_packing.balls lv)
 
 let test_voronoi_partition () =
   let m = grid8 () in
@@ -103,15 +93,6 @@ let test_voronoi_tree_edges_are_graph_edges () =
     end
   done
 
-let test_voronoi_distances () =
-  let m = grid6 () in
-  let centers = [ 0; 35 ] in
-  let v = Voronoi.build m ~centers in
-  for u = 0 to Metric.n m - 1 do
-    check_float "dist to owner" (Metric.dist m u (Voronoi.owner v u))
-      (Voronoi.dist_to_center v u)
-  done
-
 let gen_metric =
   QCheck2.Gen.(
     let* n = int_range 8 40 in
@@ -130,7 +111,7 @@ let prop_packing_maximal =
                  let mine = Metric.nearest_k m u (1 lsl j) in
                  List.exists
                    (fun (b : Ball_packing.ball) ->
-                     List.exists (fun x -> Ball_packing.mem_ball b x) mine)
+                     List.exists (fun x -> Array.mem x b.members) mine)
                    (Ball_packing.balls lv)))
         packs)
 
@@ -220,11 +201,9 @@ let suite =
     Alcotest.test_case "balls disjoint" `Quick test_packing_disjoint;
     Alcotest.test_case "packing property 2" `Quick test_packing_property2;
     Alcotest.test_case "scale-0 packing" `Quick test_packing_level0;
-    Alcotest.test_case "center lookup" `Quick test_packing_center_lookup;
     Alcotest.test_case "voronoi partition" `Quick test_voronoi_partition;
     Alcotest.test_case "voronoi tree edges" `Quick
       test_voronoi_tree_edges_are_graph_edges;
-    Alcotest.test_case "voronoi distances" `Quick test_voronoi_distances;
     prop_packing_maximal;
     prop_packing_reference_greedy;
     prop_voronoi_prefix_closed ]

@@ -13,7 +13,7 @@ module Net_election = Cr_proto.Net_election
 
 let test_network_delivery_delay () =
   (* a token relayed along a weighted path arrives at the sum of weights *)
-  let g = Graph.of_edges 3 [ (0, 1, 2.5); (1, 2, 4.0) ] in
+  let g = graph_of_edges 3 [ (0, 1, 2.5); (1, 2, 4.0) ] in
   let net = Network.create g ~init:(fun _ -> nan) in
   let handler (actions : int Network.actions) ~self state _hops =
     if self < 2 then actions.Network.send (self + 1) 0;
@@ -27,7 +27,7 @@ let test_network_delivery_delay () =
   check_float "makespan" 6.5 stats.Network.makespan
 
 let test_network_rejects_non_neighbor () =
-  let g = Graph.of_edges 3 [ (0, 1, 1.0); (1, 2, 1.0) ] in
+  let g = graph_of_edges 3 [ (0, 1, 1.0); (1, 2, 1.0) ] in
   let net = Network.create g ~init:(fun _ -> ()) in
   let handler (actions : unit Network.actions) ~self:_ state () =
     actions.Network.send 2 ();  (* 0 -> 2 is not an edge *)
@@ -42,7 +42,7 @@ let test_network_budget () =
   (* Two nodes bouncing a ball: a run of exactly [max_messages] events
      completes; one more raises the typed error carrying the protocol
      name and the statistics at the point of failure. *)
-  let g = Graph.of_edges 2 [ (0, 1, 1.0) ] in
+  let g = graph_of_edges 2 [ (0, 1, 1.0) ] in
   let bounce sends max_messages =
     let left = ref sends in
     let net = Network.create g ~init:(fun _ -> ()) in
@@ -75,7 +75,7 @@ let test_inject_interleaves_in_flight () =
      the same simulation time as in-flight deliveries is ordered by the
      shared enqueue counter — time first, then send order — not ahead of
      or behind the whole batch. *)
-  let g = Graph.of_edges 2 [ (0, 1, 1.0) ] in
+  let g = graph_of_edges 2 [ (0, 1, 1.0) ] in
   let log = ref [] in
   let net = Network.create g ~init:(fun _ -> ()) in
   let handler (actions : string Network.actions) ~self state msg =
@@ -150,7 +150,7 @@ let prop_delivery_order_is_sorted =
       let* script = list_size (int_range 0 80) (list_size (int_range 0 3) op) in
       return (kicks, script))
     (fun (kicks, script) ->
-      let g = Graph.of_edges 3 [ (0, 1, 1.0); (1, 2, 0.5) ] in
+      let g = graph_of_edges 3 [ (0, 1, 1.0); (1, 2, 0.5) ] in
       let net = Network.create g ~init:(fun _ -> ()) in
       let pending = ref [] and seq = ref 0 and ok = ref true in
       let stamp ~time ~dst =
@@ -222,55 +222,6 @@ let test_delivered_payloads_released () =
   done;
   check_int "payloads still reachable" 0 !kept;
   check_int "network alive, leaves served" 1 (Network.state net leaves)
-
-(* Rounds are floor(delivery time). The histogram must equal a reference
-   built from the handler's own delivery times (Dist_spt arms no timers,
-   so every call is a delivery) on a unit grid, where many deliveries
-   share a round, and on a chain with weights 2^i, where rounds pass
-   2^47: it must be kept per distinct round, never in an array indexed
-   by round. *)
-let spt_rounds g =
-  let times = ref [] and histogram = ref [] in
-  let via =
-    { Network.execute =
-        (fun ?measure g ~protocol ~init ~handler ~kickoff ~max_messages ->
-          let net = Network.create ?measure g ~init in
-          List.iter (fun (dst, msg) -> Network.inject net ~dst msg) kickoff;
-          let handler actions ~self state msg =
-            times := actions.Network.now :: !times;
-            handler actions ~self state msg
-          in
-          let stats = Network.run ~protocol net ~handler ~max_messages in
-          histogram := Network.round_histogram net;
-          (Array.init (Graph.n g) (Network.state net), stats)) }
-  in
-  let result = Dist_spt.run ~via g ~root:0 in
-  let reference =
-    List.fold_left
-      (fun acc time ->
-        let r = int_of_float (Float.floor time) in
-        match List.assoc_opt r acc with
-        | Some c -> (r, c + 1) :: List.remove_assoc r acc
-        | None -> (r, 1) :: acc)
-      [] !times
-    |> List.sort compare
-  in
-  check_int "deliveries" result.Dist_spt.stats.Network.messages
-    (List.length !times);
-  Alcotest.(check (list (pair int int)))
-    "round histogram = floor(delivery time) counts" reference !histogram;
-  (result, !histogram)
-
-let test_round_histogram () =
-  let _, grid = spt_rounds (Metric.graph (grid6 ())) in
-  check_bool "grid rounds repeat" true (List.exists (fun (_, c) -> c > 1) grid);
-  let chain, rounds =
-    spt_rounds (Cr_graphgen.Path_like.exponential_chain ~n:48 ~base:2.0)
-  in
-  check_float "far end at 2^47 - 1" (Float.pow 2.0 47.0 -. 1.0)
-    chain.Dist_spt.dist.(47);
-  (* the last delivery is the far end's offer back across the 2^46 edge *)
-  check_int "last round" ((3 lsl 46) - 1) (fst (List.hd (List.rev rounds)))
 
 let check_spt_matches m root =
   let g = Metric.graph m in
@@ -397,7 +348,7 @@ let test_dist_hierarchy_expo () = check_hierarchy_matches (expo12 ())
 let check_netting_parents_match m =
   let h = Cr_nets.Hierarchy.build m in
   let nt = Cr_nets.Netting_tree.build h in
-  let parents, stats = Cr_proto.Dist_netting.all_parents m in
+  let parents, stats = dist_netting_parents m in
   for i = 0 to Cr_nets.Hierarchy.top_level h - 1 do
     List.iter
       (fun x ->
@@ -540,15 +491,14 @@ let test_dist_packing_tie_free_matches_canonical () =
   let m = geo48 () in
   let g = Metric.graph m in
   let radii = Cr_proto.Dist_radii.run g in
+  let packs = Cr_packing.Ball_packing.build_all m in
   List.iter
     (fun j ->
       let result =
         Cr_proto.Dist_packing.run g
           ~distances:radii.Cr_proto.Dist_radii.distances ~j
       in
-      let centralized =
-        Cr_packing.Ball_packing.centers (Cr_packing.Ball_packing.build_level m ~j)
-      in
+      let centralized = Cr_packing.Ball_packing.centers packs.(j) in
       Alcotest.(check (list int))
         (Printf.sprintf "tie-free canonical match at j=%d" j)
         centralized result.Cr_proto.Dist_packing.accepted)
@@ -657,8 +607,6 @@ let suite =
     prop_delivery_order_is_sorted;
     Alcotest.test_case "delivered payloads are released" `Quick
       test_delivered_payloads_released;
-    Alcotest.test_case "round histogram: grid and 2^i chain" `Quick
-      test_round_histogram;
     Alcotest.test_case "distributed SPT on grid" `Quick test_dist_spt_grid;
     Alcotest.test_case "distributed SPT on holey grid" `Quick
       test_dist_spt_holey;

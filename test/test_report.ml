@@ -113,6 +113,28 @@ let parse_exn s =
   | Ok j -> j
   | Error e -> Alcotest.failf "fixture parse failed: %s" e
 
+(* A path that opens but cannot be read (a directory) and one that does
+   not exist are errors naming the path, not exceptions. *)
+let test_json_unreadable () =
+  let names_path path =
+    match Json.parse_file path with
+    | Ok _ -> false
+    | Error msg -> String.starts_with ~prefix:(path ^ ": ") msg
+  in
+  let dir = Filename.get_temp_dir_name () in
+  check_bool "directory" true (names_path dir);
+  check_bool "missing file" true
+    (names_path (Filename.concat dir "cr-report-no-such-file.json"))
+
+(* A run's manifest is recognized (check skips it); a report is not. *)
+let test_manifest_recognized () =
+  check_bool "manifest" true
+    (Check.is_manifest
+       (parse_exn
+          {|{"schema":1,"kind":"manifest","cr_domains":1,"experiments":["e1"]}|}));
+  check_bool "report" false
+    (Check.is_manifest (parse_exn (Report.to_json (sample_report ()))))
+
 let baseline_json () = parse_exn (Report.to_json (sample_report ()))
 
 let test_diff_identical () =
@@ -275,6 +297,10 @@ let suite =
       test_of_summary_and_snapshot;
     Alcotest.test_case "json parser roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parser errors" `Quick test_json_errors;
+    Alcotest.test_case "json: unreadable paths are named errors" `Quick
+      test_json_unreadable;
+    Alcotest.test_case "check: a run manifest is recognized" `Quick
+      test_manifest_recognized;
     Alcotest.test_case "diff: identical reports" `Quick test_diff_identical;
     Alcotest.test_case "diff: seeded regression trips gate" `Quick
       test_diff_seeded_regression;

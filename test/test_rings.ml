@@ -197,7 +197,7 @@ let prop_rings_brute_force =
                 && e.range_hi = r.Netting_tree.hi
                 && e.next_hop
                    = (if e.member = u then u
-                      else Metric.next_hop m ~src:u ~dst:e.member)
+                      else (Metric.first_hops m ~src:u).(e.member))
               in
               let wire = Rings.levels_of rings u in
               Rings.selected_levels rings u = levels

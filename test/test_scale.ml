@@ -155,7 +155,7 @@ let oracle_cache () =
   check_int "settled" (4 * 36) s.Oracle.settled;
   for v = 0 to 35 do
     check_float "row matches the dense matrix" (Metric.dist m 0 v)
-      (Oracle.dist o 0 v)
+      (Oracle.row o 0).(v)
   done;
   Alcotest.check_raises "budget must be positive"
     (Invalid_argument "Oracle.create: budget must be >= 1") (fun () ->
@@ -175,7 +175,7 @@ let landmark_matches_dense () =
       (Landmark.is_landmark dense v = Landmark_scale.is_landmark lm v);
     check_int "same home" (Landmark.home dense v) (Landmark_scale.home lm v);
     check_int "same table bits"
-      (Landmark.table_bits dense v)
+      ((Landmark.labeled_of dense).Cr_sim.Scheme.l_table_bits v)
       (Landmark_scale.table_bits lm v)
   done;
   let pairs = Eval.sample_pairs ~n ~sources:12 ~per_source:8 ~alpha:0.0

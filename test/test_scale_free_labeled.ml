@@ -24,7 +24,7 @@ let check_all_pairs m t =
       let o = Scheme.route_labeled s ~src ~dst in
       check_bool "cost >= distance" true
         (o.Scheme.cost >= Metric.dist m src dst -. 1e-9))
-    (Workload.all_pairs (Metric.n m))
+    (all_pairs (Metric.n m))
 
 let test_delivery_grid () =
   let m = grid6 () in
@@ -47,7 +47,7 @@ let test_stretch_envelope () =
   let m = grid8 () in
   let t = build m ~epsilon:0.25 in
   let s = Sfl.to_scheme t in
-  let summary = Stats.measure_labeled m s (Workload.all_pairs (Metric.n m)) in
+  let summary = Stats.measure_labeled m s (all_pairs (Metric.n m)) in
   check_bool
     (Printf.sprintf "max stretch %.3f within 1+O(eps) envelope"
        summary.max_stretch)
@@ -129,7 +129,7 @@ let test_observed_walk () =
           cost
           (r.Sfl.ring_cost +. r.Sfl.climb_cost +. r.Sfl.search_cost
          +. r.Sfl.tree_cost))
-    (Workload.all_pairs n);
+    (all_pairs n);
   check_bool
     (Printf.sprintf "%d routes left the ring phase" !left_ring_phase)
     true (!left_ring_phase > 0)

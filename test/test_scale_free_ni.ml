@@ -31,7 +31,7 @@ let check_all_pairs m (t, naming) =
       in
       check_bool "cost >= distance" true
         (o.Scheme.cost >= Metric.dist m src dst -. 1e-9))
-    (Workload.all_pairs (Metric.n m))
+    (all_pairs (Metric.n m))
 
 let test_delivery_grid () =
   let m = grid6 () in
@@ -55,7 +55,7 @@ let test_stretch_envelope () =
   let s = Sfni.to_scheme t in
   let summary =
     Stats.measure_name_independent m s naming
-      (Workload.all_pairs (Metric.n m))
+      (all_pairs (Metric.n m))
   in
   check_bool
     (Printf.sprintf "max stretch %.3f <= 13" summary.max_stretch)
@@ -153,7 +153,7 @@ let test_found_level_and_headers () =
       >= 0)
   done;
   check_bool "headers polylog" true
-    (Sfni.header_bits t <= 20 * Bits.id_bits n * Bits.id_bits n)
+    ((Sfni.to_scheme t).Cr_sim.Scheme.ni_header_bits <= 20 * Bits.id_bits n * Bits.id_bits n)
 
 let prop_delivery_random =
   qcheck_case ~count:8 "scale-free NI: delivery on random graphs and namings"

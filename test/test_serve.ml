@@ -121,7 +121,7 @@ let same_outcome (a : Scheme.outcome) (b : Scheme.outcome) =
 let test_outcomes_all_pairs fname fx () =
   let fx = fx () in
   let n = Metric.n fx.m in
-  let pairs = Workload.all_pairs n @ List.init n (fun v -> (v, v)) in
+  let pairs = all_pairs n @ List.init n (fun v -> (v, v)) in
   List.iter
     (fun (sname, walked, eng) ->
       List.iter
@@ -317,7 +317,7 @@ let check_route_alloc_flat rname route n =
       (fun (src, dst) ->
         let hops, words = route_words route ~src ~dst in
         if hops > 0 then Some (hops, words) else None)
-      (Workload.all_pairs n)
+      (all_pairs n)
   in
   let short_hops, short_words =
     List.fold_left

@@ -8,6 +8,16 @@ module Workload = Cr_sim.Workload
 module Stats = Cr_sim.Stats
 module Scheme = Cr_sim.Scheme
 
+(* The worst-stretch pair of a labeled scheme over [pairs]. *)
+let worst_pair_labeled m (s : Scheme.labeled) pairs =
+  List.fold_left
+    (fun ((_, best) as acc) (src, dst) ->
+      let outcome = Scheme.route_labeled s ~src ~dst in
+      let stretch = outcome.Scheme.cost /. Metric.dist m src dst in
+      if stretch > best then ((src, dst), stretch) else acc)
+    ((-1, -1), neg_infinity)
+    pairs
+
 let test_walker_step () =
   let m = grid6 () in
   let w = Walker.create m ~start:0 ~max_hops:10 in
@@ -35,18 +45,12 @@ let test_walker_budget () =
   Alcotest.check_raises "budget" Walker.Hop_budget_exhausted (fun () ->
       Walker.walk_shortest_path w 35)
 
-let test_walker_teleport_and_charge () =
+let test_walker_teleport () =
   let m = grid6 () in
   let w = Walker.create m ~start:0 ~max_hops:10 in
   Walker.teleport w 20 ~cost:2.5;
   check_int "teleported" 20 (Walker.position w);
-  check_float "teleport cost" 2.5 (Walker.cost w);
-  Walker.charge w 1.5;
-  check_float "charge adds" 4.0 (Walker.cost w);
-  check_int "charge keeps position" 20 (Walker.position w);
-  Alcotest.check_raises "negative charge"
-    (Invalid_argument "Walker.charge: negative cost") (fun () ->
-      Walker.charge w (-1.0))
+  check_float "teleport cost" 2.5 (Walker.cost w)
 
 (* The failure contract: a move onto a failed edge or node raises
    [Blocked] naming the attempted move and leaves the walker as it was;
@@ -100,7 +104,7 @@ let test_walker_step_alloc () =
   check_float "minor words over 10k steps" 0.0 (after -. before)
 
 let test_all_pairs () =
-  let pairs = Workload.all_pairs 5 in
+  let pairs = all_pairs 5 in
   check_int "count" 20 (List.length pairs);
   check_bool "no self pairs" true (List.for_all (fun (u, v) -> u <> v) pairs)
 
@@ -128,7 +132,7 @@ let test_namings () =
   Array.iteri
     (fun v name -> check_int "inverse" v naming.Workload.node_of.(name))
     naming.Workload.name_of;
-  let id = Workload.identity_naming 5 in
+  let id = identity_naming 5 in
   check_int "identity" 3 id.Workload.name_of.(3)
 
 let test_stats_summarize () =
@@ -166,13 +170,13 @@ let test_stats_percentiles () =
 let test_measure_full_table () =
   let m = grid6 () in
   let s = Cr_baselines.Full_table.labeled m in
-  let summary = Stats.measure_labeled m s (Workload.all_pairs 36) in
+  let summary = Stats.measure_labeled m s (all_pairs 36) in
   check_float "stretch exactly 1" 1.0 summary.Stats.max_stretch
 
 let test_worst_pair () =
   let m = ring16 () in
   let s = Cr_baselines.Spanning_tree.labeled m ~root:0 in
-  let (u, v), stretch = Stats.worst_pair_labeled m s (Workload.all_pairs 16) in
+  let (u, v), stretch = worst_pair_labeled m s (all_pairs 16) in
   (* the worst ring pair is the tree cut: neighbors 7-8 or 8-9 routed the
      long way round (the SPT from 0 splits antipodally) *)
   check_bool "worst stretch large" true (stretch >= 15.0);
@@ -201,8 +205,7 @@ let suite =
     Alcotest.test_case "walker shortest path" `Quick
       test_walker_shortest_path;
     Alcotest.test_case "walker budget" `Quick test_walker_budget;
-    Alcotest.test_case "walker teleport/charge" `Quick
-      test_walker_teleport_and_charge;
+    Alcotest.test_case "walker teleport" `Quick test_walker_teleport;
     Alcotest.test_case "walker failure contract" `Quick test_walker_blocked;
     Alcotest.test_case "walker step allocates nothing" `Quick
       test_walker_step_alloc;

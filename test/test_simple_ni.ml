@@ -34,7 +34,7 @@ let check_all_pairs m (t, naming) =
       in
       check_bool "cost >= distance" true
         (o.Scheme.cost >= Metric.dist m src dst -. 1e-9))
-    (Workload.all_pairs (Metric.n m))
+    (all_pairs (Metric.n m))
 
 let test_delivery_grid () =
   let m = grid6 () in
@@ -54,7 +54,7 @@ let test_stretch_envelope () =
   let s = Simple_ni.to_scheme t in
   let summary =
     Stats.measure_name_independent m s naming
-      (Workload.all_pairs (Metric.n m))
+      (all_pairs (Metric.n m))
   in
   (* Lemma 3.4's constant at eps_eff = 0.4 is 1 + 8(1/e+1)/(1/e-2) = 57;
      measured behaviour sits near the asymptotic 9. *)
@@ -66,7 +66,7 @@ let test_identity_naming () =
   (* The scheme must not depend on names being random. *)
   let m = grid6 () in
   let nt = nt_of m in
-  let naming = Workload.identity_naming (Metric.n m) in
+  let naming = identity_naming (Metric.n m) in
   let hl = Hier_labeled.build nt ~epsilon:0.5 in
   let t =
     Simple_ni.build nt ~epsilon:0.5 ~naming
@@ -124,7 +124,7 @@ let test_table_bits_include_underlying () =
   in
   for v = 0 to Metric.n m - 1 do
     check_bool "NI table exceeds underlying table" true
-      (Simple_ni.table_bits t v > Hier_labeled.table_bits hl v)
+      (Simple_ni.table_bits t v > (Hier_labeled.to_scheme hl).Cr_sim.Scheme.l_table_bits v)
   done
 
 let prop_delivery_random =
@@ -193,7 +193,7 @@ let test_min_level_relaxation () =
         Simple_ni.found_level full ~src
           ~dest_name:naming.Workload.name_of.(dst)
         >= 3)
-      (Workload.all_pairs (Metric.n m))
+      (all_pairs (Metric.n m))
   in
   let cost t (src, dst) =
     ((Simple_ni.to_scheme t).Cr_sim.Scheme.route_to_name ~src

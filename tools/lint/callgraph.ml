@@ -8,8 +8,11 @@
    Name resolution follows dune's wrapped-library mangling: a value
    reached as [Cr_core.Rings.next_hop] (through the generated wrapper
    alias) and as [Cr_core__Rings.next_hop] (directly) are the same
-   definition; local [module M = Other.Mod] aliases are substituted
-   before mangling. *)
+   definition; local [module M = Other.Mod] aliases (structure-level or
+   [let module]) are substituted before mangling, and another unit's
+   top-level alias reached through its path (or an [open]) is followed.
+   Units are keyed by source path, since every executable's units share
+   dune's [Dune__exe__] prefix. *)
 
 open Typedtree
 
@@ -27,11 +30,14 @@ type def = {
 type t = {
   units : Cmt_index.unit_info list;
   defs : def list;  (* deterministic: unit order, then source order *)
-  by_stamp : (string * string, def) Hashtbl.t;  (* (unit modname, stamp) *)
+  by_stamp : (string * string, def) Hashtbl.t;  (* (unit source, stamp) *)
   by_qual : (string, def) Hashtbl.t;  (* "Unit.path.to.value", top-level *)
   unit_names : (string, unit) Hashtbl.t;
   aliases : (string * string, string list) Hashtbl.t;
-      (* (unit modname, module ident stamp) -> substituted target parts *)
+      (* (unit source, module ident stamp) -> substituted target parts *)
+  top_aliases : (string * string, string * string list) Hashtbl.t;
+      (* (unit modname, alias name) -> (unit source, target parts): the
+         top-level aliases another unit reaches through the unit's path *)
 }
 
 type callee =
@@ -67,44 +73,56 @@ let register t acc ~unit_info ~prefix ~toplevel vb =
         d_loc = vb.vb_loc;
         d_toplevel = toplevel }
     in
-    Hashtbl.replace t.by_stamp (unit_info.Cmt_index.modname, Tast_util.stamp id) def;
+    Hashtbl.replace t.by_stamp (unit_info.Cmt_index.source, Tast_util.stamp id) def;
     if toplevel then Hashtbl.replace t.by_qual qual def;
     acc := def :: !acc
   | _ -> ()
 
-(* Substitute a leading local module alias, if the path starts with one. *)
-let substitute t modname parts =
-  match parts with
-  | head :: rest -> (
-    (* find the alias by name: stamps for module idents are recorded at
-       registration; resolve by scanning this unit's aliases *)
-    let found = ref None in
-    Hashtbl.iter
-      (fun (m, _) target ->
-        match !found with
-        | Some _ -> ()
-        | None ->
-          if String.equal m modname then
-            match target with
-            | alias_name :: _ when String.equal alias_name ("alias:" ^ head) ->
-              found := Some (List.tl target)
-            | _ -> ())
-      t.aliases;
-    match !found with Some target -> target @ rest | None -> parts)
-  | [] -> parts
+(* Substitute a leading local module alias: the path's head ident is the
+   alias's own binding (same stamp), so shadowed and nested aliases of
+   the same name never mix. *)
+let substitute t (unit_info : Cmt_index.unit_info) path =
+  let rec head = function
+    | Path.Pident id -> Some id
+    | Path.Pdot (p, _) | Path.Pextra_ty (p, _) -> head p
+    | Path.Papply _ -> None
+  in
+  let parts = Tast_util.path_parts path in
+  match head path with
+  | None -> parts
+  | Some id -> (
+    match
+      Hashtbl.find_opt t.aliases
+        (unit_info.Cmt_index.source, Tast_util.stamp id)
+    with
+    | Some target -> target @ List.tl parts
+    | None -> parts)
 
-let register_alias t ~unit_info id target_parts =
-  (* store the alias under a name-tagged head so [substitute] can match
-     by source name without threading ident stamps through Path.t *)
+let register_alias t ~unit_info ~toplevel id target_parts =
   Hashtbl.replace t.aliases
-    (unit_info.Cmt_index.modname, Tast_util.stamp id)
-    (("alias:" ^ Ident.name id) :: target_parts)
+    (unit_info.Cmt_index.source, Tast_util.stamp id)
+    target_parts;
+  if toplevel then
+    Hashtbl.add t.top_aliases
+      (unit_info.Cmt_index.modname, Ident.name id)
+      (unit_info.Cmt_index.source, target_parts)
 
 (* Walk one unit's structure, registering defs and module aliases. *)
 let index_unit t acc unit_info =
   let rec walk_expr prefix e =
     let it =
       { Tast_iterator.default_iterator with
+        expr =
+          (fun it e ->
+            (match e.exp_desc with
+            | Texp_letmodule (Some id, _, _, me, _) -> (
+              match Tast_util.strip_constraint me with
+              | Tmod_ident (path, _) ->
+                register_alias t ~unit_info ~toplevel:false id
+                  (substitute t unit_info path)
+              | _ -> ())
+            | _ -> ());
+            Tast_iterator.default_iterator.expr it e);
         value_binding =
           (fun it vb ->
             (match vb.vb_pat.pat_desc with
@@ -143,17 +161,10 @@ let index_unit t acc unit_info =
     match mb.mb_id with
     | None -> ()
     | Some id -> (
-      let rec strip me =
-        match me.mod_desc with
-        | Tmod_constraint (inner, _, _, _) -> strip inner
-        | d -> d
-      in
-      match strip mb.mb_expr with
+      match Tast_util.strip_constraint mb.mb_expr with
       | Tmod_ident (path, _) ->
-        let parts =
-          substitute t unit_info.Cmt_index.modname (Tast_util.path_parts path)
-        in
-        register_alias t ~unit_info id parts
+        register_alias t ~unit_info ~toplevel:(prefix = []) id
+          (substitute t unit_info path)
       | Tmod_structure s ->
         walk_items (Ident.name id :: prefix) s.str_items
       | _ -> ())
@@ -167,7 +178,8 @@ let build units =
       by_stamp = Hashtbl.create 256;
       by_qual = Hashtbl.create 256;
       unit_names = Hashtbl.create 64;
-      aliases = Hashtbl.create 64 }
+      aliases = Hashtbl.create 64;
+      top_aliases = Hashtbl.create 64 }
   in
   List.iter
     (fun u -> Hashtbl.replace t.unit_names u.Cmt_index.modname ())
@@ -184,64 +196,72 @@ let rec take n l =
 let rec drop n l =
   if n <= 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
 
-(* Try to interpret [parts] (module path + value name) as a definition in
-   one of the loaded units, honouring dune's [Lib.Module] ->
-   [Lib__Module] mangling at any split point. *)
-let lookup_parts t parts =
-  match List.rev parts with
-  | [] -> None
-  | value :: rev_modpath ->
-    let modpath = List.rev rev_modpath in
-    let n = List.length modpath in
-    let rec try_split k =
-      if k = 0 then None
-      else
-        let unit_name = String.concat "__" (take k modpath) in
-        if Hashtbl.mem t.unit_names unit_name then
-          let qual =
-            String.concat "." ((unit_name :: drop k modpath) @ [ value ])
-          in
-          match Hashtbl.find_opt t.by_qual qual with
-          | Some d -> Some d
-          | None -> try_split (k - 1)
-        else try_split (k - 1)
+(* The longest prefix of [parts] (leaving at least [keep] components)
+   that names a loaded unit once joined with dune's "__", and the rest;
+   a top-level alias of that unit (reached through [open] or the unit's
+   path) is followed. Executables' units share the [Dune__exe] prefix,
+   so an alias in the user's own directory wins. *)
+let rec split_unit t ~keep ~dir ?(hops = 4) parts =
+  let rec try_split k =
+    if k = 0 then None
+    else
+      let unit_name = String.concat "__" (take k parts) in
+      if Hashtbl.mem t.unit_names unit_name then
+        Some (unit_name :: drop k parts)
+      else try_split (k - 1)
+  in
+  match try_split (List.length parts - keep) with
+  | Some (unit_name :: alias :: rest) as found when hops > 0 -> (
+    let candidates = Hashtbl.find_all t.top_aliases (unit_name, alias) in
+    let local =
+      List.find_opt
+        (fun (src, _) -> String.equal (Filename.dirname src) dir)
+        candidates
     in
-    try_split n
+    match (local, candidates) with
+    | Some (_, target), _ | None, (_, target) :: _ -> (
+      match split_unit t ~keep ~dir ~hops:(hops - 1) (target @ rest) with
+      | None -> found
+      | resolved -> resolved)
+    | None, [] -> found)
+  | found -> found
+
+(* [path] as seen from [unit_info]: its local aliases substituted, then
+   split at the unit it names, if any. *)
+let split t ~keep (unit_info : Cmt_index.unit_info) path =
+  let parts = substitute t unit_info path in
+  let dir = Filename.dirname unit_info.Cmt_index.source in
+  (parts, split_unit t ~keep ~dir parts)
 
 let resolve t (unit_info : Cmt_index.unit_info) path =
-  let modname = unit_info.Cmt_index.modname in
   match path with
   | Path.Pident id -> (
-    match Hashtbl.find_opt t.by_stamp (modname, Tast_util.stamp id) with
+    match
+      Hashtbl.find_opt t.by_stamp
+        (unit_info.Cmt_index.source, Tast_util.stamp id)
+    with
     | Some d -> Def d
     | None -> Local (Ident.name id))
   | _ -> (
-    let parts = substitute t modname (Tast_util.path_parts path) in
-    match lookup_parts t parts with
+    let parts, unit_parts = split t ~keep:1 unit_info path in
+    match
+      Option.bind unit_parts (fun q ->
+          Hashtbl.find_opt t.by_qual (String.concat "." q))
+    with
     | Some d -> Def d
     | None -> External parts)
 
-(* Normalize a type path to "Unit.type" when it names a type declared in
-   a loaded unit, else a plain dotted string. Shares the value mangling
-   rules: used by the wire-exhaustiveness rule to match declarations
-   against use sites. *)
-let type_key t (unit_info : Cmt_index.unit_info) path =
-  let modname = unit_info.Cmt_index.modname in
+let qualify_parts t ~keep unit_info path =
+  let parts, unit_parts = split t ~keep unit_info path in
+  String.concat "." (Option.value unit_parts ~default:parts)
+
+(* Normalize a type or value path to "Unit.path.name" when it names
+   something in a loaded unit, else a plain dotted string: the key the
+   wire-exhaustiveness rule matches type declarations against use sites
+   with, and dead-export matches [val]s against references with. *)
+let qualify t (unit_info : Cmt_index.unit_info) path =
   match path with
-  | Path.Pident id -> modname ^ "." ^ Ident.name id
-  | _ -> (
-    let parts = substitute t modname (Tast_util.path_parts path) in
-    match List.rev parts with
-    | [] -> ""
-    | value :: rev_modpath ->
-      let modpath = List.rev rev_modpath in
-      let n = List.length modpath in
-      let rec try_split k =
-        if k = 0 then String.concat "." parts
-        else
-          let unit_name = String.concat "__" (take k modpath) in
-          if Hashtbl.mem t.unit_names unit_name then
-            String.concat "." ((unit_name :: drop k modpath) @ [ value ])
-          else try_split (k - 1)
-      in
-      try_split n)
+  | Path.Pident id -> unit_info.Cmt_index.modname ^ "." ^ Ident.name id
+  | _ -> qualify_parts t ~keep:1 unit_info path
+
+let qualify_module t unit_info path = qualify_parts t ~keep:0 unit_info path

@@ -2,7 +2,8 @@
     binding (top-level, nested-module, and local) indexed so call sites
     can be resolved across module boundaries, honouring dune's wrapped
     library mangling ([Cr_core.Rings] = [Cr_core__Rings]) and local
-    [module M = ...] aliases. *)
+    [module M = ...] aliases. Units are keyed by source path: the
+    executables' units share dune's [Dune__exe__] prefix. *)
 
 type def = {
   d_unit : Cmt_index.unit_info;
@@ -22,6 +23,7 @@ type t = {
   by_qual : (string, def) Hashtbl.t;
   unit_names : (string, unit) Hashtbl.t;
   aliases : (string * string, string list) Hashtbl.t;
+  top_aliases : (string * string, string * string list) Hashtbl.t;
 }
 
 type callee =
@@ -34,7 +36,12 @@ val build : Cmt_index.unit_info list -> t
 val resolve : t -> Cmt_index.unit_info -> Path.t -> callee
 (** Resolve a call-site path seen from inside [unit_info]. *)
 
-val type_key : t -> Cmt_index.unit_info -> Path.t -> string
-(** Normalize a type path to ["Unit.type"] when it names a type declared
-    in a loaded unit — the key the wire-exhaustiveness rule matches
-    declarations against use sites with. *)
+val qualify : t -> Cmt_index.unit_info -> Path.t -> string
+(** Normalize a type or value path to ["Unit.path.name"] when it names
+    something in a loaded unit — the key the wire-exhaustiveness rule
+    matches type declarations against use sites with, and dead-export
+    matches [val]s against references with. *)
+
+val qualify_module : t -> Cmt_index.unit_info -> Path.t -> string
+(** [qualify] for a module path: ["Cr_nets.Net_levels"] and a local
+    alias of it both give ["Cr_nets__Net_levels"]. *)

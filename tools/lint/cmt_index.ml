@@ -1,11 +1,12 @@
 (* Discovery and loading of the typed trees the second lint tier runs on.
 
-   Dune emits a .cmt per compiled module under
-   [<dir>/.<lib>.objs/byte/<mangled>.cmt]; this module walks the build
-   tree under the given workspace-relative paths (inside _build when
-   cr_lint runs from a dune action, which is why the @lint alias depends
-   on @check — the trees are never stale), unmarshals each
-   implementation cmt, and pairs it with its workspace-relative source
+   Dune emits a .cmt (and, for a module with an .mli, a .cmti) per
+   compiled module under [<dir>/.<lib>.objs/byte/<mangled>.cmt] for a
+   library and under [<dir>/.<exe>.eobjs/byte/] for executables; this
+   module walks the build tree under the given workspace-relative paths
+   (inside _build when cr_lint runs from a dune action, which is why the
+   @lint alias depends on @check — the trees are never stale),
+   unmarshals each tree, and pairs it with its workspace-relative source
    path so diagnostics and suppressions attach to real files. *)
 
 type unit_info = {
@@ -14,15 +15,22 @@ type unit_info = {
   structure : Typedtree.structure;
 }
 
+type intf_info = {
+  i_modname : string;
+  i_source : string;  (* workspace-relative, e.g. "lib/serve/engine.mli" *)
+  signature : Typedtree.signature;
+}
+
 let is_objs_dir name =
   String.length name > 0
   && name.[0] = '.'
-  && Filename.check_suffix name ".objs"
+  && (Filename.check_suffix name ".objs" || Filename.check_suffix name ".eobjs")
 
-(* Collect .cmt files: ordinary directory recursion, plus a descent into
-   .<lib>.objs/byte (hidden directories are otherwise skipped, matching
-   the source scanner in Engine). *)
-let rec collect_cmts root rel acc =
+(* Collect the files with extension [ext]: ordinary directory recursion,
+   plus a descent into .<lib>.objs/byte and .<exe>.eobjs/byte (hidden
+   directories are otherwise skipped, matching the source scanner in
+   Engine). *)
+let rec collect ext root rel acc =
   let abs = Filename.concat root rel in
   if (not (Sys.file_exists abs)) || not (Sys.is_directory abs) then acc
   else
@@ -39,14 +47,14 @@ let rec collect_cmts root rel acc =
                |> List.sort String.compare
                |> List.fold_left
                     (fun acc f ->
-                      if Filename.check_suffix f ".cmt" then
+                      if Filename.check_suffix f ext then
                         (byte ^ "/" ^ f) :: acc
                       else acc)
                     acc
              else acc
            else if String.length name > 0 && (name.[0] = '.' || name.[0] = '_')
            then acc
-           else collect_cmts root sub acc)
+           else collect ext root sub acc)
          acc
 
 (* The generated library wrapper ("cr_serve.ml-gen") has no on-disk
@@ -66,10 +74,25 @@ let load_one root rel_cmt =
       | _ -> None)
     | _ -> None)
 
+let collect_all ext root paths =
+  List.concat_map (fun p -> List.rev (collect ext root p [])) paths
+  |> List.sort_uniq String.compare
+
 let load ~root paths =
-  let cmts =
-    List.concat_map (fun p -> List.rev (collect_cmts root p [])) paths
-    |> List.sort_uniq String.compare
-  in
-  List.filter_map (load_one root) cmts
-  |> List.sort (fun a b -> String.compare a.modname b.modname)
+  List.filter_map (load_one root) (collect_all ".cmt" root paths)
+  |> List.sort (fun a b -> String.compare a.source b.source)
+
+let load_interface root rel_cmti =
+  match Cmt_format.read_cmt (Filename.concat root rel_cmti) with
+  | exception _ -> None
+  | infos -> (
+    match (infos.Cmt_format.cmt_annots, infos.Cmt_format.cmt_sourcefile) with
+    | Cmt_format.Interface signature, Some src
+      when Filename.check_suffix src ".mli"
+           && Sys.file_exists (Filename.concat root src) ->
+      Some { i_modname = infos.Cmt_format.cmt_modname; i_source = src; signature }
+    | _ -> None)
+
+let load_interfaces ~root paths =
+  List.filter_map (load_interface root) (collect_all ".cmti" root paths)
+  |> List.sort (fun a b -> String.compare a.i_source b.i_source)

@@ -7,7 +7,9 @@
    (workspace-relative to --root) and runs the per-file contract rules;
    with --typed, the typed tier additionally loads the .cmt trees dune
    left under the same paths, builds a call graph, and runs the
-   interprocedural rules (zero-alloc, domain-escape, wire-exhaustive).
+   interprocedural rules (zero-alloc, domain-escape, wire-exhaustive)
+   and dead-export, which also reads the trees of examples/, perfbench/
+   and test/ and reports at the .mli.
    Both tiers honour inline `(* cr_lint: allow <rule> -- <reason> *)`
    suppressions, each adjudicating staleness for its own rules only.
    Diagnostics merge into one (file, line, col, rule)-sorted stream;
@@ -44,7 +46,7 @@ let () =
       ( "--typed",
         Arg.Set typed,
         " also run the typed (.cmt) tier: zero-alloc, domain-escape, \
-         wire-exhaustive" );
+         wire-exhaustive, dead-export" );
       ( "--format",
         Arg.Symbol ([ "human"; "json" ], fun f -> format := f),
         " output format (default human)" );

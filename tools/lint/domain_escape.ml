@@ -177,7 +177,7 @@ let param_slots body =
 type summaries = (string, (int, string) Hashtbl.t) Hashtbl.t
 
 let def_key (d : Callgraph.def) =
-  d.Callgraph.d_unit.Cmt_index.modname ^ "#" ^ Tast_util.stamp d.d_id
+  d.Callgraph.d_unit.Cmt_index.source ^ "#" ^ Tast_util.stamp d.d_id
 
 (* Map application arguments onto the callee's parameter indices:
    labelled arguments are positional here (this code base applies

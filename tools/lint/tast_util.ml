@@ -48,6 +48,11 @@ let attr_string_payload (a : Parsetree.attribute) =
 
 (* {2 Patterns} *)
 
+let rec strip_constraint me =
+  match me.mod_desc with
+  | Tmod_constraint (inner, _, _, _) -> strip_constraint inner
+  | d -> d
+
 let pattern_idents : type k. k general_pattern -> Ident.t list =
  fun pat ->
   let acc = ref [] in

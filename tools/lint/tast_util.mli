@@ -23,6 +23,9 @@ val attr_string_payload : Parsetree.attribute -> string option
 (** The single-string payload of [[@attr "reason"]], if that is the
     attribute's exact shape. *)
 
+val strip_constraint : Typedtree.module_expr -> Typedtree.module_expr_desc
+(** The module expression under any [: S] constraints. *)
+
 val pattern_idents : 'k Typedtree.general_pattern -> Ident.t list
 (** Every ident bound by the pattern ([Tpat_var] and [Tpat_alias]). *)
 

@@ -18,7 +18,7 @@ module A = Ast_util
 
 let id = "trace-guard"
 
-let trace_fns = [ "emit"; "counter"; "mark"; "hop"; "message" ]
+let trace_fns = [ "emit"; "counter"; "hop"; "message" ]
 let metrics_fns = [ "inc"; "set"; "observe" ]
 let cost_fns = [ "record"; "emit" ]
 let live_fns = [ "record"; "record_edge"; "tick" ]

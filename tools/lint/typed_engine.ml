@@ -3,10 +3,11 @@
    then apply the same inline-suppression protocol as the syntactic
    tier — scoped to the rules this tier owns, so the two tiers never
    fight over whose suppressions are stale (Engine reports malformed
-   comments and unknown rule names; each tier reports unused
-   suppressions of its own rules only). *)
+   comments and unknown rule names in an .ml, this tier in an .mli;
+   each tier reports unused suppressions of its own rules only). *)
 
-let all_rules = [ Zero_alloc.rule; Domain_escape.rule; Wire_exhaustive.rule ]
+let all_rules =
+  [ Zero_alloc.rule; Domain_escape.rule; Wire_exhaustive.rule; Dead_export.rule ]
 let rule_ids = List.map (fun r -> r.Typed_rule.id) all_rules
 
 type report = {
@@ -17,14 +18,22 @@ type report = {
 let run ?(rules = all_rules) ?(known_rules = rule_ids) ~root paths =
   let units = Cmt_index.load ~root paths in
   let graph = Callgraph.build units in
-  let input = { Typed_rule.units; graph } in
+  let input = { Typed_rule.root; units; graph } in
   let raw = List.concat_map (fun r -> r.Typed_rule.check input) rules in
   let own_rules = List.map (fun r -> r.Typed_rule.id) rules in
   (* Suppressions are applied per source file — including files with no
      diagnostics, where a typed-rule suppression is by definition
-     unused and must be reported before it rots. *)
+     unused and must be reported before it rots. An .mli is read by no
+     other tier, so its malformed and unknown-rule suppressions are
+     reported here. *)
   let sources =
-    List.map (fun (u : Cmt_index.unit_info) -> u.Cmt_index.source) units
+    List.concat_map
+      (fun (u : Cmt_index.unit_info) ->
+        let mli = Filename.remove_extension u.Cmt_index.source ^ ".mli" in
+        if Sys.file_exists (Filename.concat root mli) then
+          [ u.Cmt_index.source; mli ]
+        else [ u.Cmt_index.source ])
+      units
     |> List.sort_uniq String.compare
   in
   let diagnostics =
@@ -36,9 +45,10 @@ let run ?(rules = all_rules) ?(known_rules = rule_ids) ~root paths =
         match Source.read_file (Filename.concat root src) with
         | exception Sys_error _ -> file_diags
         | text ->
-          let suppressions, _malformed = Source.scan text in
+          let suppressions, malformed = Source.scan text in
+          let report_malformed = Filename.check_suffix src ".mli" in
           Engine.apply_suppressions ~rel:src ~own_rules ~known_rules
-            ~report_malformed:false suppressions [] file_diags)
+            ~report_malformed suppressions malformed file_diags)
       sources
   in
   { diagnostics = List.sort Rule.compare_diag diagnostics;

@@ -5,8 +5,9 @@
     whole-program. *)
 
 type input = {
-  units : Cmt_index.unit_info list;
-  graph : Callgraph.t;
+  root : string;  (** the build context the trees were loaded from *)
+  units : Cmt_index.unit_info list;  (** the linted paths' units *)
+  graph : Callgraph.t;  (** over [units] *)
 }
 
 type t = {

@@ -50,7 +50,7 @@ let pushes_tag graph (uinfo : Cmt_index.unit_info) expr =
                match Callgraph.resolve graph uinfo path with
                | Callgraph.Def d ->
                  let key =
-                   d.Callgraph.d_unit.Cmt_index.modname ^ "#"
+                   d.Callgraph.d_unit.Cmt_index.source ^ "#"
                    ^ Tast_util.stamp d.d_id
                  in
                  (not (Hashtbl.mem visited key))
@@ -69,7 +69,7 @@ let pushes_tag graph (uinfo : Cmt_index.unit_info) expr =
 let key_of_type graph uinfo ty =
   match Types.get_desc ty with
   | Types.Tconstr (p, _, _) ->
-    let k = Callgraph.type_key graph uinfo p in
+    let k = Callgraph.qualify graph uinfo p in
     if String.equal k "" then None else Some k
   | _ -> None
 
@@ -80,7 +80,7 @@ type decl_info = {
   dc_ctors : string list;
 }
 
-(* All variant declarations, keyed like Callgraph.type_key resolves use
+(* All variant declarations, keyed like Callgraph.qualify resolves use
    sites ("Unit.t", "Unit.M.t"). *)
 let collect_decls units =
   let decls = Hashtbl.create 32 in

@@ -89,7 +89,7 @@ type mode =
   | Count of int ref
 
 let visit_key (d : Callgraph.def) =
-  d.Callgraph.d_unit.Cmt_index.modname ^ "#" ^ Tast_util.stamp d.d_id
+  d.Callgraph.d_unit.Cmt_index.source ^ "#" ^ Tast_util.stamp d.d_id
 
 let chain_string chain =
   String.concat " -> "

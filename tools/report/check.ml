@@ -344,6 +344,11 @@ let check_report ?(epsilon = 0.5) report =
   | Some (Json.Arr rows) -> List.concat_map (check_row ~epsilon) rows
   | _ -> [ { ok = false; path = "rows"; message = "no rows: not a report file" } ]
 
+let is_manifest j =
+  match Json.member "kind" j with
+  | Some (Json.Str "manifest") -> true
+  | _ -> false
+
 let all_ok findings = List.for_all (fun f -> f.ok) findings
 
 let render_human findings =

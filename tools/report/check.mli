@@ -31,6 +31,11 @@ type finding = {
     ([epsilon] defaults to 0.5, the harness default). *)
 val check_report : ?epsilon:float -> Json.t -> finding list
 
+(** [is_manifest j] is true for a run's [BENCH_manifest.json]
+    (["kind":"manifest"]): it records the run, has no rows, and is not
+    checked. *)
+val is_manifest : Json.t -> bool
+
 val all_ok : finding list -> bool
 
 (** One line per finding, [ok]/[VIOLATION]-prefixed, deterministic. *)

@@ -11,10 +11,11 @@
    (default +50%; --ignore-timings drops them, the right mode against a
    committed baseline from another host). `check` validates reports
    against the paper's bound formulas (stretch ceilings, optimal label
-   size, table-bit growth, un-exercised fallback).
+   size, table-bit growth, un-exercised fallback); it skips a run's
+   BENCH_manifest.json, so `check DIR/BENCH_*.json` checks every report.
 
-   Exit codes: 0 clean, 1 regression / bound violation, 2 usage or parse
-   errors. *)
+   Exit codes: 0 clean, 1 regression / bound violation, 2 usage errors
+   and files that cannot be read or parsed. *)
 
 open Cr_report_lib
 
@@ -95,17 +96,29 @@ let run_check args =
   match parse [] args with
   | [] -> die_usage ()
   | paths ->
-    let bad = ref 0 in
+    let bad = ref 0 and skipped = ref 0 in
     List.iter
       (fun path ->
-        let findings = Check.check_report ~epsilon:!epsilon (parse_json path) in
-        Printf.printf "== %s ==\n%s" path (Check.render_human findings);
-        if not (Check.all_ok findings) then incr bad)
+        let report = parse_json path in
+        if Check.is_manifest report then begin
+          Printf.printf "== %s ==\nskipped: a run manifest, not a report\n"
+            path;
+          incr skipped
+        end
+        else begin
+          let findings = Check.check_report ~epsilon:!epsilon report in
+          Printf.printf "== %s ==\n%s" path (Check.render_human findings);
+          if not (Check.all_ok findings) then incr bad
+        end)
       paths;
-    Printf.eprintf "cr_report: checked %d report%s, %d with violations\n"
-      (List.length paths)
-      (if List.length paths = 1 then "" else "s")
-      !bad;
+    let checked = List.length paths - !skipped in
+    Printf.eprintf
+      "cr_report: checked %d report%s, %d with violations, %d manifest%s \
+       skipped\n"
+      checked
+      (if checked = 1 then "" else "s")
+      !bad !skipped
+      (if !skipped = 1 then "" else "s");
     exit (if !bad > 0 then 1 else 0)
 
 let () =

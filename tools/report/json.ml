@@ -168,14 +168,16 @@ let parse s =
   | exception Fail (at, msg) ->
     Error (Printf.sprintf "JSON error at offset %d: %s" at msg)
 
+(* Every failure names [path]: the open error already does, a failed
+   read (of a directory, say) does not. *)
 let parse_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    (match parse contents with
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg ->
+    Error
+      (if String.starts_with ~prefix:path msg then msg
+       else Printf.sprintf "%s: %s" path msg)
+  | contents -> (
+    match parse contents with
     | Ok v -> Ok v
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
 

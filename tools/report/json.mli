@@ -17,7 +17,8 @@ type t =
 (** [parse s] parses one JSON value ([Error msg] carries an offset). *)
 val parse : string -> (t, string) result
 
-(** [parse_file path] reads and parses [path]. *)
+(** [parse_file path] reads and parses [path]. A file that cannot be
+    opened or read is an [Error] naming [path], like a parse error. *)
 val parse_file : string -> (t, string) result
 
 (** [member k j] is field [k] of object [j], if present. *)

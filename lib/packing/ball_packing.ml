@@ -11,7 +11,6 @@ type level = {
   j : int;
   balls : ball list;
   covering : ball array;  (* covering.(u) = Property-2 witness for u *)
-  by_center : ball option array;
 }
 
 let candidate m j u =
@@ -39,7 +38,6 @@ let build_level m ~j =
     order;
   let container = Array.make n None in  (* packed ball holding this node *)
   let covering = Array.make n None in
-  let by_center = Array.make n None in
   let balls = ref [] in
   Array.iter
     (fun u ->
@@ -53,7 +51,6 @@ let build_level m ~j =
       match clash with
       | None ->
         balls := b :: !balls;
-        by_center.(u) <- Some b;
         Array.iter (fun v -> container.(v) <- Some b) b.members;
         covering.(u) <- Some b
       | Some w -> covering.(u) <- Some w)
@@ -61,7 +58,7 @@ let build_level m ~j =
   let covering =
     Array.map (function Some b -> b | None -> assert false) covering
   in
-  { j; balls = List.rev !balls; covering; by_center }
+  { j; balls = List.rev !balls; covering }
 
 let build_all m =
   let n = Metric.n m in

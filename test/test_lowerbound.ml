@@ -18,6 +18,39 @@ let test_construction_size () =
       check_bool "connected" true (Graph.is_connected g))
     [ (64, 3, 2); (128, 4, 3); (256, 4, 3); (100, 2, 2) ]
 
+(* w_(i,j) = 2^i (q + j) is the weight of the one edge joining the root
+   to the middle node of T_(i,j). *)
+let root_edge c ~i ~j =
+  match Construction.path_nodes c ~i ~j with
+  | [] -> None
+  | ids ->
+    let middle = List.nth ids (List.length ids / 2) in
+    Graph.edge_weight (Construction.graph c) 0 middle
+
+let test_branch_weights () =
+  let c = Construction.build ~n:128 ~p:4 ~q:3 in
+  let p = Construction.p c and q = Construction.q c in
+  let branches = ref 0 in
+  for i = 0 to p - 1 do
+    for j = 0 to q - 1 do
+      match root_edge c ~i ~j with
+      | None ->
+        check_bool "only an empty path has no root edge" true
+          (Construction.path_nodes c ~i ~j = [])
+      | Some w ->
+        incr branches;
+        check_float
+          (Printf.sprintf "w_%d%d = 2^i (q + j)" i j)
+          (Float.pow 2.0 (float_of_int i) *. float_of_int (q + j))
+          w
+    done
+  done;
+  check_int "one root edge per non-empty path" !branches
+    (Graph.degree (Construction.graph c) 0);
+  check_float "w_01 = q+1" 4.0 (Option.get (root_edge c ~i:0 ~j:1));
+  check_float "w_20 = 4q" 12.0 (Option.get (root_edge c ~i:2 ~j:0));
+  check_float "w_32 = 8(q+2)" 40.0 (Option.get (root_edge c ~i:3 ~j:2))
+
 let test_paths_partition () =
   let c = Construction.build ~n:256 ~p:4 ~q:3 in
   let seen = Array.make 256 false in
@@ -35,6 +68,24 @@ let test_paths_partition () =
     (fun v covered ->
       check_bool (Printf.sprintf "node %d covered" v) true covered)
     seen
+
+(* The adversary hides the target on the last non-empty path: branch
+   weights grow with k = iq + j by at least 1 while a path spans less than
+   1, so the node farthest from the root lies on that path. *)
+let test_deepest_path () =
+  let c = Construction.build ~n:256 ~p:4 ~q:3 in
+  let deepest = ref [] in
+  for i = 0 to Construction.p c - 1 do
+    for j = 0 to Construction.q c - 1 do
+      let ids = Construction.path_nodes c ~i ~j in
+      if ids <> [] then deepest := ids
+    done
+  done;
+  check_bool "deepest nonempty" true (!deepest <> []);
+  let r = Cr_metric.Dijkstra.run (Construction.graph c) 0 in
+  let far = ref 0 in
+  Array.iteri (fun v d -> if d > r.dist.(!far) then far := v) r.dist;
+  check_bool "farthest node on the deepest path" true (List.mem !far !deepest)
 
 let test_doubling_dimension_bound () =
   (* Lemma 5.8: alpha <= 6 - log2 eps. The greedy estimate is an upper
@@ -72,6 +123,34 @@ let test_log2_factorial () =
   check_bool "log2 6! = log2 720" true
     (Float.abs (Naming.log2_factorial 6 -. Float.log2 720.0) < 1e-9);
   check_float "log2 1!" 0.0 (Naming.log2_factorial 1)
+
+(* Section 5's partition: with c = pq and k = iq + j, |T_(i,j)| =
+   round(n^((k+1)/c)) - round(n^(k/c)) (cumulative rounding), and the
+   root's |V_0| = 1 completes a partition of all n nodes. *)
+let test_partition_sizes () =
+  List.iter
+    (fun (n, p, q) ->
+      let c = Construction.build ~n ~p ~q in
+      let parts = p * q in
+      let boundary k =
+        int_of_float
+          (Float.round
+             (Float.pow (float_of_int n) (float_of_int k /. float_of_int parts)))
+      in
+      let total = ref 1 in
+      for i = 0 to p - 1 do
+        for j = 0 to q - 1 do
+          let k = (i * q) + j in
+          let size = List.length (Construction.path_nodes c ~i ~j) in
+          check_int
+            (Printf.sprintf "|T_(%d,%d)| at n=%d" i j n)
+            (boundary (k + 1) - boundary k)
+            size;
+          total := !total + size
+        done
+      done;
+      check_int "sizes sum to n" n !total)
+    [ (64, 3, 2); (1024, 5, 2); (100, 2, 2) ]
 
 let test_congruent_bound_positive () =
   (* At the Theorem 1.3 table size, congruent families survive every prefix *)
@@ -111,13 +190,16 @@ let test_pigeonhole_validation () =
 
 let suite =
   [ Alcotest.test_case "construction sizes" `Quick test_construction_size;
+    Alcotest.test_case "branch weights" `Quick test_branch_weights;
     Alcotest.test_case "paths partition nodes" `Quick test_paths_partition;
+    Alcotest.test_case "deepest path" `Quick test_deepest_path;
     Alcotest.test_case "doubling dimension bound (Lemma 5.8)" `Quick
       test_doubling_dimension_bound;
     Alcotest.test_case "diameter bound" `Quick test_diameter_bound;
     Alcotest.test_case "of_epsilon validation" `Quick
       test_of_epsilon_validation;
     Alcotest.test_case "log2 factorial" `Quick test_log2_factorial;
+    Alcotest.test_case "partition sizes" `Quick test_partition_sizes;
     Alcotest.test_case "congruent bound positive" `Quick
       test_congruent_bound_positive;
     Alcotest.test_case "pigeonhole demo (Lemma 5.4)" `Quick

@@ -60,6 +60,18 @@ let test_packing_level0 () =
   check_int "n singleton balls" (Metric.n m)
     (List.length (Ball_packing.balls lv))
 
+(* A packed ball is its own center's Property-2 witness: looking the
+   covering ball up by a packed center finds the ball centered there. *)
+let test_packing_center_lookup () =
+  let m = grid6 () in
+  let lv = (Ball_packing.build_all m).(2) in
+  List.iter
+    (fun (b : Ball_packing.ball) ->
+      let b' = Ball_packing.covering_ball lv b.center in
+      check_int "center roundtrip" b.center b'.center;
+      check_bool "same members" true (b'.members = b.members))
+    (Ball_packing.balls lv)
+
 let test_voronoi_partition () =
   let m = grid8 () in
   let centers = [ 0; 7; 56; 63 ] in
@@ -91,6 +103,24 @@ let test_voronoi_tree_edges_are_graph_edges () =
         (Cr_metric.Graph.edge_weight g u p <> None);
       check_int "parent same cell" (Voronoi.owner v u) (Voronoi.owner v p)
     end
+  done
+
+(* The cell trees are shortest-path trees: the weights along a node's
+   parent chain sum to its distance to its owner. *)
+let test_voronoi_distances () =
+  let m = grid6 () in
+  let centers = [ 0; 35 ] in
+  let v = Voronoi.build m ~centers in
+  let g = Metric.graph m in
+  for u = 0 to Metric.n m - 1 do
+    let rec climb x acc =
+      let p = Voronoi.parent v x in
+      if p < 0 then (x, acc)
+      else climb p (acc +. Option.get (Cr_metric.Graph.edge_weight g x p))
+    in
+    let root, length = climb u 0.0 in
+    check_int "chain ends at owner" (Voronoi.owner v u) root;
+    check_float "dist to owner" (Metric.dist m u (Voronoi.owner v u)) length
   done
 
 let gen_metric =
@@ -201,9 +231,11 @@ let suite =
     Alcotest.test_case "balls disjoint" `Quick test_packing_disjoint;
     Alcotest.test_case "packing property 2" `Quick test_packing_property2;
     Alcotest.test_case "scale-0 packing" `Quick test_packing_level0;
+    Alcotest.test_case "center lookup" `Quick test_packing_center_lookup;
     Alcotest.test_case "voronoi partition" `Quick test_voronoi_partition;
     Alcotest.test_case "voronoi tree edges" `Quick
       test_voronoi_tree_edges_are_graph_edges;
+    Alcotest.test_case "voronoi distances" `Quick test_voronoi_distances;
     prop_packing_maximal;
     prop_packing_reference_greedy;
     prop_voronoi_prefix_closed ]

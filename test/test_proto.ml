@@ -223,6 +223,60 @@ let test_delivered_payloads_released () =
   check_int "payloads still reachable" 0 !kept;
   check_int "network alive, leaves served" 1 (Network.state net leaves)
 
+(* Rounds are floor(delivery time). The cost ledger's round histogram
+   must equal a reference built from the handler's own delivery times
+   (Dist_spt arms no timers, so every call is a delivery) on a unit grid,
+   where many deliveries share a round, and on a chain with weights 2^i,
+   where rounds pass 2^47: it must be kept per distinct round, never in
+   an array indexed by round. *)
+let spt_rounds g =
+  let times = ref [] in
+  let cost = Cr_obs.Cost.create () in
+  let via =
+    { Network.execute =
+        (fun ?measure g ~protocol ~init ~handler ~kickoff ~max_messages ->
+          let net = Network.create ~cost ?measure g ~init in
+          List.iter (fun (dst, msg) -> Network.inject net ~dst msg) kickoff;
+          let handler actions ~self state msg =
+            times := actions.Network.now :: !times;
+            handler actions ~self state msg
+          in
+          let stats = Network.run ~protocol net ~handler ~max_messages in
+          (Array.init (Graph.n g) (Network.state net), stats)) }
+  in
+  let result = Dist_spt.run ~via g ~root:0 in
+  let reference =
+    List.fold_left
+      (fun acc time ->
+        let r = int_of_float (Float.floor time) in
+        match List.assoc_opt r acc with
+        | Some c -> (r, c + 1) :: List.remove_assoc r acc
+        | None -> (r, 1) :: acc)
+      [] !times
+    |> List.sort compare
+  in
+  check_int "deliveries" result.Dist_spt.stats.Network.messages
+    (List.length !times);
+  let histogram =
+    match Cr_obs.Cost.phases cost with
+    | [ p ] -> p.Cr_obs.Cost.round_histogram
+    | ps -> Alcotest.failf "expected one phase, got %d" (List.length ps)
+  in
+  Alcotest.(check (list (pair int int)))
+    "round histogram = floor(delivery time) counts" reference histogram;
+  (result, histogram)
+
+let test_round_histogram () =
+  let _, grid = spt_rounds (Metric.graph (grid6 ())) in
+  check_bool "grid rounds repeat" true (List.exists (fun (_, c) -> c > 1) grid);
+  let chain, rounds =
+    spt_rounds (Cr_graphgen.Path_like.exponential_chain ~n:48 ~base:2.0)
+  in
+  check_float "far end at 2^47 - 1" (Float.pow 2.0 47.0 -. 1.0)
+    chain.Dist_spt.dist.(47);
+  (* the last delivery is the far end's offer back across the 2^46 edge *)
+  check_int "last round" ((3 lsl 46) - 1) (fst (List.hd (List.rev rounds)))
+
 let check_spt_matches m root =
   let g = Metric.graph m in
   let result = Dist_spt.run g ~root in
@@ -607,6 +661,8 @@ let suite =
     prop_delivery_order_is_sorted;
     Alcotest.test_case "delivered payloads are released" `Quick
       test_delivered_payloads_released;
+    Alcotest.test_case "round histogram: grid and 2^i chain" `Quick
+      test_round_histogram;
     Alcotest.test_case "distributed SPT on grid" `Quick test_dist_spt_grid;
     Alcotest.test_case "distributed SPT on holey grid" `Quick
       test_dist_spt_holey;

@@ -177,8 +177,30 @@ let test_move () =
   let dir = make_directory m in
   ignore (Directory.publish dir ~key:7 ~holder:0);
   ignore (Directory.move dir ~key:7 ~from_holder:0 ~to_holder:63);
-  let found, _ = lookup_from dir m ~client:10 ~key:7 in
-  check_bool "found at new home" true (found = Some 63)
+  for client = 0 to Metric.n m - 1 do
+    let found, _ = lookup_from dir m ~client ~key:7 in
+    check_bool "found at new home" true (found = Some 63)
+  done
+
+(* A move unpublishes the object at its old holder: no lookup finds the
+   old holder, and a second move from it is refused, leaving the object
+   where it is. *)
+let test_unpublish () =
+  let m = grid6 () in
+  let dir = make_directory m in
+  let found_everywhere holder =
+    List.for_all
+      (fun client -> fst (lookup_from dir m ~client ~key:1) = Some holder)
+      (List.init (Metric.n m) Fun.id)
+  in
+  ignore (Directory.publish dir ~key:1 ~holder:20);
+  ignore (Directory.move dir ~key:1 ~from_holder:20 ~to_holder:35);
+  check_bool "every lookup finds 35, none 20" true (found_everywhere 35);
+  Alcotest.check_raises "unpublish twice"
+    (Invalid_argument "Directory.unpublish: not published at this holder")
+    (fun () ->
+      ignore (Directory.move dir ~key:1 ~from_holder:20 ~to_holder:35));
+  check_bool "still at 35" true (found_everywhere 35)
 
 let test_publish_validation () =
   let m = grid6 () in
@@ -275,6 +297,7 @@ let suite =
     Alcotest.test_case "lookup hops tagged by Algorithm 3's phases" `Quick
       test_lookup_phases;
     Alcotest.test_case "move" `Quick test_move;
+    Alcotest.test_case "unpublish" `Quick test_unpublish;
     Alcotest.test_case "publish validation" `Quick test_publish_validation;
     Alcotest.test_case "lookup locality" `Quick test_lookup_locality;
     Alcotest.test_case "many objects" `Quick test_many_objects ]

@@ -13,6 +13,8 @@ module Workload = Cr_sim.Workload
 module Walker = Cr_sim.Walker
 module Network = Cr_proto.Network
 module Route_trace = Cr_core.Route_trace
+module Scale_free_labeled = Cr_core.Scale_free_labeled
+module Scale_free_ni = Cr_core.Scale_free_ni
 
 (* Span stack discipline: every close matches the most recent open, and
    nothing stays open — the invariant the construction spans keep. *)
@@ -174,6 +176,18 @@ let test_phase_sums_match_walker () =
       routes
   in
   check_routes (Route_trace.fig1_simple_ni nt ~naming ~pairs);
+  let sfni =
+    let sfl = Scale_free_labeled.build nt ~epsilon:0.5 in
+    Scale_free_ni.build nt ~epsilon:0.5 ~naming
+      ~underlying:(Scale_free_labeled.to_underlying sfl)
+  in
+  check_routes
+    (List.map
+       (fun (src, dst) ->
+         Route_trace.capture m ~src ~dst ~walk:(fun w ->
+             Scale_free_ni.walk sfni w
+               ~dest_name:naming.Workload.name_of.(dst)))
+       pairs);
   check_routes (Route_trace.fig2_scale_free_labeled nt ~pairs)
 
 let test_walker_phase_scoping () =

@@ -88,10 +88,30 @@ let test_interval_labels () =
   Alcotest.(check (list int)) "labels are 0 .. n-1" (List.init 6 Fun.id)
     (List.sort compare (List.map (Interval_routing.label ir) (Tree.nodes t)))
 
+(* The light depth of [v], read off parent pointers and heavy children:
+   the number of light edges on the root-to-[v] path. *)
+let light_depth t hp v =
+  let rec up v acc =
+    match Tree.parent t v with
+    | None -> acc
+    | Some (p, _) ->
+      up p (if Heavy_path.heavy_child hp p = Some v then acc else acc + 1)
+  in
+  up v 0
+
+let max_light_depth t hp =
+  List.fold_left (fun acc v -> max acc (light_depth t hp v)) 0 (Tree.nodes t)
+
 let test_heavy_path_fixture () =
   let t = fixture () in
   let hp = Heavy_path.build t in
-  check_bool "heavy child of 10" true (Heavy_path.heavy_child hp 10 = Some 4)
+  check_bool "heavy child of 10" true (Heavy_path.heavy_child hp 10 = Some 4);
+  check_bool "heavy child of 20" true (Heavy_path.heavy_child hp 20 = Some 30);
+  (* 20 hangs off the root by a light edge and 30 below it by a heavy
+     one; under 4 one of 1 and 7 is light: no path crosses two light
+     edges, and the root's light depth is 0 *)
+  check_int "light depth of leaf 30" 1 (light_depth t hp 30);
+  check_int "max light depth" 1 (Heavy_path.max_light_depth hp)
 
 let gen_tree =
   QCheck2.Gen.(
@@ -130,7 +150,8 @@ let prop_heavy_path_log_bound =
       let bound =
         int_of_float (Float.log2 (float_of_int (Tree.size t)))
       in
-      Heavy_path.max_light_depth hp <= bound)
+      Heavy_path.max_light_depth hp = max_light_depth t hp
+      && Heavy_path.max_light_depth hp <= bound)
 
 module Compact = Cr_tree.Compact_tree_routing
 

@@ -78,9 +78,18 @@ let collect_all ext root paths =
   List.concat_map (fun p -> List.rev (collect ext root p [])) paths
   |> List.sort_uniq String.compare
 
-let load ~root paths =
-  List.filter_map (load_one root) (collect_all ".cmt" root paths)
+let load_files root files =
+  List.filter_map (load_one root) files
   |> List.sort (fun a b -> String.compare a.source b.source)
+
+let load ~root paths = load_files root (collect_all ".cmt" root paths)
+
+let load_split ~root paths ~extra =
+  let own = collect_all ".cmt" root paths in
+  let more =
+    List.filter (fun f -> not (List.mem f own)) (collect_all ".cmt" root extra)
+  in
+  (load_files root own, load_files root more)
 
 let load_interface root rel_cmti =
   match Cmt_format.read_cmt (Filename.concat root rel_cmti) with

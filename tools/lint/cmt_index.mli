@@ -20,6 +20,14 @@ val load : root:string -> string list -> unit_info list
     given directories, sorted by [source] (deterministic). Wrapper
     modules without on-disk sources are dropped. *)
 
+val load_split :
+  root:string ->
+  string list ->
+  extra:string list ->
+  unit_info list * unit_info list
+(** [load_split ~root paths ~extra] is [load ~root paths] paired with the
+    units under [extra] that it does not hold; each tree is read once. *)
+
 val load_interfaces : root:string -> string list -> intf_info list
 (** [load_interfaces ~root paths] is every interface ([.cmti]) under the
     given directories whose [.mli] exists, sorted by [i_source]. *)

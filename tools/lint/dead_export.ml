@@ -123,19 +123,25 @@ let display key =
   Buffer.contents b
 
 let check layout (input : Typed_rule.input) =
-  let root = input.Typed_rule.root in
   let linted =
     List.map (fun (u : Cmt_index.unit_info) -> u.Cmt_index.source) input.units
   in
   let interfaces =
-    Cmt_index.load_interfaces ~root layout.decls
-    |> List.filter (fun (i : Cmt_index.intf_info) ->
-           List.mem (Filename.remove_extension i.Cmt_index.i_source ^ ".ml")
+    List.filter
+      (fun (i : Cmt_index.intf_info) ->
+        Rule.under layout.decls i.Cmt_index.i_source
+        && List.mem (Filename.remove_extension i.Cmt_index.i_source ^ ".ml")
              linted)
+      input.interfaces
   in
   if interfaces = [] then []
   else
-    let units = Cmt_index.load ~root (layout.refs @ layout.tests) in
+    let units =
+      List.sort
+        (fun (a : Cmt_index.unit_info) b ->
+          String.compare a.Cmt_index.source b.Cmt_index.source)
+        (input.units @ input.extra)
+    in
     let graph = Callgraph.build units in
     let uses = collect_uses graph units in
     let includers = collect_includers graph units in
@@ -176,6 +182,7 @@ let rule_for layout =
     doc =
       "an .mli val no other unit uses (test-only uses are named, not \
        counted)";
+    reads = layout.refs @ layout.tests;
     check = check layout }
 
 let rule = rule_for repo_layout

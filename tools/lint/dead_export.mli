@@ -15,8 +15,8 @@ type layout = {
 
 val rule_for : layout -> Typed_rule.t
 (** The rule over [layout]. It checks only the interfaces whose [.ml] is
-    among the linted units, and reads the [refs] and [tests] trees
-    itself, from the input's build root. *)
+    among the linted units; its [reads] are the [refs] and [tests] trees,
+    which the engine loads together with the linted paths. *)
 
 val rule : Typed_rule.t
 (** The repository's layout: [lib] declares; [lib], [bench], [bin],

@@ -369,4 +369,5 @@ let rule =
     doc =
       "mutable state escaping into Cr_par.Pool tasks (through aliases or \
        callees) must be Atomic/Mutex-synchronized";
+    reads = [];
     check }

@@ -1,6 +1,7 @@
 (* Driver for the typed (.cmt) lint tier: load the typed trees under the
-   scanned paths, build the call graph, run the interprocedural rules,
-   then apply the same inline-suppression protocol as the syntactic
+   scanned paths and, in the same pass, the further trees a rule reads,
+   build the call graph, run the interprocedural rules, then apply the
+   same inline-suppression protocol as the syntactic
    tier — scoped to the rules this tier owns, so the two tiers never
    fight over whose suppressions are stale (Engine reports malformed
    comments and unknown rule names in an .ml, this tier in an .mli;
@@ -16,9 +17,13 @@ type report = {
 }
 
 let run ?(rules = all_rules) ?(known_rules = rule_ids) ~root paths =
-  let units = Cmt_index.load ~root paths in
+  let units, extra =
+    Cmt_index.load_split ~root paths
+      ~extra:(List.concat_map (fun r -> r.Typed_rule.reads) rules)
+  in
   let graph = Callgraph.build units in
-  let input = { Typed_rule.root; units; graph } in
+  let interfaces = Cmt_index.load_interfaces ~root paths in
+  let input = { Typed_rule.units; graph; interfaces; extra } in
   let raw = List.concat_map (fun r -> r.Typed_rule.check input) rules in
   let own_rules = List.map (fun r -> r.Typed_rule.id) rules in
   (* Suppressions are applied per source file — including files with no

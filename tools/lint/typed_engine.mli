@@ -17,6 +17,8 @@ val run :
   string list ->
   report
 (** [run ~root paths] analyzes every unit whose .cmt lies under one of
-    the workspace-relative [paths]. [known_rules] widens the set of rule
-    names suppression comments may mention without being flagged as
-    unknown (the syntactic tier reports those). *)
+    the workspace-relative [paths]; the trees the rules' [reads] name
+    beyond them are loaded in the same pass and passed as [extra].
+    [known_rules] widens the set of rule names suppression comments may
+    mention without being flagged as unknown (the syntactic tier reports
+    those). *)

@@ -5,14 +5,19 @@
     whole-program. *)
 
 type input = {
-  root : string;  (** the build context the trees were loaded from *)
   units : Cmt_index.unit_info list;  (** the linted paths' units *)
   graph : Callgraph.t;  (** over [units] *)
+  interfaces : Cmt_index.intf_info list;  (** the linted paths' [.cmti]s *)
+  extra : Cmt_index.unit_info list;
+      (** the units under the rules' [reads] that [units] does not hold *)
 }
 
 type t = {
   id : string;  (** stable kebab-case id used in suppressions *)
   doc : string;  (** one-line description for [--list-rules] *)
+  reads : string list;
+      (** trees beyond the linted paths whose units the rule reads (as
+          [extra]); the engine loads each tree once *)
   check : input -> Rule.diagnostic list;
 }
 

@@ -335,4 +335,5 @@ let rule =
     doc =
       "every constructor of a Network.actions message type needs an \
        explicit Wire.measure branch";
+    reads = [];
     check }

@@ -253,4 +253,5 @@ let rule =
     doc =
       "[@cr.zero_alloc] functions must be allocation-free through their \
        whole call graph";
+    reads = [];
     check }

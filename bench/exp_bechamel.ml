@@ -20,8 +20,8 @@ let tests () =
   let sfl = Common.scale_free_labeled inst ~epsilon:eps in
   let sni = Common.simple_ni inst ~epsilon:eps ~naming in
   let sfni = Common.scale_free_ni inst ~epsilon:eps ~naming in
-  let hl_s = Cr_core.Hier_labeled.to_scheme hl in
-  let sfl_s = Cr_core.Scale_free_labeled.to_scheme sfl in
+  let hl_s = Cr_core.Hier_labeled.to_underlying hl in
+  let sfl_s = Cr_core.Scale_free_labeled.to_underlying sfl in
   let sni_s = Cr_core.Simple_ni.to_scheme sni in
   let sfni_s = Cr_core.Scale_free_ni.to_scheme sfni in
   let pairs = Array.of_list (Workload.sample_pairs ~n:96 ~count:64 ~seed:31) in
@@ -33,7 +33,7 @@ let tests () =
   in
   let route_labeled (s : Scheme.labeled) () =
     let src, dst = next_pair () in
-    ignore (Scheme.route_labeled s ~src ~dst)
+    ignore (Scheme.route_labeled inst.metric s ~src ~dst)
   in
   let route_ni (s : Scheme.name_independent) () =
     let src, dst = next_pair () in

@@ -21,7 +21,7 @@ module Live = Cr_obs.Live
 module Cost = Cr_obs.Cost
 module Plan = Cr_fault.Plan
 module Failures = Cr_sim.Failures
-module Simple_ni = Cr_core.Simple_ni
+module Ni_scheme = Cr_core.Ni_scheme
 module Walker = Cr_sim.Walker
 
 let zipf_seed = 47
@@ -65,7 +65,7 @@ let run_tier inst ni naming pairs ~edge_rate ~node_fraction =
             Walker.create ~failures ~cost ~live m ~start:src ~max_hops:budget
           in
           let dest_name = naming.Cr_sim.Workload.name_of.(dst) in
-          let status, _reroutes = Simple_ni.walk_degraded ni w ~dest_name in
+          let status, _reroutes = Ni_scheme.walk_degraded ni w ~dest_name in
           Live.record live ~src ~dst ~status:(live_status status) ~dist
             ~cost:(Walker.cost w) ~hops:(Walker.hops w)
         end

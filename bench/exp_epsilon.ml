@@ -22,10 +22,10 @@ let run () =
       let measure_ni s =
         Stats.measure_name_independent inst.metric s naming pairs
       in
-      let hl = measure_l (Cr_core.Hier_labeled.to_scheme (hier_labeled inst ~epsilon)) in
+      let hl = measure_l (Cr_core.Hier_labeled.to_underlying (hier_labeled inst ~epsilon)) in
       let sfl =
         measure_l
-          (Cr_core.Scale_free_labeled.to_scheme (scale_free_labeled inst ~epsilon))
+          (Cr_core.Scale_free_labeled.to_underlying (scale_free_labeled inst ~epsilon))
       in
       let sni =
         measure_ni (Cr_core.Simple_ni.to_scheme (simple_ni inst ~epsilon ~naming))

@@ -215,7 +215,7 @@ let degraded_routing () =
       let ni = simple_ni inst ~epsilon:default_epsilon ~naming in
       let route failures =
         Cr_sim.Stats.measure_degraded ~pool:(pool ()) inst.metric
-          (Cr_core.Simple_ni.degraded_scheme ni ~failures)
+          (Cr_core.Ni_scheme.degraded_scheme ni ~failures)
           naming pairs
       in
       let base = route Failures.none in

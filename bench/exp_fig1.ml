@@ -6,7 +6,8 @@
 open Common
 module Metric = Cr_metric.Metric
 module Walker = Cr_sim.Walker
-module Simple_ni = Cr_core.Simple_ni
+module Ni_scheme = Cr_core.Ni_scheme
+module Ni_route = Cr_core.Ni_route
 
 let run () =
   let inst =
@@ -36,16 +37,16 @@ let run () =
   List.iter
     (fun dst ->
       let w = Walker.create inst.metric ~start:src ~max_hops:1_000_000 in
-      Simple_ni.walk
-        ~observe:(fun (r : Simple_ni.level_report) ->
+      Ni_scheme.walk
+        ~observe:(fun (r : Ni_route.level_report) ->
           print_row
             [ cell "%4d->%-4d" src dst;
               cell "%6.1f" (Metric.dist inst.metric src dst);
-              cell "%3d" r.Simple_ni.level;
-              cell "%4d" r.Simple_ni.hub;
-              cell "%7.2f" r.Simple_ni.climb_cost;
-              cell "%7.2f" r.Simple_ni.search_cost;
-              (if r.Simple_ni.found then "yes" else " no") ])
+              cell "%3d" r.Ni_route.level;
+              cell "%4d" r.Ni_route.hub;
+              cell "%7.2f" r.Ni_route.climb_cost;
+              cell "%7.2f" r.Ni_route.search_cost;
+              (if r.Ni_route.found then "yes" else " no") ])
         scheme w ~dest_name:naming.Cr_sim.Workload.name_of.(dst);
       let d = Metric.dist inst.metric src dst in
       Printf.printf

@@ -66,7 +66,7 @@ let run () =
               timed (fun () ->
                   Hier.build ~pool nt ~epsilon:default_epsilon)
             in
-            let scheme = Hier.to_scheme hier in
+            let scheme = Hier.to_underlying hier in
             let pairs =
               Workload.pairs_for ~n:(Metric.n metric) ~seed:17
                 ~budget:eval_pairs_budget

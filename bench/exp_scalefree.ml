@@ -23,10 +23,10 @@ let run () =
       let n = Metric.n inst.metric in
       let naming = naming_of inst in
       let hl =
-        Cr_core.Hier_labeled.to_scheme (hier_labeled inst ~epsilon:default_epsilon)
+        Cr_core.Hier_labeled.to_underlying (hier_labeled inst ~epsilon:default_epsilon)
       in
       let sfl =
-        Cr_core.Scale_free_labeled.to_scheme
+        Cr_core.Scale_free_labeled.to_underlying
           (scale_free_labeled inst ~epsilon:default_epsilon)
       in
       let sni =

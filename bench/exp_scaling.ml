@@ -21,12 +21,12 @@ let run () =
       let log3 = Float.pow (Float.log2 (float_of_int n)) 3.0 in
       let hl =
         Scheme.max_table_bits
-          (Cr_core.Hier_labeled.to_scheme (hier_labeled inst ~epsilon:default_epsilon))
+          (Cr_core.Hier_labeled.to_underlying (hier_labeled inst ~epsilon:default_epsilon))
           n
       in
       let sfl =
         Scheme.max_table_bits
-          (Cr_core.Scale_free_labeled.to_scheme
+          (Cr_core.Scale_free_labeled.to_underlying
              (scale_free_labeled inst ~epsilon:default_epsilon))
           n
       in

@@ -154,7 +154,15 @@ let schemes_of inst =
       ~underlying:(Sfl.to_underlying sfl)
   in
   let lm = Landmark.build inst.metric ~seed:3 in
-  let ft = Full_table.labeled inst.metric in
+  let hl_s = Hier.to_underlying hl and sfl_s = Sfl.to_underlying sfl in
+  let sni_s = Simple_ni.to_scheme sni and sfni_s = Sfni.to_scheme sfni in
+  let ft = Full_table.labeled inst.metric and lm_s = Landmark.labeled_of lm in
+  let walked (s : Scheme.labeled) ~src ~dst =
+    Scheme.route_labeled inst.metric s ~src ~dst
+  in
+  let walked_ni (s : Scheme.name_independent) ~src ~dst =
+    s.Scheme.route_to_name ~src ~dest_name:naming.Workload.name_of.(dst)
+  in
   let labeled_bits (s : Scheme.labeled) =
     [ ("table_bits.max", Report.Int (Scheme.max_table_bits s n));
       ("table_bits.avg", Report.Float (Scheme.avg_table_bits s n)) ]
@@ -177,37 +185,27 @@ let schemes_of inst =
     e_sfl := Some e;
     e
   in
-  [ ( "flat",
-      labeled_bits (Hier.to_scheme hl),
-      compile_hier,
-      fun ~src ~dst -> Scheme.route_labeled (Hier.to_scheme hl) ~src ~dst );
+  [ ("flat", labeled_bits hl_s, compile_hier, walked hl_s);
+    ("probe", labeled_bits sfl_s, compile_sfl, walked sfl_s);
     ( "probe",
-      labeled_bits (Sfl.to_scheme sfl),
-      compile_sfl,
-      fun ~src ~dst -> Scheme.route_labeled (Sfl.to_scheme sfl) ~src ~dst );
-    ( "probe",
-      ni_bits (Simple_ni.to_scheme sni),
+      ni_bits sni_s,
       (fun () ->
         Engine.compile_simple_ni ~pool:p ~underlying:(Option.get !e_hier) sni),
-      fun ~src ~dst ->
-        (Simple_ni.to_scheme sni).Scheme.route_to_name ~src
-          ~dest_name:naming.Workload.name_of.(dst) );
+      walked_ni sni_s );
     ( "probe",
-      ni_bits (Sfni.to_scheme sfni),
+      ni_bits sfni_s,
       (fun () ->
         Engine.compile_scale_free_ni ~pool:p ~underlying:(Option.get !e_sfl)
           sfni),
-      fun ~src ~dst ->
-        (Sfni.to_scheme sfni).Scheme.route_to_name ~src
-          ~dest_name:naming.Workload.name_of.(dst) );
+      walked_ni sfni_s );
     ( "flat",
       labeled_bits ft,
       (fun () -> Engine.compile_full ~pool:p inst.metric),
-      fun ~src ~dst -> Scheme.route_labeled ft ~src ~dst );
+      walked ft );
     ( "flat",
-      labeled_bits (Landmark.labeled_of lm),
+      labeled_bits lm_s,
       (fun () -> Engine.compile_landmark ~pool:p inst.metric lm),
-      fun ~src ~dst -> Landmark.route lm ~src ~dst ) ]
+      walked lm_s ) ]
 
 let run () =
   print_header

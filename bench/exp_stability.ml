@@ -74,7 +74,7 @@ let run () =
         done;
         let stretch m nt =
           let s =
-            Cr_core.Scale_free_labeled.to_scheme
+            Cr_core.Scale_free_labeled.to_underlying
               (Cr_core.Scale_free_labeled.build nt ~epsilon:default_epsilon)
           in
           (Stats.measure_labeled m s

@@ -19,14 +19,15 @@ let run () =
       let naming = naming_of inst in
       let pairs = pairs_of inst in
       let schemes =
-        [ Cr_baselines.Full_table.name_independent inst.metric naming;
-          Cr_baselines.Spanning_tree.name_independent inst.metric naming
-            ~root:0;
-          Cr_baselines.Landmark.name_independent inst.metric naming ~seed:3;
-          Cr_core.Simple_ni.to_scheme
-            (simple_ni inst ~epsilon:default_epsilon ~naming);
-          Cr_core.Scale_free_ni.to_scheme
-            (scale_free_ni inst ~epsilon:default_epsilon ~naming) ]
+        List.map
+          (Scheme.with_name_directory inst.metric naming)
+          [ Cr_baselines.Full_table.labeled inst.metric;
+            Cr_baselines.Spanning_tree.labeled inst.metric ~root:0;
+            Cr_baselines.Landmark.labeled inst.metric ~seed:3 ]
+        @ [ Cr_core.Simple_ni.to_scheme
+              (simple_ni inst ~epsilon:default_epsilon ~naming);
+            Cr_core.Scale_free_ni.to_scheme
+              (scale_free_ni inst ~epsilon:default_epsilon ~naming) ]
       in
       List.iter
         (fun (s : Scheme.name_independent) ->

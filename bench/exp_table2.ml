@@ -21,9 +21,9 @@ let run () =
         [ Cr_baselines.Full_table.labeled inst.metric;
           Cr_baselines.Spanning_tree.labeled inst.metric ~root:0;
           Cr_baselines.Landmark.labeled inst.metric ~seed:3;
-          Cr_core.Hier_labeled.to_scheme
+          Cr_core.Hier_labeled.to_underlying
             (hier_labeled inst ~epsilon:default_epsilon);
-          Cr_core.Scale_free_labeled.to_scheme
+          Cr_core.Scale_free_labeled.to_underlying
             (scale_free_labeled inst ~epsilon:default_epsilon) ]
       in
       List.iter

@@ -17,6 +17,7 @@ module Netting_tree = Cr_nets.Netting_tree
 module Scheme = Cr_sim.Scheme
 module Stats = Cr_sim.Stats
 module Workload = Cr_sim.Workload
+module Ni_scheme = Cr_core.Ni_scheme
 open Cmdliner
 
 let parse_family spec =
@@ -118,29 +119,78 @@ let load family =
   let nt = Netting_tree.build (Hierarchy.build metric) in
   (metric, nt)
 
-(* Build the selected scheme as a pair of optional harness views. *)
+(* The selected scheme, built once: every subcommand reads this value. A
+   labeled scheme routes by label and a name-independent one by name (both
+   theorems' schemes are one built type); [compile] builds the serving
+   engine, which the spanning tree does not have. *)
+type built = {
+  view :
+    [ `Labeled of Scheme.labeled | `Name_independent of Ni_scheme.t ];
+  compile : (unit -> Cr_serve.Engine.t) option;
+}
+
 let build_scheme kind metric nt ~epsilon ~naming =
+  let module Engine = Cr_serve.Engine in
+  let module Hier = Cr_core.Hier_labeled in
+  let module Sfl = Cr_core.Scale_free_labeled in
   match kind with
-  | Ft -> `Labeled (Cr_baselines.Full_table.labeled metric)
-  | St -> `Labeled (Cr_baselines.Spanning_tree.labeled metric ~root:0)
+  | Ft ->
+    { view = `Labeled (Cr_baselines.Full_table.labeled metric);
+      compile = Some (fun () -> Engine.compile_full metric) }
+  | St ->
+    { view = `Labeled (Cr_baselines.Spanning_tree.labeled metric ~root:0);
+      compile = None }
   | Hier ->
-    `Labeled (Cr_core.Hier_labeled.to_scheme (Cr_core.Hier_labeled.build nt ~epsilon))
+    let t = Hier.build nt ~epsilon in
+    { view = `Labeled (Hier.to_underlying t);
+      compile = Some (fun () -> Engine.compile_hier t) }
   | Sfl ->
-    `Labeled
-      (Cr_core.Scale_free_labeled.to_scheme
-         (Cr_core.Scale_free_labeled.build nt ~epsilon))
+    let t = Sfl.build nt ~epsilon in
+    { view = `Labeled (Sfl.to_underlying t);
+      compile = Some (fun () -> Engine.compile_scale_free_labeled t) }
   | Simple ->
-    let hl = Cr_core.Hier_labeled.build nt ~epsilon in
-    `Name_independent
-      (Cr_core.Simple_ni.to_scheme
-         (Cr_core.Simple_ni.build nt ~epsilon ~naming
-            ~underlying:(Cr_core.Hier_labeled.to_underlying hl)))
+    let hl = Hier.build nt ~epsilon in
+    let t =
+      Cr_core.Simple_ni.build nt ~epsilon ~naming
+        ~underlying:(Hier.to_underlying hl)
+    in
+    { view = `Name_independent t;
+      compile =
+        Some
+          (fun () ->
+            Engine.compile_simple_ni ~underlying:(Engine.compile_hier hl) t) }
   | Sfni ->
-    let sfl = Cr_core.Scale_free_labeled.build nt ~epsilon in
-    `Name_independent
-      (Cr_core.Scale_free_ni.to_scheme
-         (Cr_core.Scale_free_ni.build nt ~epsilon ~naming
-            ~underlying:(Cr_core.Scale_free_labeled.to_underlying sfl)))
+    let sfl = Sfl.build nt ~epsilon in
+    let t =
+      Cr_core.Scale_free_ni.build nt ~epsilon ~naming
+        ~underlying:(Sfl.to_underlying sfl)
+    in
+    { view = `Name_independent (Cr_core.Scale_free_ni.scheme t);
+      compile =
+        Some
+          (fun () ->
+            Engine.compile_scale_free_ni
+              ~underlying:(Engine.compile_scale_free_labeled sfl) t) }
+
+(* A route from [src] to node [dst] on a fresh walker, by label or by
+   the node's name. *)
+let router metric b =
+  match b.view with
+  | `Labeled s -> fun ~src ~dst -> Scheme.route_labeled metric s ~src ~dst
+  | `Name_independent s ->
+    let ni = Ni_scheme.to_scheme s in
+    fun ~src ~dst ->
+      ni.Scheme.route_to_name ~src
+        ~dest_name:s.Ni_scheme.naming.Workload.name_of.(dst)
+
+(* The walk to node [dst], for a walker the caller places and observes. *)
+let walk_to b ~dst =
+  match b.view with
+  | `Labeled s -> fun w -> s.Scheme.walk w ~dest_label:(s.Scheme.label dst)
+  | `Name_independent s ->
+    fun w ->
+      Ni_scheme.walk s w
+        ~dest_name:s.Ni_scheme.naming.Workload.name_of.(dst)
 
 (* inspect *)
 
@@ -176,21 +226,20 @@ let route family scheme_kind epsilon seed src dst =
   else begin
     let naming = Workload.random_naming ~n ~seed in
     let d = Metric.dist metric src dst in
-    (match build_scheme scheme_kind metric nt ~epsilon ~naming with
+    let b = build_scheme scheme_kind metric nt ~epsilon ~naming in
+    let o = router metric b ~src ~dst in
+    (match b.view with
     | `Labeled s ->
-      let o = Scheme.route_labeled s ~src ~dst in
       Printf.printf
         "%s: %d -> %d cost %.3f hops %d (distance %.3f, stretch %.3f)\n"
         s.Scheme.l_name src dst o.Scheme.cost o.Scheme.hops d
         (o.Scheme.cost /. d)
     | `Name_independent s ->
-      let name = naming.Workload.name_of.(dst) in
-      let o = s.Scheme.route_to_name ~src ~dest_name:name in
       Printf.printf
         "%s: %d -> name %d (node %d) cost %.3f hops %d (distance %.3f, \
          stretch %.3f)\n"
-        s.Scheme.ni_name src name dst o.Scheme.cost o.Scheme.hops d
-        (o.Scheme.cost /. d));
+        s.Ni_scheme.name src naming.Workload.name_of.(dst) dst
+        o.Scheme.cost o.Scheme.hops d (o.Scheme.cost /. d));
     0
   end
 
@@ -201,7 +250,7 @@ let stats family scheme_kind epsilon seed pairs_budget =
   let n = Metric.n metric in
   let naming = Workload.random_naming ~n ~seed in
   let pairs = Workload.pairs_for ~n ~seed:(seed + 1) ~budget:pairs_budget in
-  (match build_scheme scheme_kind metric nt ~epsilon ~naming with
+  (match (build_scheme scheme_kind metric nt ~epsilon ~naming).view with
   | `Labeled s ->
     let summary = Stats.measure_labeled metric s pairs in
     Printf.printf "%s on %s\n  %s\n  table bits max %d avg %.1f, label %d, \
@@ -211,6 +260,7 @@ let stats family scheme_kind epsilon seed pairs_budget =
       (Scheme.max_table_bits s n) (Scheme.avg_table_bits s n)
       s.Scheme.l_label_bits s.Scheme.l_header_bits
   | `Name_independent s ->
+    let s = Ni_scheme.to_scheme s in
     let summary = Stats.measure_name_independent metric s naming pairs in
     Printf.printf
       "%s on %s\n  %s\n  table bits max %d avg %.1f, header %d\n"
@@ -220,39 +270,9 @@ let stats family scheme_kind epsilon seed pairs_budget =
       (Scheme.ni_avg_table_bits s n) s.Scheme.ni_header_bits);
   0
 
-(* trace / metrics: drive the concrete scheme so the walker emits
+(* trace / metrics: walk the built scheme so the walker emits
    phase-tagged hop events; the text, csv and dot renderings read the
    route's node sequence back from them. *)
-
-let make_walk scheme_kind nt ~epsilon ~naming ~dst =
-  match scheme_kind with
-  | Hier ->
-    let t = Cr_core.Hier_labeled.build nt ~epsilon in
-    fun w ->
-      Cr_core.Hier_labeled.walk t w
-        ~dest_label:(Cr_core.Hier_labeled.label t dst)
-  | Sfl ->
-    let t = Cr_core.Scale_free_labeled.build nt ~epsilon in
-    fun w ->
-      Cr_core.Scale_free_labeled.walk t w
-        ~dest_label:(Cr_core.Scale_free_labeled.label t dst)
-  | Simple ->
-    let hl = Cr_core.Hier_labeled.build nt ~epsilon in
-    let t =
-      Cr_core.Simple_ni.build nt ~epsilon ~naming
-        ~underlying:(Cr_core.Hier_labeled.to_underlying hl)
-    in
-    fun w ->
-      Cr_core.Simple_ni.walk t w ~dest_name:naming.Workload.name_of.(dst)
-  | Sfni ->
-    let sfl = Cr_core.Scale_free_labeled.build nt ~epsilon in
-    let t =
-      Cr_core.Scale_free_ni.build nt ~epsilon ~naming
-        ~underlying:(Cr_core.Scale_free_labeled.to_underlying sfl)
-    in
-    fun w ->
-      Cr_core.Scale_free_ni.walk t w ~dest_name:naming.Workload.name_of.(dst)
-  | Ft | St -> fun w -> Cr_sim.Walker.walk_shortest_path w dst
 
 let trace family scheme_kind epsilon seed src dst format =
   let metric, nt = load family in
@@ -263,7 +283,9 @@ let trace family scheme_kind epsilon seed src dst format =
   end
   else begin
     let naming = Workload.random_naming ~n ~seed in
-    let walk = make_walk scheme_kind nt ~epsilon ~naming ~dst in
+    let walk =
+      walk_to (build_scheme scheme_kind metric nt ~epsilon ~naming) ~dst
+    in
     let t =
       Cr_core.Route_trace.capture metric ~max_hops:1_000_000 ~src ~dst ~walk
     in
@@ -291,7 +313,9 @@ let metrics family scheme_kind epsilon seed src dst =
   end
   else begin
     let naming = Workload.random_naming ~n ~seed in
-    let walk = make_walk scheme_kind nt ~epsilon ~naming ~dst in
+    let walk =
+      walk_to (build_scheme scheme_kind metric nt ~epsilon ~naming) ~dst
+    in
     let captured =
       Cr_core.Route_trace.capture metric ~max_hops:1_000_000 ~src ~dst ~walk
     in
@@ -306,101 +330,101 @@ let metrics family scheme_kind epsilon seed src dst =
    covers both halves of Cr_fault: the hardened transport (rerun the
    distributed SPT and hierarchy elections over a lossy network and
    report retransmit totals plus convergence) and degraded-mode routing
-   (static edge/node failure sets, delivery and failover counts). *)
+   (static edge/node failure sets, delivery and failover counts). Only a
+   name-independent scheme has a degraded mode; a labeled one is a usage
+   error. *)
 
 let faults family scheme_kind epsilon seed plan_seed drop duplicate
     delay_prob delay_factor crash_fraction edge_rate node_fraction
     pairs_budget =
   let metric, nt = load family in
-  let g = Metric.graph metric in
-  let n = Metric.n metric in
-  let crashes =
-    List.map
-      (fun node -> { Cr_fault.Plan.node; down_at = 5.0; up_at = 25.0 })
-      (Cr_fault.Plan.sample_node_failures ~protect:[ 0 ] ~seed:plan_seed
-         ~fraction:crash_fraction n)
-  in
-  let plan =
-    Cr_fault.Plan.make ~seed:plan_seed ~drop ~duplicate ~delay_prob
-      ~delay_factor ~crashes ()
-  in
-  Printf.printf "plan          %s\n" (Cr_fault.Plan.describe plan);
-  (* Hardened constructions under the plan. *)
-  let rt = Cr_fault.Reliable.create ~plan () in
-  let via = Cr_fault.Reliable.runner rt in
-  let print_totals label converged =
-    let t = Cr_fault.Reliable.totals rt in
+  let naming = Workload.random_naming ~n:(Metric.n metric) ~seed in
+  match (build_scheme scheme_kind metric nt ~epsilon ~naming).view with
+  | `Labeled s ->
+    `Error
+      ( true,
+        Printf.sprintf
+          "scheme %S has no degraded mode; faults runs -s simple or -s sfni"
+          s.Scheme.l_name )
+  | `Name_independent ni ->
+    let g = Metric.graph metric in
+    let n = Metric.n metric in
+    let crashes =
+      List.map
+        (fun node -> { Cr_fault.Plan.node; down_at = 5.0; up_at = 25.0 })
+        (Cr_fault.Plan.sample_node_failures ~protect:[ 0 ] ~seed:plan_seed
+           ~fraction:crash_fraction n)
+    in
+    let plan =
+      Cr_fault.Plan.make ~seed:plan_seed ~drop ~duplicate ~delay_prob
+        ~delay_factor ~crashes ()
+    in
+    Printf.printf "plan          %s\n" (Cr_fault.Plan.describe plan);
+    (* Hardened constructions under the plan. *)
+    let rt = Cr_fault.Reliable.create ~plan () in
+    let via = Cr_fault.Reliable.runner rt in
+    let print_totals label converged =
+      let t = Cr_fault.Reliable.totals rt in
+      Printf.printf
+        "%-13s %s: data %d, retransmits %d, acks %d, raw %d, dropped %d, \
+         crash-lost %d\n"
+        label
+        (if converged then "converged (identical to fault-free)"
+         else "DIVERGED")
+        t.Cr_fault.Reliable.data t.Cr_fault.Reliable.retransmits
+        t.Cr_fault.Reliable.acks t.Cr_fault.Reliable.raw_messages
+        t.Cr_fault.Reliable.faults.Cr_proto.Network.sent_dropped
+        t.Cr_fault.Reliable.faults.Cr_proto.Network.crash_lost;
+      Cr_fault.Reliable.reset rt
+    in
+    (try
+       let plain = Cr_proto.Dist_spt.run g ~root:0 in
+       let hard = Cr_proto.Dist_spt.run ~via g ~root:0 in
+       print_totals "spt"
+         (Array.for_all2 Float.equal plain.Cr_proto.Dist_spt.dist
+            hard.Cr_proto.Dist_spt.dist
+         && plain.Cr_proto.Dist_spt.pred = hard.Cr_proto.Dist_spt.pred);
+       let h = Netting_tree.hierarchy nt in
+       let dh = Cr_proto.Dist_hierarchy.build ~via metric in
+       print_totals "hierarchy"
+         (Array.length dh.Cr_proto.Dist_hierarchy.nets
+          = Hierarchy.top_level h + 1
+         && Array.for_all Fun.id
+              (Array.mapi
+                 (fun i net -> net = Hierarchy.net h i)
+                 dh.Cr_proto.Dist_hierarchy.nets))
+     with Cr_proto.Network.Protocol_error err ->
+       Printf.printf "construction  failed: %s\n"
+         (Cr_proto.Network.error_message err));
+    (* Degraded routing over static failure sets. *)
+    let edges =
+      Cr_fault.Plan.sample_edge_failures ~seed:plan_seed ~rate:edge_rate g
+    in
+    let nodes =
+      Cr_fault.Plan.sample_node_failures ~seed:(plan_seed + 1)
+        ~fraction:node_fraction n
+    in
+    let failures = Cr_sim.Failures.create ~edges ~nodes () in
+    Printf.printf "failures      %d edges, %d nodes\n"
+      (Cr_sim.Failures.edge_count failures)
+      (Cr_sim.Failures.node_count failures);
+    let pairs =
+      Workload.pairs_for ~n ~seed:(seed + 1) ~budget:pairs_budget
+    in
+    let degraded = Ni_scheme.degraded_scheme ni ~failures in
+    let d = Stats.measure_degraded metric degraded naming pairs in
     Printf.printf
-      "%-13s %s: data %d, retransmits %d, acks %d, raw %d, dropped %d, \
-       crash-lost %d\n"
-      label
-      (if converged then "converged (identical to fault-free)"
-       else "DIVERGED")
-      t.Cr_fault.Reliable.data t.Cr_fault.Reliable.retransmits
-      t.Cr_fault.Reliable.acks t.Cr_fault.Reliable.raw_messages
-      t.Cr_fault.Reliable.faults.Cr_proto.Network.sent_dropped
-      t.Cr_fault.Reliable.faults.Cr_proto.Network.crash_lost;
-    Cr_fault.Reliable.reset rt
-  in
-  (try
-     let plain = Cr_proto.Dist_spt.run g ~root:0 in
-     let hard = Cr_proto.Dist_spt.run ~via g ~root:0 in
-     print_totals "spt"
-       (Array.for_all2 Float.equal plain.Cr_proto.Dist_spt.dist
-          hard.Cr_proto.Dist_spt.dist
-       && plain.Cr_proto.Dist_spt.pred = hard.Cr_proto.Dist_spt.pred);
-     let h = Netting_tree.hierarchy nt in
-     let dh = Cr_proto.Dist_hierarchy.build ~via metric in
-     print_totals "hierarchy"
-       (Array.length dh.Cr_proto.Dist_hierarchy.nets
-        = Hierarchy.top_level h + 1
-       && Array.for_all Fun.id
-            (Array.mapi
-               (fun i net -> net = Hierarchy.net h i)
-               dh.Cr_proto.Dist_hierarchy.nets))
-   with Cr_proto.Network.Protocol_error err ->
-     Printf.printf "construction  failed: %s\n"
-       (Cr_proto.Network.error_message err));
-  (* Degraded routing over static failure sets. *)
-  let edges = Cr_fault.Plan.sample_edge_failures ~seed:plan_seed ~rate:edge_rate g in
-  let nodes =
-    Cr_fault.Plan.sample_node_failures ~seed:(plan_seed + 1)
-      ~fraction:node_fraction n
-  in
-  let failures = Cr_sim.Failures.create ~edges ~nodes () in
-  Printf.printf "failures      %d edges, %d nodes\n"
-    (Cr_sim.Failures.edge_count failures)
-    (Cr_sim.Failures.node_count failures);
-  let naming = Workload.random_naming ~n ~seed in
-  let pairs = Workload.pairs_for ~n ~seed:(seed + 1) ~budget:pairs_budget in
-  let degraded =
-    match scheme_kind with
-    | Sfni ->
-      let sfl = Cr_core.Scale_free_labeled.build nt ~epsilon in
-      Cr_core.Scale_free_ni.degraded_scheme
-        (Cr_core.Scale_free_ni.build nt ~epsilon ~naming
-           ~underlying:(Cr_core.Scale_free_labeled.to_underlying sfl))
-        ~failures
-    | _ ->
-      let hl = Cr_core.Hier_labeled.build nt ~epsilon in
-      Cr_core.Simple_ni.degraded_scheme
-        (Cr_core.Simple_ni.build nt ~epsilon ~naming
-           ~underlying:(Cr_core.Hier_labeled.to_underlying hl))
-        ~failures
-  in
-  let d = Stats.measure_degraded metric degraded naming pairs in
-  Printf.printf
-    "%s\nroutes        %d: %d delivered, %d rerouted, %d undeliverable \
-     (%d failovers, delivery rate %.3f)\n"
-    degraded.Scheme.dg_name d.Stats.routes d.Stats.delivered
-    d.Stats.rerouted d.Stats.undeliverable d.Stats.reroutes_total
-    (Stats.delivery_rate d);
-  (match d.Stats.arrived with
-  | Some s ->
-    Printf.printf "arrived       %s\n"
-      (Format.asprintf "%a" Stats.pp_summary s)
-  | None -> Printf.printf "arrived       none\n");
-  0
+      "%s\nroutes        %d: %d delivered, %d rerouted, %d undeliverable \
+       (%d failovers, delivery rate %.3f)\n"
+      degraded.Scheme.dg_name d.Stats.routes d.Stats.delivered
+      d.Stats.rerouted d.Stats.undeliverable d.Stats.reroutes_total
+      (Stats.delivery_rate d);
+    (match d.Stats.arrived with
+    | Some s ->
+      Printf.printf "arrived       %s\n"
+        (Format.asprintf "%a" Stats.pp_summary s)
+    | None -> Printf.printf "arrived       none\n");
+    `Ok 0
 
 let faults_cmd =
   let fprob name doc =
@@ -441,9 +465,10 @@ let faults_cmd =
          "Run the distributed constructions over a seeded fault plan and \
           route a workload through static failures (scheme: simple or sfni)")
     Term.(
-      const faults $ family_arg $ scheme_arg $ epsilon_arg $ seed_arg
-      $ plan_seed $ drop $ duplicate $ delay_prob $ delay_factor
-      $ crash_fraction $ edge_rate $ node_fraction $ pairs)
+      ret
+        (const faults $ family_arg $ scheme_arg $ epsilon_arg $ seed_arg
+       $ plan_seed $ drop $ duplicate $ delay_prob $ delay_factor
+       $ crash_fraction $ edge_rate $ node_fraction $ pairs))
 
 let inspect_cmd =
   Cmd.v
@@ -490,60 +515,14 @@ let serve family scheme_kind epsilon seed pairs_budget =
     let r = f () in
     (r, Cr_obs.Trace.wall_clock () -. t0)
   in
-  let compiled =
-    match scheme_kind with
-    | St -> None
-    | Ft ->
-      let s = Cr_baselines.Full_table.labeled metric in
-      Some
-        ( timed (fun () -> Engine.compile_full metric),
-          fun ~src ~dst -> Scheme.route_labeled s ~src ~dst )
-    | Hier ->
-      let t = Cr_core.Hier_labeled.build nt ~epsilon in
-      let s = Cr_core.Hier_labeled.to_scheme t in
-      Some
-        ( timed (fun () -> Engine.compile_hier t),
-          fun ~src ~dst -> Scheme.route_labeled s ~src ~dst )
-    | Sfl ->
-      let t = Cr_core.Scale_free_labeled.build nt ~epsilon in
-      let s = Cr_core.Scale_free_labeled.to_scheme t in
-      Some
-        ( timed (fun () -> Engine.compile_scale_free_labeled t),
-          fun ~src ~dst -> Scheme.route_labeled s ~src ~dst )
-    | Simple ->
-      let hl = Cr_core.Hier_labeled.build nt ~epsilon in
-      let t =
-        Cr_core.Simple_ni.build nt ~epsilon ~naming
-          ~underlying:(Cr_core.Hier_labeled.to_underlying hl)
-      in
-      let s = Cr_core.Simple_ni.to_scheme t in
-      Some
-        ( timed (fun () ->
-              Engine.compile_simple_ni
-                ~underlying:(Engine.compile_hier hl) t),
-          fun ~src ~dst ->
-            s.Scheme.route_to_name ~src
-              ~dest_name:naming.Workload.name_of.(dst) )
-    | Sfni ->
-      let sfl = Cr_core.Scale_free_labeled.build nt ~epsilon in
-      let t =
-        Cr_core.Scale_free_ni.build nt ~epsilon ~naming
-          ~underlying:(Cr_core.Scale_free_labeled.to_underlying sfl)
-      in
-      let s = Cr_core.Scale_free_ni.to_scheme t in
-      Some
-        ( timed (fun () ->
-              Engine.compile_scale_free_ni
-                ~underlying:(Engine.compile_scale_free_labeled sfl) t),
-          fun ~src ~dst ->
-            s.Scheme.route_to_name ~src
-              ~dest_name:naming.Workload.name_of.(dst) )
-  in
-  match compiled with
+  let b = build_scheme scheme_kind metric nt ~epsilon ~naming in
+  match b.compile with
   | None ->
     Printf.eprintf "serve: no compiled engine for the spanning-tree scheme\n";
     1
-  | Some ((eng, t_compile), walked_route) ->
+  | Some compile ->
+    let eng, t_compile = timed compile in
+    let walked_route = router metric b in
     let parr = Array.of_list pairs in
     let served, t_batch = timed (fun () -> Engine.batch eng parr) in
     let identical =
@@ -815,7 +794,7 @@ let live family epsilon seed alpha windows window_size top pairs_budget
               ~max_hops:budget
           in
           let status, _reroutes =
-            Cr_core.Simple_ni.walk_degraded ni w
+            Ni_scheme.walk_degraded ni w
               ~dest_name:naming.Workload.name_of.(dst)
           in
           let st =

@@ -26,6 +26,7 @@ module Workload = Cr_sim.Workload
 module Rng = Cr_graphgen.Rng
 module Sfl = Cr_core.Scale_free_labeled
 module Sfni = Cr_core.Scale_free_ni
+module Ni_scheme = Cr_core.Ni_scheme
 
 (* A toy 30-bit string hash (FNV-style) for object keys. *)
 let hash_key key =
@@ -66,7 +67,7 @@ let () =
       let client = Rng.int rng n in
       if client <> owner then begin
         let w = Walker.create metric ~start:client ~max_hops:1_000_000 in
-        Sfni.walk dht w ~dest_name:name;
+        Ni_scheme.walk (Sfni.scheme dht) w ~dest_name:name;
         let direct = Metric.dist metric client owner in
         let stretch = Walker.cost w /. direct in
         total_stretch := !total_stretch +. stretch;
@@ -80,7 +81,7 @@ let () =
     "routing tables are polylogarithmic (max %d bits/node), no node stores\n"
     (let best = ref 0 in
      for v = 0 to n - 1 do
-       best := max !best (Sfni.table_bits dht v)
+       best := max !best (Ni_scheme.table_bits (Sfni.scheme dht) v)
      done;
      !best);
   Printf.printf "a global name directory.\n"

@@ -17,6 +17,7 @@ module Walker = Cr_sim.Walker
 module Workload = Cr_sim.Workload
 module Sfl = Cr_core.Scale_free_labeled
 module Sfni = Cr_core.Scale_free_ni
+module Ni_scheme = Cr_core.Ni_scheme
 
 let () =
   (* 1-2: a 12x12 grid with 25% of the nodes knocked out - doubling, but
@@ -50,7 +51,7 @@ let () =
   in
   let dest_name = naming.Workload.name_of.(dst) in
   let w = Walker.create metric ~start:src ~max_hops:1_000_000 in
-  Sfni.walk ni w ~dest_name;
+  Ni_scheme.walk (Sfni.scheme ni) w ~dest_name;
   Printf.printf
     "name-independent route %d -> name %d: cost %.1f (stretch %.3f)\n" src
     dest_name (Walker.cost w)
@@ -68,4 +69,4 @@ let () =
     (max_bits (Sfl.table_bits labeled))
     (Sfl.label_bits labeled);
   Printf.printf "name-independent tables: max %d bits/node\n"
-    (max_bits (Sfni.table_bits ni))
+    (max_bits (Ni_scheme.table_bits (Sfni.scheme ni)))

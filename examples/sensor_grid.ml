@@ -57,7 +57,7 @@ let () =
   in
   report_labeled (Cr_baselines.Full_table.labeled metric);
   report_labeled (Cr_baselines.Spanning_tree.labeled metric ~root:0);
-  report_labeled (Sfl.to_scheme labeled);
+  report_labeled (Sfl.to_underlying labeled);
   report_ni (Sfni.to_scheme ni);
 
   (* Convergecast: all sensors report one reading to the sink. *)
@@ -72,14 +72,14 @@ let () =
       0.0
       (List.init n Fun.id)
   in
-  let sfl_scheme = Sfl.to_scheme labeled in
+  let sfl_scheme = Sfl.to_underlying labeled in
   let ideal = total (fun v ->
       { Scheme.cost = Metric.dist metric v sink; hops = 0 }) in
   let with_labeled =
-    total (fun v -> Scheme.route_labeled sfl_scheme ~src:v ~dst:sink)
+    total (fun v -> Scheme.route_labeled metric sfl_scheme ~src:v ~dst:sink)
   in
   let st = Cr_baselines.Spanning_tree.labeled metric ~root:(n / 2) in
-  let with_tree = total (fun v -> Scheme.route_labeled st ~src:v ~dst:sink) in
+  let with_tree = total (fun v -> Scheme.route_labeled metric st ~src:v ~dst:sink) in
   Printf.printf
     "\nconvergecast to sink %d: ideal %.0f, Thm 1.2 %.0f (+%.1f%%), \
      spanning tree %.0f (+%.1f%%)\n"

@@ -74,9 +74,9 @@ let () =
       summary.Stats.avg_stretch
   in
   row_l "labeled, log-Delta tables (L 3.1)"
-    (Cr_core.Hier_labeled.to_scheme hier);
+    (Cr_core.Hier_labeled.to_underlying hier);
   row_l "labeled, scale-free (Thm 1.2)"
-    (Cr_core.Scale_free_labeled.to_scheme sfl);
+    (Cr_core.Scale_free_labeled.to_underlying sfl);
   row_ni "name-indep, log-Delta (Thm 1.4)"
     (Cr_core.Simple_ni.to_scheme simple);
   row_ni "name-indep, scale-free (Thm 1.1)"

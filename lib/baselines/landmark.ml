@@ -2,7 +2,6 @@ module Metric = Cr_metric.Metric
 module Bits = Cr_metric.Bits
 module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
-module Workload = Cr_sim.Workload
 module Rng = Cr_graphgen.Rng
 
 let landmark_count n =
@@ -61,12 +60,10 @@ let build m ~seed =
   in
   { metric = m; is_landmark; count; home; bunch_size }
 
-let budget n = 10 + (8 * n)
-
-let route t ~src ~dst =
-  let w =
-    Walker.create t.metric ~start:src ~max_hops:(budget (Metric.n t.metric))
-  in
+(* Direct when [dst] is in the position's bunch (or it is a landmark),
+   else via its home landmark. *)
+let walk t w ~dest_label:dst =
+  let src = Walker.position w in
   if src <> dst then begin
     let in_bunch =
       t.is_landmark.(src)
@@ -75,8 +72,7 @@ let route t ~src ~dst =
     in
     if not in_bunch then Walker.walk_shortest_path w t.home.(src);
     Walker.walk_shortest_path w dst
-  end;
-  { Scheme.cost = Walker.cost w; hops = Walker.hops w }
+  end
 
 let table_bits t v =
   node_bits ~n:(Metric.n t.metric) ~landmarks:t.count
@@ -89,21 +85,9 @@ let labeled_of t =
   let m = t.metric in
   { Scheme.l_name = "landmark (TZ stretch-3)";
     label = Fun.id;
-    route_to_label = (fun ~src ~dest_label -> route t ~src ~dst:dest_label);
+    walk = walk t;
     l_table_bits = table_bits t;
     l_label_bits = Bits.id_bits (Metric.n m);
     l_header_bits = 2 * Bits.id_bits (Metric.n m) }
 
-let name_independent_of t (naming : Workload.naming) =
-  let n = Metric.n t.metric in
-  { Scheme.ni_name = "landmark (TZ stretch-3)";
-    route_to_name =
-      (fun ~src ~dest_name ->
-        route t ~src ~dst:naming.Workload.node_of.(dest_name));
-    ni_table_bits = (fun v -> table_bits t v + (n * Bits.id_bits n));
-    ni_header_bits = 2 * Bits.id_bits n }
-
 let labeled m ~seed = labeled_of (build m ~seed)
-
-let name_independent m (naming : Workload.naming) ~seed =
-  name_independent_of (build m ~seed) naming

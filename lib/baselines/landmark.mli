@@ -25,22 +25,15 @@ val home : t -> int -> int
 
 val is_landmark : t -> int -> bool
 
-(** [route t ~src ~dst] walks a fresh packet: directly when [dst] is in
-    [src]'s bunch (or [src] is a landmark), else via [home t src]. *)
-val route : t -> src:int -> dst:int -> Cr_sim.Scheme.outcome
-
-(** [labeled_of t] / [name_independent_of t naming] package prebuilt state
-    as measurement-harness scheme values. *)
+(** [labeled_of t] packages prebuilt state as a measurement-harness
+    scheme: its walk goes directly when the destination is in the
+    position's bunch (or the position is a landmark), else via its home
+    landmark. Its name-independent row, like the other baselines', is
+    [Cr_sim.Scheme.with_name_directory] over it. *)
 val labeled_of : t -> Cr_sim.Scheme.labeled
 
 (** [labeled m ~seed] builds the scheme with a seeded landmark sample. *)
 val labeled : Cr_metric.Metric.t -> seed:int -> Cr_sim.Scheme.labeled
-
-(** [name_independent m naming ~seed] adds the naive full name directory at
-    every node, like the other baselines. *)
-val name_independent :
-  Cr_metric.Metric.t -> Cr_sim.Workload.naming -> seed:int ->
-  Cr_sim.Scheme.name_independent
 
 (** [landmark_count n] is the sample size used for an n-node network:
     ceil(sqrt(n ln n)), clamped to [1, n]. *)
@@ -58,7 +51,3 @@ val sample : n:int -> count:int -> seed:int -> bool array
     next-hop row (n - 1 ids); any other node keeps a next hop per landmark
     and per member of its [bunch]-node bunch, plus its home's id. *)
 val node_bits : n:int -> landmarks:int -> is_landmark:bool -> bunch:int -> int
-
-(** [budget n] is the walker hop budget of a landmark route on [n] nodes
-    (two shortest paths): 10 + 8n. *)
-val budget : int -> int

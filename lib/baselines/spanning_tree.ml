@@ -1,11 +1,9 @@
 module Metric = Cr_metric.Metric
 module Graph = Cr_metric.Graph
-module Bits = Cr_metric.Bits
 module Tree = Cr_tree.Tree
 module Interval_routing = Cr_tree.Interval_routing
 module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
-module Workload = Cr_sim.Workload
 
 let spt m ~root =
   let n = Metric.n m in
@@ -22,37 +20,16 @@ let spt m ~root =
       | Some w -> w
       | None -> assert false)
 
-let budget m = 10 + (4 * Metric.n m)
-
-let build m ~root =
-  let ir = Interval_routing.build (spt m ~root) in
-  let route ~src ~dest_label =
-    let w = Walker.create m ~start:src ~max_hops:(budget m) in
-    let path, _ = Interval_routing.route ir ~src ~dest_label in
-    (match path with
-    | [] -> ()
-    | _ :: rest -> List.iter (fun v -> Walker.step w v) rest);
-    { Scheme.cost = Walker.cost w; hops = Walker.hops w }
-  in
-  (ir, route)
-
 let labeled m ~root =
-  let ir, route = build m ~root in
+  let ir = Interval_routing.build (spt m ~root) in
+  let walk w ~dest_label =
+    match Interval_routing.route ir ~src:(Walker.position w) ~dest_label with
+    | [], _ -> ()
+    | _ :: rest, _ -> List.iter (fun v -> Walker.step w v) rest
+  in
   { Scheme.l_name = "spanning-tree";
     label = Interval_routing.label ir;
-    route_to_label = route;
+    walk;
     l_table_bits = Interval_routing.table_bits ir;
     l_label_bits = Interval_routing.label_bits ir;
     l_header_bits = Interval_routing.label_bits ir }
-
-let name_independent m (naming : Workload.naming) ~root =
-  let n = Metric.n m in
-  let ir, route = build m ~root in
-  { Scheme.ni_name = "spanning-tree";
-    route_to_name =
-      (fun ~src ~dest_name ->
-        let dst = naming.Workload.node_of.(dest_name) in
-        route ~src ~dest_label:(Interval_routing.label ir dst));
-    ni_table_bits =
-      (fun v -> Interval_routing.table_bits ir v + (n * Bits.id_bits n));
-    ni_header_bits = Interval_routing.label_bits ir }

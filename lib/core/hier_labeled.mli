@@ -52,9 +52,7 @@ val route_over :
     the node labeled [dest_label]: {!route_over} over [t]'s rings. *)
 val walk : t -> Cr_sim.Walker.t -> dest_label:int -> unit
 
-(** [to_scheme t] packages the scheme for the measurement harness. *)
-val to_scheme : t -> Cr_sim.Scheme.labeled
-
-(** [to_underlying t] packages the scheme for use below a name-independent
-    scheme. *)
-val to_underlying : t -> Underlying.t
+(** [to_underlying t] is the scheme as the harness sees it, and as a
+    name-independent scheme built over it does: its labels and its
+    {!walk}. *)
+val to_underlying : t -> Cr_sim.Scheme.labeled

@@ -1,6 +1,5 @@
 module Search_tree = Cr_search.Search_tree
 module Walker = Cr_sim.Walker
-module Scheme = Cr_sim.Scheme
 module Trace = Cr_obs.Trace
 
 type site =
@@ -98,16 +97,6 @@ let run ?observe t w ~travel ~failovers ~dest_name =
 let walk ?observe t w ~travel ~dest_name =
   if not (run ?observe t w ~travel ~failovers:(ref 0) ~dest_name) then
     invalid_arg "Ni_route.walk: name not found at the top level"
-
-let walk_degraded t w ~travel ~dest_name =
-  let failovers = ref 0 in
-  let status =
-    match run t w ~travel ~failovers ~dest_name with
-    | true -> if !failovers = 0 then Scheme.Delivered else Scheme.Rerouted
-    | false -> Scheme.Undeliverable
-    | exception Walker.Hop_budget_exhausted -> Scheme.Undeliverable
-  in
-  (status, !failovers)
 
 let found_level t ~src ~dest_name =
   let rec attempt i =

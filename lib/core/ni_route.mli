@@ -10,10 +10,10 @@
     H(u, i) link, a packed ball's tree at that ball's center.
 
     The loop moves its packet on a {!Cr_sim.Walker.t}, so the schemes'
-    walks and the serving engine run this same code: the schemes over
-    their own tables, the engine over compiled hub rows and its compiled
-    underlying driver, and [Cr_location.Directory] over its dynamic
-    directory trees. *)
+    walks and the serving engine run this same code: the schemes
+    ({!Ni_scheme}) over their own tables, the engine over compiled hub
+    rows and its compiled underlying driver, and [Cr_location.Directory]
+    over its dynamic directory trees. *)
 
 (** Where a level's search happens (Algorithm 4). *)
 type site =
@@ -78,15 +78,8 @@ val run :
   ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.t ->
   travel:(int -> unit) -> failovers:int ref -> dest_name:int -> bool
 
-(** [walk_degraded t w ~travel ~dest_name] is [walk] returning the route
-    status and the number of failovers instead of raising: [Delivered]
-    without failover, [Rerouted] after some, [Undeliverable] when the top
-    level is passed or the hop budget runs out. *)
-val walk_degraded :
-  t -> Cr_sim.Walker.t -> travel:(int -> unit) -> dest_name:int ->
-  Cr_sim.Scheme.route_status * int
-
 (** [found_level t ~src ~dest_name] is the level at which the search from
     [src]'s zooming sequence first finds the name — the quantity Figure 1
     plots. Raises [Invalid_argument] if no level does. *)
+(* cr_lint: allow dead-export -- test hook: the Figure 1 quantity, checked by test_simple_ni and test_scale_free_ni *)
 val found_level : t -> src:int -> dest_name:int -> int

@@ -85,7 +85,7 @@ let fig1_simple_ni ?(epsilon = 0.5) nt ~naming ~pairs =
   List.map
     (fun (src, dst) ->
       capture m ~src ~dst ~walk:(fun w ->
-          Simple_ni.walk scheme w ~dest_name:naming.Workload.name_of.(dst)))
+          Ni_scheme.walk scheme w ~dest_name:naming.Workload.name_of.(dst)))
     pairs
 
 let fig2_scale_free_labeled ?(epsilon = 0.5) nt ~pairs =

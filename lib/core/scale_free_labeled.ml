@@ -337,26 +337,10 @@ let header_bits t =
      phase the local tree label *)
   (2 * label_bits t) + Bits.ceil_log2 (top + 2) + 2
 
-let route t ~src ~dest_label =
-  let w =
-    Walker.create t.metric ~start:src
-      ~max_hops:(Walker.labeled_budget (Metric.n t.metric))
-  in
-  walk t w ~dest_label;
-  { Scheme.cost = Walker.cost w; hops = Walker.hops w }
-
-let to_scheme t =
+let to_underlying t =
   { Scheme.l_name = "scale-free labeled (Thm 1.2)";
     label = label t;
-    route_to_label = (fun ~src ~dest_label -> route t ~src ~dest_label);
+    walk = (fun w ~dest_label -> walk t w ~dest_label);
     l_table_bits = table_bits t;
     l_label_bits = label_bits t;
     l_header_bits = header_bits t }
-
-let to_underlying t =
-  { Underlying.u_name = "scale-free labeled (Thm 1.2)";
-    u_label = label t;
-    u_walk = (fun w ~dest_label -> walk t w ~dest_label);
-    u_table_bits = table_bits t;
-    u_label_bits = label_bits t;
-    u_header_bits = header_bits t }

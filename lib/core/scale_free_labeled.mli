@@ -118,5 +118,8 @@ val fallback_count : t -> int
 val table_bits : t -> int -> int
 
 val label_bits : t -> int
-val to_scheme : t -> Cr_sim.Scheme.labeled
-val to_underlying : t -> Underlying.t
+
+(** [to_underlying t] is the scheme as the harness sees it, and as a
+    name-independent scheme built over it does: its labels and its
+    {!walk}. *)
+val to_underlying : t -> Cr_sim.Scheme.labeled

@@ -5,7 +5,6 @@ module Netting_tree = Cr_nets.Netting_tree
 module Zoom = Cr_nets.Zoom
 module Ball_packing = Cr_packing.Ball_packing
 module Search_tree = Cr_search.Search_tree
-module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
 module Workload = Cr_sim.Workload
 module Trace = Cr_obs.Trace
@@ -22,32 +21,12 @@ type search_site =
   | Link of packed_tree  (* H(u, i) *)
 
 type t = {
-  metric : Metric.t;
-  naming : Workload.naming;
-  underlying : Underlying.t;
-  trees_of : Search_tree.t list array;
+  ni : Ni_scheme.t;
   h_links : (int * packed_tree) list array;
       (* u -> (level, linked ball) for every i in S(u), level-increasing *)
   type_a : int;
   type_b : int;
-  lookup : Ni_route.t;
 }
-
-let ni_effective_epsilon epsilon = Float.min epsilon 0.4
-
-let table_bits t v =
-  let n = Metric.n t.metric in
-  let level_bits = Bits.ceil_log2 (t.lookup.Ni_route.top_level + 2) in
-  let search_bits =
-    List.fold_left
-      (fun acc st -> acc + Search_tree.table_bits st v)
-      0 t.trees_of.(v)
-  in
-  let link_bits =
-    List.length t.h_links.(v) * (Bits.id_bits n + level_bits)
-  in
-  Bits.id_bits n + search_bits + link_bits
-  + t.underlying.Underlying.u_table_bits v
 
 let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
     ~underlying =
@@ -59,7 +38,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
   let m = Hierarchy.metric h in
   let n = Metric.n m in
   let top = Hierarchy.top_level h in
-  let eps_eff = ni_effective_epsilon epsilon in
+  let eps_eff = Ni_scheme.effective_epsilon epsilon in
   let trees_of = Array.make n [] in
   let register st =
     List.iter (fun v -> trees_of.(v) <- st :: trees_of.(v))
@@ -68,7 +47,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
   let directory_pairs nodes =
     List.map
       (fun v ->
-        (naming.Workload.name_of.(v), underlying.Underlying.u_label v))
+        (naming.Workload.name_of.(v), underlying.Scheme.label v))
       nodes
   in
   (* Type-B trees: one per packed ball at every scale j. Balls are
@@ -186,83 +165,30 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
     { Ni_route.first_level = 0; top_level = top;
       hub = (fun ~src ~level -> Zoom.step zoom src level);
       site = Ni_route.site_table ~scheme:"Scale_free_ni" ~n sites;
-      label = underlying.Underlying.u_label }
+      label = underlying.Scheme.label }
   in
-  let t =
-    { metric = m; naming; underlying; trees_of; h_links; type_a = !type_a;
-      type_b; lookup }
+  (* an H link stores the linked center's id and its level *)
+  let link_bits v =
+    List.length h_links.(v) * (Bits.id_bits n + Bits.ceil_log2 (top + 2))
+  in
+  let ni =
+    { Ni_scheme.name = "scale-free name-independent (Thm 1.1)";
+      degraded_name = "scale-free name-independent (Thm 1.1, degraded)";
+      metric = m; naming; underlying; lookup; trees_of; link_bits }
   in
   if Trace.enabled ctx then begin
     Trace.counter ctx "scale_free_ni.type_a_trees" (float_of_int !type_a);
     Trace.counter ctx "scale_free_ni.type_b_trees" (float_of_int type_b);
-    Scheme.table_counters ctx "scale_free_ni" (table_bits t) n
+    Scheme.table_counters ctx "scale_free_ni" (Ni_scheme.table_bits ni) n
   end;
-  t
+  { ni; h_links; type_a = !type_a; type_b }
 
-let naming t = t.naming
-let underlying t = t.underlying
-let lookup t = t.lookup
-
-type level_report = Ni_route.level_report = {
-  level : int;
-  hub : int;
-  climb_cost : float;
-  search_cost : float;
-  found : bool;
-}
-
-let travel t w dest_label = t.underlying.Underlying.u_walk w ~dest_label
-
-let walk ?observe t w ~dest_name =
-  Ni_route.walk ?observe t.lookup w ~travel:(travel t w)
-    ~dest_name
-
-let walk_degraded t w ~dest_name =
-  Ni_route.walk_degraded t.lookup w ~travel:(travel t w)
-    ~dest_name
-
-let found_level t = Ni_route.found_level t.lookup
-
+let scheme t = t.ni
+let to_scheme t = Ni_scheme.to_scheme t.ni
 let type_a_count t = t.type_a
 let type_b_count t = t.type_b
 let h_links_of t u = List.map fst t.h_links.(u)
-
-let trees_containing t v = List.length t.trees_of.(v)
+let trees_containing t v = List.length t.ni.Ni_scheme.trees_of.(v)
 
 let h_link_balls t u =
   List.map (fun (i, pt) -> (i, pt.scale, pt.center)) t.h_links.(u)
-
-let header_bits t =
-  let n = Metric.n t.metric in
-  (2 * Bits.id_bits n) + Bits.ceil_log2 (t.lookup.Ni_route.top_level + 2)
-  + t.underlying.Underlying.u_header_bits
-
-let degraded_scheme t ~failures =
-  { Scheme.dg_name = "scale-free name-independent (Thm 1.1, degraded)";
-    dg_route =
-      (fun ~src ~dest_name ->
-        if Cr_sim.Failures.node_failed failures src then
-          { Scheme.d_cost = 0.0; d_hops = 0;
-            d_status = Scheme.Undeliverable; d_reroutes = 0 }
-        else begin
-          let w =
-            Walker.create ~failures t.metric ~start:src
-              ~max_hops:(Walker.ni_budget (Metric.n t.metric))
-          in
-          let status, reroutes = walk_degraded t w ~dest_name in
-          { Scheme.d_cost = Walker.cost w; d_hops = Walker.hops w;
-            d_status = status; d_reroutes = reroutes }
-        end) }
-
-let to_scheme t =
-  { Scheme.ni_name = "scale-free name-independent (Thm 1.1)";
-    route_to_name =
-      (fun ~src ~dest_name ->
-        let w =
-          Walker.create t.metric ~start:src
-            ~max_hops:(Walker.ni_budget (Metric.n t.metric))
-        in
-        walk t w ~dest_name;
-        { Scheme.cost = Walker.cost w; hops = Walker.hops w });
-    ni_table_bits = table_bits t;
-    ni_header_bits = header_bits t }

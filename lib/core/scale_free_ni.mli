@@ -24,7 +24,7 @@ type t
 
 (** [build nt ~epsilon ~naming ~underlying] assembles packings, search
     trees, and H links (the paper pairs this with the Theorem 1.2 labeled
-    scheme as [underlying]). Radii use effective epsilon min(eps, 2/5), as
+    scheme as [underlying]). Radii use {!Ni_scheme.effective_epsilon}, as
     in Theorem 1.4. *)
 val build :
   ?obs:Cr_obs.Trace.context ->
@@ -32,41 +32,17 @@ val build :
   Cr_nets.Netting_tree.t ->
   epsilon:float ->
   naming:Cr_sim.Workload.naming ->
-  underlying:Underlying.t ->
+  underlying:Cr_sim.Scheme.labeled ->
   t
 
-(** Per-level observation record, shared with {!Simple_ni}. *)
-type level_report = Ni_route.level_report = {
-  level : int;
-  hub : int;
-  climb_cost : float;
-  search_cost : float;
-  found : bool;
-}
+(** [scheme t] is the built scheme, walked and viewed by {!Ni_scheme}
+    like Theorem 1.4's. Its lookup's sites are Algorithm 4's: either the
+    hub's own type-A tree ([Local]), or the H(u, i) link as the linked
+    ball's center and type-B tree ([Link]). *)
+val scheme : t -> Ni_scheme.t
 
-(** [walk t w ~dest_name] drives walker [w] to the node named [dest_name]
-    through {!Ni_route.walk}; [observe] is called once per visited level.
-    Hops are trace-tagged [Zoom i] / [Ball_search i] / [Deliver], as in
-    {!Simple_ni.walk}. On a walker with failures, a [Blocked] move fails
-    over one level up (see {!walk_degraded}) instead of escaping. *)
-val walk :
-  ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.t -> dest_name:int ->
-  unit
-
-(** [found_level t ~src ~dest_name] is the level at which Search() succeeds
-    for this pair (the Figure 1 quantity). *)
-(* cr_lint: allow dead-export -- test hook: the Figure 1 quantity, checked by test_scale_free_ni *)
-val found_level : t -> src:int -> dest_name:int -> int
-
-(** Structure accessors for the route-serving compiler ([Cr_serve]),
-    mirroring {!Simple_ni}'s: the naming, the underlying labeled scheme,
-    and the lookup loop, whose sites are Algorithm 4's — either the hub's
-    own type-A tree ([Local]), or the H(u, i) link as the linked ball's
-    center and type-B tree ([Link]). Shared immutable views. *)
-val naming : t -> Cr_sim.Workload.naming
-
-val underlying : t -> Underlying.t
-val lookup : t -> Ni_route.t
+(** [to_scheme t] is [Ni_scheme.to_scheme (scheme t)]. *)
+val to_scheme : t -> Cr_sim.Scheme.name_independent
 
 (** [type_a_count t] / [type_b_count t] are the numbers of net-ball and
     packing-ball search trees built — the balance Claims 3.6/3.7 reason
@@ -93,20 +69,3 @@ val h_link_balls : t -> int -> (int * int * int) list
     (1/eps)^O(alpha) log n. *)
 (* cr_lint: allow dead-export -- test hook: Lemma 3.5's bound on trees per node *)
 val trees_containing : t -> int -> int
-
-val table_bits : t -> int -> int
-val to_scheme : t -> Cr_sim.Scheme.name_independent
-
-(** Degraded-mode routing through {!Ni_route.walk_degraded}, as in
-    [Simple_ni.walk_degraded]: [Blocked] moves trigger a failover that
-    re-enters the zooming sequence one level up from the current
-    position; returns the route status and the failover count. *)
-(* cr_lint: allow dead-export -- test hook: test_fault drives it on a traced walker *)
-val walk_degraded :
-  t -> Cr_sim.Walker.t -> dest_name:int ->
-  Cr_sim.Scheme.route_status * int
-
-(** [degraded_scheme t ~failures] packages {!walk_degraded} over a fixed
-    failure set. *)
-val degraded_scheme :
-  t -> failures:Cr_sim.Failures.t -> Cr_sim.Scheme.degraded

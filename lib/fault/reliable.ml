@@ -1,14 +1,13 @@
 module Graph = Cr_metric.Graph
 module Network = Cr_proto.Network
 
-type budget = {
-  max_attempts : int;
-  rto : float;
-  backoff : float;
-  rto_cap : float;
-}
-
-let default_budget = { max_attempts = 16; rto = 1.5; backoff = 1.5; rto_cap = 16.0 }
+(* The retransmit budget: attempts per logical send before giving up, the
+   first timeout and its ceiling as multiples of the edge round-trip, and
+   the timeout's growth factor per attempt. *)
+let max_attempts = 16
+let rto = 1.5
+let backoff = 1.5
+let rto_cap = 16.0
 
 type totals = {
   data : int;
@@ -27,20 +26,13 @@ let zero_totals =
 
 type t = {
   plan : Plan.t option;
-  budget : budget;
-  jitter : (int * float) option;
   obs : Cr_obs.Trace.context option;
   cost : Cr_obs.Cost.t;
   mutable totals : totals;
 }
 
-let create ?plan ?budget ?jitter ?obs ?(cost = Cr_obs.Cost.null) () =
-  let budget = Option.value budget ~default:default_budget in
-  if budget.max_attempts < 1 then
-    invalid_arg "Reliable.create: max_attempts must be at least 1";
-  if budget.rto <= 0.0 || budget.backoff < 1.0 || budget.rto_cap < budget.rto
-  then invalid_arg "Reliable.create: invalid timeout budget";
-  { plan; budget; jitter; obs; cost; totals = zero_totals }
+let create ?plan ?obs ?(cost = Cr_obs.Cost.null) () =
+  { plan; obs; cost; totals = zero_totals }
 
 let totals t = t.totals
 
@@ -110,7 +102,7 @@ let runner t =
           Option.map (fun inner -> measure_packet ~n:(Graph.n g) inner) measure
         in
         let net =
-          Network.create ?obs:t.obs ?jitter:t.jitter ?faults ~cost:t.cost
+          Network.create ?obs:t.obs ?faults ~cost:t.cost
             ?measure g
             ~init:(fun v ->
               ({ inner = init v; next_seq = 0; outstanding = Hashtbl.create 8 }
@@ -118,11 +110,8 @@ let runner t =
         in
         let rto_delay weight attempt =
           let rtt = 2.0 *. weight in
-          let mult =
-            t.budget.rto
-            *. (t.budget.backoff ** float_of_int (attempt - 1))
-          in
-          rtt *. Float.min mult t.budget.rto_cap
+          let mult = rto *. (backoff ** float_of_int (attempt - 1)) in
+          rtt *. Float.min mult rto_cap
         in
         let stats_now now =
           { Network.messages =
@@ -178,7 +167,7 @@ let runner t =
             match Hashtbl.find_opt st.outstanding seq with
             | None -> ()  (* acked since the timer was armed *)
             | Some rec_ ->
-              if rec_.attempt >= t.budget.max_attempts then
+              if rec_.attempt >= max_attempts then
                 give_up ~self ~now:actions.Network.now rec_
               else begin
                 rec_.attempt <- rec_.attempt + 1;
@@ -199,7 +188,7 @@ let runner t =
            as many acks and as many timer fires — scale the raw event
            budget so the *inner* budget keeps its meaning *)
         let raw_budget =
-          1000 + (((3 * t.budget.max_attempts) + 2) * max_messages)
+          1000 + (((3 * max_attempts) + 2) * max_messages)
         in
         let stats =
           Network.run ~protocol net ~handler:outer ~max_messages:raw_budget

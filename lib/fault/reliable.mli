@@ -6,7 +6,7 @@
     constructions) can run unchanged over a lossy, duplicating, delaying,
     crash-prone network. Every logical send is framed as a [Data] packet,
     acked by the receiver, and retransmitted by a local timer until acked
-    or until [max_attempts] is exhausted — at which point the run fails
+    or until its attempts are exhausted — at which point the run fails
     with a typed [Network.Protocol_error] instead of hanging or returning
     wrong tables.
 
@@ -18,13 +18,6 @@
     resulting tables equal the fault-free ones. Timers (and kickoff boots)
     survive crash windows by deferral, so a crash-recover node resumes
     retransmitting where it left off (durable-state fail-recover model). *)
-
-type budget = {
-  max_attempts : int;  (** attempts per logical send before giving up *)
-  rto : float;  (** first timeout, as a multiple of the edge round-trip *)
-  backoff : float;  (** timeout growth factor per attempt (>= 1) *)
-  rto_cap : float;  (** timeout ceiling, as a multiple of the round-trip *)
-}
 
 (** Accumulated transport accounting across every execution of this
     transport value (reset with {!reset}). *)
@@ -41,7 +34,9 @@ type t
 
 (** [create ()] builds a transport; [plan] defaults to no faults (the
     transport still acks and retransmits — the zero-fault overhead is
-    measurable), [budget] to {!default_budget}. [cost] (default
+    measurable). A send is retransmitted at most 16 times, the timeout
+    starting at 1.5 edge round-trips and growing 1.5-fold per attempt up
+    to 16 round-trips. [cost] (default
     disabled) accumulates CONGEST cost of the {e framed} traffic: every
     [Data]/[Ack] packet is charged its transport header (tag, 32-bit
     sequence number, source id) plus the inner message's measured bits,
@@ -49,8 +44,6 @@ type t
     fault-free run of the same protocol. *)
 val create :
   ?plan:Plan.t ->
-  ?budget:budget ->
-  ?jitter:int * float ->
   ?obs:Cr_obs.Trace.context ->
   ?cost:Cr_obs.Cost.t ->
   unit ->

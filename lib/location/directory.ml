@@ -5,7 +5,7 @@ module Netting_tree = Cr_nets.Netting_tree
 module Zoom = Cr_nets.Zoom
 module Search_tree = Cr_search.Search_tree
 module Walker = Cr_sim.Walker
-module Underlying = Cr_core.Underlying
+module Scheme = Cr_sim.Scheme
 module Ni_route = Cr_core.Ni_route
 
 type t = {
@@ -13,7 +13,7 @@ type t = {
   metric : Metric.t;
   route : Ni_route.t;  (* Algorithm 3 over the directory trees *)
   eps_eff : float;
-  underlying : Underlying.t;
+  underlying : Scheme.labeled;
   key_universe : int;
   trees : (int * int, Search_tree.t) Hashtbl.t;  (* (level, net point) *)
   covering : (int, (int * int) list) Hashtbl.t;
@@ -32,7 +32,7 @@ let create nt ~epsilon ~underlying ~key_universe =
   let h = Netting_tree.hierarchy nt in
   let m = Hierarchy.metric h in
   let top = Hierarchy.top_level h in
-  let eps_eff = Float.min epsilon 0.4 in
+  let eps_eff = Cr_core.Ni_scheme.effective_epsilon epsilon in
   let trees = Hashtbl.create 64 in
   let covering = Hashtbl.create (Metric.n m) in
   for i = 0 to top do
@@ -60,15 +60,14 @@ let create nt ~epsilon ~underlying ~key_universe =
       hub = (fun ~src ~level -> Zoom.step zoom src level);
       site =
         (fun ~level ~hub -> Ni_route.Local (Hashtbl.find trees (level, hub)));
-      label = underlying.Underlying.u_label }
+      label = underlying.Scheme.label }
   in
   { nt; metric = m; route; eps_eff; underlying; key_universe; trees;
     covering; holders = Hashtbl.create 64;
     replica_holders = Hashtbl.create 16; replica_owner = Hashtbl.create 64 }
 
 let walk_to t w node =
-  t.underlying.Underlying.u_walk w
-    ~dest_label:(t.underlying.Underlying.u_label node)
+  t.underlying.Scheme.walk w ~dest_label:(t.underlying.Scheme.label node)
 
 let budget m = 200_000 + (500 * Metric.n m)
 
@@ -99,7 +98,7 @@ let publish t ~key ~holder =
   check_key t key;
   if Hashtbl.mem t.holders key || Hashtbl.mem t.replica_holders key then
     invalid_arg "Directory.publish: key already published";
-  let label = t.underlying.Underlying.u_label holder in
+  let label = t.underlying.Scheme.label holder in
   let cost =
     tour t ~holder ~action:(fun st _site ->
         Search_tree.insert st ~key ~data:label)
@@ -130,7 +129,7 @@ let lookup t w ~key =
   check_key t key;
   if
     Ni_route.run t.route w
-      ~travel:(fun dest_label -> t.underlying.Underlying.u_walk w ~dest_label)
+      ~travel:(fun dest_label -> t.underlying.Scheme.walk w ~dest_label)
       ~failovers:(ref 0) ~dest_name:key
   then Some (Walker.position w)
   else None
@@ -152,7 +151,7 @@ let publish_replica t ~key ~holder =
   in
   if List.mem holder existing then
     invalid_arg "Directory.publish_replica: already a replica holder";
-  let label = t.underlying.Underlying.u_label holder in
+  let label = t.underlying.Scheme.label holder in
   let cost =
     tour t ~holder ~action:(fun st ((_, root) as site) ->
         match Hashtbl.find_opt t.replica_owner (key, site) with

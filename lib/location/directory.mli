@@ -27,7 +27,7 @@ type t
 val create :
   Cr_nets.Netting_tree.t ->
   epsilon:float ->
-  underlying:Cr_core.Underlying.t ->
+  underlying:Cr_sim.Scheme.labeled ->
   key_universe:int ->
   t
 

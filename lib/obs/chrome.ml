@@ -6,7 +6,7 @@
    - route events live on tid 1, 2, ... (one lane per route, a new lane
      starting at each "route..." mark) and use the walker's *cumulative
      cost* as their clock, scaled by [cost_scale] microseconds per unit of
-     cost — so the route lane reads as the paper's execution trace, each
+     cost (one cost unit displays as 1 ms) — so the route lane reads as the paper's execution trace, each
      block a hop labeled with its phase. *)
 
 let escape s =
@@ -23,7 +23,9 @@ let escape s =
 
 let fl = Sinks.json_float
 
-let to_string ?(cost_scale = 1000.0) events =
+let cost_scale = 1000.0
+
+let to_string events =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"traceEvents\":[";
   let first = ref true in

@@ -7,9 +7,9 @@
     machine-readable analog of the paper's Figures 1 and 2. Protocol
     message deliveries render as instants on pid 2, one lane per node.
 
-    [cost_scale] is microseconds of trace time per unit of route cost /
-    protocol delay (default 1000.0, i.e. one cost unit displays as 1ms). *)
-val to_string : ?cost_scale:float -> Trace.event list -> string
+    One unit of route cost or protocol delay displays as 1 ms of trace
+    time. *)
+val to_string : Trace.event list -> string
 
 (** [heatmap cost] renders a {!Cost.t} per-edge load table as Chrome
     counter events: one lane per touched edge on pid 3, ranked

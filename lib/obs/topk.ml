@@ -39,20 +39,19 @@ let minimum t =
         else acc)
     t.cells None
 
-let add ?(weight = 1) t key =
-  if weight <= 0 then invalid_arg "Topk.add: weight must be > 0";
+let add t key =
   match Hashtbl.find_opt t.cells key with
-  | Some cell -> cell.c_count <- cell.c_count + weight
+  | Some cell -> cell.c_count <- cell.c_count + 1
   | None ->
     if Hashtbl.length t.cells < t.cap then
-      Hashtbl.add t.cells key { c_count = weight; c_err = 0 }
+      Hashtbl.add t.cells key { c_count = 1; c_err = 0 }
     else begin
       match minimum t with
       | None -> assert false (* cap > 0 and the table is full *)
       | Some (mk, mc) ->
         Hashtbl.remove t.cells mk;
         Hashtbl.add t.cells key
-          { c_count = mc.c_count + weight; c_err = mc.c_count }
+          { c_count = mc.c_count + 1; c_err = mc.c_count }
     end
 
 let cmp_entry a b =

@@ -4,7 +4,7 @@
     At most [capacity] keys are tracked. Each reported entry carries its
     estimated count and an error bound with the classic guarantee
     [count - err <= true_count <= count], where [err <= total / capacity]
-    for [total] the weight absorbed; any key whose true count exceeds
+    for [total] the occurrences absorbed; any key whose true count exceeds
     [total / capacity] is tracked. Eviction and ordering tie-breaks are
     deterministic (smallest count, then smallest key), so the sketch is a
     pure function of the input stream, and byte-identity across pool
@@ -21,9 +21,8 @@ type entry = {
 (** Raises [Invalid_argument] on non-positive capacity. *)
 val create : capacity:int -> t
 
-(** [add t ?weight key] absorbs [weight] (default 1, must be positive)
-    occurrences of [key]. *)
-val add : ?weight:int -> t -> int -> unit
+(** [add t key] absorbs one occurrence of [key]. *)
+val add : t -> int -> unit
 
 (** [top t ~k] is the [k] heaviest tracked entries: count descending,
     then err ascending, then key ascending. *)

@@ -20,18 +20,12 @@ type result = {
   stats : Network.stats;
 }
 
-let parents_for_level ?max_messages ?jitter ?via ?(label = "dist_netting") m
+let parents_for_level ?via ?(label = "dist_netting") m
     ~members ~upper ~radius =
   let g = Metric.graph m in
   let n = Metric.n m in
-  let max_messages =
-    match max_messages with
-    | Some mm -> mm
-    | None -> 1000 + (200 * n * n)
-  in
-  let runner =
-    match via with Some r -> r | None -> Network.local ?jitter ()
-  in
+  let max_messages = 1000 + (200 * n * n) in
+  let runner = match via with Some r -> r | None -> Network.local () in
   let handler (actions : announce Network.actions) ~self state
       (Announce { origin; traveled }) =
     let stale =

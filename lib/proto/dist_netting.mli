@@ -23,13 +23,12 @@ type result = {
 (** [parents_for_level m ~members ~upper ~radius] runs one level's
     announcements: [upper] (the level-(i+1) net) floods within [radius]
     (inclusive) and every node of [members] records its choice. [via]
-    selects the transport (default [Network.local ?jitter ()]); [label]
+    selects the transport (default [Network.local ()]); [label]
     (default ["dist_netting"]) is the protocol tag cost accounting and
-    errors report. Raises [Network.Protocol_error] (protocol [<label>]) if a
-    member heard no announcement — a covering-bound violation. *)
+    errors report. Raises [Network.Protocol_error] (protocol [<label>])
+    past 1000 + 200n² messages, or if a member heard no announcement — a
+    covering-bound violation. *)
 val parents_for_level :
-  ?max_messages:int ->
-  ?jitter:int * float ->
   ?via:Network.runner ->
   ?label:string ->
   Cr_metric.Metric.t ->

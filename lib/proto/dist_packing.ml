@@ -305,18 +305,12 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
   done;
   (!accepted, stats)
 
-let run ?max_messages ?jitter ?via g ~distances ~j =
+let run ?via g ~distances ~j =
   let n = Graph.n g in
   if j < 0 || 1 lsl j > n then
     invalid_arg "Dist_packing.run: 2^j must be at most n";
-  let max_messages =
-    match max_messages with
-    | Some m -> m
-    | None -> 1000 + (500 * n * n)
-  in
-  let runner =
-    match via with Some r -> r | None -> Network.local ?jitter ()
-  in
+  let max_messages = 1000 + (500 * n * n) in
+  let runner = match via with Some r -> r | None -> Network.local () in
   let radius =
     Array.init n (fun u -> Dist_radii.radius_of_size distances u (1 lsl j))
   in

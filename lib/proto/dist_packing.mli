@@ -27,12 +27,11 @@ type result = {
 
 (** [run g ~distances ~j] packs scale [j] (balls of 2^j nodes), given the
     distance profiles from [Dist_radii.run]. [via] selects the transport
-    for both phases (default [Network.local ?jitter ()]). Raises
-    [Network.Protocol_error] (protocol ["dist_packing"]) if some candidate
-    ends the election undecided. *)
+    for both phases (default [Network.local ()]). Raises
+    [Network.Protocol_error] (protocol ["dist_packing"]) if a phase exceeds
+    1000 + 500n² messages or some candidate ends the election
+    undecided. *)
 val run :
-  ?max_messages:int ->
-  ?jitter:int * float ->
   ?via:Network.runner ->
   Cr_metric.Graph.t ->
   distances:float array array ->

@@ -14,16 +14,10 @@ let measure g =
         Wire.push_node w ~n origin;
         Wire.push_float w traveled)
 
-let run ?max_messages ?jitter ?via g =
+let run ?via g =
   let n = Graph.n g in
-  let max_messages =
-    match max_messages with
-    | Some m -> m
-    | None -> 1000 + (400 * n * n)
-  in
-  let runner =
-    match via with Some r -> r | None -> Network.local ?jitter ()
-  in
+  let max_messages = 1000 + (400 * n * n) in
+  let runner = match via with Some r -> r | None -> Network.local () in
   (* all entries start at infinity — including the node's own, so that the
      kick-off self-message passes the relaxation guard and floods out *)
   let init _ = Array.make n infinity in

@@ -15,11 +15,11 @@ type result = {
 }
 
 (** [run g] floods to quiescence. [via] selects the transport (default
-    [Network.local ?jitter ()]); the relaxation guard keeps the handler
-    idempotent, so any at-least-once transport yields the same profiles. *)
+    [Network.local ()]); the relaxation guard keeps the handler
+    idempotent, so any at-least-once transport yields the same profiles.
+    Raises [Network.Protocol_error] (protocol ["dist_radii"]) past
+    1000 + 400n² messages. *)
 val run :
-  ?max_messages:int ->
-  ?jitter:int * float ->
   ?via:Network.runner ->
   Cr_metric.Graph.t ->
   result

@@ -22,16 +22,10 @@ let measure g =
         Wire.push_float w d;
         Wire.push_opt_node w ~n from)
 
-let run ?max_messages ?jitter ?via g ~root =
+let run ?via g ~root =
   let n = Graph.n g in
-  let max_messages =
-    match max_messages with
-    | Some m -> m
-    | None -> 1000 + (100 * n * n)
-  in
-  let runner =
-    match via with Some r -> r | None -> Network.local ?jitter ()
-  in
+  let max_messages = 1000 + (100 * n * n) in
+  let runner = match via with Some r -> r | None -> Network.local () in
   let init v =
     if v = root then { best = 0.0; via = -1 }
     else { best = infinity; via = -1 }

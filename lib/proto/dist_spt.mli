@@ -20,12 +20,10 @@ type result = {
 }
 
 (** [run g ~root] executes the protocol to quiescence. [via] selects the
-    transport (default [Network.local ?jitter ()]); [jitter] is ignored
-    when [via] is given. Raises [Network.Protocol_error] (protocol
-    ["dist_spt"]) past [max_messages] (default: a generous polynomial). *)
+    transport (default [Network.local ()]). Raises
+    [Network.Protocol_error] (protocol ["dist_spt"]) past 1000 + 100n²
+    messages. *)
 val run :
-  ?max_messages:int ->
-  ?jitter:int * float ->
   ?via:Network.runner ->
   Cr_metric.Graph.t ->
   root:int ->

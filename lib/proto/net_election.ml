@@ -168,17 +168,11 @@ let election_phase g ~label ~r ~known ~is_seed ~runner ~max_messages =
         heard_in = false })
     ~handler ~kickoff ~max_messages
 
-let run ?max_messages ?jitter ?via ?(seeds = []) ?(label = "net_election") g ~r =
+let run ?via ?(seeds = []) ?(label = "net_election") g ~r =
   if r <= 0.0 then invalid_arg "Net_election.run: r must be positive";
   let n = Graph.n g in
-  let max_messages =
-    match max_messages with
-    | Some m -> m
-    | None -> 1000 + (200 * n * n)
-  in
-  let runner =
-    match via with Some rn -> rn | None -> Network.local ?jitter ()
-  in
+  let max_messages = 1000 + (200 * n * n) in
+  let runner = match via with Some rn -> rn | None -> Network.local () in
   let seed_flags = Array.make n false in
   List.iter
     (fun s ->

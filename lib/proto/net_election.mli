@@ -35,16 +35,15 @@ type result = {
     election is seeded with level i+1's net, exactly like the centralized
     construction of Section 2); they block any non-seed within < r
     regardless of id. [via] selects the transport for both phases (default
-    [Network.local ?jitter ()]); the flood-dedup guards keep both handlers
+    [Network.local ()]); the flood-dedup guards keep both handlers
     idempotent under at-least-once delivery. [label] (default
     ["net_election"]) prefixes the per-phase protocol tags — cost
     accounting and protocol errors report [label ^ ".discovery"] /
     [label ^ ".election"], which is how [Dist_hierarchy] attributes cost
     to individual levels. Raises
     [Network.Protocol_error] (protocols ["net_election.discovery"] /
-    ["net_election.election"]) if a phase exceeds [max_messages] (default:
-    generous polynomial), or (protocol ["net_election"]) if some node ends
+    ["net_election.election"]) if a phase exceeds 1000 + 200n² messages,
+    or (protocol ["net_election"]) if some node ends
     the election undecided. *)
 val run :
-  ?max_messages:int -> ?jitter:int * float -> ?via:Network.runner ->
-  ?seeds:int list -> ?label:string -> Cr_metric.Graph.t -> r:float -> result
+  ?via:Network.runner -> ?seeds:int list -> ?label:string -> Cr_metric.Graph.t -> r:float -> result

@@ -13,12 +13,10 @@ module Pool = Cr_par.Pool
 module Rings = Cr_core.Rings
 module Hier_labeled = Cr_core.Hier_labeled
 module Scale_free_labeled = Cr_core.Scale_free_labeled
-module Simple_ni = Cr_core.Simple_ni
 module Scale_free_ni = Cr_core.Scale_free_ni
-module Underlying = Cr_core.Underlying
+module Ni_scheme = Cr_core.Ni_scheme
 module Ni_route = Cr_core.Ni_route
 module Landmark = Cr_baselines.Landmark
-module Full_table = Cr_baselines.Full_table
 
 (* {2 Compiled per-scheme state} *)
 
@@ -321,13 +319,14 @@ let as_under t =
 
 (* Both name-independent engines: the scheme's lookup loop with its hubs
    flattened into rows, travelling through the compiled labeled engine. *)
-let compile_ni obs ~kind ~name ~underlying ~naming ~lookup ~dir_bits =
+let compile_ni obs ~kind ~underlying (s : Ni_scheme.t) =
   let ctx = Trace.resolve obs in
   Trace.span ctx ("serve.compile." ^ kind) @@ fun () ->
   let nn = underlying.n in
-  if Array.length naming.Workload.name_of <> nn then
+  if Array.length s.naming.Workload.name_of <> nn then
     invalid_arg ("Cr_serve.Engine.compile: " ^ kind ^ " node count mismatch");
   let under = as_under underlying in
+  let lookup = s.lookup in
   let top = lookup.Ni_route.top_level in
   let hub =
     hub_rows ~top ~nn (fun v i -> lookup.Ni_route.hub ~src:v ~level:i)
@@ -338,27 +337,18 @@ let compile_ni obs ~kind ~name ~underlying ~naming ~lookup ~dir_bits =
           hub = (fun ~src ~level -> hub.((src * (top + 1)) + level));
           label = under_label under };
       i_under = under; i_hub = hub;
-      i_name_of = Array.copy naming.Workload.name_of; i_dir_bits = dir_bits }
+      i_name_of = Array.copy s.naming.Workload.name_of;
+      i_dir_bits = Ni_scheme.directory_bits s }
   in
   finish ctx
     { data = Ni ni; metric = underlying.metric; adj_words = underlying.adj_words; n = nn;
-      name; kind; budget = Walker.ni_budget nn }
+      name = s.name; kind; budget = Walker.ni_budget nn }
 
 let compile_simple_ni ?obs ?pool:_ ~underlying scheme =
-  let u = Simple_ni.underlying scheme in
-  compile_ni obs ~kind:"simple-ni" ~name:"simple name-independent (Thm 1.4)"
-    ~underlying ~naming:(Simple_ni.naming scheme)
-    ~lookup:(Simple_ni.lookup scheme)
-    ~dir_bits:(fun v ->
-      Simple_ni.table_bits scheme v - u.Underlying.u_table_bits v)
+  compile_ni obs ~kind:"simple-ni" ~underlying scheme
 
 let compile_scale_free_ni ?obs ?pool:_ ~underlying scheme =
-  let u = Scale_free_ni.underlying scheme in
-  compile_ni obs ~kind:"sf-ni" ~name:"scale-free name-independent (Thm 1.1)"
-    ~underlying ~naming:(Scale_free_ni.naming scheme)
-    ~lookup:(Scale_free_ni.lookup scheme)
-    ~dir_bits:(fun v ->
-      Scale_free_ni.table_bits scheme v - u.Underlying.u_table_bits v)
+  compile_ni obs ~kind:"sf-ni" ~underlying (Scale_free_ni.scheme scheme)
 
 let compile_full ?obs ?(pool = Pool.default ()) m =
   let ctx = Trace.resolve obs in
@@ -372,7 +362,7 @@ let compile_full ?obs ?(pool = Pool.default ()) m =
   finish ctx
     { data = Full { t_rows = rows }; metric = m;
       adj_words = packed_adjacency_words m; n = nn; name = "full-table";
-      kind = "full"; budget = Full_table.budget nn }
+      kind = "full"; budget = Walker.labeled_budget nn }
 
 let compile_landmark ?obs ?(pool = Pool.default ()) m lm =
   let ctx = Trace.resolve obs in
@@ -423,7 +413,7 @@ let compile_landmark ?obs ?(pool = Pool.default ()) m lm =
   finish ctx
     { data = Lm l; metric = m; adj_words = packed_adjacency_words m; n = nn;
       name = "landmark (TZ stretch-3)"; kind = "landmark";
-      budget = Landmark.budget nn }
+      budget = Walker.labeled_budget nn }
 
 let under_words = function
   | U_hier h ->

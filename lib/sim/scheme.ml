@@ -6,7 +6,7 @@ type outcome = {
 type labeled = {
   l_name : string;
   label : int -> int;
-  route_to_label : src:int -> dest_label:int -> outcome;
+  walk : Walker.t -> dest_label:int -> unit;
   l_table_bits : int -> int;
   l_label_bits : int;
   l_header_bits : int;
@@ -36,8 +36,23 @@ type degraded = {
   dg_route : src:int -> dest_name:int -> degraded_outcome;
 }
 
-let route_labeled s ~src ~dst =
-  s.route_to_label ~src ~dest_label:(s.label dst)
+let route_labeled m s ~src ~dst =
+  let w =
+    Walker.create m ~start:src
+      ~max_hops:(Walker.labeled_budget (Cr_metric.Metric.n m))
+  in
+  s.walk w ~dest_label:(s.label dst);
+  { cost = Walker.cost w; hops = Walker.hops w }
+
+let with_name_directory m (naming : Workload.naming) s =
+  let n = Cr_metric.Metric.n m in
+  { ni_name = s.l_name;
+    route_to_name =
+      (fun ~src ~dest_name ->
+        route_labeled m s ~src ~dst:naming.Workload.node_of.(dest_name));
+    ni_table_bits =
+      (fun v -> s.l_table_bits v + (n * Cr_metric.Bits.id_bits n));
+    ni_header_bits = s.l_header_bits }
 
 let summarize_max bits n =
   let best = ref 0 in

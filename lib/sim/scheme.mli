@@ -1,9 +1,13 @@
 (** First-class routing-scheme values: the uniform interface between the
     concrete schemes (cr_core, cr_baselines) and the measurement harness.
 
-    A labeled scheme exposes its label assignment and routes given the
-    destination's *label*; a name-independent scheme routes given the
-    destination's arbitrary original *name* (a permutation of [0, n)). *)
+    A labeled scheme is its label assignment and its walk: given the
+    destination's *label*, the walk moves a packet there. Every other view
+    is derived from that walk here, once: a route on a fresh walker
+    ({!route_labeled}) and the naive name-independent view of a labeled
+    baseline ({!with_name_directory}). A name-independent scheme routes
+    given the destination's arbitrary original *name* (a permutation of
+    [0, n)). *)
 
 type outcome = {
   cost : float;  (** distance actually traveled *)
@@ -13,7 +17,9 @@ type outcome = {
 type labeled = {
   l_name : string;
   label : int -> int;  (** node -> routing label *)
-  route_to_label : src:int -> dest_label:int -> outcome;
+  walk : Walker.t -> dest_label:int -> unit;
+      (** advance a walker from its position to the labeled node, paying
+          real edge costs *)
   l_table_bits : int -> int;  (** per-node routing information, in bits *)
   l_label_bits : int;
   l_header_bits : int;  (** maximum packet-header size, in bits *)
@@ -43,7 +49,7 @@ type degraded_outcome = {
 }
 
 (** A name-independent scheme routing over a fixed failure set — built by
-    the schemes' [degraded_scheme] constructors, which capture a
+    [Cr_core.Ni_scheme.degraded_scheme], which captures a
     {!Failures.t}. *)
 type degraded = {
   dg_name : string;
@@ -56,8 +62,20 @@ type degraded = {
 val table_counters :
   Cr_obs.Trace.context -> string -> (int -> int) -> int -> unit
 
-(** [route_labeled s ~src ~dst] looks up [dst]'s label and routes to it. *)
-val route_labeled : labeled -> src:int -> dst:int -> outcome
+(** [route_labeled m s ~src ~dst] routes a packet from [src] to [dst] with
+    the labeled scheme [s] over [m]: a fresh walker at [src] with the
+    labeled budget ({!Walker.labeled_budget}) runs [s.walk] to [dst]'s
+    label, and the outcome is what the walker paid. *)
+val route_labeled :
+  Cr_metric.Metric.t -> labeled -> src:int -> dst:int -> outcome
+
+(** [with_name_directory m naming s] is the naive way to make a labeled
+    scheme name-independent, the one the baselines of Table 1 use: every
+    node also stores the whole name-to-node directory ([n · id_bits n]
+    bits), so a route to a name is [s]'s route to the named node. The
+    name and the header are [s]'s. *)
+val with_name_directory :
+  Cr_metric.Metric.t -> Workload.naming -> labeled -> name_independent
 
 (** [max_table_bits s n] / [avg_table_bits s n] summarize per-node storage
     over nodes [0..n-1] for a labeled scheme. *)

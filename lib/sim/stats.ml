@@ -54,7 +54,7 @@ let samples_of ?pool m route pairs =
 
 let measure_labeled ?pool m (s : Scheme.labeled) pairs =
   summarize
-    (samples_of ?pool m (fun src dst -> Scheme.route_labeled s ~src ~dst) pairs)
+    (samples_of ?pool m (fun src dst -> Scheme.route_labeled m s ~src ~dst) pairs)
 
 let measure_name_independent ?pool m (s : Scheme.name_independent) naming pairs
     =

@@ -23,20 +23,18 @@ type t = {
   failures : Failures.t;
   intact : bool;  (* [failures] is empty: no move can be blocked *)
   acct : Cost.t;  (* per-edge routed-traffic accounting *)
-  hop_bits : int;  (* bits charged per forwarded packet *)
   live : Live.t;  (* streaming per-window edge telemetry *)
 }
 
 let create ?obs ?(failures = Failures.none) ?(cost = Cost.null)
-    ?(hop_bits = 0) ?(live = Live.null) m ~start ~max_hops =
+    ?(live = Live.null) m ~start ~max_hops =
   if start < 0 || start >= Metric.n m then
     invalid_arg "Walker.create: start out of range";
   if Failures.node_failed failures start then
     invalid_arg "Walker.create: start node is failed";
-  if hop_bits < 0 then invalid_arg "Walker.create: negative hop_bits";
   { metric = m; position = start; total = { sum = 0.0 }; hops = 0;
     max_hops; obs = Trace.resolve obs; phase = Trace.Unphased; failures;
-    intact = Failures.is_empty failures; acct = cost; hop_bits; live }
+    intact = Failures.is_empty failures; acct = cost; live }
 
 let position w = w.position
 let cost w = w.total.sum
@@ -90,7 +88,7 @@ let step w v =
     (* same accounting as the protocol simulator: one message on the
        traversed edge, round = hop index, phase = the route phase *)
     Cost.record w.acct ~phase:(Trace.phase_label w.phase) ~src ~dst:v
-      ~round:(w.hops - 1) ~bits:w.hop_bits;
+      ~round:(w.hops - 1) ~bits:0;
   if Live.enabled w.live then
     (* the same edge charge, into the current telemetry window; the
        route lifecycle (tick + outcome) belongs to the caller *)
@@ -122,7 +120,7 @@ let teleport w v ~cost =
     (* a teleport is out-of-band traffic: charge the phase totals but no
        graph edge *)
     Cost.record w.acct ~phase:(Trace.phase_label phase) ~src:(-1) ~dst:v
-      ~round:(w.hops - 1) ~bits:w.hop_bits
+      ~round:(w.hops - 1) ~bits:0
 
 let labeled_budget n = 10_000 + (100 * n)
 let ni_budget n = 50_000 + (200 * n)

@@ -35,10 +35,9 @@ exception Blocked of { src : int; dst : int }
 
     [cost] (default disabled) reuses the protocol simulator's
     {!Cr_obs.Cost} per-edge accounting for routed traffic: every {!step}
-    charges one message of [hop_bits] bits (default 0 — hop counting
-    only) to the traversed edge, with round = hop index and phase = the
-    current route phase's label; {!teleport} charges the phase totals
-    but no edge.
+    charges one message of 0 bits (hop counting only) to the traversed
+    edge, with round = hop index and phase = the current route phase's
+    label; {!teleport} charges the phase totals but no edge.
 
     [live] (default disabled) mirrors the same per-edge charge into a
     {!Cr_obs.Live} streaming-telemetry window on every {!step}; the
@@ -48,7 +47,7 @@ exception Blocked of { src : int; dst : int }
     shared with pooled routing. *)
 val create :
   ?obs:Cr_obs.Trace.context -> ?failures:Failures.t ->
-  ?cost:Cr_obs.Cost.t -> ?hop_bits:int -> ?live:Cr_obs.Live.t ->
+  ?cost:Cr_obs.Cost.t -> ?live:Cr_obs.Live.t ->
   Cr_metric.Metric.t -> start:int -> max_hops:int -> t
 
 (** [phase w] is the paper phase hops are currently attributed to
@@ -95,8 +94,9 @@ val teleport : t -> int -> cost:float -> unit
     node count: generous multiples of the worst route a correct scheme
     takes, so only a looping scheme ever exhausts them. *)
 
-(** [labeled_budget n] is the labeled schemes' budget (Lemma 3.1 and
-    Theorem 1.2): 10000 + 100n. *)
+(** [labeled_budget n] is every labeled route's budget, the paper's
+    schemes (Lemma 3.1 and Theorem 1.2) and the baselines alike:
+    10000 + 100n. *)
 val labeled_budget : int -> int
 
 (** [ni_budget n] is the name-independent schemes' budget (Theorems 1.4

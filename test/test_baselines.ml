@@ -18,7 +18,7 @@ let test_full_table_stretch_one () =
 let test_full_table_ni () =
   let m = grid6 () in
   let naming = Workload.random_naming ~n:(Metric.n m) ~seed:1 in
-  let s = Full_table.name_independent m naming in
+  let s = Scheme.with_name_directory m naming (Full_table.labeled m) in
   let summary =
     Stats.measure_name_independent m s naming (all_pairs (Metric.n m))
   in
@@ -34,7 +34,7 @@ let test_spanning_tree_delivers () =
   let s = Spanning_tree.labeled m ~root:0 in
   List.iter
     (fun (src, dst) ->
-      let o = Scheme.route_labeled s ~src ~dst in
+      let o = Scheme.route_labeled m s ~src ~dst in
       check_bool "cost >= distance" true
         (o.Scheme.cost >= Metric.dist m src dst -. 1e-9))
     (all_pairs (Metric.n m))
@@ -62,7 +62,7 @@ let test_spanning_tree_ni_tables_account_directory () =
   let m = grid6 () in
   let naming = Workload.random_naming ~n:(Metric.n m) ~seed:2 in
   let labeled = Spanning_tree.labeled m ~root:0 in
-  let ni = Spanning_tree.name_independent m naming ~root:0 in
+  let ni = Scheme.with_name_directory m naming labeled in
   for v = 0 to Metric.n m - 1 do
     check_bool "ni table > labeled table" true
       (ni.Scheme.ni_table_bits v > labeled.Scheme.l_table_bits v)
@@ -84,7 +84,10 @@ let test_landmark_stretch_three () =
 let test_landmark_ni_delivers () =
   let m = grid6 () in
   let naming = Workload.random_naming ~n:(Metric.n m) ~seed:4 in
-  let s = Cr_baselines.Landmark.name_independent m naming ~seed:7 in
+  let s =
+    Scheme.with_name_directory m naming
+      (Cr_baselines.Landmark.labeled m ~seed:7)
+  in
   let summary =
     Stats.measure_name_independent m s naming (all_pairs (Metric.n m))
   in

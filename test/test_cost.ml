@@ -175,12 +175,12 @@ let test_lossy_costs_more () =
 let test_walker_accounting () =
   let m = grid6 () in
   let cost = Cost.create () in
-  let w = Walker.create ~cost ~hop_bits:8 m ~start:0 ~max_hops:100 in
+  let w = Walker.create ~cost m ~start:0 ~max_hops:100 in
   Walker.walk_shortest_path w 35;
   let hops = Walker.hops w in
   let s = Cost.summary cost in
   check_int "one message per hop" hops s.Cost.total_messages;
-  check_int "hop_bits per hop" (8 * hops) s.Cost.total_bits;
+  check_int "zero bits per hop" 0 s.Cost.total_bits;
   let edge_messages, _ = edge_sums cost in
   check_int "every hop crosses a real edge" hops edge_messages;
   (* re-walking the same path doubles the per-edge load *)

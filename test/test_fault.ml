@@ -266,11 +266,12 @@ let build_both m =
   in
   ( naming,
     [ ( "simple-ni",
-        Cr_core.Simple_ni.walk ni,
-        Cr_core.Simple_ni.walk_degraded ni );
+        Cr_core.Ni_scheme.walk ni,
+        Cr_core.Ni_scheme.walk_degraded ni );
       ( "sf-ni",
-        Cr_core.Scale_free_ni.walk sfni,
-        Cr_core.Scale_free_ni.walk_degraded sfni ) ] )
+        Cr_core.Ni_scheme.walk (Cr_core.Scale_free_ni.scheme sfni),
+        Cr_core.Ni_scheme.walk_degraded (Cr_core.Scale_free_ni.scheme sfni) )
+    ] )
 
 (* [walk] run on a fresh traced walker: the trace events and its result. *)
 let traced ?failures m ~src walk =
@@ -301,7 +302,7 @@ let test_degraded_empty_equals_fault_free () =
   let pairs = Workload.sample_pairs ~n:(Metric.n m) ~count:80 ~seed:5 in
   let d =
     Stats.measure_degraded m
-      (Cr_core.Simple_ni.degraded_scheme ni ~failures:Failures.none)
+      (Cr_core.Ni_scheme.degraded_scheme ni ~failures:Failures.none)
       naming pairs
   in
   check_int "all delivered" d.Stats.routes d.Stats.delivered;
@@ -376,7 +377,7 @@ let test_degraded_outcomes_consistent () =
       ~nodes:(Plan.sample_node_failures ~seed:3 ~fraction:0.05 (Metric.n m))
       ()
   in
-  let dg = Cr_core.Simple_ni.degraded_scheme ni ~failures in
+  let dg = Cr_core.Ni_scheme.degraded_scheme ni ~failures in
   let pairs = Workload.sample_pairs ~n:(Metric.n m) ~count:120 ~seed:9 in
   List.iter
     (fun (src, dst) ->
@@ -415,7 +416,8 @@ let test_degraded_scale_free () =
   let pairs = Workload.sample_pairs ~n:(Metric.n m) ~count:60 ~seed:5 in
   let d =
     Stats.measure_degraded m
-      (Cr_core.Scale_free_ni.degraded_scheme ni ~failures:Failures.none)
+      (Cr_core.Ni_scheme.degraded_scheme (Cr_core.Scale_free_ni.scheme ni)
+         ~failures:Failures.none)
       naming pairs
   in
   check_float "empty failures deliver everything" 1.0 (Stats.delivery_rate d);
@@ -425,7 +427,9 @@ let test_degraded_scale_free () =
   let failures = Failures.create ~nodes:[ 14; 22 ] () in
   let d' =
     Stats.measure_degraded m
-      (Cr_core.Scale_free_ni.degraded_scheme ni ~failures) naming pairs
+      (Cr_core.Ni_scheme.degraded_scheme (Cr_core.Scale_free_ni.scheme ni)
+         ~failures)
+      naming pairs
   in
   check_int "statuses partition the routes" d'.Stats.routes
     (d'.Stats.delivered + d'.Stats.rerouted + d'.Stats.undeliverable)

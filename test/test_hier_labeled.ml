@@ -17,10 +17,10 @@ let build m ~epsilon =
   Hier_labeled.build nt ~epsilon
 
 let check_all_pairs_delivered m scheme =
-  let s = Hier_labeled.to_scheme scheme in
+  let s = Hier_labeled.to_underlying scheme in
   List.iter
     (fun (src, dst) ->
-      let outcome = Scheme.route_labeled s ~src ~dst in
+      let outcome = Scheme.route_labeled m s ~src ~dst in
       check_bool "cost at least distance" true
         (outcome.Scheme.cost >= Metric.dist m src dst -. 1e-9))
     (all_pairs (Metric.n m))
@@ -39,7 +39,7 @@ let test_delivery_expo () =
 
 let test_stretch_bound_grid () =
   let m = grid8 () in
-  let s = Hier_labeled.to_scheme (build m ~epsilon:0.25) in
+  let s = Hier_labeled.to_underlying (build m ~epsilon:0.25) in
   let summary = Stats.measure_labeled m s (all_pairs (Metric.n m)) in
   (* Theory: 1 + O(eps). The O hides moderate constants; we assert a
      conservative envelope and record the real numbers in EXPERIMENTS.md. *)
@@ -51,15 +51,15 @@ let test_stretch_bound_grid () =
 let test_smaller_epsilon_not_worse () =
   let m = geo48 () in
   let pairs = all_pairs (Metric.n m) in
-  let tight = Stats.measure_labeled m (Hier_labeled.to_scheme (build m ~epsilon:0.1)) pairs in
-  let loose = Stats.measure_labeled m (Hier_labeled.to_scheme (build m ~epsilon:0.9)) pairs in
+  let tight = Stats.measure_labeled m (Hier_labeled.to_underlying (build m ~epsilon:0.1)) pairs in
+  let loose = Stats.measure_labeled m (Hier_labeled.to_underlying (build m ~epsilon:0.9)) pairs in
   check_bool "eps=0.1 max stretch <= eps=0.9 + slack" true
     (tight.max_stretch <= loose.max_stretch +. 0.5)
 
 let test_labels_compact () =
   let m = grid6 () in
   let t = build m ~epsilon:0.5 in
-  check_int "label bits" 6 ((Hier_labeled.to_scheme t).Cr_sim.Scheme.l_label_bits);
+  check_int "label bits" 6 ((Hier_labeled.to_underlying t).Cr_sim.Scheme.l_label_bits);
   for v = 0 to Metric.n m - 1 do
     let l = Hier_labeled.label t v in
     check_bool "label in [0,n)" true (l >= 0 && l < Metric.n m)
@@ -74,7 +74,7 @@ let test_storage_scales_sublinearly () =
     let t = build m ~epsilon:0.5 in
     let best = ref 0 in
     for v = 0 to Metric.n m - 1 do
-      best := max !best ((Hier_labeled.to_scheme t).Cr_sim.Scheme.l_table_bits v)
+      best := max !best ((Hier_labeled.to_underlying t).Cr_sim.Scheme.l_table_bits v)
     done;
     float_of_int !best
   in
@@ -89,8 +89,8 @@ let test_storage_scales_sublinearly () =
 let test_route_to_self_neighbors () =
   let m = grid6 () in
   let t = build m ~epsilon:0.5 in
-  let s = Hier_labeled.to_scheme t in
-  let o = Scheme.route_labeled s ~src:0 ~dst:1 in
+  let s = Hier_labeled.to_underlying t in
+  let o = Scheme.route_labeled m s ~src:0 ~dst:1 in
   check_float "adjacent route cost" 1.0 o.Scheme.cost;
   check_int "adjacent route hops" 1 o.Scheme.hops
 
@@ -103,10 +103,10 @@ let prop_random_geometric_delivery =
     (fun (n, seed) ->
       let m = Metric.of_graph (Cr_graphgen.Geometric.knn ~n ~k:3 ~seed) in
       let t = build m ~epsilon:0.4 in
-      let s = Hier_labeled.to_scheme t in
+      let s = Hier_labeled.to_underlying t in
       List.for_all
         (fun (src, dst) ->
-          let o = Scheme.route_labeled s ~src ~dst in
+          let o = Scheme.route_labeled m s ~src ~dst in
           o.Scheme.cost >= Metric.dist m src dst -. 1e-9)
         (Workload.sample_pairs ~n ~count:50 ~seed:(seed + 1)))
 

@@ -11,6 +11,7 @@ module Workload = Cr_sim.Workload
 module Hier = Cr_core.Hier_labeled
 module Sfl = Cr_core.Scale_free_labeled
 module Simple_ni = Cr_core.Simple_ni
+module Ni_scheme = Cr_core.Ni_scheme
 module Sfni = Cr_core.Scale_free_ni
 module Walker = Cr_sim.Walker
 module Engine = Cr_serve.Engine
@@ -49,7 +50,7 @@ let test_labeled_beats_name_independent () =
   List.iter
     (fun m ->
       let s = build_stack m in
-      let labeled = Stats.measure_labeled m (Sfl.to_scheme s.sfl) s.pairs in
+      let labeled = Stats.measure_labeled m (Sfl.to_underlying s.sfl) s.pairs in
       let ni =
         Stats.measure_name_independent m (Sfni.to_scheme s.sfni) s.naming
           s.pairs
@@ -67,8 +68,8 @@ let test_both_labeled_schemes_agree_on_quality () =
   List.iter
     (fun m ->
       let s = build_stack m in
-      let a = Stats.measure_labeled m (Hier.to_scheme s.hier) s.pairs in
-      let b = Stats.measure_labeled m (Sfl.to_scheme s.sfl) s.pairs in
+      let a = Stats.measure_labeled m (Hier.to_underlying s.hier) s.pairs in
+      let b = Stats.measure_labeled m (Sfl.to_underlying s.sfl) s.pairs in
       check_bool "avg within 10%" true
         (Float.abs (a.Stats.avg_stretch -. b.Stats.avg_stretch)
         <= 0.1 *. a.Stats.avg_stretch))
@@ -80,7 +81,7 @@ let test_no_fallbacks_anywhere () =
       let s = build_stack m in
       List.iter
         (fun (src, dst) ->
-          ignore (Scheme.route_labeled (Sfl.to_scheme s.sfl) ~src ~dst);
+          ignore (Scheme.route_labeled m (Sfl.to_underlying s.sfl) ~src ~dst);
           ignore
             ((Sfni.to_scheme s.sfni).Scheme.route_to_name ~src
                ~dest_name:s.naming.Workload.name_of.(dst)))
@@ -106,16 +107,16 @@ let test_scheme_storage_ordering () =
       let s = build_stack m in
       for v = 0 to Metric.n m - 1 do
         check_bool "simple > hier" true
-          (Simple_ni.table_bits s.simple v
-           > (Hier.to_scheme s.hier).Cr_sim.Scheme.l_table_bits v);
+          (Ni_scheme.table_bits s.simple v
+           > (Hier.to_underlying s.hier).Cr_sim.Scheme.l_table_bits v);
         check_bool "sfni > sfl" true
-          (Sfni.table_bits s.sfni v > Sfl.table_bits s.sfl v)
+          (Ni_scheme.table_bits (Sfni.scheme s.sfni) v > Sfl.table_bits s.sfl v)
       done)
     (fixtures ())
 
 let test_cross_composition () =
   (* Thm 1.1's directory over the non-scale-free labeled scheme also works
-     (the Underlying interface is the only contract) *)
+     (the labeled scheme's walk is the only contract) *)
   let m = ring16 () in
   let nt = Netting_tree.build (Hierarchy.build m) in
   let naming = Workload.random_naming ~n:(Metric.n m) ~seed:7 in
@@ -157,10 +158,11 @@ let test_degenerate_delta_one () =
         (fun w dst -> Sfl.walk s.sfl w ~dest_label:(Sfl.label s.sfl dst)),
         e_sfl );
       ( "simple-ni",
-        (fun w dst -> Simple_ni.walk s.simple w ~dest_name:(name dst)),
+        (fun w dst -> Ni_scheme.walk s.simple w ~dest_name:(name dst)),
         Engine.compile_simple_ni ~underlying:e_hier s.simple );
       ( "sf-ni",
-        (fun w dst -> Sfni.walk s.sfni w ~dest_name:(name dst)),
+        (fun w dst ->
+          Ni_scheme.walk (Sfni.scheme s.sfni) w ~dest_name:(name dst)),
         Engine.compile_scale_free_ni ~underlying:e_sfl s.sfni ) ]
   in
   List.iter

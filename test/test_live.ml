@@ -11,6 +11,7 @@ module Cost = Cr_obs.Cost
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
 module Simple_ni = Cr_core.Simple_ni
+module Ni_scheme = Cr_core.Ni_scheme
 module Hier_labeled = Cr_core.Hier_labeled
 module Walker = Cr_sim.Walker
 module Stats = Cr_sim.Stats
@@ -308,7 +309,7 @@ let degraded_fixture =
           ~underlying:(Hier_labeled.to_underlying hl)
       in
       let failures = Failures.create ~edges:[ (0, 1); (7, 13) ] ~nodes:[ 20 ] () in
-      (m, naming, Simple_ni.degraded_scheme ni ~failures))
+      (m, naming, Ni_scheme.degraded_scheme ni ~failures))
 
 let live_snapshot pool =
   let m, naming, degraded = degraded_fixture () in
@@ -350,7 +351,7 @@ let walker_conservation () =
         let w =
           Walker.create ~cost ~live m ~start:src ~max_hops:(Walker.ni_budget n)
         in
-        Simple_ni.walk ni w ~dest_name:naming.Workload.name_of.(dst);
+        Ni_scheme.walk ni w ~dest_name:naming.Workload.name_of.(dst);
         Live.record live ~src ~dst ~status:Live.Delivered
           ~dist:(Cr_metric.Metric.dist m src dst)
           ~cost:(Walker.cost w) ~hops:(Walker.hops w)

@@ -185,7 +185,7 @@ let test_phase_sums_match_walker () =
     (List.map
        (fun (src, dst) ->
          Route_trace.capture m ~src ~dst ~walk:(fun w ->
-             Scale_free_ni.walk sfni w
+             Cr_core.Ni_scheme.walk (Scale_free_ni.scheme sfni) w
                ~dest_name:naming.Workload.name_of.(dst)))
        pairs);
   check_routes (Route_trace.fig2_scale_free_labeled nt ~pairs)

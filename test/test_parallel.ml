@@ -146,13 +146,13 @@ let prop_labeled_determinism =
             let pairs = Workload.pairs_for ~n ~seed:17 ~budget:150 in
             let summary =
               Stats.measure_labeled ~pool:p m
-                (Cr_core.Hier_labeled.to_scheme hier)
+                (Cr_core.Hier_labeled.to_underlying hier)
                 pairs
             in
             let tables =
               List.init n (fun v ->
                   ( Cr_core.Hier_labeled.label hier v,
-                    (Cr_core.Hier_labeled.to_scheme hier).Cr_sim.Scheme.l_table_bits v,
+                    (Cr_core.Hier_labeled.to_underlying hier).Cr_sim.Scheme.l_table_bits v,
                     Cr_core.Scale_free_labeled.table_bits sfl v ))
             in
             (tables, summary))
@@ -195,7 +195,7 @@ let test_parallel_eval_matches_sequential () =
   let m = grid6 () in
   let nt = Netting_tree.build (Hierarchy.build m) in
   let s =
-    Cr_core.Hier_labeled.to_scheme (Cr_core.Hier_labeled.build nt ~epsilon:0.5)
+    Cr_core.Hier_labeled.to_underlying (Cr_core.Hier_labeled.build nt ~epsilon:0.5)
   in
   let pairs = all_pairs (Metric.n m) in
   let sequential = Stats.measure_labeled m s pairs in

@@ -566,7 +566,10 @@ let test_jitter_independence_spt () =
   let base = Cr_proto.Dist_spt.run g ~root:0 in
   List.iter
     (fun seed ->
-      let jittered = Cr_proto.Dist_spt.run g ~root:0 ~jitter:(seed, 2.0) in
+      let jittered =
+        Cr_proto.Dist_spt.run g ~root:0
+          ~via:(Network.local ~jitter:(seed, 2.0) ())
+      in
       check_bool
         (Printf.sprintf "SPT distances equal under jitter seed %d" seed)
         true
@@ -581,7 +584,9 @@ let test_jitter_independence_election () =
   let base = Net_election.run g ~r:2.0 in
   List.iter
     (fun seed ->
-      let jittered = Net_election.run g ~r:2.0 ~jitter:(seed, 3.0) in
+      let jittered =
+        Net_election.run g ~r:2.0 ~via:(Network.local ~jitter:(seed, 3.0) ())
+      in
       Alcotest.(check (list int))
         (Printf.sprintf "election equal under jitter seed %d" seed)
         base.Net_election.net jittered.Net_election.net)
@@ -596,7 +601,8 @@ let test_jitter_independence_packing () =
   List.iter
     (fun seed ->
       let jittered =
-        Cr_proto.Dist_packing.run g ~distances:d ~j:2 ~jitter:(seed, 3.0)
+        Cr_proto.Dist_packing.run g ~distances:d ~j:2
+          ~via:(Network.local ~jitter:(seed, 3.0) ())
       in
       Alcotest.(check (list int))
         (Printf.sprintf "packing equal under jitter seed %d" seed)
@@ -615,7 +621,9 @@ let prop_jitter_independence =
       let m = int_weight_graph n seed in
       let g = Metric.graph m in
       let base = Net_election.run g ~r:3.0 in
-      let jit = Net_election.run g ~r:3.0 ~jitter:(jseed, 4.0) in
+      let jit =
+        Net_election.run g ~r:3.0 ~via:(Network.local ~jitter:(jseed, 4.0) ())
+      in
       base.Net_election.net = jit.Net_election.net)
 
 let suite =

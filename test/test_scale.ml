@@ -182,10 +182,13 @@ let landmark_matches_dense () =
       ~seed:17
   in
   let r = Eval.measure g (Landmark_scale.scheme lm) pairs in
+  let dense_route ~src ~dst =
+    Cr_sim.Scheme.route_labeled m (Landmark.labeled_of dense) ~src ~dst
+  in
   List.iteri
     (fun i (src, dst) ->
       let d, cost, hops = r.Eval.samples.(i) in
-      let o = Landmark.route dense ~src ~dst in
+      let o = dense_route ~src ~dst in
       check_float "same denominator" (Metric.dist m src dst) d;
       check_float "same route cost" o.Cr_sim.Scheme.cost cost;
       check_int "same hops (unit weights)" o.Cr_sim.Scheme.hops hops)
@@ -195,7 +198,7 @@ let landmark_matches_dense () =
     Stats.summarize
       (List.map
          (fun (src, dst) ->
-           let o = Landmark.route dense ~src ~dst in
+           let o = dense_route ~src ~dst in
            (Metric.dist m src dst, o.Cr_sim.Scheme.cost, o.Cr_sim.Scheme.hops))
          pairs)
   in

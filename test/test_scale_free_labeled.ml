@@ -18,10 +18,10 @@ let build m ~epsilon =
   Sfl.build nt ~epsilon
 
 let check_all_pairs m t =
-  let s = Sfl.to_scheme t in
+  let s = Sfl.to_underlying t in
   List.iter
     (fun (src, dst) ->
-      let o = Scheme.route_labeled s ~src ~dst in
+      let o = Scheme.route_labeled m s ~src ~dst in
       check_bool "cost >= distance" true
         (o.Scheme.cost >= Metric.dist m src dst -. 1e-9))
     (all_pairs (Metric.n m))
@@ -46,7 +46,7 @@ let test_delivery_expo () =
 let test_stretch_envelope () =
   let m = grid8 () in
   let t = build m ~epsilon:0.25 in
-  let s = Sfl.to_scheme t in
+  let s = Sfl.to_underlying t in
   let summary = Stats.measure_labeled m s (all_pairs (Metric.n m)) in
   check_bool
     (Printf.sprintf "max stretch %.3f within 1+O(eps) envelope"
@@ -143,10 +143,10 @@ let prop_delivery_random =
     (fun (n, seed) ->
       let m = Metric.of_graph (Cr_graphgen.Geometric.knn ~n ~k:3 ~seed) in
       let t = build m ~epsilon:0.4 in
-      let s = Sfl.to_scheme t in
+      let s = Sfl.to_underlying t in
       List.for_all
         (fun (src, dst) ->
-          let o = Scheme.route_labeled s ~src ~dst in
+          let o = Scheme.route_labeled m s ~src ~dst in
           o.Scheme.cost >= Metric.dist m src dst -. 1e-9)
         (Workload.sample_pairs ~n ~count:60 ~seed:(seed + 5)))
 

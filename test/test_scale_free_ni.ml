@@ -132,7 +132,7 @@ let test_scale_free_storage_on_chains () =
     let t, _ = build m in
     let best = ref 0 in
     for v = 0 to Metric.n m - 1 do
-      best := max !best (Sfni.table_bits t v)
+      best := max !best (Cr_core.Ni_scheme.table_bits (Sfni.scheme t) v)
     done;
     !best
   in
@@ -149,7 +149,8 @@ let test_found_level_and_headers () =
   let n = Metric.n m in
   for dst = 1 to n - 1 do
     check_bool "found level >= 0" true
-      (Sfni.found_level t ~src:0 ~dest_name:naming.Workload.name_of.(dst)
+      (Cr_core.Ni_route.found_level (Sfni.scheme t).Cr_core.Ni_scheme.lookup
+         ~src:0 ~dest_name:naming.Workload.name_of.(dst)
       >= 0)
   done;
   check_bool "headers polylog" true

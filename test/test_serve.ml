@@ -10,6 +10,7 @@ module Netting_tree = Cr_nets.Netting_tree
 module Hier_labeled = Cr_core.Hier_labeled
 module Sfl = Cr_core.Scale_free_labeled
 module Simple_ni = Cr_core.Simple_ni
+module Ni_scheme = Cr_core.Ni_scheme
 module Sfni = Cr_core.Scale_free_ni
 module Rings = Cr_core.Rings
 module Landmark = Cr_baselines.Landmark
@@ -80,22 +81,19 @@ let core_schemes fx =
       fx.e_sfl );
     ( "simple-ni",
       (fun w dst ->
-        Simple_ni.walk fx.sni w ~dest_name:fx.naming.Workload.name_of.(dst)),
+        Ni_scheme.walk fx.sni w ~dest_name:fx.naming.Workload.name_of.(dst)),
       fx.e_sni );
     ( "sf-ni",
       (fun w dst ->
-        Sfni.walk fx.sfni w ~dest_name:fx.naming.Workload.name_of.(dst)),
+        Ni_scheme.walk (Sfni.scheme fx.sfni) w
+          ~dest_name:fx.naming.Workload.name_of.(dst)),
       fx.e_sfni ) ]
 
 (* The harness outcome evaluators, per engine (all six). *)
 let all_outcomes fx =
-  [ ( "hier",
-      (fun ~src ~dst ->
-        Scheme.route_labeled (Hier_labeled.to_scheme fx.hl) ~src ~dst),
-      fx.e_hier );
-    ( "sfl",
-      (fun ~src ~dst -> Scheme.route_labeled (Sfl.to_scheme fx.sfl) ~src ~dst),
-      fx.e_sfl );
+  let walked s ~src ~dst = Scheme.route_labeled fx.m s ~src ~dst in
+  [ ("hier", walked (Hier_labeled.to_underlying fx.hl), fx.e_hier);
+    ("sfl", walked (Sfl.to_underlying fx.sfl), fx.e_sfl);
     ( "simple-ni",
       (fun ~src ~dst ->
         (Simple_ni.to_scheme fx.sni).Scheme.route_to_name ~src
@@ -106,11 +104,8 @@ let all_outcomes fx =
         (Sfni.to_scheme fx.sfni).Scheme.route_to_name ~src
           ~dest_name:fx.naming.Workload.name_of.(dst)),
       fx.e_sfni );
-    ( "full",
-      (let ft = Full_table.labeled fx.m in
-       fun ~src ~dst -> Scheme.route_labeled ft ~src ~dst),
-      fx.e_full );
-    ("landmark", (fun ~src ~dst -> Landmark.route fx.lm ~src ~dst), fx.e_lm) ]
+    ("full", walked (Full_table.labeled fx.m), fx.e_full);
+    ("landmark", walked (Landmark.labeled_of fx.lm), fx.e_lm) ]
 
 let same_outcome (a : Scheme.outcome) (b : Scheme.outcome) =
   Float.equal a.Scheme.cost b.Scheme.cost && a.Scheme.hops = b.Scheme.hops
@@ -342,13 +337,12 @@ let check_route_alloc_flat rname route n =
 let test_hier_route_alloc_flat () =
   let fx = fx_geo () in
   let n = Metric.n fx.m in
-  let walked = Hier_labeled.to_scheme fx.hl in
+  let walked = Hier_labeled.to_underlying fx.hl in
   check_route_alloc_flat "served"
     (fun ~src ~dst -> Engine.route fx.e_hier ~src ~dst)
     n;
   check_route_alloc_flat "walked"
-    (fun ~src ~dst ->
-      walked.Scheme.route_to_label ~src ~dest_label:(walked.Scheme.label dst))
+    (fun ~src ~dst -> Scheme.route_labeled fx.m walked ~src ~dst)
     n
 
 (* Minor words per warmed served route of the name-independent engines
@@ -398,8 +392,8 @@ let test_missing_site_named () =
             hub))
       (fun () -> ignore (lookup.Cr_core.Ni_route.site ~level ~hub))
   in
-  check "Simple_ni" (Simple_ni.lookup fx.sni);
-  check "Scale_free_ni" (Sfni.lookup fx.sfni)
+  check "Simple_ni" fx.sni.Ni_scheme.lookup;
+  check "Scale_free_ni" (Sfni.scheme fx.sfni).Ni_scheme.lookup
 
 (* Served scheme names match the harness names, so report check rules
    classify served rows exactly like walked rows. *)
@@ -408,11 +402,11 @@ let test_scheme_names () =
   check_bool "hier" true
     (String.equal
        (Engine.scheme_name fx.e_hier)
-       (Hier_labeled.to_scheme fx.hl).Scheme.l_name);
+       (Hier_labeled.to_underlying fx.hl).Scheme.l_name);
   check_bool "sfl" true
     (String.equal
        (Engine.scheme_name fx.e_sfl)
-       (Sfl.to_scheme fx.sfl).Scheme.l_name);
+       (Sfl.to_underlying fx.sfl).Scheme.l_name);
   check_bool "simple-ni" true
     (String.equal
        (Engine.scheme_name fx.e_sni)

@@ -12,7 +12,7 @@ module Scheme = Cr_sim.Scheme
 let worst_pair_labeled m (s : Scheme.labeled) pairs =
   List.fold_left
     (fun ((_, best) as acc) (src, dst) ->
-      let outcome = Scheme.route_labeled s ~src ~dst in
+      let outcome = Scheme.route_labeled m s ~src ~dst in
       let stretch = outcome.Scheme.cost /. Metric.dist m src dst in
       if stretch > best then ((src, dst), stretch) else acc)
     ((-1, -1), neg_infinity)
@@ -189,7 +189,7 @@ let prop_scheme_summaries =
       let s =
         { Scheme.l_name = "test";
           label = Fun.id;
-          route_to_label = (fun ~src:_ ~dest_label:_ -> { Scheme.cost = 0.; hops = 0 });
+          walk = (fun _ ~dest_label:_ -> ());
           l_table_bits = (fun v -> v * 7);
           l_label_bits = 1;
           l_header_bits = 1 }

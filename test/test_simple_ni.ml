@@ -7,6 +7,8 @@ module Netting_tree = Cr_nets.Netting_tree
 module Hier_labeled = Cr_core.Hier_labeled
 module Sfl = Cr_core.Scale_free_labeled
 module Simple_ni = Cr_core.Simple_ni
+module Ni_scheme = Cr_core.Ni_scheme
+module Ni_route = Cr_core.Ni_route
 module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
 module Stats = Cr_sim.Stats
@@ -91,25 +93,28 @@ let test_observer_reports () =
   let t, naming = build m in
   let reports = ref [] in
   let w = Walker.create m ~start:0 ~max_hops:1_000_000 in
-  Simple_ni.walk
+  Ni_scheme.walk
     ~observe:(fun r -> reports := r :: !reports)
     t w ~dest_name:naming.Workload.name_of.(Metric.n m - 1);
   let reports = List.rev !reports in
   check_bool "at least one level" true (reports <> []);
   List.iteri
-    (fun i (r : Simple_ni.level_report) ->
-      check_int "levels consecutive" i r.Simple_ni.level;
+    (fun i (r : Ni_route.level_report) ->
+      check_int "levels consecutive" i r.Ni_route.level;
       check_bool "costs non-negative" true
-        (r.Simple_ni.climb_cost >= 0.0 && r.Simple_ni.search_cost >= 0.0);
+        (r.Ni_route.climb_cost >= 0.0 && r.Ni_route.search_cost >= 0.0);
       check_bool "found only at last" true
-        (r.Simple_ni.found = (i = List.length reports - 1)))
+        (r.Ni_route.found = (i = List.length reports - 1)))
     reports
 
 let test_found_level_consistent () =
   let m = grid6 () in
   let t, naming = build m in
   for dst = 1 to Metric.n m - 1 do
-    let lvl = Simple_ni.found_level t ~src:0 ~dest_name:naming.Workload.name_of.(dst) in
+    let lvl =
+      Ni_route.found_level t.Ni_scheme.lookup ~src:0
+        ~dest_name:naming.Workload.name_of.(dst)
+    in
     check_bool "level in range" true (lvl >= 0)
   done
 
@@ -124,7 +129,7 @@ let test_table_bits_include_underlying () =
   in
   for v = 0 to Metric.n m - 1 do
     check_bool "NI table exceeds underlying table" true
-      (Simple_ni.table_bits t v > (Hier_labeled.to_scheme hl).Cr_sim.Scheme.l_table_bits v)
+      (Ni_scheme.table_bits t v > (Hier_labeled.to_underlying hl).Cr_sim.Scheme.l_table_bits v)
   done
 
 let prop_delivery_random =
@@ -181,7 +186,7 @@ let test_min_level_relaxation () =
   let sum t =
     let acc = ref 0 in
     for v = 0 to Metric.n m - 1 do
-      acc := !acc + Simple_ni.table_bits t v
+      acc := !acc + Ni_scheme.table_bits t v
     done;
     !acc
   in
@@ -190,7 +195,7 @@ let test_min_level_relaxation () =
   let far_pair =
     List.find
       (fun (src, dst) ->
-        Simple_ni.found_level full ~src
+        Ni_route.found_level full.Ni_scheme.lookup ~src
           ~dest_name:naming.Workload.name_of.(dst)
         >= 3)
       (all_pairs (Metric.n m))

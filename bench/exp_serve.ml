@@ -1,11 +1,11 @@
-(* E20 — route serving: serve every scheme from its Cr_serve engine (the
-   labeled engines serve the scheme's own ring store, the others compiled
-   rows) and prove the served routes are the walked routes.
+(* E20 — route serving: serve every scheme from its Cr_serve engine (each
+   engine serves its scheme's own walk; only the flat next_hop tables are
+   the engine's) and prove the served routes are the walked routes.
 
    For each thousand-node family and each of the six schemes (four core +
    two comparators), the experiment (a) routes the standard workload
    through the scheme's own walker, (b) serves the same workload from the
-   compiled engine via Engine.batch, and (c) compares the two outcome
+   engine via Engine.batch, and (c) compares the two outcome
    vectors with exact float equality — `ident` below is 1.0 only if every
    single pair matches bit for bit, and the report check rule gates on
    it. The flat engines (hier / full / landmark) additionally prove a
@@ -15,7 +15,7 @@
    Deterministic metrics: stretch summary (of the served routes),
    serve.stretch_identical, serve.alloc_words, serve.compiled_bits.max /
    .avg (the engine's per-node serving state, wire-exact for ring
-   tables), serve.bytes_per_node (arena footprint). Timings (tolerance
+   tables), serve.bytes_per_node (the tables a served route reads). Timings (tolerance
    class, --ignore-timings diffable): serve.compile.seconds,
    serve.batch.seconds, serve.routes_per_sec, serve.ns_per_lookup (flat
    engines), and serve.ns_per_hop — one sequential Engine.route per pair,
@@ -171,9 +171,9 @@ let schemes_of inst =
     [ ("table_bits.max", Report.Int (Scheme.ni_max_table_bits s n));
       ("table_bits.avg", Report.Float (Scheme.ni_avg_table_bits s n)) ]
   in
-  (* Engines for the name-independent pair reuse the labeled engines as
-     their underlying arenas, exactly as the schemes share their
-     underlying labeled instances. *)
+  (* Engines for the name-independent pair take the labeled engines
+     compiled from their underlying labeled instances, whose tables they
+     count. *)
   let e_hier = ref None and e_sfl = ref None in
   let compile_hier () =
     let e = Engine.compile_hier ~pool:p hl in

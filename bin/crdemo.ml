@@ -97,17 +97,14 @@ let seed_arg =
 
 type scheme_kind = Hier | Sfl | Simple | Sfni | Ft | St
 
+(* One table parses and prints a scheme; cmdliner's [enum] prints the
+   last name listed for a value, so each alias precedes its canonical
+   name. *)
 let scheme_conv =
-  let parse = function
-    | "hier" -> Ok Hier
-    | "sfl" | "labeled" -> Ok Sfl
-    | "simple" -> Ok Simple
-    | "sfni" | "ni" -> Ok Sfni
-    | "full-table" | "ft" -> Ok Ft
-    | "spanning-tree" | "st" -> Ok St
-    | s -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
-  in
-  Arg.conv (parse, fun ppf _ -> Format.fprintf ppf "<scheme>")
+  Arg.enum
+    [ ("hier", Hier); ("labeled", Sfl); ("sfl", Sfl); ("simple", Simple);
+      ("ni", Sfni); ("sfni", Sfni); ("full-table", Ft); ("ft", Ft);
+      ("spanning-tree", St); ("st", St) ]
 
 let scheme_arg =
   let doc = "Scheme: hier (Lemma 3.1), sfl (Thm 1.2), simple (Thm 1.4), \
@@ -500,9 +497,9 @@ let stats_cmd =
     Term.(
       const stats $ family_arg $ scheme_arg $ epsilon_arg $ seed_arg $ pairs)
 
-(* serve: compile the scheme into Cr_serve's flat arenas, serve a
-   workload from them, and verify the served outcomes against the
-   scheme's own walker routes. *)
+(* serve: package the scheme as a Cr_serve engine, serve a workload from
+   it, and verify the served outcomes against the scheme's own walker
+   routes. *)
 
 let serve family scheme_kind epsilon seed pairs_budget =
   let module Engine = Cr_serve.Engine in
@@ -560,8 +557,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Compile a scheme's tables into flat serving arenas, serve a \
-          workload, and verify the served routes against the walker")
+         "Package a scheme as a serving engine, serve a workload, and \
+          verify the served routes against the walker")
     Term.(
       const serve $ family_arg $ scheme_arg $ epsilon_arg $ seed_arg $ pairs)
 
@@ -647,16 +644,9 @@ type construction = C_spt | C_election | C_hierarchy | C_netting | C_radii
                   | C_packing
 
 let construction_conv =
-  let parse = function
-    | "spt" -> Ok C_spt
-    | "election" -> Ok C_election
-    | "hierarchy" -> Ok C_hierarchy
-    | "netting" -> Ok C_netting
-    | "radii" -> Ok C_radii
-    | "packing" -> Ok C_packing
-    | s -> Error (`Msg (Printf.sprintf "unknown construction %S" s))
-  in
-  Arg.conv (parse, fun ppf _ -> Format.fprintf ppf "<construction>")
+  Arg.enum
+    [ ("spt", C_spt); ("election", C_election); ("hierarchy", C_hierarchy);
+      ("netting", C_netting); ("radii", C_radii); ("packing", C_packing) ]
 
 let cost family construction radius top chrome =
   let metric, _ = load family in

@@ -29,8 +29,8 @@ val build :
 val label : t -> int -> int
 
 (** [rings t] is the scheme's ring store, which its walks read and the
-    serving engine serves; [netting_tree t] is the tree it was built
-    over. *)
+    serving engine's [next_hop] reads at the destination's label;
+    [netting_tree t] is the tree it was built over. *)
 val rings : t -> Rings.t
 
 val netting_tree : t -> Cr_nets.Netting_tree.t
@@ -40,10 +40,11 @@ val netting_tree : t -> Cr_nets.Netting_tree.t
     [dest_label]) it takes [next_hop ~at ~label:dest_label], the next hop
     toward the minimal-level ring member whose range covers the label, and
     steps walker [w] there. Hops are attributed to the [Net_phase] trace phase unless
-    an outer scheme already set one. The scheme ({!walk}) and the serving
-    engine both bind [next_hop] to [Rings.next_hop] over the scheme's
-    store. Raises [Invalid_argument] naming the node and the label when
-    [next_hop] answers -1 (no ring covers the label) or the node itself. *)
+    an outer scheme already set one. The scheme ({!walk}) binds [next_hop]
+    to [Rings.next_hop] over its store. Raises [Invalid_argument] naming
+    the node and the label when [next_hop] answers -1 (no ring covers the
+    label) or the node itself. *)
+(* cr_lint: allow dead-export -- test hook: test_hier_labeled binds a next-hop source with no answer to check the typed error *)
 val route_over :
   next_hop:(at:int -> label:int -> int) -> dest:int ->
   Cr_sim.Walker.t -> dest_label:int -> unit

@@ -9,12 +9,8 @@
     stays zero; fallback storage is therefore *excluded* from the measured
     routing tables (DESIGN.md, substitution discussion). *)
 
-(** [walk nt ~hub w ~dest_label] moves walker [w] from wherever it is to
-    the node labeled [dest_label]: up its own zooming sequence to the root
-    ([hub ~src ~level] is src(level); the scheme passes its zooming
-    sequence, the serving engine its compiled hub rows), then down the
-    netting tree along ranges, walking real shortest paths between
-    consecutive net points. *)
-val walk :
-  Cr_nets.Netting_tree.t -> hub:(src:int -> level:int -> int) ->
-  Cr_sim.Walker.t -> dest_label:int -> unit
+(** [walk nt w ~dest_label] moves walker [w] from wherever it is to the
+    node labeled [dest_label]: up its own zooming sequence to the root
+    ([Netting_tree.ancestor]), then down the netting tree along ranges,
+    walking real shortest paths between consecutive net points. *)
+val walk : Cr_nets.Netting_tree.t -> Cr_sim.Walker.t -> dest_label:int -> unit

@@ -9,11 +9,11 @@
     the hub's own tree, Theorem 1.1 either its own tree or, through the
     H(u, i) link, a packed ball's tree at that ball's center.
 
-    The loop moves its packet on a {!Cr_sim.Walker.t}, so the schemes'
-    walks and the serving engine run this same code: the schemes
-    ({!Ni_scheme}) over their own tables, the engine over compiled hub
-    rows and its compiled underlying driver, and [Cr_location.Directory]
-    over its dynamic directory trees. *)
+    The loop moves its packet on a {!Cr_sim.Walker.t}: the schemes
+    ({!Ni_scheme}, whose walks the serving engine serves) run it over
+    their own tables, and [Cr_location.Directory] over its dynamic
+    directory trees. Both read the hubs from the netting tree's ancestor
+    table. *)
 
 (** Where a level's search happens (Algorithm 4). *)
 type site =

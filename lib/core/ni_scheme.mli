@@ -15,9 +15,8 @@ type t = {
   naming : Cr_sim.Workload.naming;
   underlying : Cr_sim.Scheme.labeled;
   lookup : Ni_route.t;
-      (** levels, zooming-sequence hubs and per-level sites, as shared
-          immutable views (a compiled engine searching the same trees
-          replays the walker's exact legs) *)
+      (** levels, zooming-sequence hubs (the netting tree's ancestor
+          table) and per-level sites, as shared immutable views *)
   trees_of : Cr_search.Search_tree.t list array;
       (** node -> the directory trees whose node sets include it *)
   link_bits : int -> int;

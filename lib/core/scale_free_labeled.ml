@@ -3,7 +3,6 @@ module Graph = Cr_metric.Graph
 module Bits = Cr_metric.Bits
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
-module Zoom = Cr_nets.Zoom
 module Ball_packing = Cr_packing.Ball_packing
 module Voronoi = Cr_packing.Voronoi
 module Tree = Cr_tree.Tree
@@ -24,7 +23,6 @@ type router = {
   search : (int, Search_tree.t) Hashtbl.t array;  (* c -> T'(c, r_c(j)) *)
   cell_routers : (int, Interval_routing.t) Hashtbl.t array;  (* c -> T_c(j) *)
   nt : Netting_tree.t;
-  hubs : int array;  (* v * (top + 1) + i -> v(i), for the fallback *)
   fallbacks : int Atomic.t;
       (* atomic: routes (and hence fallbacks) may run on several domains
          during parallel workload evaluation *)
@@ -164,7 +162,6 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
         let two_i = Float.pow 2.0 (float_of_int i) in
         (two_i /. 2.0 /. eps_eff) -. two_i)
   in
-  let zoom = Zoom.build h in
   let router =
     { ring = rings; far_bound; n; scales;
       radii =
@@ -173,11 +170,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
       owner = per_scale Voronoi.owner; parent = per_scale Voronoi.parent;
       search = Array.map (fun (_, _, search) -> search) levels;
       cell_routers = Array.map (fun (_, routers, _) -> routers) levels;
-      nt;
-      hubs =
-        Array.init (n * (top + 1)) (fun k ->
-            Zoom.step zoom (k / (top + 1)) (k mod (top + 1)));
-      fallbacks = Atomic.make 0 }
+      nt; fallbacks = Atomic.make 0 }
   in
   let t = { metric = m; router; trees_of; path_bits } in
   if Trace.enabled ctx then begin
@@ -208,11 +201,8 @@ let matching_scale r u i =
 
 let fallback r w ~dest_label =
   Atomic.incr r.fallbacks;
-  let width = Array.length r.hubs / r.n in
   Walker.with_phase w Trace.Fallback (fun () ->
-      Netting_descent.walk r.nt
-        ~hub:(fun ~src ~level -> r.hubs.((src * width) + level))
-        w ~dest_label)
+      Netting_descent.walk r.nt w ~dest_label)
 
 type phase_report = {
   exit_level : int;  (* i_t; -1 when the ring phase delivered directly *)

@@ -40,13 +40,9 @@ val label : t -> int -> int
 (** [netting_tree t] is the netting tree [t] was built over. *)
 val netting_tree : t -> Cr_nets.Netting_tree.t
 
-(** {1 Algorithm 5, written once}
+(** {1 Algorithm 5} *)
 
-    The scheme's walk and the serving engine run the same {!route_over}
-    over a {!router}: the engine's is the scheme's, with a fallback
-    counter of its own. *)
-
-(** Everything Algorithm 5 reads. *)
+(** Everything Algorithm 5 reads; the serving engine counts its tables. *)
 type router = {
   ring : Rings.t;
       (** the ring store: the ring phase looks up the covering entry with
@@ -65,9 +61,8 @@ type router = {
   cell_routers : (int, Cr_tree.Interval_routing.t) Hashtbl.t array;
       (** per scale: center -> its interval router for T_c(j) *)
   nt : Cr_nets.Netting_tree.t;
-  hubs : int array;
-      (** [v * (top + 1) + i] -> v(i), the netting-descent fallback's
-          zooming sequences *)
+      (** the netting tree, whose ancestor rows the netting-descent
+          fallback climbs *)
   fallbacks : int Atomic.t;  (** fallbacks taken through this router *)
 }
 
@@ -86,23 +81,17 @@ type phase_report = {
   tree_cost : float;
 }
 
-(** [route_over ?observe r w ~dest ~dest_label] moves walker [w] to
-    [dest], the node labeled [dest_label], by Algorithm 5: the ring phase
+(** [walk ?observe t w ~dest_label] moves walker [w] to the node labeled
+    [dest_label] by Algorithm 5, over the scheme's router: the ring phase
     (lines 1-6), the packing scale matching its exit level (line 7), the
     climb to the Voronoi center (line 8), the search tree II lookup of the
     local tree label (line 9) and the tree route (line 10), with the
-    netting-descent fallback (counted in [r.fallbacks]) outside the
+    netting-descent fallback (counted in [fallbacks]) outside the
     theorem's premises. Hops are trace-tagged with the Figure 2 phases:
     [Net_phase] (ring descent), [Voronoi_phase] (cell-tree climb and
     tree-route), [Search_tree_phase] (search tree II lookup), and
     [Fallback]. [observe] is called once on the fast path (not on
     fallback); only an observer makes the function read [Walker.cost]. *)
-val route_over :
-  ?observe:(phase_report -> unit) -> router -> Cr_sim.Walker.t ->
-  dest:int -> dest_label:int -> unit
-
-(** [walk t w ~dest_label] advances walker [w] to the node labeled
-    [dest_label]: {!route_over} over the scheme's own router. *)
 val walk :
   ?observe:(phase_report -> unit) -> t -> Cr_sim.Walker.t -> dest_label:int ->
   unit

@@ -2,7 +2,6 @@ module Metric = Cr_metric.Metric
 module Bits = Cr_metric.Bits
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
-module Zoom = Cr_nets.Zoom
 module Ball_packing = Cr_packing.Ball_packing
 module Search_tree = Cr_search.Search_tree
 module Scheme = Cr_sim.Scheme
@@ -160,10 +159,9 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
                Ni_route.Local st))
        built
    done);
-  let zoom = Zoom.build h in
   let lookup =
     { Ni_route.first_level = 0; top_level = top;
-      hub = (fun ~src ~level -> Zoom.step zoom src level);
+      hub = (fun ~src ~level -> Netting_tree.ancestor nt src ~level);
       site = Ni_route.site_table ~scheme:"Scale_free_ni" ~n sites;
       label = underlying.Scheme.label }
   in

@@ -1,7 +1,6 @@
 module Metric = Cr_metric.Metric
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
-module Zoom = Cr_nets.Zoom
 module Search_tree = Cr_search.Search_tree
 module Scheme = Cr_sim.Scheme
 module Workload = Cr_sim.Workload
@@ -56,10 +55,9 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) ?(min_level = 0) nt ~epsilon
         List.iter (fun v -> trees_of.(v) <- st :: trees_of.(v)) members)
       built
   done;
-  let zoom = Zoom.build h in
   let lookup =
     { Ni_route.first_level = min_level; top_level = top;
-      hub = (fun ~src ~level -> Zoom.step zoom src level);
+      hub = (fun ~src ~level -> Netting_tree.ancestor nt src ~level);
       site = Ni_route.site_table ~scheme:"Simple_ni" ~n sites;
       label = underlying.Scheme.label }
   in

@@ -2,7 +2,6 @@ module Metric = Cr_metric.Metric
 module Bits = Cr_metric.Bits
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
-module Zoom = Cr_nets.Zoom
 module Search_tree = Cr_search.Search_tree
 module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
@@ -54,10 +53,9 @@ let create nt ~epsilon ~underlying ~key_universe =
           members)
       (Hierarchy.net h i)
   done;
-  let zoom = Zoom.build h in
   let route =
     { Ni_route.first_level = 0; top_level = top;
-      hub = (fun ~src ~level -> Zoom.step zoom src level);
+      hub = (fun ~src ~level -> Netting_tree.ancestor nt src ~level);
       site =
         (fun ~level ~hub -> Ni_route.Local (Hashtbl.find trees (level, hub)));
       label = underlying.Scheme.label }

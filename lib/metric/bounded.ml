@@ -77,7 +77,10 @@ let run t g ~src ~radius =
         let cand = d +. wts.(i) in
         touch t v;
         let dv = dist.(v) in
-        if cand < dv || (Float.equal cand dv && pred.(v) >= 0 && u < pred.(v))
+        (* ties as in [Dijkstra.run]: only onto a strictly closer [u] *)
+        if
+          cand < dv
+          || (Float.equal cand dv && d < dv && pred.(v) >= 0 && u < pred.(v))
         then begin
           dist.(v) <- cand;
           pred.(v) <- u;
@@ -125,7 +128,8 @@ let run_multi t g ~sources ~radius =
         let cand = d +. wts.(i) in
         touch t v;
         let dv = dist.(v) in
-        if cand < dv || (Float.equal cand dv && o < owner.(v)) then begin
+        if cand < dv || (Float.equal cand dv && d < dv && o < owner.(v))
+        then begin
           dist.(v) <- cand;
           owner.(v) <- o;
           t.pred.(v) <- u;

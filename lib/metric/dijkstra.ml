@@ -7,7 +7,10 @@ type result = {
    shortest-path forest is deterministic. The loop reads [u]'s rows
    directly; the final dist and pred do not depend on the scan order,
    since each is a minimum over tight predecessors, all popped before
-   the node itself. *)
+   the node itself. A tie re-parents [v] only onto a strictly closer
+   [u]: past 2^53 an edge weight can round away (d + w = d), and a tie
+   between two nodes at the same distance would make each the other's
+   predecessor. *)
 let run g s =
   let n = Graph.n g in
   if s < 0 || s >= n then invalid_arg "Dijkstra.run: source out of range";
@@ -25,7 +28,9 @@ let run g s =
       let v = ids.(i) in
       let cand = d +. wts.(i) in
       let dv = dist.(v) in
-      if cand < dv || (Float.equal cand dv && pred.(v) >= 0 && u < pred.(v))
+      if
+        cand < dv
+        || (Float.equal cand dv && d < dv && pred.(v) >= 0 && u < pred.(v))
       then begin
         dist.(v) <- cand;
         pred.(v) <- u;

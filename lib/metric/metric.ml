@@ -1,5 +1,4 @@
 module Pool = Cr_par.Pool
-module Trace = Cr_obs.Trace
 
 type t = {
   graph : Graph.t;
@@ -23,18 +22,13 @@ let validate graph =
 
 (* The two O(n . Dijkstra) / O(n^2 log n) stages fan out over the pool;
    each source (resp. row) is independent and results land by index, so the
-   output is identical to the sequential run (see Cr_par.Pool). Trace
-   events are emitted on the calling domain only. Every n*n table is one
-   row-major block, like [dist]; the per-source rows are copied in and
-   dropped, the one-sided distances among them. *)
+   output is identical to the sequential run (see Cr_par.Pool). Every n*n
+   table is one row-major block, like [dist]; the per-source rows are
+   copied in and dropped, the one-sided distances among them. *)
 let build ~pool graph =
   let n = Graph.n graph in
-  let ctx = Trace.resolve None in
   let dist = Array.make (n * n) infinity in
-  let sssp =
-    Pool.stage ctx pool "metric.sssp" @@ fun () ->
-    Pool.parallel_init pool n (fun s -> Dijkstra.run graph s)
-  in
+  let sssp = Pool.parallel_init pool n (fun s -> Dijkstra.run graph s) in
   let pred = Array.make (n * n) (-1) in
   for s = 0 to n - 1 do
     Array.blit sssp.(s).Dijkstra.dist 0 dist (s * n) n;
@@ -58,7 +52,6 @@ let build ~pool graph =
     done
   done;
   let rows =
-    Pool.stage ctx pool "metric.order" @@ fun () ->
     Pool.parallel_init pool n (fun u ->
         let base = u * n in
         let ids = Array.init n Fun.id in

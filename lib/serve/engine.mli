@@ -1,34 +1,32 @@
-(** The route-serving engine: compiled routing state with an
-    allocation-free lookup path and batched query evaluation.
+(** The route-serving engine: a constructed scheme packaged for serving,
+    with an allocation-free lookup path and batched query evaluation.
 
     An engine is built from a constructed scheme by a [compile_*]
-    function, and routes are then *served* from it. The labeled engines
-    serve the scheme's own ring store ([Cr_core.Rings], the
-    piece-indexed arena the scheme walks) and compile nothing of it.
-    Every scheme's forwarding rule is written once, in [Cr_core], and the
-    engines run that same code: the labeled engines run
-    [Cr_core.Hier_labeled.route_over] (Lemma 3.1's descent, bound to
-    [Rings.next_hop]) and [Cr_core.Scale_free_labeled.route_over]
-    (Algorithm 5, over the scheme's router); the name-independent engines
-    run [Cr_core.Ni_route] over compiled hub rows and the underlying
-    labeled engine. The full-table and landmark engines replay their
-    baseline's route from compiled rows.
-    Every driver moves the packet on a [Cr_sim.Walker.t], the only
-    executor: [walk] runs it on the caller's walker, [route] on a fresh
-    untraced one, and the per-route engines' [next_hop] on one whose
-    budget stops it after the first move.
+    function, and routes are then *served* from it. An engine serves the
+    view the harness routes ([Cr_sim.Scheme.labeled] for the labeled
+    schemes and the baselines, [Cr_core.Ni_scheme.t] for the
+    name-independent pair): a served route is that view's walk to the
+    destination's label or name, so every scheme's forwarding rule is
+    written once, in [Cr_core] or [Cr_baselines], and the engine copies
+    none of its tables. [walk] runs it on the caller's walker, [route] on
+    a fresh untraced one, and [next_hop] on one whose budget stops it
+    after the first move. An engine keeps only what it alone has: the
+    flat tables [next_hop] answers from without walking (hier's ring
+    store read at the destination's label, the full-table rows, the
+    landmark bunch rows) and its accounting.
 
     The equivalence contract, enforced by the differential test suite and
     the E20 bench gate: for every (src, dst), a served route visits the
     same nodes in the same order as the scheme's own walker. A served
-    and a walked route share every decision and every move, so this holds
-    by construction, and what the suite checks is the compiled data:
-    [walk] produces an event trace byte-identical to the scheme's own,
-    and [route] reproduces the walker's cost and hop count exactly.
+    and a walked route are the same walk, so this holds by construction,
+    and what the suite checks is the packaging: [walk] produces an event
+    trace byte-identical to the scheme's own, [route] reproduces the
+    walker's cost and hop count exactly, and [next_hop] answers the
+    walk's first move.
 
     Destinations are always given as node ids; name-independent engines
-    translate through their compiled naming internally, exactly as the
-    harness's [route_to_name] callers do. *)
+    translate through the scheme's naming, exactly as the harness's
+    [route_to_name] callers do. *)
 
 type t
 
@@ -36,9 +34,9 @@ type t
 
     Each compiler wraps one scheme. [obs] (default: untraced) wraps the
     work in a ["serve.compile.<kind>"] span. The labeled and
-    name-independent compilers ignore [pool]: they build only label and
-    hub rows. [compile_full] and [compile_landmark] fan their per-node
-    rows out over [pool], with rows identical whatever the pool size. *)
+    name-independent compilers ignore [pool]: they package the scheme as
+    built. [compile_full] and [compile_landmark] fan their per-node rows
+    out over [pool], with rows identical whatever the pool size. *)
 
 val compile_hier :
   ?obs:Cr_obs.Trace.context -> ?pool:Cr_par.Pool.t ->
@@ -48,14 +46,14 @@ val compile_scale_free_labeled :
   ?obs:Cr_obs.Trace.context -> ?pool:Cr_par.Pool.t ->
   Cr_core.Scale_free_labeled.t -> t
 
-(** [compile_simple_ni ~underlying scheme] serves the Theorem 1.4 scheme
-    by running its {!Cr_core.Ni_route} lookup loop with the hubs flattened
-    into rows. [underlying] must be an engine compiled from the same
-    labeled scheme instance the name-independent scheme was built over
-    (its ring store executes every zoom/search/deliver leg). Raises
-    [Invalid_argument] if [underlying] is not a labeled engine over the
-    same node count. [compile_scale_free_ni] does the same for the
-    Theorem 1.1 scheme. *)
+(** [compile_simple_ni ~underlying scheme] serves the Theorem 1.4 scheme's
+    walk ({!Cr_core.Ni_scheme.walk}), which travels on the labeled scheme
+    it was built over. [underlying] must be an engine compiled from that
+    same labeled scheme instance: the name-independent engine counts its
+    ring tables in [compiled_bits] and its words in [bytes_per_node].
+    Raises [Invalid_argument] if [underlying] is not a hier or sfl engine
+    over the same node count. [compile_scale_free_ni] does the same for
+    the Theorem 1.1 scheme. *)
 val compile_simple_ni :
   ?obs:Cr_obs.Trace.context -> ?pool:Cr_par.Pool.t ->
   underlying:t -> Cr_core.Simple_ni.t -> t
@@ -78,9 +76,9 @@ val compile_landmark :
 
 (** {1 Identity} *)
 
-(** [scheme_name t] is the display name of the scheme served — identical
-    to the harness name ([Scheme.l_name] / [ni_name]), so report check
-    rules classify served rows the same way. *)
+(** [scheme_name t] is the name of the view served ([Scheme.l_name] /
+    [Ni_scheme.name], the harness's [ni_name]), so report check rules
+    classify served rows the same way. *)
 val scheme_name : t -> string
 
 val n : t -> int
@@ -88,16 +86,15 @@ val n : t -> int
 (** {1 Serving} *)
 
 (** [next_hop t ~src ~dst] is the first node a served route from [src]
-    leaves toward (-1 when [src = dst]). For the stateless-per-hop engines
-    (hier, full, landmark) this is a pure array scan — no allocation, the
-    E20 [Gc.minor_words] gate covers it. The per-route engines (sfl and
-    the name-independent pair) run their driver on a walker with a
-    one-hop budget and answer its position once the second move is
-    refused; they raise [Invalid_argument] if the route does not leave
-    [src]. *)
+    leaves toward (-1 when [src = dst]). For the flat-table engines (hier,
+    full, landmark) this is a pure array scan — no allocation, the E20
+    [Gc.minor_words] gate covers it. The other engines (sfl and the
+    name-independent pair) run the walk on a walker with a one-hop budget
+    and answer its position once the second move is refused; they raise
+    [Invalid_argument] if the route does not leave [src]. *)
 val next_hop : t -> src:int -> dst:int -> int
 
-(** [walk t w ~dst] drives walker [w] to [dst] from the compiled state —
+(** [walk t w ~dst] moves walker [w] to [dst] by the served view's walk —
     the differential harness runs this against the scheme's own walk and
     compares traces byte for byte. *)
 (* cr_lint: allow dead-export -- the entry point of the served = walked differential (test_serve) *)
@@ -135,9 +132,15 @@ val batch :
     scheme's [table_bits] budget gates. *)
 val compiled_bits : t -> int -> int
 
-(** [bytes_per_node t] is the engine's total arena footprint in bytes,
-    divided by n: the machine words of its scheme-specific arrays plus
-    the adjacency at its packed size, (n + 1) + 2·Σdeg words (row
-    offsets, then a neighbour id and a weight per directed edge),
-    computed once at compile. The metric's tables are not charged. *)
+(** [bytes_per_node t] is the footprint of the tables a served route
+    reads, in bytes, divided by n, computed once at compile: the
+    scheme-specific arrays (the ring store; the netting tree's label and
+    inverse-label arrays, 2n words; its ancestor table, n·(top + 1) words,
+    for sfl's fallback and for each name-independent engine's hubs; the
+    naming, n words; the full-table, landmark and Voronoi rows), plus the
+    adjacency at its packed size, (n + 1) + 2·Σdeg words (row offsets,
+    then a neighbour id and a weight per directed edge). A
+    name-independent engine adds its underlying engine's words, so sf-ni
+    over sfl counts the one ancestor table twice. The metric's tables are
+    not charged. *)
 val bytes_per_node : t -> float

@@ -1,7 +1,6 @@
 module Metric = Cr_metric.Metric
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
-module Zoom = Cr_nets.Zoom
 module Ball_packing = Cr_packing.Ball_packing
 module Search_tree = Cr_search.Search_tree
 
@@ -53,17 +52,25 @@ let hierarchy m h =
   done;
   List.rev !findings
 
-let zoom_sequences m h =
+(* Eqn (2) along each leaf's ancestor row: the climb to level i, summed
+   step by step, costs less than 2^(i+1). *)
+let zoom_sequences m nt =
   let findings = ref [] in
-  let z = Zoom.build h in
-  let top = Hierarchy.top_level h in
+  let top = Hierarchy.top_level (Netting_tree.hierarchy nt) in
   for u = 0 to Metric.n m - 1 do
+    let climb = ref 0.0 in
     for i = 0 to top do
+      if i > 0 then
+        climb :=
+          !climb
+          +. Metric.dist m
+               (Netting_tree.ancestor nt u ~level:(i - 1))
+               (Netting_tree.ancestor nt u ~level:i);
       let bound = Float.pow 2.0 (float_of_int (i + 1)) in
-      if Zoom.climb_cost z u i >= bound then
+      if !climb >= bound then
         findings :=
           finding "zoom" "Eqn 2 violated: climb(%d, %d) = %g >= %g" u i
-            (Zoom.climb_cost z u i) bound
+            !climb bound
           :: !findings
     done
   done;
@@ -99,6 +106,12 @@ let netting_tree m nt =
     let l = Netting_tree.label nt u in
     let steps = zoom_step u in
     for i = 0 to top do
+      (* the path routes climb: the stored ancestor row, and the parent
+         pointers from the leaf up *)
+      if Netting_tree.ancestor nt u ~level:i <> steps.(i) then
+        add (finding "netting" "ancestor mismatch: u=%d level=%d" u i);
+      if i < top && Netting_tree.parent nt ~level:i steps.(i) <> steps.(i + 1)
+      then add (finding "netting" "parent mismatch: u=%d level=%d" u i);
       List.iter
         (fun x ->
           let covers =
@@ -171,7 +184,7 @@ let all m =
   let h = Hierarchy.build m in
   let nt = Netting_tree.build h in
   let structure =
-    hierarchy m h @ zoom_sequences m h @ netting_tree m nt @ packings m
+    hierarchy m h @ zoom_sequences m nt @ netting_tree m nt @ packings m
   in
   (* one representative search tree per scale band *)
   let trees =

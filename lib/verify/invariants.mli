@@ -19,8 +19,10 @@ type finding = {
 val hierarchy :
   Cr_metric.Metric.t -> Cr_nets.Hierarchy.t -> finding list
 
-(** [netting_tree m nt] checks the label bijection and the central range
-    property: l(u) in Range(x, i) iff x = u(i). *)
+(** [netting_tree m nt] checks the label bijection, that each leaf's
+    stored ancestor row and its parent pointers up to the root are its
+    zooming sequence recomputed from [m], and the central range property:
+    l(u) in Range(x, i) iff x = u(i). *)
 (* cr_lint: allow dead-export -- test hook: test_verify feeds it a mismatched structure *)
 val netting_tree :
   Cr_metric.Metric.t -> Cr_nets.Netting_tree.t -> finding list

@@ -176,6 +176,55 @@ let test_next_hop () =
   check_bool "hop adjacent" true
     (Graph.edge_weight (Metric.graph m) 0 hop <> None)
 
+(* On the 48-node chain of base 3.0, distances pass 2^53, where adding a
+   unit edge rounds back to the same float: a tie-break that re-parents a
+   node onto a neighbour at its own distance makes the two each other's
+   predecessors. Every predecessor chain must reach its root; chains are
+   chased at most n steps, so a cycle fails here as an assertion, before
+   [Metric.first_hops] (which recurses along them) is called. *)
+let test_absorbed_weight_forests () =
+  let m =
+    Metric.of_graph (Cr_graphgen.Path_like.exponential_chain ~n:48 ~base:3.0)
+  in
+  let g = Metric.graph m in
+  let n = Metric.n m in
+  let reaches pred v root =
+    let rec chase v steps =
+      v = root || (steps < n && v >= 0 && chase pred.(v) (steps + 1))
+    in
+    chase v 0
+  in
+  for src = 0 to n - 1 do
+    let r = Dijkstra.run g src in
+    for v = 0 to n - 1 do
+      check_bool
+        (Printf.sprintf "run from %d: %d's chain reaches the source" src v)
+        true (reaches r.pred v src)
+    done
+  done;
+  List.iter
+    (fun sources ->
+      let _, owner, pred = Dijkstra.multi_source g sources in
+      for v = 0 to n - 1 do
+        check_bool
+          (Printf.sprintf "multi_source from %d sources: %d's chain reaches its owner"
+             (List.length sources) v)
+          true
+          (reaches pred v owner.(v))
+      done)
+    [ [ 0 ]; [ 47 ]; [ 0; 47 ]; [ 0; 16; 32; 47 ]; List.init 24 (fun i -> 2 * i) ];
+  for src = 0 to n - 1 do
+    let hops = Metric.first_hops m ~src in
+    check_int (Printf.sprintf "first_hops from %d: diagonal" src) (-1) hops.(src);
+    for v = 0 to n - 1 do
+      if v <> src then
+        check_bool
+          (Printf.sprintf "first_hops from %d to %d: a neighbour" src v)
+          true
+          (Graph.edge_weight g src hops.(v) <> None)
+    done
+  done
+
 let test_bits () =
   check_int "ceil_log2 1" 0 (Bits.ceil_log2 1);
   check_int "ceil_log2 2" 1 (Bits.ceil_log2 2);
@@ -784,6 +833,8 @@ let suite =
     Alcotest.test_case "of_graph rejects" `Quick test_of_graph_rejects;
     Alcotest.test_case "nearest_in tie-break" `Quick test_nearest_in_tie_break;
     Alcotest.test_case "next_hop adjacency" `Quick test_next_hop;
+    Alcotest.test_case "absorbed edge weights keep predecessor forests"
+      `Quick test_absorbed_weight_forests;
     Alcotest.test_case "bit accounting" `Quick test_bits;
     Alcotest.test_case "doubling estimate on grid" `Quick test_doubling_grid;
     Alcotest.test_case "doubling grows on hypercubes" `Quick

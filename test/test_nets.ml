@@ -5,7 +5,6 @@ open Helpers
 module Metric = Cr_metric.Metric
 module Rnet = Cr_nets.Rnet
 module Hierarchy = Cr_nets.Hierarchy
-module Zoom = Cr_nets.Zoom
 module Netting_tree = Cr_nets.Netting_tree
 
 let all_nodes m = List.init (Metric.n m) Fun.id
@@ -69,28 +68,48 @@ let test_hierarchy_nets_valid () =
          ~over:(all_nodes m))
   done
 
+(* sum_{k=1..i} d(u(k-1), u(k)): the exact cost of walking u's zooming
+   sequence, its netting-tree ancestors, up to level [i]. *)
+let climb_cost m nt u i =
+  let total = ref 0.0 in
+  for k = 1 to i do
+    total :=
+      !total
+      +. Metric.dist m
+           (Netting_tree.ancestor nt u ~level:(k - 1))
+           (Netting_tree.ancestor nt u ~level:k)
+  done;
+  !total
+
 let test_zoom_eqn2 () =
   (* Eqn (2): climb cost up to level i is < 2^(i+1). *)
   let m = holey () in
   let h = Hierarchy.build m in
-  let z = Zoom.build h in
+  let nt = Netting_tree.build h in
   let top = Hierarchy.top_level h in
   for u = 0 to Metric.n m - 1 do
     for i = 0 to top do
       check_bool "climb cost bound" true
-        (Zoom.climb_cost z u i < Float.pow 2.0 (float_of_int (i + 1)))
+        (climb_cost m nt u i < Float.pow 2.0 (float_of_int (i + 1)))
     done
   done
 
 let test_zoom_membership () =
   let m = grid6 () in
   let h = Hierarchy.build m in
-  let z = Zoom.build h in
+  let nt = Netting_tree.build h in
   for u = 0 to Metric.n m - 1 do
     for i = 0 to Hierarchy.top_level h do
-      check_bool "u(i) in Y_i" true (Hierarchy.mem h ~level:i (Zoom.step z u i))
+      check_bool "u(i) in Y_i" true
+        (Hierarchy.mem h ~level:i (Netting_tree.ancestor nt u ~level:i))
     done
-  done
+  done;
+  List.iter
+    (fun level ->
+      Alcotest.check_raises "level out of range"
+        (Invalid_argument "Netting_tree.ancestor: level out of range")
+        (fun () -> ignore (Netting_tree.ancestor nt 0 ~level)))
+    [ -1; Hierarchy.top_level h + 1 ]
 
 let test_netting_tree_labels_bijective () =
   let m = holey () in
@@ -110,7 +129,6 @@ let test_netting_tree_range_iff_zoom () =
   (* The central property: l(u) in Range(x, i) iff x = u(i). *)
   let m = holey () in
   let h = Hierarchy.build m in
-  let z = Zoom.build h in
   let nt = Netting_tree.build h in
   let top = Hierarchy.top_level h in
   for u = 0 to Metric.n m - 1 do
@@ -123,7 +141,7 @@ let test_netting_tree_range_iff_zoom () =
           in
           check_bool
             (Printf.sprintf "range iff zoom (u=%d i=%d x=%d)" u i x)
-            (Zoom.step z u i = x) covers)
+            (Netting_tree.ancestor nt u ~level:i = x) covers)
         (Hierarchy.net h i)
     done
   done
@@ -154,7 +172,20 @@ let test_netting_tree_parent_child () =
         check_bool "x among parent's children" true
           (List.mem x (Netting_tree.children nt ~level:(i + 1) p)))
       (Hierarchy.net h i)
-  done
+  done;
+  (* the parent pointers are read from the ancestor rows, and keep their
+     errors *)
+  let outside =
+    List.find
+      (fun v -> not (Hierarchy.mem h ~level:1 v))
+      (List.init (Metric.n m) Fun.id)
+  in
+  Alcotest.check_raises "not a net point"
+    (Invalid_argument "Netting_tree.parent: not a net point") (fun () ->
+      ignore (Netting_tree.parent nt ~level:1 outside));
+  Alcotest.check_raises "top level"
+    (Invalid_argument "Netting_tree.parent: top level has no parent")
+    (fun () -> ignore (Netting_tree.parent nt ~level:top 0))
 
 let test_lemma_2_2_net_points_in_ball () =
   (* Lemma 2.2: for an r-net Y, |B_u(r') ∩ Y| <= (4 r'/r)^alpha. The grid's
@@ -213,12 +244,14 @@ let prop_hierarchy_packing =
 let prop_zoom_step_distance =
   qcheck_case ~count:25 "nets: zoom steps within 2^i" gen_metric (fun m ->
       let h = Hierarchy.build m in
-      let z = Zoom.build h in
+      let nt = Netting_tree.build h in
       let ok = ref true in
       for u = 0 to Metric.n m - 1 do
         for i = 1 to Hierarchy.top_level h do
           if
-            Metric.dist m (Zoom.step z u (i - 1)) (Zoom.step z u i)
+            Metric.dist m
+              (Netting_tree.ancestor nt u ~level:(i - 1))
+              (Netting_tree.ancestor nt u ~level:i)
             > Hierarchy.net_radius i +. 1e-9
           then ok := false
         done

@@ -4,7 +4,6 @@ open Helpers
 module Metric = Cr_metric.Metric
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
-module Zoom = Cr_nets.Zoom
 module Rings = Cr_core.Rings
 module Bits = Cr_metric.Bits
 module Pool = Cr_par.Pool
@@ -68,8 +67,7 @@ let test_cover_is_zoom_ancestor () =
      must be the destination's zoom ancestor v(i) (by the netting-tree
      range property), and so must the store's minimal cover *)
   let m = grid6 () in
-  let rings, nt, h = build m in
-  let z = Zoom.build h in
+  let rings, nt, _ = build m in
   let n = Metric.n m in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
@@ -80,12 +78,12 @@ let test_cover_is_zoom_ancestor () =
             (fun (x : Table_codec.ring_entry) ->
               if x.range_lo <= label && label <= x.range_hi then
                 check_int "covering member = v(level)"
-                  (Zoom.step z v l.level) x.member)
+                  (Netting_tree.ancestor nt v ~level:l.level) x.member)
             l.entries)
         (Rings.levels_of rings u);
       let e = Rings.cover rings ~at:u ~label in
       check_int "cover = v(level)"
-        (Zoom.step z v (Rings.entry_level rings e))
+        (Netting_tree.ancestor nt v ~level:(Rings.entry_level rings e))
         (Rings.entry_member rings e)
     done
   done

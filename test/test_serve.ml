@@ -130,7 +130,7 @@ let test_outcomes_all_pairs fname fx () =
         pairs)
     (all_outcomes fx)
 
-(* Byte-identical traces: running the engine's driver through a real
+(* Byte-identical traces: running the engine's walk through a real
    walker produces the exact event stream of the scheme's own walk —
    same hops, same kinds, same phases, same cumulative costs. *)
 let capture m walkfn ~src =
@@ -269,7 +269,7 @@ let prop_cover_is_scan =
 
 (* The zero-allocation regression gate: 10k lookups on the flat engines
    allocate nothing on the minor heap. (The per-route engines probe a
-   driver and are exempt — E20 gates only the flat ones.) *)
+   walk and are exempt — E20 gates only the flat ones.) *)
 let rec burn eng pairs i acc =
   if i = Array.length pairs then acc
   else

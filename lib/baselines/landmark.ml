@@ -85,7 +85,9 @@ let labeled_of t =
   let m = t.metric in
   { Scheme.l_name = "landmark (TZ stretch-3)";
     label = Fun.id;
-    walk = walk t;
+    (* applied in full: a partial [walk t] goes through curried
+       application stubs on every route *)
+    walk = (fun w ~dest_label -> walk t w ~dest_label);
     l_table_bits = table_bits t;
     l_label_bits = Bits.id_bits (Metric.n m);
     l_header_bits = 2 * Bits.id_bits (Metric.n m) }

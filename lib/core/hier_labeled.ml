@@ -70,7 +70,9 @@ let header_bits t =
 let to_underlying t =
   { Scheme.l_name = "hier-labeled (Lemma 3.1)";
     label = label t;
-    walk = walk t;
+    (* applied in full: a partial [walk t] goes through curried
+       application stubs on every route *)
+    walk = (fun w ~dest_label -> walk t w ~dest_label);
     l_table_bits = table_bits t;
     l_label_bits = label_bits t;
     l_header_bits = header_bits t }

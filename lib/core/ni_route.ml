@@ -1,3 +1,4 @@
+module Netting_tree = Cr_nets.Netting_tree
 module Search_tree = Cr_search.Search_tree
 module Walker = Cr_sim.Walker
 module Trace = Cr_obs.Trace
@@ -9,7 +10,7 @@ type site =
 type t = {
   first_level : int;
   top_level : int;
-  hub : src:int -> level:int -> int;
+  tree : Netting_tree.t;
   site : level:int -> hub:int -> site;
   label : int -> int;
 }
@@ -61,7 +62,7 @@ let run ?observe t w ~travel ~failovers ~dest_name =
     if i > t.top_level then false
     else
       match
-        let hub = t.hub ~src:from ~level:i in
+        let hub = Netting_tree.ancestor t.tree from ~level:i in
         (* the cost reads and the report happen only for an observer *)
         let observed = Option.is_some observe in
         let before_climb = if observed then Walker.cost w else 0.0 in
@@ -103,7 +104,7 @@ let found_level t ~src ~dest_name =
     if i > t.top_level then invalid_arg "Ni_route.found_level: name not found"
     else
       let (Local st | Link (_, st)) =
-        t.site ~level:i ~hub:(t.hub ~src ~level:i)
+        t.site ~level:i ~hub:(Netting_tree.ancestor t.tree src ~level:i)
       in
       match (Search_tree.search st ~key:dest_name).data with
       | Some _ -> i

@@ -26,7 +26,10 @@ type site =
 type t = {
   first_level : int;  (** the level the climb starts at *)
   top_level : int;
-  hub : src:int -> level:int -> int;  (** src(level), the zooming sequence *)
+  tree : Cr_nets.Netting_tree.t;
+      (** the netting tree, whose ancestor rows are the zooming sequences
+          the loop climbs: src's level-i hub is
+          [Netting_tree.ancestor tree src ~level:i] *)
   site : level:int -> hub:int -> site;
   label : int -> int;  (** node -> underlying routing label *)
 }

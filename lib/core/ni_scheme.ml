@@ -18,7 +18,11 @@ type t = {
 
 let effective_epsilon epsilon = Float.min epsilon 0.4
 
-let travel t w dest_label = t.underlying.Scheme.walk w ~dest_label
+(* One closure per route, applied in full on every leg (a partial
+   application would go through curried application stubs). *)
+let travel t w =
+  let walk = t.underlying.Scheme.walk in
+  fun dest_label -> walk w ~dest_label
 
 let walk ?observe t w ~dest_name =
   Ni_route.walk ?observe t.lookup w ~travel:(travel t w) ~dest_name

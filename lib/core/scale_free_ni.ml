@@ -161,7 +161,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
    done);
   let lookup =
     { Ni_route.first_level = 0; top_level = top;
-      hub = (fun ~src ~level -> Netting_tree.ancestor nt src ~level);
+      tree = nt;
       site = Ni_route.site_table ~scheme:"Scale_free_ni" ~n sites;
       label = underlying.Scheme.label }
   in

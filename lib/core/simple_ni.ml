@@ -57,7 +57,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) ?(min_level = 0) nt ~epsilon
   done;
   let lookup =
     { Ni_route.first_level = min_level; top_level = top;
-      hub = (fun ~src ~level -> Netting_tree.ancestor nt src ~level);
+      tree = nt;
       site = Ni_route.site_table ~scheme:"Simple_ni" ~n sites;
       label = underlying.Scheme.label }
   in

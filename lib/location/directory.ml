@@ -55,7 +55,7 @@ let create nt ~epsilon ~underlying ~key_universe =
   done;
   let route =
     { Ni_route.first_level = 0; top_level = top;
-      hub = (fun ~src ~level -> Netting_tree.ancestor nt src ~level);
+      tree = nt;
       site =
         (fun ~level ~hub -> Ni_route.Local (Hashtbl.find trees (level, hub)));
       label = underlying.Scheme.label }

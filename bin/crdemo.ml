@@ -648,6 +648,17 @@ let construction_conv =
     [ ("spt", C_spt); ("election", C_election); ("hierarchy", C_hierarchy);
       ("netting", C_netting); ("radii", C_radii); ("packing", C_packing) ]
 
+(* A positive float: zero, a negative number and NaN are usage errors
+   (exit 124) naming the flag. *)
+let positive_float =
+  let parse text =
+    match Arg.conv_parser Arg.float text with
+    | Ok x when x > 0.0 -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S: not a positive number" text))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let cost family construction radius top chrome =
   let metric, _ = load family in
   let g = Metric.graph metric in
@@ -718,8 +729,9 @@ let cost_cmd =
   in
   let radius_arg =
     Arg.(
-      value & opt float 2.0
-      & info [ "radius" ] ~docv:"R" ~doc:"Election ball radius.")
+      value & opt positive_float 2.0
+      & info [ "radius" ] ~docv:"R"
+          ~doc:"Election ball radius, a positive number.")
   in
   let top_arg =
     Arg.(

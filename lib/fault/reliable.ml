@@ -74,20 +74,13 @@ let add_faults a (b : Network.fault_counts) =
    messages and cost nothing. *)
 let measure_packet ~n inner =
   let module Wire = Cr_proto.Wire in
-  let header f =
-    Wire.measure (fun w ->
-        Wire.push_tag w ~cases:2 0;
-        f w)
-  in
+  let u = Wire.universe n in
   fun (packet : _ packet) ->
     match packet with
     | Boot m | Inner_timer m -> inner m
     | Data { seq; src; payload } ->
-      header (fun w ->
-          Wire.push_seq w seq;
-          Wire.push_node w ~n src)
-      + inner payload
-    | Ack { seq } -> header (fun w -> Wire.push_seq w seq)
+      Wire.tag ~cases:2 0 + Wire.seq seq + Wire.node u src + inner payload
+    | Ack { seq } -> Wire.tag ~cases:2 1 + Wire.seq seq
     | Resend _ -> 0
 
 let runner t =

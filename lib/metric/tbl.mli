@@ -12,11 +12,6 @@
     most one binding per key); with [Hashtbl.add]-stacked duplicates the
     relative order of equal keys would again be bucket-dependent. *)
 
-(** [iter_sorted ~cmp f tbl] applies [f] to each binding in ascending key
-    order. *)
-val iter_sorted :
-  cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
-
 (** [fold_sorted ~cmp f tbl init] folds over bindings in ascending key
     order (so e.g. a keep-first minimum extraction tie-breaks toward the
     least key). *)

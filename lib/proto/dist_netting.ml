@@ -4,11 +4,9 @@ module Metric = Cr_metric.Metric
 type announce = Announce of { origin : int; traveled : float }
 
 let measure_announce g =
-  let n = Graph.n g in
+  let u = Wire.universe (Graph.n g) in
   fun (Announce { origin; traveled }) ->
-    Wire.measure (fun w ->
-        Wire.push_node w ~n origin;
-        Wire.push_float w traveled)
+    Wire.node u origin + Wire.float traveled
 
 type best = {
   mutable choice : (float * int) option;  (* (distance, id), lexicographic *)

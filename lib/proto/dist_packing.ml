@@ -27,37 +27,57 @@ let lost_target ~protocol ~self ~target ~delivered ~now =
 (* ---- phase A: candidate floods and witness conflict discovery ---- *)
 
 type cand_info = {
+  c_id : int;
   c_r : float;
   mutable c_dist : float;
   mutable c_via : int;  (* neighbor toward the candidate; -1 at the center *)
 }
 
+let no_cand = { c_id = -1; c_r = 0.0; c_dist = 0.0; c_via = -1 }
+
 type a_state = {
-  cands : (int, cand_info) Hashtbl.t;
-  witnessed : (int * int, unit) Hashtbl.t;  (* conflict pairs reported here *)
+  mutable cands : cand_info array;  (* the first [count], ascending c_id *)
+  mutable count : int;
   conflicts : (int, float) Hashtbl.t;  (* self as candidate: partner -> r *)
+  mutable earlier : int;  (* conflict partners preceding self *)
 }
+
+(* The slot of candidate [id] in [st.cands], or [-(slot + 1)] for the
+   slot it would be inserted at. *)
+let rec search_between cands id lo hi =
+  if lo > hi then -(lo + 1)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = cands.(mid).c_id in
+    if c = id then mid
+    else if c < id then search_between cands id (mid + 1) hi
+    else search_between cands id lo (mid - 1)
+
+let search st id = search_between st.cands id 0 (st.count - 1)
+
+let insert st slot info =
+  if st.count = Array.length st.cands then begin
+    let bigger = Array.make (2 * st.count) no_cand in
+    Array.blit st.cands 0 bigger 0 st.count;
+    st.cands <- bigger
+  end;
+  Array.blit st.cands slot st.cands (slot + 1) (st.count - slot);
+  st.cands.(slot) <- info;
+  st.count <- st.count + 1
 
 type a_msg =
   | Cand of { origin : int; r : float; traveled : float; from : int }
   | Note of { target : int; partner : int; partner_r : float }
 
 let measure_a g =
-  let n = Graph.n g in
-  fun msg ->
-    Wire.measure (fun w ->
-        match msg with
-        | Cand { origin; r; traveled; from } ->
-          Wire.push_tag w ~cases:2 0;
-          Wire.push_node w ~n origin;
-          Wire.push_float w r;
-          Wire.push_float w traveled;
-          Wire.push_opt_node w ~n from
-        | Note { target; partner; partner_r } ->
-          Wire.push_tag w ~cases:2 1;
-          Wire.push_node w ~n target;
-          Wire.push_node w ~n partner;
-          Wire.push_float w partner_r)
+  let u = Wire.universe (Graph.n g) in
+  function
+  | Cand { origin; r; traveled; from } ->
+    Wire.tag ~cases:2 0 + Wire.node u origin + Wire.float r
+    + Wire.float traveled + Wire.opt_node u from
+  | Note { target; partner; partner_r } ->
+    Wire.tag ~cases:2 1 + Wire.node u target + Wire.node u partner
+    + Wire.float partner_r
 
 let discovery_phase g ~radius ~runner ~max_messages =
   let n = Graph.n g in
@@ -65,12 +85,19 @@ let discovery_phase g ~radius ~runner ~max_messages =
   let delivered = ref 0 in
   let deliver_note (actions : a_msg Network.actions) ~self state ~target
       ~partner ~partner_r =
-    if target = self then Hashtbl.replace state.conflicts partner partner_r
+    if target = self then begin
+      if not (Hashtbl.mem state.conflicts partner) then begin
+        Hashtbl.replace state.conflicts partner partner_r;
+        if precedes (partner_r, partner) (radius.(self), self) then
+          state.earlier <- state.earlier + 1
+      end
+    end
     else
-      match Hashtbl.find_opt state.cands target with
-      | Some info ->
-        actions.Network.send info.c_via (Note { target; partner; partner_r })
-      | None ->
+      let slot = search state target in
+      if slot >= 0 then
+        actions.Network.send state.cands.(slot).c_via
+          (Note { target; partner; partner_r })
+      else
         lost_target ~protocol ~self ~target ~delivered:!delivered
           ~now:actions.Network.now
   in
@@ -81,19 +108,22 @@ let discovery_phase g ~radius ~runner ~max_messages =
       deliver_note actions ~self state ~target ~partner ~partner_r;
       state
     | Cand { origin; r; traveled; from } ->
+      let slot = search state origin in
+      let first = slot < 0 in
       let improved =
-        match Hashtbl.find_opt state.cands origin with
-        | Some info ->
+        if first then begin
+          insert state (-slot - 1)
+            { c_id = origin; c_r = r; c_dist = traveled; c_via = from };
+          true
+        end
+        else
+          let info = state.cands.(slot) in
           if traveled < info.c_dist then begin
             info.c_dist <- traveled;
             info.c_via <- from;
             true
           end
           else false
-        | None ->
-          Hashtbl.replace state.cands origin
-            { c_r = r; c_dist = traveled; c_via = from };
-          true
       in
       if improved && traveled <= r then begin
         Graph.iter_neighbors g self (fun v w ->
@@ -101,20 +131,20 @@ let discovery_phase g ~radius ~runner ~max_messages =
               actions.Network.send v
                 (Cand { origin; r; traveled = traveled +. w; from = self }));
         (* witness rule: this node now sees [origin]; report every
-           coexisting pair once, to both centers (ascending partner id, so
-           note traffic is independent of hash order) *)
-        Tbl.iter_sorted ~cmp:Int.compare
-          (fun other (info : cand_info) ->
-            if other <> origin && not (Hashtbl.mem state.witnessed (origin, other))
-            then begin
-              Hashtbl.replace state.witnessed (origin, other) ();
-              Hashtbl.replace state.witnessed (other, origin) ();
-              deliver_note actions ~self state ~target:origin ~partner:other
-                ~partner_r:info.c_r;
-              deliver_note actions ~self state ~target:other ~partner:origin
-                ~partner_r:r
-            end)
-          state.cands
+           coexisting pair once, to both centers, in ascending partner
+           id. Only a first arrival can: every pair of the candidates
+           already here was reported when the later of the two arrived,
+           so an improving arrival finds none new. *)
+        if first then
+          for k = 0 to state.count - 1 do
+            let other = state.cands.(k) in
+            if other.c_id <> origin then begin
+              deliver_note actions ~self state ~target:origin
+                ~partner:other.c_id ~partner_r:other.c_r;
+              deliver_note actions ~self state ~target:other.c_id
+                ~partner:origin ~partner_r:r
+            end
+          done
       end;
       state
   in
@@ -124,18 +154,20 @@ let discovery_phase g ~radius ~runner ~max_messages =
   in
   runner.Network.execute ~measure:(measure_a g) g ~protocol
     ~init:(fun _ ->
-      { cands = Hashtbl.create 8;
-        witnessed = Hashtbl.create 8;
-        conflicts = Hashtbl.create 8 })
+      { cands = Array.make 8 no_cand;
+        count = 0;
+        conflicts = Hashtbl.create 8;
+        earlier = 0 })
     ~handler ~kickoff ~max_messages
 
 (* ---- phase B: wait-for-smaller election over the conflict graph ---- *)
 
 type b_state = {
   mutable status : bool option;  (* Some true = ball accepted *)
-  heard : (int, bool) Hashtbl.t;
+  heard : (int, unit) Hashtbl.t;  (* partners whose verdict arrived *)
+  mutable heard_true : bool;  (* one of them accepted *)
+  mutable pending : int;  (* preceding conflict partners not yet heard *)
   seen : (int, float) Hashtbl.t;  (* decision flood dedupe *)
-  relayed : (int * int, unit) Hashtbl.t;
 }
 
 type b_msg =
@@ -145,23 +177,15 @@ type b_msg =
   | Relay of { target : int; partner : int; verdict : bool }
 
 let measure_b g =
-  let n = Graph.n g in
-  fun msg ->
-    Wire.measure (fun w ->
-        match msg with
-        | Kick -> Wire.push_tag w ~cases:3 0
-        | Decision { origin; r; verdict; traveled; from } ->
-          Wire.push_tag w ~cases:3 1;
-          Wire.push_node w ~n origin;
-          Wire.push_float w r;
-          Wire.push_bool w verdict;
-          Wire.push_float w traveled;
-          Wire.push_node w ~n from
-        | Relay { target; partner; verdict } ->
-          Wire.push_tag w ~cases:3 2;
-          Wire.push_node w ~n target;
-          Wire.push_node w ~n partner;
-          Wire.push_bool w verdict)
+  let u = Wire.universe (Graph.n g) in
+  function
+  | Kick -> Wire.tag ~cases:3 0
+  | Decision { origin; r; verdict; traveled; from } ->
+    Wire.tag ~cases:3 1 + Wire.node u origin + Wire.float r
+    + Wire.bool verdict + Wire.float traveled + Wire.node u from
+  | Relay { target; partner; verdict } ->
+    Wire.tag ~cases:3 2 + Wire.node u target + Wire.node u partner
+    + Wire.bool verdict
 
 let election_phase g ~radius ~a_states ~runner ~max_messages =
   let n = Graph.n g in
@@ -174,14 +198,29 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
           actions.Network.send v
             (Decision { origin = self; r; verdict; traveled = w; from = self }))
   in
-  let rec try_decide actions self state =
+  (* The candidates a node saw in phase A, fixed from here on, are the
+     partners it relays a decision to: ascending, all but [origin]. *)
+  let rec relay_all actions ~self state ~origin ~verdict =
+    let a = a_states.(self) in
+    for k = 0 to a.count - 1 do
+      let other = a.cands.(k).c_id in
+      if other <> origin then
+        deliver_relay actions ~self state ~target:other ~partner:origin
+          ~verdict
+    done
+  and hear actions self state partner verdict =
+    if not (Hashtbl.mem state.heard partner) then begin
+      Hashtbl.replace state.heard partner ();
+      if verdict then state.heard_true <- true;
+      match Hashtbl.find_opt a_states.(self).conflicts partner with
+      | Some partner_r when precedes (partner_r, partner) (radius.(self), self)
+        ->
+        state.pending <- state.pending - 1
+      | _ -> ()
+    end;
+    try_decide actions self state
+  and try_decide actions self state =
     if state.status = None then begin
-      let mine = (radius.(self), self) in
-      let rejected =
-        Tbl.fold_sorted ~cmp:Int.compare
-          (fun _ verdict acc -> acc || verdict)
-          state.heard false
-      in
       let decide verdict =
         state.status <- Some verdict;
         Hashtbl.replace state.seen self 0.0;  (* own flood echoes are stale *)
@@ -189,41 +228,21 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
         (* The decider is itself a witness for every candidate whose ball
            covers it; a far partner whose flood radius dwarfs ours would
            otherwise never hear from us (the self-witness case). *)
-        Tbl.iter_sorted ~cmp:Int.compare
-          (fun other (_ : cand_info) ->
-            if other <> self && not (Hashtbl.mem state.relayed (self, other))
-            then begin
-              Hashtbl.replace state.relayed (self, other) ();
-              deliver_relay actions ~self state ~target:other ~partner:self
-                ~verdict
-            end)
-          a_states.(self).cands
+        relay_all actions ~self state ~origin:self ~verdict
       in
-      if rejected then decide false
-      else begin
-        let pending =
-          Tbl.fold_sorted ~cmp:Int.compare
-            (fun partner partner_r acc ->
-              acc
-              || (precedes (partner_r, partner) mine
-                 && not (Hashtbl.mem state.heard partner)))
-            a_states.(self).conflicts false
-        in
-        if not pending then decide true
-      end
+      if state.heard_true then decide false
+      else if state.pending = 0 then decide true
     end
   and deliver_relay (actions : b_msg Network.actions) ~self state ~target
       ~partner ~verdict =
-    if target = self then begin
-      if not (Hashtbl.mem state.heard partner) then
-        Hashtbl.replace state.heard partner verdict;
-      try_decide actions self state
-    end
+    if target = self then hear actions self state partner verdict
     else
-      match Hashtbl.find_opt a_states.(self).cands target with
-      | Some info ->
-        actions.Network.send info.c_via (Relay { target; partner; verdict })
-      | None ->
+      let a = a_states.(self) in
+      let slot = search a target in
+      if slot >= 0 then
+        actions.Network.send a.cands.(slot).c_via
+          (Relay { target; partner; verdict })
+      else
         lost_target ~protocol ~self ~target ~delivered:!delivered
           ~now:actions.Network.now
   in
@@ -237,11 +256,8 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
       deliver_relay actions ~self state ~target ~partner ~verdict;
       state
     | Decision { origin; r; verdict; traveled; from = _ } ->
-      let stale =
-        match Hashtbl.find_opt state.seen origin with
-        | Some d -> traveled >= d
-        | None -> false
-      in
+      let best = Hashtbl.find_opt state.seen origin in
+      let stale = match best with Some d -> traveled >= d | None -> false in
       if (not stale) && traveled <= r then begin
         Hashtbl.replace state.seen origin traveled;
         Graph.iter_neighbors g self (fun v w ->
@@ -252,30 +268,22 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
                      from = self }));
         (* a node inside the decider's ball may itself be the conflict
            partner: record the verdict directly *)
-        if Hashtbl.mem a_states.(self).conflicts origin then begin
-          if not (Hashtbl.mem state.heard origin) then
-            Hashtbl.replace state.heard origin verdict;
-          try_decide actions self state
-        end;
-        (* witness relay to every conflict partner seen in phase A *)
-        Tbl.iter_sorted ~cmp:Int.compare
-          (fun other (_ : cand_info) ->
-            if other <> origin && not (Hashtbl.mem state.relayed (origin, other))
-            then begin
-              Hashtbl.replace state.relayed (origin, other) ();
-              deliver_relay actions ~self state ~target:other ~partner:origin
-                ~verdict
-            end)
-          a_states.(self).cands
+        if Hashtbl.mem a_states.(self).conflicts origin then
+          hear actions self state origin verdict;
+        (* witness relay to every conflict partner seen in phase A, on
+           the first arrival only: the partners are fixed, so a later,
+           shorter arrival would relay the same verdicts again *)
+        if Option.is_none best then
+          relay_all actions ~self state ~origin ~verdict
       end;
       state
   in
   let kickoff = List.init n (fun u -> (u, Kick)) in
   let states, stats =
     runner.Network.execute ~measure:(measure_b g) g ~protocol
-      ~init:(fun _ ->
-        { status = None; heard = Hashtbl.create 8; seen = Hashtbl.create 8;
-          relayed = Hashtbl.create 8 })
+      ~init:(fun u ->
+        { status = None; heard = Hashtbl.create 8; heard_true = false;
+          pending = a_states.(u).earlier; seen = Hashtbl.create 8 })
       ~handler ~kickoff ~max_messages
   in
   let accepted = ref [] in

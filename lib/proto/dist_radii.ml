@@ -8,11 +8,9 @@ type result = {
 }
 
 let measure g =
-  let n = Graph.n g in
+  let u = Wire.universe (Graph.n g) in
   fun (Hello { origin; traveled }) ->
-    Wire.measure (fun w ->
-        Wire.push_node w ~n origin;
-        Wire.push_float w traveled)
+    Wire.node u origin + Wire.float traveled
 
 let run ?via g =
   let n = Graph.n g in

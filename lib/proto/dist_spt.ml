@@ -16,11 +16,8 @@ type result = {
 
 (* CONGEST message size: a distance plus an optional predecessor id. *)
 let measure g =
-  let n = Graph.n g in
-  fun (Offer (d, from)) ->
-    Wire.measure (fun w ->
-        Wire.push_float w d;
-        Wire.push_opt_node w ~n from)
+  let u = Wire.universe (Graph.n g) in
+  fun (Offer (d, from)) -> Wire.float d + Wire.opt_node u from
 
 let run ?via g ~root =
   let n = Graph.n g in

@@ -18,12 +18,9 @@ type result = {
 type hello = Hello of { origin : int; seed : bool; traveled : float }
 
 let measure_hello g =
-  let n = Graph.n g in
+  let u = Wire.universe (Graph.n g) in
   fun (Hello { origin; seed; traveled }) ->
-    Wire.measure (fun w ->
-        Wire.push_node w ~n origin;
-        Wire.push_bool w seed;
-        Wire.push_float w traveled)
+    Wire.node u origin + Wire.bool seed + Wire.float traveled
 
 let discovery_phase g ~label ~r ~is_seed ~runner ~max_messages =
   let n = Graph.n g in
@@ -66,16 +63,12 @@ type decision =
   | Decision of { origin : int; verdict : verdict; traveled : float }
 
 let measure_decision g =
-  let n = Graph.n g in
-  fun msg ->
-    Wire.measure (fun w ->
-        match msg with
-        | Check -> Wire.push_tag w ~cases:2 0
-        | Decision { origin; verdict; traveled } ->
-          Wire.push_tag w ~cases:2 1;
-          Wire.push_node w ~n origin;
-          Wire.push_bool w (verdict = V_in);
-          Wire.push_float w traveled)
+  let u = Wire.universe (Graph.n g) in
+  function
+  | Check -> Wire.tag ~cases:2 0
+  | Decision { origin; verdict; traveled } ->
+    Wire.tag ~cases:2 1 + Wire.node u origin + Wire.bool (verdict = V_in)
+    + Wire.float traveled
 
 type node_state = {
   mutable status : status option;
@@ -169,7 +162,7 @@ let election_phase g ~label ~r ~known ~is_seed ~runner ~max_messages =
     ~handler ~kickoff ~max_messages
 
 let run ?via ?(seeds = []) ?(label = "net_election") g ~r =
-  if r <= 0.0 then invalid_arg "Net_election.run: r must be positive";
+  if not (r > 0.0) then invalid_arg "Net_election.run: r must be positive";
   let n = Graph.n g in
   let max_messages = 1000 + (200 * n * n) in
   let runner = match via with Some rn -> rn | None -> Network.local () in

@@ -40,7 +40,8 @@ type result = {
     ["net_election"]) prefixes the per-phase protocol tags — cost
     accounting and protocol errors report [label ^ ".discovery"] /
     [label ^ ".election"], which is how [Dist_hierarchy] attributes cost
-    to individual levels. Raises
+    to individual levels. Raises [Invalid_argument] unless [r > 0] (NaN
+    included) or if a seed is not a node, and
     [Network.Protocol_error] (protocols ["net_election.discovery"] /
     ["net_election.election"]) if a phase exceeds 1000 + 200n² messages,
     or (protocol ["net_election"]) if some node ends

@@ -1,25 +1,40 @@
-module Bitbuf = Cr_codec.Bitbuf
+(* A field of width [b] holds the values [0, 2^b): exactly what
+   [Cr_codec.Bitbuf.push ~bits:b] accepts, so each helper refuses the
+   values that encoding would. *)
+
+let rec width_from b count =
+  if 1 lsl b >= count then b else width_from (b + 1) count
 
 let bits_for count =
-  if count < 1 then invalid_arg "Wire.bits_for: empty universe";
-  let rec go b = if 1 lsl b >= count then b else go (b + 1) in
-  go 1
+  if count < 1 then
+    (invalid_arg "Wire.bits_for: empty universe"
+    [@cr.alloc_ok "cold path: an empty universe raises"]);
+  width_from 1 count
 
-let node_bits ~n = bits_for n
+let fitting ~bits v what =
+  if v >= 0 && v lsr bits = 0 then bits
+  else
+    (invalid_arg what
+    [@cr.alloc_ok "cold path: a value that does not fit raises"])
 
-let measure f =
-  let w = Bitbuf.writer () in
-  f w;
-  Bitbuf.length_bits w
+type universe = {
+  node_bits : int;
+  opt_bits : int;  (* ids shifted by one, so that -1 encodes as 0 *)
+}
 
-let push_node w ~n v = Bitbuf.push w ~bits:(node_bits ~n) v
-let push_opt_node w ~n v = Bitbuf.push w ~bits:(bits_for (n + 1)) (v + 1)
+let universe n = { node_bits = bits_for n; opt_bits = bits_for (n + 1) }
 
-let push_float w x =
-  let b = Int64.bits_of_float x in
-  Bitbuf.push w ~bits:32 (Int64.to_int (Int64.shift_right_logical b 32));
-  Bitbuf.push w ~bits:32 (Int64.to_int (Int64.logand b 0xFFFFFFFFL))
+let[@cr.zero_alloc] node u v =
+  fitting ~bits:u.node_bits v "Wire.node: id out of range"
 
-let push_bool w b = Bitbuf.push w ~bits:1 (if b then 1 else 0)
-let push_tag w ~cases v = Bitbuf.push w ~bits:(bits_for cases) v
-let push_seq w v = Bitbuf.push w ~bits:32 (v land 0xFFFFFFFF)
+let[@cr.zero_alloc] opt_node u v =
+  fitting ~bits:u.opt_bits (v + 1) "Wire.opt_node: id out of range"
+
+let[@cr.zero_alloc] tag ~cases v =
+  fitting ~bits:(bits_for cases) v "Wire.tag: tag out of range"
+
+(* A double travels as its two 32-bit halves, a flag as one bit and a
+   sequence number as its low 32 bits: every value fits its width. *)
+let[@cr.zero_alloc] float (_ : float) = 64
+let[@cr.zero_alloc] bool (_ : bool) = 1
+let[@cr.zero_alloc] seq (_ : int) = 32

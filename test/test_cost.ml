@@ -7,6 +7,7 @@ open Helpers
 module Cost = Cr_obs.Cost
 module Network = Cr_proto.Network
 module Wire = Cr_proto.Wire
+module Bitbuf = Cr_codec.Bitbuf
 module Plan = Cr_fault.Plan
 module Reliable = Cr_fault.Reliable
 module Walker = Cr_sim.Walker
@@ -62,29 +63,117 @@ let test_null_is_inert () =
   check_int "null records nothing" 0 s.Cost.total_messages;
   check_bool "null has no edges" true (Cost.edge_loads Cost.null = [])
 
-let test_wire_widths () =
-  check_int "tag over 1 case (unary still costs a bit)" 1
-    (Wire.measure (fun w -> Wire.push_tag w ~cases:1 0));
-  check_int "tag over 64 cases" 6
-    (Wire.measure (fun w -> Wire.push_tag w ~cases:64 63));
-  check_int "node id, n=36" 6 (Wire.measure (fun w -> Wire.push_node w ~n:36 35));
-  check_int "float is a full double" 64
-    (Wire.measure (fun w -> Wire.push_float w 1.5));
-  check_int "opt node draws from n+1" 6
-    (Wire.measure (fun w -> Wire.push_opt_node w ~n:36 (-1)));
-  check_int "tag over 3 cases" 2
-    (Wire.measure (fun w -> Wire.push_tag w ~cases:3 2));
-  (* measure is exactly the bitbuf's own length accounting *)
-  let direct =
-    let w = Cr_codec.Bitbuf.writer () in
-    Wire.push_float w 2.5;
-    Wire.push_node w ~n:36 7;
-    Cr_codec.Bitbuf.length_bits w
-  in
-  check_int "measure = Bitbuf.length_bits" direct
-    (Wire.measure (fun w ->
-         Wire.push_float w 2.5;
-         Wire.push_node w ~n:36 7))
+(* The widths against the encoding they price: for random universes and
+   values, each helper returns the length [Bitbuf.push] writes for the
+   same field, and raises exactly when that push refuses the value. The
+   reference encodings are the field layouts the helpers document. *)
+
+let ref_width count =
+  if count < 1 then invalid_arg "empty universe";
+  let rec go b = if 1 lsl b >= count then b else go (b + 1) in
+  go 1
+
+let encoded_length write =
+  let w = Bitbuf.writer () in
+  match write w with
+  | () -> Some (Bitbuf.length_bits w)
+  | exception Invalid_argument _ -> None
+
+let priced f =
+  match f () with bits -> Some bits | exception Invalid_argument _ -> None
+
+type field =
+  | F_node of int * int  (* n, id *)
+  | F_opt_node of int * int
+  | F_tag of int * int  (* cases, tag *)
+  | F_float of float
+  | F_bool of bool
+  | F_seq of int
+
+let show_field = function
+  | F_node (n, v) -> Printf.sprintf "node n=%d %d" n v
+  | F_opt_node (n, v) -> Printf.sprintf "opt_node n=%d %d" n v
+  | F_tag (c, v) -> Printf.sprintf "tag cases=%d %d" c v
+  | F_float x -> Printf.sprintf "float %h" x
+  | F_bool b -> Printf.sprintf "bool %b" b
+  | F_seq v -> Printf.sprintf "seq %d" v
+
+let width_and_encoding = function
+  | F_node (n, v) ->
+    ( priced (fun () -> Wire.node (Wire.universe n) v),
+      encoded_length (fun w -> Bitbuf.push w ~bits:(ref_width n) v) )
+  | F_opt_node (n, v) ->
+    ( priced (fun () -> Wire.opt_node (Wire.universe n) v),
+      encoded_length (fun w ->
+          Bitbuf.push w ~bits:(ref_width (n + 1)) (v + 1)) )
+  | F_tag (cases, v) ->
+    ( priced (fun () -> Wire.tag ~cases v),
+      encoded_length (fun w -> Bitbuf.push w ~bits:(ref_width cases) v) )
+  | F_float x ->
+    ( priced (fun () -> Wire.float x),
+      encoded_length (fun w ->
+          let b = Int64.bits_of_float x in
+          let half v = Bitbuf.push w ~bits:32 (Int64.to_int v) in
+          half (Int64.shift_right_logical b 32);
+          half (Int64.logand b 0xFFFFFFFFL)) )
+  | F_bool b ->
+    ( priced (fun () -> Wire.bool b),
+      encoded_length (fun w -> Bitbuf.push w ~bits:1 (if b then 1 else 0)) )
+  | F_seq v ->
+    ( priced (fun () -> Wire.seq v),
+      encoded_length (fun w -> Bitbuf.push w ~bits:32 (v land 0xFFFFFFFF)) )
+
+let gen_field =
+  QCheck2.Gen.(
+    (* universes of every size class, powers of two and their neighbours
+       included, where the width steps *)
+    let size =
+      oneof
+        [ int_range 1 70; int_range 1 (1 lsl 20);
+          map (fun k -> 1 lsl k) (int_range 0 20);
+          map (fun k -> (1 lsl k) + 1) (int_range 0 20);
+          map (fun k -> (1 lsl k) - 1) (int_range 1 20) ]
+    in
+    (* values around both ends of the width: negative, in range, past
+       the last id and past the last encodable value *)
+    let around count =
+      let top = 1 lsl ref_width count in
+      oneof
+        [ int_range (-3) 3; int_range (count - 3) (count + 3);
+          int_range (top - 3) (top + 3); int_range (-3) (top + 3) ]
+    in
+    oneof
+      [ (let* n = size in
+         let* v = around n in
+         return (F_node (n, v)));
+        (let* n = size in
+         let* v = around (n + 1) in
+         return (F_opt_node (n, v - 1)));
+        (let* cases = oneof [ int_range 0 70; size ] in
+         let* v = around (max 1 cases) in
+         return (F_tag (cases, v)));
+        map (fun x -> F_float x) float;
+        map (fun b -> F_bool b) bool;
+        map (fun v -> F_seq v) int ])
+
+let prop_wire_widths =
+  QCheck2.Test.make ~name:"wire: each width = the length Bitbuf.push writes"
+    ~count:2000 ~print:show_field gen_field (fun field ->
+      let width, encoding = width_and_encoding field in
+      width = encoding)
+  |> QCheck_alcotest.to_alcotest
+
+let test_wire_documented_widths () =
+  let u36 = Wire.universe 36 in
+  check_int "tag over 1 case (unary still costs a bit)" 1 (Wire.tag ~cases:1 0);
+  check_int "tag over 64 cases" 6 (Wire.tag ~cases:64 63);
+  check_int "tag over 3 cases" 2 (Wire.tag ~cases:3 2);
+  check_int "node id, n=36" 6 (Wire.node u36 35);
+  check_int "opt node draws from n+1" 6 (Wire.opt_node u36 (-1));
+  check_int "float is a full double" 64 (Wire.float 1.5);
+  Alcotest.check_raises "an empty universe is refused"
+    (Invalid_argument "Wire.bits_for: empty universe") (fun () ->
+      ignore (Wire.universe 0))
 
 (* conservation through the simulator: every delivered message lands in
    the accumulator with its Wire-measured size *)
@@ -103,12 +192,8 @@ let test_spt_conservation () =
   check_int "edge messages = deliveries - kickoff" (s.Cost.total_messages - 1)
     edge_messages;
   (* every Offer has one fixed encoding size, so bit totals are exact
-     multiples of the Bitbuf-measured message size *)
-  let offer_bits =
-    Wire.measure (fun w ->
-        Wire.push_float w 0.0;
-        Wire.push_opt_node w ~n (-1))
-  in
+     multiples of the Offer's width *)
+  let offer_bits = Wire.float 0.0 + Wire.opt_node (Wire.universe n) (-1) in
   check_int "total bits = messages x measured size"
     (s.Cost.total_messages * offer_bits)
     s.Cost.total_bits;
@@ -350,7 +435,8 @@ let suite =
   [ Alcotest.test_case "accumulator unit behavior" `Quick test_unit_accounting;
     Alcotest.test_case "null accumulator is inert" `Quick test_null_is_inert;
     Alcotest.test_case "wire encodings have documented widths" `Quick
-      test_wire_widths;
+      test_wire_documented_widths;
+    prop_wire_widths;
     Alcotest.test_case "spt: bit-exact conservation" `Quick
       test_spt_conservation;
     Alcotest.test_case "byte-identical across CR_DOMAINS" `Quick

@@ -109,10 +109,11 @@ let test_inject_interleaves_in_flight () =
    What is left is the event heap's payload cell and the boxed
    [actions.now] (4 words); the bound leaves room for a compiler that
    boxes a float argument or two. *)
-let relay_words_per_delivery ?jitter () =
+let relay_words_per_delivery ?jitter ?cost ?measure () =
   let n = 64 and deliveries = 20_000 in
   let net =
-    Network.create ?jitter (Cr_graphgen.Path_like.ring ~n) ~init:(fun _ -> ())
+    Network.create ?jitter ?cost ?measure (Cr_graphgen.Path_like.ring ~n)
+      ~init:(fun _ -> ())
   in
   let left = ref deliveries in
   let handler (actions : unit Network.actions) ~self () () =
@@ -136,6 +137,26 @@ let test_relay_allocation () =
         (Printf.sprintf "%s: %.2f minor words per delivery <= 8" label words)
         true (words <= 8.0))
     [ ("no jitter", None); ("jitter", Some (3, 0.5)) ]
+
+(* Pricing a message allocates nothing: with an enabled ledger, the same
+   relay priced field by field through every [Wire] helper allocates
+   exactly the words it allocates with no measure at all. *)
+let test_priced_relay_allocation () =
+  let u = Cr_proto.Wire.universe 64 in
+  let measure () =
+    Cr_proto.Wire.(
+      tag ~cases:3 2 + node u 63 + opt_node u (-1) + float 0.5 + bool true
+      + seq 7)
+  in
+  let words ?measure () =
+    relay_words_per_delivery ~cost:(Cr_obs.Cost.create ()) ?measure ()
+  in
+  let unpriced = words () in
+  let priced = words ~measure () in
+  check_bool
+    (Printf.sprintf "priced %.2f = unpriced %.2f minor words per delivery"
+       priced unpriced)
+    true (priced = unpriced)
 
 (* The event heap's order, seen through delivery: each delivery must be
    the least pending (time, seq) of a model that stamps every enqueue —
@@ -330,6 +351,19 @@ let test_election_grid () =
 let test_election_holey () = check_election_matches (holey ()) 3.0
 let test_election_ring () = check_election_matches (ring16 ()) 2.5
 
+(* A radius that is not positive, NaN included, is refused before any
+   message moves: a NaN ball would let no Hello travel and elect every
+   node. *)
+let test_election_rejects_bad_radius () =
+  let g = Metric.graph (grid6 ()) in
+  List.iter
+    (fun r ->
+      Alcotest.check_raises
+        (Printf.sprintf "r = %g refused" r)
+        (Invalid_argument "Net_election.run: r must be positive")
+        (fun () -> ignore (Net_election.run g ~r)))
+    [ 0.0; -1.0; Float.nan; Float.neg_infinity ]
+
 let test_election_message_counts_positive () =
   let m = grid6 () in
   let result = Net_election.run (Metric.graph m) ~r:2.0 in
@@ -495,6 +529,69 @@ let check_packing_matches m j =
     (metric_ball_greedy m j)
     result.Cr_proto.Dist_packing.accepted
 
+(* Packing traffic, pinned: messages, ledger bits and rounds of each
+   phase, so a handler change that moves one message, one bit or one
+   delivery's timing fails here. Under jitter every send draws the next
+   delay from one stream, so the rounds also pin the order of the sends.
+   On the grid, ring and chain every node first hears a flood along a
+   shortest path; only geo48 under jitter delivers improving arrivals,
+   where a note or relay sent twice would show. *)
+let packing_traffic =
+  (* fixture, j, jitter seed;
+     discovery messages, bits, rounds; election messages, bits, rounds *)
+  [ ("grid6", grid6, 0, None, (36, 5076, 1), (36, 72, 1));
+    ("grid6", grid6, 1, None, (572, 54028, 3), (572, 23472, 18));
+    ("grid6", grid6, 2, None, (740, 68500, 5), (740, 29064, 18));
+    ("grid6", grid6, 3, None, (6156, 513180, 7), (6156, 165600, 24));
+    ("ring16", ring16, 2, None, (496, 43488, 5), (496, 17600, 16));
+    ("expo12", expo12, 2, None, (314, 26378, 3585), (314, 8722, 4605));
+    ("grid6", grid6, 2, Some 1, (740, 68500, 15), (740, 29064, 44));
+    ("grid6", grid6, 2, Some 2, (740, 68500, 13), (740, 29064, 43));
+    ("grid6", grid6, 2, Some 3, (740, 68500, 14), (740, 29064, 44));
+    ("grid6", grid6, 3, Some 1, (6156, 513180, 21), (6156, 165600, 57));
+    ("grid6", grid6, 3, Some 2, (6156, 513180, 19), (6156, 165600, 60));
+    ("grid6", grid6, 3, Some 3, (6156, 513180, 21), (6156, 165600, 57));
+    ("geo48", geo48, 3, None, (5743, 495971, 60), (5743, 186897, 112));
+    ("geo48", geo48, 3, Some 1, (6080, 532416, 161), (5865, 204343, 235));
+    ("geo48", geo48, 3, Some 2, (6061, 528841, 177), (5908, 210492, 273));
+    ("geo48", geo48, 3, Some 3, (6106, 534354, 185), (5878, 206202, 276)) ]
+
+let test_dist_packing_traffic () =
+  List.iter
+    (fun (name, fixture, j, seed, discovery, election) ->
+      let g = Metric.graph (fixture ()) in
+      let distances =
+        (Cr_proto.Dist_radii.run g).Cr_proto.Dist_radii.distances
+      in
+      let cost = Cr_obs.Cost.create () in
+      let jitter = Option.map (fun s -> (s, 3.0)) seed in
+      let r =
+        Cr_proto.Dist_packing.run ~via:(Network.local ~cost ?jitter ()) g
+          ~distances ~j
+      in
+      let case =
+        Printf.sprintf "%s j=%d%s" name j
+          (match seed with Some s -> Printf.sprintf " jitter %d" s | None -> "")
+      in
+      let phase (p : Cr_obs.Cost.phase_total) =
+        (p.Cr_obs.Cost.messages, p.Cr_obs.Cost.bits, p.Cr_obs.Cost.rounds)
+      in
+      let triple = Alcotest.(triple int int int) in
+      match Cr_obs.Cost.phases cost with
+      | [ a; b ] ->
+        Alcotest.check triple (case ^ ": discovery messages, bits, rounds")
+          discovery (phase a);
+        Alcotest.check triple (case ^ ": election messages, bits, rounds")
+          election (phase b);
+        let m, _, _ = discovery and m', _, _ = election in
+        check_int (case ^ ": discovery stats") m
+          r.Cr_proto.Dist_packing.discovery.Network.messages;
+        check_int (case ^ ": election stats") m'
+          r.Cr_proto.Dist_packing.election.Network.messages
+      | ps ->
+        Alcotest.failf "%s: expected 2 phases, got %d" case (List.length ps))
+    packing_traffic
+
 let test_dist_packing_grid () =
   List.iter (fun j -> check_packing_matches (grid6 ()) j) [ 0; 1; 2; 3 ]
 
@@ -642,6 +739,8 @@ let suite =
       test_dist_packing_ring;
     Alcotest.test_case "distributed packing (expo)" `Quick
       test_dist_packing_expo;
+    Alcotest.test_case "distributed packing traffic pinned" `Quick
+      test_dist_packing_traffic;
     Alcotest.test_case "distributed packing = canonical (tie-free)" `Quick
       test_dist_packing_tie_free_matches_canonical;
     prop_dist_packing_equals_greedy;
@@ -666,6 +765,8 @@ let suite =
       test_inject_interleaves_in_flight;
     Alcotest.test_case "relay allocates <= 8 words per delivery" `Quick
       test_relay_allocation;
+    Alcotest.test_case "pricing a relay allocates nothing" `Quick
+      test_priced_relay_allocation;
     prop_delivery_order_is_sorted;
     Alcotest.test_case "delivered payloads are released" `Quick
       test_delivered_payloads_released;
@@ -681,5 +782,7 @@ let suite =
     Alcotest.test_case "election on ring" `Quick test_election_ring;
     Alcotest.test_case "election message counts" `Quick
       test_election_message_counts_positive;
+    Alcotest.test_case "election rejects a radius that is not positive"
+      `Quick test_election_rejects_bad_radius;
     prop_election_equals_greedy;
     prop_dist_spt_equals_dijkstra ]

@@ -28,8 +28,7 @@ let banned =
   [ ( [ "Hashtbl"; "iter" ],
       pooled,
       "Hashtbl.iter visits bindings in nondeterministic hash order; use \
-       Cr_metric.Tbl.iter_sorted (or fold with an explicit least-key \
-       tie-break)" );
+       Cr_metric.Tbl.fold_sorted (or an explicit least-key tie-break)" );
     ( [ "Hashtbl"; "fold" ],
       pooled,
       "Hashtbl.fold visits bindings in nondeterministic hash order; use \

@@ -3,15 +3,16 @@
    Cr_proto.Network charges [measure msg] bits per delivery — and zero
    when a message falls outside the measure function's explicit
    branches. So: every variant type that instantiates ['msg
-   Network.actions] (a "message type") must have Wire.measure coverage
+   Network.actions] (a "message type") must have measure coverage
    naming each of its constructors, with no catch-all cases, and a tag
    on the wire when there is more than one constructor to distinguish.
 
    Scoping is structural, not path-based: a type is a message type
    because it drives Network.actions somewhere in the loaded program, a
    function is a measurer because its parameter has that type and its
-   body builds a Wire encoding. That keeps the rule honest on fixture
-   trees (a local mini Wire/Network) as well as on lib/proto. *)
+   body sums Wire widths (a call to one of Wire's field helpers). That
+   keeps the rule honest on fixture trees (a local mini Wire/Network) as
+   well as on lib/proto. *)
 
 open Typedtree
 
@@ -20,22 +21,24 @@ let id = "wire-exhaustive"
 let is_actions_path p =
   Tast_util.ends_with ~suffix:[ "Network"; "actions" ] (Tast_util.path_parts p)
 
+(* Wire's field widths: what a measurer sums. *)
+let width_helpers = [ "node"; "opt_node"; "float"; "bool"; "tag"; "seq" ]
+
 let is_wire_call parts =
   match List.rev parts with
-  | f :: "Wire" :: _ ->
-    String.equal f "measure" || String.starts_with ~prefix:"push_" f
+  | f :: "Wire" :: _ -> List.mem f width_helpers
   | _ -> false
 
-let is_push_tag parts =
+let is_wire_tag parts =
   match List.rev parts with
-  | "push_tag" :: "Wire" :: _ -> true
+  | "tag" :: "Wire" :: _ -> true
   | _ -> false
 
-(* Does this expression push a tag — directly, or through a resolvable
-   helper (measure functions commonly factor the shared header into a
-   local [let header f = Wire.measure (fun w -> Wire.push_tag ...; f w)])?
+(* Does this expression price a tag — directly, or through a resolvable
+   helper (a measurer may factor a shared header into a local
+   [let header seq = Wire.tag ~cases:2 0 + Wire.seq seq])?
    Depth-bounded walk through the call graph. *)
-let pushes_tag graph (uinfo : Cmt_index.unit_info) expr =
+let prices_tag graph (uinfo : Cmt_index.unit_info) expr =
   let visited = Hashtbl.create 8 in
   let rec go depth uinfo e =
     depth <= 4
@@ -43,7 +46,7 @@ let pushes_tag graph (uinfo : Cmt_index.unit_info) expr =
          (fun e ->
            match e.exp_desc with
            | Texp_apply (fn, _) -> (
-             is_push_tag (Tast_util.callee_parts fn)
+             is_wire_tag (Tast_util.callee_parts fn)
              ||
              match fn.exp_desc with
              | Texp_ident (path, _, _) -> (
@@ -163,7 +166,7 @@ type measurer = {
 }
 
 (* A measurer for message type [key]: a function whose parameter has
-   that type and whose body touches the Wire encoder. *)
+   that type and whose body calls a Wire width helper. *)
 let collect_measurers graph units key =
   let out = ref [] in
   List.iter
@@ -232,7 +235,7 @@ let wildcard_diags graph (m : measurer) key =
     diags :=
       Typed_rule.diag ~rule:id m.m_unit ~loc
         (Printf.sprintf
-           "catch-all pattern in Wire.measure coverage of `%s` hides \
+           "catch-all pattern in the measure coverage of `%s` hides \
             future constructors from the cost ledger; match each \
             constructor explicitly"
            key)
@@ -285,8 +288,8 @@ let check (input : Typed_rule.input) =
           [ Typed_rule.diag ~rule:id dc.dc_unit ~loc:dc.dc_loc
               (Printf.sprintf
                  "message type `%s` drives Network.actions but has no \
-                  Wire.measure coverage; its traffic is invisible to the \
-                  CONGEST cost ledger"
+                  measure coverage by Wire widths; its traffic is \
+                  invisible to the CONGEST cost ledger"
                  key) ]
         | _ ->
           let covered =
@@ -303,8 +306,8 @@ let check (input : Typed_rule.input) =
                 Typed_rule.diag ~rule:id dc.dc_unit ~loc:dc.dc_loc
                   (Printf.sprintf
                      "constructor `%s` of message type `%s` has no \
-                      Wire.measure branch; its messages would be priced \
-                      as zero bits"
+                      measure branch; its messages would be priced as \
+                      zero bits"
                      c key))
               missing
           in
@@ -313,14 +316,14 @@ let check (input : Typed_rule.input) =
               List.length dc.dc_ctors >= 2
               && not
                    (List.exists
-                      (fun m -> pushes_tag graph m.m_unit m.m_fn)
+                      (fun m -> prices_tag graph m.m_unit m.m_fn)
                       measurers)
             then
               let m = List.hd measurers in
               [ Typed_rule.diag ~rule:id m.m_unit ~loc:m.m_loc
                   (Printf.sprintf
                      "message type `%s` has %d constructors but its \
-                      Wire.measure coverage never pushes a tag; encodings \
+                      measure coverage never prices a Wire.tag; encodings \
                       are not distinguishable on the wire"
                      key (List.length dc.dc_ctors)) ]
             else []
@@ -334,6 +337,6 @@ let rule =
   { Typed_rule.id;
     doc =
       "every constructor of a Network.actions message type needs an \
-       explicit Wire.measure branch";
+       explicit measure branch summing Wire widths";
     reads = [];
     check }

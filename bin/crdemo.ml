@@ -659,7 +659,10 @@ let positive_float =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
-let cost family construction radius top chrome =
+(* Packing's scale: balls of 2^j nodes, so the family needs that many. *)
+let packing_j = 3
+
+let print_cost family construction radius top chrome =
   let metric, _ = load family in
   let g = Metric.graph metric in
   let acct = Cr_obs.Cost.create () in
@@ -691,7 +694,7 @@ let cost family construction radius top chrome =
       (* the radii prerequisite runs uncosted so the table isolates the
          packing protocol itself *)
       let radii = Cr_proto.Dist_radii.run g in
-      let j = 3 in
+      let j = packing_j in
       ignore
         (Cr_proto.Dist_packing.run ~via g
            ~distances:radii.Cr_proto.Dist_radii.distances ~j);
@@ -717,6 +720,16 @@ let cost family construction radius top chrome =
     Printf.printf "\nwrote per-edge heatmap to %s (chrome://tracing)\n" path
   | None -> ());
   0
+
+let cost family construction radius top chrome =
+  let n = Graph.n family.graph in
+  match construction with
+  | C_packing when 1 lsl packing_j > n ->
+    `Error
+      ( true,
+        Printf.sprintf "%S has %d nodes; packing (j=%d) needs at least %d"
+          family.spec n packing_j (1 lsl packing_j) )
+  | _ -> `Ok (print_cost family construction radius top chrome)
 
 let cost_cmd =
   let construction_arg =
@@ -753,8 +766,9 @@ let cost_cmd =
           and print its per-phase round/message/bit table plus the most \
           congested edges")
     Term.(
-      const cost $ family_arg $ construction_arg $ radius_arg $ top_arg
-      $ chrome_arg)
+      ret
+        (const cost $ family_arg $ construction_arg $ radius_arg $ top_arg
+       $ chrome_arg))
 
 (* live: the E21 console view — Zipf traffic through the Thm 1.4 failover
    scheme with streaming telemetry windows. *)

@@ -11,10 +11,9 @@
     Names are flat dotted strings (["route.hops.zoom"]). A name is bound
     to one instrument kind for the registry's lifetime; mixing kinds under
     one name raises [Invalid_argument] — a typed registry never silently
-    coerces. {!snapshot} orders entries by name (the [Cr_metric.Tbl]
-    discipline: traversals are a function of contents, never of hash
-    order), so two registries fed the same updates render byte-identical
-    JSON.
+    coerces. {!snapshot} orders entries by name (traversals are a
+    function of contents, never of hash order), so two registries fed
+    the same updates render byte-identical JSON.
 
     Registries are not thread-safe, exactly like sinks: feed them from the
     calling domain only. In library hot paths, registry updates must be

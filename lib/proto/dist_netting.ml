@@ -9,8 +9,10 @@ let measure_announce g =
     Wire.node u origin + Wire.float traveled
 
 type best = {
-  mutable choice : (float * int) option;  (* (distance, id), lexicographic *)
-  seen : (int, float) Hashtbl.t;  (* flood dedup *)
+  mutable choice : int;
+      (* least (distance, id) upper-level node heard of, -1 before any;
+         its distance is [seen.(choice)] *)
+  seen : float array;  (* flood dedup: best traveled per origin *)
 }
 
 type result = {
@@ -26,23 +28,22 @@ let parents_for_level ?via ?(label = "dist_netting") m
   let runner = match via with Some r -> r | None -> Network.local () in
   let handler (actions : announce Network.actions) ~self state
       (Announce { origin; traveled }) =
-    let stale =
-      match Hashtbl.find_opt state.seen origin with
-      | Some d -> traveled >= d
-      | None -> false
-    in
-    if (not stale) && traveled <= radius then begin
-      Hashtbl.replace state.seen origin traveled;
-      let better =
-        match state.choice with
-        | None -> true
-        | Some (d, id) -> traveled < d || (traveled = d && origin < id)
-      in
-      if better then state.choice <- Some (traveled, origin);
-      Graph.iter_neighbors g self (fun v w ->
-          if traveled +. w <= radius then
-            actions.Network.send v
-              (Announce { origin; traveled = traveled +. w }))
+    if traveled < state.seen.(origin) && traveled <= radius then begin
+      let c = state.choice in
+      if
+        c < 0
+        || traveled < state.seen.(c)
+        || (traveled = state.seen.(c) && origin < c)
+      then state.choice <- origin;
+      state.seen.(origin) <- traveled;
+      (* descending slots: [Graph.iter_neighbors]'s send order, with no
+         closure per delivery *)
+      let ids = Graph.row_ids g self and wts = Graph.row_weights g self in
+      for i = Graph.degree g self - 1 downto 0 do
+        if traveled +. wts.(i) <= radius then
+          actions.Network.send ids.(i)
+            (Announce { origin; traveled = traveled +. wts.(i) })
+      done
     end;
     state
   in
@@ -51,15 +52,15 @@ let parents_for_level ?via ?(label = "dist_netting") m
   in
   let states, stats =
     runner.Network.execute ~measure:(measure_announce g) g ~protocol:label
-      ~init:(fun _ -> { choice = None; seen = Hashtbl.create 8 })
+      ~init:(fun _ -> { choice = -1; seen = Array.make n infinity })
       ~handler ~kickoff ~max_messages
   in
   let parent = Array.make n (-1) in
   List.iter
     (fun x ->
-      match states.(x).choice with
-      | Some (_, id) -> parent.(x) <- id
-      | None ->
+      let id = states.(x).choice in
+      if id >= 0 then parent.(x) <- id
+      else
         raise
           (Network.Protocol_error
              { protocol = label;

@@ -1,5 +1,4 @@
 module Graph = Cr_metric.Graph
-module Tbl = Cr_metric.Tbl
 
 type result = {
   accepted : int list;
@@ -38,9 +37,13 @@ let no_cand = { c_id = -1; c_r = 0.0; c_dist = 0.0; c_via = -1 }
 type a_state = {
   mutable cands : cand_info array;  (* the first [count], ascending c_id *)
   mutable count : int;
-  conflicts : (int, float) Hashtbl.t;  (* self as candidate: partner -> r *)
+  conflicts : Bytes.t;
+      (* self as candidate: '\001' at each conflict partner, whose radius
+         is [radius.(partner)] *)
   mutable earlier : int;  (* conflict partners preceding self *)
 }
+
+let is_conflict st partner = Bytes.get st.conflicts partner <> '\000'
 
 (* The slot of candidate [id] in [st.cands], or [-(slot + 1)] for the
    slot it would be inserted at. *)
@@ -86,8 +89,8 @@ let discovery_phase g ~radius ~runner ~max_messages =
   let deliver_note (actions : a_msg Network.actions) ~self state ~target
       ~partner ~partner_r =
     if target = self then begin
-      if not (Hashtbl.mem state.conflicts partner) then begin
-        Hashtbl.replace state.conflicts partner partner_r;
+      if not (is_conflict state partner) then begin
+        Bytes.set state.conflicts partner '\001';
         if precedes (partner_r, partner) (radius.(self), self) then
           state.earlier <- state.earlier + 1
       end
@@ -126,10 +129,14 @@ let discovery_phase g ~radius ~runner ~max_messages =
           else false
       in
       if improved && traveled <= r then begin
-        Graph.iter_neighbors g self (fun v w ->
-            if traveled +. w <= r then
-              actions.Network.send v
-                (Cand { origin; r; traveled = traveled +. w; from = self }));
+        (* descending slots: [Graph.iter_neighbors]'s send order, with no
+           closure per delivery *)
+        let ids = Graph.row_ids g self and wts = Graph.row_weights g self in
+        for i = Graph.degree g self - 1 downto 0 do
+          if traveled +. wts.(i) <= r then
+            actions.Network.send ids.(i)
+              (Cand { origin; r; traveled = traveled +. wts.(i); from = self })
+        done;
         (* witness rule: this node now sees [origin]; report every
            coexisting pair once, to both centers, in ascending partner
            id. Only a first arrival can: every pair of the candidates
@@ -156,7 +163,7 @@ let discovery_phase g ~radius ~runner ~max_messages =
     ~init:(fun _ ->
       { cands = Array.make 8 no_cand;
         count = 0;
-        conflicts = Hashtbl.create 8;
+        conflicts = Bytes.make n '\000';
         earlier = 0 })
     ~handler ~kickoff ~max_messages
 
@@ -164,10 +171,12 @@ let discovery_phase g ~radius ~runner ~max_messages =
 
 type b_state = {
   mutable status : bool option;  (* Some true = ball accepted *)
-  heard : (int, unit) Hashtbl.t;  (* partners whose verdict arrived *)
+  heard : Bytes.t;  (* '\001' at each partner whose verdict arrived *)
   mutable heard_true : bool;  (* one of them accepted *)
   mutable pending : int;  (* preceding conflict partners not yet heard *)
-  seen : (int, float) Hashtbl.t;  (* decision flood dedupe *)
+  seen : float array;
+      (* decision flood dedupe: best traveled per origin, infinity until
+         its first arrival *)
 }
 
 type b_msg =
@@ -209,21 +218,20 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
           ~verdict
     done
   and hear actions self state partner verdict =
-    if not (Hashtbl.mem state.heard partner) then begin
-      Hashtbl.replace state.heard partner ();
+    if Bytes.get state.heard partner = '\000' then begin
+      Bytes.set state.heard partner '\001';
       if verdict then state.heard_true <- true;
-      match Hashtbl.find_opt a_states.(self).conflicts partner with
-      | Some partner_r when precedes (partner_r, partner) (radius.(self), self)
-        ->
-        state.pending <- state.pending - 1
-      | _ -> ()
+      if
+        is_conflict a_states.(self) partner
+        && precedes (radius.(partner), partner) (radius.(self), self)
+      then state.pending <- state.pending - 1
     end;
     try_decide actions self state
   and try_decide actions self state =
     if state.status = None then begin
       let decide verdict =
         state.status <- Some verdict;
-        Hashtbl.replace state.seen self 0.0;  (* own flood echoes are stale *)
+        state.seen.(self) <- 0.0;  (* own flood echoes are stale *)
         flood_decision actions self verdict;
         (* The decider is itself a witness for every candidate whose ball
            covers it; a far partner whose flood radius dwarfs ours would
@@ -256,24 +264,25 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
       deliver_relay actions ~self state ~target ~partner ~verdict;
       state
     | Decision { origin; r; verdict; traveled; from = _ } ->
-      let best = Hashtbl.find_opt state.seen origin in
-      let stale = match best with Some d -> traveled >= d | None -> false in
-      if (not stale) && traveled <= r then begin
-        Hashtbl.replace state.seen origin traveled;
-        Graph.iter_neighbors g self (fun v w ->
-            if traveled +. w <= r then
-              actions.Network.send v
-                (Decision
-                   { origin; r; verdict; traveled = traveled +. w;
-                     from = self }));
+      let best = state.seen.(origin) in
+      if traveled < best && traveled <= r then begin
+        state.seen.(origin) <- traveled;
+        let ids = Graph.row_ids g self and wts = Graph.row_weights g self in
+        for i = Graph.degree g self - 1 downto 0 do
+          if traveled +. wts.(i) <= r then
+            actions.Network.send ids.(i)
+              (Decision
+                 { origin; r; verdict; traveled = traveled +. wts.(i);
+                   from = self })
+        done;
         (* a node inside the decider's ball may itself be the conflict
            partner: record the verdict directly *)
-        if Hashtbl.mem a_states.(self).conflicts origin then
+        if is_conflict a_states.(self) origin then
           hear actions self state origin verdict;
         (* witness relay to every conflict partner seen in phase A, on
            the first arrival only: the partners are fixed, so a later,
            shorter arrival would relay the same verdicts again *)
-        if Option.is_none best then
+        if not (best < infinity) then
           relay_all actions ~self state ~origin ~verdict
       end;
       state
@@ -282,8 +291,8 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
   let states, stats =
     runner.Network.execute ~measure:(measure_b g) g ~protocol
       ~init:(fun u ->
-        { status = None; heard = Hashtbl.create 8; heard_true = false;
-          pending = a_states.(u).earlier; seen = Hashtbl.create 8 })
+        { status = None; heard = Bytes.make n '\000'; heard_true = false;
+          pending = a_states.(u).earlier; seen = Array.make n infinity })
       ~handler ~kickoff ~max_messages
   in
   let accepted = ref [] in
@@ -292,16 +301,15 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
     | Some true -> accepted := u :: !accepted
     | Some false -> ()
     | None ->
-      let pending =
-        Tbl.fold_sorted ~cmp:Int.compare
-          (fun partner partner_r acc ->
-            if
-              precedes (partner_r, partner) (radius.(u), u)
-              && not (Hashtbl.mem states.(u).heard partner)
-            then partner :: acc
-            else acc)
-          a_states.(u).conflicts []
-      in
+      (* descending, as the partners have always been listed *)
+      let pending = ref [] in
+      for partner = 0 to n - 1 do
+        if
+          is_conflict a_states.(u) partner
+          && precedes (radius.(partner), partner) (radius.(u), u)
+          && Bytes.get states.(u).heard partner = '\000'
+        then pending := partner :: !pending
+      done;
       raise
         (Network.Protocol_error
            { protocol = "dist_packing";
@@ -309,7 +317,7 @@ let election_phase g ~radius ~a_states ~runner ~max_messages =
              stats;
              detail =
                Printf.sprintf "node undecided, waiting on [%s]"
-                 (String.concat ";" (List.map string_of_int pending)) })
+                 (String.concat ";" (List.map string_of_int !pending)) })
   done;
   (!accepted, stats)
 

@@ -1,5 +1,4 @@
 module Graph = Cr_metric.Graph
-module Tbl = Cr_metric.Tbl
 
 type status =
   | In
@@ -14,7 +13,8 @@ type result = {
 }
 
 (* Phase 1: budgeted flooding of ids (with a seed flag). State: best known
-   distance and seed-ness per origin (strictly within r). *)
+   distance and seed-ness per origin (strictly within r), as dense rows
+   indexed by origin id; infinity means not heard. *)
 type hello = Hello of { origin : int; seed : bool; traveled : float }
 
 let measure_hello g =
@@ -22,20 +22,29 @@ let measure_hello g =
   fun (Hello { origin; seed; traveled }) ->
     Wire.node u origin + Wire.bool seed + Wire.float traveled
 
+type known = {
+  dist : float array;
+  seed : Bytes.t;  (* '\001' at a seed origin *)
+}
+
+let in_range known o = known.dist.(o) < infinity
+let is_seed_origin known o = Bytes.get known.seed o <> '\000'
+
 let discovery_phase g ~label ~r ~is_seed ~runner ~max_messages =
   let n = Graph.n g in
   let handler (actions : hello Network.actions) ~self known
       (Hello { origin; seed; traveled }) =
-    let best = Hashtbl.find_opt known origin in
-    if
-      traveled < r
-      && (match best with None -> true | Some (_, d) -> traveled < d)
-    then begin
-      Hashtbl.replace known origin (seed, traveled);
-      Graph.iter_neighbors g self (fun v w ->
-          if traveled +. w < r then
-            actions.Network.send v
-              (Hello { origin; seed; traveled = traveled +. w }))
+    if traveled < r && traveled < known.dist.(origin) then begin
+      known.dist.(origin) <- traveled;
+      if seed then Bytes.set known.seed origin '\001';
+      (* a loop over the rows, not [Graph.iter_neighbors]: no closure per
+         delivery; descending slots keep its send order *)
+      let ids = Graph.row_ids g self and wts = Graph.row_weights g self in
+      for i = Graph.degree g self - 1 downto 0 do
+        if traveled +. wts.(i) < r then
+          actions.Network.send ids.(i)
+            (Hello { origin; seed; traveled = traveled +. wts.(i) })
+      done
     end;
     known
   in
@@ -46,11 +55,12 @@ let discovery_phase g ~label ~r ~is_seed ~runner ~max_messages =
   let known, stats =
     runner.Network.execute ~measure:(measure_hello g) g
       ~protocol:(label ^ ".discovery")
-      ~init:(fun _ : (int, bool * float) Hashtbl.t -> Hashtbl.create 8)
+      ~init:(fun _ ->
+        { dist = Array.make n infinity; seed = Bytes.make n '\000' })
       ~handler ~kickoff ~max_messages
   in
-  Array.iteri (fun v tbl -> Hashtbl.remove tbl v) known;
   (* self-knowledge is implicit *)
+  Array.iteri (fun v k -> k.dist.(v) <- infinity) known;
   (known, stats)
 
 (* Phase 2: decisions flood within the same radius. *)
@@ -72,10 +82,12 @@ let measure_decision g =
 
 type node_state = {
   mutable status : status option;
-  heard : (int, verdict * float) Hashtbl.t;  (* decisions, best distance *)
-  seen : (int, float) Hashtbl.t;  (* flood dedup: best traveled per origin *)
+  seen : float array;
+      (* best traveled per origin, infinity until its decision arrives;
+         also the distance of the decision heard from it *)
+  verdict_in : Bytes.t;  (* '\001' at an origin whose decision is V_in *)
   mutable pending : int;  (* smaller-id non-seeds in range not yet heard *)
-  mutable heard_in : bool;  (* some decision in [heard] is V_in *)
+  mutable heard_in : bool;  (* some decision heard is V_in *)
 }
 
 let election_phase g ~label ~r ~known ~is_seed ~runner ~max_messages =
@@ -86,19 +98,16 @@ let election_phase g ~label ~r ~known ~is_seed ~runner ~max_messages =
      quadratic per delivery (minutes on grid-32x32). Seeds are already
      members: a non-seed must wait only for non-seed smaller ids (seeds
      block it outright, at any id). *)
-  let seed_in_range =
-    Array.init n (fun v ->
-        Tbl.fold_sorted ~cmp:Int.compare
-          (fun _ (seed, _) acc -> acc || seed)
-          known.(v) false)
-  in
-  let smaller_count =
-    Array.init n (fun v ->
-        Tbl.fold_sorted ~cmp:Int.compare
-          (fun o (seed, _) acc ->
-            if (not seed) && o < v then acc + 1 else acc)
-          known.(v) 0)
-  in
+  let seed_in_range = Array.make n false in
+  let smaller_count = Array.make n 0 in
+  Array.iteri
+    (fun v k ->
+      for o = 0 to n - 1 do
+        if in_range k o then
+          if is_seed_origin k o then seed_in_range.(v) <- true
+          else if o < v then smaller_count.(v) <- smaller_count.(v) + 1
+      done)
+    known;
   let flood_own (actions : decision Network.actions) self verdict =
     Graph.iter_neighbors g self (fun v w ->
         if w < r then
@@ -121,31 +130,34 @@ let election_phase g ~label ~r ~known ~is_seed ~runner ~max_messages =
       end
     end
   in
-  let record_heard self state origin verdict traveled =
-    match Hashtbl.find_opt state.heard origin with
-    | Some (_, d) ->
-      (* a node floods exactly one verdict; only the distance can improve *)
-      if traveled < d then Hashtbl.replace state.heard origin (verdict, traveled)
-    | None ->
-      Hashtbl.replace state.heard origin (verdict, traveled);
-      if verdict = V_in then state.heard_in <- true;
-      (match Hashtbl.find_opt known.(self) origin with
-      | Some (false, _) when origin < self -> state.pending <- state.pending - 1
-      | _ -> ())
-  in
   let handler (actions : decision Network.actions) ~self state = function
     | Check ->
       try_decide actions self state;
       state
     | Decision { origin; verdict; traveled } ->
-      let best = Hashtbl.find_opt state.seen origin in
-      if traveled < r && (best = None || traveled < Option.get best) then begin
-        Hashtbl.replace state.seen origin traveled;
-        record_heard self state origin verdict traveled;
-        Graph.iter_neighbors g self (fun v w ->
-            if traveled +. w < r then
-              actions.Network.send v
-                (Decision { origin; verdict; traveled = traveled +. w }))
+      let best = state.seen.(origin) in
+      if traveled < r && traveled < best then begin
+        state.seen.(origin) <- traveled;
+        (* a node floods exactly one verdict, so only an origin's first
+           arrival is news; a later one only shortens its distance *)
+        if not (best < infinity) then begin
+          if verdict = V_in then begin
+            Bytes.set state.verdict_in origin '\001';
+            state.heard_in <- true
+          end;
+          let k = known.(self) in
+          if
+            in_range k origin
+            && (not (is_seed_origin k origin))
+            && origin < self
+          then state.pending <- state.pending - 1
+        end;
+        let ids = Graph.row_ids g self and wts = Graph.row_weights g self in
+        for i = Graph.degree g self - 1 downto 0 do
+          if traveled +. wts.(i) < r then
+            actions.Network.send ids.(i)
+              (Decision { origin; verdict; traveled = traveled +. wts.(i) })
+        done
       end;
       try_decide actions self state;
       state
@@ -155,8 +167,8 @@ let election_phase g ~label ~r ~known ~is_seed ~runner ~max_messages =
     ~protocol:(label ^ ".election")
     ~init:(fun v ->
       { status = None;
-        heard = Hashtbl.create 8;
-        seen = Hashtbl.create 8;
+        seen = Array.make n infinity;
+        verdict_in = Bytes.make n '\000';
         pending = smaller_count.(v);
         heard_in = false })
     ~handler ~kickoff ~max_messages
@@ -201,17 +213,18 @@ let run ?via ?(seeds = []) ?(label = "net_election") g ~r =
     Array.mapi
       (fun v s ->
         if status.(v) = In then Some (v, 0.0)
-        else
+        else begin
           (* keep-first over ascending ids: equal distances tie-break
-             toward the least member id, independent of hash order *)
-          Tbl.fold_sorted ~cmp:Int.compare
-            (fun o (verdict, d) acc ->
-              if verdict = V_in then
-                match acc with
-                | Some (_, best) when best <= d -> acc
-                | _ -> Some (o, d)
-              else acc)
-            s.heard None)
+             toward the least member id *)
+          let best = ref (-1) in
+          for o = 0 to n - 1 do
+            if
+              Bytes.get s.verdict_in o <> '\000'
+              && (!best < 0 || s.seen.(o) < s.seen.(!best))
+            then best := o
+          done;
+          if !best < 0 then None else Some (!best, s.seen.(!best))
+        end)
       states
   in
   { net = !net_members; status; nearest_in; discovery; election }

@@ -240,8 +240,8 @@ let golden_expected =
    outputs; use Trace.wall_clock inside guarded instrumentation or \
    Trace.counting_clock for reproducible traces\n\
    lib/metric/golden.ml:3:12: [determinism] Hashtbl.fold is forbidden here: \
-   Hashtbl.fold visits bindings in nondeterministic hash order; use \
-   Cr_metric.Tbl.fold_sorted (or an explicitly order-insensitive reduction)\n"
+   Hashtbl.fold visits bindings in nondeterministic hash order; sort the \
+   bindings by key, or keep dense per-id rows\n"
 
 let golden_output () =
   let diags =

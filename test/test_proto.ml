@@ -324,6 +324,25 @@ let test_dist_spt_grid () = check_spt_matches (grid6 ()) 0
 let test_dist_spt_holey () = check_spt_matches (holey ()) 5
 let test_dist_spt_expo () = check_spt_matches (expo12 ()) 3
 
+(* Integer-weight random graphs: float sums are exact, so path sums agree
+   in both directions and the distributed/centralized comparison is sharp.
+   (On irrational weights the two directions of a path can differ by an
+   ulp, flipping exact ball-boundary membership — a float artifact, not a
+   protocol property.) *)
+let int_weight_graph n seed =
+  let rng = Cr_graphgen.Rng.create seed in
+  let g = Graph.create n in
+  for v = 1 to n - 1 do
+    let p = Cr_graphgen.Rng.int rng v in
+    Graph.add_edge g p v (float_of_int (1 + Cr_graphgen.Rng.int rng 8))
+  done;
+  for _ = 1 to n / 3 do
+    let u = Cr_graphgen.Rng.int rng n and v = Cr_graphgen.Rng.int rng n in
+    if u <> v && Graph.edge_weight g u v = None then
+      Graph.add_edge g u v (float_of_int (1 + Cr_graphgen.Rng.int rng 8))
+  done;
+  Metric.of_graph g
+
 let check_election_matches m r =
   let g = Metric.graph m in
   let result = Net_election.run g ~r in
@@ -416,6 +435,200 @@ let test_seeded_election () =
   List.iter
     (fun s -> check_bool "seed elected" true (List.mem s result.Net_election.net))
     seeds
+
+let phase_triple (p : Cr_obs.Cost.phase_total) =
+  (p.Cr_obs.Cost.messages, p.Cr_obs.Cost.bits, p.Cr_obs.Cost.rounds)
+
+let jitter_case name seed =
+  match seed with
+  | Some s -> Printf.sprintf "%s jitter %d" name s
+  | None -> name
+
+(* A discovery-then-election run's ledger against its pinned triples,
+   and each phase's message count against the run's own statistics. *)
+let check_two_phases case cost ~discovery ~election
+    (discovered : Network.stats) (elected : Network.stats) =
+  let triple = Alcotest.(triple int int int) in
+  match Cr_obs.Cost.phases cost with
+  | [ a; b ] ->
+    Alcotest.check triple (case ^ ": discovery messages, bits, rounds")
+      discovery (phase_triple a);
+    Alcotest.check triple (case ^ ": election messages, bits, rounds")
+      election (phase_triple b);
+    let m, _, _ = discovery and m', _, _ = election in
+    check_int (case ^ ": discovery stats") m discovered.Network.messages;
+    check_int (case ^ ": election stats") m' elected.Network.messages
+  | ps -> Alcotest.failf "%s: expected 2 phases, got %d" case (List.length ps)
+
+(* Election traffic, pinned like packing's below: messages, ledger bits
+   and rounds of each phase. The radii reach several hops, and on grid6
+   and geo48 jitter delivers improving arrivals (their counts move with
+   the seed), so a handler that re-floods, or counts a decision twice,
+   on a shorter arrival shows here. *)
+let election_traffic =
+  (* fixture, r, jitter seed;
+     discovery messages, bits, rounds; election messages, bits, rounds *)
+  [ ("grid6", grid6, 6.0, None, (2860, 203060, 6), (2980, 212004, 20));
+    ("grid6", grid6, 6.0, Some 1, (2867, 203557, 17), (2987, 212508, 52));
+    ("grid6", grid6, 6.0, Some 2, (2866, 203486, 17), (2983, 212220, 51));
+    ("grid6", grid6, 6.0, Some 3, (2860, 203060, 19), (2986, 212436, 56));
+    ("ring16", ring16, 5.0, None, (240, 16560, 5), (272, 17936, 16));
+    ("ring16", ring16, 5.0, Some 1, (240, 16560, 14), (272, 17936, 46));
+    ("ring16", ring16, 5.0, Some 2, (240, 16560, 14), (272, 17936, 42));
+    ("ring16", ring16, 5.0, Some 3, (240, 16560, 14), (272, 17936, 46));
+    ("geo48", geo48, 16.0, None, (911, 64681, 16), (1032, 70896, 50));
+    ("geo48", geo48, 16.0, Some 1, (1051, 74621, 57), (1200, 82992, 124));
+    ("geo48", geo48, 16.0, Some 2, (1032, 73272, 61), (1174, 81120, 135));
+    ("geo48", geo48, 16.0, Some 3, (1056, 74976, 60), (1160, 80112, 117)) ]
+
+(* Per phase, in the order the ledger first saw them:
+   name, (messages, bits, rounds). *)
+let hierarchy_traffic =
+  [ ( None,
+      [ ("hierarchy.l6.discovery", (6557, 465547, 64));
+        ("hierarchy.l6.election", (6733, 481368, 64));
+        ("hierarchy.l5.discovery", (2771, 196741, 32));
+        ("hierarchy.l5.election", (2947, 208776, 60));
+        ("hierarchy.l4.discovery", (911, 64681, 16));
+        ("hierarchy.l4.election", (1032, 70896, 35));
+        ("hierarchy.l3.discovery", (286, 20306, 8));
+        ("hierarchy.l3.election", (307, 18696, 20));
+        ("hierarchy.l2.discovery", (102, 7242, 4));
+        ("hierarchy.l2.election", (105, 4152, 8));
+        ("hierarchy.l1.discovery", (58, 4118, 2));
+        ("hierarchy.l1.election", (58, 768, 2)) ] );
+    ( Some 1,
+      [ ("hierarchy.l6.discovery", (10889, 773119, 211));
+        ("hierarchy.l6.election", (11297, 809976, 209));
+        ("hierarchy.l5.discovery", (3580, 254180, 110));
+        ("hierarchy.l5.election", (4001, 284664, 142));
+        ("hierarchy.l4.discovery", (1051, 74621, 57));
+        ("hierarchy.l4.election", (1168, 80688, 90));
+        ("hierarchy.l3.discovery", (290, 20590, 29));
+        ("hierarchy.l3.election", (316, 19344, 61));
+        ("hierarchy.l2.discovery", (104, 7384, 15));
+        ("hierarchy.l2.election", (107, 4296, 22));
+        ("hierarchy.l1.discovery", (58, 4118, 7));
+        ("hierarchy.l1.election", (58, 768, 7)) ] ) ]
+
+(* The netting phases of [dist_netting_parents] on geo48, after the
+   hierarchy it elects, all under jitter seed 1. *)
+let netting_traffic =
+  [ ("dist_netting.l0", (50, 3500, 7));
+    ("dist_netting.l1", (57, 3990, 15));
+    ("dist_netting.l2", (92, 6440, 27));
+    ("dist_netting.l3", (169, 11830, 52));
+    ("dist_netting.l4", (282, 19740, 103));
+    ("dist_netting.l5", (238, 16660, 180));
+    ("dist_netting.l6", (270, 18900, 198)) ]
+
+let check_phases case ?(keep = fun _ -> true) expected cost =
+  let actual =
+    List.filter_map
+      (fun (p : Cr_obs.Cost.phase_total) ->
+        if keep p.Cr_obs.Cost.phase then
+          Some (p.Cr_obs.Cost.phase, phase_triple p)
+        else None)
+      (Cr_obs.Cost.phases cost)
+  in
+  Alcotest.(check (list (pair string (triple int int int))))
+    (case ^ ": phase, messages, bits, rounds")
+    expected actual
+
+let test_election_traffic () =
+  List.iter
+    (fun (name, fixture, r, seed, discovery, election) ->
+      let g = Metric.graph (fixture ()) in
+      let cost = Cr_obs.Cost.create () in
+      let jitter = Option.map (fun s -> (s, 3.0)) seed in
+      let result =
+        Net_election.run ~via:(Network.local ~cost ?jitter ()) g ~r
+      in
+      check_two_phases
+        (jitter_case (Printf.sprintf "%s r=%g" name r) seed)
+        cost ~discovery ~election result.Net_election.discovery
+        result.Net_election.election)
+    election_traffic;
+  List.iter
+    (fun (seed, expected) ->
+      let cost = Cr_obs.Cost.create () in
+      let jitter = Option.map (fun s -> (s, 3.0)) seed in
+      ignore
+        (Cr_proto.Dist_hierarchy.build
+           ~via:(Network.local ~cost ?jitter ())
+           (geo48 ()));
+      check_phases (jitter_case "geo48 hierarchy" seed) expected cost)
+    hierarchy_traffic;
+  let cost = Cr_obs.Cost.create () in
+  ignore
+    (dist_netting_parents
+       ~via:(Network.local ~cost ~jitter:(1, 3.0) ())
+       (geo48 ()));
+  check_phases "geo48 netting jitter 1"
+    ~keep:(String.starts_with ~prefix:"dist_netting")
+    netting_traffic cost
+
+(* Under jitter every Out node's [nearest_in] is the centralized least
+   (distance, id) member strictly within r, and every member its own.
+   Integer weights keep the flood's sums exact, so the distances compare
+   with [=]. *)
+let prop_nearest_in_is_least =
+  qcheck_case ~count:15 "election nearest_in = least (distance, id) member"
+    QCheck2.Gen.(
+      let* n = int_range 6 24 in
+      let* seed = int_range 0 3_000 in
+      let* r = float_range 1.5 20.0 in
+      let* jseed = int_range 1 100 in
+      return (n, seed, r, jseed))
+    (fun (n, seed, r, jseed) ->
+      let m = int_weight_graph n seed in
+      let result =
+        Net_election.run (Metric.graph m) ~r
+          ~via:(Network.local ~jitter:(jseed, 3.0) ())
+      in
+      let net = result.Net_election.net in
+      List.for_all
+        (fun v ->
+          let expected =
+            if List.mem v net then Some (v, 0.0)
+            else
+              List.fold_left
+                (fun acc o ->
+                  let d = Metric.dist m v o in
+                  if not (d < r) then acc
+                  else
+                    match acc with
+                    | Some (_, best) when best <= d -> acc
+                    | _ -> Some (o, d))
+                None net
+          in
+          result.Net_election.nearest_in.(v) = expected)
+        (List.init n Fun.id))
+
+(* What the election's handlers allocate per delivered message, at a
+   radius that reaches most of geo48: the simulator's own words, the sent
+   messages, and little else. A handler that boxes a tuple or an option
+   per delivery goes over the bound. *)
+let test_election_allocation () =
+  let g = Metric.graph (geo48 ()) in
+  List.iter
+    (fun jitter ->
+      let via = Network.local ?jitter () in
+      ignore (Net_election.run ~via g ~r:64.0);
+      let before = Gc.minor_words () in
+      let result = Net_election.run ~via g ~r:64.0 in
+      let after = Gc.minor_words () in
+      let messages =
+        result.Net_election.discovery.Network.messages
+        + result.Net_election.election.Network.messages
+      in
+      let words = (after -. before) /. float_of_int messages in
+      check_bool
+        (Printf.sprintf "%s: %.2f minor words per delivery <= 16"
+           (jitter_case "geo48 r=64" (Option.map fst jitter))
+           words)
+        true (words <= 16.0))
+    [ None; Some (1, 3.0) ]
 
 let check_hierarchy_matches m =
   let centralized = Cr_nets.Hierarchy.build m in
@@ -569,27 +782,10 @@ let test_dist_packing_traffic () =
         Cr_proto.Dist_packing.run ~via:(Network.local ~cost ?jitter ()) g
           ~distances ~j
       in
-      let case =
-        Printf.sprintf "%s j=%d%s" name j
-          (match seed with Some s -> Printf.sprintf " jitter %d" s | None -> "")
-      in
-      let phase (p : Cr_obs.Cost.phase_total) =
-        (p.Cr_obs.Cost.messages, p.Cr_obs.Cost.bits, p.Cr_obs.Cost.rounds)
-      in
-      let triple = Alcotest.(triple int int int) in
-      match Cr_obs.Cost.phases cost with
-      | [ a; b ] ->
-        Alcotest.check triple (case ^ ": discovery messages, bits, rounds")
-          discovery (phase a);
-        Alcotest.check triple (case ^ ": election messages, bits, rounds")
-          election (phase b);
-        let m, _, _ = discovery and m', _, _ = election in
-        check_int (case ^ ": discovery stats") m
-          r.Cr_proto.Dist_packing.discovery.Network.messages;
-        check_int (case ^ ": election stats") m'
-          r.Cr_proto.Dist_packing.election.Network.messages
-      | ps ->
-        Alcotest.failf "%s: expected 2 phases, got %d" case (List.length ps))
+      check_two_phases
+        (jitter_case (Printf.sprintf "%s j=%d" name j) seed)
+        cost ~discovery ~election r.Cr_proto.Dist_packing.discovery
+        r.Cr_proto.Dist_packing.election)
     packing_traffic
 
 let test_dist_packing_grid () =
@@ -597,25 +793,6 @@ let test_dist_packing_grid () =
 
 let test_dist_packing_ring () = check_packing_matches (ring16 ()) 2
 let test_dist_packing_expo () = check_packing_matches (expo12 ()) 2
-
-(* Integer-weight random graphs: float sums are exact, so path sums agree
-   in both directions and the distributed/centralized comparison is sharp.
-   (On irrational weights the two directions of a path can differ by an
-   ulp, flipping exact ball-boundary membership — a float artifact, not a
-   protocol property.) *)
-let int_weight_graph n seed =
-  let rng = Cr_graphgen.Rng.create seed in
-  let g = Graph.create n in
-  for v = 1 to n - 1 do
-    let p = Cr_graphgen.Rng.int rng v in
-    Graph.add_edge g p v (float_of_int (1 + Cr_graphgen.Rng.int rng 8))
-  done;
-  for _ = 1 to n / 3 do
-    let u = Cr_graphgen.Rng.int rng n and v = Cr_graphgen.Rng.int rng n in
-    if u <> v && Graph.edge_weight g u v = None then
-      Graph.add_edge g u v (float_of_int (1 + Cr_graphgen.Rng.int rng 8))
-  done;
-  Metric.of_graph g
 
 let prop_dist_packing_equals_greedy =
   qcheck_case ~count:10 "distributed packing = greedy on random graphs"
@@ -675,14 +852,16 @@ let test_jitter_independence_spt () =
            base.Cr_proto.Dist_spt.dist jittered.Cr_proto.Dist_spt.dist))
     [ 1; 2; 3 ]
 
+(* geo48 at r = 16 and j = 3: jitter delivers improving arrivals there
+   (the pinned traffic moves with the seed), so the schedule can matter. *)
 let test_jitter_independence_election () =
-  let m = grid6 () in
+  let m = geo48 () in
   let g = Metric.graph m in
-  let base = Net_election.run g ~r:2.0 in
+  let base = Net_election.run g ~r:16.0 in
   List.iter
     (fun seed ->
       let jittered =
-        Net_election.run g ~r:2.0 ~via:(Network.local ~jitter:(seed, 3.0) ())
+        Net_election.run g ~r:16.0 ~via:(Network.local ~jitter:(seed, 3.0) ())
       in
       Alcotest.(check (list int))
         (Printf.sprintf "election equal under jitter seed %d" seed)
@@ -690,15 +869,15 @@ let test_jitter_independence_election () =
     [ 1; 2; 3 ]
 
 let test_jitter_independence_packing () =
-  let m = grid6 () in
+  let m = geo48 () in
   let g = Metric.graph m in
   let radii = Cr_proto.Dist_radii.run g in
   let d = radii.Cr_proto.Dist_radii.distances in
-  let base = Cr_proto.Dist_packing.run g ~distances:d ~j:2 in
+  let base = Cr_proto.Dist_packing.run g ~distances:d ~j:3 in
   List.iter
     (fun seed ->
       let jittered =
-        Cr_proto.Dist_packing.run g ~distances:d ~j:2
+        Cr_proto.Dist_packing.run g ~distances:d ~j:3
           ~via:(Network.local ~jitter:(seed, 3.0) ())
       in
       Alcotest.(check (list int))
@@ -745,6 +924,11 @@ let suite =
       test_dist_packing_tie_free_matches_canonical;
     prop_dist_packing_equals_greedy;
     Alcotest.test_case "seeded election" `Quick test_seeded_election;
+    Alcotest.test_case "distributed election traffic pinned" `Quick
+      test_election_traffic;
+    prop_nearest_in_is_least;
+    Alcotest.test_case "election allocates <= 16 words per delivery" `Quick
+      test_election_allocation;
     Alcotest.test_case "distributed hierarchy = centralized (grid)" `Quick
       test_dist_hierarchy_grid;
     Alcotest.test_case "distributed hierarchy = centralized (ring)" `Quick

@@ -5,8 +5,9 @@
    - [Hashtbl.iter]/[Hashtbl.fold] and [Random.self_init] in the pooled
      directories: hash-bucket order is seed- and history-dependent, so any
      fold that extracts a minimum or builds a list from it silently
-     depends on insertion order. Use [Cr_metric.Tbl] (sorted-key folds)
-     or an explicit least-key tie-break instead.
+     depends on insertion order. Sort the bindings by key before
+     folding, or keep dense per-id rows (ids are dense in [0, n)) and
+     loop over them in id order.
    - wall-clock reads ([Unix.gettimeofday], [Sys.time]) anywhere in lib/
      outside lib/obs: clocks belong to the observability layer
      ([Trace.wall_clock] / [Trace.counting_clock]), never to build
@@ -27,13 +28,12 @@ let clocked rel = Rule.under [ "lib" ] rel && not (Rule.under [ "lib/obs" ] rel)
 let banned =
   [ ( [ "Hashtbl"; "iter" ],
       pooled,
-      "Hashtbl.iter visits bindings in nondeterministic hash order; use \
-       Cr_metric.Tbl.fold_sorted (or an explicit least-key tie-break)" );
+      "Hashtbl.iter visits bindings in nondeterministic hash order; sort \
+       the bindings by key, or keep dense per-id rows" );
     ( [ "Hashtbl"; "fold" ],
       pooled,
-      "Hashtbl.fold visits bindings in nondeterministic hash order; use \
-       Cr_metric.Tbl.fold_sorted (or an explicitly order-insensitive \
-       reduction)" );
+      "Hashtbl.fold visits bindings in nondeterministic hash order; sort \
+       the bindings by key, or keep dense per-id rows" );
     ( [ "Random"; "self_init" ],
       pooled,
       "Random.self_init makes build outputs irreproducible; thread an \

@@ -40,16 +40,14 @@ let families () =
       (Cr_lowerbound.Construction.graph
          (Cr_lowerbound.Construction.build ~n:128 ~p:4 ~q:3)) ]
 
-(* The next size tier, unlocked by the Cr_par domain pool: used by the
-   parallel-scaling experiment (E17) and available to any experiment that
-   wants thousand-node instances. Kept out of [families] so the full
-   sequential matrix still completes in minutes. *)
-let large_family_graphs () =
-  [ ("geo-1024", fun () -> Cr_graphgen.Geometric.knn ~n:1024 ~k:3 ~seed:11);
-    ("grid-32x32", fun () -> Cr_graphgen.Grid.square ~side:32) ]
-
+(* The next size tier, unlocked by the Cr_par domain pool, for the
+   experiments that want thousand-node instances. Kept out of [families]
+   so the full sequential matrix still completes in minutes. *)
 let large_families ?pool () =
-  List.map (fun (name, graph) -> instance ?pool name (graph ())) (large_family_graphs ())
+  List.map
+    (fun (name, graph) -> instance ?pool name (graph ()))
+    [ ("geo-1024", fun () -> Cr_graphgen.Geometric.knn ~n:1024 ~k:3 ~seed:11);
+      ("grid-32x32", fun () -> Cr_graphgen.Grid.square ~side:32) ]
 
 let default_epsilon = 0.5
 let pairs_budget = 2_000

@@ -35,11 +35,6 @@ let top_k = 3
    brownout tier. Same seeds as E18, so the failed sets are identical. *)
 let tiers = [ (0.0, 0.0); (0.01, 0.0); (0.02, 0.02) ]
 
-let live_status = function
-  | Cr_sim.Scheme.Delivered -> Live.Delivered
-  | Cr_sim.Scheme.Rerouted -> Live.Rerouted
-  | Cr_sim.Scheme.Undeliverable -> Live.Undeliverable
-
 (* One tier: route every Zipf pair sequentially, with the walker feeding
    both the Cost ledger (the conservation oracle) and the Live windows. *)
 let run_tier inst ni naming pairs ~edge_rate ~node_fraction =
@@ -66,7 +61,7 @@ let run_tier inst ni naming pairs ~edge_rate ~node_fraction =
           in
           let dest_name = naming.Cr_sim.Workload.name_of.(dst) in
           let status, _reroutes = Ni_scheme.walk_degraded ni w ~dest_name in
-          Live.record live ~src ~dst ~status:(live_status status) ~dist
+          Live.record live ~src ~dst ~status ~dist
             ~cost:(Walker.cost w) ~hops:(Walker.hops w)
         end
       end)

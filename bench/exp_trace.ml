@@ -100,8 +100,8 @@ let run_family inst =
   let naming = naming_of inst in
   let pairs =
     match inst.name with
-    (* On uniformly dense families the ring phase alone delivers (see E4);
-       the expo chain is the showcase for the packing phase, and these
+    (* On uniformly dense families the ring phase alone delivers; the
+       expo chain is the showcase for the packing phase, and these
        pairs are known to exit to it. *)
     | "expo-chain-32" -> [ (7, 23); (1, 11); (4, 19); (5, 18) ]
     | _ -> Route_trace.sample_pairs inst.metric ~count:6 ~seed:17

@@ -1,6 +1,5 @@
 (* Experiment harness: regenerates the empirical analog of every table and
-   figure in the paper (see DESIGN.md's per-experiment index), plus
-   Bechamel timing benches.
+   figure in the paper (see DESIGN.md's per-experiment index).
 
      dune exec bench/main.exe                    # everything
      dune exec bench/main.exe -- e5 e7           # selected experiments
@@ -16,21 +15,15 @@ module Report = Cr_sim.Report
 let experiments =
   [ ("e1", "Table 1: name-independent schemes", Exp_table1.run);
     ("e2", "Table 2: labeled schemes", Exp_table2.run);
-    ("e3", "Figure 1: name-independent trace", Exp_fig1.run);
-    ("e4", "Figure 2: labeled trace", Exp_fig2.run);
     ("e5", "Figure 3 + Theorem 1.3: lower bound", Exp_lowerbound.run);
     ("e6", "scale-freeness ablation", Exp_scalefree.run);
     ("e7", "stretch vs epsilon", Exp_epsilon.run);
     ("e8", "storage scaling", Exp_scaling.run);
     ("e9", "distributed preprocessing", Exp_distributed.run);
-    ("e10", "search-tree ablations", Exp_ablation.run);
-    ("e11", "tree-routing encodings", Exp_tree_routers.run);
-    ("e12", "congestion", Exp_congestion.run);
     ("e13", "stability under failure", Exp_stability.run);
     ("e14", "replicated objects", Exp_replicas.run);
     ("e15", "relaxed guarantees", Exp_relaxed.run);
     ("trace", "Figures 1-2 as machine-readable phase traces", Exp_trace.run);
-    ("e17", "parallel scaling (domains 1/2/4/8)", Exp_parallel.run);
     ("e18", "fault injection: reliability overhead + degraded routing",
      Exp_faults.run);
     ("e19", "CONGEST cost: rounds / messages / bits / congestion",
@@ -39,12 +32,7 @@ let experiments =
     ("e21", "brownout: Zipf traffic under failures, live telemetry",
      Exp_brownout.run);
     ("e22", "scale: sampled-pair stretch past the APSP wall (10^4..10^5 nodes)",
-     Exp_scale.run);
-    ("bechamel", "timing micro-benchmarks", Exp_bechamel.run) ]
-
-(* `parallel-scaling` is the documented name of E17; the alias resolves on
-   request but stays out of the run-everything default. *)
-let aliases = [ ("parallel-scaling", "parallel scaling (alias of e17)", Exp_parallel.run) ]
+     Exp_scale.run) ]
 
 let usage = "usage: main.exe [--report DIR] [EXPERIMENT...]"
 
@@ -85,16 +73,13 @@ let write_manifest dir keys =
        ~experiments:keys)
 
 (* The self-diagnosing unknown-experiment error: every registered key with
-   its title, aliases marked as such, so a --report typo tells the reader
-   exactly what the harness knows how to run. *)
+   its title, so a --report typo tells the reader exactly what the harness
+   knows how to run. *)
 let list_registered () =
   String.concat "\n"
     (List.map
        (fun (k, title, _) -> Printf.sprintf "  %-18s %s" k title)
-       experiments
-    @ List.map
-        (fun (k, title, _) -> Printf.sprintf "  %-18s %s" k title)
-        aliases)
+       experiments)
 
 let () =
   let rec parse report keys = function
@@ -117,7 +102,6 @@ let () =
     | keys -> keys
   in
   Option.iter mkdir_p report_dir;
-  let experiments = experiments @ aliases in
   List.iter
     (fun key ->
       match List.find_opt (fun (k, _, _) -> k = key) experiments with
@@ -136,7 +120,7 @@ let () =
           report_dir
       | None ->
         Printf.eprintf
-          "unknown experiment %S; registered experiments (and aliases):\n%s\n"
+          "unknown experiment %S; registered experiments:\n%s\n"
           key (list_registered ());
         exit 1)
     requested;

@@ -813,13 +813,7 @@ let live family epsilon seed alpha windows window_size top pairs_budget
             Ni_scheme.walk_degraded ni w
               ~dest_name:naming.Workload.name_of.(dst)
           in
-          let st =
-            match status with
-            | Scheme.Delivered -> Live.Delivered
-            | Scheme.Rerouted -> Live.Rerouted
-            | Scheme.Undeliverable -> Live.Undeliverable
-          in
-          Live.record acc ~src ~dst ~status:st ~dist
+          Live.record acc ~src ~dst ~status ~dist
             ~cost:(Cr_sim.Walker.cost w) ~hops:(Cr_sim.Walker.hops w)
         end
       end)

@@ -25,9 +25,6 @@ val build :
   epsilon:float ->
   t
 
-(** [label t v] is v's routing label (DFS leaf number). *)
-val label : t -> int -> int
-
 (** [rings t] is the scheme's ring store, which its walks read and the
     serving engine's [next_hop] reads at the destination's label;
     [netting_tree t] is the tree it was built over. *)
@@ -40,20 +37,17 @@ val netting_tree : t -> Cr_nets.Netting_tree.t
     [dest_label]) it takes [next_hop ~at ~label:dest_label], the next hop
     toward the minimal-level ring member whose range covers the label, and
     steps walker [w] there. Hops are attributed to the [Net_phase] trace phase unless
-    an outer scheme already set one. The scheme ({!walk}) binds [next_hop]
-    to [Rings.next_hop] over its store. Raises [Invalid_argument] naming
-    the node and the label when [next_hop] answers -1 (no ring covers the
-    label) or the node itself. *)
+    an outer scheme already set one. The scheme's walk ({!to_underlying})
+    binds [next_hop] to [Rings.next_hop] over its store. Raises
+    [Invalid_argument] naming the node and the label when [next_hop]
+    answers -1 (no ring covers the label) or the node itself. *)
 (* cr_lint: allow dead-export -- test hook: test_hier_labeled binds a next-hop source with no answer to check the typed error *)
 val route_over :
   next_hop:(at:int -> label:int -> int) -> dest:int ->
   Cr_sim.Walker.t -> dest_label:int -> unit
 
-(** [walk t w ~dest_label] advances walker [w] from its current position to
-    the node labeled [dest_label]: {!route_over} over [t]'s rings. *)
-val walk : t -> Cr_sim.Walker.t -> dest_label:int -> unit
-
 (** [to_underlying t] is the scheme as the harness sees it, and as a
-    name-independent scheme built over it does: its labels and its
-    {!walk}. *)
+    name-independent scheme built over it does: its labels (the netting
+    tree's DFS leaf numbers) and its walk, which advances a walker to the
+    node labeled [dest_label] by {!route_over} over [t]'s rings. *)
 val to_underlying : t -> Cr_sim.Scheme.labeled

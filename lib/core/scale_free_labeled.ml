@@ -204,15 +204,6 @@ let fallback r w ~dest_label =
   Walker.with_phase w Trace.Fallback (fun () ->
       Netting_descent.walk r.nt w ~dest_label)
 
-type phase_report = {
-  exit_level : int;  (* i_t; -1 when the ring phase delivered directly *)
-  scale : int;  (* the packing scale j; -1 when direct *)
-  ring_cost : float;
-  climb_cost : float;
-  search_cost : float;
-  tree_cost : float;
-}
-
 (* The ring phase's outcomes besides an exit level i_t >= 1. *)
 let arrived = -1
 let uncovered = -2
@@ -252,69 +243,41 @@ let rec climb r w ~scale c =
     climb r w ~scale c
   end
 
-let route_over ?observe r w ~dest ~dest_label =
-  (* the cost reads and the report happen only for an observer *)
-  let observed = Option.is_some observe in
-  let start = if observed then Walker.cost w else 0.0 in
+let route_over r w ~dest ~dest_label =
   let i_t =
     Walker.with_phase w Trace.Net_phase (fun () ->
         ring_phase r w ~dest ~dest_label max_int)
   in
   if i_t = uncovered then fallback r w ~dest_label
-  else
-    let ring_cost = if observed then Walker.cost w -. start else 0.0 in
-    if i_t = arrived then
-      match observe with
-      | Some observe ->
-        observe
-          { exit_level = -1; scale = -1; ring_cost; climb_cost = 0.0;
-            search_cost = 0.0; tree_cost = 0.0 }
-      | None -> ()
-    else
-      let u_t = Walker.position w in
-      let j = matching_scale r u_t i_t in
-      let c = r.owner.((j * r.n) + u_t) in
-      Walker.with_phase w Trace.Voronoi_phase (fun () -> climb r w ~scale:j c);
-      let climb_cost =
-        if observed then Walker.cost w -. start -. ring_cost else 0.0
+  else if i_t <> arrived then begin
+    let u_t = Walker.position w in
+    let j = matching_scale r u_t i_t in
+    let c = r.owner.((j * r.n) + u_t) in
+    Walker.with_phase w Trace.Voronoi_phase (fun () -> climb r w ~scale:j c);
+    (* Line 9: search tree II lookup of the local tree label. *)
+    let st = Hashtbl.find r.search.(j) c in
+    match
+      Walker.with_phase w Trace.Search_tree_phase (fun () ->
+          Search_tree.walk st ~key:dest_label
+            ~jump:(fun v cost -> Walker.teleport w v ~cost)
+            ~goto:(fun v -> Walker.walk_shortest_path w v))
+    with
+    | None -> fallback r w ~dest_label
+    | Some local_label ->
+      (* Line 10: tree-route from c to the destination. *)
+      let path, _cost =
+        Interval_routing.route (Hashtbl.find r.cell_routers.(j) c) ~src:c
+          ~dest_label:local_label
       in
-      (* Line 9: search tree II lookup of the local tree label. *)
-      let st = Hashtbl.find r.search.(j) c in
-      match
-        Walker.with_phase w Trace.Search_tree_phase (fun () ->
-            Search_tree.walk st ~key:dest_label
-              ~jump:(fun v cost -> Walker.teleport w v ~cost)
-              ~goto:(fun v -> Walker.walk_shortest_path w v))
-      with
-      | None -> fallback r w ~dest_label
-      | Some local_label -> (
-        let search_cost =
-          if observed then Walker.cost w -. start -. ring_cost -. climb_cost
-          else 0.0
-        in
-        (* Line 10: tree-route from c to the destination. *)
-        let path, _cost =
-          Interval_routing.route (Hashtbl.find r.cell_routers.(j) c) ~src:c
-            ~dest_label:local_label
-        in
-        Walker.with_phase w Trace.Voronoi_phase (fun () ->
-            match path with
-            | [] -> ()
-            | _ :: rest -> List.iter (fun v -> Walker.step w v) rest);
-        if Walker.position w <> dest then fallback r w ~dest_label
-        else
-          match observe with
-          | Some observe ->
-            observe
-              { exit_level = i_t; scale = j; ring_cost; climb_cost;
-                search_cost;
-                tree_cost =
-                  Walker.cost w -. start -. ring_cost -. climb_cost
-                  -. search_cost }
-          | None -> ())
+      Walker.with_phase w Trace.Voronoi_phase (fun () ->
+          match path with
+          | [] -> ()
+          | _ :: rest -> List.iter (fun v -> Walker.step w v) rest);
+      if Walker.position w <> dest then fallback r w ~dest_label
+  end
 
-let walk ?observe t w ~dest_label =
-  route_over ?observe t.router w
+let walk t w ~dest_label =
+  route_over t.router w
     ~dest:(Netting_tree.node_of_label t.router.nt dest_label) ~dest_label
 
 let fallback_count t = Atomic.get t.router.fallbacks

@@ -69,19 +69,7 @@ type router = {
 (** [router t] is the scheme's own router, over its rings. *)
 val router : t -> router
 
-(** Phase breakdown of one Algorithm 5 route, as reported to a [walk]
-    observer — the data Figure 2 illustrates. [exit_level] and [scale] are
-    -1 when the ring phase delivered the packet by itself. *)
-type phase_report = {
-  exit_level : int;
-  scale : int;
-  ring_cost : float;
-  climb_cost : float;
-  search_cost : float;
-  tree_cost : float;
-}
-
-(** [walk ?observe t w ~dest_label] moves walker [w] to the node labeled
+(** [walk t w ~dest_label] moves walker [w] to the node labeled
     [dest_label] by Algorithm 5, over the scheme's router: the ring phase
     (lines 1-6), the packing scale matching its exit level (line 7), the
     climb to the Voronoi center (line 8), the search tree II lookup of the
@@ -90,11 +78,8 @@ type phase_report = {
     theorem's premises. Hops are trace-tagged with the Figure 2 phases:
     [Net_phase] (ring descent), [Voronoi_phase] (cell-tree climb and
     tree-route), [Search_tree_phase] (search tree II lookup), and
-    [Fallback]. [observe] is called once on the fast path (not on
-    fallback); only an observer makes the function read [Walker.cost]. *)
-val walk :
-  ?observe:(phase_report -> unit) -> t -> Cr_sim.Walker.t -> dest_label:int ->
-  unit
+    [Fallback]. *)
+val walk : t -> Cr_sim.Walker.t -> dest_label:int -> unit
 
 (** [fallback_count t] is the number of times the scheme's walks, and the
     routes an engine compiled from it serves, left the theorem's fast

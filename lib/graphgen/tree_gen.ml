@@ -17,30 +17,3 @@ let random_attachment ~n ~max_degree ~seed =
       Array.of_list (List.filter keep (v :: Array.to_list slots))
   done;
   g
-
-let balanced_binary ~depth =
-  if depth < 1 then invalid_arg "Tree_gen.balanced_binary: depth must be >= 1";
-  let n = (1 lsl (depth + 1)) - 1 in
-  let g = Graph.create n in
-  for v = 1 to n - 1 do
-    Graph.add_edge g ((v - 1) / 2) v 1.0
-  done;
-  g
-
-let caterpillar ~spine ~legs_per_node =
-  if spine < 2 then invalid_arg "Tree_gen.caterpillar: spine must be >= 2";
-  if legs_per_node < 0 then
-    invalid_arg "Tree_gen.caterpillar: negative legs_per_node";
-  let n = spine * (1 + legs_per_node) in
-  let g = Graph.create n in
-  for i = 0 to spine - 2 do
-    Graph.add_edge g i (i + 1) 1.0
-  done;
-  let next = ref spine in
-  for i = 0 to spine - 1 do
-    for _ = 1 to legs_per_node do
-      Graph.add_edge g i !next 1.0;
-      incr next
-    done
-  done;
-  g

@@ -5,11 +5,3 @@
     new node attaching by a unit edge to a uniformly random earlier node
     that still has spare degree. *)
 val random_attachment : n:int -> max_degree:int -> seed:int -> Cr_metric.Graph.t
-
-(** [balanced_binary ~depth] is the complete binary tree of the given depth
-    with unit edges ([2^(depth+1) - 1] nodes). *)
-val balanced_binary : depth:int -> Cr_metric.Graph.t
-
-(** [caterpillar ~spine ~legs_per_node] is a unit-weight path of length
-    [spine] with [legs_per_node] pendant leaves on every spine node. *)
-val caterpillar : spine:int -> legs_per_node:int -> Cr_metric.Graph.t

@@ -64,8 +64,7 @@ val parallel_map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [stage ctx t name f] runs [f ()] inside a [Cr_obs] span
     ["par." ^ name] and emits ["par." ^ name ^ ".domains"] and
     ["par." ^ name ^ ".seconds"] counters: a traced run's record of the
-    stage's wall time and pool size. (E17 times its stages itself with
-    [Trace.wall_clock], and the [trace] bench reads route hops only.)
-    Events are emitted on the calling domain only; a disabled [ctx] costs
+    stage's wall time and pool size. (The [trace] bench reads route hops
+    only.) Events are emitted on the calling domain only; a disabled [ctx] costs
     one branch. *)
 val stage : Cr_obs.Trace.context -> t -> string -> (unit -> 'a) -> 'a

@@ -131,6 +131,7 @@ val height_cost : t -> float
 
 (** [load t v] is the number of pairs stored at [v]. Raises
     [Invalid_argument] naming [v] if it is not a member. *)
+(* cr_lint: allow dead-export -- test hook: test_search_tree checks Algorithm 1's ceil(k/m) load balance with it *)
 val load : t -> int -> int
 
 (** [keys t] is the sorted list of every key currently stored anywhere in
@@ -145,6 +146,7 @@ val table_bits : t -> int -> int
 
 (** [max_degree t] is the maximum tree degree (the paper bounds the root's
     degree by (1/eps)^(O(alpha)) via Lemma 2.2). *)
+(* cr_lint: allow dead-export -- test hook: test_search_tree checks Lemma 2.2's degree bound with it *)
 val max_degree : t -> int
 
 (** [is_chained t v] is true iff [v]'s edge to its parent is a

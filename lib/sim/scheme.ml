@@ -19,7 +19,7 @@ type name_independent = {
   ni_header_bits : int;
 }
 
-type route_status =
+type route_status = Cr_obs.Live.status =
   | Delivered
   | Rerouted
   | Undeliverable

@@ -36,7 +36,7 @@ type name_independent = {
     fast path, [Rerouted] if it reached the destination after at least one
     failover, [Undeliverable] if the search was exhausted (hop budget, or
     no surviving level — e.g. the destination itself is failed). *)
-type route_status =
+type route_status = Cr_obs.Live.status =
   | Delivered
   | Rerouted
   | Undeliverable

@@ -72,11 +72,6 @@ type degraded_summary = {
   arrived : summary option;
 }
 
-let live_status = function
-  | Scheme.Delivered -> Cr_obs.Live.Delivered
-  | Scheme.Rerouted -> Cr_obs.Live.Rerouted
-  | Scheme.Undeliverable -> Cr_obs.Live.Undeliverable
-
 (* Same pooling contract as [samples_of]: samples return in pair order, so
    the summary equals the sequential run's regardless of pool size. Live
    telemetry is recorded from the merged outcome list on the calling
@@ -98,7 +93,7 @@ let measure_degraded ?pool ?(live = Cr_obs.Live.null) m (s : Scheme.degraded)
        (fun (src, dst) (d, (o : Scheme.degraded_outcome)) ->
          Cr_obs.Live.tick live;
          Cr_obs.Live.record live ~src ~dst
-           ~status:(live_status o.Scheme.d_status)
+           ~status:o.Scheme.d_status
            ~dist:d ~cost:o.Scheme.d_cost ~hops:o.Scheme.d_hops)
        pairs outcomes);
   let delivered = ref 0 and rerouted = ref 0 and undeliverable = ref 0 in

@@ -54,7 +54,6 @@ let of_parents ~root ~nodes ~parent ~weight =
 
 let root t = t.root
 let size t = Array.length t.ids
-let nodes t = Array.to_list t.ids
 
 let idx t v =
   match Hashtbl.find_opt t.index v with
@@ -68,7 +67,3 @@ let parent t v =
 
 let children t v =
   List.map (fun (c, w) -> (t.ids.(c), w)) t.children.(idx t v)
-
-let degree t v =
-  let i = idx t v in
-  List.length t.children.(i) + if t.parent.(i) >= 0 then 1 else 0

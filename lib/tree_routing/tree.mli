@@ -22,14 +22,8 @@ val root : t -> int
 (** [size t] is the number of nodes. *)
 val size : t -> int
 
-(** [nodes t] lists external ids, sorted. *)
-val nodes : t -> int list
-
 (** [parent t v] is [Some (parent, weight)] or [None] for the root. *)
 val parent : t -> int -> (int * float) option
 
 (** [children t v] lists (child, weight) pairs, increasing child id. *)
 val children : t -> int -> (int * float) list
-
-(** [degree t v] is the number of tree edges at [v]. *)
-val degree : t -> int -> int

@@ -51,7 +51,8 @@ let test_spanning_tree_bad_on_ring () =
 
 let test_spanning_tree_perfect_on_tree () =
   let m =
-    Metric.of_graph (Cr_graphgen.Tree_gen.balanced_binary ~depth:4)
+    Metric.of_graph
+      (Cr_graphgen.Tree_gen.random_attachment ~n:31 ~max_degree:3 ~seed:9)
   in
   (* routing over the unique tree of a tree is optimal from any root *)
   let s = Spanning_tree.labeled m ~root:3 in

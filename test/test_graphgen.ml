@@ -77,12 +77,7 @@ let test_tree_gen () =
   let t = Tree_gen.random_attachment ~n:50 ~max_degree:4 ~seed:9 in
   check_int "tree edges" 49 (Graph.num_edges t);
   check_bool "degree bound" true (Graph.max_degree t <= 4);
-  check_bool "connected" true (Graph.is_connected t);
-  let b = Tree_gen.balanced_binary ~depth:3 in
-  check_int "binary nodes" 15 (Graph.n b);
-  let c = Tree_gen.caterpillar ~spine:5 ~legs_per_node:2 in
-  check_int "caterpillar nodes" 15 (Graph.n c);
-  check_int "caterpillar edges" 14 (Graph.num_edges c)
+  check_bool "connected" true (Graph.is_connected t)
 
 let test_hypercube () =
   let g = Hypercube.cube ~dim:4 in

@@ -58,10 +58,10 @@ let test_smaller_epsilon_not_worse () =
 
 let test_labels_compact () =
   let m = grid6 () in
-  let t = build m ~epsilon:0.5 in
-  check_int "label bits" 6 ((Hier_labeled.to_underlying t).Cr_sim.Scheme.l_label_bits);
+  let s = Hier_labeled.to_underlying (build m ~epsilon:0.5) in
+  check_int "label bits" 6 s.Scheme.l_label_bits;
   for v = 0 to Metric.n m - 1 do
-    let l = Hier_labeled.label t v in
+    let l = s.Scheme.label v in
     check_bool "label in [0,n)" true (l >= 0 && l < Metric.n m)
   done
 

@@ -95,7 +95,9 @@ let test_labels_consistent_across_schemes () =
     (fun m ->
       let s = build_stack m in
       for v = 0 to Metric.n m - 1 do
-        check_int "same labels" (Hier.label s.hier v) (Sfl.label s.sfl v)
+        check_int "same labels"
+          ((Hier.to_underlying s.hier).Scheme.label v)
+          (Sfl.label s.sfl v)
       done)
     (fixtures ())
 
@@ -152,7 +154,8 @@ let test_degenerate_delta_one () =
   let name dst = s.naming.Workload.name_of.(dst) in
   let schemes =
     [ ( "hier",
-        (fun w dst -> Hier.walk s.hier w ~dest_label:(Hier.label s.hier dst)),
+        (let h = Hier.to_underlying s.hier in
+         fun w dst -> h.Scheme.walk w ~dest_label:(h.Scheme.label dst)),
         e_hier );
       ( "sfl",
         (fun w dst -> Sfl.walk s.sfl w ~dest_label:(Sfl.label s.sfl dst)),

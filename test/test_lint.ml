@@ -307,12 +307,17 @@ let fixture_dir = "test/lint_fixtures"
    the .objs trees — which, unlike the source root, has no dune-project
    marker. The fixture library's own .objs directory is the marker: it
    exists whenever this binary runs, because the library is one of its
-   link dependencies. *)
+   link dependencies. Under `dune runtest` the walk starts inside the
+   build context; from the source tree (`dune exec test/main.exe`) it
+   finds the context as [<dir>/_build/default]. *)
 let find_build_root () =
   let marker = fixture_dir ^ "/.cr_lint_fixtures.objs" in
+  let has_marker dir = Sys.file_exists (Filename.concat dir marker) in
   let rec up dir n =
+    let context = Filename.concat dir "_build/default" in
     if n = 0 then None
-    else if Sys.file_exists (Filename.concat dir marker) then Some dir
+    else if has_marker dir then Some dir
+    else if has_marker context then Some context
     else
       let parent = Filename.dirname dir in
       if String.equal parent dir then None else up parent (n - 1)

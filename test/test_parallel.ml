@@ -138,21 +138,20 @@ let prop_labeled_determinism =
           (fun p ->
             let m = Metric.of_graph ~pool:p g in
             let nt = Netting_tree.build (Hierarchy.build m) in
-            let hier = Cr_core.Hier_labeled.build ~pool:p nt ~epsilon:0.5 in
+            let hier =
+              Cr_core.Hier_labeled.to_underlying
+                (Cr_core.Hier_labeled.build ~pool:p nt ~epsilon:0.5)
+            in
             let sfl =
               Cr_core.Scale_free_labeled.build ~pool:p nt ~epsilon:0.5
             in
             let n = Metric.n m in
             let pairs = Workload.pairs_for ~n ~seed:17 ~budget:150 in
-            let summary =
-              Stats.measure_labeled ~pool:p m
-                (Cr_core.Hier_labeled.to_underlying hier)
-                pairs
-            in
+            let summary = Stats.measure_labeled ~pool:p m hier pairs in
             let tables =
               List.init n (fun v ->
-                  ( Cr_core.Hier_labeled.label hier v,
-                    (Cr_core.Hier_labeled.to_underlying hier).Cr_sim.Scheme.l_table_bits v,
+                  ( hier.Cr_sim.Scheme.label v,
+                    hier.Cr_sim.Scheme.l_table_bits v,
                     Cr_core.Scale_free_labeled.table_bits sfl v ))
             in
             (tables, summary))

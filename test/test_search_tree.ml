@@ -29,7 +29,34 @@ let test_height_bound () =
         (Printf.sprintf "height at r=%g" radius)
         true
         (Search_tree.height_cost st <= 1.6 *. radius))
-    [ 2.0; 4.0; 8.0 ]
+    [ 2.0; 4.0; 8.0 ];
+  (* Definition 4.2's level cap on the diameter-wide ball of an exponential
+     chain: every cap keeps the height within the bound, while tighter
+     caps move more nodes onto fixed-weight chain edges *)
+  let m =
+    Metric.of_graph (Cr_graphgen.Path_like.exponential_chain ~n:48 ~base:2.0)
+  in
+  let center = 0 and radius = Metric.diameter m in
+  let members = ball_members m ~center ~radius in
+  let pairs = List.mapi (fun i v -> (i, v)) members in
+  List.iter
+    (fun (level_cap, chained) ->
+      let st =
+        Search_tree.build m ~epsilon:0.5 ~center ~radius ~members ~level_cap
+          ~pairs ~universe:64
+      in
+      let cap =
+        match level_cap with None -> "none" | Some c -> string_of_int c
+      in
+      check_bool
+        (Printf.sprintf "height at cap %s" cap)
+        true
+        (Search_tree.height_cost st <= 1.6 *. radius);
+      check_int
+        (Printf.sprintf "chained nodes at cap %s" cap)
+        chained
+        (List.length (List.filter (Search_tree.is_chained st) members)))
+    [ (None, 0); (Some 12, 21); (Some 6, 33); (Some 3, 39); (Some 1, 43) ]
 
 let test_search_finds_all () =
   let m = grid8 () in
@@ -97,7 +124,36 @@ let test_load_balanced () =
   List.iter
     (fun v ->
       check_bool "load bound" true (Search_tree.load st v <= bound))
-    members
+    members;
+  (* one pair per node of each evaluation family, dealt over the
+     quarter-diameter ball at node 0: the busiest node holds exactly
+     ceil(k/m) *)
+  List.iter
+    (fun (name, graph, ceil_k_m) ->
+      let m = Metric.of_graph graph in
+      let center = 0 and radius = Metric.diameter m /. 4.0 in
+      let members = ball_members m ~center ~radius in
+      let k = Metric.n m in
+      let st =
+        Search_tree.build m ~epsilon:0.5 ~center ~radius ~members
+          ~level_cap:None ~pairs:(List.init k (fun i -> (i, i))) ~universe:k
+      in
+      let size = List.length members in
+      check_int (name ^ ": ceil(k/m)") ceil_k_m ((k + size - 1) / size);
+      check_int (name ^ ": max load") ceil_k_m
+        (List.fold_left
+           (fun acc v -> max acc (Search_tree.load st v))
+           0 members))
+    [ ("grid-10x10", Cr_graphgen.Grid.square ~side:10, 7);
+      ( "holey-12x12",
+        Cr_graphgen.Grid.with_holes ~side:12 ~hole_fraction:0.25 ~seed:7,
+        7 );
+      ("geo-128", Cr_graphgen.Geometric.knn ~n:128 ~k:3 ~seed:11, 4);
+      ("ring-128", Cr_graphgen.Path_like.ring ~n:128, 4);
+      ( "lbtree-128",
+        Cr_lowerbound.Construction.graph
+          (Cr_lowerbound.Construction.build ~n:128 ~p:4 ~q:3),
+        6 ) ]
 
 (* A key-space tree stores an inserted key where Algorithm 1 deals it:
    inserting every key of the universe gives the loads and descents of

@@ -73,8 +73,8 @@ let fixtures = [ ("grid6", fx_grid); ("geo48", fx_geo); ("expo12", fx_expo) ]
 (* The scheme-side walk and the engine serving it, per scheme. *)
 let core_schemes fx =
   [ ( "hier",
-      (fun w dst ->
-        Hier_labeled.walk fx.hl w ~dest_label:(Hier_labeled.label fx.hl dst)),
+      (let h = Hier_labeled.to_underlying fx.hl in
+       fun w dst -> h.Scheme.walk w ~dest_label:(h.Scheme.label dst)),
       fx.e_hier );
     ( "sfl",
       (fun w dst -> Sfl.walk fx.sfl w ~dest_label:(Sfl.label fx.sfl dst)),

@@ -309,8 +309,9 @@ let fixture_dir = "test/lint_fixtures"
    exists whenever this binary runs, because the library is one of its
    link dependencies. Under `dune runtest` the walk starts inside the
    build context; from the source tree (`dune exec test/main.exe`) it
-   finds the context as [<dir>/_build/default]. *)
-let find_build_root () =
+   finds the context as [<dir>/_build/default]. [from] defaults to the
+   working directory. *)
+let find_build_root ?(from = Sys.getcwd ()) () =
   let marker = fixture_dir ^ "/.cr_lint_fixtures.objs" in
   let has_marker dir = Sys.file_exists (Filename.concat dir marker) in
   let rec up dir n =
@@ -322,7 +323,22 @@ let find_build_root () =
       let parent = Filename.dirname dir in
       if String.equal parent dir then None else up parent (n - 1)
   in
-  up (Sys.getcwd ()) 8
+  up from 8
+
+(* Wherever the suite runs, the walk ends at one build context: started in
+   the source root above it, or in a source directory below that, it
+   probes [<dir>/_build/default] and finds the same one. *)
+let build_root_from_source () =
+  match find_build_root () with
+  | None -> Alcotest.fail "build context root not found"
+  | Some root ->
+    let source = Filename.dirname (Filename.dirname root) in
+    List.iter
+      (fun from ->
+        Alcotest.(check (option string))
+          ("found from " ^ from) (Some root)
+          (find_build_root ~from ()))
+      [ source; Filename.concat source "test" ]
 
 let typed_fixture_report name ids =
   match find_build_root () with
@@ -600,6 +616,7 @@ let suite =
     case "golden: human rendering is byte-stable" golden_output;
     case "parse errors become diagnostics" parse_error_is_reported;
     case "clean tree: zero findings at HEAD" clean_tree;
+    case "build context: found from the source root" build_root_from_source;
     case "typed: zero-alloc chain, stale exemption, unused suppression"
       zero_alloc_fixtures;
     case "typed: domain-escape catches callee and alias mutations"

@@ -330,6 +330,22 @@ let pool_size_invariance () =
         (live_snapshot (Pool.create ~domains ())))
     [ 2; 4 ]
 
+(* The status a degraded walk returns is the one Live records: the
+   snapshot's run totals count each outcome as the summary does, and the
+   fixture's failures produce all three. *)
+let status_totals () =
+  let m, naming, degraded = degraded_fixture () in
+  let pairs = Workload.sample_pairs ~n:(Cr_metric.Metric.n m) ~count:300 ~seed:5 in
+  let live = Live.create () in
+  let d = Stats.measure_degraded ~live m degraded naming pairs in
+  let t = Live.totals live in
+  check_int "routes" d.Stats.routes t.Live.t_routes;
+  check_int "delivered" d.Stats.delivered t.Live.t_delivered;
+  check_int "rerouted" d.Stats.rerouted t.Live.t_rerouted;
+  check_int "undeliverable" d.Stats.undeliverable t.Live.t_undeliverable;
+  check_bool "every status occurs" true
+    (d.Stats.delivered > 0 && d.Stats.rerouted > 0 && d.Stats.undeliverable > 0)
+
 (* ---- walker edge telemetry and the conservation invariant ---- *)
 
 let walker_conservation () =
@@ -421,6 +437,8 @@ let suite =
       sample_pairs_contract;
     case "live snapshots byte-identical across pool sizes"
       pool_size_invariance;
+    case "live totals count each route status as the summary does"
+      status_totals;
     case "walker telemetry conserves against the Cost ledger"
       walker_conservation;
     case "served routes: outcomes unchanged, telemetry conserved" serve_live ]

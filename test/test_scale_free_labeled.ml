@@ -38,16 +38,28 @@ let test_delivery_ring () =
   let m = ring16 () in
   check_all_pairs m (build m ~epsilon:0.5)
 
+(* Every route of the 32-node exponential chain, captured with its
+   phase-tagged event log: the chain on which Algorithm 5 leaves the ring
+   phase. *)
+let expo32_routes =
+  memo (fun () ->
+      let m =
+        Metric.of_graph
+          (Cr_graphgen.Path_like.exponential_chain ~n:32 ~base:2.0)
+      in
+      let t = build m ~epsilon:0.5 in
+      List.map
+        (fun (src, dst) ->
+          Route_trace.capture m ~src ~dst ~walk:(fun w ->
+              Sfl.walk t w ~dest_label:(Sfl.label t dst)))
+        (all_pairs (Metric.n m)))
+
 let test_delivery_expo () =
   (* exponential-diameter chain: the scale-free scheme's home turf *)
   let m = expo12 () in
   check_all_pairs m (build m ~epsilon:0.5);
-  (* on the 32-node chain Algorithm 5 leaves the ring phase: some route
-     looks its destination up in a search tree II *)
-  let m =
-    Metric.of_graph (Cr_graphgen.Path_like.exponential_chain ~n:32 ~base:2.0)
-  in
-  let t = build m ~epsilon:0.5 in
+  (* on the 32-node chain some route looks its destination up in a search
+     tree II *)
   let search_tree_hop (e : Trace.event) =
     match e.Trace.body with
     | Trace.Hop { phase = Trace.Search_tree_phase; _ } -> true
@@ -55,13 +67,33 @@ let test_delivery_expo () =
   in
   check_bool "some route has search-tree II hops" true
     (List.exists
-       (fun (src, dst) ->
-         let r =
-           Route_trace.capture m ~src ~dst ~walk:(fun w ->
-               Sfl.walk t w ~dest_label:(Sfl.label t dst))
-         in
-         List.exists search_tree_hop r.Route_trace.events)
-       (all_pairs (Metric.n m)))
+       (fun r -> List.exists search_tree_hop r.Route_trace.events)
+       (expo32_routes ()))
+
+(* Algorithm 5 charges all its travel through the walker under a phase
+   tag: on the exponential chain, where routes cross the net, Voronoi and
+   search-tree phases, the per-phase hop costs add up to each route's
+   cost. *)
+let test_phase_costs_sum () =
+  let routes = expo32_routes () in
+  List.iter
+    (fun (r : Route_trace.t) ->
+      let pair =
+        Printf.sprintf "%d -> %d" r.Route_trace.src r.Route_trace.dst
+      in
+      check_int (pair ^ ": unphased hops") 0 (Route_trace.unphased_hops r);
+      check_bool (pair ^ ": phase costs sum to the cost") true
+        (Float.abs (Route_trace.phase_cost_total r -. r.Route_trace.cost)
+        <= 1e-9 *. Float.max 1.0 r.Route_trace.cost))
+    routes;
+  let phases =
+    List.concat_map (fun r -> List.map fst (Route_trace.phase_costs r)) routes
+  in
+  List.iter
+    (fun phase ->
+      check_bool (Trace.phase_label phase ^ " hops occur") true
+        (List.mem phase phases))
+    [ Trace.Net_phase; Trace.Voronoi_phase; Trace.Search_tree_phase ]
 
 let test_stretch_envelope () =
   let m = grid8 () in
@@ -128,6 +160,8 @@ let suite =
     Alcotest.test_case "delivers on ring" `Quick test_delivery_ring;
     Alcotest.test_case "delivers on exponential chain" `Quick
       test_delivery_expo;
+    Alcotest.test_case "phase costs sum to the walk's cost" `Quick
+      test_phase_costs_sum;
     Alcotest.test_case "stretch envelope" `Quick test_stretch_envelope;
     Alcotest.test_case "no fallbacks on good instances" `Quick
       test_no_fallbacks_on_good_instances;

@@ -9,6 +9,7 @@ module Sfl = Cr_core.Scale_free_labeled
 module Simple_ni = Cr_core.Simple_ni
 module Ni_scheme = Cr_core.Ni_scheme
 module Ni_route = Cr_core.Ni_route
+module Route_trace = Cr_core.Route_trace
 module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
 module Stats = Cr_sim.Stats
@@ -107,6 +108,27 @@ let test_observer_reports () =
         (r.Ni_route.found = (i = List.length reports - 1)))
     reports
 
+(* An observer only watches: every route's phase-tagged event log, cost
+   and hop count are the same with and without one. *)
+let test_observer_leaves_walk () =
+  let m = holey () in
+  let t, naming = build m in
+  let capture ?observe (src, dst) =
+    Route_trace.capture m ~src ~dst ~walk:(fun w ->
+        Ni_scheme.walk ?observe t w ~dest_name:naming.Workload.name_of.(dst))
+  in
+  let observed = ref 0 in
+  List.iter
+    (fun pair ->
+      let plain = capture pair in
+      let watched = capture ~observe:(fun _ -> incr observed) pair in
+      Alcotest.(check string)
+        (Printf.sprintf "%d -> %d: observed trace" (fst pair) (snd pair))
+        (Route_trace.to_jsonl [ plain ])
+        (Route_trace.to_jsonl [ watched ]))
+    (Workload.sample_pairs ~n:(Metric.n m) ~count:60 ~seed:17);
+  check_bool "the observer saw level reports" true (!observed > 0)
+
 let test_found_level_consistent () =
   let m = grid6 () in
   let t, naming = build m in
@@ -161,6 +183,8 @@ let suite =
     Alcotest.test_case "composes with Thm 1.2 underlying" `Quick
       test_composes_with_scale_free_underlying;
     Alcotest.test_case "observer reports" `Quick test_observer_reports;
+    Alcotest.test_case "observer leaves the walk unchanged" `Quick
+      test_observer_leaves_walk;
     Alcotest.test_case "found_level in range" `Quick
       test_found_level_consistent;
     Alcotest.test_case "tables include underlying" `Quick

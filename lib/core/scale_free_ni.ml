@@ -11,7 +11,8 @@ module Trace = Cr_obs.Trace
 type packed_tree = {
   center : int;
   scale : int;  (* the packing level j *)
-  ext_set : (int, unit) Hashtbl.t;  (* the 2^(j+2) nodes whose pairs it holds *)
+  ext_size : int;  (* it holds the pairs of the center's min(2^(j+2), n) nearest *)
+  ext_last : int;  (* the last of them in the center's order *)
   st : Search_tree.t;
 }
 
@@ -26,6 +27,26 @@ type t = {
   type_a : int;
   type_b : int;
 }
+
+(* |B_u(r)|: the length of the prefix of u's neighbour order within r,
+   found by bisection, since distances along the order never decrease. *)
+let ball_size m u r =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Metric.dist m u (Metric.nth_nearest m u mid) <= r then go (mid + 1) hi
+      else go lo mid
+  in
+  go 0 (Metric.n m)
+
+(* Whether [y] is among [pt]'s extended ball: the center's order is
+   sorted by (distance, id), so [y] is in its prefix iff it does not
+   come after the prefix's last entry. *)
+let in_extended m pt y =
+  let dy = Metric.dist m pt.center y
+  and dl = Metric.dist m pt.center pt.ext_last in
+  dy < dl || (Float.equal dy dl && y <= pt.ext_last)
 
 let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
     ~underlying =
@@ -61,11 +82,8 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
         let built =
           Cr_par.Pool.parallel_map_list pool
             (fun (ball : Ball_packing.ball) ->
-              let ext_nodes =
-                Metric.nearest_k m ball.center (min (1 lsl (j + 2)) n)
-              in
-              let ext_set = Hashtbl.create (List.length ext_nodes) in
-              List.iter (fun v -> Hashtbl.replace ext_set v ()) ext_nodes;
+              let ext_size = min (1 lsl (j + 2)) n in
+              let ext_nodes = Metric.nearest_k m ball.center ext_size in
               let st =
                 Search_tree.build m ~epsilon:eps_eff ~center:ball.center
                   ~radius:(Float.max ball.radius 1.0)
@@ -73,7 +91,10 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
                   ~level_cap:None ~pairs:(directory_pairs ext_nodes)
                   ~universe:n
               in
-              (ball, { center = ball.center; scale = j; ext_set; st }))
+              ( ball,
+                { center = ball.center; scale = j; ext_size;
+                  ext_last = Metric.nth_nearest m ball.center (ext_size - 1);
+                  st } ))
             (Ball_packing.balls packing)
         in
         List.iter (fun (_, pt) -> register pt.st) built;
@@ -97,46 +118,45 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
      let built =
        Cr_par.Pool.parallel_map_list pool
          (fun u ->
-           let members = Metric.ball m ~center:u ~radius in
+           let size = ball_size m u radius in
            (* Exclusion test: find a packed ball B (minimal j, then minimal
-              d(u, c)) inside B_u(outer) whose extended ball contains every
-              candidate member. *)
+              d(u, c), the earlier ball on ties) inside B_u(outer) whose
+              extended ball contains every member of B_u(radius), the
+              first [size] entries of u's order. *)
+           let covers ((ball : Ball_packing.ball), pt) =
+             Metric.dist m u ball.center <= outer
+             && pt.ext_size >= size
+             && Array.for_all
+                  (fun x -> Metric.dist m u x <= outer)
+                  ball.members
+             &&
+             let rec all_in k =
+               k = size
+               || (in_extended m pt (Metric.nth_nearest m u k)
+                  && all_in (k + 1))
+             in
+             all_in 0
+           in
+           let closer best ((ball : Ball_packing.ball), _ as cand) =
+             match best with
+             | Some ((b' : Ball_packing.ball), _)
+               when Metric.dist m u b'.center <= Metric.dist m u ball.center
+               ->
+               best
+             | _ -> if covers cand then Some cand else best
+           in
            let covering = ref None in
            let level_idx = ref 0 in
            while !covering = None && !level_idx < Array.length packed_levels do
-             let candidates =
-               List.filter
-                 (fun ((ball : Ball_packing.ball), pt) ->
-                   Metric.dist m u ball.center <= outer
-                   && Hashtbl.length pt.ext_set >= List.length members
-                   && Array.for_all
-                        (fun x -> Metric.dist m u x <= outer)
-                        ball.members
-                   && List.for_all (fun y -> Hashtbl.mem pt.ext_set y) members)
-                 packed_levels.(!level_idx)
-             in
-             (match candidates with
-             | [] -> ()
-             | _ :: _ ->
-               let best =
-                 List.fold_left
-                   (fun acc ((ball : Ball_packing.ball), pt) ->
-                     match acc with
-                     | None -> Some (ball, pt)
-                     | Some ((b', _) as a) ->
-                       if
-                         Metric.dist m u ball.center
-                         < Metric.dist m u b'.center
-                       then Some (ball, pt)
-                       else Some a)
-                   None candidates
-               in
-               covering := Option.map snd best);
+             covering :=
+               Option.map snd
+                 (List.fold_left closer None packed_levels.(!level_idx));
              incr level_idx
            done;
            match !covering with
            | Some pt -> (u, Link pt)
            | None ->
+             let members = Metric.nearest_k m u size in
              let st =
                Search_tree.build m ~epsilon:eps_eff ~center:u ~radius
                  ~members ~level_cap:None ~pairs:(directory_pairs members)

@@ -10,8 +10,10 @@ type result = {
    the node itself. A tie re-parents [v] only onto a strictly closer
    [u]: past 2^53 an edge weight can round away (d + w = d), and a tie
    between two nodes at the same distance would make each the other's
-   predecessor. *)
-let run g s =
+   predecessor. A non-empty [order] receives the nodes in pop (settle)
+   order, which is (distance, id) order except where an edge weight
+   rounds away; [run] passes the empty array and records nothing. *)
+let search g s order =
   let n = Graph.n g in
   if s < 0 || s >= n then invalid_arg "Dijkstra.run: source out of range";
   let dist = Array.make n infinity in
@@ -19,10 +21,16 @@ let run g s =
   let heap = Priority_queue.create () in
   dist.(s) <- 0.0;
   Priority_queue.push heap dist s;
+  let record = Array.length order > 0 in
+  let settled = ref 0 in
   let next = ref (Priority_queue.pop heap dist) in
   while !next >= 0 do
     let u = !next in
     let d = dist.(u) in
+    if record then begin
+      order.(!settled) <- u;
+      incr settled
+    end;
     let ids = Graph.row_ids g u and wts = Graph.row_weights g u in
     for i = 0 to Graph.degree g u - 1 do
       let v = ids.(i) in
@@ -40,6 +48,13 @@ let run g s =
     next := Priority_queue.pop heap dist
   done;
   { dist; pred }
+
+let run g s = search g s [||]
+
+let run_ordered g s =
+  let order = Array.make (Graph.n g) 0 in
+  let r = search g s order in
+  (r, order)
 
 (* Bounded.run_multi at an infinite radius settles every reachable node;
    the rest read Bounded's defaults (infinity, -1, -1). The sources are

@@ -24,6 +24,15 @@ type result = {
 (** [run g s] computes shortest paths from source [s]. *)
 val run : Graph.t -> int -> result
 
+(** [run_ordered g s] is [run g s] together with the settle order: the
+    nodes [s] reaches, in the order the heap popped them, then zeros for
+    the nodes it does not reach. Pops come in (distance, id) order, except
+    that a node whose distance an edge weight rounds away from (d + w = d,
+    past 2^53) can pop after a larger id at the same distance. Only
+    [Metric.of_graph] asks for the order, so [run] allocates no array for
+    it. *)
+val run_ordered : Graph.t -> int -> result * int array
+
 (** [multi_source g sources] runs Dijkstra from a set of virtual sources
     simultaneously. Returns per-node distance to the nearest source, the
     nearest source itself ([owner]), and the predecessor on a shortest path

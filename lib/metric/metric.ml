@@ -12,7 +12,7 @@ type t = {
   diameter : float;
 }
 
-let d m u v = m.dist.((u * m.n) + v)
+let[@inline] d m u v = m.dist.((u * m.n) + v)
 
 let validate graph =
   if Graph.n graph < 2 then
@@ -20,19 +20,47 @@ let validate graph =
   if not (Graph.is_connected graph) then
     invalid_arg "Metric.of_graph: graph must be connected"
 
-(* The two O(n . Dijkstra) / O(n^2 log n) stages fan out over the pool;
-   each source (resp. row) is independent and results land by index, so the
-   output is identical to the sequential run (see Cr_par.Pool). Every n*n
-   table is one row-major block, like [dist]; the per-source rows are
-   copied in and dropped, the one-sided distances among them. *)
+(* Sort [order.(base .. base + n - 1)] by (dist.(base + v), v) with one
+   insertion pass: the row arrives in its run's settle order, which is
+   already that order up to the few entries symmetrization or a
+   rounded-away edge moved, so the pass costs O(n) plus one shift per
+   inversion. *)
+let repair_row dist order base n =
+  for i = base + 1 to base + n - 1 do
+    let v = order.(i) in
+    let dv = dist.(base + v) in
+    let j = ref (i - 1) in
+    while
+      !j >= base
+      &&
+      let w = order.(!j) in
+      let dw = dist.(base + w) in
+      dw > dv || (Float.equal dw dv && w > v)
+    do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- v
+  done
+
+(* The n per-source Dijkstra runs fan out over the pool; each source is
+   independent and its result lands by index, so the output is identical
+   to the sequential run (see Cr_par.Pool). Every n*n table is one
+   row-major block, like [dist]; the per-source rows are copied in and
+   dropped, the one-sided distances among them. Each neighbour-order row
+   is its run's settle order, repaired in place once the distances are
+   symmetric. *)
 let build ~pool graph =
   let n = Graph.n graph in
+  let sssp = Pool.parallel_init pool n (fun s -> Dijkstra.run_ordered graph s) in
   let dist = Array.make (n * n) infinity in
-  let sssp = Pool.parallel_init pool n (fun s -> Dijkstra.run graph s) in
   let pred = Array.make (n * n) (-1) in
+  let order = Array.make (n * n) 0 in
   for s = 0 to n - 1 do
-    Array.blit sssp.(s).Dijkstra.dist 0 dist (s * n) n;
-    Array.blit sssp.(s).Dijkstra.pred 0 pred (s * n) n
+    let r, settled = sssp.(s) in
+    Array.blit r.Dijkstra.dist 0 dist (s * n) n;
+    Array.blit r.Dijkstra.pred 0 pred (s * n) n;
+    Array.blit settled 0 order (s * n) n
   done;
   (* Per-source Dijkstra runs can round the same path sum differently;
      force exact symmetry by keeping the smaller value of each pair. *)
@@ -51,21 +79,9 @@ let build ~pool graph =
       if x > !diameter then diameter := x
     done
   done;
-  let rows =
-    Pool.parallel_init pool n (fun u ->
-        let base = u * n in
-        let ids = Array.init n Fun.id in
-        (* merge sort, faster here than Array.sort's heap sort; the key
-           (distance, id) is total, so stability changes nothing *)
-        Array.stable_sort
-          (fun a b ->
-            let c = Float.compare dist.(base + a) dist.(base + b) in
-            if c <> 0 then c else Int.compare a b)
-          ids;
-        ids)
-  in
-  let order = Array.make (n * n) 0 in
-  Array.iteri (fun u row -> Array.blit row 0 order (u * n) n) rows;
+  for u = 0 to n - 1 do
+    repair_row dist order (u * n) n
+  done;
   { graph; n; dist; order; pred;
     min_distance = !min_distance; diameter = !diameter }
 
@@ -84,7 +100,7 @@ let of_graph ?(pool = Pool.default ()) graph =
 
 let graph m = m.graph
 let n m = m.n
-let dist m u v = d m u v
+let[@inline] dist m u v = d m u v
 let diameter m = m.diameter
 let min_distance m = m.min_distance
 let normalized_diameter m = m.diameter /. m.min_distance
@@ -109,6 +125,10 @@ let radius_of_size m u size =
   (* entry k of row u is u's (k+1)-th closest node (u itself at k = 0), so
      r_u for a ball of [size] nodes is the distance to entry size-1. *)
   d m u m.order.((u * m.n) + size - 1)
+
+let[@inline] nth_nearest m u k =
+  if k < 0 || k >= m.n then invalid_arg "Metric.nth_nearest: k out of range";
+  m.order.((u * m.n) + k)
 
 let nearest_k m u k =
   if k < 1 || k > m.n then invalid_arg "Metric.nearest_k: k out of range";

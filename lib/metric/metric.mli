@@ -5,7 +5,16 @@
     next-hop queries), and each node's neighbour order: all node ids
     sorted by (distance from it, id). The Packing Lemma's balls of 2^j
     nodes and their radii r_u(j) are prefixes of that order, so
-    {!nearest_k} is an O(k) copy and {!radius_of_size} an O(1) read.
+    {!nearest_k} is an O(k) copy, {!radius_of_size} an O(1) read, and
+    {!nth_nearest} reads one entry of the order in O(1). Every metric ball
+    B_u(r) is a prefix of u's order too.
+
+    Each row of the order is taken from the settle order of the Dijkstra
+    run that computed the row ({!Dijkstra.run_ordered}): pops come in
+    (distance, id) order, so the row needs no sort. One insertion pass
+    per row, after the distances are made symmetric, moves the few
+    entries that symmetrization or an edge weight rounding away past
+    2^53 put out of place; on most graphs it moves none.
 
     Following the paper's normalization, [of_graph] rescales edge weights so
     that the minimum pairwise distance is exactly 1; the normalized diameter
@@ -19,9 +28,10 @@ type t
 
     The minimum pairwise distance is the lightest edge weight
     ({!Graph.min_edge_weight}), so [g] is rescaled first and the metric is
-    built once. The n per-source Dijkstra runs and the n neighbour-order
-    sorts fan out over [pool] (default {!Cr_par.Pool.default}); the result
-    is bit-identical whatever the pool size — see [Cr_par.Pool] for the
+    built once. The n per-source Dijkstra runs fan out over [pool]
+    (default {!Cr_par.Pool.default}); the symmetrization and the
+    neighbour-order repair run on the calling domain. The result is
+    bit-identical whatever the pool size — see [Cr_par.Pool] for the
     determinism contract. *)
 val of_graph : ?pool:Cr_par.Pool.t -> Graph.t -> t
 
@@ -75,6 +85,13 @@ val radius_of_size : t -> int -> int -> float
     It is the first [k] entries of [u]'s neighbour order, copied in O(k).
     Raises [Invalid_argument] if [k > n] or [k < 1]. *)
 val nearest_k : t -> int -> int -> int list
+
+(** [nth_nearest m u k] is entry [k] of [u]'s neighbour order: [u]'s
+    ([k]+1)-th closest node by (distance, id), [u] itself at [k = 0]. An
+    O(1) read that allocates nothing; the ball B_u(r) is the entries
+    [0 .. k-1] for the least [k] whose entry lies beyond [r]. Raises
+    [Invalid_argument] unless [0 <= k < n]. *)
+val nth_nearest : t -> int -> int -> int
 
 (** [nearest_in m u candidates] is the candidate minimizing d(u, -), ties
     broken by least id (the paper's tie-breaking rule for zooming

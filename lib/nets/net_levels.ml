@@ -21,8 +21,8 @@ let build g ~top_level:top =
   nets.(top) <- [ 0 ];
   (* Greedy net per level, coarser net as seed. [cov_stamp.(v) = round]
      iff some already-accepted point's ball reached v strictly within the
-     radius: the negation of the matrix greedy's far-from-net test
-     (Rnet.greedy), so the accepted set is identical. *)
+     radius: the negation of the matrix greedy's far-from-net test, so
+     the accepted set is identical. *)
   let cov_stamp = Array.make n 0 in
   let round = ref 0 in
   for i = top - 1 downto 1 do

@@ -5,9 +5,10 @@
     Level i holds a greedy 2^i-net Y_i with Y_(i+1) as its seed (so nets
     nest downward), Y_0 = V forced, and the top level {0}. A candidate
     joins Y_i iff no earlier net point's truncated ball of radius 2^i
-    ({!Cr_metric.Bounded.run}) reached it strictly: {!Rnet.greedy}'s
-    "every net point at distance >= r" test, with the quantifier turned
-    inside out, so the nets are the matrix greedy's. Each level's nearest
+    ({!Cr_metric.Bounded.run}) reached it strictly: the matrix greedy's
+    "every net point at distance >= r" test (Definition 2.1, scanning
+    ids ascending), with the quantifier turned inside out, so the nets
+    are the matrix greedy's. Each level's nearest
     net points come from one truncated multi-source run with
     {!Cr_metric.Dijkstra.multi_source}'s (distance, owner-id) tie-break:
     {!Cr_metric.Metric.nearest_in}'s least-id rule.
@@ -15,8 +16,8 @@
     Distances are one-sided, from the net point, where the dense matrix
     symmetrizes opposing rows by [Float.min]; on weight-1 graphs the two
     agree exactly. [test/test_nets.ml] checks the result against the
-    matrix greedy and [nearest_in] on seeded geo, grid and holey-grid
-    families. Nothing here is O(n^2): the work is the settled-node count
+    matrix greedy (the tests' [rnet_greedy]) and [nearest_in] on seeded
+    geo, grid and holey-grid families. Nothing here is O(n^2): the work is the settled-node count
     of the balls, reported by {!settled_work}. *)
 
 type t

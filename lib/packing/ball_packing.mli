@@ -11,7 +11,13 @@
        [covering] witness during the greedy scan.
 
     Balls are node *sets* (the 2^j nodes closest to the center, distance
-    then id order), so "disjoint" means disjoint member sets. *)
+    then id order), so "disjoint" means disjoint member sets.
+
+    Every candidate ball is a prefix of its center's neighbour order, so
+    the scan reads candidates in place ({!Cr_metric.Metric.nth_nearest},
+    {!Cr_metric.Metric.radius_of_size}), stops a candidate's clash test
+    at its first member already packed, and builds a member array only
+    for the balls it packs. *)
 
 type ball = {
   center : int;

@@ -1,8 +1,9 @@
 (** Distributed r-net election.
 
-    Computes, by message passing alone, exactly the greedy r-net that the
-    centralized [Cr_nets.Rnet.greedy] builds (scan ids ascending, join the
-    net when no smaller-id member lies within distance < r):
+    Computes, by message passing alone, exactly the greedy r-net of
+    Definition 2.1 that a centralized scan over the distance matrix
+    builds (scan ids ascending, join the net when no smaller-id member
+    lies within distance < r; the tests' [rnet_greedy]):
 
     - phase 1 (discovery): every node floods its id within radius r (a
       budgeted Bellman-Ford flood), so each node learns the ids and

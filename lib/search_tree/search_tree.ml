@@ -1,6 +1,5 @@
 module Metric = Cr_metric.Metric
 module Bits = Cr_metric.Bits
-module Rnet = Cr_nets.Rnet
 
 type leg = {
   src : int;
@@ -61,6 +60,120 @@ let slot_exn t who v =
          who v t.ids.(t.root));
   s
 
+(* Node id -> slot of the tree being built: [slot.(v)] is v's slot iff
+   [stamp.(v) = version], so starting a tree is one increment plus one
+   write per member. One scratch per domain, grown to the metric's n on
+   first use: a build costs words in proportion to its members, and the
+   builds that pool tasks run on different domains share nothing. *)
+type scratch = {
+  mutable slot : int array;
+  mutable stamp : int array;
+  mutable version : int;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { slot = [||]; stamp = [||]; version = 0 })
+
+let slots_of n ids =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.slot < n then begin
+    sc.slot <- Array.make n 0;
+    sc.stamp <- Array.make n 0;
+    sc.version <- 0
+  end;
+  sc.version <- sc.version + 1;
+  Array.iteri
+    (fun s v ->
+      sc.slot.(v) <- s;
+      sc.stamp.(v) <- sc.version)
+    ids;
+  sc
+
+let slot_of sc v = if sc.stamp.(v) = sc.version then sc.slot.(v) else -1
+
+(* [covered.(t) <- i] for the slot [t] of every member strictly within
+   [r] of [v], from entry [k] of [v]'s order on: a prefix of the order. *)
+let rec mark m sc covered v r i k =
+  if k < Metric.n m then begin
+    let w = Metric.nth_nearest m v k in
+    if Metric.dist m v w < r then begin
+      let t = slot_of sc w in
+      if t >= 0 then covered.(t) <- i;
+      mark m sc covered v r i (k + 1)
+    end
+  end
+
+(* The first slot at level [i] in [v]'s order, from entry [k] on. *)
+let rec first_at m sc level v i k =
+  let t = slot_of sc (Metric.nth_nearest m v k) in
+  if t >= 0 && level.(t) = i then t else first_at m sc level v i (k + 1)
+
+(* The Definition 3.2 / 4.2 levels over member slots. [level.(s)] is the
+   net level slot [s] joined (0 at the root, -1 while unplaced). Level i
+   is the greedy 2^(L-i)-net of the unplaced members in id (= slot)
+   order: a member joins unless an earlier point of the level lies
+   strictly within r_i of it, and each point that joins marks the
+   members strictly within r_i by walking its own neighbour order, which
+   is sorted by distance. A point's parent is the first member of the
+   previous level in its order: the nearest one, least id on ties. *)
+let levels m ~epsilon ~radius ~ids ~root ~net_levels ~capped_levels
+    ~level_cap ~parent ~weight ~chain =
+  let size = Array.length ids and n = Metric.n m in
+  let sc = slots_of n ids in
+  let level = Array.make size (-1) in
+  (* [covered.(s) = i]: within r_i of a point already in level i *)
+  let covered = Array.make size 0 in
+  level.(root) <- 0;
+  let nearest_at s i = if i = 0 then root else first_at m sc level ids.(s) i 0 in
+  let attach s p w =
+    parent.(s) <- p;
+    weight.(s) <- w
+  in
+  let net_edge s p = attach s p (Metric.dist m ids.(s) ids.(p)) in
+  let remaining = ref (size - 1) in
+  (* Net levels U_1 .. U_capped_levels (Definition 3.2). *)
+  let i = ref 1 in
+  while !i <= capped_levels && !remaining > 0 do
+    let r_i = Float.pow 2.0 (float_of_int (net_levels - !i)) in
+    for s = 0 to size - 1 do
+      if level.(s) < 0 && covered.(s) <> !i then begin
+        level.(s) <- !i;
+        decr remaining;
+        net_edge s (nearest_at s (!i - 1));
+        mark m sc covered ids.(s) r_i !i 0
+      end
+    done;
+    incr i
+  done;
+  (* Leftovers: final sweep (Definition 3.2 deviation i) or Definition 4.2
+     chains when the level cap truncated the hierarchy. *)
+  if !remaining > 0 then begin
+    let last = !i - 1 in
+    let truncated =
+      match level_cap with
+      | Some cap -> net_levels > cap
+      | None -> false
+    in
+    if truncated then begin
+      let w_chain = 2.0 *. epsilon *. radius /. float_of_int n in
+      let tail = Array.init size Fun.id in
+      (* Visit leftovers in id order: each joins the chain of its nearest
+         site, behind the previously chained node. *)
+      for s = 0 to size - 1 do
+        if level.(s) < 0 then begin
+          let site = nearest_at s last in
+          attach s tail.(site) w_chain;
+          chain.(s) <- w_chain;
+          tail.(site) <- s
+        end
+      done
+    end
+    else
+      for s = 0 to size - 1 do
+        if level.(s) < 0 then net_edge s (nearest_at s last)
+      done
+  end
+
 (* [keyspace] deals [0, universe) instead of the pairs' keys: the
    subtree ranges are the key space's slices, and no pair is stored. *)
 let make m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe
@@ -85,63 +198,8 @@ let make m ~epsilon ~center ~radius ~members ~level_cap ~pairs ~universe
   let parent = Array.make size (-1) in
   let weight = Array.make size 0.0 in
   let chain = Array.make size Float.nan in
-  let placed = Array.make size false in
-  placed.(root) <- true;
-  let attach v p w =
-    let s = slot_in ids v in
-    parent.(s) <- slot_in ids p;
-    weight.(s) <- w;
-    placed.(s) <- true
-  in
-  let unplaced vs = List.filter (fun v -> not placed.(slot_in ids v)) vs in
-  let remaining =
-    ref (List.filter (fun v -> v <> center) (Array.to_list ids))
-  in
-  let prev_level = ref [ center ] in
-  (* Net levels U_1 .. U_capped_levels (Definition 3.2). *)
-  let level = ref 1 in
-  while !level <= capped_levels && !remaining <> [] do
-    let r_i = Float.pow 2.0 (float_of_int (net_levels - !level)) in
-    let u_i = Rnet.greedy m ~r:r_i ~candidates:!remaining ~seed:[] in
-    List.iter
-      (fun v ->
-        let p = Metric.nearest_in m v !prev_level in
-        attach v p (Metric.dist m v p))
-      u_i;
-    remaining := unplaced !remaining;
-    prev_level := u_i;
-    incr level
-  done;
-  (* Leftovers: final sweep (Definition 3.2 deviation i) or Definition 4.2
-     chains when the level cap truncated the hierarchy. *)
-  if !remaining <> [] then begin
-    let truncated =
-      match level_cap with
-      | Some cap -> net_levels > cap
-      | None -> false
-    in
-    if truncated then begin
-      let n = Metric.n m in
-      let w_chain = 2.0 *. epsilon *. radius /. float_of_int n in
-      let sites = !prev_level in
-      let tail = Array.copy ids in
-      (* Visit leftovers in id order: each joins the chain of its nearest
-         site, behind the previously chained node. *)
-      List.iter
-        (fun v ->
-          let site = slot_in ids (Metric.nearest_in m v sites) in
-          attach v tail.(site) w_chain;
-          chain.(slot_in ids v) <- w_chain;
-          tail.(site) <- v)
-        (List.sort Int.compare !remaining)
-    end
-    else
-      List.iter
-        (fun v ->
-          let p = Metric.nearest_in m v !prev_level in
-          attach v p (Metric.dist m v p))
-        !remaining
-  end;
+  levels m ~epsilon ~radius ~ids ~root ~net_levels ~capped_levels ~level_cap
+    ~parent ~weight ~chain;
   (* The checks, and the messages, of Tree.of_parents. *)
   Array.iteri
     (fun s p ->

@@ -31,7 +31,21 @@
     once. A member's pairs become a list of their own only when [insert]
     or [remove] first changes them. There is no hash table and no stored
     [Cr_tree.Tree.t]; a lookup is a descent over int arrays and a binary
-    search in the stop node's slice. *)
+    search in the stop node's slice.
+
+    {b Construction.} The levels are built over the same member slots,
+    from the metric's neighbour order ({!Cr_metric.Metric.nth_nearest}).
+    Level i scans the unplaced members in id order; a member joins the
+    2^(L-i)-net unless an earlier point of the level lies strictly within
+    r_i = 2^(L-i) of it, and a point that joins marks the members
+    strictly within r_i by walking its own order, a prefix of it. A
+    point's parent (and a leftover's sweep parent or chain site) is the
+    first member of the level above in its own order: the nearest one,
+    least id on ties. Node ids map to slots through a version-stamped
+    scratch of n ints kept per domain, so a build allocates in
+    proportion to its members. [test/test_search_tree.ml] checks every
+    tree against a list builder of the same levels (greedy nets over
+    lists, nearest point by a scan of the level above). *)
 
 type t
 

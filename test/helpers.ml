@@ -118,6 +118,72 @@ let cover_family_graph (kind, seed) =
   | 4 -> Cr_graphgen.Path_like.exponential_chain ~n:(4 + (seed mod 11)) ~base:2.0
   | _ -> family_graph (kind, seed)
 
+(* Greedy r-net (Definition 2.1) over the matrix: the points of [seed],
+   then every candidate, scanned in increasing id order, at distance
+   >= r from every point so far. Sorted by id. The reference the
+   ball-limited net builders (Net_levels, Net_election, the search
+   trees' levels) are checked against; [seed] is assumed pairwise >= r
+   apart, as a coarser level's net is. *)
+let rnet_greedy m ~r ~candidates ~seed =
+  let net = ref (List.sort_uniq Int.compare seed) in
+  let far_from_net v = List.for_all (fun y -> Metric.dist m v y >= r) !net in
+  List.iter
+    (fun v -> if far_from_net v then net := v :: !net)
+    (List.sort Int.compare candidates);
+  List.sort Int.compare !net
+
+(* The Definition 3.2 / 4.2 levels of Search_tree.build, built over
+   lists: per level, [rnet_greedy] over the unplaced members, each new
+   point attached to [Metric.nearest_in] over the previous level; then
+   the final sweep onto the last level, or, when the level cap truncated
+   the hierarchy, the Definition 4.2 chains (leftovers in id order, each
+   behind the last node chained to its nearest site, at weight
+   2 eps r / n). One (member, parent, edge weight, chained) per member
+   but the center, parents before their children. *)
+let search_tree_levels m ~epsilon ~center ~radius ~members ~level_cap =
+  let net_levels =
+    let er = epsilon *. radius in
+    if er < 2.0 then 0 else int_of_float (Float.log2 er)
+  in
+  let capped =
+    match level_cap with None -> net_levels | Some cap -> min cap net_levels
+  in
+  let edges = ref [] in
+  let attach v p w chained = edges := (v, p, w, chained) :: !edges in
+  let net_edge prev v =
+    let p = Metric.nearest_in m v prev in
+    attach v p (Metric.dist m v p) false
+  in
+  let remaining =
+    ref (List.filter (fun v -> v <> center) (List.sort_uniq Int.compare members))
+  in
+  let prev = ref [ center ] in
+  let level = ref 1 in
+  while !level <= capped && !remaining <> [] do
+    let r = Float.pow 2.0 (float_of_int (net_levels - !level)) in
+    let net = rnet_greedy m ~r ~candidates:!remaining ~seed:[] in
+    List.iter (net_edge !prev) net;
+    remaining := List.filter (fun v -> not (List.mem v net)) !remaining;
+    prev := net;
+    incr level
+  done;
+  let truncated =
+    match level_cap with Some cap -> net_levels > cap | None -> false
+  in
+  if truncated then begin
+    let w = 2.0 *. epsilon *. radius /. float_of_int (Metric.n m) in
+    let tails = ref [] in
+    List.iter
+      (fun v ->
+        let site = Metric.nearest_in m v !prev in
+        let tail = Option.value (List.assoc_opt site !tails) ~default:site in
+        attach v tail w true;
+        tails := (site, v) :: List.remove_assoc site !tails)
+      !remaining
+  end
+  else List.iter (net_edge !prev) !remaining;
+  List.rev !edges
+
 (* [u]'s nodes sorted by (distance, id), by a plain sort of all of them. *)
 let brute_order m u =
   List.sort

@@ -223,7 +223,7 @@ let prop_hardened_election_equals_greedy =
         Cr_proto.Net_election.run ~via:(via_of (lossy_plan fseed)) g ~r:2.0
       in
       let reference =
-        Cr_nets.Rnet.greedy m ~r:2.0 ~candidates:(List.init n Fun.id) ~seed:[]
+        rnet_greedy m ~r:2.0 ~candidates:(List.init n Fun.id) ~seed:[]
       in
       result.Cr_proto.Net_election.net = reference)
 

@@ -410,18 +410,73 @@ let prop_geo_grid_radius_tight =
 (* The stored neighbour order against brute-force sorts, and the single
    normalized build against the old build-measure-rebuild sequence. *)
 
+(* Exponential chains at n >= 40, base 3, whose path sums pass 2^53, so
+   an edge weight can round away (d + w = d) and a Dijkstra run settles
+   a larger id before a smaller one at the same distance. *)
+let rounding_chain_gen =
+  QCheck2.Gen.map
+    (fun n -> Cr_graphgen.Path_like.exponential_chain ~n ~base:3.0)
+    (QCheck2.Gen.int_range 40 64)
+
+let plaw_gen =
+  QCheck2.Gen.map2
+    (fun n seed -> Cr_graphgen.Power_law.preferential ~n ~m:2 ~seed)
+    (QCheck2.Gen.int_range 10 60)
+    (QCheck2.Gen.int_range 1 1000)
+
+(* The dense families, where each run's settle order already is the
+   (distance, id) order, plus the graphs where it needs repair. *)
+let order_gen =
+  QCheck2.Gen.oneof
+    [ QCheck2.Gen.map family_graph family_gen; rounding_chain_gen; plaw_gen ]
+
 let prop_nearest_k_brute_force =
   qcheck_case ~count:40 "metric: nearest_k = brute (distance, id) sort"
-    family_gen (fun fam ->
-      let m = Metric.of_graph (family_graph fam) in
+    order_gen (fun g ->
+      let m = Metric.of_graph g in
       let n = Metric.n m in
       List.for_all
         (fun u ->
           let expected = brute_order m u in
           List.for_all
             (fun k -> Metric.nearest_k m u k = take k expected)
-            (List.init n (fun i -> i + 1)))
+            (List.init n (fun i -> i + 1))
+          && List.for_all2
+               (fun k v -> Metric.nth_nearest m u k = v)
+               (List.init n Fun.id) expected)
         (List.init n Fun.id))
+
+(* Every distance is the lesser of the two one-sided runs' sums, and
+   every canonical path is the source's own forest path, on the graphs
+   whose rows the insertion pass reorders. *)
+let prop_rows_are_runs =
+  qcheck_case ~count:20 "metric: dist, pred rows = Dijkstra runs (chains, plaw)"
+    (QCheck2.Gen.oneof [ rounding_chain_gen; plaw_gen ])
+    (fun g ->
+      let m = Metric.of_graph g in
+      let n = Metric.n m in
+      let runs = Array.init n (Dijkstra.run (Metric.graph m)) in
+      List.for_all
+        (fun u ->
+          List.for_all
+            (fun v ->
+              Float.equal (Metric.dist m u v)
+                (Float.min runs.(u).dist.(v) runs.(v).dist.(u))
+              && Metric.shortest_path m ~src:u ~dst:v = forest_path runs.(u) v)
+            (List.init n Fun.id))
+        (List.init n Fun.id))
+
+(* The chain the properties above lean on does exercise the repair:
+   some run's settle order is not its final row. *)
+let test_chain_needs_repair () =
+  let g = Cr_graphgen.Path_like.exponential_chain ~n:48 ~base:3.0 in
+  let m = Metric.of_graph g in
+  check_bool "a settle order differs from its row" true
+    (List.exists
+       (fun u ->
+         Array.to_list (snd (Dijkstra.run_ordered (Metric.graph m) u))
+         <> Metric.nearest_k m u 48)
+       (List.init 48 Fun.id))
 
 let prop_radius_of_size_row =
   qcheck_case ~count:40 "metric: radius_of_size = k-th smallest row entry"
@@ -847,6 +902,9 @@ let suite =
     prop_ball_monotone;
     prop_geo_grid_radius_tight;
     prop_nearest_k_brute_force;
+    prop_rows_are_runs;
+    Alcotest.test_case "settle order needs repair on chain:48:3.0" `Quick
+      test_chain_needs_repair;
     prop_radius_of_size_row;
     prop_of_graph_single_build;
     prop_multi_source_brute_force;

@@ -3,7 +3,6 @@
 
 open Helpers
 module Metric = Cr_metric.Metric
-module Rnet = Cr_nets.Rnet
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
 
@@ -25,7 +24,7 @@ let test_greedy_is_net () =
   let m = grid8 () in
   List.iter
     (fun r ->
-      let net = Rnet.greedy m ~r ~candidates:(all_nodes m) ~seed:[] in
+      let net = rnet_greedy m ~r ~candidates:(all_nodes m) ~seed:[] in
       check_bool
         (Printf.sprintf "greedy %g-net is a net" r)
         true
@@ -35,7 +34,7 @@ let test_greedy_is_net () =
 let test_greedy_respects_seed () =
   let m = grid8 () in
   let seed = [ 0; 63 ] in
-  let net = Rnet.greedy m ~r:2.0 ~candidates:(all_nodes m) ~seed in
+  let net = rnet_greedy m ~r:2.0 ~candidates:(all_nodes m) ~seed in
   List.iter
     (fun s -> check_bool "seed kept" true (List.mem s net))
     seed
@@ -259,7 +258,7 @@ let prop_zoom_step_distance =
       !ok)
 
 (* The hierarchy against the matrix algorithm it is built without: per
-   level, Rnet.greedy over every node seeded with the coarser net, and
+   level, rnet_greedy over every node seeded with the coarser net, and
    per node, Metric.nearest_in over the level's net. *)
 let prop_hierarchy_matches_matrix_greedy =
   qcheck_case "hierarchy: build = matrix greedy and nearest_in reference"
@@ -272,7 +271,7 @@ let prop_hierarchy_matches_matrix_greedy =
       nets.(top) <- [ 0 ];
       for i = top - 1 downto 1 do
         nets.(i) <-
-          Rnet.greedy m ~r:(Hierarchy.net_radius i) ~candidates:nodes
+          rnet_greedy m ~r:(Hierarchy.net_radius i) ~candidates:nodes
             ~seed:nets.(i + 1)
       done;
       Hierarchy.top_level h = top

@@ -6,7 +6,6 @@ open Helpers
 module Graph = Cr_metric.Graph
 module Metric = Cr_metric.Metric
 module Dijkstra = Cr_metric.Dijkstra
-module Rnet = Cr_nets.Rnet
 module Network = Cr_proto.Network
 module Dist_spt = Cr_proto.Dist_spt
 module Net_election = Cr_proto.Net_election
@@ -347,7 +346,7 @@ let check_election_matches m r =
   let g = Metric.graph m in
   let result = Net_election.run g ~r in
   let all = List.init (Metric.n m) Fun.id in
-  let reference = Rnet.greedy m ~r ~candidates:all ~seed:[] in
+  let reference = rnet_greedy m ~r ~candidates:all ~seed:[] in
   Alcotest.(check (list int))
     (Printf.sprintf "election = greedy at r=%g" r)
     reference result.Net_election.net;
@@ -402,7 +401,7 @@ let prop_election_equals_greedy =
       let m = Metric.of_graph (Cr_graphgen.Geometric.knn ~n ~k:3 ~seed) in
       let result = Net_election.run (Metric.graph m) ~r in
       let reference =
-        Rnet.greedy m ~r ~candidates:(List.init n Fun.id) ~seed:[]
+        rnet_greedy m ~r ~candidates:(List.init n Fun.id) ~seed:[]
       in
       result.Net_election.net = reference)
 
@@ -428,7 +427,7 @@ let test_seeded_election () =
   let seeds = [ 14; 21 ] in
   let result = Net_election.run g ~r:2.0 ~seeds in
   let reference =
-    Rnet.greedy m ~r:2.0 ~candidates:(List.init (Metric.n m) Fun.id) ~seed:seeds
+    rnet_greedy m ~r:2.0 ~candidates:(List.init (Metric.n m) Fun.id) ~seed:seeds
   in
   Alcotest.(check (list int)) "seeded election = seeded greedy" reference
     result.Net_election.net;

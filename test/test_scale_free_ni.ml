@@ -175,6 +175,83 @@ let prop_delivery_random =
           o.Scheme.cost >= Metric.dist m src dst -. 1e-9)
         (Workload.sample_pairs ~n ~count:30 ~seed:(seed + 2)))
 
+(* Theorem 1.1's covering choice as the build made it over member
+   lists: for net point u at level i, B_u(2^i/eps) as a [Metric.ball]
+   list, each packed ball's extended ball (its center's 2^(j+2) nearest,
+   at most n) as a [Hashtbl], and the per-member checks; the least j
+   wins, then the least d(u, c), then the earlier ball. Returns every
+   node's (i, j, c) links, level-increasing, and the type-A and type-B
+   tree counts. *)
+let covering_reference m ~epsilon =
+  let n = Metric.n m in
+  let h = Hierarchy.build m in
+  let eps_eff = Cr_core.Ni_scheme.effective_epsilon epsilon in
+  let packed_levels =
+    Array.map
+      (fun packing ->
+        let j = Cr_packing.Ball_packing.size_exponent packing in
+        List.map
+          (fun (ball : Cr_packing.Ball_packing.ball) ->
+            let ext = Metric.nearest_k m ball.center (min (1 lsl (j + 2)) n) in
+            let set = Hashtbl.create (List.length ext) in
+            List.iter (fun v -> Hashtbl.replace set v ()) ext;
+            (j, ball, set))
+          (Cr_packing.Ball_packing.balls packing))
+      (Cr_packing.Ball_packing.build_all m)
+  in
+  let links = Array.make n [] and type_a = ref 0 in
+  for i = 0 to Hierarchy.top_level h do
+    let two_i = Float.pow 2.0 (float_of_int i) in
+    let radius = two_i /. eps_eff and outer = two_i *. ((1.0 /. eps_eff) +. 1.0) in
+    List.iter
+      (fun u ->
+        let members = Metric.ball m ~center:u ~radius in
+        let covers (_, (ball : Cr_packing.Ball_packing.ball), set) =
+          Metric.dist m u ball.center <= outer
+          && Hashtbl.length set >= List.length members
+          && Array.for_all (fun x -> Metric.dist m u x <= outer) ball.members
+          && List.for_all (fun y -> Hashtbl.mem set y) members
+        in
+        let best =
+          Array.fold_left
+            (fun found level ->
+              match found with
+              | Some _ -> found
+              | None ->
+                List.fold_left
+                  (fun acc ((_, (ball : Cr_packing.Ball_packing.ball), _) as b) ->
+                    match acc with
+                    | Some (_, (b' : Cr_packing.Ball_packing.ball), _)
+                      when Metric.dist m u ball.center
+                           >= Metric.dist m u b'.center ->
+                      acc
+                    | _ -> Some b)
+                  None (List.filter covers level))
+            None packed_levels
+        in
+        match best with
+        | Some (j, ball, _) -> links.(u) <- links.(u) @ [ (i, j, ball.center) ]
+        | None -> incr type_a)
+      (Hierarchy.net h i)
+  done;
+  ( links,
+    !type_a,
+    Array.fold_left (fun acc level -> acc + List.length level) 0 packed_levels )
+
+let prop_covering_is_reference =
+  qcheck_case ~count:25 "scale-free NI: covering choice = list reference"
+    QCheck2.Gen.(pair cover_family_gen (oneofl [ 0.2; 0.5 ]))
+    (fun (fam, epsilon) ->
+      let m = Metric.of_graph (cover_family_graph fam) in
+      QCheck2.assume (Metric.n m >= 8);
+      let t, _ = build ~epsilon m in
+      let links, type_a, type_b = covering_reference m ~epsilon in
+      Sfni.type_a_count t = type_a
+      && Sfni.type_b_count t = type_b
+      && List.for_all
+           (fun u -> Sfni.h_link_balls t u = links.(u))
+           (List.init (Metric.n m) Fun.id))
+
 let suite =
   [ Alcotest.test_case "delivers on grid" `Quick test_delivery_grid;
     Alcotest.test_case "delivers on holey grid" `Quick test_delivery_holey;
@@ -192,4 +269,5 @@ let suite =
       test_scale_free_storage_on_chains;
     Alcotest.test_case "found_level and headers" `Quick
       test_found_level_and_headers;
-    prop_delivery_random ]
+    prop_delivery_random;
+    prop_covering_is_reference ]

@@ -406,6 +406,101 @@ let test_non_member_errors () =
       ("parent", fun st v -> ignore (Search_tree.parent st v)) ];
   check_bool "the center has no parent" true (Search_tree.parent st 14 = None)
 
+(* The slot builder against [search_tree_levels], the list builder it
+   replaced: every member's parent and chain flag, the height, every
+   member's table bits (Algorithm 1's deal follows from the parents) and
+   the stored keys. *)
+let matches_reference m ~epsilon ~center ~radius ~members ~level_cap =
+  let n = Metric.n m in
+  let pairs = List.map (fun v -> (3 * v, v)) members in
+  let universe = 3 * n in
+  let st =
+    Search_tree.build m ~epsilon ~center ~radius ~members ~level_cap ~pairs
+      ~universe
+  in
+  let edges =
+    search_tree_levels m ~epsilon ~center ~radius ~members ~level_cap
+  in
+  let ids = List.sort_uniq Int.compare members in
+  let size = List.length ids in
+  let parent = Array.make n (-1) and depth = Array.make n 0.0 in
+  List.iter
+    (fun (v, p, w, _) ->
+      parent.(v) <- p;
+      depth.(v) <- depth.(p) +. w)
+    edges;
+  let children v = List.filter (fun x -> parent.(x) = v) ids in
+  let pre = Array.make n 0 and counter = ref 0 in
+  let rec visit v =
+    pre.(v) <- !counter;
+    incr counter;
+    List.iter visit (children v)
+  in
+  visit center;
+  let slice t = t * List.length pairs / size in
+  let kb = Cr_metric.Bits.id_bits universe in
+  let bits v =
+    ((slice (pre.(v) + 1) - slice pre.(v)) * 2 * kb)
+    + (2 * kb)
+    + (List.length (children v) * 3 * kb)
+    + kb
+  in
+  Search_tree.members st = ids
+  && Search_tree.parent st center = None
+  && List.length edges = size - 1
+  && List.for_all
+       (fun (v, p, _, chained) ->
+         Search_tree.parent st v = Some p
+         && Bool.equal (Search_tree.is_chained st v) chained)
+       edges
+  && Float.equal (Search_tree.height_cost st)
+       (List.fold_left (fun acc v -> Float.max acc depth.(v)) 0.0 ids)
+  && List.for_all (fun v -> Search_tree.table_bits st v = bits v) ids
+  && Search_tree.keys st = List.map (fun v -> 3 * v) ids
+
+(* [cover_family_gen]'s graphs and power-law graphs, an epsilon, and a
+   level cap: none, 1, 2, 3 or ceil(log2 n). *)
+let reference_gen =
+  QCheck2.Gen.(
+    let* g =
+      oneof
+        [ map cover_family_graph cover_family_gen;
+          map2
+            (fun n seed -> Cr_graphgen.Power_law.preferential ~n ~m:2 ~seed)
+            (int_range 10 48) (int_range 1 1000) ]
+    in
+    let* epsilon = oneofl [ 0.2; 0.4; 0.5 ] in
+    let* cap = int_range 0 4 in
+    let* salt = int_range 0 1000 in
+    return (g, epsilon, cap, salt))
+
+(* Every center, with two trees each: one on the metric ball
+   B_c(2^i/eps), as the name-independent schemes pass it, and one on a
+   prefix of c's neighbour order, as the packing balls pass theirs. *)
+let prop_build_is_list_reference =
+  qcheck_case ~count:60 "search tree: build = list reference" reference_gen
+    (fun (g, epsilon, cap, salt) ->
+      let m = Metric.of_graph g in
+      let n = Metric.n m in
+      let level_cap =
+        match cap with
+        | 0 -> None
+        | 4 -> Some (max 1 (Cr_metric.Bits.ceil_log2 n))
+        | c -> Some c
+      in
+      List.for_all
+        (fun center ->
+          let i = (center + salt) mod (Metric.levels m + 1) in
+          let radius = Float.pow 2.0 (float_of_int i) /. epsilon in
+          let k = 1 + (((7 * center) + salt) mod n) in
+          let r_k = Float.max 1.0 (Metric.radius_of_size m center k) in
+          matches_reference m ~epsilon ~center ~radius
+            ~members:(Metric.ball m ~center ~radius) ~level_cap
+          && matches_reference m ~epsilon ~center
+               ~radius:(if center mod 2 = 0 then r_k else r_k /. epsilon)
+               ~members:(Metric.nearest_k m center k) ~level_cap)
+        (List.init n Fun.id))
+
 let suite =
   [ Alcotest.test_case "spans ball" `Quick test_spans_ball;
     Alcotest.test_case "height bound (Eqn 3)" `Quick test_height_bound;
@@ -431,4 +526,5 @@ let suite =
     Alcotest.test_case "walk = paid search on a chained tree" `Quick
       test_walk_on_chained_tree;
     Alcotest.test_case "non-members are typed errors" `Quick
-      test_non_member_errors ]
+      test_non_member_errors;
+    prop_build_is_list_reference ]

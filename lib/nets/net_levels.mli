@@ -8,8 +8,8 @@
     ({!Cr_metric.Bounded.run}) reached it strictly: the matrix greedy's
     "every net point at distance >= r" test (Definition 2.1, scanning
     ids ascending), with the quantifier turned inside out, so the nets
-    are the matrix greedy's. Each level's nearest
-    net points come from one truncated multi-source run with
+    are the matrix greedy's. Each level's nearest net points come from
+    one truncated multi-source run with
     {!Cr_metric.Dijkstra.multi_source}'s (distance, owner-id) tie-break:
     {!Cr_metric.Metric.nearest_in}'s least-id rule.
 
@@ -17,8 +17,9 @@
     symmetrizes opposing rows by [Float.min]; on weight-1 graphs the two
     agree exactly. [test/test_nets.ml] checks the result against the
     matrix greedy (the tests' [rnet_greedy]) and [nearest_in] on seeded
-    geo, grid and holey-grid families. Nothing here is O(n^2): the work is the settled-node count
-    of the balls, reported by {!settled_work}. *)
+    geo, grid and holey-grid families. Nothing here is O(n^2): the work
+    is the settled-node count of the balls, reported by
+    {!settled_work}. *)
 
 type t
 
